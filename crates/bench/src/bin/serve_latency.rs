@@ -17,9 +17,14 @@
 //! cadence. The container has one core, so shard reclusters run
 //! sequentially and each wall is measured in isolation; a parallel
 //! deployment's round cost is modeled as `max(shard walls) + exchange
-//! wall`, giving a modeled tx/s per shard count. The curve self-asserts:
-//! 4 shards must model at least `--scaling-min-speedup` (default 2×) the
-//! 1-shard throughput, or the bench exits non-zero.
+//! wall`, giving a modeled tx/s per shard count. The curve self-asserts
+//! the quantity sharding actually divides — Σ over rounds of the slowest
+//! shard's recluster wall: at 4 shards it must be at least
+//! `--scaling-min-speedup` (default 2×) smaller than at 1 shard, or the
+//! bench exits non-zero. The routing/apply wall and the exchange wall are
+//! serial whatever the shard count; they are reported beside it (and fold
+//! into the end-to-end `speedup_vs_1shard`), unasserted — a ratio of wall
+//! sums that include them *falls* whenever label propagation gets faster.
 //!
 //! Finally it measures the **incremental delta recluster** win: the same
 //! warm window extended by small same-day micro-batches through two
@@ -439,8 +444,10 @@ fn run_delta(args: &Args) -> serde_json::Value {
 /// sequentially here (one core), each wall measured in isolation; the
 /// modeled parallel cost of an exchange round is `max(shard walls) +
 /// exchange wall`, plus the measured routing/apply wall which is serial
-/// in the router either way. Self-asserts 4 shards >= the configured
-/// multiple of 1-shard modeled throughput.
+/// in the router either way. Self-asserts that Σ `max(shard walls)` — the
+/// only term sharding divides — shrinks by the configured multiple from 1
+/// shard to 4; the end-to-end modeled throughput ratio is reported, not
+/// asserted.
 fn run_scaling(args: &Args) -> serde_json::Value {
     let shard_counts: Vec<usize> = args
         .get_str("scaling-shards")
@@ -474,11 +481,20 @@ fn run_scaling(args: &Args) -> serde_json::Value {
     let mut rows = Vec::new();
     let mut json_rows: Vec<serde_json::Value> = Vec::new();
     let mut modeled: Vec<(usize, f64)> = Vec::new();
+    // Per shard count: Σ over rounds of the slowest shard's recluster wall.
+    let mut recluster: Vec<(usize, f64)> = Vec::new();
     for &n in &shard_counts {
         eprintln!("... scaling: {n} shard(s)");
         let cfg = FleetConfig {
             shards: n,
             exchange_every_batches: exchange_every,
+            // One engine thread per shard core: each shard's wall stands
+            // for one core's work, so harness threads spawned per kernel
+            // launch (a fixed cost no shard count divides) stay out of it.
+            shard: ServeConfig {
+                engine_shards: 1,
+                ..ServeConfig::default()
+            },
             ..FleetConfig::default()
         }
         .with_window_days(window_days);
@@ -488,7 +504,7 @@ fn run_scaling(args: &Args) -> serde_json::Value {
             stream.blacklist.clone(),
         );
         let mut apply_wall = 0.0f64;
-        let mut round_wall = 0.0f64;
+        let mut shard_max_wall = 0.0f64;
         let mut exchange_wall = 0.0f64;
         let mut rounds = 0u64;
         let mut batches = 0u64;
@@ -496,12 +512,11 @@ fn run_scaling(args: &Args) -> serde_json::Value {
         let mut spanning = 0usize;
         let mut exchange = |core: &FleetCore| {
             let o = core.exchange_now();
-            round_wall += o
+            shard_max_wall += o
                 .shard_runs
                 .iter()
                 .map(|r| r.wall_seconds)
-                .fold(0.0, f64::max)
-                + o.exchange_wall;
+                .fold(0.0, f64::max);
             exchange_wall += o.exchange_wall;
             rounds += 1;
             boundary_users = o.report.boundary_users;
@@ -521,16 +536,21 @@ fn run_scaling(args: &Args) -> serde_json::Value {
             core.fleet_snapshot().verdicts.num_flagged() > 0,
             "scaling run must flag the planted rings"
         );
+        let round_wall = shard_max_wall + exchange_wall;
         let modeled_wall = apply_wall + round_wall;
         let tx_per_s = all.len() as f64 / modeled_wall;
         modeled.push((n, tx_per_s));
+        recluster.push((n, shard_max_wall));
         let speedup = tx_per_s / modeled[0].1;
+        let recluster_speedup = recluster[0].1 / shard_max_wall;
         rows.push(vec![
             format!("{n}"),
             format!("{}", all.len()),
             format!("{rounds}"),
             format!("{:.3}s", apply_wall),
-            format!("{:.3}s", round_wall),
+            format!("{:.3}s", shard_max_wall),
+            format!("{:.3}s", exchange_wall),
+            format!("{recluster_speedup:.2}x"),
             format!("{:.3}s", modeled_wall),
             format!("{tx_per_s:.0}"),
             format!("{speedup:.2}x"),
@@ -541,6 +561,8 @@ fn run_scaling(args: &Args) -> serde_json::Value {
             "transactions": all.len() as u64,
             "exchange_rounds": rounds,
             "apply_wall_s": apply_wall,
+            "shard_recluster_max_wall_s": shard_max_wall,
+            "recluster_speedup_vs_1shard": recluster_speedup,
             "modeled_round_wall_s": round_wall,
             "exchange_wall_s": exchange_wall,
             "modeled_wall_s": modeled_wall,
@@ -558,7 +580,9 @@ fn run_scaling(args: &Args) -> serde_json::Value {
             "txs",
             "rounds",
             "apply",
-            "round wall",
+            "Σmax shard",
+            "exchange",
+            "shard speedup",
             "modeled",
             "tx/s",
             "speedup",
@@ -568,17 +592,24 @@ fn run_scaling(args: &Args) -> serde_json::Value {
     );
 
     let min_speedup: f64 = args.get("scaling-min-speedup", 2.0);
-    let one = modeled.iter().find(|(n, _)| *n == 1).map(|&(_, t)| t);
-    let four = modeled.iter().find(|(n, _)| *n == 4).map(|&(_, t)| t);
-    let checked = one.zip(four).map(|(t1, t4)| t4 / t1);
+    let ratio_4_over_1 = |curve: &[(usize, f64)]| {
+        let at = |shards: usize| curve.iter().find(|(n, _)| *n == shards).map(|&(_, x)| x);
+        at(1).zip(at(4))
+    };
+    let end_to_end = ratio_4_over_1(&modeled).map(|(t1, t4)| t4 / t1);
+    let checked = ratio_4_over_1(&recluster).map(|(w1, w4)| w1 / w4);
     let ok = checked.map(|s| s >= min_speedup);
     if let Some(s) = checked {
-        eprintln!("... 4-shard speedup over 1-shard: {s:.2}x (floor {min_speedup:.1}x)");
+        eprintln!(
+            "... 4-shard recluster speedup over 1-shard: {s:.2}x (floor {min_speedup:.1}x); \
+             end-to-end modeled throughput {:.2}x (not asserted)",
+            end_to_end.unwrap_or(0.0)
+        );
         if !args.has("no-scaling-assert") {
             assert!(
                 s >= min_speedup,
-                "scaling regression: 4-shard modeled throughput is only {s:.2}x the \
-                 1-shard baseline (floor {min_speedup:.1}x)"
+                "scaling regression: at 4 shards the slowest-shard recluster wall is only \
+                 {s:.2}x smaller than at 1 shard (floor {min_speedup:.1}x)"
             );
         }
     }
@@ -594,7 +625,8 @@ fn run_scaling(args: &Args) -> serde_json::Value {
         "rows": json_rows,
         "assert": serde_json::json!({
             "min_speedup_4x_over_1": min_speedup,
-            "measured_speedup_4_over_1": checked.unwrap_or(0.0),
+            "measured_recluster_speedup_4_over_1": checked.unwrap_or(0.0),
+            "measured_speedup_4_over_1": end_to_end.unwrap_or(0.0),
             "ok": ok.unwrap_or(false),
         }),
     })

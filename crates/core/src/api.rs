@@ -118,6 +118,45 @@ pub trait LpProgram: Sync {
     fn restore_state(&mut self, _blob: &[u8]) -> bool {
         false
     }
+
+    // -- Engine plumbing -------------------------------------------------
+    //
+    // The three hidden methods below are not Table 1 callbacks and
+    // implementations leave them alone. Engines hold programs as
+    // `&dyn LpProgram`, which would make every callback a virtual call —
+    // two per *edge* for `load_neighbor`/`label_score`. A provided
+    // method's body, however, is compiled once per implementing type: in
+    // here `Self` is the concrete program, so the loops below (and the
+    // generic kernels) inline its callbacks, and an engine pays one
+    // virtual call per kernel shard or per phase instead. Every
+    // `impl LpProgram`, in or out of this crate, gets that for free, and
+    // the trait stays dyn-compatible.
+
+    /// Runs one shard of a propagation kernel with this program's
+    /// callbacks statically dispatched.
+    #[doc(hidden)]
+    fn propagate_shard(&self, shard: &mut crate::engine::KernelShard<'_, '_>) {
+        shard.run(self);
+    }
+
+    /// Phase 1 in bulk: `out[k] = pick_label(first + k)`.
+    #[doc(hidden)]
+    fn pick_labels_into(&self, first: VertexId, out: &mut [Label]) {
+        for (k, s) in out.iter_mut().enumerate() {
+            *s = self.pick_label(first + k as VertexId);
+        }
+    }
+
+    /// Phase 3 in bulk: `update_vertex(v, decisions[v])` for every vertex
+    /// in ascending order; returns how many reported a change.
+    #[doc(hidden)]
+    fn apply_decisions(&mut self, decisions: &[Option<(Label, f64)>]) -> u64 {
+        let mut changed = 0u64;
+        for (v, &d) in decisions.iter().enumerate() {
+            changed += u64::from(self.update_vertex(v as VertexId, d));
+        }
+        changed
+    }
 }
 
 /// Encodes a label array little-endian — the shared helper for

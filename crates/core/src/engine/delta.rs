@@ -125,9 +125,7 @@ pub fn replay_delta(
 
     for iteration in 0..max_iterations {
         prog.begin_iteration(iteration);
-        for (v, s) in spoken.iter_mut().enumerate() {
-            *s = prog.pick_label(v as VertexId);
-        }
+        prog.pick_labels_into(0, &mut spoken);
         let pred = &memo[(iteration as usize).min(memo.len() - 1)];
         let mut scheduled = 0u64;
         for v in 0..n as VertexId {
@@ -160,12 +158,7 @@ pub fn replay_delta(
             }
             decisions[v as usize] = BestLabel::into_decision(best);
         }
-        let mut changed = 0u64;
-        for (v, &d) in decisions.iter().enumerate() {
-            if prog.update_vertex(v as VertexId, d) {
-                changed += 1;
-            }
-        }
+        let changed = prog.apply_decisions(&decisions);
         prog.end_iteration(iteration);
         // Divergence scan: the next frontier is the seeds plus every
         // vertex off the memoized trajectory plus its out-neighbors.

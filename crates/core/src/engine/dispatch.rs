@@ -126,6 +126,9 @@ pub fn split_by_degree<'a>(
     if vertices.is_empty() {
         return Vec::new();
     }
+    if shards == 1 {
+        return vec![vertices];
+    }
     let total: u64 = vertices.iter().map(|&v| u64::from(g.degree(v)) + 1).sum();
     let per = total.div_ceil(shards as u64).max(1);
     let mut out = Vec::with_capacity(shards);

@@ -2,15 +2,12 @@
 //! degree-bucketed MFL kernels (§4) and active-frontier scheduling.
 
 use super::dispatch::{split_by_degree, Buckets};
-use super::kernels::{
-    self, block_cms_ht_kernel, global_hash_kernel, warp_packed_kernel, warp_per_vertex_kernel,
-    ShardStats,
-};
+use super::kernels::{self, DecisionsOut, KernelKind, KernelShard, ShardStats};
 use super::options::BarrierEvent;
 use super::{Decision, Direction, Engine, EngineError, FrontierMode, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
-use glp_gpusim::{CostModel, Device, DeviceError, KernelCtx, KernelRecord};
+use glp_gpusim::{CostModel, Device, DeviceError, KernelRecord};
 use glp_graph::{Graph, Label, VertexId};
 use glp_trace::{Category, Clock, KernelProfile, Tracer};
 use std::borrow::Cow;
@@ -95,6 +92,7 @@ impl Engine for GpuEngine {
         let mut decisions: Vec<Decision> = vec![None; n];
         let sparse = opts.frontier.sparse(prog.sparse_activation());
         let mut active = initial_active(n, sparse, opts);
+        let mut changed_flags = vec![false; if sparse { n } else { 0 }];
         let mut report = LpRunReport::default();
         let start_elapsed = t0;
         let device = &mut self.device;
@@ -118,7 +116,7 @@ impl Engine for GpuEngine {
                 }
                 prog.begin_iteration(iteration);
                 pick_labels(device, &mut spoken, 0, prog, shards)?;
-                decisions.iter_mut().for_each(|d| *d = None);
+                decisions.fill(None);
                 // Rebuild the degree-bucketed dispatch over this iteration's
                 // frontier; the full-vertex bucketing is reused whenever the
                 // frontier is (still) saturated.
@@ -156,7 +154,8 @@ impl Engine for GpuEngine {
                 report.smem_vertices += stats.smem_vertices;
                 let changed = apply_updates(device, &decisions, prog)?;
                 let direction = if sparse {
-                    refresh_active(device, g, &spoken, &decisions, &mut active, opts.frontier)?
+                    mark_changed(&spoken, &decisions, &mut changed_flags);
+                    refresh_active(device, g, &changed_flags, &mut active, opts.frontier)?
                 } else {
                     Direction::Dense
                 };
@@ -286,52 +285,43 @@ pub(crate) fn charge_snapshot(device: &mut Device, n: u64) -> Result<(), DeviceE
     })
 }
 
+/// Flags the vertices whose decision differs from the label they spoke
+/// this round — the change set every frontier rebuild starts from. Derived
+/// once per iteration into a buffer the run owns; `Auto`'s pricing
+/// ([`touched_edges`]) and the rebuild it then picks both read it.
+pub(crate) fn mark_changed(spoken: &[Label], decisions: &[Decision], changed: &mut [bool]) {
+    for ((c, &s), &d) in changed.iter_mut().zip(spoken).zip(decisions) {
+        *c = matches!(d, Some((l, _)) if l != s);
+    }
+}
+
 /// Recomputes the active set in **push** direction — out-neighbors of
-/// every vertex whose spoken label changed — returning the number of
-/// scatter marks written, Σ out-degree over the changed vertices (host
-/// side; every engine shares this so the frontier semantics cannot
+/// every vertex in the `changed` set ([`mark_changed`]) — returning the
+/// number of scatter marks written, Σ out-degree over the changed vertices
+/// (host side; every engine shares this so the frontier semantics cannot
 /// diverge).
-pub(crate) fn recompute_active(
-    g: &Graph,
-    spoken: &[Label],
-    decisions: &[Decision],
-    active: &mut [bool],
-) -> u64 {
-    active.iter_mut().for_each(|a| *a = false);
+pub(crate) fn recompute_active(g: &Graph, changed: &[bool], active: &mut [bool]) -> u64 {
+    active.fill(false);
     let out = g.outgoing();
     let mut touched = 0u64;
-    for (v, &d) in decisions.iter().enumerate() {
-        if let Some((l, _)) = d {
-            if l != spoken[v] {
-                for &u in out.neighbors(v as VertexId) {
-                    active[u as usize] = true;
-                }
-                touched += u64::from(out.degree(v as VertexId));
-            }
+    for (v, _) in changed.iter().enumerate().filter(|&(_, &c)| c) {
+        for &u in out.neighbors(v as VertexId) {
+            active[u as usize] = true;
         }
+        touched += u64::from(out.degree(v as VertexId));
     }
     touched
 }
 
 /// Recomputes the active set in **pull** direction: every vertex scans its
-/// in-neighbors and activates itself at the first one whose spoken label
-/// changed. Because `v ∈ out(u) ⟺ u ∈ in(v)` (undirected graphs share one
+/// in-neighbors and activates itself at the first one in the `changed`
+/// set. Because `v ∈ out(u) ⟺ u ∈ in(v)` (undirected graphs share one
 /// CSR; directed graphs derive the outgoing view by transposition), this
 /// marks *exactly* the vertices [`recompute_active`] marks — the
 /// bit-identity contract `direction_equivalence.rs` pins. Returns the
 /// number of in-adjacency entries actually scanned (the early exit is why
 /// a dense frontier makes this cheap).
-pub(crate) fn recompute_active_pull(
-    g: &Graph,
-    spoken: &[Label],
-    decisions: &[Decision],
-    active: &mut [bool],
-) -> u64 {
-    let changed: Vec<bool> = decisions
-        .iter()
-        .enumerate()
-        .map(|(v, &d)| matches!(d, Some((l, _)) if l != spoken[v]))
-        .collect();
+pub(crate) fn recompute_active_pull(g: &Graph, changed: &[bool], active: &mut [bool]) -> u64 {
     let inc = g.incoming();
     let mut scanned = 0u64;
     for (v, a) in active.iter_mut().enumerate() {
@@ -347,15 +337,15 @@ pub(crate) fn recompute_active_pull(
     scanned
 }
 
-/// Σ out-degree over the vertices whose spoken label changed — the scatter
-/// volume a push rebuild *would* write, computed without building the
-/// frontier so [`choose_direction`] can price both directions first.
-pub(crate) fn touched_edges(g: &Graph, spoken: &[Label], decisions: &[Decision]) -> u64 {
+/// Σ out-degree over the `changed` vertices — the scatter volume a push
+/// rebuild *would* write, computed without building the frontier so
+/// [`choose_direction`] can price both directions first.
+pub(crate) fn touched_edges(g: &Graph, changed: &[bool]) -> u64 {
     let out = g.outgoing();
-    decisions
+    changed
         .iter()
         .enumerate()
-        .filter(|&(v, &d)| matches!(d, Some((l, _)) if l != spoken[v]))
+        .filter(|&(_, &c)| c)
         .map(|(v, _)| u64::from(out.degree(v as VertexId)))
         .sum()
 }
@@ -369,8 +359,7 @@ pub(crate) fn touched_edges(g: &Graph, spoken: &[Label], decisions: &[Decision])
 pub(crate) fn choose_direction(
     mode: FrontierMode,
     g: &Graph,
-    spoken: &[Label],
-    decisions: &[Decision],
+    changed: &[bool],
     cost: &CostModel,
 ) -> Direction {
     match mode {
@@ -378,7 +367,7 @@ pub(crate) fn choose_direction(
         FrontierMode::Push => Direction::Push,
         FrontierMode::Pull => Direction::Pull,
         FrontierMode::Auto => {
-            let touched = touched_edges(g, spoken, decisions);
+            let touched = touched_edges(g, changed);
             if cost.prefer_pull(g.num_vertices() as u64, touched, g.num_edges()) {
                 Direction::Pull
             } else {
@@ -483,29 +472,29 @@ pub(crate) fn charge_frontier_density(device: &mut Device, n: u64) -> Result<(),
 }
 
 /// GPU-side frontier refresh: resolves the rebuild direction, runs the
-/// matching shared recompute, and charges the matching kernels. Returns
-/// the direction taken so the run loop can record and tag it.
+/// matching shared recompute over the `changed` set, and charges the
+/// matching kernels. Returns the direction taken so the run loop can
+/// record and tag it.
 pub(crate) fn refresh_active(
     device: &mut Device,
     g: &Graph,
-    spoken: &[Label],
-    decisions: &[Decision],
+    changed: &[bool],
     active: &mut [bool],
     mode: FrontierMode,
 ) -> Result<Direction, DeviceError> {
-    let n = decisions.len() as u64;
+    let n = changed.len() as u64;
     if mode == FrontierMode::Auto {
         charge_frontier_density(device, n)?;
     }
-    let dir = choose_direction(mode, g, spoken, decisions, device.cost_model());
+    let dir = choose_direction(mode, g, changed, device.cost_model());
     match dir {
         Direction::Pull => {
-            let scanned = recompute_active_pull(g, spoken, decisions, active);
+            let scanned = recompute_active_pull(g, changed, active);
             let next_active = active.iter().filter(|&&a| a).count() as u64;
             charge_pull_gather(device, n, scanned, next_active)?;
         }
         Direction::Push | Direction::Dense => {
-            let touched = recompute_active(g, spoken, decisions, active);
+            let touched = recompute_active(g, changed, active);
             let next_active = active.iter().filter(|&&a| a).count() as u64;
             charge_frontier(device, n, touched, next_active)?;
         }
@@ -516,7 +505,7 @@ pub(crate) fn refresh_active(
 /// PickLabel (Figure 2): a trivially parallel kernel writing the
 /// spoken-label array, coalesced. `spoken` covers vertices
 /// `base .. base + spoken.len()` (multi-GPU engines pass per-device
-/// sub-slices).
+/// sub-slices); each harness shard fills its own chunk of it in place.
 pub(crate) fn pick_labels(
     device: &mut Device,
     spoken: &mut [Label],
@@ -524,31 +513,27 @@ pub(crate) fn pick_labels(
     prog: &dyn LpProgram,
     shards: usize,
 ) -> Result<(), DeviceError> {
-    let n = spoken.len();
-    let per = n.div_ceil(shards).max(1);
-    let outs = device.launch_parallel("pick_label", shards, |i, ctx: &mut KernelCtx| {
-        let start = (i * per).min(n);
-        let end = ((i + 1) * per).min(n);
-        let m = (end - start) as u64;
-        ctx.global_read_seq(LABEL_STATE + (base as usize + start) as u64 * 4, m, 4);
-        ctx.global_write_seq(SPOKEN_OUT + (base as usize + start) as u64 * 4, m, 4);
+    let per = spoken.len().div_ceil(shards).max(1);
+    let chunks: Vec<(usize, &mut [Label])> = spoken
+        .chunks_mut(per)
+        .enumerate()
+        .map(|(i, chunk)| (i * per, chunk))
+        .collect();
+    device.launch_sharded("pick_label", chunks, |(start, chunk), ctx| {
+        let first = base as usize + start;
+        let m = chunk.len() as u64;
+        ctx.global_read_seq(LABEL_STATE + first as u64 * 4, m, 4);
+        ctx.global_write_seq(SPOKEN_OUT + first as u64 * 4, m, 4);
         ctx.warps_launched(m.div_ceil(32));
         ctx.lanes_active(m);
         ctx.alu(2 * m.div_ceil(32));
-        let mut out = Vec::with_capacity(end - start);
-        for v in start..end {
-            out.push(prog.pick_label(base + v as VertexId));
-        }
-        (start, out)
+        prog.pick_labels_into(first as VertexId, chunk);
     })?;
-    for (start, chunk) in outs {
-        spoken[start..start + chunk.len()].copy_from_slice(&chunk);
-    }
     Ok(())
 }
 
 /// LabelPropagation (Figure 2): degree-bucketed kernels over the vertices
-/// named in `buckets`.
+/// named in `buckets`. `decisions[v]` belongs to vertex `v`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate(
     device: &mut Device,
@@ -561,64 +546,48 @@ pub(crate) fn propagate(
     decisions: &mut [Decision],
 ) -> Result<ShardStats, DeviceError> {
     let csr = g.incoming();
-    let geom = opts.smem_geometry();
-    let mid_slots = opts.mid_ht_slots;
-    let mut stats = ShardStats::default();
-
-    let scatter = |outs: Vec<(Vec<(VertexId, Decision)>, ShardStats)>,
-                   decisions: &mut [Decision],
-                   stats: &mut ShardStats| {
-        for (out, st) in outs {
-            stats.merge(&st);
-            for (v, d) in out {
-                decisions[v as usize] = d;
-            }
-        }
-    };
-
-    if !buckets.warp_packed.is_empty() {
-        let parts = split_by_degree(g, &buckets.warp_packed, shards);
-        let outs =
-            device.launch_parallel("lp_warp_packed", parts.len(), |i, ctx: &mut KernelCtx| {
-                let mut out = Vec::with_capacity(parts[i].len());
-                warp_packed_kernel(ctx, csr, spoken, prog, parts[i], &mut out);
-                (out, ShardStats::default())
-            })?;
-        scatter(outs, decisions, &mut stats);
-    }
-    if !buckets.warp_per_vertex.is_empty() {
-        let parts = split_by_degree(g, &buckets.warp_per_vertex, shards);
-        let outs = device.launch_parallel(
-            "lp_warp_per_vertex",
-            parts.len(),
-            |i, ctx: &mut KernelCtx| {
-                let mut out = Vec::with_capacity(parts[i].len());
-                warp_per_vertex_kernel(ctx, csr, spoken, prog, parts[i], mid_slots, &mut out);
-                (out, ShardStats::default())
+    let launches = [
+        (KernelKind::WarpPacked, &buckets.warp_packed),
+        (
+            KernelKind::WarpPerVertex {
+                ht_slots: opts.mid_ht_slots,
             },
-        )?;
-        scatter(outs, decisions, &mut stats);
-    }
-    if !buckets.block_per_vertex.is_empty() {
-        let parts = split_by_degree(g, &buckets.block_per_vertex, shards);
-        let outs =
-            device.launch_parallel("lp_block_cms_ht", parts.len(), |i, ctx: &mut KernelCtx| {
-                let mut out = Vec::with_capacity(parts[i].len());
-                let mut st = ShardStats::default();
-                block_cms_ht_kernel(ctx, csr, spoken, prog, parts[i], geom, &mut st, &mut out);
-                (out, st)
-            })?;
-        scatter(outs, decisions, &mut stats);
-    }
-    if !buckets.global_hash.is_empty() {
-        let parts = split_by_degree(g, &buckets.global_hash, shards);
-        let outs =
-            device.launch_parallel("lp_global_hash", parts.len(), |i, ctx: &mut KernelCtx| {
-                let mut out = Vec::with_capacity(parts[i].len());
-                global_hash_kernel(ctx, csr, spoken, prog, parts[i], &mut out);
-                (out, ShardStats::default())
-            })?;
-        scatter(outs, decisions, &mut stats);
+            &buckets.warp_per_vertex,
+        ),
+        (
+            KernelKind::BlockCmsHt(opts.smem_geometry()),
+            &buckets.block_per_vertex,
+        ),
+        (KernelKind::GlobalHash, &buckets.global_hash),
+    ];
+    let mut stats = ShardStats::default();
+    for (kind, vertices) in launches {
+        if vertices.is_empty() {
+            continue;
+        }
+        // Bucket parts are contiguous ascending id ranges, so each shard
+        // gets the matching sub-slice of `decisions` to write in place.
+        let parts = split_by_degree(g, vertices, shards);
+        let outs = DecisionsOut::split(decisions, &parts);
+        let work: Vec<_> = parts.into_iter().zip(outs).collect();
+        let per_shard = device.launch_sharded(kind.name(), work, |(vertices, out), ctx| {
+            let mut shard = KernelShard {
+                ctx,
+                csr,
+                spoken,
+                kind,
+                vertices,
+                out,
+                stats: ShardStats::default(),
+            };
+            // The one virtual call of the shard: behind it the kernel runs
+            // monomorphised for the concrete program.
+            prog.propagate_shard(&mut shard);
+            shard.stats
+        })?;
+        for st in &per_shard {
+            stats.merge(st);
+        }
     }
     Ok(stats)
 }
@@ -640,13 +609,7 @@ pub(crate) fn apply_updates(
         ctx.lanes_active(n);
         ctx.alu(2 * n.div_ceil(32));
     })?;
-    let mut changed = 0u64;
-    for (v, &d) in decisions.iter().enumerate() {
-        if prog.update_vertex(v as VertexId, d) {
-            changed += 1;
-        }
-    }
-    Ok(changed)
+    Ok(prog.apply_decisions(decisions))
 }
 
 #[cfg(test)]
@@ -784,10 +747,12 @@ mod tests {
         // Vertex 3 changes; everything else keeps its label.
         let mut decisions: Vec<Decision> = spoken.iter().map(|&l| Some((l, 1.0))).collect();
         decisions[3] = Some((999, 1.0));
+        let mut changed = vec![false; n];
+        mark_changed(&spoken, &decisions, &mut changed);
         let mut push = vec![false; n];
         let mut pull = vec![false; n];
-        let touched = recompute_active(&g, &spoken, &decisions, &mut push);
-        let scanned = recompute_active_pull(&g, &spoken, &decisions, &mut pull);
+        let touched = recompute_active(&g, &changed, &mut push);
+        let scanned = recompute_active_pull(&g, &changed, &mut pull);
         assert_eq!(push, pull);
         assert_eq!(touched, u64::from(g.outgoing().degree(3)));
         // The pull scan early-exits but still walks at least one entry per

@@ -12,8 +12,8 @@
 
 use super::dispatch::Buckets;
 use super::gpu::{
-    apply_updates, charge_snapshot, choose_direction, dispatch_name, initial_active, pick_labels,
-    profile_from_log, propagate, recompute_active, recompute_active_pull, trace_fail,
+    apply_updates, charge_snapshot, choose_direction, dispatch_name, initial_active, mark_changed,
+    pick_labels, profile_from_log, propagate, recompute_active, recompute_active_pull, trace_fail,
     trace_run_begin,
 };
 use super::options::BarrierEvent;
@@ -130,6 +130,7 @@ impl Engine for HybridEngine {
         let mut spoken: Vec<Label> = vec![0; n];
         let mut decisions: Vec<Decision> = vec![None; n];
         let mut active = initial_active(n, sparse, opts);
+        let mut changed_flags = vec![false; if sparse { n } else { 0 }];
         let mut report = LpRunReport::default();
         let device = &mut self.device;
 
@@ -150,7 +151,7 @@ impl Engine for HybridEngine {
                 }
                 prog.begin_iteration(iteration);
                 pick_labels(device, &mut spoken, 0, prog, shards)?;
-                decisions.iter_mut().for_each(|d| *d = None);
+                decisions.fill(None);
 
                 // Restrict work (and streaming) to the active set.
                 let all_active = !sparse
@@ -238,17 +239,13 @@ impl Engine for HybridEngine {
                     // this device's cost model, so `Auto` agrees with the
                     // in-core tiers) and is recorded/tagged like everywhere
                     // else — only the charge is absent.
-                    let dir = choose_direction(
-                        opts.frontier,
-                        g,
-                        &spoken,
-                        &decisions,
-                        device.cost_model(),
-                    );
+                    mark_changed(&spoken, &decisions, &mut changed_flags);
+                    let dir =
+                        choose_direction(opts.frontier, g, &changed_flags, device.cost_model());
                     if dir == Direction::Pull {
-                        recompute_active_pull(g, &spoken, &decisions, &mut active);
+                        recompute_active_pull(g, &changed_flags, &mut active);
                     } else {
-                        recompute_active(g, &spoken, &decisions, &mut active);
+                        recompute_active(g, &changed_flags, &mut active);
                     }
                     dir
                 } else {

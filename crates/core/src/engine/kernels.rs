@@ -14,6 +14,26 @@
 //! workspace-wide tie rule: highest score wins, ties break toward the
 //! smaller label. Scores must be non-decreasing in `freq` for the CMS
 //! pruning to be lossless; all shipped variants satisfy this.
+//!
+//! ## Host execution
+//!
+//! A kernel does two things per warp: it *computes* the decisions on host
+//! slices and it *charges* the events a GPU would see to its
+//! [`KernelCtx`]. Only the charges reach the modeled clock, so the compute
+//! half is free to be as fast as the host allows as long as no counter
+//! moves (`tests/host_path_identity.rs` pins every one):
+//!
+//! * kernels are generic over the **concrete** program type. An engine
+//!   holds a `&dyn LpProgram`; it wraps one shard's inputs in a
+//!   [`KernelShard`] and makes a single virtual call,
+//!   [`LpProgram::propagate_shard`], whose default body is monomorphised
+//!   per program and hands `self` back to [`KernelShard::run`] — so
+//!   `load_neighbor` and `label_score` inline into the edge loops;
+//! * decisions are written in place into the shard's own sub-slice of the
+//!   decision array ([`DecisionsOut`]) — no per-launch result vector;
+//! * per-warp lane registers live in one [`PackedWarp`] reused across the
+//!   warps of a shard, and the table scans, warp intrinsics and coalescing
+//!   counts underneath are linear in what is occupied, not in capacity.
 
 use super::{BestLabel, Decision};
 use crate::api::LpProgram;
@@ -57,6 +77,112 @@ impl ShardStats {
     }
 }
 
+/// The slice of the decision array one kernel shard owns: the entries of
+/// vertices `base .. base + slots.len()`. Shards of one launch hold
+/// disjoint slices, so they write their results in place.
+#[derive(Debug)]
+pub(crate) struct DecisionsOut<'a> {
+    base: VertexId,
+    slots: &'a mut [Decision],
+}
+
+impl<'a> DecisionsOut<'a> {
+    /// Cuts `decisions` (entry `i` belongs to vertex `i`) into one
+    /// sub-slice per part. Parts must be non-empty, ascending and in
+    /// ascending order of each other — what
+    /// [`split_by_degree`](super::dispatch::split_by_degree) returns for a
+    /// bucket — so each covers the id range `first ..= last` of its part
+    /// and `split_at_mut` at the part boundaries is enough.
+    pub(crate) fn split(mut decisions: &'a mut [Decision], parts: &[&[VertexId]]) -> Vec<Self> {
+        let mut covered = 0usize;
+        parts
+            .iter()
+            .map(|part| {
+                let first = part[0] as usize;
+                let last = part[part.len() - 1] as usize;
+                let (_, rest) = std::mem::take(&mut decisions).split_at_mut(first - covered);
+                let (slots, rest) = rest.split_at_mut(last - first + 1);
+                decisions = rest;
+                covered = last + 1;
+                DecisionsOut {
+                    base: part[0],
+                    slots,
+                }
+            })
+            .collect()
+    }
+
+    #[inline]
+    fn set(&mut self, v: VertexId, d: Decision) {
+        self.slots[(v - self.base) as usize] = d;
+    }
+}
+
+/// Which propagation kernel a [`KernelShard`] runs, with its launch
+/// parameters.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum KernelKind {
+    /// [`warp_packed_kernel`].
+    WarpPacked,
+    /// [`warp_per_vertex_kernel`] with this many shared HT slots.
+    WarpPerVertex { ht_slots: usize },
+    /// [`block_cms_ht_kernel`] with this shared-memory geometry.
+    BlockCmsHt(SmemGeometry),
+    /// [`global_hash_kernel`].
+    GlobalHash,
+}
+
+impl KernelKind {
+    /// Kernel name in the device log, profiles and traces.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            KernelKind::WarpPacked => "lp_warp_packed",
+            KernelKind::WarpPerVertex { .. } => "lp_warp_per_vertex",
+            KernelKind::BlockCmsHt(_) => "lp_block_cms_ht",
+            KernelKind::GlobalHash => "lp_global_hash",
+        }
+    }
+}
+
+/// One shard of one propagation-kernel launch: everything a kernel needs
+/// except the program. Engines build it and pass it through
+/// [`LpProgram::propagate_shard`], the one virtual call per shard that
+/// brings the concrete program type to the generic kernels.
+///
+/// Not part of the user-facing API: programs never construct or inspect
+/// one.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct KernelShard<'a, 'c> {
+    pub(crate) ctx: &'a mut KernelCtx<'c>,
+    pub(crate) csr: &'a Csr,
+    pub(crate) spoken: &'a [Label],
+    pub(crate) kind: KernelKind,
+    pub(crate) vertices: &'a [VertexId],
+    pub(crate) out: DecisionsOut<'a>,
+    pub(crate) stats: ShardStats,
+}
+
+impl KernelShard<'_, '_> {
+    /// Runs the shard's kernel with `prog`'s callbacks statically
+    /// dispatched.
+    pub(crate) fn run<P: LpProgram + ?Sized>(&mut self, prog: &P) {
+        let (ctx, csr, spoken, vertices) = (&mut *self.ctx, self.csr, self.spoken, self.vertices);
+        let out = &mut self.out;
+        match self.kind {
+            KernelKind::WarpPacked => warp_packed_kernel(ctx, csr, spoken, prog, vertices, out),
+            KernelKind::WarpPerVertex { ht_slots } => {
+                warp_per_vertex_kernel(ctx, csr, spoken, prog, vertices, ht_slots, out)
+            }
+            KernelKind::BlockCmsHt(geom) => {
+                let stats = &mut self.stats;
+                block_cms_ht_kernel(ctx, csr, spoken, prog, vertices, geom, stats, out)
+            }
+            KernelKind::GlobalHash => global_hash_kernel(ctx, csr, spoken, prog, vertices, out),
+        }
+    }
+}
+
 /// Charges a warp-wide gather of the spoken labels of `nbrs` (coalescing
 /// computed from the actual vertex ids — neighbors in the same community
 /// sit near each other only as much as the graph says they do).
@@ -64,8 +190,8 @@ impl ShardStats {
 fn charge_label_gather(ctx: &mut KernelCtx, nbrs: &[VertexId]) {
     let mut addrs = [0u64; WARP_SIZE];
     for chunk in nbrs.chunks(WARP_SIZE) {
-        for (i, &u) in chunk.iter().enumerate() {
-            addrs[i] = layout::label_addr(u);
+        for (a, &u) in addrs.iter_mut().zip(chunk) {
+            *a = layout::label_addr(u);
         }
         ctx.global_read(&addrs[..chunk.len()]);
     }
@@ -74,6 +200,131 @@ fn charge_label_gather(ctx: &mut KernelCtx, nbrs: &[VertexId]) {
 // ---------------------------------------------------------------------------
 // Low-degree: one warp, multiple vertices (§4.2).
 // ---------------------------------------------------------------------------
+
+/// The lane registers of one packed warp. One instance serves every warp
+/// of a kernel shard: `used` is reset per warp, and only lanes below it
+/// are ever read, so nothing needs re-initialising in between.
+struct PackedWarp {
+    used: usize,
+    vertex: [VertexId; WARP_SIZE],
+    edge: [u64; WARP_SIZE],
+    label: [Label; WARP_SIZE],
+    weight: [f64; WARP_SIZE],
+    score: [f64; WARP_SIZE],
+    /// Scratch for the lane addresses of one warp-wide access.
+    addrs: [u64; WARP_SIZE],
+    vkeys: [u64; WARP_SIZE],
+    lkeys: [u64; WARP_SIZE],
+}
+
+impl PackedWarp {
+    fn new() -> Self {
+        Self {
+            used: 0,
+            vertex: [INVALID_VERTEX; WARP_SIZE],
+            edge: [0; WARP_SIZE],
+            label: [0; WARP_SIZE],
+            weight: [0.0; WARP_SIZE],
+            score: [f64::MIN; WARP_SIZE],
+            addrs: [0; WARP_SIZE],
+            vkeys: [0; WARP_SIZE],
+            lkeys: [0; WARP_SIZE],
+        }
+    }
+
+    /// Executes the packed lanes as one warp (Figure 3) and empties it.
+    fn flush<P: LpProgram + ?Sized>(
+        &mut self,
+        ctx: &mut KernelCtx,
+        csr: &Csr,
+        spoken: &[Label],
+        prog: &P,
+        out: &mut DecisionsOut<'_>,
+    ) {
+        let used = std::mem::take(&mut self.used);
+        if used == 0 {
+            return;
+        }
+        ctx.warps_launched(1);
+        ctx.lanes_active(used as u64);
+        // 1. Load neighbor ids (edge-indexed; spans of packed vertices are
+        //    contiguous per vertex but not across bucket gaps).
+        for i in 0..used {
+            self.addrs[i] = layout::TARGETS + self.edge[i] * 4;
+        }
+        ctx.global_read(&self.addrs[..used]);
+        // 2. Gather spoken labels of those neighbors, and
+        // 3. take each lane's contribution via the user API.
+        let targets = csr.targets();
+        let mut uniform_weights = true;
+        for i in 0..used {
+            let v = self.vertex[i];
+            let u = targets[self.edge[i] as usize];
+            self.addrs[i] = layout::label_addr(u);
+            let c = prog.load_neighbor(v, u, self.edge[i], spoken[u as usize]);
+            self.label[i] = c.label;
+            self.weight[i] = c.weight;
+            uniform_weights &= c.weight == 1.0;
+            self.vkeys[i] = u64::from(v);
+            self.lkeys[i] = (u64::from(v) << 32) | u64::from(c.label);
+        }
+        ctx.global_read(&self.addrs[..used]);
+        ctx.alu(2);
+        // 4. Intrinsic grouping: active lanes → same-vertex mask → same
+        //    (vertex,label) mask → frequency by popcount.
+        let mut preds = [false; WARP_SIZE];
+        preds[..used].fill(true);
+        let active = ballot_sync(u32::MAX, &preds);
+        let vmasks = match_any_sync(active, &self.vkeys);
+        let lmasks = match_any_sync(active, &self.lkeys);
+        ctx.intrinsic(3); // ballot + 2x match_any
+
+        // 5. Score (frequency from the lmask group) and per-vertex
+        //    reduction (leader = lowest lane of vmask).
+        if uniform_weights {
+            for (i, &lmask) in lmasks[..used].iter().enumerate() {
+                let freq = f64::from(popc(lmask));
+                self.score[i] = prog.label_score(self.vertex[i], self.label[i], freq);
+            }
+            ctx.intrinsic(1); // popc
+        } else {
+            // Weighted: sum lane weights across the lmask group (a short
+            // shuffle reduction instead of a single popc).
+            for (i, &lmask) in lmasks[..used].iter().enumerate() {
+                let mut sum = 0.0;
+                let mut rest = lmask;
+                while rest != 0 {
+                    sum += self.weight[rest.trailing_zeros() as usize];
+                    rest &= rest - 1;
+                }
+                self.score[i] = prog.label_score(self.vertex[i], self.label[i], sum);
+            }
+            ctx.intrinsic(5);
+        }
+        ctx.alu(2);
+        let mut results = 0usize;
+        for (i, &vm) in vmasks[..used].iter().enumerate() {
+            if vm.trailing_zeros() as usize != i {
+                continue; // not the group leader
+            }
+            let v = self.vertex[i];
+            let mut best: Option<BestLabel> = None;
+            let current = spoken[v as usize];
+            let mut rest = vm;
+            while rest != 0 {
+                let l = rest.trailing_zeros() as usize;
+                BestLabel::offer(&mut best, self.label[l], self.score[l], current);
+                rest &= rest - 1;
+            }
+            ctx.intrinsic(2); // per-group max + index shuffle
+            self.addrs[results] = layout::DECISIONS + u64::from(v) * 8;
+            results += 1;
+            out.set(v, BestLabel::into_decision(best));
+        }
+        // 6. Group leaders write their decisions.
+        ctx.global_write(&self.addrs[..results]);
+    }
+}
 
 /// Processes low-degree vertices by packing the edges of several vertices
 /// into one warp and counting label frequencies with `__ballot_sync` /
@@ -87,139 +338,47 @@ pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
     spoken: &[Label],
     prog: &P,
     vertices: &[VertexId],
-    out: &mut Vec<(VertexId, Decision)>,
+    out: &mut DecisionsOut<'_>,
 ) {
-    let mut lane_vertex = [INVALID_VERTEX; WARP_SIZE];
-    let mut lane_edge = [0u64; WARP_SIZE];
-    let mut used = 0usize;
-
-    let flush = |ctx: &mut KernelCtx,
-                 lane_vertex: &[VertexId; WARP_SIZE],
-                 lane_edge: &[u64; WARP_SIZE],
-                 used: usize,
-                 out: &mut Vec<(VertexId, Decision)>| {
-        if used == 0 {
-            return;
-        }
-        ctx.warps_launched(1);
-        ctx.lanes_active(used as u64);
-        // 1. Load neighbor ids (edge-indexed; spans of packed vertices are
-        //    contiguous per vertex but not across bucket gaps).
-        let mut addrs = [0u64; WARP_SIZE];
-        for i in 0..used {
-            addrs[i] = layout::TARGETS + lane_edge[i] * 4;
-        }
-        ctx.global_read(&addrs[..used]);
-        let mut lane_nbr = [INVALID_VERTEX; WARP_SIZE];
-        for i in 0..used {
-            lane_nbr[i] = csr.targets()[lane_edge[i] as usize];
-        }
-        // 2. Gather spoken labels of those neighbors.
-        for i in 0..used {
-            addrs[i] = layout::label_addr(lane_nbr[i]);
-        }
-        ctx.global_read(&addrs[..used]);
-        // 3. Per-lane contribution via the user API.
-        let mut lane_label = [0 as Label; WARP_SIZE];
-        let mut lane_weight = [0f64; WARP_SIZE];
-        let mut preds = [false; WARP_SIZE];
-        for i in 0..used {
-            let v = lane_vertex[i];
-            let u = lane_nbr[i];
-            let c = prog.load_neighbor(v, u, lane_edge[i], spoken[u as usize]);
-            lane_label[i] = c.label;
-            lane_weight[i] = c.weight;
-            preds[i] = true;
-        }
-        ctx.alu(2);
-        // 4. Intrinsic grouping: active lanes → same-vertex mask → same
-        //    (vertex,label) mask → frequency by popcount.
-        let active = ballot_sync(u32::MAX, &preds);
-        let mut vkeys = [0u64; WARP_SIZE];
-        let mut lkeys = [0u64; WARP_SIZE];
-        for i in 0..used {
-            vkeys[i] = u64::from(lane_vertex[i]);
-            lkeys[i] = (u64::from(lane_vertex[i]) << 32) | u64::from(lane_label[i]);
-        }
-        let vmasks = match_any_sync(active, &vkeys);
-        let lmasks = match_any_sync(active, &lkeys);
-        ctx.intrinsic(3); // ballot + 2x match_any
-
-        let uniform_weights = lane_weight[..used].iter().all(|&w| w == 1.0);
-        let mut lane_freq = [0f64; WARP_SIZE];
-        if uniform_weights {
-            for i in 0..used {
-                lane_freq[i] = f64::from(popc(lmasks[i]));
-            }
-            ctx.intrinsic(1); // popc
-        } else {
-            // Weighted: sum lane weights across the lmask group (a short
-            // shuffle reduction instead of a single popc).
-            for i in 0..used {
-                let mut sum = 0.0;
-                let mut rest = lmasks[i];
-                while rest != 0 {
-                    let l = rest.trailing_zeros() as usize;
-                    sum += lane_weight[l];
-                    rest &= rest - 1;
-                }
-                lane_freq[i] = sum;
-            }
-            ctx.intrinsic(5);
-        }
-        // 5. Score and per-vertex reduction (leader = lowest lane of vmask).
-        let mut lane_score = [f64::MIN; WARP_SIZE];
-        for i in 0..used {
-            lane_score[i] = prog.label_score(lane_vertex[i], lane_label[i], lane_freq[i]);
-        }
-        ctx.alu(2);
-        let mut result_addrs = [0u64; WARP_SIZE];
-        let mut results = 0usize;
-        for i in 0..used {
-            let vm = vmasks[i];
-            if vm.trailing_zeros() as usize != i {
-                continue; // not the group leader
-            }
-            let mut best: Option<BestLabel> = None;
-            let current = spoken[lane_vertex[i] as usize];
-            let mut rest = vm;
-            while rest != 0 {
-                let l = rest.trailing_zeros() as usize;
-                BestLabel::offer(&mut best, lane_label[l], lane_score[l], current);
-                rest &= rest - 1;
-            }
-            ctx.intrinsic(2); // per-group max + index shuffle
-            result_addrs[results] = layout::DECISIONS + u64::from(lane_vertex[i]) * 8;
-            results += 1;
-            out.push((lane_vertex[i], BestLabel::into_decision(best)));
-        }
-        // 6. Group leaders write their decisions.
-        ctx.global_write(&result_addrs[..results]);
-    };
-
+    let mut warp = PackedWarp::new();
     for &v in vertices {
         let deg = csr.degree(v) as usize;
         debug_assert!(
             (1..=WARP_SIZE).contains(&deg),
             "warp-packed bucket requires degree 1..=32, got {deg}"
         );
-        if used + deg > WARP_SIZE {
-            flush(ctx, &lane_vertex, &lane_edge, used, out);
-            used = 0;
+        if warp.used + deg > WARP_SIZE {
+            warp.flush(ctx, csr, spoken, prog, out);
         }
         let off = csr.offset(v);
-        for k in 0..deg as u64 {
-            lane_vertex[used] = v;
-            lane_edge[used] = off + k;
-            used += 1;
+        for k in 0..deg {
+            warp.vertex[warp.used + k] = v;
+            warp.edge[warp.used + k] = off + k as u64;
         }
+        warp.used += deg;
     }
-    flush(ctx, &lane_vertex, &lane_edge, used, out);
+    warp.flush(ctx, csr, spoken, prog, out);
 }
 
 // ---------------------------------------------------------------------------
 // Mid-degree: one warp per vertex with a shared-memory hash table.
 // ---------------------------------------------------------------------------
+
+/// Scans `table` for `v`'s best final score — the exact-frequency pass
+/// every table-based kernel ends with.
+#[inline]
+fn best_in_table<P: LpProgram + ?Sized>(
+    table: &BoundedHashTable,
+    prog: &P,
+    v: VertexId,
+    current: Label,
+    best: &mut Option<BestLabel>,
+) {
+    for (l, freq) in table.iter() {
+        let label = l as Label;
+        BestLabel::offer(best, label, prog.label_score(v, label, freq), current);
+    }
+}
 
 /// One warp scans one vertex's neighbor list 32 labels at a time,
 /// accumulating counts in a per-warp shared-memory hash table sized to hold
@@ -232,7 +391,7 @@ pub(crate) fn warp_per_vertex_kernel<P: LpProgram + ?Sized>(
     prog: &P,
     vertices: &[VertexId],
     ht_slots: usize,
-    out: &mut Vec<(VertexId, Decision)>,
+    out: &mut DecisionsOut<'_>,
 ) {
     let mut ht = BoundedHashTable::new(ht_slots, ht_slots as u32);
     for &v in vertices {
@@ -274,15 +433,11 @@ pub(crate) fn warp_per_vertex_kernel<P: LpProgram + ?Sized>(
         // Final scan with exact frequencies.
         ctx.shared_access_uniform((ht.capacity() / WARP_SIZE) as u64);
         let mut best: Option<BestLabel> = None;
-        let current = spoken[v as usize];
-        for (l, freq) in ht.iter() {
-            let label = l as Label;
-            BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-        }
+        best_in_table(&ht, prog, v, spoken[v as usize], &mut best);
         ctx.alu(2 * ht.occupied() as u64);
         ctx.intrinsic(5); // warp max-reduction
         ctx.global_write_scattered(1);
-        out.push((v, BestLabel::into_decision(best)));
+        out.set(v, BestLabel::into_decision(best));
     }
 }
 
@@ -313,6 +468,17 @@ impl SmemGeometry {
     }
 }
 
+/// A global-memory scratch table big enough for the exact recount of any
+/// of `vertices` (twice the largest degree, so inserts never fail).
+fn global_scratch_table(csr: &Csr, vertices: &[VertexId]) -> BoundedHashTable {
+    let max_deg = vertices
+        .iter()
+        .map(|&v| csr.degree(v) as usize)
+        .max()
+        .unwrap_or(0);
+    BoundedHashTable::new((2 * max_deg).max(16), u32::MAX)
+}
+
 /// Procedure `SharedMemBigNodes`: single scan inserting every neighbor
 /// label into the shared HT, overflowing to the shared CMS; two block
 /// reductions compare `s(HT)` against `s(CMS)`; only when the CMS *might*
@@ -327,19 +493,16 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
     vertices: &[VertexId],
     geom: SmemGeometry,
     stats: &mut ShardStats,
-    out: &mut Vec<(VertexId, Decision)>,
+    out: &mut DecisionsOut<'_>,
 ) {
     geom.validate(ctx.cfg.shared_mem_per_block);
     let block_threads = ctx.cfg.threads_per_block as usize;
     let warps_per_block = u64::from(ctx.cfg.warps_per_block());
     let mut ht = BoundedHashTable::new(geom.ht_slots, geom.ht_probe_limit);
     let mut cms = CountMinSketch::new(geom.cms_depth, geom.cms_width);
-    let max_deg = vertices
-        .iter()
-        .map(|&v| csr.degree(v) as usize)
-        .max()
-        .unwrap_or(0);
-    let mut ght = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
+    // Theorem 1 makes the fallback rare, and its table is sized by the
+    // largest degree in the shard: built by the first vertex that needs it.
+    let mut ght: Option<BoundedHashTable> = None;
 
     for &v in vertices {
         ctx.warps_launched(warps_per_block);
@@ -388,10 +551,7 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
         ctx.shared_access_uniform((ht.capacity() / WARP_SIZE) as u64);
         let mut best: Option<BestLabel> = None;
         let current = spoken[v as usize];
-        for (l, freq) in ht.iter() {
-            let label = l as Label;
-            BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-        }
+        best_in_table(&ht, prog, v, current, &mut best);
         ctx.alu(2 * ht.occupied() as u64);
         ctx.block_reduce();
         ctx.block_reduce();
@@ -401,6 +561,7 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
             // Global fallback (lines 16–24): exactly recount every label
             // that is not resident in the HT, in a global hash table.
             stats.fallbacks += 1;
+            let ght = ght.get_or_insert_with(|| global_scratch_table(csr, vertices));
             ght.clear();
             let mut addrs = [0u64; WARP_SIZE];
             let mut pending = 0usize;
@@ -424,15 +585,12 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
             if pending > 0 {
                 ctx.global_atomic(&addrs[..pending]);
             }
-            for (l, freq) in ght.iter() {
-                let label = l as Label;
-                BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-            }
+            best_in_table(ght, prog, v, current, &mut best);
             ctx.alu(2 * ght.occupied() as u64);
             ctx.block_reduce();
         }
         ctx.global_write_scattered(1);
-        out.push((v, BestLabel::into_decision(best)));
+        out.set(v, BestLabel::into_decision(best));
     }
 }
 
@@ -451,14 +609,9 @@ pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
     spoken: &[Label],
     prog: &P,
     vertices: &[VertexId],
-    out: &mut Vec<(VertexId, Decision)>,
+    out: &mut DecisionsOut<'_>,
 ) {
-    let max_deg = vertices
-        .iter()
-        .map(|&v| csr.degree(v) as usize)
-        .max()
-        .unwrap_or(0);
-    let mut ght = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
+    let mut ght = global_scratch_table(csr, vertices);
     for &v in vertices {
         ctx.warps_launched(1);
         ctx.lanes_active(u64::from(csr.degree(v)).min(32));
@@ -493,15 +646,11 @@ pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
         // Scan the region (coalesced) for the best final score.
         ctx.global_read_seq(region, region_slots, 8);
         let mut best: Option<BestLabel> = None;
-        let current = spoken[v as usize];
-        for (l, freq) in ght.iter() {
-            let label = l as Label;
-            BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-        }
+        best_in_table(&ght, prog, v, spoken[v as usize], &mut best);
         ctx.alu(2 * ght.occupied() as u64);
         ctx.intrinsic(5);
         ctx.global_write_scattered(1);
-        out.push((v, BestLabel::into_decision(best)));
+        out.set(v, BestLabel::into_decision(best));
     }
 }
 
@@ -511,6 +660,22 @@ mod tests {
     use crate::variants::ClassicLp;
     use glp_gpusim::DeviceConfig;
     use glp_graph::gen::{star, two_cliques_bridge};
+
+    /// Runs one kernel over `vertices` into a dense decision array and
+    /// lists `(vertex, decision)` for the vertices it was given.
+    fn collect(
+        csr: &Csr,
+        vertices: &[VertexId],
+        kernel: impl FnOnce(&mut DecisionsOut<'_>),
+    ) -> Vec<(VertexId, Decision)> {
+        let mut decisions: Vec<Decision> = vec![None; csr.num_vertices()];
+        let mut outs = DecisionsOut::split(&mut decisions, &[vertices]);
+        kernel(&mut outs[0]);
+        vertices
+            .iter()
+            .map(|&v| (v, decisions[v as usize]))
+            .collect()
+    }
 
     fn exact_reference(csr: &Csr, spoken: &[Label], prog: &ClassicLp, v: VertexId) -> Decision {
         let mut counts = std::collections::HashMap::<Label, f64>::new();
@@ -544,8 +709,9 @@ mod tests {
 
         // Global kernel handles everything.
         let mut ctx = KernelCtx::new(&cfg);
-        let mut got = Vec::new();
-        global_hash_kernel(&mut ctx, csr, &spoken, &prog, &all, &mut got);
+        let mut got = collect(csr, &all, |out| {
+            global_hash_kernel(&mut ctx, csr, &spoken, &prog, &all, out)
+        });
         sort(&mut got);
         assert_eq!(got, expected, "{gname}: global kernel");
 
@@ -557,8 +723,9 @@ mod tests {
             .filter(|&v| (g.degree(v) as usize) <= ht_slots)
             .collect();
         let mut ctx = KernelCtx::new(&cfg);
-        let mut got = Vec::new();
-        warp_per_vertex_kernel(&mut ctx, csr, &spoken, &prog, &fit, ht_slots, &mut got);
+        let mut got = collect(csr, &fit, |out| {
+            warp_per_vertex_kernel(&mut ctx, csr, &spoken, &prog, &fit, ht_slots, out)
+        });
         sort(&mut got);
         let expected_fit: Vec<_> = expected
             .iter()
@@ -569,8 +736,9 @@ mod tests {
 
         // Warp-packed kernel on the low bucket.
         let mut ctx = KernelCtx::new(&cfg);
-        let mut got = Vec::new();
-        warp_packed_kernel(&mut ctx, csr, &spoken, &prog, &low, &mut got);
+        let mut got = collect(csr, &low, |out| {
+            warp_packed_kernel(&mut ctx, csr, &spoken, &prog, &low, out)
+        });
         sort(&mut got);
         let expected_low: Vec<_> = expected
             .iter()
@@ -587,14 +755,36 @@ mod tests {
             cms_width: 64,
         };
         let mut ctx = KernelCtx::new(&cfg);
-        let mut got = Vec::new();
         let mut stats = ShardStats::default();
-        block_cms_ht_kernel(
-            &mut ctx, csr, &spoken, &prog, &all, geom, &mut stats, &mut got,
-        );
+        let mut got = collect(csr, &all, |out| {
+            block_cms_ht_kernel(&mut ctx, csr, &spoken, &prog, &all, geom, &mut stats, out)
+        });
         sort(&mut got);
         assert_eq!(got, expected, "{gname}: block kernel");
         assert_eq!(stats.smem_vertices, all.len() as u64);
+    }
+
+    #[test]
+    fn decision_slices_follow_part_boundaries() {
+        // Parts of a filtered bucket: gaps before, between and after.
+        let parts: [&[VertexId]; 3] = [&[2, 3, 5], &[6], &[9, 11]];
+        let mut decisions: Vec<Decision> = vec![None; 14];
+        let mut outs = DecisionsOut::split(&mut decisions, &parts);
+        assert_eq!(
+            outs.iter()
+                .map(|o| (o.base, o.slots.len()))
+                .collect::<Vec<_>>(),
+            [(2, 4), (6, 1), (9, 3)]
+        );
+        for (out, part) in outs.iter_mut().zip(parts) {
+            for &v in part {
+                out.set(v, Some((v, 1.0)));
+            }
+        }
+        for (v, d) in decisions.iter().enumerate() {
+            let written = parts.iter().any(|p| p.contains(&(v as VertexId)));
+            assert_eq!(*d, written.then_some((v as Label, 1.0)), "vertex {v}");
+        }
     }
 
     #[test]
@@ -624,18 +814,11 @@ mod tests {
             cms_width: 64,
         };
         let mut ctx = KernelCtx::new(&cfg);
-        let mut got = Vec::new();
         let mut stats = ShardStats::default();
-        block_cms_ht_kernel(
-            &mut ctx,
-            g.incoming(),
-            &spoken,
-            &prog,
-            &[0],
-            geom,
-            &mut stats,
-            &mut got,
-        );
+        let csr = g.incoming();
+        let got = collect(csr, &[0], |out| {
+            block_cms_ht_kernel(&mut ctx, csr, &spoken, &prog, &[0], geom, &mut stats, out)
+        });
         // 299 distinct singleton labels, 8-slot HT: CMS estimate ties or
         // beats the HT's best (all frequencies 1) only when collisions
         // inflate an estimate; either way the winner is the smallest label.
@@ -652,8 +835,10 @@ mod tests {
         let spoken: Vec<Label> = (0..16).collect();
         let all: Vec<VertexId> = (0..16).collect();
         let mut ctx = KernelCtx::new(&cfg);
-        let mut got = Vec::new();
-        warp_packed_kernel(&mut ctx, g.incoming(), &spoken, &prog, &all, &mut got);
+        let csr = g.incoming();
+        let got = collect(csr, &all, |out| {
+            warp_packed_kernel(&mut ctx, csr, &spoken, &prog, &all, out)
+        });
         assert_eq!(ctx.counters.warps_launched, 1);
         assert_eq!(got.len(), 16);
     }
@@ -668,19 +853,15 @@ mod tests {
         let spoken: Vec<Label> = (0..96).collect();
         let all: Vec<VertexId> = (0..96).collect();
 
+        let csr = g.incoming();
         let mut packed = KernelCtx::new(&cfg);
-        let mut out = Vec::new();
-        warp_packed_kernel(&mut packed, g.incoming(), &spoken, &prog, &all, &mut out);
+        collect(csr, &all, |out| {
+            warp_packed_kernel(&mut packed, csr, &spoken, &prog, &all, out)
+        });
         let mut per_vertex = KernelCtx::new(&cfg);
-        let mut out2 = Vec::new();
-        global_hash_kernel(
-            &mut per_vertex,
-            g.incoming(),
-            &spoken,
-            &prog,
-            &all,
-            &mut out2,
-        );
+        collect(csr, &all, |out| {
+            global_hash_kernel(&mut per_vertex, csr, &spoken, &prog, &all, out)
+        });
 
         let u_packed = packed.counters.warp_utilization();
         let u_single = per_vertex.counters.warp_utilization();
@@ -698,21 +879,16 @@ mod tests {
         let spoken: Vec<Label> = (0..g.num_vertices() as Label).collect();
         let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
 
+        let csr = g.incoming();
         let mut ctx_g = KernelCtx::new(&cfg);
-        let mut out = Vec::new();
-        global_hash_kernel(&mut ctx_g, g.incoming(), &spoken, &prog, &all, &mut out);
+        collect(csr, &all, |out| {
+            global_hash_kernel(&mut ctx_g, csr, &spoken, &prog, &all, out)
+        });
 
         let mut ctx_m = KernelCtx::new(&cfg);
-        let mut out2 = Vec::new();
-        warp_per_vertex_kernel(
-            &mut ctx_m,
-            g.incoming(),
-            &spoken,
-            &prog,
-            &all,
-            256,
-            &mut out2,
-        );
+        collect(csr, &all, |out| {
+            warp_per_vertex_kernel(&mut ctx_m, csr, &spoken, &prog, &all, 256, out)
+        });
 
         assert!(
             ctx_g.counters.global_sectors() > 2 * ctx_m.counters.global_sectors(),

@@ -30,6 +30,8 @@ pub use dispatch::{Buckets, DegreeThresholds};
 pub use error::EngineError;
 pub use gpu::GpuEngine;
 pub use hybrid::HybridEngine;
+#[doc(hidden)]
+pub use kernels::KernelShard;
 pub use multi::MultiGpuEngine;
 pub use options::{BarrierEvent, BarrierHook, Direction, FrontierMode, RunOptions, SweepOrder};
 pub use resilient::{ResilienceReport, ResilientEngine};
@@ -102,13 +104,15 @@ impl BestLabel {
     /// own spoken label this round.
     #[inline]
     pub fn offer(slot: &mut Option<BestLabel>, label: Label, score: f64, current: Label) {
-        let wins = match slot {
+        // `|`/`&`, not `||`/`&&`: ties are the common case in LP, so the
+        // short-circuit branches would be coin flips for the predictor.
+        let wins = match *slot {
             None => true,
             Some(b) => {
-                score > b.score
-                    || (score == b.score
-                        && b.label != current
-                        && (label == current || label < b.label))
+                (score > b.score)
+                    | ((score == b.score)
+                        & (b.label != current)
+                        & ((label == current) | (label < b.label)))
             }
         };
         if wins {

@@ -22,8 +22,8 @@
 use super::dispatch::Buckets;
 use super::gpu::{
     charge_frontier, charge_frontier_density, charge_pull_gather, charge_snapshot,
-    choose_direction, dispatch_name, initial_active, pick_labels, profile_from_log, propagate,
-    recompute_active, recompute_active_pull, trace_fail, trace_run_begin,
+    choose_direction, dispatch_name, initial_active, mark_changed, pick_labels, profile_from_log,
+    propagate, recompute_active, recompute_active_pull, trace_fail, trace_run_begin,
 };
 use super::kernels::ShardStats;
 use super::options::BarrierEvent;
@@ -193,6 +193,7 @@ impl Engine for MultiGpuEngine {
         let sparse = opts.frontier.sparse(prog.sparse_activation());
         let mut active = initial_active(n, sparse, opts);
         let mut next_active = vec![false; n];
+        let mut changed_flags = vec![false; if sparse { n } else { 0 }];
         let mut report = LpRunReport::default();
 
         let outcome = (|| -> Result<(), EngineError> {
@@ -225,6 +226,7 @@ impl Engine for MultiGpuEngine {
                         &mut decisions,
                         &active,
                         &mut next_active,
+                        &mut changed_flags,
                         sparse,
                         last_direction,
                         &mut transfer_s,
@@ -252,12 +254,7 @@ impl Engine for MultiGpuEngine {
                 };
                 // Commit phase: host-side program updates, in ascending
                 // vertex order, exactly once per iteration.
-                let mut changed = 0u64;
-                for (v, &d) in decisions.iter().enumerate() {
-                    if prog.update_vertex(v as VertexId, d) {
-                        changed += 1;
-                    }
-                }
+                let changed = prog.apply_decisions(&decisions);
                 if sparse {
                     active.copy_from_slice(&next_active);
                 }
@@ -322,8 +319,8 @@ impl Engine for MultiGpuEngine {
 /// The fallible device half of one iteration: pick, propagate, the
 /// modeled update/frontier/snapshot kernels, the peer label exchange, and
 /// the barrier. Reads the program immutably and writes only the scratch
-/// buffers (`spoken`, `decisions`, `next_active`), so it is safe to
-/// re-drive after a repartition.
+/// buffers (`spoken`, `decisions`, `next_active`, `changed`), so it is
+/// safe to re-drive after a repartition.
 #[allow(clippy::too_many_arguments)]
 fn device_phase(
     gpus: &mut MultiGpu,
@@ -336,6 +333,7 @@ fn device_phase(
     decisions: &mut [Decision],
     active: &[bool],
     next_active: &mut [bool],
+    changed: &mut [bool],
     sparse: bool,
     prev_dir: Option<Direction>,
     transfer_s: &mut f64,
@@ -356,7 +354,7 @@ fn device_phase(
             )?;
         }
     }
-    decisions.iter_mut().for_each(|d| *d = None);
+    decisions.fill(None);
     let all_active = !sparse || active.iter().all(|&a| a);
     let mut scheduled = 0u64;
     let mut stats = ShardStats::default();
@@ -424,11 +422,11 @@ fn device_phase(
         // repartition re-drive makes the same choice from the same scratch
         // inputs). Under `Auto` each device first pays the density
         // measurement for its own range.
+        mark_changed(spoken, decisions, changed);
         let dir = choose_direction(
             opts.frontier,
             g,
-            spoken,
-            decisions,
+            changed,
             gpus.device(layout.assign[0]).cost_model(),
         );
         if opts.frontier == super::FrontierMode::Auto {
@@ -443,9 +441,9 @@ fn device_phase(
         // stays untouched until commit); each device pays the maintenance
         // kernels for its own vertex range.
         let volume = if dir == Direction::Pull {
-            recompute_active_pull(g, spoken, decisions, next_active)
+            recompute_active_pull(g, changed, next_active)
         } else {
-            recompute_active(g, spoken, decisions, next_active)
+            recompute_active(g, changed, next_active)
         };
         for (i, &d) in layout.assign.iter().enumerate() {
             let r = &layout.ranges[i];

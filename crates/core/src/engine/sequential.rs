@@ -18,7 +18,9 @@
 //! Not part of the paper's evaluation — no cost model is attached; only
 //! wall-clock is reported.
 
-use super::gpu::{choose_direction, initial_active, recompute_active, recompute_active_pull};
+use super::gpu::{
+    choose_direction, initial_active, mark_changed, recompute_active, recompute_active_pull,
+};
 use super::options::BarrierEvent;
 use super::{
     BestLabel, Decision, Direction, Engine, EngineError, FrontierMode, RunOptions, SweepOrder,
@@ -275,6 +277,7 @@ fn run_bsp(g: &Graph, prog: &mut dyn LpProgram, opts: &RunOptions) -> LpRunRepor
     let mut ht = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
     let sparse = opts.frontier.sparse(prog.sparse_activation());
     let mut active = initial_active(n, sparse, opts);
+    let mut changed_flags = vec![false; if sparse { n } else { 0 }];
     let mut spoken: Vec<Label> = vec![0; n];
     let mut decisions: Vec<Decision> = vec![None; n];
     // No device here, but `Auto` must make the same per-iteration push/pull
@@ -298,9 +301,7 @@ fn run_bsp(g: &Graph, prog: &mut dyn LpProgram, opts: &RunOptions) -> LpRunRepor
             );
         }
         prog.begin_iteration(iteration);
-        for (v, s) in spoken.iter_mut().enumerate() {
-            *s = prog.pick_label(v as VertexId);
-        }
+        prog.pick_labels_into(0, &mut spoken);
         let mut scheduled = 0u64;
         for v in 0..n as VertexId {
             decisions[v as usize] = None;
@@ -325,18 +326,14 @@ fn run_bsp(g: &Graph, prog: &mut dyn LpProgram, opts: &RunOptions) -> LpRunRepor
             }
             decisions[v as usize] = BestLabel::into_decision(best);
         }
-        let mut changed = 0u64;
-        for (v, &d) in decisions.iter().enumerate() {
-            if prog.update_vertex(v as VertexId, d) {
-                changed += 1;
-            }
-        }
+        let changed = prog.apply_decisions(&decisions);
         let direction = if sparse {
-            let dir = choose_direction(opts.frontier, g, &spoken, &decisions, &cost);
+            mark_changed(&spoken, &decisions, &mut changed_flags);
+            let dir = choose_direction(opts.frontier, g, &changed_flags, &cost);
             if dir == Direction::Pull {
-                recompute_active_pull(g, &spoken, &decisions, &mut active);
+                recompute_active_pull(g, &changed_flags, &mut active);
             } else {
-                recompute_active(g, &spoken, &decisions, &mut active);
+                recompute_active(g, &changed_flags, &mut active);
             }
             dir
         } else {

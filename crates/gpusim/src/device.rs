@@ -226,10 +226,8 @@ impl Device {
     /// Runs one kernel sharded across `shards` OS threads (harness-side
     /// parallelism only — the modeled time is identical to a serial launch).
     /// `f(shard_index, ctx)` must partition work by shard index; the
-    /// per-shard return values come back in shard order. A panic in any
-    /// shard is captured at the join boundary and surfaced as
-    /// [`DeviceError::ShardPanicked`] carrying the first panicked shard's
-    /// index; the launch then charges nothing.
+    /// per-shard return values come back in shard order. Failure semantics
+    /// are those of [`Self::launch_sharded`], which this delegates to.
     pub fn launch_parallel<R, F>(
         &mut self,
         name: &'static str,
@@ -241,48 +239,58 @@ impl Device {
         F: Fn(usize, &mut KernelCtx) -> R + Sync,
     {
         assert!(shards >= 1, "need at least one shard");
+        self.launch_sharded(name, (0..shards).collect(), f)
+    }
+
+    /// Runs one kernel with one harness OS thread per element of `parts`,
+    /// handing each shard its element *by value* — so a shard can own a
+    /// `&mut` sub-slice of the launch's output and write results in place
+    /// instead of returning them. A single part runs on the calling
+    /// thread; with no parts the launch still happens (and charges its
+    /// overhead) but runs nothing. The per-shard return values come back
+    /// in shard order. A panic in any shard is captured at the join
+    /// boundary and surfaced as [`DeviceError::ShardPanicked`] carrying the
+    /// first panicked shard's index; the launch then charges nothing.
+    pub fn launch_sharded<S, R, F>(
+        &mut self,
+        name: &'static str,
+        mut parts: Vec<S>,
+        f: F,
+    ) -> Result<Vec<R>, DeviceError>
+    where
+        S: Send,
+        R: Send,
+        F: Fn(S, &mut KernelCtx) -> R + Sync,
+    {
         self.pre_launch(name)?;
-        if shards == 1 {
-            let cfg = &self.cfg;
-            return match catch_unwind(AssertUnwindSafe(|| {
-                let mut ctx = KernelCtx::new(cfg);
-                let r = f(0, &mut ctx);
-                (ctx.counters, r)
-            })) {
-                Ok((counters, r)) => {
-                    self.commit(name, counters);
-                    Ok(vec![r])
-                }
-                Err(_) => Err(DeviceError::ShardPanicked {
-                    device: self.id,
-                    shard: 0,
-                }),
-            };
-        }
         let cfg = &self.cfg;
-        let mut merged = KernelCounters {
-            kernel_launches: 1,
-            ..Default::default()
+        let run = |part: S, mut ctx: KernelCtx| {
+            let r = f(part, &mut ctx);
+            (ctx.counters, r)
         };
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|i| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut ctx = KernelCtx::shard(cfg);
-                        let r = f(i, &mut ctx);
-                        (ctx.counters, r)
-                    })
-                })
-                .collect();
-            // The join boundary is the panic-capture point: a panicking
-            // shard surfaces as Err here instead of tearing the process
-            // down (the old `.expect("kernel shard panicked")`).
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<std::thread::Result<_>>>()
-        });
+        // Either shape charges the launch overhead exactly once: the lone
+        // part through `KernelCtx::new`, the threaded shards through the
+        // merge base.
+        let mut merged = KernelCounters::default();
+        let results: Vec<std::thread::Result<(KernelCounters, R)>> = if parts.len() == 1 {
+            let part = parts.pop().expect("one part");
+            vec![catch_unwind(AssertUnwindSafe(|| {
+                run(part, KernelCtx::new(cfg))
+            }))]
+        } else {
+            merged.kernel_launches = 1;
+            let run = &run;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = parts
+                    .into_iter()
+                    .map(|part| scope.spawn(move || run(part, KernelCtx::shard(cfg))))
+                    .collect();
+                // The join boundary is the panic-capture point: a panicking
+                // shard surfaces as Err here instead of tearing the process
+                // down.
+                handles.into_iter().map(|h| h.join()).collect()
+            })
+        };
         let mut out = Vec::with_capacity(results.len());
         for (shard, res) in results.into_iter().enumerate() {
             match res {
@@ -492,6 +500,44 @@ mod tests {
         .unwrap();
         assert_eq!(serial.totals(), par.totals());
         assert!((serial.elapsed_seconds() - par.elapsed_seconds()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn sharded_launch_writes_in_place_and_counts_once() {
+        let mut out = vec![0u64; 10];
+        let mut d = Device::titan_v();
+        let parts: Vec<(u64, &mut [u64])> = out
+            .chunks_mut(4)
+            .enumerate()
+            .map(|(i, c)| (i as u64 * 4, c))
+            .collect();
+        let lens = d
+            .launch_sharded("fill", parts, |(start, chunk), ctx| {
+                ctx.alu(chunk.len() as u64);
+                for (k, x) in chunk.iter_mut().enumerate() {
+                    *x = (start + k as u64) * 10;
+                }
+                chunk.len()
+            })
+            .unwrap();
+        assert_eq!(lens, [4, 4, 2], "results come back in shard order");
+        assert_eq!(out, (0..10).map(|i| i * 10).collect::<Vec<u64>>());
+        assert_eq!(d.totals().alu_instructions, 10);
+        assert_eq!(d.totals().kernel_launches, 1);
+
+        // One part runs inline and no part at all is still one launch;
+        // both charge the launch overhead exactly once.
+        let mut one = Device::titan_v();
+        one.launch_sharded("k", vec![()], |(), ctx| ctx.alu(10))
+            .unwrap();
+        assert_eq!(one.totals(), d.totals());
+        let mut none = Device::titan_v();
+        let ran: Vec<()> = none
+            .launch_sharded("k", Vec::<()>::new(), |(), _| ())
+            .unwrap();
+        assert!(ran.is_empty());
+        assert_eq!(none.totals().kernel_launches, 1);
+        assert_eq!(none.kernel_log().len(), 1);
     }
 
     #[test]

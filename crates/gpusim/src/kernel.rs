@@ -7,10 +7,17 @@
 //! computed), shared accesses with their bank indices, atomics with their
 //! target addresses (so conflicts can be computed), plain instructions, and
 //! intrinsics.
+//!
+//! Declaring an event is on the hot path of every simulated warp, so what
+//! it costs the *host* is kept linear in the lane count: coalescing and
+//! atomic conflicts both reduce to one distinct count over at most 32 lane
+//! values (`count_distinct`) that never sorts. The counts it produces are
+//! exactly those of the sort-based definition, which the tests keep as the
+//! oracle.
 
 use crate::config::DeviceConfig;
 use crate::counters::KernelCounters;
-use crate::warp::WARP_SIZE;
+use crate::warp::{LaneTable, WARP_SIZE};
 
 /// Bytes per global-memory sector (Volta coalesces at 32-byte granularity).
 pub const SECTOR_BYTES: u64 = 32;
@@ -27,41 +34,73 @@ pub struct KernelCtx<'a> {
     pub counters: KernelCounters,
 }
 
+/// Widest value range (max − min) [`count_distinct`] resolves with its
+/// bitmap: 256 sectors are an 8 KiB window, which holds the label gathers
+/// of a packed warp on a lattice a few hundred vertices wide.
+const BITMAP_RANGE: u64 = 256;
+
+/// Number of distinct values among up to one warp's lane values — the
+/// coalescer (distinct sectors) and the atomic-conflict count (lanes minus
+/// distinct addresses) both reduce to it.
+///
+/// The hardware does this in the load/store unit for free; the host must
+/// not pay a sort for it on every warp-wide access. One branch-free pass
+/// finds the range and whether the values are already non-decreasing — CSR
+/// target runs, sorted neighbour lists and decision writes all are — in
+/// which case the distinct values are the runs. Otherwise a narrow range
+/// is counted in a bitmap and anything else in a [`LaneTable`].
+fn count_distinct(vals: &[u64]) -> u64 {
+    debug_assert!(vals.len() <= WARP_SIZE);
+    let Some(&first) = vals.first() else {
+        return 0;
+    };
+    let (mut lo, mut hi, mut prev) = (first, first, first);
+    let mut runs = 1u64;
+    let mut monotone = true;
+    for &v in &vals[1..] {
+        runs += u64::from(v != prev);
+        monotone &= v >= prev;
+        lo = lo.min(v);
+        hi = hi.max(v);
+        prev = v;
+    }
+    if monotone {
+        return runs;
+    }
+    if hi - lo < BITMAP_RANGE {
+        let mut bits = [0u64; (BITMAP_RANGE / 64) as usize];
+        for &v in vals {
+            let off = v - lo;
+            bits[(off / 64) as usize] |= 1 << (off % 64);
+        }
+        return bits.iter().map(|w| u64::from(w.count_ones())).sum();
+    }
+    let mut table = LaneTable::new();
+    let mut distinct = 0u64;
+    for &v in vals {
+        let slot = table.find(v);
+        distinct += u64::from(table.marks[slot] == 0);
+        table.marks[slot] = 1;
+    }
+    distinct
+}
+
 /// Counts distinct 32-byte sectors among up to one warp's byte addresses.
+#[inline]
 fn distinct_sectors(addrs: &[u64]) -> u64 {
     debug_assert!(addrs.len() <= WARP_SIZE);
     let mut sectors = [0u64; WARP_SIZE];
-    for (i, &a) in addrs.iter().enumerate() {
-        sectors[i] = a / SECTOR_BYTES;
+    for (s, &a) in sectors.iter_mut().zip(addrs) {
+        *s = a / SECTOR_BYTES;
     }
-    let s = &mut sectors[..addrs.len()];
-    s.sort_unstable();
-    let mut n = 0u64;
-    let mut prev = u64::MAX;
-    for &x in s.iter() {
-        if x != prev {
-            n += 1;
-            prev = x;
-        }
-    }
-    n
+    count_distinct(&sectors[..addrs.len()])
 }
 
 /// Sum over addresses of (multiplicity - 1): the extra serialization steps
 /// atomics pay for same-address conflicts within one warp access.
+#[inline]
 fn conflict_steps(addrs: &[u64]) -> u64 {
-    debug_assert!(addrs.len() <= WARP_SIZE);
-    let mut sorted = [0u64; WARP_SIZE];
-    sorted[..addrs.len()].copy_from_slice(addrs);
-    let s = &mut sorted[..addrs.len()];
-    s.sort_unstable();
-    let mut extra = 0u64;
-    for i in 1..s.len() {
-        if s[i] == s[i - 1] {
-            extra += 1;
-        }
-    }
-    extra
+    addrs.len() as u64 - count_distinct(addrs)
 }
 
 impl<'a> KernelCtx<'a> {
@@ -213,9 +252,87 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warp::tests::{shaped, SHAPES};
+    use proptest::prelude::*;
 
     fn ctx(cfg: &DeviceConfig) -> KernelCtx<'_> {
         KernelCtx::new(cfg)
+    }
+
+    /// The sort-based coalescer [`distinct_sectors`] replaced, kept as the
+    /// oracle it is tested against.
+    fn distinct_sectors_reference(addrs: &[u64]) -> u64 {
+        let mut sectors = [0u64; WARP_SIZE];
+        for (i, &a) in addrs.iter().enumerate() {
+            sectors[i] = a / SECTOR_BYTES;
+        }
+        let s = &mut sectors[..addrs.len()];
+        s.sort_unstable();
+        let mut n = 0u64;
+        let mut prev = u64::MAX;
+        for &x in s.iter() {
+            if x != prev {
+                n += 1;
+                prev = x;
+            }
+        }
+        n
+    }
+
+    /// The sort-based conflict count [`conflict_steps`] replaced.
+    fn conflict_steps_reference(addrs: &[u64]) -> u64 {
+        let mut sorted = [0u64; WARP_SIZE];
+        sorted[..addrs.len()].copy_from_slice(addrs);
+        let s = &mut sorted[..addrs.len()];
+        s.sort_unstable();
+        let mut extra = 0u64;
+        for i in 1..s.len() {
+            if s[i] == s[i - 1] {
+                extra += 1;
+            }
+        }
+        extra
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn coalescer_equals_the_sort_based_reference(
+            shape in 0..SHAPES,
+            raw in prop::collection::vec(any::<u64>(), 0..=32),
+            span in 0usize..6,
+            base in 0u64..1_000_000,
+        ) {
+            // Sector ranges around the bitmap limit, far below and far above.
+            let span = [1, 7, BITMAP_RANGE - 1, BITMAP_RANGE, BITMAP_RANGE + 1, 1 << 30][span];
+            let window = span * SECTOR_BYTES;
+            let addrs: Vec<u64> = shaped(shape, raw.iter().map(|x| x % window).collect())
+                .iter()
+                .map(|a| base + a)
+                .collect();
+            prop_assert_eq!(
+                distinct_sectors(&addrs),
+                distinct_sectors_reference(&addrs),
+                "shape {} span {} addrs {:?}", shape, span, addrs
+            );
+            prop_assert_eq!(
+                conflict_steps(&addrs),
+                conflict_steps_reference(&addrs),
+                "shape {} span {} addrs {:?}", shape, span, addrs
+            );
+        }
+    }
+
+    #[test]
+    fn bitmap_limit_is_exact_on_both_sides() {
+        // Unsorted, so the run count cannot answer; the extremes sit exactly
+        // BITMAP_RANGE - 1 and BITMAP_RANGE sectors apart.
+        for range in [BITMAP_RANGE - 1, BITMAP_RANGE] {
+            let addrs = [range * SECTOR_BYTES, 0, 40, range * SECTOR_BYTES + 8, 64];
+            assert_eq!(distinct_sectors(&addrs), 4, "range {range}");
+            assert_eq!(distinct_sectors_reference(&addrs), 4);
+        }
     }
 
     #[test]

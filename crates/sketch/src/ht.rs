@@ -5,6 +5,13 @@
 //! bounded probe budget, `atomicAdd`-style insert-or-accumulate. An insert
 //! is *unsuccessful* (label overflows to the CMS) when the probe budget is
 //! exhausted without finding the key or an empty slot.
+//!
+//! The table remembers which slots it filled (`touched`), so both the
+//! per-vertex reset ([`BoundedHashTable::clear`]) and the final scan
+//! ([`BoundedHashTable::iter`], [`BoundedHashTable::max_entry`]) cost
+//! O(occupied), not O(capacity): on the GPU 32 lanes sweep the slots at
+//! once, on the host a slot-by-slot sweep of a mostly empty table would
+//! dominate the run.
 
 /// Result of [`BoundedHashTable::insert_add`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,6 +88,7 @@ impl BoundedHashTable {
     }
 
     /// Inserts `key` with `weight` or accumulates onto its existing count.
+    #[inline]
     pub fn insert_add(&mut self, key: u64, weight: f64) -> InsertOutcome {
         debug_assert_ne!(key, EMPTY, "sentinel key");
         let mut slot = self.home(key);
@@ -110,6 +118,7 @@ impl BoundedHashTable {
     }
 
     /// Current count for `key`, if present within the probe budget.
+    #[inline]
     pub fn get(&self, key: u64) -> Option<f64> {
         let mut slot = self.home(key);
         for _ in 0..self.probe_limit {
@@ -129,8 +138,25 @@ impl BoundedHashTable {
         self.get(key).is_some()
     }
 
-    /// Iterates occupied `(key, count)` entries in slot order.
+    /// Iterates the occupied `(key, count)` entries in O(occupied), in the
+    /// order their keys were first inserted (the `touched` list
+    /// [`clear`](Self::clear) already keeps), *not* in slot order: a
+    /// mid-degree vertex with 40 neighbours occupies a sixth of its 256
+    /// slots, and the 2×max-degree scratch tables of the host engines are
+    /// emptier still. Callers must fold the entries order-independently —
+    /// every one in the workspace goes through `BestLabel::offer` or
+    /// [`max_entry`](Self::max_entry), which are.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.touched
+            .iter()
+            .map(|&slot| (self.keys[slot], self.counts[slot]))
+    }
+
+    /// The full slot scan [`iter`](Self::iter) replaced — O(capacity), slot
+    /// order — kept as the oracle the tests compare it against.
+    #[cfg(test)]
+    fn iter_slots(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.keys
             .iter()
             .zip(&self.counts)
@@ -154,6 +180,7 @@ impl BoundedHashTable {
 
     /// Empties the table in O(occupied) — the per-vertex reset the engines
     /// use when recycling one scratch table across millions of vertices.
+    #[inline]
     pub fn clear(&mut self) {
         for &slot in &self.touched {
             self.keys[slot] = EMPTY;
@@ -173,6 +200,66 @@ impl BoundedHashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `max_entry` fold over an arbitrary entry sequence.
+    fn max_of(entries: impl Iterator<Item = (u64, f64)>) -> Option<(u64, f64)> {
+        entries.fold(None, |best, (k, c)| match best {
+            Some((bk, bc)) if !(c > bc || (c == bc && k < bk)) => Some((bk, bc)),
+            _ => Some((k, c)),
+        })
+    }
+
+    fn sorted(entries: impl Iterator<Item = (u64, f64)>) -> Vec<(u64, f64)> {
+        let mut v: Vec<_> = entries.collect();
+        v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("counts are finite"));
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After any interleaving of inserts, accumulations, rejected
+        /// (`Full`) inserts, clears and reuse, `iter` yields exactly the
+        /// occupied slots — the same multiset a full slot scan finds — and
+        /// `max_entry` is what the scan's fold gives.
+        #[test]
+        fn iter_is_the_occupied_set(
+            ops in prop::collection::vec((0u8..16, 0u64..48, 1u32..5), 0..300),
+            cap in 1usize..40,
+            probe in 1u32..6,
+        ) {
+            let mut ht = BoundedHashTable::new(cap, probe);
+            // 48 keys into at most 64 slots under a probe budget of at most
+            // 5: rejected (`Full`) inserts are part of the interleaving.
+            for (op, key, w) in ops {
+                if op == 0 {
+                    ht.clear();
+                } else {
+                    ht.insert_add(key, f64::from(w));
+                }
+                prop_assert_eq!(sorted(ht.iter()), sorted(ht.iter_slots()));
+                prop_assert_eq!(ht.iter().count(), ht.occupied());
+                prop_assert_eq!(ht.max_entry(), max_of(ht.iter_slots()));
+            }
+        }
+    }
+
+    #[test]
+    fn iter_follows_first_insertion_not_slot_order() {
+        let mut ht = BoundedHashTable::new(64, 64);
+        for k in [40u64, 3, 17, 3, 40, 9] {
+            ht.insert_add(k, 1.0);
+        }
+        let keys: Vec<u64> = ht.iter().map(|e| e.0).collect();
+        assert_eq!(keys, [40, 3, 17, 9]);
+        assert_eq!(ht.get(3), Some(2.0));
+        // Reuse after a clear starts a fresh order.
+        ht.clear();
+        ht.insert_add(9, 1.0);
+        ht.insert_add(40, 1.0);
+        assert_eq!(ht.iter().map(|e| e.0).collect::<Vec<_>>(), [9, 40]);
+    }
 
     #[test]
     fn insert_then_accumulate() {
