@@ -21,7 +21,9 @@
 //! Modeled time comes from [`CpuConfig`]'s roofline so it is comparable
 //! with the GPU engines' modeled time.
 
-use glp_core::engine::{BestLabel, Decision, Direction, Engine, EngineError, RunOptions};
+use glp_core::engine::{
+    initial_active, BestLabel, Decision, Direction, Engine, EngineError, RunOptions,
+};
 use glp_core::{FrontierMode, LpProgram, LpRunReport};
 use glp_gpusim::host::{CpuConfig, CpuCounters};
 use glp_graph::{Graph, Label, VertexId};
@@ -154,11 +156,11 @@ impl Engine for CpuLp {
         let mut spoken: Vec<Label> = vec![0; n];
         let mut decisions: Vec<Decision> = vec![None; n];
         // Frontier state: `active[v]` = must recompute v this iteration.
-        let mut active = vec![true; n];
+        let mut active = initial_active(n, use_frontier, opts);
         let mut report = LpRunReport::default();
         let mut totals = CpuCounters::default();
 
-        for iteration in 0..opts.max_iterations {
+        for iteration in opts.start_iteration..opts.max_iterations {
             prog.begin_iteration(iteration);
             // PickLabel: sequential streaming pass.
             for (v, slot) in spoken.iter_mut().enumerate() {

@@ -16,12 +16,12 @@
 //! the workspace tie rule); the cost model charges the extra traffic that
 //! makes this approach lose to GLP.
 
-use glp_core::engine::{BestLabel, Decision, Direction, Engine, EngineError, RunOptions};
+use glp_core::engine::{
+    drive, Backend, BestLabel, Decision, Engine, EngineError, Phase, RunOptions, ShardStats,
+};
 use glp_core::{LpProgram, LpRunReport};
-use glp_gpusim::{Device, KernelCtx, WARP_SIZE};
+use glp_gpusim::{Device, DeviceError, KernelCtx, WARP_SIZE};
 use glp_graph::{Graph, Label, VertexId};
-use glp_trace::{Category, Clock, KernelProfile};
-use std::time::Instant;
 
 /// Segments at most this long sort in one block-local pass; longer ones
 /// pay the multi-pass radix path. CUB's block-radix path handles a few
@@ -80,236 +80,198 @@ impl Engine for GSortLp {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        assert_eq!(
-            prog.num_vertices(),
-            g.num_vertices(),
-            "program sized for a different graph"
-        );
-        let wall_start = Instant::now();
         let n = g.num_vertices();
-        let csr = g.incoming();
-        let e = csr.num_edges();
         let shards = opts.resolve_shards();
-
-        // G-Sort needs graph + labels + the |E|-sized NL and weight arrays.
-        let footprint = g.size_bytes() + (n as u64) * 20 + e * 12;
-        self.device.set_tracer(opts.tracer.clone());
-        let log_mark = self.device.kernel_log().len();
-        let t0 = self.device.elapsed_seconds();
-        let trace_mark = opts.tracer.as_ref().map(|t| {
-            let mark = t.open_depth();
-            t.begin(Category::Run, self.name(), Clock::Modeled, t0);
-            mark
-        });
-        if let Err(e) = self.device.upload(footprint) {
-            if let (Some(t), Some(m)) = (&opts.tracer, trace_mark) {
-                t.fail_open_to(m, self.device.elapsed_seconds());
-            }
-            return Err(e.into());
-        }
-        let mut transfer_s = self.device.elapsed_seconds() - t0;
-
-        let mut spoken: Vec<Label> = vec![0; n];
-        let mut decisions: Vec<Decision> = vec![None; n];
-        let mut report = LpRunReport::default();
-        let vertex_ranges: Vec<(usize, usize)> = {
-            let per = n.div_ceil(shards).max(1);
-            (0..shards)
+        let per = n.div_ceil(shards).max(1);
+        let mut backend = GSortBackend {
+            device: &mut self.device,
+            // G-Sort needs graph + labels + the |E|-sized NL and weight arrays.
+            footprint: g.size_bytes() + (n as u64) * 20 + g.incoming().num_edges() * 12,
+            vertex_ranges: (0..shards)
                 .map(|i| ((i * per).min(n), ((i + 1) * per).min(n)))
-                .collect()
+                .collect(),
+            label_bytes: n as u64 * 4,
+            transfer_s: 0.0,
         };
+        drive(&mut backend, g, prog, opts)
+    }
+}
 
-        let scheduled = (0..n as VertexId).filter(|&v| csr.degree(v) > 0).count() as u64;
-        let device = &mut self.device;
-        let outcome = (|| -> Result<(), EngineError> {
-            for iteration in 0..opts.max_iterations {
-                if let Some(t) = &opts.tracer {
-                    t.begin_arg(
-                        Category::Iteration,
-                        "iteration",
-                        Clock::Modeled,
-                        device.elapsed_seconds(),
-                        u64::from(iteration),
-                    );
-                }
-                prog.begin_iteration(iteration);
-                for (v, slot) in spoken.iter_mut().enumerate() {
-                    *slot = prog.pick_label(v as VertexId);
-                }
-                device.launch("pick_label", |ctx| {
-                    ctx.global_read_seq(LABEL_STATE, n as u64, 4);
-                    ctx.global_write_seq(LABELS, n as u64, 4);
-                    ctx.warps_launched((n as u64).div_ceil(32));
-                    ctx.alu(2 * (n as u64).div_ceil(32));
-                })?;
+struct GSortBackend<'a> {
+    device: &'a mut Device,
+    footprint: u64,
+    /// The contiguous vertex range each harness shard of a kernel owns.
+    vertex_ranges: Vec<(usize, usize)>,
+    label_bytes: u64,
+    transfer_s: f64,
+}
 
-                // 1. Gather kernel: NL[e] = L[target[e]] for every edge.
-                let spoken_ref: &[Label] = &spoken;
-                device.launch_parallel("gsort_gather", shards, |i, ctx: &mut KernelCtx| {
-                    let (lo, hi) = vertex_ranges[i];
-                    let mut addrs = [0u64; WARP_SIZE];
-                    for v in lo..hi {
-                        let nbrs = csr.neighbors(v as VertexId);
-                        let off = csr.offset(v as VertexId);
-                        for (c, chunk) in nbrs.chunks(WARP_SIZE).enumerate() {
-                            ctx.global_read_seq(
-                                TARGETS + (off + (c * WARP_SIZE) as u64) * 4,
-                                chunk.len() as u64,
-                                4,
-                            );
-                            for (k, &u) in chunk.iter().enumerate() {
-                                addrs[k] = LABELS + u64::from(u) * 4;
-                            }
-                            ctx.global_read(&addrs[..chunk.len()]);
-                            ctx.global_write_seq(
-                                NL_BASE + (off + (c * WARP_SIZE) as u64) * 4,
-                                chunk.len() as u64,
-                                4,
-                            );
+impl Backend for GSortBackend<'_> {
+    fn name(&self) -> &'static str {
+        "G-Sort"
+    }
+
+    fn modeled_now(&self) -> Option<f64> {
+        Some(self.device.elapsed_seconds())
+    }
+
+    fn each_device(&mut self, f: &mut dyn FnMut(&mut Device)) {
+        f(self.device);
+    }
+
+    fn frontier_capable(&self) -> bool {
+        false
+    }
+
+    fn stage(&mut self, _g: &Graph) -> Result<(), DeviceError> {
+        let t0 = self.device.elapsed_seconds();
+        self.device.upload(self.footprint)?;
+        self.transfer_s += self.device.elapsed_seconds() - t0;
+        Ok(())
+    }
+
+    fn pick(&mut self, p: &Phase<'_>, spoken: &mut [Label]) -> Result<(), DeviceError> {
+        p.prog.pick_labels_into(0, spoken);
+        let n = spoken.len() as u64;
+        self.device.launch("pick_label", |ctx| {
+            ctx.global_read_seq(LABEL_STATE, n, 4);
+            ctx.global_write_seq(LABELS, n, 4);
+            ctx.warps_launched(n.div_ceil(32));
+            ctx.alu(2 * n.div_ceil(32));
+        })
+    }
+
+    fn propagate(
+        &mut self,
+        p: &Phase<'_>,
+        spoken: &[Label],
+        decisions: &mut [Decision],
+    ) -> Result<ShardStats, DeviceError> {
+        let (csr, prog) = (p.g.incoming(), p.prog);
+        let vertex_ranges = &self.vertex_ranges;
+        let shards = vertex_ranges.len();
+
+        // 1. Gather kernel: NL[e] = L[target[e]] for every edge.
+        self.device
+            .launch_parallel("gsort_gather", shards, |i, ctx: &mut KernelCtx| {
+                let (lo, hi) = vertex_ranges[i];
+                let mut addrs = [0u64; WARP_SIZE];
+                for v in lo..hi {
+                    let nbrs = csr.neighbors(v as VertexId);
+                    let off = csr.offset(v as VertexId);
+                    for (c, chunk) in nbrs.chunks(WARP_SIZE).enumerate() {
+                        ctx.global_read_seq(
+                            TARGETS + (off + (c * WARP_SIZE) as u64) * 4,
+                            chunk.len() as u64,
+                            4,
+                        );
+                        for (k, &u) in chunk.iter().enumerate() {
+                            addrs[k] = LABELS + u64::from(u) * 4;
                         }
-                        let _ = spoken_ref; // labels actually read below
+                        ctx.global_read(&addrs[..chunk.len()]);
+                        ctx.global_write_seq(
+                            NL_BASE + (off + (c * WARP_SIZE) as u64) * 4,
+                            chunk.len() as u64,
+                            4,
+                        );
                     }
-                    ctx.warps_launched(
-                        (csr.offset(hi as VertexId) - csr.offset(lo as VertexId)).div_ceil(32),
-                    );
-                })?;
+                }
+                ctx.warps_launched(
+                    (csr.offset(hi as VertexId) - csr.offset(lo as VertexId)).div_ceil(32),
+                );
+            })?;
 
-                // 2+3. Segmented sort + run-scan count, per vertex.
-                let prog_ref: &dyn LpProgram = prog;
-                let outs = device.launch_parallel(
-                    "gsort_sort_count",
-                    shards,
-                    |i, ctx: &mut KernelCtx| {
-                        let (lo, hi) = vertex_ranges[i];
-                        let mut out: Vec<(VertexId, Decision)> = Vec::with_capacity(hi - lo);
-                        let mut scratch: Vec<(Label, f64)> = Vec::new();
-                        for v in lo..hi {
-                            let v = v as VertexId;
-                            let nbrs = csr.neighbors(v);
-                            if nbrs.is_empty() {
-                                continue;
-                            }
-                            let off = csr.offset(v);
-                            let deg = nbrs.len();
-                            // Materialize this segment of NL with the user's
-                            // per-edge contributions, then sort by label.
-                            scratch.clear();
-                            scratch.reserve(deg);
-                            for (j, &u) in nbrs.iter().enumerate() {
-                                let contrib = prog_ref.load_neighbor(
-                                    v,
-                                    u,
-                                    off + j as u64,
-                                    spoken_ref[u as usize],
-                                );
-                                scratch.push((contrib.label, contrib.weight));
-                            }
-                            scratch.sort_unstable_by_key(|&(l, _)| l);
-                            // Sort cost: one block-local pass for small
-                            // segments, RADIX_PASSES read+write sweeps of the
-                            // segment for large ones.
-                            if deg <= BLOCK_SORT_MAX {
-                                // Block-local radix sort: one global read+write
-                                // plus per-key rank/scatter work in shared
-                                // memory (4 digit passes x ~3 ops).
+        // 2+3. Segmented sort + run-scan count, per vertex.
+        let outs =
+            self.device
+                .launch_parallel("gsort_sort_count", shards, |i, ctx: &mut KernelCtx| {
+                    let (lo, hi) = vertex_ranges[i];
+                    let mut out: Vec<(VertexId, Decision)> = Vec::with_capacity(hi - lo);
+                    let mut scratch: Vec<(Label, f64)> = Vec::new();
+                    for v in lo..hi {
+                        let v = v as VertexId;
+                        let nbrs = csr.neighbors(v);
+                        if nbrs.is_empty() {
+                            continue;
+                        }
+                        let off = csr.offset(v);
+                        let deg = nbrs.len();
+                        // Materialize this segment of NL with the user's
+                        // per-edge contributions, then sort by label.
+                        scratch.clear();
+                        scratch.reserve(deg);
+                        for (j, &u) in nbrs.iter().enumerate() {
+                            let contrib =
+                                prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
+                            scratch.push((contrib.label, contrib.weight));
+                        }
+                        scratch.sort_unstable_by_key(|&(l, _)| l);
+                        // Sort cost: one block-local pass for small
+                        // segments, RADIX_PASSES read+write sweeps of the
+                        // segment for large ones.
+                        if deg <= BLOCK_SORT_MAX {
+                            // Block-local radix sort: one global read+write
+                            // plus per-key rank/scatter work in shared
+                            // memory (4 digit passes x ~3 ops).
+                            ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
+                            ctx.global_write_seq(NL_BASE + off * 4, deg as u64, 4);
+                            ctx.shared_access_uniform((deg as u64) * RADIX_PASSES / 4);
+                            ctx.alu((deg as u64) * 3 * RADIX_PASSES);
+                        } else {
+                            // Degenerated multi-pass global radix sort:
+                            // every pass streams the segment through global
+                            // memory both ways.
+                            for _ in 0..RADIX_PASSES {
                                 ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
                                 ctx.global_write_seq(NL_BASE + off * 4, deg as u64, 4);
-                                ctx.shared_access_uniform((deg as u64) * RADIX_PASSES / 4);
-                                ctx.alu((deg as u64) * 3 * RADIX_PASSES);
-                            } else {
-                                // Degenerated multi-pass global radix sort:
-                                // every pass streams the segment through global
-                                // memory both ways.
-                                for _ in 0..RADIX_PASSES {
-                                    ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
-                                    ctx.global_write_seq(NL_BASE + off * 4, deg as u64, 4);
-                                }
-                                ctx.alu((deg as u64) * 4 * RADIX_PASSES);
                             }
-                            // Count kernel: scan sorted runs.
-                            ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
-                            ctx.alu(deg as u64);
-                            let mut best: Option<BestLabel> = None;
-                            let current = spoken_ref[v as usize];
-                            let mut r = 0usize;
-                            while r < scratch.len() {
-                                let label = scratch[r].0;
-                                let mut freq = 0.0;
-                                while r < scratch.len() && scratch[r].0 == label {
-                                    freq += scratch[r].1;
-                                    r += 1;
-                                }
-                                let score = prog_ref.label_score(v, label, freq);
-                                BestLabel::offer(&mut best, label, score, current);
-                            }
-                            ctx.global_write_scattered(1);
-                            out.push((v, BestLabel::into_decision(best)));
+                            ctx.alu((deg as u64) * 4 * RADIX_PASSES);
                         }
-                        ctx.warps_launched((hi - lo) as u64);
-                        out
-                    },
-                )?;
-
-                // UpdateVertex.
-                device.launch("update_vertex", |ctx| {
-                    ctx.global_read_seq(DECISIONS, n as u64, 12);
-                    ctx.global_write_seq(LABEL_STATE, n as u64, 4);
-                    ctx.warps_launched((n as u64).div_ceil(32));
-                    ctx.alu(2 * (n as u64).div_ceil(32));
+                        // Count kernel: scan sorted runs.
+                        ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
+                        ctx.alu(deg as u64);
+                        let mut best: Option<BestLabel> = None;
+                        let current = spoken[v as usize];
+                        let mut r = 0usize;
+                        while r < scratch.len() {
+                            let label = scratch[r].0;
+                            let mut freq = 0.0;
+                            while r < scratch.len() && scratch[r].0 == label {
+                                freq += scratch[r].1;
+                                r += 1;
+                            }
+                            let score = prog.label_score(v, label, freq);
+                            BestLabel::offer(&mut best, label, score, current);
+                        }
+                        ctx.global_write_scattered(1);
+                        out.push((v, BestLabel::into_decision(best)));
+                    }
+                    ctx.warps_launched((hi - lo) as u64);
+                    out
                 })?;
-                decisions.iter_mut().for_each(|d| *d = None);
-                for out in outs {
-                    for (v, d) in out {
-                        decisions[v as usize] = d;
-                    }
-                }
-                let mut changed = 0u64;
-                for (v, &d) in decisions.iter().enumerate() {
-                    if prog.update_vertex(v as VertexId, d) {
-                        changed += 1;
-                    }
-                }
-                prog.end_iteration(iteration);
-                report.changed_per_iteration.push(changed);
-                report.active_per_iteration.push(scheduled);
-                report.direction_per_iteration.push(Direction::Dense);
-                report.iterations = iteration + 1;
-                if let Some(t) = &opts.tracer {
-                    t.end(device.elapsed_seconds());
-                }
-                if prog.finished(iteration, changed) {
-                    break;
-                }
-            }
-            Ok(())
-        })();
+        for (v, d) in outs.into_iter().flatten() {
+            decisions[v as usize] = d;
+        }
+        Ok(ShardStats::default())
+    }
 
-        if outcome.is_ok() {
-            let t1 = device.elapsed_seconds();
-            device.download(n as u64 * 4);
-            transfer_s += device.elapsed_seconds() - t1;
-        }
-        device.free(footprint);
-        if let Err(e) = outcome {
-            if let (Some(t), Some(m)) = (&opts.tracer, trace_mark) {
-                t.fail_open_to(m, self.device.elapsed_seconds());
-            }
-            return Err(e);
-        }
-        if let Some(t) = &opts.tracer {
-            t.end(self.device.elapsed_seconds());
-        }
+    fn charge_update(&mut self, n: u64) -> Result<(), DeviceError> {
+        self.device.launch("update_vertex", |ctx| {
+            ctx.global_read_seq(DECISIONS, n, 12);
+            ctx.global_write_seq(LABEL_STATE, n, 4);
+            ctx.warps_launched(n.div_ceil(32));
+            ctx.alu(2 * n.div_ceil(32));
+        })
+    }
 
-        report.modeled_seconds = self.device.elapsed_seconds() - t0;
-        report.transfer_seconds = transfer_s;
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        report.gpu_counters = *self.device.totals();
-        let mut profile = KernelProfile::new();
-        for rec in &self.device.kernel_log()[log_mark..] {
-            profile.record(self.name(), rec.name, rec.seconds);
+    fn teardown(&mut self, completed: bool) -> f64 {
+        if completed {
+            let t0 = self.device.elapsed_seconds();
+            self.device.download(self.label_bytes);
+            self.transfer_s += self.device.elapsed_seconds() - t0;
         }
-        report.kernel_profile = profile;
-        Ok(report)
+        self.device.free(self.footprint);
+        self.transfer_s
     }
 }
 

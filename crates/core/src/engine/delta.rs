@@ -53,11 +53,10 @@
 //! non-converged memo is never extended because the replay hits the same
 //! cap.
 
-use super::{BestLabel, Decision};
+use super::{exact_mfl, mfl_scratch, Decision};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_graph::{Graph, Label, VertexId};
-use glp_sketch::{BoundedHashTable, InsertOutcome};
 use std::time::Instant;
 
 /// What one [`replay_delta`] produced: the run report (host wall clock
@@ -107,11 +106,7 @@ pub fn replay_delta(
     }
     let csr = g.incoming();
     let out = g.outgoing();
-    let max_deg = (0..n as VertexId)
-        .map(|v| csr.degree(v) as usize)
-        .max()
-        .unwrap_or(0);
-    let mut ht = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
+    let mut ht = mfl_scratch(g);
     let mut frontier: Vec<bool> = seeds.to_vec();
     let mut spoken: Vec<Label> = vec![0; n];
     let mut decisions: Vec<Decision> = vec![None; n];
@@ -141,22 +136,7 @@ pub fn replay_delta(
                 continue;
             }
             scheduled += 1;
-            ht.clear();
-            let off = csr.offset(v);
-            for (j, &u) in csr.neighbors(v).iter().enumerate() {
-                let c = prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
-                match ht.insert_add(u64::from(c.label), c.weight) {
-                    InsertOutcome::Added { .. } => {}
-                    InsertOutcome::Full { .. } => unreachable!("scratch sized to 2x degree"),
-                }
-            }
-            let current = spoken[v as usize];
-            let mut best: Option<BestLabel> = None;
-            for (l, freq) in ht.iter() {
-                let label = l as Label;
-                BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-            }
-            decisions[v as usize] = BestLabel::into_decision(best);
+            decisions[v as usize] = exact_mfl(&*prog, csr, &mut ht, v, |u| spoken[u as usize]);
         }
         let changed = prog.apply_decisions(&decisions);
         prog.end_iteration(iteration);
@@ -236,9 +216,13 @@ impl MemoRecorder {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Engine, FrontierMode, ResilientEngine, RunOptions, SequentialEngine};
+    use super::super::{
+        Engine, FrontierMode, GpuEngine, HybridEngine, MultiGpuEngine, ResilientEngine, RunOptions,
+        SequentialEngine,
+    };
     use super::*;
     use crate::variants::WeightedLp;
+    use glp_gpusim::{Device, DeviceConfig};
     use glp_graph::GraphBuilder;
 
     /// Two weighted communities bridged by growing edges; `extra` edges
@@ -357,23 +341,39 @@ mod tests {
         // A converged program rerun with an all-false warm-start frontier
         // schedules nothing and changes nothing — the `initial_frontier`
         // gap this PR closes (it used to require `start_iteration > 0`).
+        // One rule for every backend of the BSP driver: the hybrid tier
+        // (on a device small enough to force streaming) used to saturate
+        // iteration 0 regardless.
         let g = graph_with(&[]);
-        let mut prog = WeightedLp::from_graph(&g, 30).with_retention(2.0);
-        let opts = RunOptions::default().with_max_iterations(30);
-        SequentialEngine::bsp().run(&g, &mut prog, &opts).unwrap();
-        let settled = prog.labels().to_vec();
-        let report = SequentialEngine::bsp()
-            .run(
-                &g,
-                &mut prog,
-                &RunOptions {
-                    initial_frontier: Some(vec![false; g.num_vertices()]),
-                    ..opts
-                },
-            )
-            .unwrap();
-        assert_eq!(prog.labels(), &settled[..]);
-        assert_eq!(report.active_per_iteration, vec![0]);
-        assert_eq!(report.changed_per_iteration, vec![0]);
+        let n = g.num_vertices();
+        let streaming = DeviceConfig::tiny(n as u64 * 20 + g.size_bytes() / 3);
+        let hybrid = HybridEngine::new(Device::new(streaming));
+        assert!(hybrid.plan_chunks(&g) > 1, "graph should need streaming");
+        let backends: Vec<Box<dyn Engine>> = vec![
+            Box::new(SequentialEngine::bsp()),
+            Box::new(GpuEngine::titan_v()),
+            Box::new(hybrid),
+            Box::new(MultiGpuEngine::titan_v(2)),
+        ];
+        for mut engine in backends {
+            let mut prog = WeightedLp::from_graph(&g, 30).with_retention(2.0);
+            let opts = RunOptions::default().with_max_iterations(30);
+            engine.run(&g, &mut prog, &opts).unwrap();
+            let settled = prog.labels().to_vec();
+            let report = engine
+                .run(
+                    &g,
+                    &mut prog,
+                    &RunOptions {
+                        initial_frontier: Some(vec![false; n]),
+                        ..opts
+                    },
+                )
+                .unwrap();
+            let tier = engine.name();
+            assert_eq!(prog.labels(), &settled[..], "{tier}");
+            assert_eq!(report.active_per_iteration, vec![0], "{tier}");
+            assert_eq!(report.changed_per_iteration, vec![0], "{tier}");
+        }
     }
 }

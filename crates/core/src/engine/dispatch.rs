@@ -97,6 +97,20 @@ impl Buckets {
             + self.global_hash.len()
     }
 
+    /// The vertices [`scheduled`](Self::scheduled) counts, bucket by bucket
+    /// (ascending within each).
+    pub fn scheduled_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
+        [
+            &self.warp_packed,
+            &self.warp_per_vertex,
+            &self.block_per_vertex,
+            &self.global_hash,
+        ]
+        .into_iter()
+        .flatten()
+        .copied()
+    }
+
     /// Rebuilds the dispatch for one frontier iteration: every bucket
     /// restricted to the active vertices. Filtering preserves ascending
     /// vertex order and degree classes, so high/low-degree kernel

@@ -1,17 +1,16 @@
-//! The single-GPU GLP engine: the paper's BSP workflow (Figure 2) with
-//! degree-bucketed MFL kernels (§4) and active-frontier scheduling.
+//! The single-GPU GLP backend: the degree-bucketed MFL kernels (§4) and the
+//! modeled update / frontier / snapshot charges, run by the one BSP driver
+//! ([`super::bsp`]).
 
-use super::dispatch::{split_by_degree, Buckets};
+use super::bsp::{drive, Backend, Phase};
+use super::dispatch::split_by_degree;
 use super::kernels::{self, DecisionsOut, KernelKind, KernelShard, ShardStats};
-use super::options::BarrierEvent;
-use super::{Decision, Direction, Engine, EngineError, FrontierMode, RunOptions};
+use super::{Decision, Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
-use glp_gpusim::{CostModel, Device, DeviceError, KernelRecord};
+use glp_gpusim::{Device, DeviceError};
 use glp_graph::{Graph, Label, VertexId};
-use glp_trace::{Category, Clock, KernelProfile, Tracer};
-use std::borrow::Cow;
-use std::time::Instant;
+use std::ops::Range;
 
 /// Simulated address bases for the engine-owned arrays (distinct from the
 /// kernel-internal ones in [`kernels::layout`]).
@@ -65,217 +64,141 @@ impl Engine for GpuEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        assert_eq!(
-            prog.num_vertices(),
-            g.num_vertices(),
-            "program sized for a different graph"
-        );
-        opts.validate_for_device(self.device.config().shared_mem_per_block);
-        let wall_start = Instant::now();
-        let n = g.num_vertices();
-        let shards = opts.resolve_shards();
-        let buckets = Buckets::build(g, opts.strategy, opts.thresholds);
-        self.device.set_tracer(opts.tracer.clone());
-        let log_mark = self.device.kernel_log().len();
+        let mut backend = GpuBackend::new(&mut self.device, g, Adjacency::Resident, opts);
+        drive(&mut backend, g, prog, opts)
+    }
+}
 
-        // Upload: CSR + label state + spoken array + decision array.
-        let footprint = g.size_bytes() + (n as u64) * (4 + 4 + 12);
+/// Label state + spoken array + decision array: what stays on the device
+/// whether or not the adjacency does.
+pub(crate) fn resident_bytes(g: &Graph) -> u64 {
+    g.num_vertices() as u64 * (4 + 4 + 12)
+}
+
+/// Bytes one adjacency entry occupies on the device or the PCIe link: the
+/// neighbor id, plus its weight on a weighted graph.
+pub(crate) fn bytes_per_edge(g: &Graph) -> u64 {
+    4 + 4 * u64::from(g.incoming().is_weighted())
+}
+
+/// Where a single-device run keeps the adjacency, and with it who
+/// maintains the frontier.
+pub(crate) enum Adjacency {
+    /// On the device, whose kernels also rebuild the frontier (in-core GLP).
+    Resident,
+    /// Host-coordinated (§3.1, the hybrid engine): the CPUs maintain the
+    /// frontier, so no device kernel is charged for it, and when `streamed`
+    /// ship the scheduled vertices' adjacency over PCIe under the kernels
+    /// instead of keeping it resident.
+    Host { streamed: bool },
+}
+
+/// One run on one device: label state resident for the whole run, labels
+/// downloaded at the end.
+pub(crate) struct GpuBackend<'a> {
+    device: &'a mut Device,
+    adjacency: Adjacency,
+    footprint: u64,
+    label_bytes: u64,
+    shards: usize,
+    transfer_s: f64,
+}
+
+impl<'a> GpuBackend<'a> {
+    pub(crate) fn new(
+        device: &'a mut Device,
+        g: &Graph,
+        adjacency: Adjacency,
+        opts: &RunOptions,
+    ) -> Self {
+        opts.validate_for_device(device.config().shared_mem_per_block);
+        let streamed = matches!(adjacency, Adjacency::Host { streamed: true });
+        Self {
+            device,
+            adjacency,
+            footprint: resident_bytes(g) + if streamed { 0 } else { g.size_bytes() },
+            label_bytes: g.num_vertices() as u64 * 4,
+            shards: opts.resolve_shards(),
+            transfer_s: 0.0,
+        }
+    }
+}
+
+impl Backend for GpuBackend<'_> {
+    fn name(&self) -> &'static str {
+        match self.adjacency {
+            Adjacency::Resident => "GLP",
+            Adjacency::Host { .. } => "GLP-hybrid",
+        }
+    }
+
+    fn modeled_now(&self) -> Option<f64> {
+        Some(self.device.elapsed_seconds())
+    }
+
+    fn each_device(&mut self, f: &mut dyn FnMut(&mut Device)) {
+        f(self.device);
+    }
+
+    fn stage(&mut self, _g: &Graph) -> Result<(), DeviceError> {
         let t0 = self.device.elapsed_seconds();
-        let trace_mark = trace_run_begin(&opts.tracer, self.name(), t0);
-        if let Err(e) = self.device.upload(footprint) {
-            trace_fail(&opts.tracer, trace_mark, self.device.elapsed_seconds());
-            return Err(e.into());
+        self.device.upload(self.footprint)?;
+        self.transfer_s += self.device.elapsed_seconds() - t0;
+        Ok(())
+    }
+
+    fn pick(&mut self, p: &Phase<'_>, spoken: &mut [Label]) -> Result<(), DeviceError> {
+        pick_labels(self.device, spoken, 0, p.prog, self.shards)
+    }
+
+    fn propagate(
+        &mut self,
+        p: &Phase<'_>,
+        spoken: &[Label],
+        decisions: &mut [Decision],
+    ) -> Result<ShardStats, DeviceError> {
+        let all = 0..spoken.len() as VertexId;
+        propagate(self.device, p, all, self.shards, spoken, decisions)
+    }
+
+    fn stream(&mut self, p: &Phase<'_>, compute_s: f64) {
+        if let Adjacency::Host { streamed: true } = self.adjacency {
+            self.transfer_s += super::hybrid::settle_stream(self.device, p, compute_s);
         }
-        let mut transfer_s = self.device.elapsed_seconds() - t0;
+    }
 
-        let mut spoken: Vec<Label> = vec![0; n];
-        let mut decisions: Vec<Decision> = vec![None; n];
-        let sparse = opts.frontier.sparse(prog.sparse_activation());
-        let mut active = initial_active(n, sparse, opts);
-        let mut changed_flags = vec![false; if sparse { n } else { 0 }];
-        let mut report = LpRunReport::default();
-        let start_elapsed = t0;
-        let device = &mut self.device;
+    fn charge_update(&mut self, n: u64) -> Result<(), DeviceError> {
+        charge_update(self.device, 0, n)
+    }
 
-        // The iteration loop runs in an immediately-invoked closure so the
-        // device footprint is released on the fault path too — a retrying
-        // caller reuses this engine, and leaked residency would turn a
-        // transient fault into a spurious OutOfMemory.
-        let outcome = (|| -> Result<(), EngineError> {
-            let mut last_direction: Option<Direction> = None;
-            for iteration in opts.start_iteration..opts.max_iterations {
-                let iter_start = device.elapsed_seconds();
-                if let Some(t) = &opts.tracer {
-                    t.begin_arg(
-                        Category::Iteration,
-                        "iteration",
-                        Clock::Modeled,
-                        iter_start,
-                        u64::from(iteration),
-                    );
-                }
-                prog.begin_iteration(iteration);
-                pick_labels(device, &mut spoken, 0, prog, shards)?;
-                decisions.fill(None);
-                // Rebuild the degree-bucketed dispatch over this iteration's
-                // frontier; the full-vertex bucketing is reused whenever the
-                // frontier is (still) saturated.
-                let all_active = !sparse || active.iter().all(|&a| a);
-                let filtered: Cow<'_, Buckets> = if all_active {
-                    Cow::Borrowed(&buckets)
-                } else {
-                    Cow::Owned(buckets.filtered(&active))
-                };
-                let scheduled = filtered.scheduled() as u64;
-                report.active_per_iteration.push(scheduled);
-                if let Some(t) = &opts.tracer {
-                    t.begin_arg(
-                        Category::Dispatch,
-                        dispatch_name(last_direction),
-                        Clock::Modeled,
-                        device.elapsed_seconds(),
-                        scheduled,
-                    );
-                }
-                let stats = propagate(
-                    device,
-                    g,
-                    &spoken,
-                    prog,
-                    &filtered,
-                    opts,
-                    shards,
-                    &mut decisions,
-                )?;
-                if let Some(t) = &opts.tracer {
-                    t.end(device.elapsed_seconds());
-                }
-                report.smem_fallbacks += stats.fallbacks;
-                report.smem_vertices += stats.smem_vertices;
-                let changed = apply_updates(device, &decisions, prog)?;
-                let direction = if sparse {
-                    mark_changed(&spoken, &decisions, &mut changed_flags);
-                    refresh_active(device, g, &changed_flags, &mut active, opts.frontier)?
-                } else {
-                    Direction::Dense
-                };
-                last_direction = Some(direction);
-                prog.end_iteration(iteration);
-                if let Some(hook) = &opts.barrier_hook {
-                    let t = device.elapsed_seconds();
-                    charge_snapshot(device, n as u64)?;
-                    report.snapshot_seconds += device.elapsed_seconds() - t;
-                    report.snapshots_taken += 1;
-                    if let Some(tr) = &opts.tracer {
-                        tr.instant(
-                            Category::Resilience,
-                            "snapshot",
-                            Clock::Modeled,
-                            device.elapsed_seconds(),
-                        );
-                    }
-                    hook.fire(&BarrierEvent {
-                        iteration,
-                        changed,
-                        scheduled,
-                        active: if sparse { Some(&active) } else { None },
-                        direction,
-                        program: &*prog,
-                    });
-                }
-                report.changed_per_iteration.push(changed);
-                report.direction_per_iteration.push(direction);
-                report
-                    .iteration_seconds
-                    .push(device.elapsed_seconds() - iter_start);
-                report.iterations = iteration + 1;
-                if let Some(t) = &opts.tracer {
-                    t.end(device.elapsed_seconds());
-                }
-                if prog.finished(iteration, changed) {
-                    break;
-                }
-            }
-            Ok(())
-        })();
-
-        if outcome.is_ok() {
-            // Download the final labels.
-            let t1 = self.device.elapsed_seconds();
-            self.device.download(n as u64 * 4);
-            transfer_s += self.device.elapsed_seconds() - t1;
-            if let Some(t) = &opts.tracer {
-                t.end(self.device.elapsed_seconds());
-            }
+    fn charge_frontier(
+        &mut self,
+        priced: bool,
+        dir: Direction,
+        volume: u64,
+        next_active: &[bool],
+    ) -> Result<(), DeviceError> {
+        if let Adjacency::Host { .. } = self.adjacency {
+            return Ok(());
         }
-        self.device.free(footprint);
+        let survivors = next_active.iter().filter(|&&a| a).count() as u64;
+        let n = next_active.len() as u64;
+        charge_frontier(self.device, priced, dir, n, volume, survivors)
+    }
 
-        if let Err(e) = outcome {
-            trace_fail(&opts.tracer, trace_mark, self.device.elapsed_seconds());
-            return Err(e);
+    fn teardown(&mut self, completed: bool) -> f64 {
+        if completed {
+            let t0 = self.device.elapsed_seconds();
+            self.device.download(self.label_bytes);
+            self.transfer_s += self.device.elapsed_seconds() - t0;
         }
-        report.kernel_profile =
-            profile_from_log(self.name(), &self.device.kernel_log()[log_mark..]);
-        report.modeled_seconds = self.device.elapsed_seconds() - start_elapsed;
-        report.transfer_seconds = transfer_s;
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        report.gpu_counters = *self.device.totals();
-        Ok(report)
+        self.device.free(self.footprint);
+        self.transfer_s
     }
 }
 
-/// Opens the run-level span (when tracing) and returns the unwind mark the
-/// error path hands back to [`trace_fail`].
-pub(crate) fn trace_run_begin(
-    tracer: &Option<Tracer>,
-    tier: &'static str,
-    start_s: f64,
-) -> Option<usize> {
-    tracer.as_ref().map(|t| {
-        let mark = t.open_depth();
-        t.begin(Category::Run, tier, Clock::Modeled, start_s);
-        mark
-    })
-}
-
-/// Error-path unwind: closes every span the run opened, innermost-first,
-/// flagged as errors, so a recovery layer above can parent its
-/// retry/degrade events to the failed iteration span.
-pub(crate) fn trace_fail(tracer: &Option<Tracer>, mark: Option<usize>, at_s: f64) {
-    if let (Some(t), Some(m)) = (tracer, mark) {
-        t.fail_open_to(m, at_s);
-    }
-}
-
-/// Aggregates one run's slice of the device kernel log into a
-/// [`KernelProfile`] row set for `tier`.
-pub(crate) fn profile_from_log(tier: &'static str, log: &[KernelRecord]) -> KernelProfile {
-    let mut profile = KernelProfile::new();
-    for rec in log {
-        profile.record(tier, rec.name, rec.seconds);
-    }
-    profile
-}
-
-/// The frontier a run starts from: saturated for a fresh run, the caller's
-/// captured bitmap when one is supplied to a sparse run — either an
-/// iteration-granular resume (`start_iteration > 0`) or a warm start from
-/// iteration 0, where the caller warrants the bitmap covers every vertex
-/// whose decision could differ from its current state.
-pub(crate) fn initial_active(n: usize, sparse: bool, opts: &RunOptions) -> Vec<bool> {
-    match &opts.initial_frontier {
-        Some(f) if sparse => {
-            assert_eq!(f.len(), n, "resume frontier sized for a different graph");
-            f.clone()
-        }
-        _ => vec![true; n],
-    }
-}
-
-/// Charges the `barrier_snapshot` kernel: the coalesced label-state
-/// readback that feeds a [`BarrierHook`](super::BarrierHook) checkpoint.
-/// Only launched when a hook is installed, so hook-free runs are
-/// cost-model-identical to builds without fault tolerance.
+/// Charges the `barrier_snapshot` kernel: the coalesced readback of `n`
+/// labels that feeds a [`BarrierHook`](super::BarrierHook) checkpoint.
 pub(crate) fn charge_snapshot(device: &mut Device, n: u64) -> Result<(), DeviceError> {
     device.launch("barrier_snapshot", |ctx| {
         ctx.global_read_seq(LABEL_STATE, n, 4);
@@ -283,110 +206,6 @@ pub(crate) fn charge_snapshot(device: &mut Device, n: u64) -> Result<(), DeviceE
         ctx.lanes_active(n);
         ctx.alu(n.div_ceil(32));
     })
-}
-
-/// Flags the vertices whose decision differs from the label they spoke
-/// this round — the change set every frontier rebuild starts from. Derived
-/// once per iteration into a buffer the run owns; `Auto`'s pricing
-/// ([`touched_edges`]) and the rebuild it then picks both read it.
-pub(crate) fn mark_changed(spoken: &[Label], decisions: &[Decision], changed: &mut [bool]) {
-    for ((c, &s), &d) in changed.iter_mut().zip(spoken).zip(decisions) {
-        *c = matches!(d, Some((l, _)) if l != s);
-    }
-}
-
-/// Recomputes the active set in **push** direction — out-neighbors of
-/// every vertex in the `changed` set ([`mark_changed`]) — returning the
-/// number of scatter marks written, Σ out-degree over the changed vertices
-/// (host side; every engine shares this so the frontier semantics cannot
-/// diverge).
-pub(crate) fn recompute_active(g: &Graph, changed: &[bool], active: &mut [bool]) -> u64 {
-    active.fill(false);
-    let out = g.outgoing();
-    let mut touched = 0u64;
-    for (v, _) in changed.iter().enumerate().filter(|&(_, &c)| c) {
-        for &u in out.neighbors(v as VertexId) {
-            active[u as usize] = true;
-        }
-        touched += u64::from(out.degree(v as VertexId));
-    }
-    touched
-}
-
-/// Recomputes the active set in **pull** direction: every vertex scans its
-/// in-neighbors and activates itself at the first one in the `changed`
-/// set. Because `v ∈ out(u) ⟺ u ∈ in(v)` (undirected graphs share one
-/// CSR; directed graphs derive the outgoing view by transposition), this
-/// marks *exactly* the vertices [`recompute_active`] marks — the
-/// bit-identity contract `direction_equivalence.rs` pins. Returns the
-/// number of in-adjacency entries actually scanned (the early exit is why
-/// a dense frontier makes this cheap).
-pub(crate) fn recompute_active_pull(g: &Graph, changed: &[bool], active: &mut [bool]) -> u64 {
-    let inc = g.incoming();
-    let mut scanned = 0u64;
-    for (v, a) in active.iter_mut().enumerate() {
-        *a = false;
-        for &u in inc.neighbors(v as VertexId) {
-            scanned += 1;
-            if changed[u as usize] {
-                *a = true;
-                break;
-            }
-        }
-    }
-    scanned
-}
-
-/// Σ out-degree over the `changed` vertices — the scatter volume a push
-/// rebuild *would* write, computed without building the frontier so
-/// [`choose_direction`] can price both directions first.
-pub(crate) fn touched_edges(g: &Graph, changed: &[bool]) -> u64 {
-    let out = g.outgoing();
-    changed
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c)
-        .map(|(v, _)| u64::from(out.degree(v as VertexId)))
-        .sum()
-}
-
-/// Resolves a [`FrontierMode`] to this iteration's rebuild [`Direction`].
-/// `Auto` prices push's scattered sectors for the actual change volume
-/// against a worst-case coalesced pull scan via
-/// [`CostModel::prefer_pull`]; host tiers pass `CostModel::default()`,
-/// which every modeled device also carries, so all engines make identical
-/// choices on identical inputs.
-pub(crate) fn choose_direction(
-    mode: FrontierMode,
-    g: &Graph,
-    changed: &[bool],
-    cost: &CostModel,
-) -> Direction {
-    match mode {
-        FrontierMode::Dense => Direction::Dense,
-        FrontierMode::Push => Direction::Push,
-        FrontierMode::Pull => Direction::Pull,
-        FrontierMode::Auto => {
-            let touched = touched_edges(g, changed);
-            if cost.prefer_pull(g.num_vertices() as u64, touched, g.num_edges()) {
-                Direction::Pull
-            } else {
-                Direction::Push
-            }
-        }
-    }
-}
-
-/// Dispatch-span name tagged with the direction that built the frontier
-/// this iteration consumes (the *previous* iteration's rebuild choice).
-/// Iteration 0, resumes with no prior rebuild, and dense scheduling all
-/// keep the plain name.
-pub(crate) fn dispatch_name(prev: Option<Direction>) -> &'static str {
-    match prev {
-        Some(Direction::Push) => "dispatch:push",
-        Some(Direction::Pull) => "dispatch:pull",
-        Some(Direction::Dense) | None => "dispatch",
-    }
 }
 
 /// Charges the stream compaction that turns the frontier bitmap into the
@@ -403,52 +222,6 @@ fn charge_compact(device: &mut Device, n: u64, next_active: u64) -> Result<(), D
     })
 }
 
-/// Charges the **push** frontier-maintenance kernel for `n` vertices with
-/// `touched` scatter marks and `next_active` survivors: a coalesced pass
-/// over the change flags, a coalesced walk of the changed vertices'
-/// out-adjacency, and one scattered sector per mark — marks land wherever
-/// the neighbor ids point, so the coalescer almost never merges them.
-/// This traffic is exactly [`CostModel::push_frontier_bytes`], which is
-/// what makes the `Auto` crossover measurable rather than asserted.
-pub(crate) fn charge_frontier(
-    device: &mut Device,
-    n: u64,
-    touched: u64,
-    next_active: u64,
-) -> Result<(), DeviceError> {
-    device.launch("frontier_update", |ctx| {
-        ctx.global_read_seq(LABEL_STATE, n, 4);
-        ctx.global_read_seq(OUT_CSR, touched, 4);
-        ctx.global_write_scattered(touched);
-        ctx.warps_launched(n.div_ceil(32));
-        ctx.lanes_active(n);
-        ctx.alu(2 * n.div_ceil(32) + touched / 32);
-    })?;
-    charge_compact(device, n, next_active)
-}
-
-/// Charges the **pull** gather kernel for `n` vertices that scanned
-/// `scanned` in-adjacency entries before early-exiting: coalesced flag
-/// reads, coalesced CSR target reads, one sequential bitmap write — no
-/// scatter at all ([`CostModel::pull_frontier_bytes`] with the actual
-/// scanned count).
-pub(crate) fn charge_pull_gather(
-    device: &mut Device,
-    n: u64,
-    scanned: u64,
-    next_active: u64,
-) -> Result<(), DeviceError> {
-    device.launch("pull_gather", |ctx| {
-        ctx.global_read_seq(LABEL_STATE, n, 4);
-        ctx.global_read_seq(IN_CSR, scanned, 4);
-        ctx.global_write_seq(FRONTIER_BITMAP, n.div_ceil(8), 1);
-        ctx.warps_launched(n.div_ceil(32));
-        ctx.lanes_active(n);
-        ctx.alu(2 * n.div_ceil(32) + scanned / 32);
-    })?;
-    charge_compact(device, n, next_active)
-}
-
 /// Charges the frontier-density measurement `Auto` runs before choosing
 /// a direction: coalesced reads of the change flags and the out-degree
 /// array, reduced block-wise to the scatter-volume estimate the
@@ -458,7 +231,7 @@ pub(crate) fn charge_pull_gather(
 /// direction-optimization trick; a 4 µs launch per iteration would eat
 /// the crossover's winnings on small frontiers). Forced `Push`/`Pull`
 /// runs skip it — the measurement only exists to pay for the decision.
-pub(crate) fn charge_frontier_density(device: &mut Device, n: u64) -> Result<(), DeviceError> {
+fn charge_frontier_density(device: &mut Device, n: u64) -> Result<(), DeviceError> {
     device.launch_fused("frontier_density", |ctx| {
         ctx.global_read_seq(LABEL_STATE, n, 4);
         ctx.global_read_seq(OUT_CSR, n, 4);
@@ -471,40 +244,56 @@ pub(crate) fn charge_frontier_density(device: &mut Device, n: u64) -> Result<(),
     })
 }
 
-/// GPU-side frontier refresh: resolves the rebuild direction, runs the
-/// matching shared recompute over the `changed` set, and charges the
-/// matching kernels. Returns the direction taken so the run loop can
-/// record and tag it.
-pub(crate) fn refresh_active(
+/// Charges one device's share of a frontier rebuild over its `n` vertices
+/// with `next_active` survivors: the density measurement if `priced`, the
+/// kernel of the direction taken, the compaction.
+///
+/// **Push** (`frontier_update`): a coalesced pass over the change flags, a
+/// coalesced walk of the changed vertices' out-adjacency, and one scattered
+/// sector per mark (`volume` of them) — marks land wherever the neighbor
+/// ids point, so the coalescer almost never merges them. **Pull**
+/// (`pull_gather`): the same flag reads, coalesced reads of the `volume`
+/// in-adjacency entries scanned, one sequential bitmap write — no scatter.
+/// Exactly [`CostModel::push_frontier_bytes`] / [`CostModel::pull_frontier_bytes`],
+/// which makes the `Auto` crossover measurable rather than asserted.
+///
+/// [`CostModel::push_frontier_bytes`]: glp_gpusim::CostModel::push_frontier_bytes
+/// [`CostModel::pull_frontier_bytes`]: glp_gpusim::CostModel::pull_frontier_bytes
+pub(crate) fn charge_frontier(
     device: &mut Device,
-    g: &Graph,
-    changed: &[bool],
-    active: &mut [bool],
-    mode: FrontierMode,
-) -> Result<Direction, DeviceError> {
-    let n = changed.len() as u64;
-    if mode == FrontierMode::Auto {
+    priced: bool,
+    dir: Direction,
+    n: u64,
+    volume: u64,
+    next_active: u64,
+) -> Result<(), DeviceError> {
+    if priced {
         charge_frontier_density(device, n)?;
     }
-    let dir = choose_direction(mode, g, changed, device.cost_model());
-    match dir {
-        Direction::Pull => {
-            let scanned = recompute_active_pull(g, changed, active);
-            let next_active = active.iter().filter(|&&a| a).count() as u64;
-            charge_pull_gather(device, n, scanned, next_active)?;
+    let pull = dir == Direction::Pull;
+    let (name, csr) = if pull {
+        ("pull_gather", IN_CSR)
+    } else {
+        ("frontier_update", OUT_CSR)
+    };
+    device.launch(name, |ctx| {
+        ctx.global_read_seq(LABEL_STATE, n, 4);
+        ctx.global_read_seq(csr, volume, 4);
+        if pull {
+            ctx.global_write_seq(FRONTIER_BITMAP, n.div_ceil(8), 1);
+        } else {
+            ctx.global_write_scattered(volume);
         }
-        Direction::Push | Direction::Dense => {
-            let touched = recompute_active(g, changed, active);
-            let next_active = active.iter().filter(|&&a| a).count() as u64;
-            charge_frontier(device, n, touched, next_active)?;
-        }
-    }
-    Ok(dir)
+        ctx.warps_launched(n.div_ceil(32));
+        ctx.lanes_active(n);
+        ctx.alu(2 * n.div_ceil(32) + volume / 32);
+    })?;
+    charge_compact(device, n, next_active)
 }
 
 /// PickLabel (Figure 2): a trivially parallel kernel writing the
 /// spoken-label array, coalesced. `spoken` covers vertices
-/// `base .. base + spoken.len()` (multi-GPU engines pass per-device
+/// `base .. base + spoken.len()` (the multi-GPU backend passes per-device
 /// sub-slices); each harness shard fills its own chunk of it in place.
 pub(crate) fn pick_labels(
     device: &mut Device,
@@ -533,35 +322,40 @@ pub(crate) fn pick_labels(
 }
 
 /// LabelPropagation (Figure 2): degree-bucketed kernels over the vertices
-/// named in `buckets`. `decisions[v]` belongs to vertex `v`.
-#[allow(clippy::too_many_arguments)]
+/// of `p.work` that fall in `range` (one device's share; buckets are
+/// ascending, so the share is a sub-slice). `decisions[v]` belongs to
+/// vertex `v`.
 pub(crate) fn propagate(
     device: &mut Device,
-    g: &Graph,
-    spoken: &[Label],
-    prog: &dyn LpProgram,
-    buckets: &Buckets,
-    opts: &RunOptions,
+    p: &Phase<'_>,
+    range: Range<VertexId>,
     shards: usize,
+    spoken: &[Label],
     decisions: &mut [Decision],
 ) -> Result<ShardStats, DeviceError> {
+    let (g, prog, opts) = (p.g, p.prog, p.opts);
     let csr = g.incoming();
+    let share = |vs: &'_ [VertexId]| {
+        let lo = vs.partition_point(|&v| v < range.start);
+        lo..vs.partition_point(|&v| v < range.end)
+    };
     let launches = [
-        (KernelKind::WarpPacked, &buckets.warp_packed),
+        (KernelKind::WarpPacked, &p.work.warp_packed),
         (
             KernelKind::WarpPerVertex {
                 ht_slots: opts.mid_ht_slots,
             },
-            &buckets.warp_per_vertex,
+            &p.work.warp_per_vertex,
         ),
         (
             KernelKind::BlockCmsHt(opts.smem_geometry()),
-            &buckets.block_per_vertex,
+            &p.work.block_per_vertex,
         ),
-        (KernelKind::GlobalHash, &buckets.global_hash),
+        (KernelKind::GlobalHash, &p.work.global_hash),
     ];
     let mut stats = ShardStats::default();
-    for (kind, vertices) in launches {
+    for (kind, bucket) in launches {
+        let vertices = &bucket[share(bucket)];
         if vertices.is_empty() {
             continue;
         }
@@ -592,28 +386,27 @@ pub(crate) fn propagate(
     Ok(stats)
 }
 
-/// UpdateVertex (Figure 2): host-driven state updates plus the modeled
-/// coalesced read/write kernel. Every vertex is visited in ascending
-/// order; under frontier scheduling skipped vertices carry a `None`
-/// decision, which sparse-activation programs treat as "keep state".
-pub(crate) fn apply_updates(
+/// UpdateVertex (Figure 2), the modeled half: the coalesced decision read
+/// and label write-back of the `m` vertices starting at `base` (the host
+/// applies the program's `update_vertex` at the commit).
+pub(crate) fn charge_update(
     device: &mut Device,
-    decisions: &[Decision],
-    prog: &mut dyn LpProgram,
-) -> Result<u64, DeviceError> {
-    let n = decisions.len() as u64;
+    base: VertexId,
+    m: u64,
+) -> Result<(), DeviceError> {
+    let base = u64::from(base);
     device.launch("update_vertex", |ctx| {
-        ctx.global_read_seq(kernels::layout::DECISIONS, n, 12);
-        ctx.global_write_seq(LABEL_STATE, n, 4);
-        ctx.warps_launched(n.div_ceil(32));
-        ctx.lanes_active(n);
-        ctx.alu(2 * n.div_ceil(32));
-    })?;
-    Ok(prog.apply_decisions(decisions))
+        ctx.global_read_seq(kernels::layout::DECISIONS + base * 12, m, 12);
+        ctx.global_write_seq(LABEL_STATE + base * 4, m, 4);
+        ctx.warps_launched(m.div_ceil(32));
+        ctx.lanes_active(m);
+        ctx.alu(2 * m.div_ceil(32));
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::bsp::{dispatch_name, mark_changed, rebuild_frontier};
     use super::super::{FrontierMode, MflStrategy};
     use super::*;
     use crate::variants::ClassicLp;
@@ -751,8 +544,8 @@ mod tests {
         mark_changed(&spoken, &decisions, &mut changed);
         let mut push = vec![false; n];
         let mut pull = vec![false; n];
-        let touched = recompute_active(&g, &changed, &mut push);
-        let scanned = recompute_active_pull(&g, &changed, &mut pull);
+        let touched = rebuild_frontier(&g, Direction::Push, &changed, &mut push);
+        let scanned = rebuild_frontier(&g, Direction::Pull, &changed, &mut pull);
         assert_eq!(push, pull);
         assert_eq!(touched, u64::from(g.outgoing().degree(3)));
         // The pull scan early-exits but still walks at least one entry per

@@ -3,28 +3,22 @@
 //! Label state stays resident on the device; adjacency streams over PCIe.
 //! The host CPUs coordinate the movement (§3.1: "the CPUs can coordinate
 //! the CPU-GPU graph data movement as well as handle PickLabel and
-//! UpdateVertex"): under [`FrontierMode::Auto`](super::FrontierMode), only
-//! *active* vertices — those with a changed in-neighbor — have their
-//! adjacency shipped and recomputed each iteration. As LP converges the
-//! active set collapses, which is what keeps the paper's transfer overhead
-//! small (§5.4). Streaming overlaps kernel execution (double buffering),
-//! so an iteration pays `max(compute, transfer)`.
+//! UpdateVertex"): under frontier scheduling, only *active* vertices —
+//! those with a changed in-neighbor — have their adjacency shipped and
+//! recomputed each iteration. As LP converges the active set collapses,
+//! which is what keeps the paper's transfer overhead small (§5.4).
+//! Streaming overlaps kernel execution (double buffering), so an iteration
+//! pays `max(compute, transfer)`.
 
-use super::dispatch::Buckets;
-use super::gpu::{
-    apply_updates, charge_snapshot, choose_direction, dispatch_name, initial_active, mark_changed,
-    pick_labels, profile_from_log, propagate, recompute_active, recompute_active_pull, trace_fail,
-    trace_run_begin,
-};
-use super::options::BarrierEvent;
-use super::{Decision, Direction, Engine, EngineError, RunOptions};
+use super::bsp::{drive, Phase};
+use super::gpu::{bytes_per_edge, resident_bytes, Adjacency, GpuBackend};
+use super::{Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_gpusim::Device;
 use glp_graph::partition::partition_by_edges;
-use glp_graph::{Graph, Label};
+use glp_graph::Graph;
 use glp_trace::{Category, Clock};
-use std::time::Instant;
 
 /// Adjacency streams in a delta-compressed layout (neighbor-id gaps,
 /// varint-coded — the standard technique for GPU out-of-core graphs, cf.
@@ -57,17 +51,15 @@ impl HybridEngine {
     /// Number of chunks a dense full-graph stream would need (diagnostic:
     /// 1 = the graph fits in core).
     pub fn plan_chunks(&self, g: &Graph) -> usize {
-        let n = g.num_vertices() as u64;
         let mem = self.device.config().global_mem_bytes;
-        let resident = n * (4 + 4 + 12);
+        let resident = resident_bytes(g);
         if resident >= mem {
             return 0;
         }
         if resident + g.size_bytes() <= mem {
             return 1;
         }
-        let bytes_per_edge = if g.incoming().is_weighted() { 8 } else { 4 };
-        let budget_edges = (((mem - resident) / 2) / (bytes_per_edge + 1)).max(1);
+        let budget_edges = (((mem - resident) / 2) / (bytes_per_edge(g) + 1)).max(1);
         partition_by_edges(g, budget_edges).len()
     }
 }
@@ -88,231 +80,52 @@ impl Engine for HybridEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        assert_eq!(
-            prog.num_vertices(),
-            g.num_vertices(),
-            "program sized for a different graph"
-        );
-        opts.validate_for_device(self.device.config().shared_mem_per_block);
-        let wall_start = Instant::now();
-        let n = g.num_vertices();
-        let shards = opts.resolve_shards();
         let mem = self.device.config().global_mem_bytes;
-
-        // Resident: label state + spoken + decisions.
-        let resident = (n as u64) * (4 + 4 + 12);
+        let resident = resident_bytes(g);
         assert!(
             resident < mem,
             "label state ({resident} B) alone exceeds device memory ({mem} B)"
         );
-        let in_core = resident + g.size_bytes() <= mem;
-        let bytes_per_edge: u64 = if g.incoming().is_weighted() { 8 } else { 4 };
-
-        let full = Buckets::build(g, opts.strategy, opts.thresholds);
-        let sparse = opts.frontier.sparse(prog.sparse_activation());
-
-        let footprint = if in_core {
-            resident + g.size_bytes()
-        } else {
-            resident
+        let adjacency = Adjacency::Host {
+            streamed: resident + g.size_bytes() > mem,
         };
-        self.device.set_tracer(opts.tracer.clone());
-        let log_mark = self.device.kernel_log().len();
-        let t0 = self.device.elapsed_seconds();
-        let trace_mark = trace_run_begin(&opts.tracer, self.name(), t0);
-        if let Err(e) = self.device.upload(footprint) {
-            trace_fail(&opts.tracer, trace_mark, self.device.elapsed_seconds());
-            return Err(e.into());
-        }
-        let mut transfer_s = self.device.elapsed_seconds() - t0;
-        let start_elapsed = t0;
-
-        let mut spoken: Vec<Label> = vec![0; n];
-        let mut decisions: Vec<Decision> = vec![None; n];
-        let mut active = initial_active(n, sparse, opts);
-        let mut changed_flags = vec![false; if sparse { n } else { 0 }];
-        let mut report = LpRunReport::default();
-        let device = &mut self.device;
-
-        // As in the GPU engine, the loop body runs in an immediately
-        // invoked closure so the footprint is freed on the fault path.
-        let outcome = (|| -> Result<(), EngineError> {
-            let mut last_direction: Option<Direction> = None;
-            for iteration in opts.start_iteration..opts.max_iterations {
-                let iter_start = device.elapsed_seconds();
-                if let Some(t) = &opts.tracer {
-                    t.begin_arg(
-                        Category::Iteration,
-                        "iteration",
-                        Clock::Modeled,
-                        iter_start,
-                        u64::from(iteration),
-                    );
-                }
-                prog.begin_iteration(iteration);
-                pick_labels(device, &mut spoken, 0, prog, shards)?;
-                decisions.fill(None);
-
-                // Restrict work (and streaming) to the active set.
-                let all_active = !sparse
-                    || (iteration == 0 && opts.start_iteration == 0)
-                    || active.iter().all(|&a| a);
-                let (buckets, stream_bytes): (std::borrow::Cow<'_, Buckets>, u64) = if all_active {
-                    let bytes = g.num_edges() * bytes_per_edge + (n as u64) * 8;
-                    (std::borrow::Cow::Borrowed(&full), bytes)
-                } else {
-                    let b = full.filtered(&active);
-                    let active_edges: u64 = [
-                        &b.warp_packed,
-                        &b.warp_per_vertex,
-                        &b.block_per_vertex,
-                        &b.global_hash,
-                    ]
-                    .into_iter()
-                    .flat_map(|vs| vs.iter())
-                    .map(|&v| u64::from(g.degree(v)))
-                    .sum();
-                    let bytes = active_edges * bytes_per_edge + (b.scheduled() as u64) * 8;
-                    (std::borrow::Cow::Owned(b), bytes)
-                };
-                let scheduled = buckets.scheduled() as u64;
-                report.active_per_iteration.push(scheduled);
-
-                let before = device.elapsed_seconds();
-                if let Some(t) = &opts.tracer {
-                    t.begin_arg(
-                        Category::Dispatch,
-                        dispatch_name(last_direction),
-                        Clock::Modeled,
-                        before,
-                        scheduled,
-                    );
-                }
-                let stats = propagate(
-                    device,
-                    g,
-                    &spoken,
-                    prog,
-                    &buckets,
-                    opts,
-                    shards,
-                    &mut decisions,
-                )?;
-                if let Some(t) = &opts.tracer {
-                    t.end(device.elapsed_seconds());
-                }
-                report.smem_fallbacks += stats.fallbacks;
-                report.smem_vertices += stats.smem_vertices;
-                let compute = device.elapsed_seconds() - before;
-                if !in_core {
-                    // Streaming overlaps the kernels; only the non-hidden
-                    // remainder extends the modeled clock. Adjacency moves in
-                    // the compressed layout.
-                    let stream = device.cost_model().transfer_seconds(
-                        device.config(),
-                        (stream_bytes as f64 * STREAM_COMPRESSION) as u64,
-                    );
-                    transfer_s += stream;
-                    if stream > compute {
-                        // The span covers only the non-hidden remainder —
-                        // that is what actually extends the modeled clock.
-                        if let Some(t) = &opts.tracer {
-                            t.complete(
-                                Category::Transfer,
-                                "stream",
-                                Clock::Modeled,
-                                device.elapsed_seconds(),
-                                stream - compute,
-                            );
-                        }
-                        device.advance_clock(stream - compute);
-                    }
-                }
-
-                let changed = apply_updates(device, &decisions, prog)?;
-                let direction = if sparse {
-                    // Host-side frontier maintenance (§3.1: the CPUs handle
-                    // UpdateVertex and coordinate data movement in hybrid
-                    // mode), so no device kernel is charged here — the shared
-                    // recomputes keep the semantics identical to the GPU
-                    // engines'. The direction choice still runs (priced on
-                    // this device's cost model, so `Auto` agrees with the
-                    // in-core tiers) and is recorded/tagged like everywhere
-                    // else — only the charge is absent.
-                    mark_changed(&spoken, &decisions, &mut changed_flags);
-                    let dir =
-                        choose_direction(opts.frontier, g, &changed_flags, device.cost_model());
-                    if dir == Direction::Pull {
-                        recompute_active_pull(g, &changed_flags, &mut active);
-                    } else {
-                        recompute_active(g, &changed_flags, &mut active);
-                    }
-                    dir
-                } else {
-                    Direction::Dense
-                };
-                last_direction = Some(direction);
-                prog.end_iteration(iteration);
-                if let Some(hook) = &opts.barrier_hook {
-                    let t = device.elapsed_seconds();
-                    charge_snapshot(device, n as u64)?;
-                    report.snapshot_seconds += device.elapsed_seconds() - t;
-                    report.snapshots_taken += 1;
-                    if let Some(tr) = &opts.tracer {
-                        tr.instant(
-                            Category::Resilience,
-                            "snapshot",
-                            Clock::Modeled,
-                            device.elapsed_seconds(),
-                        );
-                    }
-                    hook.fire(&BarrierEvent {
-                        iteration,
-                        changed,
-                        scheduled,
-                        active: if sparse { Some(&active) } else { None },
-                        direction,
-                        program: &*prog,
-                    });
-                }
-                report.changed_per_iteration.push(changed);
-                report.direction_per_iteration.push(direction);
-                report
-                    .iteration_seconds
-                    .push(device.elapsed_seconds() - iter_start);
-                report.iterations = iteration + 1;
-                if let Some(t) = &opts.tracer {
-                    t.end(device.elapsed_seconds());
-                }
-                if prog.finished(iteration, changed) {
-                    break;
-                }
-            }
-            Ok(())
-        })();
-
-        if outcome.is_ok() {
-            let t1 = self.device.elapsed_seconds();
-            self.device.download(n as u64 * 4);
-            transfer_s += self.device.elapsed_seconds() - t1;
-            if let Some(t) = &opts.tracer {
-                t.end(self.device.elapsed_seconds());
-            }
-        }
-        self.device.free(footprint);
-
-        if let Err(e) = outcome {
-            trace_fail(&opts.tracer, trace_mark, self.device.elapsed_seconds());
-            return Err(e);
-        }
-        report.kernel_profile =
-            profile_from_log(self.name(), &self.device.kernel_log()[log_mark..]);
-        report.modeled_seconds = self.device.elapsed_seconds() - start_elapsed;
-        report.transfer_seconds = transfer_s;
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        report.gpu_counters = *self.device.totals();
-        Ok(report)
+        let mut backend = GpuBackend::new(&mut self.device, g, adjacency, opts);
+        drive(&mut backend, g, prog, opts)
     }
+}
+
+/// Ships the scheduled vertices' adjacency in the compressed layout and
+/// returns the stream's seconds. Streaming overlapped the `compute_s`
+/// seconds of kernels; only the non-hidden remainder extends the modeled
+/// clock.
+pub(super) fn settle_stream(device: &mut Device, p: &Phase<'_>, compute_s: f64) -> f64 {
+    let g = p.g;
+    let (edges, vertices) = if p.saturated {
+        (g.num_edges(), g.num_vertices() as u64)
+    } else {
+        let active_edges = p.work.scheduled_vertices().map(|v| u64::from(g.degree(v)));
+        (active_edges.sum(), p.work.scheduled() as u64)
+    };
+    let bytes = edges * bytes_per_edge(g) + vertices * 8;
+    let stream = device
+        .cost_model()
+        .transfer_seconds(device.config(), (bytes as f64 * STREAM_COMPRESSION) as u64);
+    if stream > compute_s {
+        // The span covers only the remainder — that is what actually
+        // extends the modeled clock.
+        if let Some(t) = &p.opts.tracer {
+            let at = device.elapsed_seconds();
+            t.complete(
+                Category::Transfer,
+                "stream",
+                Clock::Modeled,
+                at,
+                stream - compute_s,
+            );
+        }
+        device.advance_clock(stream - compute_s);
+    }
+    stream
 }
 
 #[cfg(test)]

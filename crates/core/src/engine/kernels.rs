@@ -61,9 +61,10 @@ pub(crate) mod layout {
     }
 }
 
-/// Per-shard instrumentation returned by the kernels.
+/// Per-shard instrumentation returned by the kernels (and, summed over a
+/// dispatch, by [`Backend::propagate`](super::Backend::propagate)).
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ShardStats {
+pub struct ShardStats {
     /// High-degree vertices that needed the global-memory fallback.
     pub fallbacks: u64,
     /// High-degree vertices processed by the CMS+HT kernel.

@@ -7,13 +7,18 @@
 //!   transfers overlap compute.
 //! * [`MultiGpuEngine`] — vertex-partitioned execution across several
 //!   devices with per-iteration label exchange (§5.4).
-//! * [`SequentialEngine`] — the asynchronous single-threaded oracle.
+//! * [`SequentialEngine`] — the asynchronous single-threaded oracle, and
+//!   in [`bsp`](SequentialEngine::bsp) mode the synchronous host tier.
+//!
+//! The synchronous tiers share one iteration loop: [`drive`] runs the BSP
+//! workflow once, and each tier is a [`Backend`] of it.
 //!
 //! All of them (plus the baselines in `glp-baselines` and the simulated
 //! in-house cluster in `glp-fraud`) are driven through the [`Engine`]
 //! trait with a shared [`RunOptions`], so callers swap engines without
 //! touching per-engine config types.
 
+mod bsp;
 mod delta;
 mod dispatch;
 mod error;
@@ -25,6 +30,7 @@ mod options;
 mod resilient;
 mod sequential;
 
+pub use bsp::{drive, initial_active, Backend, Phase};
 pub use delta::{replay_delta, DeltaReplay, MemoRecorder};
 pub use dispatch::{Buckets, DegreeThresholds};
 pub use error::EngineError;
@@ -32,6 +38,7 @@ pub use gpu::GpuEngine;
 pub use hybrid::HybridEngine;
 #[doc(hidden)]
 pub use kernels::KernelShard;
+pub use kernels::ShardStats;
 pub use multi::MultiGpuEngine;
 pub use options::{BarrierEvent, BarrierHook, Direction, FrontierMode, RunOptions, SweepOrder};
 pub use resilient::{ResilienceReport, ResilientEngine};
@@ -39,7 +46,8 @@ pub use sequential::SequentialEngine;
 
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
-use glp_graph::{Graph, Label};
+use glp_graph::{Csr, Graph, Label, VertexId};
+use glp_sketch::{BoundedHashTable, InsertOutcome};
 
 /// The unified execution interface: one `run` entry point shared by every
 /// engine and baseline in the workspace.
@@ -125,6 +133,48 @@ impl BestLabel {
     pub fn into_decision(slot: Option<BestLabel>) -> Decision {
         slot.map(|b| (b.label, b.score))
     }
+}
+
+/// Scratch table for [`exact_mfl`], sized so no neighborhood of `g` can
+/// fill it.
+pub(crate) fn mfl_scratch(g: &Graph) -> BoundedHashTable {
+    let csr = g.incoming();
+    let max_deg = (0..g.num_vertices() as VertexId)
+        .map(|v| csr.degree(v) as usize)
+        .max()
+        .unwrap_or(0);
+    BoundedHashTable::new((2 * max_deg).max(16), u32::MAX)
+}
+
+/// The exact MFL of `v` on the host: per-label aggregation of its
+/// in-neighbors' contributions in `ht` ([`mfl_scratch`]), then the shared
+/// [`BestLabel`] tie rule. `spoken(u)` is the label `u` speaks — a frozen
+/// array for the BSP tiers, the program's live state for the asynchronous
+/// sweep.
+#[inline]
+pub(crate) fn exact_mfl(
+    prog: &dyn LpProgram,
+    csr: &Csr,
+    ht: &mut BoundedHashTable,
+    v: VertexId,
+    spoken: impl Fn(VertexId) -> Label,
+) -> Decision {
+    ht.clear();
+    let off = csr.offset(v);
+    for (j, &u) in csr.neighbors(v).iter().enumerate() {
+        let c = prog.load_neighbor(v, u, off + j as u64, spoken(u));
+        match ht.insert_add(u64::from(c.label), c.weight) {
+            InsertOutcome::Added { .. } => {}
+            InsertOutcome::Full { .. } => unreachable!("scratch sized to 2x degree"),
+        }
+    }
+    let current = spoken(v);
+    let mut best: Option<BestLabel> = None;
+    for (l, freq) in ht.iter() {
+        let label = l as Label;
+        BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
+    }
+    BestLabel::into_decision(best)
 }
 
 #[cfg(test)]

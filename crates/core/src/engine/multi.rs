@@ -10,31 +10,26 @@
 //! # Fault handling
 //!
 //! Losing a device mid-run does not fail the job while any device
-//! survives: the engine **repartitions** the graph across the survivors
-//! (re-uploading their new shares, charged as transfer time) and re-drives
-//! the interrupted iteration. The iteration is structured so that every
-//! fallible device operation happens *before* the host applies
-//! `update_vertex` — re-driving the device phase after a loss therefore
-//! never double-applies an update, and the labels stay byte-identical to a
+//! survives: the backend **repartitions** the graph across the survivors
+//! (re-uploading their new shares, charged as transfer time) and the
+//! driver re-drives the interrupted iteration's device phase
+//! ([`super::bsp`]), which precedes every host-side `update_vertex` — so
+//! no update is applied twice and the labels stay byte-identical to a
 //! fault-free run. Only when the last device dies does `run` return
 //! [`EngineError::DeviceLost`].
 
-use super::dispatch::Buckets;
+use super::bsp::{drive, Backend, Phase};
 use super::gpu::{
-    charge_frontier, charge_frontier_density, charge_pull_gather, charge_snapshot,
-    choose_direction, dispatch_name, initial_active, mark_changed, pick_labels, profile_from_log,
-    propagate, recompute_active, recompute_active_pull, trace_fail, trace_run_begin,
+    bytes_per_edge, charge_frontier, charge_snapshot, charge_update, pick_labels, propagate,
 };
 use super::kernels::ShardStats;
-use super::options::BarrierEvent;
 use super::{Decision, Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
-use glp_gpusim::{DeviceConfig, DeviceError, MultiGpu};
+use glp_gpusim::{Device, DeviceConfig, DeviceError, MultiGpu};
 use glp_graph::partition::{partition_even, VertexRange};
-use glp_graph::{Graph, Label, VertexId};
+use glp_graph::{Graph, Label};
 use glp_trace::{Category, Clock};
-use std::time::Instant;
 
 /// The multi-GPU engine.
 #[derive(Debug)]
@@ -61,87 +56,6 @@ impl MultiGpuEngine {
     }
 }
 
-/// One partitioning of the graph over the currently-alive devices:
-/// partition `i` lives on device `assign[i]`.
-struct Layout {
-    assign: Vec<usize>,
-    ranges: Vec<VertexRange>,
-    dev_buckets: Vec<Buckets>,
-    /// Upload bytes per partition (freed before a repartition).
-    footprints: Vec<u64>,
-}
-
-impl Layout {
-    fn build(g: &Graph, full: &Buckets, survivors: Vec<usize>, n: usize) -> Self {
-        let ranges = partition_even(g, survivors.len());
-        let keep = |vs: &[VertexId], lo: VertexId, hi: VertexId| {
-            vs.iter()
-                .copied()
-                .filter(|&v| v >= lo && v < hi)
-                .collect::<Vec<_>>()
-        };
-        let dev_buckets: Vec<Buckets> = ranges
-            .iter()
-            .map(|r| Buckets {
-                isolated: keep(&full.isolated, r.start, r.end),
-                warp_packed: keep(&full.warp_packed, r.start, r.end),
-                warp_per_vertex: keep(&full.warp_per_vertex, r.start, r.end),
-                block_per_vertex: keep(&full.block_per_vertex, r.start, r.end),
-                global_hash: keep(&full.global_hash, r.start, r.end),
-            })
-            .collect();
-        let bytes_per_edge: u64 = if g.incoming().is_weighted() { 8 } else { 4 };
-        let footprints = ranges
-            .iter()
-            .map(|r| {
-                r.num_edges() * bytes_per_edge + (r.num_vertices() as u64) * 8 + (n as u64) * 8
-            })
-            .collect();
-        Self {
-            assign: survivors,
-            ranges,
-            dev_buckets,
-            footprints,
-        }
-    }
-
-    /// Uploads every partition's share to its device, charging transfer
-    /// time. Fails if a device is lost or out of memory.
-    fn upload(&self, gpus: &mut MultiGpu, transfer_s: &mut f64) -> Result<(), DeviceError> {
-        for (i, &d) in self.assign.iter().enumerate() {
-            let dev = gpus.device_mut(d);
-            let before = dev.elapsed_seconds();
-            dev.upload(self.footprints[i])?;
-            *transfer_s += dev.elapsed_seconds() - before;
-        }
-        gpus.sync();
-        Ok(())
-    }
-
-    /// Releases every surviving partition's footprint.
-    fn free(&self, gpus: &mut MultiGpu) {
-        for (i, &d) in self.assign.iter().enumerate() {
-            if !gpus.device(d).is_lost() {
-                gpus.device_mut(d).free(self.footprints[i]);
-            }
-        }
-    }
-}
-
-/// What the fallible device phase of one iteration produced; committed to
-/// the program/report only after the whole phase succeeded, so a
-/// repartition retry never double-counts.
-struct PhaseOut {
-    scheduled: u64,
-    stats: ShardStats,
-    snapshot_s: f64,
-    snapshots: u64,
-    /// The frontier-rebuild direction this phase took — chosen once on the
-    /// host before the per-device charges, so every device (and every
-    /// repartition re-drive) agrees.
-    direction: Direction,
-}
-
 impl Engine for MultiGpuEngine {
     fn name(&self) -> &'static str {
         "GLP-multi"
@@ -155,351 +69,178 @@ impl Engine for MultiGpuEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        assert_eq!(
-            prog.num_vertices(),
-            g.num_vertices(),
-            "program sized for a different graph"
-        );
         opts.validate_for_device(self.gpus.device(0).config().shared_mem_per_block);
-        let wall_start = Instant::now();
-        let n = g.num_vertices();
-        let ndev = self.gpus.len();
-        let shards = opts.resolve_shards().div_ceil(ndev).max(1);
-
-        let full = Buckets::build(g, opts.strategy, opts.thresholds);
-        let start_elapsed = self.gpus.elapsed_seconds();
-        let mut transfer_s = 0.0;
-
-        for i in 0..ndev {
-            self.gpus.device_mut(i).set_tracer(opts.tracer.clone());
-        }
-        let log_marks: Vec<usize> = (0..ndev)
-            .map(|i| self.gpus.device(i).kernel_log().len())
-            .collect();
-        let trace_mark = trace_run_begin(&opts.tracer, self.name(), start_elapsed);
-
-        let mut layout = Layout::build(g, &full, self.gpus.survivors(), n);
-        if layout.assign.is_empty() {
-            trace_fail(&opts.tracer, trace_mark, self.gpus.elapsed_seconds());
-            return Err(EngineError::DeviceLost { device: 0 });
-        }
-        if let Err(e) = layout.upload(&mut self.gpus, &mut transfer_s) {
-            trace_fail(&opts.tracer, trace_mark, self.gpus.elapsed_seconds());
-            return Err(e.into());
-        }
-
-        let mut spoken: Vec<Label> = vec![0; n];
-        let mut decisions: Vec<Decision> = vec![None; n];
-        let sparse = opts.frontier.sparse(prog.sparse_activation());
-        let mut active = initial_active(n, sparse, opts);
-        let mut next_active = vec![false; n];
-        let mut changed_flags = vec![false; if sparse { n } else { 0 }];
-        let mut report = LpRunReport::default();
-
-        let outcome = (|| -> Result<(), EngineError> {
-            let mut last_direction: Option<Direction> = None;
-            for iteration in opts.start_iteration..opts.max_iterations {
-                let iter_start = self.gpus.elapsed_seconds();
-                if let Some(t) = &opts.tracer {
-                    t.begin_arg(
-                        Category::Iteration,
-                        "iteration",
-                        Clock::Modeled,
-                        iter_start,
-                        u64::from(iteration),
-                    );
-                }
-                prog.begin_iteration(iteration);
-                // Device phase: everything fallible, nothing host-visible
-                // committed. Re-driven in full after a repartition (but
-                // begin_iteration is NOT re-called — the program already
-                // advanced into this iteration).
-                let out = loop {
-                    match device_phase(
-                        &mut self.gpus,
-                        &layout,
-                        g,
-                        prog,
-                        opts,
-                        shards,
-                        &mut spoken,
-                        &mut decisions,
-                        &active,
-                        &mut next_active,
-                        &mut changed_flags,
-                        sparse,
-                        last_direction,
-                        &mut transfer_s,
-                    ) {
-                        Ok(out) => break out,
-                        Err(DeviceError::Lost { .. }) if self.gpus.alive() > 0 => {
-                            // Repartition over the survivors and redo the
-                            // iteration's device work from pick_labels. The
-                            // instant lands inside the still-open iteration
-                            // span, marking which iteration was re-driven.
-                            if let Some(t) = &opts.tracer {
-                                t.instant(
-                                    Category::Resilience,
-                                    "repartition",
-                                    Clock::Modeled,
-                                    self.gpus.elapsed_seconds(),
-                                );
-                            }
-                            layout.free(&mut self.gpus);
-                            layout = Layout::build(g, &full, self.gpus.survivors(), n);
-                            layout.upload(&mut self.gpus, &mut transfer_s)?;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                };
-                // Commit phase: host-side program updates, in ascending
-                // vertex order, exactly once per iteration.
-                let changed = prog.apply_decisions(&decisions);
-                if sparse {
-                    active.copy_from_slice(&next_active);
-                }
-                last_direction = Some(out.direction);
-                prog.end_iteration(iteration);
-                report.smem_fallbacks += out.stats.fallbacks;
-                report.smem_vertices += out.stats.smem_vertices;
-                report.snapshot_seconds += out.snapshot_s;
-                report.snapshots_taken += out.snapshots;
-                if let Some(hook) = &opts.barrier_hook {
-                    hook.fire(&BarrierEvent {
-                        iteration,
-                        changed,
-                        scheduled: out.scheduled,
-                        active: if sparse { Some(&active) } else { None },
-                        direction: out.direction,
-                        program: &*prog,
-                    });
-                }
-                report.active_per_iteration.push(out.scheduled);
-                report.changed_per_iteration.push(changed);
-                report.direction_per_iteration.push(out.direction);
-                report
-                    .iteration_seconds
-                    .push(self.gpus.elapsed_seconds() - iter_start);
-                report.iterations = iteration + 1;
-                if let Some(t) = &opts.tracer {
-                    t.end(self.gpus.elapsed_seconds());
-                }
-                if prog.finished(iteration, changed) {
-                    break;
-                }
-            }
-            Ok(())
-        })();
-
-        layout.free(&mut self.gpus);
-        if let Err(e) = outcome {
-            trace_fail(&opts.tracer, trace_mark, self.gpus.elapsed_seconds());
-            return Err(e);
-        }
-        if let Some(t) = &opts.tracer {
-            t.end(self.gpus.elapsed_seconds());
-        }
-
-        report.modeled_seconds = self.gpus.elapsed_seconds() - start_elapsed;
-        report.transfer_seconds = transfer_s;
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        for d in self.gpus.iter() {
-            report.gpu_counters.merge(d.totals());
-        }
-        for (i, &mark) in log_marks.iter().enumerate() {
-            report.kernel_profile.merge(&profile_from_log(
-                self.name(),
-                &self.gpus.device(i).kernel_log()[mark..],
-            ));
-        }
-        Ok(report)
+        let shards = opts.resolve_shards().div_ceil(self.gpus.len()).max(1);
+        let mut backend = MultiBackend {
+            gpus: &mut self.gpus,
+            assign: Vec::new(),
+            ranges: Vec::new(),
+            footprints: Vec::new(),
+            shards,
+            transfer_s: 0.0,
+        };
+        drive(&mut backend, g, prog, opts)
     }
 }
 
-/// The fallible device half of one iteration: pick, propagate, the
-/// modeled update/frontier/snapshot kernels, the peer label exchange, and
-/// the barrier. Reads the program immutably and writes only the scratch
-/// buffers (`spoken`, `decisions`, `next_active`, `changed`), so it is
-/// safe to re-drive after a repartition.
-#[allow(clippy::too_many_arguments)]
-fn device_phase(
-    gpus: &mut MultiGpu,
-    layout: &Layout,
-    g: &Graph,
-    prog: &dyn LpProgram,
-    opts: &RunOptions,
+struct MultiBackend<'a> {
+    gpus: &'a mut MultiGpu,
+    /// The current partitioning over the alive devices: vertex range
+    /// `ranges[i]` lives on device `assign[i]` and occupies `footprints[i]`
+    /// bytes there (freed before a repartition).
+    assign: Vec<usize>,
+    ranges: Vec<VertexRange>,
+    footprints: Vec<u64>,
     shards: usize,
-    spoken: &mut [Label],
-    decisions: &mut [Decision],
-    active: &[bool],
-    next_active: &mut [bool],
-    changed: &mut [bool],
-    sparse: bool,
-    prev_dir: Option<Direction>,
-    transfer_s: &mut f64,
-) -> Result<PhaseOut, DeviceError> {
-    let ndev = layout.assign.len() as u64;
-    // PickLabel runs on each device's clock for its own range.
-    for (i, &d) in layout.assign.iter().enumerate() {
-        let r = &layout.ranges[i];
-        let lo = r.start as usize;
-        let hi = r.end as usize;
-        if lo < hi {
-            pick_labels(
-                gpus.device_mut(d),
-                &mut spoken[lo..hi],
-                r.start,
-                prog,
-                shards,
-            )?;
-        }
-    }
-    decisions.fill(None);
-    let all_active = !sparse || active.iter().all(|&a| a);
-    let mut scheduled = 0u64;
-    let mut stats = ShardStats::default();
-    if let Some(t) = &opts.tracer {
-        t.begin(
-            Category::Dispatch,
-            dispatch_name(prev_dir),
-            Clock::Modeled,
-            gpus.elapsed_seconds(),
-        );
-    }
-    // Errors are collected, not `?`-propagated, so the dispatch span is
-    // closed before the repartition retry in `run` re-drives this phase.
-    let propagate_result = (|| -> Result<(), DeviceError> {
-        for (i, &d) in layout.assign.iter().enumerate() {
-            let buckets = &layout.dev_buckets[i];
-            // Per-iteration dispatch rebuild over the frontier, like the
-            // single-GPU engine (dense fallback for programs without sparse
-            // activation).
-            let filtered: std::borrow::Cow<'_, Buckets> = if all_active {
-                std::borrow::Cow::Borrowed(buckets)
-            } else {
-                std::borrow::Cow::Owned(buckets.filtered(active))
-            };
-            scheduled += filtered.scheduled() as u64;
-            let st = propagate(
-                gpus.device_mut(d),
-                g,
-                spoken,
-                prog,
-                &filtered,
-                opts,
-                shards,
-                decisions,
-            )?;
-            stats.merge(&st);
-        }
-        Ok(())
-    })();
-    if let Some(t) = &opts.tracer {
-        let now = gpus.elapsed_seconds();
-        if propagate_result.is_ok() {
-            t.end(now);
-        } else {
-            t.end_err(now);
-        }
-    }
-    propagate_result?;
-    // UpdateVertex: each device writes back its own range (the modeled
-    // kernel); the host applies program state only after the whole device
-    // phase succeeded.
-    for (i, &d) in layout.assign.iter().enumerate() {
-        let r = &layout.ranges[i];
-        let m = r.num_vertices() as u64;
-        gpus.device_mut(d).launch("update_vertex", |ctx| {
-            ctx.global_read_seq(0x4_0000_0000 + u64::from(r.start) * 12, m, 12);
-            ctx.global_write_seq(0x7_0000_0000 + u64::from(r.start) * 4, m, 4);
-            ctx.warps_launched(m.div_ceil(32));
-            ctx.alu(2 * m.div_ceil(32));
-        })?;
-    }
-    let direction = if sparse {
-        // Direction resolved once on the host (every device carries the
-        // same cost model, so one choice serves the fleet — and a
-        // repartition re-drive makes the same choice from the same scratch
-        // inputs). Under `Auto` each device first pays the density
-        // measurement for its own range.
-        mark_changed(spoken, decisions, changed);
-        let dir = choose_direction(
-            opts.frontier,
-            g,
-            changed,
-            gpus.device(layout.assign[0]).cost_model(),
-        );
-        if opts.frontier == super::FrontierMode::Auto {
-            for (i, &d) in layout.assign.iter().enumerate() {
-                charge_frontier_density(
-                    gpus.device_mut(d),
-                    layout.ranges[i].num_vertices() as u64,
-                )?;
+    transfer_s: f64,
+}
+
+impl MultiBackend<'_> {
+    /// Releases every surviving partition's footprint.
+    fn free(&mut self) {
+        for (&d, &bytes) in self.assign.iter().zip(&self.footprints) {
+            if !self.gpus.device(d).is_lost() {
+                self.gpus.device_mut(d).free(bytes);
             }
         }
-        // Shared host recompute into the scratch frontier (the live one
-        // stays untouched until commit); each device pays the maintenance
-        // kernels for its own vertex range.
-        let volume = if dir == Direction::Pull {
-            recompute_active_pull(g, changed, next_active)
-        } else {
-            recompute_active(g, changed, next_active)
-        };
-        for (i, &d) in layout.assign.iter().enumerate() {
-            let r = &layout.ranges[i];
-            let share = volume / ndev;
+    }
+
+    /// Runs `f` on every partition's device, on that device's own clock.
+    fn each_part(
+        &mut self,
+        mut f: impl FnMut(&mut Device, &VertexRange) -> Result<(), DeviceError>,
+    ) -> Result<(), DeviceError> {
+        for (&d, r) in self.assign.iter().zip(&self.ranges) {
+            f(self.gpus.device_mut(d), r)?;
+        }
+        Ok(())
+    }
+}
+
+impl Backend for MultiBackend<'_> {
+    fn name(&self) -> &'static str {
+        "GLP-multi"
+    }
+
+    fn modeled_now(&self) -> Option<f64> {
+        Some(self.gpus.elapsed_seconds())
+    }
+
+    fn each_device(&mut self, f: &mut dyn FnMut(&mut Device)) {
+        self.gpus.iter_mut().for_each(f);
+    }
+
+    /// Partitions `g` over the surviving devices and uploads every share,
+    /// charging transfer time. Fails if no device is left, or one is lost
+    /// or out of memory.
+    fn stage(&mut self, g: &Graph) -> Result<(), DeviceError> {
+        self.assign = self.gpus.survivors();
+        if self.assign.is_empty() {
+            return Err(DeviceError::Lost { device: 0 });
+        }
+        self.ranges = partition_even(g, self.assign.len());
+        let (bpe, n) = (bytes_per_edge(g), g.num_vertices() as u64);
+        let share = |r: &VertexRange| r.num_edges() * bpe + (r.num_vertices() as u64) * 8 + n * 8;
+        self.footprints = self.ranges.iter().map(share).collect();
+        for (&d, &bytes) in self.assign.iter().zip(&self.footprints) {
+            let dev = self.gpus.device_mut(d);
+            let before = dev.elapsed_seconds();
+            dev.upload(bytes)?;
+            self.transfer_s += dev.elapsed_seconds() - before;
+        }
+        self.gpus.sync();
+        Ok(())
+    }
+
+    fn pick(&mut self, p: &Phase<'_>, spoken: &mut [Label]) -> Result<(), DeviceError> {
+        let shards = self.shards;
+        self.each_part(|dev, r| {
+            let (lo, hi) = (r.start as usize, r.end as usize);
+            if lo == hi {
+                return Ok(());
+            }
+            pick_labels(dev, &mut spoken[lo..hi], r.start, p.prog, shards)
+        })
+    }
+
+    fn propagate(
+        &mut self,
+        p: &Phase<'_>,
+        spoken: &[Label],
+        decisions: &mut [Decision],
+    ) -> Result<ShardStats, DeviceError> {
+        let shards = self.shards;
+        let mut stats = ShardStats::default();
+        self.each_part(|dev, r| {
+            let st = propagate(dev, p, r.start..r.end, shards, spoken, decisions)?;
+            stats.merge(&st);
+            Ok(())
+        })?;
+        Ok(stats)
+    }
+
+    /// Each device writes back its own range.
+    fn charge_update(&mut self, _n: u64) -> Result<(), DeviceError> {
+        self.each_part(|dev, r| charge_update(dev, r.start, r.num_vertices() as u64))
+    }
+
+    /// One host-side choice and rebuild serves the fleet (every device
+    /// carries the same cost model); each device pays the kernels for its
+    /// own range and an even share of the volume.
+    fn charge_frontier(
+        &mut self,
+        priced: bool,
+        dir: Direction,
+        volume: u64,
+        next_active: &[bool],
+    ) -> Result<(), DeviceError> {
+        let share = volume / self.assign.len() as u64;
+        self.each_part(|dev, r| {
             let range_active = next_active[r.start as usize..r.end as usize]
                 .iter()
                 .filter(|&&a| a)
                 .count() as u64;
-            if dir == Direction::Pull {
-                charge_pull_gather(
-                    gpus.device_mut(d),
-                    r.num_vertices() as u64,
-                    share,
-                    range_active,
-                )?;
-            } else {
-                charge_frontier(
-                    gpus.device_mut(d),
-                    r.num_vertices() as u64,
-                    share,
-                    range_active,
-                )?;
-            }
-        }
-        dir
-    } else {
-        Direction::Dense
-    };
-    let mut snapshot_s = 0.0;
-    let mut snapshots = 0u64;
-    if opts.barrier_hook.is_some() {
-        // Each device reads back its own range's label state.
-        let before = gpus.elapsed_seconds();
-        for (i, &d) in layout.assign.iter().enumerate() {
-            charge_snapshot(gpus.device_mut(d), layout.ranges[i].num_vertices() as u64)?;
-        }
-        snapshot_s = gpus.elapsed_seconds() - before;
-        snapshots = 1;
+            let m = r.num_vertices() as u64;
+            charge_frontier(dev, priced, dir, m, share, range_active)
+        })
     }
-    // Label exchange: each device ships its range's fresh labels to every
-    // peer over the host link, then everyone synchronizes.
-    for (i, &d) in layout.assign.iter().enumerate() {
-        let bytes = (layout.ranges[i].num_vertices() as u64) * 4 * (ndev - 1);
-        let dev = gpus.device_mut(d);
-        let before = dev.elapsed_seconds();
-        dev.download(bytes);
-        *transfer_s += dev.elapsed_seconds() - before;
+
+    /// Each device reads back its own range's label state.
+    fn charge_snapshot(&mut self, _n: u64) -> Result<(), DeviceError> {
+        self.each_part(|dev, r| charge_snapshot(dev, r.num_vertices() as u64))
     }
-    gpus.sync();
-    Ok(PhaseOut {
-        scheduled,
-        stats,
-        snapshot_s,
-        snapshots,
-        direction,
-    })
+
+    /// Label exchange: each device ships its range's fresh labels to every
+    /// peer over the host link, then everyone synchronizes.
+    fn exchange(&mut self) {
+        let peers = self.assign.len() as u64 - 1;
+        for (&d, r) in self.assign.iter().zip(&self.ranges) {
+            let dev = self.gpus.device_mut(d);
+            let before = dev.elapsed_seconds();
+            dev.download(r.num_vertices() as u64 * 4 * peers);
+            self.transfer_s += dev.elapsed_seconds() - before;
+        }
+        self.gpus.sync();
+    }
+
+    /// A lost device with survivors left: repartition over them. The
+    /// instant lands in the still-open span of the re-driven iteration.
+    fn recover(&mut self, p: &Phase<'_>, fault: DeviceError) -> Result<(), DeviceError> {
+        if !matches!(fault, DeviceError::Lost { .. }) || self.gpus.alive() == 0 {
+            return Err(fault);
+        }
+        if let Some(t) = &p.opts.tracer {
+            let at = self.gpus.elapsed_seconds();
+            t.instant(Category::Resilience, "repartition", Clock::Modeled, at);
+        }
+        self.free();
+        self.stage(p.g)
+    }
+
+    fn teardown(&mut self, _completed: bool) -> f64 {
+        self.free();
+        self.transfer_s
+    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! draw), so for them the wrapper runs the top tier once and propagates
 //! any fault unchanged.
 
-use super::gpu::trace_fail;
+use super::bsp::trace_fail;
 use super::options::BarrierHook;
 use super::{Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;

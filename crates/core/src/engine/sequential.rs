@@ -18,18 +18,17 @@
 //! Not part of the paper's evaluation — no cost model is attached; only
 //! wall-clock is reported.
 
-use super::gpu::{
-    choose_direction, initial_active, mark_changed, recompute_active, recompute_active_pull,
-};
-use super::options::BarrierEvent;
+use super::bsp::{drive, initial_active, Backend, Phase};
+use super::kernels::ShardStats;
 use super::{
-    BestLabel, Decision, Direction, Engine, EngineError, FrontierMode, RunOptions, SweepOrder,
+    exact_mfl, mfl_scratch, Decision, Direction, Engine, EngineError, FrontierMode, RunOptions,
+    SweepOrder,
 };
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
-use glp_gpusim::CostModel;
+use glp_gpusim::DeviceError;
 use glp_graph::{Graph, Label, VertexId};
-use glp_sketch::{BoundedHashTable, InsertOutcome};
+use glp_sketch::BoundedHashTable;
 use glp_trace::{Category, Clock};
 use std::time::Instant;
 
@@ -88,23 +87,19 @@ impl Engine for SequentialEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
+        if self.bsp {
+            return drive(&mut HostBackend { ht: mfl_scratch(g) }, g, prog, opts);
+        }
         assert_eq!(
             prog.num_vertices(),
             g.num_vertices(),
             "program sized for a different graph"
         );
-        if self.bsp {
-            return Ok(run_bsp(g, prog, opts));
-        }
         let wall_start = Instant::now();
         let n = g.num_vertices();
         let csr = g.incoming();
         let out = g.outgoing();
-        let max_deg = (0..n as VertexId)
-            .map(|v| csr.degree(v) as usize)
-            .max()
-            .unwrap_or(0);
-        let mut ht = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
+        let mut ht = mfl_scratch(g);
         let sparse = opts.frontier.sparse(prog.sparse_activation());
         let mut active = initial_active(n, sparse, opts);
         // Pull-mode asynchronous scheduling: instead of changed vertices
@@ -174,24 +169,8 @@ impl Engine for SequentialEngine {
                     visited_at[v as usize] = *clock;
                 }
                 *visited += 1;
-                ht.clear();
-                let off = csr.offset(v);
                 // Asynchronous: read each neighbor's *current* spoken label.
-                for (j, &u) in csr.neighbors(v).iter().enumerate() {
-                    let spoken_u: Label = prog.pick_label(u);
-                    let c = prog.load_neighbor(v, u, off + j as u64, spoken_u);
-                    match ht.insert_add(u64::from(c.label), c.weight) {
-                        InsertOutcome::Added { .. } => {}
-                        InsertOutcome::Full { .. } => unreachable!("scratch sized to 2x degree"),
-                    }
-                }
-                let current = prog.pick_label(v);
-                let mut best: Option<BestLabel> = None;
-                for (l, freq) in ht.iter() {
-                    let label = l as Label;
-                    BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-                }
-                let d: Decision = BestLabel::into_decision(best);
+                let d = exact_mfl(&*prog, csr, ht, v, |u| prog.pick_label(u));
                 let did_change = prog.update_vertex(v, d);
                 if did_change && sparse {
                     if pull {
@@ -258,123 +237,32 @@ impl Engine for SequentialEngine {
     }
 }
 
-/// The synchronous host sweep: the same BSP protocol as the GPU engines
-/// (frozen spoken labels, exact per-label aggregation, the shared
-/// [`BestLabel`] tie rule, ascending `update_vertex`, the shared frontier
-/// recompute), minus the device — so its labels, `changed` trace, and
-/// `active` trace are byte-identical to theirs. Supports iteration-granular
-/// resume and the per-barrier hook; checkpoints cost nothing here
-/// (`snapshots_taken` counts, `snapshot_seconds` stays 0 — host memory is
-/// already addressable).
-fn run_bsp(g: &Graph, prog: &mut dyn LpProgram, opts: &RunOptions) -> LpRunReport {
-    let wall_start = Instant::now();
-    let n = g.num_vertices();
-    let csr = g.incoming();
-    let max_deg = (0..n as VertexId)
-        .map(|v| csr.degree(v) as usize)
-        .max()
-        .unwrap_or(0);
-    let mut ht = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
-    let sparse = opts.frontier.sparse(prog.sparse_activation());
-    let mut active = initial_active(n, sparse, opts);
-    let mut changed_flags = vec![false; if sparse { n } else { 0 }];
-    let mut spoken: Vec<Label> = vec![0; n];
-    let mut decisions: Vec<Decision> = vec![None; n];
-    // No device here, but `Auto` must make the same per-iteration push/pull
-    // choices as the modeled tiers — every Device carries
-    // `CostModel::default()`, so pricing against the default model keeps
-    // the degradation ladder's traces bit-identical.
-    let cost = CostModel::default();
-    let mut report = LpRunReport::default();
-    if let Some(t) = &opts.tracer {
-        t.begin(Category::Run, "Sequential-BSP", Clock::Wall, 0.0);
+/// The synchronous host tier: the driver's BSP protocol with the exact
+/// host MFL and no device — so its labels, `changed` trace, and `active`
+/// trace are byte-identical to the device tiers'. Checkpoints cost nothing
+/// here (`snapshots_taken` counts, `snapshot_seconds` stays 0 — host memory
+/// is already addressable).
+struct HostBackend {
+    ht: BoundedHashTable,
+}
+
+impl Backend for HostBackend {
+    fn name(&self) -> &'static str {
+        "Sequential-BSP"
     }
 
-    for iteration in opts.start_iteration..opts.max_iterations {
-        if let Some(t) = &opts.tracer {
-            t.begin_arg(
-                Category::Iteration,
-                "iteration",
-                Clock::Wall,
-                wall_start.elapsed().as_secs_f64(),
-                u64::from(iteration),
-            );
+    fn propagate(
+        &mut self,
+        p: &Phase<'_>,
+        spoken: &[Label],
+        decisions: &mut [Decision],
+    ) -> Result<ShardStats, DeviceError> {
+        let csr = p.g.incoming();
+        for v in p.work.scheduled_vertices() {
+            decisions[v as usize] = exact_mfl(p.prog, csr, &mut self.ht, v, |u| spoken[u as usize]);
         }
-        prog.begin_iteration(iteration);
-        prog.pick_labels_into(0, &mut spoken);
-        let mut scheduled = 0u64;
-        for v in 0..n as VertexId {
-            decisions[v as usize] = None;
-            if g.degree(v) == 0 || (sparse && !active[v as usize]) {
-                continue;
-            }
-            scheduled += 1;
-            ht.clear();
-            let off = csr.offset(v);
-            for (j, &u) in csr.neighbors(v).iter().enumerate() {
-                let c = prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
-                match ht.insert_add(u64::from(c.label), c.weight) {
-                    InsertOutcome::Added { .. } => {}
-                    InsertOutcome::Full { .. } => unreachable!("scratch sized to 2x degree"),
-                }
-            }
-            let current = spoken[v as usize];
-            let mut best: Option<BestLabel> = None;
-            for (l, freq) in ht.iter() {
-                let label = l as Label;
-                BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-            }
-            decisions[v as usize] = BestLabel::into_decision(best);
-        }
-        let changed = prog.apply_decisions(&decisions);
-        let direction = if sparse {
-            mark_changed(&spoken, &decisions, &mut changed_flags);
-            let dir = choose_direction(opts.frontier, g, &changed_flags, &cost);
-            if dir == Direction::Pull {
-                recompute_active_pull(g, &changed_flags, &mut active);
-            } else {
-                recompute_active(g, &changed_flags, &mut active);
-            }
-            dir
-        } else {
-            Direction::Dense
-        };
-        prog.end_iteration(iteration);
-        if let Some(hook) = &opts.barrier_hook {
-            report.snapshots_taken += 1;
-            if let Some(t) = &opts.tracer {
-                t.instant(
-                    Category::Resilience,
-                    "snapshot",
-                    Clock::Wall,
-                    wall_start.elapsed().as_secs_f64(),
-                );
-            }
-            hook.fire(&BarrierEvent {
-                iteration,
-                changed,
-                scheduled,
-                active: if sparse { Some(&active) } else { None },
-                direction,
-                program: &*prog,
-            });
-        }
-        report.changed_per_iteration.push(changed);
-        report.active_per_iteration.push(scheduled);
-        report.direction_per_iteration.push(direction);
-        report.iterations = iteration + 1;
-        if let Some(t) = &opts.tracer {
-            t.end(wall_start.elapsed().as_secs_f64());
-        }
-        if prog.finished(iteration, changed) {
-            break;
-        }
+        Ok(ShardStats::default())
     }
-    report.wall_seconds = wall_start.elapsed().as_secs_f64();
-    if let Some(t) = &opts.tracer {
-        t.end(report.wall_seconds);
-    }
-    report
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ pub struct LpRunReport {
     pub active_per_iteration: Vec<u64>,
     /// Modeled seconds spent in each iteration (cost-decay trace: under
     /// the frontier optimization, converging runs get cheaper per round).
+    /// Wall seconds on the host BSP tier, which has no modeled clock.
     pub iteration_seconds: Vec<f64>,
     /// How each iteration's frontier was rebuilt:
     /// [`Direction::Dense`](crate::Direction) when no frontier is

@@ -24,6 +24,7 @@
 //! concurrently running tests do not trip each other's faults. Always
 //! [`clear`] (or [`clear_device`]) in tests that arm anything.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -107,7 +108,9 @@ struct Plan {
 }
 
 static PLANS: Mutex<Vec<Plan>> = Mutex::new(Vec::new());
-static FAULTS_SERVED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static FAULTS_SERVED: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Arms one failure against device `device`
 /// ([`Device::id`](crate::Device::id)): `after` launches (uploads for
@@ -150,10 +153,12 @@ pub fn clear_device(device: u32) {
         .retain(|p| p.device != device);
 }
 
-/// Failures fired since process start (diagnostic; lets tests assert the
-/// injection actually happened).
+/// Failures fired at launches and uploads the *calling thread* issued
+/// (diagnostic; lets tests assert the injection actually happened). Per
+/// thread because an engine run faults on the thread that drives it, and
+/// tests running in parallel must not see each other's injections.
 pub fn faults_served() -> u64 {
-    FAULTS_SERVED.load(Ordering::Acquire)
+    FAULTS_SERVED.get()
 }
 
 /// Consumes the first due launch-boundary failure for `device`, advancing
@@ -187,7 +192,7 @@ fn take_fault(device: u32, upload: bool) -> Option<FaultKind> {
     }
     if let Some(i) = fired_at {
         plans.remove(i);
-        FAULTS_SERVED.fetch_add(1, Ordering::AcqRel);
+        FAULTS_SERVED.set(FAULTS_SERVED.get() + 1);
     }
     fired
 }

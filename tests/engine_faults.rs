@@ -26,13 +26,18 @@
 
 #![cfg(feature = "fault-injection")]
 
-use glp_suite::core::engine::{GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine};
+use glp_suite::baselines::GSortLp;
+use glp_suite::core::engine::{
+    BarrierHook, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
+};
 use glp_suite::core::{ClassicLp, Engine, FrontierMode, LpProgram, ResilientEngine, RunOptions};
 use glp_suite::gpusim::faults::{self, FaultKind};
-use glp_suite::graph::gen::{caveman, two_cliques_bridge};
+use glp_suite::gpusim::Device;
+use glp_suite::graph::gen::{caveman, path, two_cliques_bridge};
 use glp_suite::trace::{Category, Kind, Tracer};
 use glp_test_support::{launches_per_iteration, reference};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Acceptance (a): a transient launch failure is retried on the same tier
@@ -262,6 +267,107 @@ fn multi_gpu_repartition_emits_resilience_span_mid_iteration() {
         .named("dispatch")
         .any(|e| e.err && e.parent == parent.id));
     assert!(trace.named("GLP-multi").all(|e| !e.err));
+}
+
+/// Every `Engine` honours `RunOptions::resume_from`, so any of them can
+/// sit on a lower rung of the ladder: the GPU is lost inside iteration 2
+/// of 6, G-Sort resumes at iteration 2 from the salvaged barrier, and the
+/// stitched run is byte-identical to the fault-free GPU run — same labels,
+/// same traces, six iterations (not two salvaged plus a fresh six).
+#[test]
+fn lower_tier_resumes_at_the_failed_iteration_not_at_zero() {
+    let g = path(200);
+    let n = g.num_vertices();
+    let opts = RunOptions::default().with_frontier(FrontierMode::Dense);
+    let mut want = ClassicLp::with_max_iterations(n, 6);
+    let want_report = GpuEngine::titan_v().run(&g, &mut want, &opts).unwrap();
+    assert_eq!(
+        want_report.iterations, 6,
+        "path(200) is not settled by then"
+    );
+    let per_iter = launches_per_iteration(&g, &opts);
+
+    let gpu = GpuEngine::titan_v();
+    let device = gpu.device().id();
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())])
+        .with_backoff(Duration::ZERO, Duration::ZERO);
+    faults::inject_fault(device, FaultKind::DeviceLost, 2 * per_iter + 1);
+
+    let mut prog = ClassicLp::with_max_iterations(n, 6);
+    let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
+    faults::clear_device(device);
+
+    let stats = engine.resilience();
+    assert_eq!(stats.degradations, 1);
+    assert_eq!(stats.tier, Some("G-Sort"));
+    assert_eq!(stats.iterations_salvaged, 2);
+    assert_eq!(report.iterations, 6);
+    assert_eq!(prog.labels(), want.labels());
+    assert_eq!(
+        report.changed_per_iteration,
+        want_report.changed_per_iteration
+    );
+    assert_eq!(
+        report.active_per_iteration,
+        want_report.active_per_iteration
+    );
+}
+
+/// The `Engine` contract without any recovery layer above it: when the
+/// *last* kernel of iteration `K` (the barrier snapshot) is rejected, `run`
+/// returns `Err` and the program still holds the labels of barrier `K - 1`
+/// — the failed iteration was not partially applied.
+#[test]
+fn a_fault_in_the_last_kernel_leaves_the_previous_barriers_labels() {
+    const K: usize = 2;
+    fn check<E: Engine>(make: impl Fn() -> E, device: impl Fn(&E) -> &Device) {
+        // A path keeps relabelling for many iterations, so iteration K has
+        // updates to (not) apply.
+        let g = path(64);
+        let barriers: Arc<Mutex<Vec<Vec<u32>>>> = Arc::default();
+        let sink = Arc::clone(&barriers);
+        let opts = RunOptions::default().with_barrier_hook(BarrierHook::new(move |ev| {
+            sink.lock().unwrap().push(ev.program.labels().to_vec());
+        }));
+
+        // Fault-free probe: where in the launch sequence iteration K ends.
+        let mut probe = make();
+        let mut prog = ClassicLp::new(g.num_vertices());
+        let report = probe.run(&g, &mut prog, &opts).unwrap();
+        assert!(
+            report.changed_per_iteration[K] > 0,
+            "iteration {K} must have something to apply"
+        );
+        let last_of_k = device(&probe)
+            .kernel_log()
+            .iter()
+            .enumerate()
+            .filter(|(_, rec)| rec.name == "barrier_snapshot")
+            .nth(K)
+            .expect("one snapshot per barrier")
+            .0;
+        barriers.lock().unwrap().clear();
+
+        let mut engine = make();
+        let id = device(&engine).id();
+        faults::inject_fault(id, FaultKind::LaunchFail, last_of_k as u32);
+        let mut prog = ClassicLp::new(g.num_vertices());
+        let outcome = engine.run(&g, &mut prog, &opts);
+        faults::clear_device(id);
+
+        let tier = engine.name();
+        assert!(outcome.is_err(), "{tier}: the armed fault must surface");
+        let barriers = barriers.lock().unwrap();
+        assert_eq!(barriers.len(), K, "{tier}: barrier {K} must not fire");
+        assert_eq!(
+            prog.labels(),
+            &barriers[K - 1][..],
+            "{tier}: iteration {K} was partially applied"
+        );
+    }
+    check(GpuEngine::titan_v, GpuEngine::device);
+    check(HybridEngine::titan_v, HybridEngine::device);
+    check(|| MultiGpuEngine::titan_v(1), |e| e.gpus().device(0));
 }
 
 /// The engines under the property sweep. Sequential has no device to
