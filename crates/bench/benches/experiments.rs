@@ -8,7 +8,10 @@ use glp_bench::workloads::table4_stream;
 use glp_bench::{run_algo, Algo, Approach};
 use glp_core::engine::{GpuEngine, HybridEngine, MflStrategy, MultiGpuEngine};
 use glp_core::{ClassicLp, Engine, RunOptions};
-use glp_fraud::{FraudPipeline, InHouseLp, PipelineConfig, WindowWorkload};
+use glp_fraud::{
+    FraudPipeline, InHouseLp, IncrementalWindow, PipelineConfig, Transaction, TxConfig, TxStream,
+    WindowWorkload,
+};
 use glp_gpusim::{Device, DeviceConfig};
 use glp_graph::datasets::by_name;
 use glp_graph::Graph;
@@ -116,12 +119,79 @@ fn bench_table4_fig7_windows(c: &mut Criterion) {
     group.finish();
 }
 
+/// Window materialization on the committed benchmark's `serve_delta` warm
+/// shape (4 000 users, 8 days x 8 000 tx in one window): the full build
+/// from the log, and `materialize_delta` after a 64-tx batch — of known
+/// users (old ids keep their places) and of never-seen users (every old
+/// item id shifts). The batched cases restart from the warm window every
+/// 64 steps so the window stays within 6 % of its warm size; that clone
+/// and the `apply_batch` are inside the timing (a few µs per step).
+fn bench_window_materialize(c: &mut Criterion) {
+    const WARM_DAYS: u32 = 8;
+    let stream = TxStream::generate(&TxConfig {
+        num_users: 4_000,
+        num_items: 1_500,
+        days: WARM_DAYS + 4,
+        tx_per_day: 8_000,
+        num_rings: 5,
+        ring_size: 12,
+        ring_tx_per_day: 40,
+        blacklist_fraction: 0.25,
+        seed: 1,
+        ..TxConfig::default()
+    });
+    let cut = stream.transactions.partition_point(|t| t.day < WARM_DAYS);
+    let (warm, feed) = stream.transactions.split_at(cut);
+    let mut base = IncrementalWindow::empty(WARM_DAYS + 2);
+    for chunk in warm.chunks(512) {
+        base.apply_batch(chunk);
+    }
+    base.materialize_delta();
+    // The feed re-dated onto the last warm day, as `serve_delta` does.
+    let known: Vec<Transaction> = feed
+        .iter()
+        .map(|t| Transaction {
+            day: WARM_DAYS - 1,
+            ..*t
+        })
+        .collect();
+    let unseen: Vec<Transaction> = known
+        .iter()
+        .enumerate()
+        .map(|(k, t)| Transaction {
+            buyer: 1_000_000 + k as u32,
+            ..*t
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("window_materialize");
+    group.sample_size(10);
+    group.bench_function("full_build_from_log", |b| b.iter(|| base.materialize()));
+    for (name, feed) in [("patch_64tx", &known), ("patch_64tx_new_users", &unseen)] {
+        group.bench_function(name, |b| {
+            let mut window = base.clone();
+            let mut step = 0usize;
+            b.iter(|| {
+                if step.is_multiple_of(64) {
+                    window = base.clone();
+                }
+                let batch = feed.chunks(64).nth(step % 64).expect("feed of 64 batches");
+                step += 1;
+                window.apply_batch(batch);
+                window.materialize_delta()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     experiments,
     bench_table2_generation,
     bench_fig4_approaches,
     bench_fig5_fig6_variants,
     bench_table3_strategies,
-    bench_table4_fig7_windows
+    bench_table4_fig7_windows,
+    bench_window_materialize
 );
 criterion_main!(experiments);

@@ -30,7 +30,7 @@
 //! warm window extended by small same-day micro-batches through two
 //! service cores — one replaying incrementally, one pinned to
 //! from-scratch reclusters — cross-checking every published snapshot
-//! byte-for-byte and self-asserting the p50 speedup floor (default 3×).
+//! byte-for-byte and self-asserting the p50 speedup floor (default 7×).
 //!
 //! Usage: `cargo run -p glp-bench --release --bin serve_latency
 //!         [--loads 0.5,1,2] [--stage-ms 400] [--json BENCH_serve.json]
@@ -301,7 +301,7 @@ fn run_stage(
 /// and one pinned to from-scratch reclusters (`delta_fraction_max =
 /// 0.0`). Every round cross-checks the two published snapshots
 /// byte-for-byte — the incremental path's whole contract — and the
-/// section self-asserts the p50 speedup floor (default 3×) unless
+/// section self-asserts the p50 speedup floor (default 7×) unless
 /// `--no-delta-assert`.
 fn run_delta(args: &Args) -> serde_json::Value {
     let rounds: usize = args.get("delta-rounds", 16);
@@ -410,7 +410,7 @@ fn run_delta(args: &Args) -> serde_json::Value {
         ]],
     );
 
-    let min_speedup: f64 = args.get("delta-min-speedup", 3.0);
+    let min_speedup: f64 = args.get("delta-min-speedup", 7.0);
     assert!(identical, "incremental snapshots diverged from full ones");
     assert!(
         incremental_rounds > 0,

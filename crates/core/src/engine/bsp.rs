@@ -229,9 +229,13 @@ pub fn drive(
 }
 
 impl Driver<'_> {
-    /// Span time: the backend's modeled clock, else wall seconds so far.
+    /// Span time: the backend's modeled clock, else wall seconds — the
+    /// tracer's when one records, so host-tier spans share its time base.
     fn now(&self) -> f64 {
-        let wall = || self.epoch.elapsed().as_secs_f64();
+        let wall = || match &self.opts.tracer {
+            Some(t) => t.wall_now(),
+            None => self.epoch.elapsed().as_secs_f64(),
+        };
         self.backend.modeled_now().unwrap_or_else(wall)
     }
 

@@ -47,6 +47,18 @@
 //! the program's termination decision and iteration count — are
 //! identical, which makes the final labels identical.
 //!
+//! ## What an iteration costs
+//!
+//! A vertex off the frontier adopts the memo label by construction, so it
+//! can never diverge: the exact decisions, the divergence check and the
+//! next frontier are computed by walking the frontier list and the
+//! out-neighbors of its divergent members only, and the labels after the
+//! iteration — the new memo entry — are the old entry copied and patched
+//! on the frontier. What remains per iteration beside that
+//! frontier-proportional work is four branch-free `memcpy`-class passes
+//! over a label-sized array (spoken labels, the dense decision array in
+//! and out of `apply_decisions`, the entry copy).
+//!
 //! Past the memo's end the last entry extends as a fixpoint, which is
 //! valid when the memoized run converged (`changed == 0` implies the
 //! decision map fixes the final labels); under equal iteration caps a
@@ -107,13 +119,18 @@ pub fn replay_delta(
     let csr = g.incoming();
     let out = g.outgoing();
     let mut ht = mfl_scratch(g);
-    let mut frontier: Vec<bool> = seeds.to_vec();
+    // The frontier as a list plus a membership bitmap, so an iteration
+    // walks the frontier and its out-neighbors, never the graph.
+    let seed_list: Vec<VertexId> = (0..n as VertexId).filter(|&v| seeds[v as usize]).collect();
+    let isolated: Vec<VertexId> = (0..n as VertexId).filter(|&v| g.degree(v) == 0).collect();
+    let mut frontier = seed_list.clone();
+    let mut on_frontier: Vec<bool> = seeds.to_vec();
+    let mut next: Vec<VertexId> = Vec::new();
     let mut spoken: Vec<Label> = vec![0; n];
     let mut decisions: Vec<Decision> = vec![None; n];
-    let initial_frontier = seeds.iter().filter(|&&s| s).count();
     let mut result = DeltaReplay {
-        initial_frontier,
-        peak_frontier: initial_frontier,
+        initial_frontier: seed_list.len(),
+        peak_frontier: seed_list.len(),
         ..Default::default()
     };
     let report = &mut result.report;
@@ -122,40 +139,52 @@ pub fn replay_delta(
         prog.begin_iteration(iteration);
         prog.pick_labels_into(0, &mut spoken);
         let pred = &memo[(iteration as usize).min(memo.len() - 1)];
-        let mut scheduled = 0u64;
-        for v in 0..n as VertexId {
+        // Off the frontier the memo's label *is* the vertex's
+        // from-scratch decision; the score slot is ignored by
+        // `update_vertex` (only the label lands in program state).
+        for (d, &p) in decisions.iter_mut().zip(pred) {
+            *d = Some((p, 0.0));
+        }
+        for &v in &isolated {
             decisions[v as usize] = None;
-            if g.degree(v) == 0 {
-                continue;
+        }
+        let mut scheduled = 0u64;
+        for &v in &frontier {
+            if g.degree(v) > 0 {
+                scheduled += 1;
+                decisions[v as usize] = exact_mfl(&*prog, csr, &mut ht, v, |u| spoken[u as usize]);
             }
-            if !frontier[v as usize] {
-                // The memo's label *is* this vertex's from-scratch
-                // decision; the score slot is ignored by `update_vertex`
-                // (only the label lands in program state).
-                decisions[v as usize] = Some((pred[v as usize], 0.0));
-                continue;
-            }
-            scheduled += 1;
-            decisions[v as usize] = exact_mfl(&*prog, csr, &mut ht, v, |u| spoken[u as usize]);
         }
         let changed = prog.apply_decisions(&decisions);
         prog.end_iteration(iteration);
-        // Divergence scan: the next frontier is the seeds plus every
-        // vertex off the memoized trajectory plus its out-neighbors.
+        // Only a frontier vertex can leave the memoized trajectory (the
+        // others adopted it just now), so the labels after this
+        // iteration are the memo entry patched on the frontier, and the
+        // next frontier is the seeds plus every divergent vertex plus
+        // its out-neighbors.
         let labels = prog.labels();
-        frontier.copy_from_slice(seeds);
-        for (v, (&l, &p)) in labels.iter().zip(pred.iter()).enumerate() {
-            if l != p {
-                frontier[v] = true;
-                for &w in out.neighbors(v as VertexId) {
-                    frontier[w as usize] = true;
-                }
+        let mut entry = pred.clone();
+        for &v in &frontier {
+            on_frontier[v as usize] = false;
+        }
+        let mut admit = |v: VertexId| {
+            if !std::mem::replace(&mut on_frontier[v as usize], true) {
+                next.push(v);
+            }
+        };
+        seed_list.iter().for_each(|&v| admit(v));
+        for &v in &frontier {
+            let l = labels[v as usize];
+            if l != pred[v as usize] {
+                entry[v as usize] = l;
+                admit(v);
+                out.neighbors(v).iter().for_each(|&w| admit(w));
             }
         }
-        result.peak_frontier = result
-            .peak_frontier
-            .max(frontier.iter().filter(|&&a| a).count());
-        result.memo.push(labels.to_vec());
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
+        result.peak_frontier = result.peak_frontier.max(frontier.len());
+        result.memo.push(entry);
         report.changed_per_iteration.push(changed);
         report.active_per_iteration.push(scheduled);
         report.iterations = iteration + 1;

@@ -86,8 +86,10 @@ impl Engine for MultiGpuEngine {
 struct MultiBackend<'a> {
     gpus: &'a mut MultiGpu,
     /// The current partitioning over the alive devices: vertex range
-    /// `ranges[i]` lives on device `assign[i]` and occupies `footprints[i]`
-    /// bytes there (freed before a repartition).
+    /// `ranges[i]` lives on device `assign[i]` and, once uploaded,
+    /// occupies `footprints[i]` bytes there (freed before a repartition).
+    /// `footprints` covers exactly the shares whose upload succeeded — a
+    /// prefix of `assign` when staging failed part-way.
     assign: Vec<usize>,
     ranges: Vec<VertexRange>,
     footprints: Vec<u64>,
@@ -96,7 +98,7 @@ struct MultiBackend<'a> {
 }
 
 impl MultiBackend<'_> {
-    /// Releases every surviving partition's footprint.
+    /// Releases every uploaded share still on a surviving device.
     fn free(&mut self) {
         for (&d, &bytes) in self.assign.iter().zip(&self.footprints) {
             if !self.gpus.device(d).is_lost() {
@@ -140,12 +142,13 @@ impl Backend for MultiBackend<'_> {
         }
         self.ranges = partition_even(g, self.assign.len());
         let (bpe, n) = (bytes_per_edge(g), g.num_vertices() as u64);
-        let share = |r: &VertexRange| r.num_edges() * bpe + (r.num_vertices() as u64) * 8 + n * 8;
-        self.footprints = self.ranges.iter().map(share).collect();
-        for (&d, &bytes) in self.assign.iter().zip(&self.footprints) {
+        self.footprints.clear();
+        for (&d, r) in self.assign.iter().zip(&self.ranges) {
+            let bytes = r.num_edges() * bpe + (r.num_vertices() as u64) * 8 + n * 8;
             let dev = self.gpus.device_mut(d);
             let before = dev.elapsed_seconds();
             dev.upload(bytes)?;
+            self.footprints.push(bytes);
             self.transfer_s += dev.elapsed_seconds() - before;
         }
         self.gpus.sync();

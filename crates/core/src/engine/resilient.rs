@@ -30,9 +30,9 @@ use super::{Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_graph::Graph;
-use glp_trace::{Category, Clock};
+use glp_trace::{Category, Clock, Tracer};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What the recovery machinery did during the last
 /// [`ResilientEngine::run`].
@@ -154,12 +154,14 @@ impl Engine for ResilientEngine {
     ) -> Result<LpRunReport, EngineError> {
         self.last = ResilienceReport::default();
         // The wrapper's own span runs on the wall clock (its overhead is
-        // host-side: retries, backoff, restores); tier runs nest under it
-        // structurally while keeping their modeled clocks.
-        let wall = Instant::now();
+        // host-side: retries, backoff, restores), stamped from the
+        // tracer's time base so it sits inside any caller span around the
+        // run; tier runs nest under it structurally while keeping their
+        // modeled clocks.
+        let wall_now = || opts.tracer.as_ref().map_or(0.0, Tracer::wall_now);
         let trace_mark = opts.tracer.as_ref().map(|t| {
             let mark = t.open_depth();
-            t.begin(Category::Run, self.name(), Clock::Wall, 0.0);
+            t.begin(Category::Run, self.name(), Clock::Wall, t.wall_now());
             mark
         });
         let Some(initial_blob) = prog.save_state() else {
@@ -171,9 +173,9 @@ impl Engine for ResilientEngine {
             let out = self.tiers[0].run(g, prog, opts);
             if let Err(e) = &out {
                 self.last.faults.push(*e);
-                trace_fail(&opts.tracer, trace_mark, wall.elapsed().as_secs_f64());
+                trace_fail(&opts.tracer, trace_mark, wall_now());
             } else if let Some(t) = &opts.tracer {
-                t.end(wall.elapsed().as_secs_f64());
+                t.end(t.wall_now());
             }
             return out;
         };
@@ -263,7 +265,7 @@ impl Engine for ResilientEngine {
                     }
                     self.last.tier = Some(self.tiers[tier].name());
                     if let Some(t) = &opts.tracer {
-                        t.end(wall.elapsed().as_secs_f64());
+                        t.end(t.wall_now());
                     }
                     return Ok(report);
                 }
@@ -283,7 +285,7 @@ impl Engine for ResilientEngine {
                                 Category::Resilience,
                                 "retry",
                                 Clock::Wall,
-                                wall.elapsed().as_secs_f64(),
+                                t.wall_now(),
                                 fault_span,
                             );
                         }
@@ -301,13 +303,13 @@ impl Engine for ResilientEngine {
                                 Category::Resilience,
                                 "degrade",
                                 Clock::Wall,
-                                wall.elapsed().as_secs_f64(),
+                                t.wall_now(),
                                 fault_span,
                             );
                         }
                     } else {
                         self.last.tier = Some(self.tiers[tier].name());
-                        trace_fail(&opts.tracer, trace_mark, wall.elapsed().as_secs_f64());
+                        trace_fail(&opts.tracer, trace_mark, wall_now());
                         return Err(e);
                     }
                     // Everything completed before the fault is resumed,
@@ -325,6 +327,33 @@ mod tests {
     use super::*;
     use crate::variants::{ClassicLp, Slp};
     use glp_graph::gen::{caveman, two_cliques_bridge};
+
+    /// A caller span around a ladder run contains the ladder's own wall
+    /// span, and that contains a host tier's: all three are stamped from
+    /// the tracer's time base, so whole-trace containment holds with a
+    /// finite epsilon (the run span used to start at a private 0).
+    #[test]
+    fn run_span_lies_inside_a_caller_span_on_the_tracers_clock() {
+        let g = caveman(4, 6);
+        let tracer = Tracer::new();
+        // The caller's span must not start at the recording's zero.
+        while tracer.wall_now() < 1e-3 {
+            std::hint::spin_loop();
+        }
+        tracer.begin(Category::Serve, "caller", Clock::Wall, tracer.wall_now());
+        let opts = RunOptions::default().with_tracer(tracer.clone());
+        for mut engine in [
+            ResilientEngine::gpu_ladder(),
+            ResilientEngine::new(vec![Box::new(SequentialEngine::bsp())]),
+        ] {
+            let mut prog = ClassicLp::new(g.num_vertices());
+            engine.run(&g, &mut prog, &opts).unwrap();
+        }
+        tracer.end(tracer.wall_now());
+        let trace = tracer.finish();
+        assert_eq!(trace.named("Resilient").count(), 2);
+        trace.check_well_formed(1e-9).unwrap();
+    }
 
     #[test]
     fn fault_free_run_matches_bare_engine_with_snapshot_overhead() {

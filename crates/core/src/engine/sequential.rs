@@ -119,10 +119,10 @@ impl Engine for SequentialEngine {
         let mut visited_at: Vec<u64> = vec![0; if pull { n } else { 0 }];
         let mut stamp: Vec<u64> = vec![0; if pull { n } else { 0 }];
         let mut report = LpRunReport::default();
-        // Host engines have no modeled clock: spans use wall seconds
-        // relative to the run start.
+        // Host engines have no modeled clock: spans use the tracer's
+        // wall seconds.
         if let Some(t) = &opts.tracer {
-            t.begin(Category::Run, self.name(), Clock::Wall, 0.0);
+            t.begin(Category::Run, self.name(), Clock::Wall, t.wall_now());
         }
 
         for iteration in opts.start_iteration..opts.max_iterations {
@@ -131,7 +131,7 @@ impl Engine for SequentialEngine {
                     Category::Iteration,
                     "iteration",
                     Clock::Wall,
-                    wall_start.elapsed().as_secs_f64(),
+                    t.wall_now(),
                     u64::from(iteration),
                 );
             }
@@ -223,7 +223,7 @@ impl Engine for SequentialEngine {
             });
             report.iterations = iteration + 1;
             if let Some(t) = &opts.tracer {
-                t.end(wall_start.elapsed().as_secs_f64());
+                t.end(t.wall_now());
             }
             if prog.finished(iteration, changed) {
                 break;
@@ -231,7 +231,7 @@ impl Engine for SequentialEngine {
         }
         report.wall_seconds = wall_start.elapsed().as_secs_f64();
         if let Some(t) = &opts.tracer {
-            t.end(report.wall_seconds);
+            t.end(t.wall_now());
         }
         Ok(report)
     }

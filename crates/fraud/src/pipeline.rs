@@ -20,7 +20,6 @@ use crate::window::WindowWorkload;
 use glp_core::{Engine, EngineError, LpProgram, LpRunReport, RunOptions, WeightedLp};
 use glp_gpusim::host::{CpuConfig, CpuCounters};
 use glp_graph::VertexId;
-use std::collections::HashMap;
 
 /// Pipeline parameters.
 #[derive(Clone, Debug)]
@@ -209,11 +208,10 @@ impl FraudPipeline {
         let scoring = self.host.seconds(&scoring_work, self.host.cores);
 
         // Quality against the injected rings.
-        let vertex_user: HashMap<VertexId, u32> =
-            window.user_vertex.iter().map(|(&u, &v)| (v, u)).collect();
+        let vertex_user = window.users_by_vertex();
         let flagged_users: Vec<u32> = flagged
             .iter()
-            .flat_map(|c| c.users.iter().filter_map(|v| vertex_user.get(v).copied()))
+            .flat_map(|c| c.users.iter().map(|&v| vertex_user[v as usize]))
             .collect();
         let (precision, recall) = precision_recall(&flagged_users, &stream.fraudulent_users());
 
@@ -266,32 +264,44 @@ impl FraudPipeline {
         seeds: &[VertexId],
     ) -> (Vec<FlaggedCluster>, CpuCounters) {
         let labels = prog.labels();
-        let g = &window.graph;
-        let mut user_clusters: HashMap<u32, Vec<VertexId>> = HashMap::new();
-        for v in 0..window.num_user_vertices as VertexId {
-            user_clusters.entry(labels[v as usize]).or_default().push(v);
+        let g = &*window.graph;
+        let n = g.num_vertices();
+        let num_users = window.num_user_vertices;
+        assert_eq!(labels.len(), n, "program sized for a different window");
+        // Users grouped by label with a counting sort: LP labels are
+        // vertex ids, so `members[start[l]..start[l + 1]]` are label
+        // `l`'s users, ascending.
+        let mut start = vec![0usize; n + 1];
+        for &l in &labels[..num_users] {
+            start[l as usize + 1] += 1;
         }
+        for l in 0..n {
+            start[l + 1] += start[l];
+        }
+        let mut members = vec![0 as VertexId; num_users];
+        let mut cursor = start.clone();
+        for v in 0..num_users {
+            let slot = &mut cursor[labels[v] as usize];
+            members[*slot] = v as VertexId;
+            *slot += 1;
+        }
+        // The charges model the batch job's hash-grouped pass (one random
+        // access per item for its total incoming weight) whatever the
+        // host does here.
         let mut work = CpuCounters {
             instructions: 6 * labels.len() as u64,
             seq_bytes: 4 * labels.len() as u64,
-            ..Default::default()
+            random_accesses: (n - num_users) as u64,
         };
-        // Total incoming weight per item (for dominance tests).
-        let item_total: HashMap<VertexId, f64> = (window.num_user_vertices..g.num_vertices())
-            .map(|i| {
-                let i = i as VertexId;
-                let w: f64 = g
-                    .incoming()
-                    .neighbor_weights(i)
-                    .map(|ws| ws.iter().map(|&x| f64::from(x)).sum())
-                    .unwrap_or(0.0);
-                (i, w)
-            })
-            .collect();
-        work.random_accesses += item_total.len() as u64;
+        let weights_of = |v: VertexId| g.incoming().neighbor_weights(v).unwrap_or(&[]);
+        // Weight the current cluster sends to each item (indexed by item
+        // slot, zero outside `reached`).
+        let mut to_item = vec![0.0f64; n - num_users];
+        let mut reached: Vec<VertexId> = Vec::new();
 
         let mut flagged = Vec::new();
-        for (label, users) in user_clusters {
+        for label in 0..n {
+            let users = &members[start[label]..start[label + 1]];
             if users.len() < self.cfg.min_cluster_size {
                 continue;
             }
@@ -303,31 +313,37 @@ impl FraudPipeline {
             if seed_count < self.cfg.min_seeds {
                 continue; // no known-bad members: not suspicious
             }
-            // Weight this cluster sends to each item.
-            let mut to_item: HashMap<VertexId, f64> = HashMap::new();
             let mut total_weight = 0.0f64;
             let mut internal_pairs = 0u64;
-            for &u in &users {
-                let ws = g.incoming().neighbor_weights(u).unwrap_or(&[]);
+            for &u in users {
+                let ws = weights_of(u);
                 for (k, &i) in g.neighbors(u).iter().enumerate() {
                     let w = f64::from(ws.get(k).copied().unwrap_or(1.0));
-                    *to_item.entry(i).or_default() += w;
+                    let sent = &mut to_item[i as usize - num_users];
+                    if *sent == 0.0 {
+                        reached.push(i);
+                    }
+                    *sent += w;
                     total_weight += w;
                     internal_pairs += 1;
                 }
                 work.random_accesses += u64::from(g.degree(u));
             }
-            // Items dominated by this cluster belong to it.
-            let items: Vec<VertexId> = to_item
-                .iter()
-                .filter(|(i, &w)| w >= 0.5 * item_total.get(*i).copied().unwrap_or(w))
-                .map(|(&i, _)| i)
-                .collect();
-            let internal_weight: f64 = items
-                .iter()
-                .map(|i| to_item.get(i).copied().unwrap_or(0.0))
-                .sum();
-            work.instructions += 6 * to_item.len() as u64;
+            reached.sort_unstable();
+            reached.dedup(); // a zero-weight edge leaves `sent` at 0 and re-pushes
+                             // Items dominated by this cluster belong to it.
+            let mut items: Vec<VertexId> = Vec::new();
+            let mut internal_weight = 0.0f64;
+            for &i in &reached {
+                let sent = std::mem::take(&mut to_item[i as usize - num_users]);
+                let item_total: f64 = weights_of(i).iter().map(|&x| f64::from(x)).sum();
+                if sent >= 0.5 * item_total {
+                    items.push(i);
+                    internal_weight += sent;
+                }
+            }
+            work.instructions += 6 * reached.len() as u64;
+            reached.clear();
             let cohesion = if total_weight == 0.0 {
                 0.0
             } else {
@@ -343,11 +359,9 @@ impl FraudPipeline {
                 + 0.3 * (avg_multiplicity / 8.0).min(1.0)
                 + 0.3 * (seed_share / 0.1).min(1.0);
             if score >= self.cfg.suspicion_threshold {
-                let mut items = items;
-                items.sort_unstable();
                 flagged.push(FlaggedCluster {
-                    label,
-                    users: users.clone(),
+                    label: label as u32,
+                    users: users.to_vec(),
                     items,
                     score,
                 });

@@ -7,18 +7,27 @@
 //! weighted edge. Because users and items recur across days, |V| grows
 //! sublinearly with window length while |E| grows near-linearly — exactly
 //! Table 4's shape (V: 460M→1010M, ×2.2; E: 1.7B→10.2B, ×6).
+//!
+//! [`build_window`] is the only code that turns transactions into a CSR:
+//! a counting build (degree count → prefix sum → scatter → per-row sort →
+//! adjacent duplicates merged into weights, compacted in place), so
+//! construction costs O(transactions) plus the row sorts and never holds
+//! more than the two endpoint arrays beside the result.
 
 use crate::transactions::{Transaction, TxStream};
-use glp_graph::{Graph, GraphBuilder, VertexId};
+use glp_graph::{Csr, EdgeId, Graph, VertexId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One sliding-window workload: the graph plus id mappings.
 #[derive(Clone, Debug)]
 pub struct WindowWorkload {
     /// Window length in days.
     pub days: u32,
-    /// The symmetrized, weighted user–item graph.
-    pub graph: Graph,
+    /// The symmetrized, weighted user–item graph. Shared, not copied, with
+    /// the [`IncrementalWindow`](crate::IncrementalWindow) that
+    /// materialized it (which patches it into the next window's graph).
+    pub graph: Arc<Graph>,
     /// Graph vertex id of each participating user: `user_vertex[u]`.
     pub user_vertex: HashMap<u32, VertexId>,
     /// Number of user vertices (items follow them in the id space).
@@ -27,6 +36,97 @@ pub struct WindowWorkload {
     /// lets incremental reclustering verify a memoized LP state belongs
     /// to the window a delta extends.
     pub num_transactions: u64,
+}
+
+/// A window's graph and both first-appearance id mappings it was built
+/// under (an item's vertex id is `user_vertex.len() + item_slot[item]`) —
+/// what [`build_window`] produces and what an
+/// [`IncrementalWindow`](crate::IncrementalWindow) keeps between
+/// materializations.
+#[derive(Clone, Debug)]
+pub(crate) struct BuiltWindow {
+    pub(crate) graph: Arc<Graph>,
+    pub(crate) user_vertex: HashMap<u32, VertexId>,
+    pub(crate) item_slot: HashMap<u32, u32>,
+}
+
+/// Builds a window's graph from a single in-order pass over its
+/// transactions. Dense vertex ids are assigned in first-appearance order
+/// (users, then items), so any source replaying the same transaction
+/// sequence produces a bit-identical graph; weights are transaction
+/// counts, exact in `f32` below 2²⁴ per pair. An empty window has no
+/// weight array (as an edgeless `GraphBuilder` graph has none).
+pub(crate) fn build_window<'a, I>(txs: I) -> BuiltWindow
+where
+    I: IntoIterator<Item = &'a Transaction>,
+{
+    let mut user_vertex: HashMap<u32, VertexId> = HashMap::new();
+    let mut item_slot: HashMap<u32, u32> = HashMap::new();
+    let mut pairs: Vec<(VertexId, u32)> = Vec::new();
+    for t in txs {
+        let next = user_vertex.len() as VertexId;
+        let u = *user_vertex.entry(t.buyer).or_insert(next);
+        let next_item = item_slot.len() as u32;
+        let i = *item_slot.entry(t.item).or_insert(next_item);
+        pairs.push((u, i));
+    }
+    let num_users = user_vertex.len() as VertexId;
+    let n = num_users as usize + item_slot.len();
+
+    // Degree count → prefix sum: every transaction is one slot in its
+    // buyer's row and one in its item's.
+    let mut offsets = vec![0 as EdgeId; n + 1];
+    for &(u, i) in &pairs {
+        offsets[u as usize + 1] += 1;
+        offsets[(num_users + i) as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    // Scatter both directions.
+    let mut cursor = offsets.clone();
+    let mut targets = vec![0 as VertexId; 2 * pairs.len()];
+    for &(u, i) in &pairs {
+        let iv = num_users + i;
+        targets[cursor[u as usize] as usize] = iv;
+        cursor[u as usize] += 1;
+        targets[cursor[iv as usize] as usize] = u;
+        cursor[iv as usize] += 1;
+    }
+    let empty = pairs.is_empty();
+    drop((pairs, cursor));
+
+    // Sort each row, then fold adjacent duplicates into a weight,
+    // compacting rows to the front of the array as they shrink.
+    let mut weights: Vec<f32> = Vec::with_capacity(targets.len());
+    let mut write = 0usize;
+    for v in 0..n {
+        let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+        targets[lo..hi].sort_unstable();
+        offsets[v] = write as EdgeId;
+        for read in lo..hi {
+            let t = targets[read];
+            if write > offsets[v] as usize && targets[write - 1] == t {
+                weights[write - 1] += 1.0;
+            } else {
+                targets[write] = t;
+                weights.push(1.0);
+                write += 1;
+            }
+        }
+    }
+    offsets[n] = write as EdgeId;
+    targets.truncate(write);
+    targets.shrink_to_fit();
+    weights.shrink_to_fit();
+    let weights = (!empty).then_some(weights);
+    BuiltWindow {
+        graph: Arc::new(Graph::undirected(Csr::from_parts(
+            offsets, targets, weights,
+        ))),
+        user_vertex,
+        item_slot,
+    }
 }
 
 impl WindowWorkload {
@@ -47,33 +147,25 @@ impl WindowWorkload {
     where
         I: IntoIterator<Item = &'a Transaction>,
     {
-        // One pass: assign ids as pairs first appear, remembering each
-        // transaction's (user, item-slot) for the edge list.
-        let mut user_vertex: HashMap<u32, VertexId> = HashMap::new();
-        let mut item_slot: HashMap<u32, u32> = HashMap::new();
-        let mut pairs: Vec<(VertexId, u32)> = Vec::new();
-        for t in txs {
-            let next = user_vertex.len() as VertexId;
-            let u = *user_vertex.entry(t.buyer).or_insert(next);
-            let next_item = item_slot.len() as u32;
-            let i = *item_slot.entry(t.item).or_insert(next_item);
-            pairs.push((u, i));
-        }
-        let num_users = user_vertex.len();
-        let n = num_users + item_slot.len();
-        let num_transactions = pairs.len() as u64;
-        let mut b = GraphBuilder::with_capacity(n, pairs.len());
-        for (u, i) in pairs {
-            b.add_weighted_edge(u, num_users as VertexId + i, 1.0);
-        }
-        b.symmetrize(true).dedup(true);
+        let mut num_transactions = 0u64;
+        let built = build_window(txs.into_iter().inspect(|_| num_transactions += 1));
         Self {
             days,
-            graph: b.build(),
-            user_vertex,
-            num_user_vertices: num_users,
+            num_user_vertices: built.user_vertex.len(),
+            graph: built.graph,
+            user_vertex: built.user_vertex,
             num_transactions,
         }
+    }
+
+    /// Raw user id of every user vertex: `users_by_vertex()[v]` for
+    /// `v < num_user_vertices` — the inverse of `user_vertex`.
+    pub fn users_by_vertex(&self) -> Vec<u32> {
+        let mut users = vec![0u32; self.num_user_vertices];
+        for (&u, &v) in &self.user_vertex {
+            users[v as usize] = u;
+        }
+        users
     }
 
     /// Seed vertex ids: black-listed users present in this window.

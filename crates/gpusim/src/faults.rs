@@ -5,8 +5,9 @@
 //!
 //! * **Stalls** — kernels get *slow* (a thermally throttled card, a
 //!   congested PCIe link, a noisy neighbour on a shared GPU). Armed with
-//!   [`inject_kernel_stall`]; served at the kernel-launch boundary every
-//!   engine funnels through ([`KernelCtx::new`](crate::KernelCtx::new)).
+//!   [`inject_kernel_stall`] for the launches of the arming thread;
+//!   served at the kernel-launch boundary every engine funnels through
+//!   ([`KernelCtx::new`](crate::KernelCtx::new)).
 //!   Stalls perturb *time only* — counters and results are untouched, so
 //!   determinism assertions hold across stalled and unstalled runs.
 //! * **Failures** — kernels *die* ([`FaultKind`]): a launch is rejected, a
@@ -25,58 +26,51 @@
 //! [`clear`] (or [`clear_device`]) in tests that arm anything.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-static STALL_LAUNCHES: AtomicU32 = AtomicU32::new(0);
-static STALL_MICROS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// The calling thread's armed stall: (launches left, microseconds
+    /// each). Per thread, like [`faults_served`]: an engine launches its
+    /// kernels on the thread that drives it, and a stall armed by one
+    /// test must not be consumed by the launches of its siblings.
+    static ARMED_STALL: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
+}
 static STALLS_SERVED: AtomicU64 = AtomicU64::new(0);
 
-/// Arms the injector: the next `launches` kernel launches each sleep for
-/// `micros` microseconds before executing.
+/// Arms the injector for the calling thread: the next `launches` kernel
+/// launches *it* issues each sleep for `micros` microseconds before
+/// executing.
 pub fn inject_kernel_stall(launches: u32, micros: u64) {
-    STALL_MICROS.store(micros, Ordering::Release);
-    STALL_LAUNCHES.store(launches, Ordering::Release);
+    ARMED_STALL.set((launches, micros));
 }
 
-/// Disarms every injector: pending stalls and every armed failure plan.
+/// Disarms every injector: the calling thread's pending stalls and every
+/// armed failure plan.
 pub fn clear() {
-    STALL_LAUNCHES.store(0, Ordering::Release);
-    STALL_MICROS.store(0, Ordering::Release);
+    ARMED_STALL.set((0, 0));
     PLANS.lock().expect("fault registry").clear();
 }
 
-/// Stalls served since process start (diagnostic; lets tests assert the
-/// hook actually fired).
+/// Stalls served since process start, on any thread (diagnostic; lets
+/// tests assert the hook actually fired).
 pub fn stalls_served() -> u64 {
     STALLS_SERVED.load(Ordering::Acquire)
 }
 
 /// Called by [`KernelCtx::new`](crate::KernelCtx::new) on every kernel
-/// launch; sleeps if a stall is armed.
+/// launch; sleeps if the launching thread armed a stall.
 pub(crate) fn on_kernel_launch() {
-    // Decrement-if-positive without underflow: lost races just mean a
-    // stall fewer, which only ever shortens the injected delay.
-    let mut left = STALL_LAUNCHES.load(Ordering::Acquire);
-    while left > 0 {
-        match STALL_LAUNCHES.compare_exchange_weak(
-            left,
-            left - 1,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {
-                let micros = STALL_MICROS.load(Ordering::Acquire);
-                if micros > 0 {
-                    std::thread::sleep(Duration::from_micros(micros));
-                }
-                STALLS_SERVED.fetch_add(1, Ordering::AcqRel);
-                return;
-            }
-            Err(now) => left = now,
-        }
+    let (left, micros) = ARMED_STALL.get();
+    if left == 0 {
+        return;
     }
+    ARMED_STALL.set((left - 1, micros));
+    if micros > 0 {
+        std::thread::sleep(Duration::from_micros(micros));
+    }
+    STALLS_SERVED.fetch_add(1, Ordering::AcqRel);
 }
 
 /// The failing-fault taxonomy. `LaunchFail`, `Timeout` and `ShardPanic`
@@ -144,8 +138,8 @@ pub fn seeded_fault(device: u32, seed: u64, window: u32) -> (FaultKind, u32) {
     (kind, after)
 }
 
-/// Removes every armed failure against `device` (stalls are global and
-/// unaffected).
+/// Removes every armed failure against `device` (stalls are per thread,
+/// not per device, and unaffected).
 pub fn clear_device(device: u32) {
     PLANS
         .lock()

@@ -48,7 +48,7 @@ use glp_core::{
 use glp_fraud::{FraudPipeline, WindowDelta, WindowWorkload};
 use glp_graph::{Label, VertexId};
 use glp_trace::Tracer;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 
 /// Which recluster path actually executed.
@@ -278,27 +278,9 @@ impl<'a> ReclusterRequest<'a> {
         seeds.sort_unstable();
 
         if let Some((memo, delta)) = self.eligible_warm() {
-            // Incremental: remap the previous trajectory into the grown
-            // id space and replay it. First-appearance ids make growth
-            // an order-preserving insertion: old users keep their ids,
-            // old items shift up by the number of new users, and new
-            // vertices take the freed/appended positions.
-            let shift = workload.num_user_vertices - delta.prev_users;
-            let phi = |x: usize| if x < delta.prev_users { x } else { x + shift };
-            let remapped: Vec<Vec<Label>> = memo
-                .per_iteration
-                .iter()
-                .map(|entry| {
-                    // New positions get identity placeholders; they are
-                    // always in the seed frontier (all their edges are
-                    // new), so the placeholder never feeds a decision.
-                    let mut m: Vec<Label> = (0..n as Label).collect();
-                    for (old_v, &l) in entry.iter().enumerate() {
-                        m[phi(old_v)] = phi(l as usize) as Label;
-                    }
-                    m
-                })
-                .collect();
+            // Incremental: carry the previous trajectory into the grown
+            // id space and replay it.
+            let remapped = remap_memo(&memo.per_iteration, delta, workload.num_user_vertices, n);
             let mut frontier = vec![false; n];
             for &v in &delta.touched {
                 frontier[v as usize] = true;
@@ -384,6 +366,41 @@ impl<'a> ReclusterRequest<'a> {
             report,
         }
     }
+}
+
+/// Carries a memoized trajectory into the id space of the window `delta`
+/// grew it into (`num_users` user vertices, `n` vertices). First-appearance
+/// ids make growth an order-preserving insertion: old users keep their
+/// ids, old items shift up by the number of new users, and new vertices
+/// take the freed and appended positions. New positions get identity
+/// placeholders; they are always in the seed frontier (all their edges
+/// are new), so the placeholder never feeds a decision. A delta that
+/// added no vertex needs no remap at all.
+fn remap_memo<'m>(
+    per_iteration: &'m [Vec<Label>],
+    delta: &WindowDelta,
+    num_users: usize,
+    n: usize,
+) -> Cow<'m, [Vec<Label>]> {
+    if n == delta.prev_vertices {
+        return Cow::Borrowed(per_iteration);
+    }
+    let prev_users = delta.prev_users as Label;
+    let shift = num_users as Label - prev_users;
+    let phi = |l: Label| if l < prev_users { l } else { l + shift };
+    let remapped = per_iteration
+        .iter()
+        .map(|entry| {
+            let (users, items) = entry.split_at(delta.prev_users);
+            let mut m: Vec<Label> = Vec::with_capacity(n);
+            m.extend(users.iter().map(|&l| phi(l)));
+            m.extend(prev_users..num_users as Label);
+            m.extend(items.iter().map(|&l| phi(l)));
+            m.extend(m.len() as Label..n as Label);
+            m
+        })
+        .collect();
+    Cow::Owned(remapped)
 }
 
 /// Warm-start state carried between reclusters by every trigger owner
@@ -484,8 +501,7 @@ fn assemble_snapshot(
     let pipe = FraudPipeline::new(cfg.pipeline.clone());
     let clusters = pipe.score(workload, prog, seeds);
 
-    let vertex_user: HashMap<VertexId, u32> =
-        workload.user_vertex.iter().map(|(&u, &v)| (v, u)).collect();
+    let vertex_user = workload.users_by_vertex();
     // Publish each cluster under the *minimum member user id* rather
     // than the raw LP label: LP labels are vertex ids, which depend on
     // how the window mapped users to vertices, while the min member is a
@@ -497,22 +513,16 @@ fn assemble_snapshot(
     // single-core reference (see `crate::exchange`).
     let mut flagged: Vec<(u32, u32, f64)> = Vec::new();
     for c in &clusters {
-        let users: Vec<u32> = c
-            .users
-            .iter()
-            .filter_map(|v| vertex_user.get(v).copied())
-            .collect();
-        if let Some(&canon) = users.iter().min() {
-            for &u in &users {
-                flagged.push((u, canon, c.score));
-            }
+        let users = c.users.iter().map(|&v| vertex_user[v as usize]);
+        if let Some(canon) = users.clone().min() {
+            flagged.extend(users.map(|u| (u, canon, c.score)));
         }
     }
     // Clusters partition users by label, so users are unique; sorting by
     // user id makes the snapshot canonical regardless of cluster
     // iteration order.
     flagged.sort_unstable_by_key(|a| a.0);
-    let mut known_users: Vec<u32> = workload.user_vertex.keys().copied().collect();
+    let mut known_users = vertex_user;
     known_users.sort_unstable();
 
     VerdictSnapshot {

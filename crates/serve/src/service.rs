@@ -76,11 +76,10 @@ pub struct ServiceCore {
     /// contending with apply.
     window_end: Arc<AtomicU32>,
     health: Arc<HealthMonitor>,
-    /// Optional span recorder. Serve stages record wall-clock spans
-    /// relative to `trace_epoch`; the recluster LP run nests its modeled
-    /// engine spans under the recluster span via the same handle.
+    /// Optional span recorder. Serve stages record wall-clock spans on
+    /// its time base; the recluster LP run nests its engine spans under
+    /// the recluster span via the same handle.
     tracer: Option<Tracer>,
-    trace_epoch: Instant,
     #[cfg(feature = "fault-injection")]
     faults: Option<Arc<FaultPlan>>,
 }
@@ -151,7 +150,6 @@ impl ServiceCore {
             batches_applied: AtomicU64::new(batches_applied),
             health,
             tracer: None,
-            trace_epoch: Instant::now(),
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
@@ -164,18 +162,12 @@ impl ServiceCore {
     /// unchanged.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = Some(tracer);
-        self.trace_epoch = Instant::now();
         self
     }
 
     /// The attached span recorder, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
-    }
-
-    /// Seconds since the tracer was attached (span timestamps).
-    fn trace_now(&self) -> f64 {
-        self.trace_epoch.elapsed().as_secs_f64()
     }
 
     /// Attaches a fault plan; every hook in the worker loops consults it.
@@ -293,12 +285,12 @@ impl ServiceCore {
             return self.batches_applied();
         }
         if let Some(t) = &self.tracer {
-            t.instant(Category::Serve, "ingest", Clock::Wall, self.trace_now());
+            t.instant(Category::Serve, "ingest", Clock::Wall, t.wall_now());
             t.begin_arg(
                 Category::Serve,
                 "apply",
                 Clock::Wall,
-                self.trace_now(),
+                t.wall_now(),
                 batch.len() as u64,
             );
         }
@@ -341,7 +333,7 @@ impl ServiceCore {
         self.telemetry.batches.fetch_add(1, Ordering::Relaxed);
         let applied_count = self.batches_applied.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(t) = &self.tracer {
-            t.end(self.trace_now());
+            t.end(t.wall_now());
         }
         applied_count
     }
@@ -358,13 +350,14 @@ impl ServiceCore {
     /// incrementally when the previous run's memo covers the delta, from
     /// scratch otherwise or every [`ServeConfig::full_recluster_every`]
     /// incremental runs — and publishes the verdict snapshot. The window
-    /// lock is held only for the materialization (a replay of the live
-    /// log); LP and scoring run on the private copy. Returns what ran:
+    /// lock is held only for the materialization (a patch of the previous
+    /// graph, or a rebuild from the live log after expiry); LP and scoring
+    /// run on the immutable result. Returns what ran:
     /// the mode, the wall seconds, and the frontier the LP consumed.
     pub fn recluster_now(&self) -> ReclusterRun {
         let started = Instant::now();
         if let Some(t) = &self.tracer {
-            t.begin(Category::Serve, "recluster", Clock::Wall, self.trace_now());
+            t.begin(Category::Serve, "recluster", Clock::Wall, t.wall_now());
         }
         // The warm-start lock is held across the whole run: concurrent
         // reclusters serialize, so each consumes the memo of the run
@@ -408,18 +401,18 @@ impl ServiceCore {
             outcome.snapshot
         };
         if let Some(t) = &self.tracer {
-            t.begin(Category::Serve, "swap", Clock::Wall, self.trace_now());
+            t.begin(Category::Serve, "swap", Clock::Wall, t.wall_now());
         }
         self.verdicts.publish(snapshot);
         if let Some(t) = &self.tracer {
-            t.end(self.trace_now()); // swap
+            t.end(t.wall_now()); // swap
         }
         self.telemetry.reclusters.fetch_add(1, Ordering::Relaxed);
         self.telemetry
             .recluster_wall
             .record(started.elapsed().as_nanos() as u64);
         if let Some(t) = &self.tracer {
-            t.end(self.trace_now()); // recluster
+            t.end(t.wall_now()); // recluster
         }
         ReclusterRun {
             mode,
@@ -434,7 +427,7 @@ impl ServiceCore {
     /// previous checkpoint on disk is never damaged by a failed write.
     pub fn checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
         if let Some(t) = &self.tracer {
-            t.begin(Category::Serve, "checkpoint", Clock::Wall, self.trace_now());
+            t.begin(Category::Serve, "checkpoint", Clock::Wall, t.wall_now());
         }
         let ckpt = {
             let w = self.window.lock().unwrap_or_else(|e| e.into_inner());
@@ -461,7 +454,7 @@ impl ServiceCore {
             }
         };
         if let Some(t) = &self.tracer {
-            let now = self.trace_now();
+            let now = t.wall_now();
             if result.is_ok() {
                 t.end(now);
             } else {
@@ -745,11 +738,11 @@ fn batch_loop(core: &ServiceCore, batcher: &Batcher, recluster_tx: &Sender<()>) 
             // The batch span covers the drain wait: budget-bounded queue
             // reads until the micro-batch fills or times out.
             if let Some(t) = core.tracer() {
-                t.begin(Category::Serve, "batch", Clock::Wall, core.trace_now());
+                t.begin(Category::Serve, "batch", Clock::Wall, t.wall_now());
             }
             let next = batcher.next_batch();
             if let Some(t) = core.tracer() {
-                t.end(core.trace_now());
+                t.end(t.wall_now());
             }
             next
         };

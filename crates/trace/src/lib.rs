@@ -9,8 +9,9 @@
 //!   this crate, so it must sit below everything else in the workspace.
 //! * **Simulated time is the timeline.** Device-side spans carry the cost
 //!   model's charged seconds ([`Clock::Modeled`]), not wall time; host-side
-//!   stages (serve, the resilience ladder) use wall seconds relative to a
-//!   local epoch ([`Clock::Wall`]). Nesting is *structural* — a span's
+//!   stages (serve, the resilience ladder, the host engines) use wall
+//!   seconds since the recording started ([`Clock::Wall`],
+//!   [`Tracer::wall_now`]). Nesting is *structural* — a span's
 //!   parent is whatever span the recording thread had open — so the two
 //!   clocks compose without comparison.
 //! * **Lock-free-enough.** Each thread records into a thread-local ring
@@ -29,6 +30,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// What layer of the stack a span belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,7 +71,8 @@ impl Category {
 pub enum Clock {
     /// The simulator's modeled seconds (the paper's reported time).
     Modeled,
-    /// Host wall seconds relative to a caller-chosen epoch.
+    /// Host wall seconds since the recording started
+    /// ([`Tracer::wall_now`]).
     Wall,
 }
 
@@ -185,6 +188,8 @@ static NEXT_TRACER_KEY: AtomicUsize = AtomicUsize::new(1);
 
 struct Inner {
     key: usize,
+    /// When the recording started: the base of every wall-clock stamp.
+    epoch: Instant,
     ring_capacity: usize,
     seq: AtomicU64,
     open: AtomicI64,
@@ -249,6 +254,7 @@ impl Tracer {
         Self {
             inner: Arc::new(Inner {
                 key: NEXT_TRACER_KEY.fetch_add(1, Ordering::Relaxed),
+                epoch: Instant::now(),
                 ring_capacity: ring_capacity.max(1),
                 seq: AtomicU64::new(1),
                 open: AtomicI64::new(0),
@@ -289,6 +295,14 @@ impl Tracer {
             inner.dropped.fetch_add(lost, Ordering::Relaxed);
         }
         state.ring.clear();
+    }
+
+    /// Host wall seconds since this recording started — the one time
+    /// base of [`Clock::Wall`] stamps. Every layer that stamps wall spans
+    /// reads it here, so a wall span always lies inside the wall span it
+    /// nests under, whichever layer opened that one.
+    pub fn wall_now(&self) -> f64 {
+        self.inner.epoch.elapsed().as_secs_f64()
     }
 
     /// Opens a span on the calling thread's stack. Returns its event id.

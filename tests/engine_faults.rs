@@ -145,6 +145,58 @@ fn multi_gpu_survives_single_device_loss() {
     assert_eq!(report.changed_per_iteration, want_changed);
 }
 
+/// A repartition whose re-upload fails: device 0 of two is lost inside
+/// iteration 1, and the survivor's re-upload of the whole graph runs out
+/// of memory. Nothing was uploaded in the new partitioning, so cleanup
+/// must free nothing — `run` returns the error instead of tripping
+/// `Device::free`'s assert — and the program holds barrier 0's labels.
+#[test]
+fn multi_gpu_failed_reupload_returns_the_error_without_freeing_phantoms() {
+    let g = path(64);
+    let barriers: Arc<Mutex<Vec<Vec<u32>>>> = Arc::default();
+    let sink = Arc::clone(&barriers);
+    let opts = RunOptions::default().with_barrier_hook(BarrierHook::new(move |ev| {
+        sink.lock().unwrap().push(ev.program.labels().to_vec());
+    }));
+
+    // Fault-free probe: device 0's first launch after barrier 0.
+    let mut probe = MultiGpuEngine::titan_v(2);
+    let mut prog = ClassicLp::new(g.num_vertices());
+    probe.run(&g, &mut prog, &opts).unwrap();
+    let first_of_iteration_1 = probe
+        .gpus()
+        .device(0)
+        .kernel_log()
+        .iter()
+        .position(|rec| rec.name == "barrier_snapshot")
+        .expect("one snapshot per barrier")
+        + 1;
+    barriers.lock().unwrap().clear();
+
+    let mut engine = MultiGpuEngine::titan_v(2);
+    let (lost, survivor) = (engine.gpus().device(0).id(), engine.gpus().device(1).id());
+    faults::inject_fault(lost, FaultKind::DeviceLost, first_of_iteration_1 as u32);
+    // The survivor's upload 0 is the initial staging; upload 1 the re-upload.
+    faults::inject_fault(survivor, FaultKind::Oom, 1);
+    let served_before = faults::faults_served();
+    let mut prog = ClassicLp::new(g.num_vertices());
+    let outcome = engine.run(&g, &mut prog, &opts);
+    faults::clear_device(lost);
+    faults::clear_device(survivor);
+
+    assert_eq!(
+        faults::faults_served(),
+        served_before + 2,
+        "both faults fire"
+    );
+    assert!(outcome.is_err(), "the failed re-upload must surface");
+    assert!(engine.gpus().device(0).is_lost());
+    assert_eq!(engine.gpus().device(1).resident_bytes(), 0, "nothing leaks");
+    let barriers = barriers.lock().unwrap();
+    assert_eq!(barriers.len(), 1, "iteration 1 never reaches its barrier");
+    assert_eq!(prog.labels(), &barriers[0][..]);
+}
+
 /// Acceptance (d): the injection machinery is inert while nothing is armed
 /// against a live device — repeated runs agree bit-for-bit in results
 /// *and* modeled cost, and no fault is ever served. (The feature-off
@@ -428,8 +480,8 @@ proptest! {
         };
         match (kind, device) {
             (Some(k), Some(id)) => faults::inject_fault(id, k, after),
-            // Stalls are process-wide (no device id): a handful of slowed
-            // launches, served by whichever engine launches next.
+            // Stalls carry no device id: a handful of slowed launches,
+            // served to whichever engine this thread drives next.
             (None, _) => faults::inject_kernel_stall(after.min(6), 100),
             (Some(_), None) => {} // sequential control: nothing to fault
         }
