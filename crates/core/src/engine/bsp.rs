@@ -65,7 +65,8 @@ pub trait Backend {
         true
     }
 
-    /// Uploads / lays out the graph. A failure needs no `teardown`.
+    /// Uploads / lays out the graph, all or nothing: a failed `stage`
+    /// releases whatever it had acquired, because no `teardown` follows.
     fn stage(&mut self, _g: &Graph) -> Result<(), DeviceError> {
         Ok(())
     }

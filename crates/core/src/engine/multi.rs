@@ -88,8 +88,11 @@ struct MultiBackend<'a> {
     /// The current partitioning over the alive devices: vertex range
     /// `ranges[i]` lives on device `assign[i]` and, once uploaded,
     /// occupies `footprints[i]` bytes there (freed before a repartition).
-    /// `footprints` covers exactly the shares whose upload succeeded — a
-    /// prefix of `assign` when staging failed part-way.
+    /// `footprints` covers exactly the shares resident right now: `free`
+    /// drains it, and a `stage` that fails part-way frees its uploaded
+    /// prefix before returning — a failed stage leaves nothing resident,
+    /// on the initial upload (which no `teardown` follows) as on a
+    /// repartition's re-upload (which one does).
     assign: Vec<usize>,
     ranges: Vec<VertexRange>,
     footprints: Vec<u64>,
@@ -100,7 +103,7 @@ struct MultiBackend<'a> {
 impl MultiBackend<'_> {
     /// Releases every uploaded share still on a surviving device.
     fn free(&mut self) {
-        for (&d, &bytes) in self.assign.iter().zip(&self.footprints) {
+        for (&d, bytes) in self.assign.iter().zip(self.footprints.drain(..)) {
             if !self.gpus.device(d).is_lost() {
                 self.gpus.device_mut(d).free(bytes);
             }
@@ -143,11 +146,15 @@ impl Backend for MultiBackend<'_> {
         self.ranges = partition_even(g, self.assign.len());
         let (bpe, n) = (bytes_per_edge(g), g.num_vertices() as u64);
         self.footprints.clear();
-        for (&d, r) in self.assign.iter().zip(&self.ranges) {
+        for i in 0..self.assign.len() {
+            let r = &self.ranges[i];
             let bytes = r.num_edges() * bpe + (r.num_vertices() as u64) * 8 + n * 8;
-            let dev = self.gpus.device_mut(d);
+            let dev = self.gpus.device_mut(self.assign[i]);
             let before = dev.elapsed_seconds();
-            dev.upload(bytes)?;
+            if let Err(e) = dev.upload(bytes) {
+                self.free();
+                return Err(e);
+            }
             self.footprints.push(bytes);
             self.transfer_s += dev.elapsed_seconds() - before;
         }

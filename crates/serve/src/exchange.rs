@@ -35,10 +35,10 @@
 
 use crate::config::ServeConfig;
 use crate::query::VerdictSnapshot;
-use crate::recluster::{ReclusterOutcome, ReclusterRequest, ReclusterRun, WarmState};
-use glp_core::{LpRunReport, ResilienceReport};
+use crate::recluster::{ReclusterOutcome, ReclusterRequest, WarmState};
+use crate::stamped::StampedWindow;
 use glp_fraud::{IncrementalWindow, Transaction, WindowWorkload};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,27 +102,23 @@ pub struct Reconciled {
     pub boundary_users: Vec<u32>,
     /// What the round found.
     pub report: ExchangeReport,
-    /// What the boundary recluster ran (mode, wall, frontier), when one
+    /// The boundary recluster's outcome and its wall seconds, when one
     /// was needed (`None` when no component spans shards).
-    pub boundary_run: Option<ReclusterRun>,
-    /// The boundary recluster's LP run, when one was needed (`None`
-    /// when no component spans shards).
-    pub lp: Option<(LpRunReport, ResilienceReport)>,
+    pub boundary: Option<(ReclusterOutcome, f64)>,
 }
 
 /// Carry-over state that lets consecutive exchange rounds recluster the
-/// boundary graph *incrementally*: a shadow [`IncrementalWindow`] fed
-/// exactly the merged spanning transactions (with their sequence stamps
-/// mirrored, expiry-aligned like a shard's), plus the warm-start memo of
-/// the previous boundary run. [`reconcile_with`] goes incremental only
-/// when the previous round's stamps are a strict prefix of this round's
-/// merged log — membership changes (a component newly spanning shards
+/// boundary graph *incrementally*: a shadow stamped window (the same
+/// type a scoring core keeps) fed exactly the merged spanning
+/// transactions, plus the warm-start memo of the previous boundary run.
+/// [`reconcile_with`] goes incremental only when the previous round's
+/// stamps are a strict prefix of this round's merged log — membership
+/// changes (a component newly spanning shards
 /// injects *old* stamps) or expiry break the prefix and force a cache
 /// rebuild plus a full boundary recluster, keeping the published bytes
 /// identical to the uncached path.
 pub struct BoundaryCache {
-    seqs: VecDeque<u64>,
-    window: IncrementalWindow,
+    window: StampedWindow,
     warm: WarmState,
 }
 
@@ -131,8 +127,7 @@ impl BoundaryCache {
     /// exchange through it reclusters the boundary from scratch.
     pub fn new(days: u32) -> Self {
         Self {
-            seqs: VecDeque::new(),
-            window: IncrementalWindow::empty(days),
+            window: StampedWindow::empty(days),
             warm: WarmState::default(),
         }
     }
@@ -157,28 +152,20 @@ impl BoundaryCache {
         // `apply_batch`'s monotonicity invariant (a violating suffix can
         // only come from a membership change the stamp check missed —
         // e.g. a rebuilt cache mid-history).
-        let prefix_ok = self.window.days() == days
-            && self.seqs.len() <= merged.len()
-            && self.seqs.iter().zip(merged).all(|(&a, &(b, _))| a == b)
-            && merged[self.seqs.len()..]
+        let cached = self.window.len();
+        let prefix_ok = self.window.window().days() == days
+            && cached <= merged.len()
+            && self.window.stamps().zip(merged).all(|(a, &(b, _))| a == b)
+            && merged[cached..]
                 .iter()
                 .all(|&(_, t)| t.day + 1 >= self.window.end());
         if prefix_ok {
-            let suffix = &merged[self.seqs.len()..];
-            let add: Vec<Transaction> = suffix.iter().map(|&(_, t)| t).collect();
-            self.window.apply_batch(&add);
-            self.window.advance_to(global_end);
-            for &(s, _) in suffix {
-                self.seqs.push_back(s);
-            }
-            while self.seqs.len() > self.window.num_transactions() {
-                self.seqs.pop_front();
-            }
+            self.window.apply(&merged[cached..], global_end);
         } else {
             match IncrementalWindow::from_parts(days, global_end, txs.to_vec()) {
                 Ok(w) => {
-                    self.window = w;
-                    self.seqs = merged.iter().map(|&(s, _)| s).collect();
+                    let stamps = merged.iter().map(|&(s, _)| s);
+                    self.window = StampedWindow::from_parts(w, stamps);
                     self.warm = WarmState::default();
                 }
                 Err(_) => {
@@ -192,7 +179,7 @@ impl BoundaryCache {
                 }
             }
         }
-        let (workload, delta) = self.window.materialize_delta();
+        let (workload, delta) = self.window.window().materialize_delta();
         self.warm
             .run(&workload, blacklist, cfg, &delta, as_of, global_end, None)
     }
@@ -340,8 +327,8 @@ pub fn reconcile_with(
 
     // Pass 4: recluster the merged boundary graph (when there is one).
     let days = frames.first().map_or(cfg.window_days, |f| f.days);
-    let (boundary_snapshot, boundary_run, lp) = if merged.is_empty() {
-        (None, None, None)
+    let boundary = if merged.is_empty() {
+        None
     } else {
         let started = Instant::now();
         let txs: Vec<Transaction> = merged.iter().map(|&(_, t)| t).collect();
@@ -354,12 +341,7 @@ pub fn reconcile_with(
                     .run()
             }
         };
-        let run = outcome.as_run(started.elapsed().as_secs_f64());
-        (
-            Some(outcome.snapshot),
-            Some(run),
-            Some((outcome.report, outcome.resilience)),
-        )
+        Some((outcome, started.elapsed().as_secs_f64()))
     };
 
     // Pass 5: assemble the fleet snapshot. Locals keep their interior
@@ -380,7 +362,8 @@ pub fn reconcile_with(
     let mut graph_edges = locals.iter().map(|l| l.graph_edges).sum::<u64>();
     let mut lp_iterations = locals.iter().map(|l| l.lp_iterations).max().unwrap_or(0);
     let mut gpu_counters = Default::default();
-    if let Some(b) = &boundary_snapshot {
+    if let Some((outcome, _)) = &boundary {
+        let b = &outcome.snapshot;
         flagged.extend_from_slice(&b.flagged);
         graph_vertices = graph_vertices.max(b.graph_vertices);
         graph_edges = graph_edges.max(b.graph_edges);
@@ -389,8 +372,8 @@ pub fn reconcile_with(
     }
     flagged.sort_unstable_by_key(|a| a.0);
 
-    let mut boundary: Vec<u32> = boundary_users.into_iter().collect();
-    boundary.sort_unstable();
+    let mut boundary_users: Vec<u32> = boundary_users.into_iter().collect();
+    boundary_users.sort_unstable();
 
     Reconciled {
         snapshot: VerdictSnapshot {
@@ -403,10 +386,9 @@ pub fn reconcile_with(
             lp_iterations,
             gpu_counters,
         },
-        boundary_users: boundary,
+        boundary_users,
         report,
-        boundary_run,
-        lp,
+        boundary,
     }
 }
 
@@ -449,8 +431,8 @@ mod tests {
         // Reference: every transaction through one core.
         let reference = ServiceCore::new(cfg(), s.blacklist.clone());
         // Shards: the same stream routed by buyer region onto 2 shards.
-        let shards: Vec<crate::shard::ShardCore> = (0..2)
-            .map(|i| crate::shard::ShardCore::new(i, cfg(), s.blacklist.clone()))
+        let shards: Vec<ServiceCore> = (0..2)
+            .map(|_| ServiceCore::new(cfg(), s.blacklist.clone()))
             .collect();
         let mut seq = 0u64;
         for day in 0..s.config.days {
@@ -462,14 +444,14 @@ mod tests {
                 seq += 1;
             }
             for (i, shard) in shards.iter().enumerate() {
-                shard.apply(&routed[i], day + 1);
+                shard.apply_stamped(&routed[i], day + 1);
             }
         }
         reference.recluster_now();
         for shard in &shards {
             shard.recluster_now();
         }
-        let frames: Vec<ShardFrame> = shards.iter().map(|s| s.frame()).collect();
+        let frames: Vec<ShardFrame> = (0..2).map(|i| shards[i].frame(i)).collect();
         let locals: Vec<Arc<VerdictSnapshot>> = shards.iter().map(|s| s.snapshot()).collect();
         let r = reconcile(&frames, &locals, &cfg(), &s.blacklist, s.config.days, 0);
 
@@ -477,7 +459,7 @@ mod tests {
         // exchange had real work to do.
         assert!(r.report.spanning_components > 0, "no spanning components");
         assert!(r.report.boundary_users > 0);
-        assert!(r.lp.is_some());
+        assert!(r.boundary.is_some());
         assert_eq!(
             r.snapshot.canonical_bytes(),
             reference.snapshot().canonical_bytes(),
@@ -498,8 +480,8 @@ mod tests {
         let route = |u: u32| (s.region_of(u) as usize) % 2;
         let mut cfg = cfg();
         cfg.delta_fraction_max = 1.0; // small boundary graphs: always eligible
-        let shards: Vec<crate::shard::ShardCore> = (0..2)
-            .map(|i| crate::shard::ShardCore::new(i, cfg.clone(), s.blacklist.clone()))
+        let shards: Vec<ServiceCore> = (0..2)
+            .map(|_| ServiceCore::new(cfg.clone(), s.blacklist.clone()))
             .collect();
         let mut cache = BoundaryCache::new(cfg.window_days);
         let mut seq = 0u64;
@@ -514,12 +496,12 @@ mod tests {
                     seq += 1;
                 }
                 for (i, shard) in shards.iter().enumerate() {
-                    shard.apply(&routed[i], day + 1);
+                    shard.apply_stamped(&routed[i], day + 1);
                 }
                 for shard in &shards {
                     shard.recluster_now();
                 }
-                let frames: Vec<ShardFrame> = shards.iter().map(|s| s.frame()).collect();
+                let frames: Vec<ShardFrame> = (0..2).map(|i| shards[i].frame(i)).collect();
                 let locals: Vec<Arc<VerdictSnapshot>> =
                     shards.iter().map(|s| s.snapshot()).collect();
                 let cached = reconcile_with(
@@ -537,7 +519,7 @@ mod tests {
                     plain.snapshot.canonical_bytes(),
                     "cached boundary round diverged at day {day}"
                 );
-                modes.extend(cached.boundary_run.map(|r| r.mode));
+                modes.extend(cached.boundary.map(|(outcome, _)| outcome.mode));
             }
         }
         use crate::recluster::ReclusterMode;
@@ -567,8 +549,8 @@ mod tests {
             blacklist_fraction: 0.25,
             ..Default::default()
         });
-        let shards: Vec<crate::shard::ShardCore> = (0..2)
-            .map(|i| crate::shard::ShardCore::new(i, cfg(), s.blacklist.clone()))
+        let shards: Vec<ServiceCore> = (0..2)
+            .map(|_| ServiceCore::new(cfg(), s.blacklist.clone()))
             .collect();
         let mut seq = 0u64;
         for day in 0..s.config.days {
@@ -578,18 +560,18 @@ mod tests {
                 seq += 1;
             }
             for (i, shard) in shards.iter().enumerate() {
-                shard.apply(&routed[i], day + 1);
+                shard.apply_stamped(&routed[i], day + 1);
             }
         }
         for shard in &shards {
             shard.recluster_now();
         }
-        let frames: Vec<ShardFrame> = shards.iter().map(|s| s.frame()).collect();
+        let frames: Vec<ShardFrame> = (0..2).map(|i| shards[i].frame(i)).collect();
         let locals: Vec<Arc<VerdictSnapshot>> = shards.iter().map(|s| s.snapshot()).collect();
         let r = reconcile(&frames, &locals, &cfg(), &s.blacklist, s.config.days, 0);
         assert_eq!(r.report.spanning_components, 0);
         assert_eq!(r.report.boundary_txs, 0);
-        assert!(r.lp.is_none(), "no boundary LP when nothing spans");
+        assert!(r.boundary.is_none(), "no boundary LP when nothing spans");
         assert!(r.boundary_users.is_empty());
         // The merged snapshot still covers every user.
         let total: usize = locals.iter().map(|l| l.known_users.len()).sum();

@@ -31,6 +31,7 @@
 //! supervisor and `record_progress` from a worker completing real work —
 //! so the machine is trivially deterministic under fault injection.
 
+use crate::config::ServeConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -71,7 +72,7 @@ impl HealthState {
     }
 }
 
-/// Crash-streak thresholds (see [`ServeConfig`](crate::ServeConfig)).
+/// Crash-streak thresholds (see [`ServeConfig`]).
 #[derive(Clone, Copy, Debug)]
 pub struct HealthThresholds {
     /// Consecutive crashes at which the gate starts shedding.
@@ -113,6 +114,14 @@ impl HealthMonitor {
             engine_tier: Mutex::new(None),
             burst: AtomicBool::new(false),
         }
+    }
+
+    /// A monitor with the crash-streak thresholds `cfg` configures.
+    pub fn for_config(cfg: &ServeConfig) -> Self {
+        Self::new(HealthThresholds {
+            shedding_after: cfg.shedding_after_crashes,
+            down_after: cfg.down_after_crashes,
+        })
     }
 
     /// Current crash-driven state (staleness overlays are applied by

@@ -39,6 +39,15 @@ pub struct Submitted {
     pub at: Instant,
 }
 
+impl Submitted {
+    /// Stamps raw transactions as submitted now — one micro-batch for
+    /// the synchronous drivers (tests, the determinism suite, the bench).
+    pub fn now(txs: &[Transaction]) -> Vec<Self> {
+        let at = Instant::now();
+        txs.iter().map(|&tx| Self { tx, at }).collect()
+    }
+}
+
 /// Shed-rate burst detector shared by the gate (which feeds it one
 /// observation per submit) and the batcher (which tightens while a
 /// burst is active).
@@ -216,6 +225,30 @@ pub fn ingest_pair(
         },
         rx,
     )
+}
+
+/// The ingest side of one threaded shell, wired from `cfg`: the gate, and
+/// a factory for the batcher draining it (a supervised worker builds a
+/// fresh [`Batcher`] on every restart), sharing one burst detector.
+pub(crate) fn open_ingest(
+    cfg: &ServeConfig,
+    window_end: Arc<AtomicU32>,
+    health: Arc<HealthMonitor>,
+    telemetry: Arc<Telemetry>,
+) -> (IngestGate, impl Fn() -> Batcher + Send + 'static) {
+    let burst = BurstState::from_config(cfg, Arc::clone(&health), Arc::clone(&telemetry));
+    let (gate, rx) = ingest_pair(
+        cfg.queue_capacity,
+        cfg.shed_policy,
+        cfg.window_days,
+        window_end,
+        health,
+        telemetry,
+        burst.clone(),
+    );
+    let (max_batch, budget) = (cfg.max_batch, cfg.batch_budget);
+    let new_batcher = move || Batcher::new(rx.clone(), max_batch, budget).with_burst(burst.clone());
+    (gate, new_batcher)
 }
 
 /// Producer-facing submission point. Cloneable; one per producer thread.

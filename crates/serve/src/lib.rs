@@ -75,9 +75,9 @@
 //! service horizontally:
 //!
 //! ```text
-//!  producers ─▶ [queue] ─▶ router ──▶ shard 0 (window+recluster+ckpt)
-//!                 │ validate, stamp ▶ shard 1       …
-//!                 │ seqs, fan out  ▶ shard N-1
+//!  producers ─▶ [queue] ─▶ router ──▶ ServiceCore 0 (window+recluster+ckpt)
+//!                 │ validate, stamp ▶ ServiceCore 1       …
+//!                 │ seqs, fan out  ▶ ServiceCore N-1
 //!                 ▼ watermark to all shards, every batch
 //!      exchange worker: union-find boundary components across frames,
 //!      merge spanning txs by seq, recluster once ─▶ FleetSnapshot
@@ -87,10 +87,12 @@
 //!   [`Partitioner`]: users with a known community hash by community
 //!   (co-locating fraud rings), unknown users by id, with explicit
 //!   placement overrides for rebalancing.
-//! * **Shard cores** ([`shard`]) — each [`ShardCore`] owns its slice of
-//!   the keyspace: window, local verdicts, telemetry, health, and a
-//!   per-shard checkpoint (`<base>.shard<i>`) that persists the
-//!   router's sequence stamps.
+//! * **Shard cores** ([`service`]) — a shard *is* a [`ServiceCore`]: the
+//!   same stamped window, blacklist, warm state and verdict cell as the
+//!   single-core service, fed its slice of the keyspace pre-validated
+//!   through [`ServiceCore::apply_stamped`] with the fleet's watermark,
+//!   and checkpointed to `<base>.shard<i>` with the router's sequence
+//!   stamps.
 //! * **Label exchange** ([`exchange`]) — components whose users span
 //!   shards are merged back into arrival order and reclustered once;
 //!   everything else keeps its local verdict. N-shard fleet output is
@@ -125,11 +127,12 @@
 //!   decisions are untouched, so accepted sequences stay deterministic
 //!   (pinned in `tests/overload.rs`).
 //! * **Blacklist churn guard** — label noise gets retracted;
-//!   `update_blacklist` on [`ServiceCore`] / [`ShardCore`] /
-//!   [`FleetCore`](router::FleetCore) applies the change and resets the
-//!   warm-start memo (and the fleet's boundary cache), forcing the next
-//!   recluster to run full — the memo's coverage check compares window
-//!   lineage, not seed sets (pinned in `tests/label_noise.rs`).
+//!   `update_blacklist` on a [`ServiceCore`] applies the change to its
+//!   (always canonical) seed list and resets the warm-start memo, and
+//!   [`router::FleetCore`]'s fans out to every shard core and
+//!   resets the boundary cache too — forcing the next recluster to run
+//!   full, because the memo's coverage check compares window lineage,
+//!   not seed sets (pinned in `tests/label_noise.rs`).
 //! * **Detection-quality telemetry** ([`probe`]) — a [`DetectionProbe`]
 //!   scores every published snapshot against per-day ground truth into
 //!   a precision/recall time-series in the telemetry JSON, so evolving
@@ -148,7 +151,7 @@ pub mod query;
 pub mod recluster;
 pub mod router;
 pub mod service;
-pub mod shard;
+mod stamped;
 pub mod supervisor;
 pub mod swap;
 pub mod telemetry;
@@ -172,7 +175,6 @@ pub use router::{
     FleetShutdownReport, FleetTelemetry, ShardRouter,
 };
 pub use service::{FraudService, QueryHandle, ServiceCore, ShutdownReport};
-pub use shard::ShardCore;
 pub use supervisor::{supervise, supervise_with, RestartPolicy, WorkerOutcome, WorkerStatus};
 pub use telemetry::{Histogram, ProbePoint, Telemetry, TelemetrySnapshot};
 pub use wal::{FleetWal, WalError, WalRecord};

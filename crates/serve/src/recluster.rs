@@ -103,11 +103,11 @@ impl LpMemo {
     /// set, so blacklist churn silently invalidates it while every stamp
     /// here still matches. The trigger owners guard that hole
     /// structurally — `update_blacklist` on
-    /// [`ServiceCore`](crate::service::ServiceCore) /
-    /// [`ShardCore`](crate::shard::ShardCore) /
-    /// [`FleetCore`](crate::router::FleetCore) resets the warm state
-    /// (and the fleet's boundary cache) on any seed-set change, forcing
-    /// the next recluster to run full.
+    /// [`ServiceCore`](crate::service::ServiceCore) resets the warm state
+    /// on any seed-set change (and
+    /// [`FleetCore`](crate::router::FleetCore)'s, which fans out to its
+    /// shard cores, the boundary cache too), forcing the next recluster
+    /// to run full.
     fn covers(&self, delta: &WindowDelta, cfg: &ServeConfig) -> bool {
         !delta.expired
             && !self.per_iteration.is_empty()
@@ -119,9 +119,9 @@ impl LpMemo {
 }
 
 /// What one trigger entry point reports back — the shared return type
-/// of [`ServiceCore::recluster_now`](crate::service::ServiceCore::recluster_now),
-/// [`ShardCore::recluster_now`](crate::shard::ShardCore::recluster_now),
-/// [`FleetCore::recluster_now`](crate::router::FleetCore::recluster_now),
+/// of [`ServiceCore::recluster_now`](crate::service::ServiceCore::recluster_now)
+/// (one per shard from
+/// [`FleetCore::recluster_now`](crate::router::FleetCore::recluster_now))
 /// and their threaded wrappers.
 #[derive(Clone, Copy, Debug)]
 pub struct ReclusterRun {
@@ -404,8 +404,8 @@ fn remap_memo<'m>(
 }
 
 /// Warm-start state carried between reclusters by every trigger owner
-/// ([`ServiceCore`](crate::service::ServiceCore), each
-/// [`ShardCore`](crate::shard::ShardCore), the fleet's boundary cache):
+/// (each [`ServiceCore`](crate::service::ServiceCore) — standalone or a
+/// fleet shard — and the fleet's boundary cache):
 /// the previous run's memo plus how many incremental runs have stacked
 /// on it since the last full one (the drift cap
 /// [`ServeConfig::full_recluster_every`] counts these).

@@ -68,23 +68,23 @@ use crate::exchange::{reconcile_with, BoundaryCache, ExchangeReport, FleetSnapsh
 #[cfg(feature = "fault-injection")]
 use crate::faults::FaultPlan;
 use crate::health::{
-    fleet_state, FleetHealthReport, HealthMonitor, HealthState, HealthThresholds, ShardHealthReport,
+    fleet_state, FleetHealthReport, HealthMonitor, HealthState, ShardHealthReport,
 };
-use crate::ingest::{ingest_pair, Batcher, BurstState, Closed, IngestGate, Submitted};
+use crate::ingest::{open_ingest, Batcher, Closed, IngestGate, Submitted};
 use crate::partition::Partitioner;
 use crate::query::{FraudScorer, Verdict, VerdictSnapshot};
-use crate::recluster::{ReclusterMode, ReclusterRun};
-use crate::shard::ShardCore;
+use crate::recluster::{absorb_outcome, ReclusterMode, ReclusterRun};
+use crate::service::{poke, recluster_loop, Blacklist, ServiceCore};
+use crate::stamped::{admit, record_admission, StampedWindow};
 use crate::supervisor::{
     panic_message, supervise, RestartPolicy, WorkerExit, WorkerOutcome, WorkerStatus,
 };
 use crate::swap::EpochCell;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
-use crate::wal::{FleetWal, WalError};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crate::wal::{FleetWal, WalError, WalRecord};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
-use glp_fraud::{IncrementalWindow, Transaction};
-use std::collections::VecDeque;
+use glp_fraud::Transaction;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -239,8 +239,13 @@ pub struct FleetCore {
     /// [`Self::update_blacklist`], which fans the change out to every
     /// shard and resets the boundary cache (its prefix check, like the
     /// shard memo's, compares window lineage only — not seed sets).
-    blacklist: Mutex<Vec<u32>>,
-    shards: Vec<Arc<ShardCore>>,
+    blacklist: Blacklist,
+    /// One scoring core per shard, fed through
+    /// [`ServiceCore::apply_stamped`].
+    shards: Vec<Arc<ServiceCore>>,
+    /// Per-shard worker names for apply-side crash bookkeeping, leaked
+    /// once at construction (the supervisor's `&'static str` convention).
+    apply_workers: Vec<&'static str>,
     fleet: EpochCell<FleetSnapshot>,
     /// Router-level telemetry (ingest, routing, exchange); shard cores
     /// have their own blocks, merged by [`Self::fleet_telemetry`].
@@ -296,7 +301,7 @@ impl FleetCore {
         );
         let wal = open_wal(&cfg).expect("the configured journal directory must be openable");
         let shards = (0..cfg.shards)
-            .map(|i| Arc::new(ShardCore::new(i, cfg.shard.clone(), blacklist.clone())))
+            .map(|_| ServiceCore::new(cfg.shard.clone(), blacklist.clone()))
             .collect();
         Self::assemble(cfg, partitioner, blacklist, shards, wal)
     }
@@ -323,29 +328,20 @@ impl FleetCore {
             let restored = match cfg.shard_checkpoint_path(i) {
                 None => Err(CheckpointError::Invalid("no checkpoint path configured")),
                 Some(path) => WindowCheckpoint::read(&path).and_then(|ckpt| {
-                    let durable = ckpt.batches_applied;
-                    ShardCore::restore(i, cfg.shard.clone(), blacklist.clone(), &ckpt)
-                        .map(|core| (core, durable))
+                    ServiceCore::restore(cfg.shard.clone(), blacklist.clone(), &ckpt)
+                        .map(|core| (core, ckpt.batches_applied))
                 }),
             };
-            match restored {
-                Ok((core, durable)) => {
-                    shards.push(Arc::new(core));
-                    durables.push(durable);
-                }
+            let (core, durable) = match restored {
+                Ok(restored) => restored,
                 Err(e) if wal.is_none() => return Err(e.into()),
-                Err(_) => {
-                    // Unreadable image, journal available: start this
-                    // shard empty and let `sync_from_wal` replay its
-                    // entire history from the journal.
-                    shards.push(Arc::new(ShardCore::new(
-                        i,
-                        cfg.shard.clone(),
-                        blacklist.clone(),
-                    )));
-                    durables.push(0);
-                }
-            }
+                // Unreadable image, journal available: start this shard
+                // empty and let `sync_from_wal` replay its entire history
+                // from the journal.
+                Err(_) => (ServiceCore::new(cfg.shard.clone(), blacklist.clone()), 0),
+            };
+            shards.push(core);
+            durables.push(durable);
         }
         let core = Self::assemble(cfg, partitioner, blacklist, shards, wal);
         for (cell, durable) in core.durable.iter().zip(durables) {
@@ -356,12 +352,12 @@ impl FleetCore {
         Ok(core)
     }
 
-    /// Splits one single-core checkpoint (written by
-    /// [`ServiceCore`](crate::service::ServiceCore)) across a fleet: the
-    /// window partitions by routed buyer, sequence stamps fall back to
-    /// log positions when the image predates stamps (a single log is
-    /// already in arrival order), and an exchange round reconciles
-    /// before anything is served — the scale-out migration path.
+    /// Splits one single-core checkpoint (written by a standalone
+    /// [`ServiceCore`]) across a fleet: the window partitions by routed
+    /// buyer with every transaction keeping its stamp (log positions
+    /// when the image predates stamps — a single log is already in
+    /// arrival order), and an exchange round reconciles before anything
+    /// is served — the scale-out migration path.
     pub fn migrate_from_single(
         cfg: FleetConfig,
         partitioner: Partitioner,
@@ -370,41 +366,23 @@ impl FleetCore {
     ) -> Result<Self, CheckpointError> {
         assert_eq!(partitioner.shards(), cfg.shards);
         let wal = open_wal(&cfg).expect("the configured journal directory must be openable");
-        if ckpt.days != cfg.shard.window_days {
-            return Err(CheckpointError::Invalid(
-                "checkpoint window length disagrees with the configuration",
-            ));
-        }
-        let window = ckpt.restore_window()?;
-        let seqs: Vec<u64> = if ckpt.seqs.is_empty() {
-            (0..window.num_transactions() as u64).collect()
-        } else {
-            ckpt.seqs.clone()
-        };
-        let parts = window.partition_by(cfg.shards, |u| partitioner.shard_of(u));
-        let mut seqs_per: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.shards];
-        for (pos, t) in window.transactions().enumerate() {
-            seqs_per[partitioner.shard_of(t.buyer)].push_back(seqs[pos]);
-        }
-        let shards: Vec<Arc<ShardCore>> = parts
+        let shards = StampedWindow::from_checkpoint(ckpt, cfg.shard.window_days)?
+            .partition_by(cfg.shards, |u| partitioner.shard_of(u))
             .into_iter()
-            .zip(seqs_per)
             .enumerate()
-            .map(|(i, (w, sq))| {
+            .map(|(i, window)| {
                 // Monotonic counters describe the single core's whole
                 // history; shard 0 inherits them so the fleet total is
                 // continuous rather than N-fold.
                 let counters: &[u64] = if i == 0 { &ckpt.counters } else { &[] };
-                Arc::new(ShardCore::from_state(
-                    i,
+                ServiceCore::from_state(
                     cfg.shard.clone(),
                     blacklist.clone(),
-                    w,
-                    sq,
+                    window,
                     ckpt.batches_applied,
                     ckpt.snapshot_epoch,
                     counters,
-                ))
+                )
             })
             .collect();
         let core = Self::assemble(cfg, partitioner, blacklist, shards, wal);
@@ -416,7 +394,7 @@ impl FleetCore {
         cfg: FleetConfig,
         partitioner: Partitioner,
         blacklist: Vec<u32>,
-        shards: Vec<Arc<ShardCore>>,
+        shards: Vec<ServiceCore>,
         wal: Option<FleetWal>,
     ) -> Self {
         let window_end = shards.iter().map(|s| s.window_end()).max().unwrap_or(0);
@@ -430,21 +408,21 @@ impl FleetCore {
             .filter_map(|s| s.last_seq())
             .max()
             .map_or(0, |m| m + 1);
-        let health = Arc::new(HealthMonitor::new(HealthThresholds {
-            shedding_after: cfg.shard.shedding_after_crashes,
-            down_after: cfg.shard.down_after_crashes,
-        }));
         let durable = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         let failover_blocked = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
+        let apply_workers = (0..shards.len())
+            .map(|i| &*Box::leak(format!("shard{i}-apply").into_boxed_str()))
+            .collect();
         let boundary = Mutex::new(BoundaryCache::new(cfg.shard.window_days));
         Self {
+            health: Arc::new(HealthMonitor::for_config(&cfg.shard)),
             cfg,
             partitioner,
-            blacklist: Mutex::new(blacklist),
-            shards,
+            blacklist: Blacklist::new(blacklist),
+            shards: shards.into_iter().map(Arc::new).collect(),
+            apply_workers,
             fleet: EpochCell::new(FleetSnapshot::default()),
             telemetry: Arc::new(Telemetry::new()),
-            health,
             batches_applied: AtomicU64::new(batches),
             window_end: Arc::new(AtomicU32::new(window_end)),
             next_seq: AtomicU64::new(next_seq),
@@ -473,7 +451,7 @@ impl FleetCore {
     }
 
     /// The shard cores, indexed by shard id.
-    pub fn shards(&self) -> &[Arc<ShardCore>] {
+    pub fn shards(&self) -> &[Arc<ServiceCore>] {
         &self.shards
     }
 
@@ -490,10 +468,7 @@ impl FleetCore {
 
     /// The fleet's current blacklist seeds (sorted, deduplicated).
     pub fn blacklist(&self) -> Vec<u32> {
-        self.blacklist
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.blacklist.get()
     }
 
     /// Applies blacklist churn fleet-wide: the fleet's own seed set
@@ -505,15 +480,7 @@ impl FleetCore {
     /// whether the seed set changed; counted in `blacklist_revisions`
     /// (router block).
     pub fn update_blacklist(&self, add: &[u32], remove: &[u32]) -> bool {
-        let changed = {
-            let mut bl = self.blacklist.lock().unwrap_or_else(|e| e.into_inner());
-            let before = bl.clone();
-            bl.extend_from_slice(add);
-            bl.sort_unstable();
-            bl.dedup();
-            bl.retain(|u| !remove.contains(u));
-            *bl != before
-        };
+        let changed = self.blacklist.update(add, remove);
         if changed {
             self.telemetry
                 .blacklist_revisions
@@ -559,21 +526,9 @@ impl FleetCore {
         }
         let fleet_batch = self.batches_applied();
         let mut end = self.window_end.load(Ordering::Acquire);
-        let mut invalid = 0u64;
-        let mut accepted: Vec<(u64, Transaction)> = Vec::with_capacity(batch.len());
-        for s in batch {
-            let t = s.tx;
-            // Same running-end filter as the single core's apply: days
-            // must be monotone per accepted transaction, which is also
-            // what keeps every shard sub-log day-sorted.
-            if t.amount.is_finite() && t.day + 1 >= end {
-                end = end.max(t.day + 1);
-                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                accepted.push((seq, t));
-            } else {
-                invalid += 1;
-            }
-        }
+        let accepted = admit(batch, &mut end, || {
+            self.next_seq.fetch_add(1, Ordering::Relaxed)
+        });
         // Journal first (even an all-invalid batch: record indices must
         // stay dense for replay), then fan out — a crash from here on
         // loses nothing that was accepted.
@@ -588,7 +543,8 @@ impl FleetCore {
         }
         for (i, shard) in self.shards.iter().enumerate() {
             let sub = std::mem::take(&mut routed[i]);
-            if shard.health().is_down() {
+            let (health, worker) = (shard.health_monitor(), self.apply_workers[i]);
+            if health.is_down() {
                 if self.try_auto_failover(i) {
                     // The rebuild replayed the journal through this very
                     // batch (journaled above, before fan-out) — applying
@@ -609,17 +565,17 @@ impl FleetCore {
                     // is untouched, the sub-batch is what's lost.
                     plan.maybe_panic_shard(i, fleet_batch);
                 }
-                shard.apply(&sub, end);
+                shard.apply_stamped(&sub, end);
             }));
             match outcome {
-                Ok(()) => shard.health().record_progress(shard.apply_worker()),
+                Ok(()) => health.record_progress(worker),
                 Err(payload) => {
                     let msg = panic_message(payload.as_ref());
                     shard
                         .telemetry()
                         .worker_panics
                         .fetch_add(1, Ordering::Relaxed);
-                    let state = shard.health().record_crash(shard.apply_worker(), &msg);
+                    let state = health.record_crash(worker, &msg);
                     if state == HealthState::Down && self.try_auto_failover(i) {
                         // Rebuilt through this batch, crash and all —
                         // nothing was lost, nothing to shed.
@@ -640,27 +596,14 @@ impl FleetCore {
             }
         }
         self.window_end.store(end, Ordering::Release);
-        if invalid > 0 {
-            self.telemetry
-                .rejected_invalid
-                .fetch_add(invalid, Ordering::Relaxed);
-        }
-        let applied = Instant::now();
-        for s in batch {
-            let lag = applied.duration_since(s.at).as_nanos() as u64;
-            self.telemetry.ingest_lag.record(lag);
-        }
-        self.telemetry.batch_size.record(batch.len() as u64);
-        self.telemetry.batches.fetch_add(1, Ordering::Relaxed);
+        record_admission(&self.telemetry, batch, accepted.len());
         self.batches_applied.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Stamps and applies raw transactions as one micro-batch
     /// (synchronous drivers: tests, the determinism suite, the bench).
     pub fn apply_transactions(&self, txs: &[Transaction]) -> u64 {
-        let now = Instant::now();
-        let batch: Vec<Submitted> = txs.iter().map(|&tx| Submitted { tx, at: now }).collect();
-        self.apply(&batch)
+        self.apply(&Submitted::now(txs))
     }
 
     /// Triggers every live shard's local recluster synchronously,
@@ -675,7 +618,7 @@ impl FleetCore {
         self.shards
             .iter()
             .map(|s| {
-                if s.health().is_down() {
+                if s.health_monitor().is_down() {
                     ReclusterRun {
                         mode: ReclusterMode::Full,
                         wall_seconds: 0.0,
@@ -697,11 +640,11 @@ impl FleetCore {
         let started = Instant::now();
         let mut frames = Vec::new();
         let mut locals: Vec<Arc<VerdictSnapshot>> = Vec::new();
-        for s in &self.shards {
-            if s.health().is_down() {
+        for (i, s) in self.shards.iter().enumerate() {
+            if s.health_monitor().is_down() {
                 continue;
             }
-            frames.push(s.frame());
+            frames.push(s.frame(i));
             locals.push(s.snapshot());
         }
         let end = self.window_end.load(Ordering::Acquire);
@@ -718,28 +661,10 @@ impl FleetCore {
             Some(&mut boundary),
         );
         drop(boundary);
-        if let Some(run) = &r.boundary_run {
-            self.telemetry.record_recluster_outcome(
-                run.mode == ReclusterMode::Incremental,
-                run.frontier as u64,
-            );
-        }
-        if let Some((run, resilience)) = &r.lp {
-            self.telemetry.merge_gpu(&run.gpu_counters);
-            self.telemetry.merge_kernel_profile(&run.kernel_profile);
-            self.telemetry
-                .engine_retries
-                .fetch_add(u64::from(resilience.retries), Ordering::Relaxed);
-            self.telemetry
-                .engine_degradations
-                .fetch_add(u64::from(resilience.degradations), Ordering::Relaxed);
-            self.telemetry
-                .iterations_salvaged
-                .fetch_add(resilience.iterations_salvaged, Ordering::Relaxed);
-            if let Some(tier) = resilience.tier {
-                self.health.set_engine_tier(tier);
-            }
-        }
+        let boundary_run = r.boundary.map(|(outcome, wall_seconds)| {
+            absorb_outcome(&self.telemetry, &self.health, &outcome);
+            outcome.as_run(wall_seconds)
+        });
         self.fleet.publish(FleetSnapshot {
             verdicts: Arc::new(r.snapshot),
             boundary_users: r.boundary_users,
@@ -752,7 +677,7 @@ impl FleetCore {
         self.health.record_progress("exchange");
         ExchangeOutcome {
             shard_runs,
-            boundary_run: r.boundary_run,
+            boundary_run,
             exchange_wall: exchange_wall.as_secs_f64(),
             report: r.report,
         }
@@ -769,7 +694,7 @@ impl FleetCore {
             return fleet.verdicts.verdict(user);
         }
         let shard = &self.shards[self.partitioner.shard_of(user)];
-        if shard.health().is_down() {
+        if shard.health_monitor().is_down() {
             fleet.verdicts.verdict(user)
         } else {
             shard.snapshot().verdict(user)
@@ -782,13 +707,14 @@ impl FleetCore {
         let shards: Vec<ShardHealthReport> = self
             .shards
             .iter()
-            .map(|s| ShardHealthReport {
-                shard: s.id(),
-                state: s.health().state(),
-                consecutive_crashes: s.health().consecutive_crashes(),
+            .enumerate()
+            .map(|(shard, s)| ShardHealthReport {
+                shard,
+                state: s.health_monitor().state(),
+                consecutive_crashes: s.health_monitor().consecutive_crashes(),
                 worker_panics: s.telemetry().worker_panics.load(Ordering::Relaxed),
                 worker_restarts: s.telemetry().worker_restarts.load(Ordering::Relaxed),
-                last_panic: s.health().last_panic(),
+                last_panic: s.health_monitor().last_panic(),
             })
             .collect();
         let states: Vec<HealthState> = shards.iter().map(|r| r.state).collect();
@@ -834,7 +760,7 @@ impl FleetCore {
             let Some(path) = self.cfg.shard_checkpoint_path(i) else {
                 return Err(CheckpointError::Invalid("no checkpoint path configured"));
             };
-            if s.health().is_down() {
+            if s.health_monitor().is_down() {
                 continue;
             }
             match s.checkpoint(&path) {
@@ -935,71 +861,36 @@ impl FleetCore {
         };
         let started = Instant::now();
         let shard = &self.shards[i];
-        let mut window = IncrementalWindow::empty(self.cfg.shard.window_days);
-        let mut seqs: VecDeque<u64> = VecDeque::new();
-        let mut next = 0u64;
-        let mut from_checkpoint = false;
-        if let Some(path) = self.cfg.shard_checkpoint_path(i) {
-            // A missing, corrupt, or mismatched image is not fatal here:
-            // the journal-alone path below covers it (and the journal
-            // will be missing history only if truncation already deleted
-            // it, which the gap check turns into a typed error).
-            if let Ok(ckpt) = WindowCheckpoint::read(&path) {
-                if ckpt.days == self.cfg.shard.window_days {
-                    if let Ok(w) = ckpt.restore_window() {
-                        seqs = if ckpt.seqs.is_empty() {
-                            (0..w.num_transactions() as u64).collect()
-                        } else {
-                            ckpt.seqs.iter().copied().collect()
-                        };
-                        window = w;
-                        next = ckpt.batches_applied;
-                        from_checkpoint = true;
-                    }
-                }
-            }
-        }
+        // A missing, corrupt, or mismatched image is not fatal here: the
+        // journal-alone path covers it (and the journal will be missing
+        // history only if truncation already deleted it, which the gap
+        // check turns into a typed error).
+        let image = self.cfg.shard_checkpoint_path(i).and_then(|path| {
+            let ckpt = WindowCheckpoint::read(&path).ok()?;
+            let window = StampedWindow::from_checkpoint(&ckpt, self.cfg.shard.window_days).ok()?;
+            Some((window, ckpt.batches_applied))
+        });
+        let from_checkpoint = image.is_some();
+        let (mut window, base) =
+            image.unwrap_or_else(|| (StampedWindow::empty(self.cfg.shard.window_days), 0));
         let records = wal
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .records()
             .map_err(FailoverError::Wal)?;
-        let mut replayed = 0u64;
-        for rec in &records {
-            if rec.batch < next {
-                continue;
-            }
-            if rec.batch != next {
-                return Err(FailoverError::Wal(WalError::Gap {
-                    needed: next,
-                    first: rec.batch,
-                }));
-            }
-            let sub: Vec<(u64, Transaction)> = rec
-                .txs
-                .iter()
-                .copied()
-                .filter(|&(_, t)| self.partitioner.shard_of(t.buyer) == i)
-                .collect();
-            let txs: Vec<Transaction> = sub.iter().map(|&(_, t)| t).collect();
-            window.apply_batch(&txs);
-            window.advance_to(rec.watermark);
-            for &(seq, _) in &sub {
-                seqs.push_back(seq);
-            }
-            while seqs.len() > window.num_transactions() {
-                seqs.pop_front();
-            }
-            next = rec.batch + 1;
-            replayed += 1;
-        }
-        shard.rebuild_from(window, seqs, next);
+        let next = self
+            .replay_keyspace(i, &records, base, |sub, watermark| {
+                window.apply(sub, watermark)
+            })
+            .map_err(FailoverError::Wal)?;
+        let replayed = next - base;
+        shard.rebuild_from(window, next);
         shard
             .telemetry()
             .wal_replayed_batches
             .fetch_add(replayed, Ordering::Relaxed);
         shard.telemetry().failovers.fetch_add(1, Ordering::Relaxed);
-        shard.health().revive();
+        shard.health_monitor().revive();
         shard.recluster_now();
         let event = FailoverEvent {
             shard: i,
@@ -1040,7 +931,7 @@ impl FleetCore {
                     self.failover_blocked[i].store(true, Ordering::Relaxed);
                 }
                 self.shards[i]
-                    .health()
+                    .health_monitor()
                     .record_crash("failover", &e.to_string());
                 false
             }
@@ -1065,7 +956,7 @@ impl FleetCore {
             && self
                 .shards
                 .iter()
-                .filter(|s| !s.health().is_down())
+                .filter(|s| !s.health_monitor().is_down())
                 .all(|s| caught_up(s.batches_applied()))
         {
             return Ok(0);
@@ -1073,34 +964,17 @@ impl FleetCore {
         let records = wal.lock().unwrap_or_else(|e| e.into_inner()).records()?;
         let mut replayed = 0u64;
         for (i, shard) in self.shards.iter().enumerate() {
-            if shard.health().is_down() {
+            if shard.health_monitor().is_down() {
                 continue;
             }
-            let mut next = shard.batches_applied();
-            for rec in &records {
-                if rec.batch < next {
-                    continue;
-                }
-                if rec.batch != next {
-                    return Err(WalError::Gap {
-                        needed: next,
-                        first: rec.batch,
-                    });
-                }
-                let sub: Vec<(u64, Transaction)> = rec
-                    .txs
-                    .iter()
-                    .copied()
-                    .filter(|&(_, t)| self.partitioner.shard_of(t.buyer) == i)
-                    .collect();
-                shard.apply(&sub, rec.watermark);
+            self.replay_keyspace(i, &records, shard.batches_applied(), |sub, watermark| {
+                shard.apply_stamped(sub, watermark);
                 shard
                     .telemetry()
                     .wal_replayed_batches
                     .fetch_add(1, Ordering::Relaxed);
-                next = rec.batch + 1;
                 replayed += 1;
-            }
+            })?;
         }
         if let Some(last) = records.last() {
             self.batches_applied
@@ -1117,11 +991,36 @@ impl FleetCore {
         Ok(replayed)
     }
 
-    fn restart_policy(&self) -> RestartPolicy {
-        RestartPolicy {
-            backoff_base: self.cfg.shard.restart_backoff,
-            backoff_cap: self.cfg.shard.restart_backoff_cap,
+    /// The journal replay loop, written once: feeds `apply` every record
+    /// from batch `next` on, restricted to shard `i`'s keyspace and in
+    /// router sequence order, with the record's watermark. Records must
+    /// be dense from `next` — a hole is a typed [`WalError::Gap`].
+    /// Returns the batch count after the last record replayed.
+    fn replay_keyspace(
+        &self,
+        i: usize,
+        records: &[WalRecord],
+        mut next: u64,
+        mut apply: impl FnMut(&[(u64, Transaction)], u32),
+    ) -> Result<u64, WalError> {
+        let first = next;
+        for rec in records.iter().filter(|rec| rec.batch >= first) {
+            if rec.batch != next {
+                return Err(WalError::Gap {
+                    needed: next,
+                    first: rec.batch,
+                });
+            }
+            let sub: Vec<(u64, Transaction)> = rec
+                .txs
+                .iter()
+                .copied()
+                .filter(|&(_, t)| self.partitioner.shard_of(t.buyer) == i)
+                .collect();
+            apply(&sub, rec.watermark);
+            next = rec.batch + 1;
         }
+        Ok(next)
     }
 }
 
@@ -1143,11 +1042,7 @@ impl FraudScorer for FleetHandle {
     fn score(&self, user: u32) -> Verdict {
         let t0 = Instant::now();
         let v = self.core.verdict(user);
-        self.core
-            .telemetry
-            .query_latency
-            .record(t0.elapsed().as_nanos() as u64);
-        self.core.telemetry.queries.fetch_add(1, Ordering::Relaxed);
+        self.core.telemetry.record_query(t0);
         v
     }
 
@@ -1228,20 +1123,12 @@ impl ShardRouter {
     }
 
     fn start_on(core: Arc<FleetCore>) -> Self {
-        let cfg = core.cfg.clone();
-        let burst = BurstState::from_config(
-            &cfg.shard,
-            Arc::clone(&core.health),
-            Arc::clone(&core.telemetry),
-        );
-        let (gate, batch_rx) = ingest_pair(
-            cfg.shard.queue_capacity,
-            cfg.shard.shed_policy,
-            cfg.shard.window_days,
+        let policy = RestartPolicy::for_config(&core.cfg.shard);
+        let (gate, new_batcher) = open_ingest(
+            &core.cfg.shard,
             Arc::clone(&core.window_end),
             Arc::clone(&core.health),
             Arc::clone(&core.telemetry),
-            burst.clone(),
         );
 
         // One capacity-1 poke channel per shard recluster worker plus
@@ -1250,19 +1137,17 @@ impl ShardRouter {
         let mut recluster_txs = Vec::with_capacity(core.shards.len());
         let mut shard_workers = Vec::with_capacity(core.shards.len());
         let mut shard_statuses = Vec::with_capacity(core.shards.len());
-        for shard in &core.shards {
+        for (i, shard) in core.shards.iter().enumerate() {
             let (tx, rx): (Sender<()>, Receiver<()>) = bounded(1);
             recluster_txs.push(tx);
-            let name: &'static str =
-                Box::leak(format!("shard{}-recluster", shard.id()).into_boxed_str());
-            let policy = core.restart_policy();
+            let name: &'static str = Box::leak(format!("shard{i}-recluster").into_boxed_str());
             let shard = Arc::clone(shard);
             let (worker, status) = supervise(
                 name,
-                Arc::clone(shard.health()),
+                Arc::clone(shard.health_monitor()),
                 Arc::clone(shard.telemetry()),
                 policy,
-                move || shard_recluster_loop(&shard, &rx, name),
+                move || recluster_loop(&shard, &rx, name),
             );
             shard_workers.push(Some(worker));
             shard_statuses.push(status);
@@ -1271,7 +1156,6 @@ impl ShardRouter {
         let (exchange_tx, exchange_rx): (Sender<()>, Receiver<()>) = bounded(1);
         let (exchange_worker, exchange_status) = {
             let core = Arc::clone(&core);
-            let policy = core.restart_policy();
             let health = Arc::clone(&core.health);
             let telemetry = Arc::clone(&core.telemetry);
             supervise("exchange", health, telemetry, policy, move || {
@@ -1281,19 +1165,12 @@ impl ShardRouter {
 
         let (router_worker, router_status) = {
             let core = Arc::clone(&core);
-            let policy = core.restart_policy();
             let health = Arc::clone(&core.health);
             let telemetry = Arc::clone(&core.telemetry);
             let recluster_txs = recluster_txs.clone();
             let exchange_tx = exchange_tx.clone();
             supervise("router", health, telemetry, policy, move || {
-                let batcher = Batcher::new(
-                    batch_rx.clone(),
-                    cfg.shard.max_batch,
-                    cfg.shard.batch_budget,
-                )
-                .with_burst(burst.clone());
-                router_loop(&core, &batcher, &recluster_txs, &exchange_tx)
+                router_loop(&core, &new_batcher(), &recluster_txs, &exchange_tx)
             })
         };
 
@@ -1351,7 +1228,7 @@ impl ShardRouter {
     /// Asks the exchange worker for a reconciliation round now
     /// (coalesces if one is pending).
     pub fn force_exchange(&self) {
-        request(&self.core, &self.exchange_tx);
+        poke(&self.exchange_tx, &self.core.telemetry);
     }
 
     /// Stops the fleet: closes the ingest queue, drains the router,
@@ -1387,17 +1264,6 @@ impl ShardRouter {
     }
 }
 
-fn request(core: &FleetCore, tx: &Sender<()>) {
-    match tx.try_send(()) {
-        Ok(()) | Err(TrySendError::Disconnected(())) => {}
-        Err(TrySendError::Full(())) => {
-            core.telemetry
-                .reclusters_coalesced
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 fn router_loop(
     core: &FleetCore,
     batcher: &Batcher,
@@ -1422,13 +1288,13 @@ fn router_loop(
                 core.health.record_progress("router");
                 if applied.is_multiple_of(core.cfg.shard.recluster_every_batches) {
                     for (i, tx) in recluster_txs.iter().enumerate() {
-                        if !core.shards[i].health().is_down() {
-                            request(core, tx);
+                        if !core.shards[i].health_monitor().is_down() {
+                            poke(tx, &core.telemetry);
                         }
                     }
                 }
                 if applied.is_multiple_of(core.cfg.exchange_every_batches) {
-                    request(core, exchange_tx);
+                    poke(exchange_tx, &core.telemetry);
                 }
                 if core.cfg.shard.checkpoint_path.is_some()
                     && applied.is_multiple_of(core.cfg.shard.checkpoint_every_batches)
@@ -1440,19 +1306,6 @@ fn router_loop(
             }
         }
     }
-}
-
-fn shard_recluster_loop(shard: &ShardCore, rx: &Receiver<()>, name: &'static str) -> WorkerExit {
-    while rx.recv().is_ok() {
-        if shard.health().is_down() {
-            // Skip, don't exit: a failover may revive this shard, and
-            // its recluster worker must still be here when it does.
-            continue;
-        }
-        shard.recluster_now();
-        shard.health().record_progress(name);
-    }
-    WorkerExit::Finished
 }
 
 fn exchange_loop(core: &FleetCore, rx: &Receiver<()>) -> WorkerExit {

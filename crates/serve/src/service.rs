@@ -33,41 +33,82 @@
 //! uninterrupted run (pinned in `tests/checkpoint_restore.rs`).
 
 use crate::config::ServeConfig;
+use crate::exchange::ShardFrame;
 #[cfg(feature = "fault-injection")]
 use crate::faults::FaultPlan;
-use crate::health::{HealthMonitor, HealthReport, HealthState, HealthThresholds};
-use crate::ingest::{ingest_pair, Batcher, BurstState, Closed, IngestGate, Submitted};
+use crate::health::{HealthMonitor, HealthReport, HealthState};
+use crate::ingest::{open_ingest, Batcher, Closed, IngestGate, Submitted};
 use crate::query::{FraudScorer, Verdict, VerdictSnapshot};
 use crate::recluster::{absorb_outcome, ReclusterMode, ReclusterRun, WarmState};
+use crate::stamped::{admit, record_admission, StampedWindow};
 use crate::supervisor::{supervise, RestartPolicy, WorkerExit, WorkerOutcome, WorkerStatus};
 use crate::swap::EpochCell;
 use crate::telemetry::Telemetry;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
-use glp_fraud::{IncrementalWindow, Transaction};
+use glp_fraud::Transaction;
 use glp_trace::{Category, Clock, Tracer};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-/// The synchronous scoring core shared by the service threads, the
-/// tests, and the bench harness's calibration phase.
+/// The live blacklist seeds, always canonical (sorted, deduplicated).
+/// Mutable because label noise is real: entries get retracted and added
+/// while the service runs. [`Self::update`] is the only place seeds are
+/// canonicalised, so "did the seed set change" is a comparison of two
+/// canonical lists from construction on.
+pub(crate) struct Blacklist(Mutex<Vec<u32>>);
+
+impl Blacklist {
+    pub(crate) fn new(seeds: Vec<u32>) -> Self {
+        let list = Self(Mutex::new(Vec::new()));
+        list.update(&seeds, &[]);
+        list
+    }
+
+    /// The current seeds.
+    pub(crate) fn get(&self) -> Vec<u32> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Inserts `add`, retracts `remove`; returns whether the effective
+    /// seed set changed.
+    pub(crate) fn update(&self, add: &[u32], remove: &[u32]) -> bool {
+        let mut bl = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        let before = bl.clone();
+        bl.extend_from_slice(add);
+        bl.sort_unstable();
+        bl.dedup();
+        bl.retain(|u| !remove.contains(u));
+        *bl != before
+    }
+}
+
+/// The synchronous scoring core — a stamped window, a blacklist, the
+/// warm-start state and a verdict cell — shared by the service threads,
+/// the tests, the bench harness, and the sharded fleet, which routes to
+/// N of them ([`FleetCore`](crate::router::FleetCore)).
+///
+/// A core takes transactions through one of two doors. Standalone, it is
+/// its own authority: [`Self::apply`] validates and stamps from the
+/// core's own counter. As a fleet shard it is fed
+/// [`Self::apply_stamped`]: only the transactions whose buyer the
+/// [`Partitioner`](crate::partition::Partitioner) routes to it, already
+/// validated and stamped by the router, plus the *fleet's* day watermark.
 pub struct ServiceCore {
     cfg: ServeConfig,
-    window: Mutex<IncrementalWindow>,
+    state: Mutex<StampedWindow>,
     /// Warm-start state; the lock also serializes reclusters, so at most
     /// one LP run consumes/produces the memo at a time.
     recluster: Mutex<WarmState>,
-    /// The live blacklist seeds. Mutable because label noise is real:
-    /// entries get retracted and added while the service runs
-    /// ([`Self::update_blacklist`]). A change resets the warm-start memo
+    /// A change resets the warm-start memo ([`Self::update_blacklist`])
     /// — the memo's coverage check ([`LpMemo::covers`]) compares window
     /// lineage, not seed sets, so a churned blacklist *must* force the
     /// next recluster to run from scratch or the delta replay would keep
     /// propagating labels from seeds that no longer exist.
-    blacklist: Mutex<Vec<u32>>,
+    blacklist: Blacklist,
     verdicts: EpochCell<VerdictSnapshot>,
     telemetry: Arc<Telemetry>,
     batches_applied: AtomicU64,
@@ -78,7 +119,7 @@ pub struct ServiceCore {
     health: Arc<HealthMonitor>,
     /// Optional span recorder. Serve stages record wall-clock spans on
     /// its time base; the recluster LP run nests its engine spans under
-    /// the recluster span via the same handle.
+    /// the recluster span via the same handle. Fleet shards have none.
     tracer: Option<Tracer>,
     #[cfg(feature = "fault-injection")]
     faults: Option<Arc<FaultPlan>>,
@@ -87,25 +128,21 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// A core with an empty window and the given blacklist seeds.
     pub fn new(cfg: ServeConfig, blacklist: Vec<u32>) -> Self {
-        let window = IncrementalWindow::empty(cfg.window_days);
+        let window = StampedWindow::empty(cfg.window_days);
         Self::from_state(cfg, blacklist, window, 0, 0, &[])
     }
 
-    /// A core resuming from a decoded checkpoint: the window, batch
-    /// clock, snapshot epoch, and monotonic telemetry counters all
-    /// continue where the checkpoint left them. Fails if the checkpoint
-    /// violates window invariants or disagrees with `cfg.window_days`.
+    /// A core resuming from a decoded checkpoint: the window with its
+    /// stamps, batch clock, snapshot epoch, and monotonic telemetry
+    /// counters all continue where the checkpoint left them. Fails if
+    /// the checkpoint violates window invariants or disagrees with
+    /// `cfg.window_days`.
     pub fn restore(
         cfg: ServeConfig,
         blacklist: Vec<u32>,
         ckpt: &WindowCheckpoint,
     ) -> Result<Self, CheckpointError> {
-        if ckpt.days != cfg.window_days {
-            return Err(CheckpointError::Invalid(
-                "checkpoint window length disagrees with the configuration",
-            ));
-        }
-        let window = ckpt.restore_window()?;
+        let window = StampedWindow::from_checkpoint(ckpt, cfg.window_days)?;
         let core = Self::from_state(
             cfg,
             blacklist,
@@ -116,39 +153,36 @@ impl ServiceCore {
         );
         // Rebuild verdicts from the restored window before anything is
         // served: staleness reads 0 and queries see real answers, not the
-        // default-empty snapshot.
+        // default-empty snapshot. (A fleet follows with an exchange round
+        // once every shard is up — see `FleetCore::restore`.)
         core.recluster_now();
         Ok(core)
     }
 
-    fn from_state(
+    pub(crate) fn from_state(
         cfg: ServeConfig,
         blacklist: Vec<u32>,
-        window: IncrementalWindow,
+        window: StampedWindow,
         batches_applied: u64,
         snapshot_epoch: u64,
         counters: &[u64],
     ) -> Self {
         let telemetry = Arc::new(Telemetry::new());
         telemetry.restore_counters(counters);
-        let health = Arc::new(HealthMonitor::new(HealthThresholds {
-            shedding_after: cfg.shedding_after_crashes,
-            down_after: cfg.down_after_crashes,
-        }));
         let initial = VerdictSnapshot {
             as_of_batch: batches_applied,
             ..VerdictSnapshot::default()
         };
         Self {
             window_end: Arc::new(AtomicU32::new(window.end())),
-            window: Mutex::new(window),
+            state: Mutex::new(window),
             recluster: Mutex::new(WarmState::default()),
+            health: Arc::new(HealthMonitor::for_config(&cfg)),
             cfg,
-            blacklist: Mutex::new(blacklist),
+            blacklist: Blacklist::new(blacklist),
             verdicts: EpochCell::with_epoch(initial, snapshot_epoch),
             telemetry,
             batches_applied: AtomicU64::new(batches_applied),
-            health,
             tracer: None,
             #[cfg(feature = "fault-injection")]
             faults: None,
@@ -225,10 +259,7 @@ impl ServiceCore {
 
     /// The current blacklist seeds (sorted, deduplicated).
     pub fn blacklist(&self) -> Vec<u32> {
-        self.blacklist
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.blacklist.get()
     }
 
     /// Applies blacklist churn: `add` entries are inserted, `remove`
@@ -237,32 +268,24 @@ impl ServiceCore {
     /// is reset — the recluster-staleness guard — so the *next* recluster
     /// runs from scratch against the new seeds instead of incrementally
     /// replaying labels a retracted seed already propagated. Counted in
-    /// `blacklist_revisions`.
+    /// `blacklist_revisions`. The *fleet-level* counterpart
+    /// ([`FleetCore::update_blacklist`](crate::router::FleetCore::update_blacklist))
+    /// fans out here and additionally resets the boundary cache.
     pub fn update_blacklist(&self, add: &[u32], remove: &[u32]) -> bool {
-        let changed = {
-            let mut bl = self.blacklist.lock().unwrap_or_else(|e| e.into_inner());
-            let before = bl.clone();
-            bl.extend_from_slice(add);
-            bl.sort_unstable();
-            bl.dedup();
-            bl.retain(|u| !remove.contains(u));
-            *bl != before
-        };
+        let changed = self.blacklist.update(add, remove);
         if changed {
             self.telemetry
                 .blacklist_revisions
                 .fetch_add(1, Ordering::Relaxed);
             // The memo's coverage check compares window lineage only; a
             // churned seed set silently invalidates it, so drop it here.
-            self.recluster
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .reset();
+            self.warm().reset();
         }
         changed
     }
 
-    /// Micro-batches applied so far.
+    /// Micro-batches applied so far (as a fleet shard: fleet batches
+    /// absorbed — empty sub-batches count, the watermark still advanced).
     pub fn batches_applied(&self) -> u64 {
         self.batches_applied.load(Ordering::Relaxed)
     }
@@ -275,11 +298,53 @@ impl ServiceCore {
             .saturating_sub(self.verdicts.load().as_of_batch)
     }
 
-    /// Applies one stamped micro-batch to the window and records ingest
-    /// telemetry. Invalid transactions that slipped past the gate (or
-    /// were corrupted after it) are shed here — counted as
-    /// `rejected_invalid` — instead of being allowed to corrupt the
-    /// window or panic the apply. Returns the new applied-batch count.
+    /// The window's exclusive end day (as a fleet shard: the fleet
+    /// watermark after every routed batch).
+    pub fn window_end(&self) -> u32 {
+        self.window_end.load(Ordering::Acquire)
+    }
+
+    /// The highest sequence stamp currently in the window, if any —
+    /// what a restored fleet resumes its stamp counter from.
+    pub fn last_seq(&self) -> Option<u64> {
+        self.state().last_seq()
+    }
+
+    /// A consistent copy of this core's log with its sequence stamps,
+    /// attributed to `shard` — its contribution to the cross-shard
+    /// exchange.
+    pub fn frame(&self, shard: usize) -> ShardFrame {
+        self.state().frame(shard)
+    }
+
+    /// Opens a wall-clock serve span when a tracer is attached.
+    fn span(&self, name: &'static str) {
+        if let Some(t) = &self.tracer {
+            t.begin(Category::Serve, name, Clock::Wall, t.wall_now());
+        }
+    }
+
+    /// Closes the innermost span [`Self::span`] opened.
+    fn end_span(&self) {
+        if let Some(t) = &self.tracer {
+            t.end(t.wall_now());
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, StampedWindow> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn warm(&self) -> MutexGuard<'_, WarmState> {
+        self.recluster.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Validates one submitted micro-batch, stamps what it admits from
+    /// the core's own counter, applies it, and records ingest telemetry.
+    /// Invalid transactions that slipped past the gate (or were corrupted
+    /// after it) are shed here — counted as `rejected_invalid` — instead
+    /// of being allowed to corrupt the window or panic the apply. Returns
+    /// the new applied-batch count.
     pub fn apply(&self, batch: &[Submitted]) -> u64 {
         if batch.is_empty() {
             return self.batches_applied();
@@ -294,56 +359,57 @@ impl ServiceCore {
                 batch.len() as u64,
             );
         }
-        let mut invalid = 0u64;
-        {
-            let mut w = self.window.lock().unwrap_or_else(|e| e.into_inner());
-            #[cfg(feature = "fault-injection")]
-            if let Some(plan) = &self.faults {
-                // Fires while the window mutex is held: poisons the lock.
-                plan.maybe_panic_in_apply(self.batches_applied());
-            }
-            // Validate against the *running* end: apply_batch's
-            // invariant is t.day + 1 >= end with end advancing per
-            // transaction, so the filter must advance the same way.
-            let mut end = w.end();
-            let mut txs: Vec<Transaction> = Vec::with_capacity(batch.len());
-            for s in batch {
-                let t = s.tx;
-                if t.amount.is_finite() && t.day + 1 >= end {
-                    end = end.max(t.day + 1);
-                    txs.push(t);
-                } else {
-                    invalid += 1;
-                }
-            }
-            w.apply_batch(&txs);
-            self.window_end.store(w.end(), Ordering::Release);
-        }
-        if invalid > 0 {
-            self.telemetry
-                .rejected_invalid
-                .fetch_add(invalid, Ordering::Relaxed);
-        }
-        let applied = Instant::now();
-        for s in batch {
-            let lag = applied.duration_since(s.at).as_nanos() as u64;
-            self.telemetry.ingest_lag.record(lag);
-        }
-        self.telemetry.batch_size.record(batch.len() as u64);
-        self.telemetry.batches.fetch_add(1, Ordering::Relaxed);
-        let applied_count = self.batches_applied.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(t) = &self.tracer {
-            t.end(t.wall_now());
-        }
-        applied_count
+        // Admitted under the window lock, against the window's own end:
+        // the filter stays authoritative whoever else holds a handle.
+        let state = self.state();
+        let (mut end, mut next) = (state.end(), state.next_seq());
+        let accepted = admit(batch, &mut end, || {
+            next += 1;
+            next - 1
+        });
+        let applied = self.absorb(state, &accepted, end);
+        record_admission(&self.telemetry, batch, accepted.len());
+        self.end_span();
+        applied
     }
 
     /// Convenience for synchronous callers: stamps and applies raw
     /// transactions as one micro-batch.
     pub fn apply_transactions(&self, txs: &[Transaction]) -> u64 {
-        let now = Instant::now();
-        let batch: Vec<Submitted> = txs.iter().map(|&tx| Submitted { tx, at: now }).collect();
-        self.apply(&batch)
+        self.apply(&Submitted::now(txs))
+    }
+
+    /// Applies one routed, *pre-validated* sub-batch and advances the
+    /// window to `watermark` — the fleet shard's door. The router has
+    /// already filtered non-finite amounts and day regressions against
+    /// the running global end, and the sub-batch preserves global arrival
+    /// order, so the day-monotonicity invariant of `apply_batch` holds by
+    /// construction. An empty sub-batch still advances the window and the
+    /// batch clock. Returns the new applied-batch count.
+    pub fn apply_stamped(&self, batch: &[(u64, Transaction)], watermark: u32) -> u64 {
+        let applied = self.absorb(self.state(), batch, watermark);
+        if !batch.is_empty() {
+            self.telemetry.record_batch(batch.len());
+        }
+        applied
+    }
+
+    /// The one write into the window, shared by both doors.
+    fn absorb(
+        &self,
+        mut state: MutexGuard<'_, StampedWindow>,
+        batch: &[(u64, Transaction)],
+        watermark: u32,
+    ) -> u64 {
+        #[cfg(feature = "fault-injection")]
+        if let Some(plan) = &self.faults {
+            // Fires while the window mutex is held: poisons the lock.
+            plan.maybe_panic_in_apply(self.batches_applied());
+        }
+        state.apply(batch, watermark);
+        self.window_end.store(state.end(), Ordering::Release);
+        drop(state);
+        self.batches_applied.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Materializes the current window (with its delta), reclusters it —
@@ -352,24 +418,24 @@ impl ServiceCore {
     /// incremental runs — and publishes the verdict snapshot. The window
     /// lock is held only for the materialization (a patch of the previous
     /// graph, or a rebuild from the live log after expiry); LP and scoring
-    /// run on the immutable result. Returns what ran:
-    /// the mode, the wall seconds, and the frontier the LP consumed.
+    /// run on the immutable result. Returns what ran: the mode, the wall
+    /// seconds, and the frontier the LP consumed. (`wall_seconds` is what
+    /// the scaling bench combines as `max(shard walls)` to model shards
+    /// running in parallel on hardware this container does not have.)
     pub fn recluster_now(&self) -> ReclusterRun {
         let started = Instant::now();
-        if let Some(t) = &self.tracer {
-            t.begin(Category::Serve, "recluster", Clock::Wall, t.wall_now());
-        }
+        self.span("recluster");
         // The warm-start lock is held across the whole run: concurrent
         // reclusters serialize, so each consumes the memo of the run
         // directly before it.
-        let mut st = self.recluster.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.warm();
         let (workload, delta, window_end, as_of) = {
-            let mut w = self.window.lock().unwrap_or_else(|e| e.into_inner());
-            let (workload, delta) = w.materialize_delta();
+            let mut s = self.state();
+            let (workload, delta) = s.window().materialize_delta();
             (
                 workload,
                 delta,
-                w.end(),
+                s.end(),
                 self.batches_applied.load(Ordering::Relaxed),
             )
         };
@@ -400,20 +466,14 @@ impl ServiceCore {
             frontier = outcome.frontier;
             outcome.snapshot
         };
-        if let Some(t) = &self.tracer {
-            t.begin(Category::Serve, "swap", Clock::Wall, t.wall_now());
-        }
+        self.span("swap");
         self.verdicts.publish(snapshot);
-        if let Some(t) = &self.tracer {
-            t.end(t.wall_now()); // swap
-        }
+        self.end_span();
         self.telemetry.reclusters.fetch_add(1, Ordering::Relaxed);
         self.telemetry
             .recluster_wall
             .record(started.elapsed().as_nanos() as u64);
-        if let Some(t) = &self.tracer {
-            t.end(t.wall_now()); // recluster
-        }
+        self.end_span();
         ReclusterRun {
             mode,
             wall_seconds: started.elapsed().as_secs_f64(),
@@ -421,30 +481,27 @@ impl ServiceCore {
         }
     }
 
-    /// Persists the current window (plus batch clock, snapshot epoch,
-    /// and monotonic counters) to `path` via an atomic temp-file write.
-    /// Failures are counted (`checkpoint_failures`) and returned; the
-    /// previous checkpoint on disk is never damaged by a failed write.
-    pub fn checkpoint(&self, path: &Path) -> Result<(), CheckpointError> {
-        if let Some(t) = &self.tracer {
-            t.begin(Category::Serve, "checkpoint", Clock::Wall, t.wall_now());
-        }
-        let ckpt = {
-            let w = self.window.lock().unwrap_or_else(|e| e.into_inner());
-            WindowCheckpoint::capture(
-                &w,
-                self.batches_applied.load(Ordering::Relaxed),
-                self.verdicts.epoch(),
-                self.telemetry.counters_snapshot(),
-            )
-        };
+    /// Persists the current window with its sequence stamps (plus batch
+    /// clock, snapshot epoch, and monotonic counters) to `path` via an
+    /// atomic temp-file write. Failures are counted
+    /// (`checkpoint_failures`) and returned; the previous checkpoint on
+    /// disk is never damaged by a failed write. Returns the batch count
+    /// the persisted image carries — the core's *durable* progress, which
+    /// the fleet router uses as its journal-truncation watermark.
+    pub fn checkpoint(&self, path: &Path) -> Result<u64, CheckpointError> {
+        self.span("checkpoint");
+        let ckpt = self.state().capture(
+            self.batches_applied.load(Ordering::Relaxed),
+            self.verdicts.epoch(),
+            self.telemetry.counters_snapshot(),
+        );
         // The write itself runs outside the window lock.
         let result = match ckpt.write_atomic(path) {
             Ok(()) => {
                 self.telemetry
                     .checkpoints_written
                     .fetch_add(1, Ordering::Relaxed);
-                Ok(())
+                Ok(ckpt.batches_applied)
             }
             Err(e) => {
                 self.telemetry
@@ -464,6 +521,26 @@ impl ServiceCore {
         result
     }
 
+    /// Replaces this core's entire window state in one swap — the
+    /// failover path: the caller has reconstructed the window and its
+    /// stamps offline (checkpoint image + journal replay) and installs
+    /// the result here before [`HealthMonitor::revive`]-ing the shard.
+    /// Clears a poison left by the crash that killed the shard: the dying
+    /// apply is the reason this rebuild exists, and its partial state is
+    /// discarded wholesale by the swap.
+    pub(crate) fn rebuild_from(&self, window: StampedWindow, batches_applied: u64) {
+        self.state.clear_poison();
+        self.window_end.store(window.end(), Ordering::Release);
+        *self.state() = window;
+        // The old memo describes the discarded window; the next
+        // recluster must run full. (The rebuilt window's first delta
+        // reports `expired` anyway — this keeps the drift counter honest
+        // too.)
+        self.warm().reset();
+        self.batches_applied
+            .store(batches_applied, Ordering::Relaxed);
+    }
+
     /// The freshest published snapshot.
     pub fn snapshot(&self) -> Arc<VerdictSnapshot> {
         self.verdicts.load()
@@ -472,13 +549,6 @@ impl ServiceCore {
     /// Snapshots published so far.
     pub fn epoch(&self) -> u64 {
         self.verdicts.epoch()
-    }
-
-    fn restart_policy(&self) -> RestartPolicy {
-        RestartPolicy {
-            backoff_base: self.cfg.restart_backoff,
-            backoff_cap: self.cfg.restart_backoff_cap,
-        }
     }
 }
 
@@ -503,11 +573,7 @@ impl FraudScorer for QueryHandle {
     fn score(&self, user: u32) -> Verdict {
         let t0 = Instant::now();
         let v = self.core.verdicts.load().verdict(user);
-        self.core
-            .telemetry
-            .query_latency
-            .record(t0.elapsed().as_nanos() as u64);
-        self.core.telemetry.queries.fetch_add(1, Ordering::Relaxed);
+        self.core.telemetry.record_query(t0);
         v
     }
 
@@ -584,17 +650,13 @@ impl FraudService {
     }
 
     fn start_on(core: Arc<ServiceCore>) -> Self {
-        let cfg = core.cfg.clone();
-        let burst =
-            BurstState::from_config(&cfg, Arc::clone(&core.health), Arc::clone(core.telemetry()));
-        let (gate, batch_rx) = ingest_pair(
-            cfg.queue_capacity,
-            cfg.shed_policy,
-            cfg.window_days,
+        let cfg = &core.cfg;
+        let policy = RestartPolicy::for_config(cfg);
+        let (gate, new_batcher) = open_ingest(
+            cfg,
             Arc::clone(&core.window_end),
             Arc::clone(&core.health),
             Arc::clone(core.telemetry()),
-            burst.clone(),
         );
         // Capacity 1: at most one recluster pending beyond the one in
         // flight; further requests coalesce.
@@ -603,22 +665,18 @@ impl FraudService {
         let (batcher, batcher_status) = {
             let core = Arc::clone(&core);
             let recluster_tx = recluster_tx.clone();
-            let policy = core.restart_policy();
             let health = Arc::clone(&core.health);
             let telemetry = Arc::clone(core.telemetry());
             supervise("batcher", health, telemetry, policy, move || {
-                let batcher = Batcher::new(batch_rx.clone(), cfg.max_batch, cfg.batch_budget)
-                    .with_burst(burst.clone());
-                batch_loop(&core, &batcher, &recluster_tx)
+                batch_loop(&core, &new_batcher(), &recluster_tx)
             })
         };
         let (recluster_worker, recluster_status) = {
             let core = Arc::clone(&core);
-            let policy = core.restart_policy();
             let health = Arc::clone(&core.health);
             let telemetry = Arc::clone(core.telemetry());
             supervise("recluster", health, telemetry, policy, move || {
-                recluster_loop(&core, &recluster_rx)
+                recluster_loop(&core, &recluster_rx, "recluster")
             })
         };
         Self {
@@ -700,11 +758,14 @@ impl FraudService {
     }
 }
 
-fn request_recluster(core: &ServiceCore, recluster_tx: &Sender<()>) {
-    match recluster_tx.try_send(()) {
+/// Asks the worker behind a capacity-1 channel for one more run. If a
+/// request is already pending behind the run in flight, this one
+/// coalesces into it (counted) — work can never queue up behind itself.
+pub(crate) fn poke(tx: &Sender<()>, telemetry: &Telemetry) {
+    match tx.try_send(()) {
         Ok(()) | Err(TrySendError::Disconnected(())) => {}
         Err(TrySendError::Full(())) => {
-            core.telemetry
+            telemetry
                 .reclusters_coalesced
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -724,7 +785,7 @@ fn batch_loop(core: &ServiceCore, batcher: &Batcher, recluster_tx: &Sender<()>) 
             if core.health.is_down() {
                 return WorkerExit::Finished;
             }
-            request_recluster(core, recluster_tx);
+            poke(recluster_tx, &core.telemetry);
             thread::sleep(std::time::Duration::from_micros(200));
         }
         #[cfg(feature = "fault-injection")]
@@ -737,13 +798,9 @@ fn batch_loop(core: &ServiceCore, batcher: &Batcher, recluster_tx: &Sender<()>) 
         let next = {
             // The batch span covers the drain wait: budget-bounded queue
             // reads until the micro-batch fills or times out.
-            if let Some(t) = core.tracer() {
-                t.begin(Category::Serve, "batch", Clock::Wall, t.wall_now());
-            }
+            core.span("batch");
             let next = batcher.next_batch();
-            if let Some(t) = core.tracer() {
-                t.end(t.wall_now());
-            }
+            core.end_span();
             next
         };
         match next {
@@ -757,7 +814,7 @@ fn batch_loop(core: &ServiceCore, batcher: &Batcher, recluster_tx: &Sender<()>) 
                 let applied = core.apply(&batch);
                 core.health.record_progress("batcher");
                 if applied.is_multiple_of(core.cfg.recluster_every_batches) {
-                    request_recluster(core, recluster_tx);
+                    poke(recluster_tx, &core.telemetry);
                 }
                 if let Some(path) = &core.cfg.checkpoint_path {
                     if applied.is_multiple_of(core.cfg.checkpoint_every_batches) {
@@ -789,10 +846,18 @@ fn corrupt_if_due(core: &ServiceCore, mut batch: Vec<Submitted>) -> Vec<Submitte
     batch
 }
 
-fn recluster_loop(core: &ServiceCore, recluster_rx: &Receiver<()>) -> WorkerExit {
-    while recluster_rx.recv().is_ok() {
+/// The recluster worker of one core — the single service's, and each
+/// fleet shard's: one recluster per poke, progress recorded under `name`.
+pub(crate) fn recluster_loop(
+    core: &ServiceCore,
+    rx: &Receiver<()>,
+    name: &'static str,
+) -> WorkerExit {
+    while rx.recv().is_ok() {
         if core.health.is_down() {
-            return WorkerExit::Finished;
+            // Skip, don't exit: a fleet failover may revive this core,
+            // and its recluster worker must still be here when it does.
+            continue;
         }
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = core.faults() {
@@ -805,7 +870,7 @@ fn recluster_loop(core: &ServiceCore, recluster_rx: &Receiver<()>) -> WorkerExit
             plan.maybe_panic_recluster(next);
         }
         core.recluster_now();
-        core.health.record_progress("recluster");
+        core.health.record_progress(name);
     }
     WorkerExit::Finished
 }
@@ -1041,5 +1106,285 @@ mod tests {
         // running: pointer-clone + two binary searches.
         let p99 = t.query_latency.quantile(0.99);
         assert!(p99 < 1_000_000, "p99 query latency {p99} ns");
+    }
+
+    /// A fleet-shard-shaped fixture: an 8-day window over a 12-day
+    /// stream, so expiry pops the front of the log.
+    fn shard_stream() -> TxStream {
+        TxStream::generate(&TxConfig {
+            num_users: 800,
+            num_items: 300,
+            days: 12,
+            tx_per_day: 500,
+            num_rings: 2,
+            ring_size: 10,
+            ring_tx_per_day: 25,
+            blacklist_fraction: 0.3,
+            ..Default::default()
+        })
+    }
+
+    fn shard_cfg() -> ServeConfig {
+        ServeConfig {
+            engine_shards: 2,
+            ..ServeConfig::default()
+        }
+        .with_window_days(8)
+    }
+
+    fn ckpt_path(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("glp-core-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("core.ckpt")
+    }
+
+    #[test]
+    fn shard_window_tracks_the_fleet_watermark() {
+        let s = shard_stream();
+        let shard = ServiceCore::new(shard_cfg(), s.blacklist.clone());
+        let mut seq = 0u64;
+        for day in 0..s.config.days {
+            // Route only even buyers here; the watermark still advances
+            // on days where this shard sees nothing.
+            let batch: Vec<(u64, Transaction)> = s
+                .window(day, day + 1)
+                .filter(|t| t.buyer % 2 == 0)
+                .map(|&t| {
+                    seq += 1;
+                    (seq, t)
+                })
+                .collect();
+            shard.apply_stamped(&batch, day + 1);
+            assert_eq!(shard.window_end(), day + 1);
+        }
+        assert_eq!(shard.batches_applied(), u64::from(s.config.days));
+        let frame = shard.frame(1);
+        assert_eq!(frame.shard, 1);
+        assert_eq!(frame.end, s.config.days);
+        assert!(frame.txs.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(frame.txs.iter().all(|(_, t)| t.buyer % 2 == 0));
+        // Expiry kept stamps parallel to the log: only the last
+        // `window_days` days remain.
+        assert!(frame.txs.iter().all(|(_, t)| t.day + 8 >= s.config.days));
+        shard.recluster_now();
+        assert_eq!(shard.snapshot().window_end, s.config.days);
+    }
+
+    #[test]
+    fn shard_checkpoint_roundtrips_with_stamps() {
+        let s = shard_stream();
+        let path = ckpt_path("shard");
+        let shard = ServiceCore::new(shard_cfg(), s.blacklist.clone());
+        let mut seq = 10u64;
+        for day in 0..s.config.days {
+            let batch: Vec<(u64, Transaction)> = s
+                .window(day, day + 1)
+                .filter(|t| t.buyer % 2 == 1)
+                .map(|&t| {
+                    seq += 3; // sparse, non-contiguous stamps survive
+                    (seq, t)
+                })
+                .collect();
+            shard.apply_stamped(&batch, day + 1);
+        }
+        shard.recluster_now();
+        shard.checkpoint(&path).unwrap();
+        let ckpt = WindowCheckpoint::read(&path).unwrap();
+        let restored = ServiceCore::restore(shard_cfg(), s.blacklist.clone(), &ckpt).unwrap();
+        assert_eq!(restored.batches_applied(), shard.batches_applied());
+        assert_eq!(restored.last_seq(), shard.last_seq());
+        let (a, b) = (shard.frame(0), restored.frame(0));
+        assert_eq!(a.txs.len(), b.txs.len());
+        assert!(a.txs.iter().zip(&b.txs).all(|(x, y)| x.0 == y.0));
+        assert_eq!(
+            shard.snapshot().canonical_bytes(),
+            restored.snapshot().canonical_bytes(),
+            "restored shard must score byte-identically"
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn single_core_persists_its_stamps_and_still_reads_unstamped_images() {
+        use crate::config::FleetConfig;
+        use crate::partition::Partitioner;
+        use crate::router::FleetCore;
+        let s = shard_stream();
+        let path = ckpt_path("single");
+        let core = ServiceCore::new(shard_cfg(), s.blacklist.clone());
+        for day in 0..s.config.days {
+            let txs: Vec<Transaction> = s.window(day, day + 1).copied().collect();
+            core.apply_transactions(&txs);
+        }
+        core.recluster_now();
+        let frame = core.frame(0);
+        assert!(
+            frame.txs[0].0 > 0,
+            "expiry popped the log's front: stamps are no longer log positions"
+        );
+        core.checkpoint(&path).unwrap();
+        let ckpt = WindowCheckpoint::read(&path).unwrap();
+        assert_eq!(ckpt.seqs.len(), frame.txs.len());
+
+        // checkpoint → restore round-trips the frame exactly.
+        let restored = ServiceCore::restore(shard_cfg(), s.blacklist.clone(), &ckpt).unwrap();
+        let back = restored.frame(0);
+        assert_eq!((back.days, back.end), (frame.days, frame.end));
+        assert_eq!(back.txs, frame.txs);
+        // And the restored core keeps stamping above the image's maximum.
+        let next_day: Vec<Transaction> = s
+            .window(s.config.days - 1, s.config.days)
+            .copied()
+            .collect();
+        restored.apply_transactions(&next_day[..1]);
+        assert_eq!(restored.last_seq(), core.last_seq().map(|m| m + 1));
+
+        // A fleet migrated from that image resumes stamping above it too.
+        let fleet_cfg = FleetConfig {
+            shard: shard_cfg(),
+            shards: 2,
+            ..FleetConfig::default()
+        };
+        let fleet = FleetCore::migrate_from_single(
+            fleet_cfg,
+            Partitioner::hashed(2, 7),
+            s.blacklist.clone(),
+            &ckpt,
+        )
+        .unwrap();
+        fleet.apply_transactions(&next_day[..1]);
+        let max_stamp = fleet.shards().iter().filter_map(|c| c.last_seq()).max();
+        assert_eq!(max_stamp, core.last_seq().map(|m| m + 1));
+
+        // An image without stamps restores with log positions and
+        // publishes byte-identical verdicts.
+        let bare = {
+            let mut w = glp_fraud::IncrementalWindow::empty(8);
+            let live: Vec<Transaction> = frame.txs.iter().map(|&(_, t)| t).collect();
+            w.apply_batch(&live);
+            WindowCheckpoint::capture(&w, ckpt.batches_applied, ckpt.snapshot_epoch, vec![])
+        };
+        assert!(bare.seqs.is_empty());
+        let positional = ServiceCore::restore(shard_cfg(), s.blacklist.clone(), &bare).unwrap();
+        let stamps: Vec<u64> = positional.frame(0).txs.iter().map(|&(q, _)| q).collect();
+        assert_eq!(stamps, (0..frame.txs.len() as u64).collect::<Vec<_>>());
+        assert_eq!(
+            positional.snapshot().canonical_bytes(),
+            core.snapshot().canonical_bytes()
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn validating_and_stamped_doors_agree() {
+        // One core validates and stamps for itself; the other is fed the
+        // transactions the first one admitted, stamped the same way, with
+        // the same watermark — as a fleet router would feed a lone shard.
+        let s = shard_stream();
+        let own = ServiceCore::new(shard_cfg(), s.blacklist.clone());
+        let fed = ServiceCore::new(shard_cfg(), s.blacklist.clone());
+        let stale = Transaction {
+            buyer: 1,
+            item: 2,
+            day: 0,
+            amount: 1.0,
+        };
+        let nan = Transaction {
+            amount: f32::NAN,
+            ..stale
+        };
+        let (mut seq, mut end, mut invalid) = (0u64, 0u32, 0u64);
+        for day in 0..s.config.days {
+            let mut batches: Vec<Vec<Transaction>> =
+                vec![s.window(day, day + 1).copied().collect()];
+            if day == 5 {
+                // An entirely invalid batch, then a mixed one.
+                batches.push(vec![stale, nan]);
+                batches.push(vec![nan, s.window(day, day + 1).next().copied().unwrap()]);
+            }
+            for batch in batches {
+                own.apply_transactions(&batch);
+                let mut accepted: Vec<(u64, Transaction)> = Vec::new();
+                for &t in &batch {
+                    if t.amount.is_finite() && t.day + 1 >= end {
+                        end = end.max(t.day + 1);
+                        accepted.push((seq, t));
+                        seq += 1;
+                    }
+                }
+                invalid += (batch.len() - accepted.len()) as u64;
+                fed.apply_stamped(&accepted, end);
+            }
+            own.recluster_now();
+            fed.recluster_now();
+            assert_eq!(
+                own.snapshot().canonical_bytes(),
+                fed.snapshot().canonical_bytes(),
+                "day {day}"
+            );
+        }
+        assert_eq!(invalid, 3);
+        assert_eq!(
+            own.telemetry().rejected_invalid.load(Ordering::Relaxed),
+            invalid
+        );
+        assert_eq!(fed.telemetry().rejected_invalid.load(Ordering::Relaxed), 0);
+        assert_eq!(own.batches_applied(), fed.batches_applied());
+        assert_eq!(own.batches_applied(), u64::from(s.config.days) + 2);
+        let (a, b) = (own.frame(0), fed.frame(0));
+        assert_eq!((a.days, a.end), (b.days, b.end));
+        assert_eq!(a.txs, b.txs);
+    }
+
+    #[test]
+    fn blacklist_is_canonical_from_construction() {
+        use crate::config::FleetConfig;
+        use crate::partition::Partitioner;
+        use crate::router::FleetCore;
+        let s = stream();
+        // An unsorted seed list with a duplicate.
+        let mut seeds = s.blacklist.clone();
+        seeds.reverse();
+        seeds.push(seeds[0]);
+        let mut canonical = s.blacklist.clone();
+        canonical.sort_unstable();
+        canonical.dedup();
+        let mut c = cfg();
+        c.delta_fraction_max = 1.0;
+        let day0: Vec<Transaction> = s.window(0, 1).copied().collect();
+        let (first, rest) = day0.split_at(day0.len() / 2);
+
+        let core = ServiceCore::new(c.clone(), seeds.clone());
+        assert_eq!(core.blacklist(), canonical);
+        core.apply_transactions(first);
+        assert_eq!(core.recluster_now().mode, ReclusterMode::Full);
+        assert!(!core.update_blacklist(&[], &[]), "nothing changed");
+        assert_eq!(
+            core.telemetry().snapshot().counter("blacklist_revisions"),
+            0
+        );
+        core.apply_transactions(rest);
+        assert_eq!(
+            core.recluster_now().mode,
+            ReclusterMode::Incremental,
+            "a no-op update must not drop the warm memo"
+        );
+
+        let fleet_cfg = FleetConfig {
+            shard: c,
+            shards: 2,
+            ..FleetConfig::default()
+        };
+        let fleet = FleetCore::new(fleet_cfg, Partitioner::hashed(2, 7), seeds);
+        assert_eq!(fleet.blacklist(), canonical);
+        fleet.apply_transactions(first);
+        fleet.exchange_now();
+        assert!(!fleet.update_blacklist(&[], &[]), "nothing changed");
+        assert_eq!(fleet.fleet_telemetry().counter("blacklist_revisions"), 0);
+        assert!(fleet.shards().iter().all(|c| c.blacklist() == canonical));
+        fleet.apply_transactions(rest);
+        for run in fleet.exchange_now().shard_runs {
+            assert_eq!(run.mode, ReclusterMode::Incremental);
+        }
     }
 }

@@ -21,6 +21,7 @@
 //! degrades) from occasional faults (streak resets on the next applied
 //! batch).
 
+use crate::config::ServeConfig;
 use crate::health::{HealthMonitor, HealthState};
 use crate::telemetry::Telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,6 +69,14 @@ pub struct RestartPolicy {
 }
 
 impl RestartPolicy {
+    /// The backoff schedule `cfg` configures.
+    pub fn for_config(cfg: &ServeConfig) -> Self {
+        Self {
+            backoff_base: cfg.restart_backoff,
+            backoff_cap: cfg.restart_backoff_cap,
+        }
+    }
+
     /// Delay before restart number `streak` (1-based).
     pub fn delay(&self, streak: u32) -> Duration {
         let doubled = self

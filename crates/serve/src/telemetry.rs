@@ -13,6 +13,7 @@ use glp_gpusim::KernelCounters;
 use glp_trace::KernelProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 const BUCKETS: usize = 64;
 
@@ -63,12 +64,7 @@ impl Histogram {
 
     /// Mean of all samples (0 when empty).
     pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum.load(Ordering::Relaxed) as f64 / n as f64
-        }
+        self.snapshot().mean()
     }
 
     /// Largest sample recorded (exact, not bucketed).
@@ -79,34 +75,12 @@ impl Histogram {
     /// The `q`-quantile (`0.0 ..= 1.0`), reported at the geometric
     /// midpoint of the bucket containing it; 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                // Bucket i spans [2^i, 2^(i+1)): report 1.5 * 2^i,
-                // clamped by the true maximum.
-                let mid = (1u64 << i) + (1u64 << i) / 2;
-                return mid.min(self.max());
-            }
-        }
-        self.max()
+        self.snapshot().quantile(q)
     }
 
     /// `{count, mean, p50, p95, p99, max}` as JSON.
     pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "count": self.count(),
-            "mean": self.mean(),
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-            "max": self.max(),
-        })
+        self.snapshot().to_json()
     }
 
     /// A plain-value copy of this histogram, mergeable with others — the
@@ -164,8 +138,8 @@ impl HistogramSnapshot {
         }
     }
 
-    /// The `q`-quantile, same bucket-midpoint semantics as
-    /// [`Histogram::quantile`].
+    /// The `q`-quantile (`0.0 ..= 1.0`), reported at the geometric
+    /// midpoint of the bucket containing it; 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -175,6 +149,8 @@ impl HistogramSnapshot {
         for (i, &b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= target {
+                // Bucket i spans [2^i, 2^(i+1)): report 1.5 * 2^i,
+                // clamped by the true maximum.
                 let mid = (1u64 << i) + (1u64 << i) / 2;
                 return mid.min(self.max);
             }
@@ -182,7 +158,7 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Same JSON shape as [`Histogram::to_json`].
+    /// `{count, mean, p50, p95, p99, max}` as JSON.
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
             "count": self.count,
@@ -195,104 +171,139 @@ impl HistogramSnapshot {
     }
 }
 
-/// All counters and histograms of one [`FraudService`](crate::FraudService).
-///
-/// Every field is updated with relaxed atomics (or a short mutex for the
-/// GPU counter merge, which happens once per recluster, off the query
-/// path). Readers see a consistent-enough view for monitoring; nothing
-/// here synchronizes the data path.
-#[derive(Debug, Default)]
-pub struct Telemetry {
-    /// Transactions accepted into the ingest queue.
-    pub ingested: AtomicU64,
-    /// Transactions evicted under [`ShedPolicy::DropOldest`](crate::ShedPolicy).
-    pub shed_dropped_oldest: AtomicU64,
-    /// Transactions refused under [`ShedPolicy::RejectNew`](crate::ShedPolicy).
-    pub shed_rejected_new: AtomicU64,
-    /// Transactions shed as invalid (non-finite amount or a day
-    /// regression), at the gate or at the apply-side validation.
-    pub rejected_invalid: AtomicU64,
-    /// Transactions refused because the service was
-    /// [`Shedding`](crate::HealthState::Shedding) or
-    /// [`Down`](crate::HealthState::Down).
-    pub shed_unhealthy: AtomicU64,
-    /// Micro-batches applied to the window.
-    pub batches: AtomicU64,
-    /// Reclusters completed (= verdict snapshots published).
-    pub reclusters: AtomicU64,
-    /// Recluster requests coalesced because one was already in flight.
-    pub reclusters_coalesced: AtomicU64,
-    /// Queries served.
-    pub queries: AtomicU64,
-    /// Worker panics caught by the supervisor.
-    pub worker_panics: AtomicU64,
-    /// Worker restarts the supervisor performed (a final, abandoned
-    /// panic is counted in `worker_panics` but not here).
-    pub worker_restarts: AtomicU64,
-    /// Checkpoints written successfully.
-    pub checkpoints_written: AtomicU64,
-    /// Checkpoint writes that failed (the service keeps serving; the
-    /// previous checkpoint on disk stays intact).
-    pub checkpoint_failures: AtomicU64,
-    /// Same-tier engine retries after transient device faults, summed
-    /// over every recluster's LP run.
-    pub engine_retries: AtomicU64,
-    /// Degradation-ladder steps the recluster engine took after
-    /// persistent faults (GPU → hybrid → host).
-    pub engine_degradations: AtomicU64,
-    /// Completed LP iterations resumed instead of recomputed after a
-    /// fault (see [`ResilienceReport`](glp_core::ResilienceReport)).
-    pub iterations_salvaged: AtomicU64,
-    /// Automatic shard failovers completed (checkpoint + journal replay
-    /// rebuilt a Down shard and re-admitted it).
-    pub failovers: AtomicU64,
-    /// Validated micro-batches journaled to the write-ahead log before
-    /// fan-out.
-    pub wal_appended_batches: AtomicU64,
-    /// Micro-batches replayed from the journal into a shard (failover
-    /// rebuild or crash-restart catch-up).
-    pub wal_replayed_batches: AtomicU64,
-    /// Journal segments deleted because checkpoints made them redundant.
-    pub wal_truncations: AtomicU64,
-    /// Reclusters that ran the incremental delta-replay path.
-    pub reclusters_incremental: AtomicU64,
-    /// Reclusters that ran from scratch (ineligible delta, drift cap, or
-    /// no warm start available).
-    pub reclusters_full: AtomicU64,
-    /// Transactions shed because the bounded queue was full, under
-    /// either policy — the unified queue-overflow reason
-    /// (`shed_dropped_oldest + shed_rejected_new`), counted alongside
-    /// the per-policy breakdown so dashboards read one shed taxonomy:
-    /// overflow / unhealthy / invalid.
-    pub shed_overflow: AtomicU64,
-    /// Burst episodes the ingest burst detector entered (shed rate over
-    /// the configured threshold; see `BurstState`).
-    pub bursts_detected: AtomicU64,
-    /// Blacklist revisions applied (each one invalidates the warm
-    /// recluster memo — the churn guard forcing the next recluster full).
-    pub blacklist_revisions: AtomicU64,
-    /// Snapshots scored against ground truth by a `DetectionProbe`.
-    pub probe_evaluations: AtomicU64,
-    /// Submit → batch-apply latency per transaction (ns).
-    pub ingest_lag: Histogram,
-    /// Applied micro-batch sizes (transactions).
-    pub batch_size: Histogram,
-    /// Wall time per recluster (ns).
-    pub recluster_wall: Histogram,
-    /// Query latency (ns).
-    pub query_latency: Histogram,
-    /// Delta-frontier sizes (vertices recomputed at iteration 0) of
-    /// every recluster that ran LP — the whole graph for full runs, the
-    /// touched set for incremental ones.
-    pub delta_frontier: Histogram,
-    /// GPU event totals summed over every recluster's LP run.
-    pub gpu_totals: Mutex<KernelCounters>,
-    /// Per-kernel launch aggregation (count / total / p50 / max modeled
-    /// seconds by engine tier) summed over every recluster's LP run.
-    pub kernel_profile: Mutex<KernelProfile>,
-    /// Detection-quality time series: one [`ProbePoint`] per snapshot a
-    /// `DetectionProbe` scored against ground truth, in scoring order.
-    pub detection: Mutex<Vec<ProbePoint>>,
+/// Declares the [`Telemetry`] block from one table. `checkpointed`
+/// counters are persisted in checkpoints *in this order* — append-only:
+/// new counters go at the end so old checkpoints keep restoring — and
+/// the field, its checkpoint cell, its name for
+/// [`TelemetrySnapshot::counter`] and its JSON key all come from the one
+/// identifier. Everything under `rest` is per-process state that
+/// checkpoints leave out.
+macro_rules! telemetry_block {
+    (
+        checkpointed { $($(#[$cdoc:meta])* $c:ident,)* }
+        rest { $($(#[$rdoc:meta])* $r:ident: $rty:ty,)* }
+    ) => {
+        /// All counters and histograms of one scoring core
+        /// ([`ServiceCore`](crate::ServiceCore)) or fleet router.
+        ///
+        /// Every field is updated with relaxed atomics (or a short mutex for the
+        /// GPU counter merge, which happens once per recluster, off the query
+        /// path). Readers see a consistent-enough view for monitoring; nothing
+        /// here synchronizes the data path.
+        #[derive(Debug, Default)]
+        pub struct Telemetry {
+            $($(#[$cdoc])* pub $c: AtomicU64,)*
+            $($(#[$rdoc])* pub $r: $rty,)*
+        }
+
+        /// Checkpoint-order counter names, parallel to
+        /// `Telemetry::counter_cells`.
+        const COUNTER_NAMES: &[&str] = &[$(stringify!($c)),*];
+
+        impl Telemetry {
+            /// The checkpointed counters, in checkpoint order.
+            fn counter_cells(&self) -> Vec<&AtomicU64> {
+                vec![$(&self.$c),*]
+            }
+        }
+    };
+}
+
+telemetry_block! {
+    checkpointed {
+        /// Transactions accepted into the ingest queue.
+        ingested,
+        /// Transactions evicted under [`ShedPolicy::DropOldest`](crate::ShedPolicy).
+        shed_dropped_oldest,
+        /// Transactions refused under [`ShedPolicy::RejectNew`](crate::ShedPolicy).
+        shed_rejected_new,
+        /// Transactions shed as invalid (non-finite amount or a day
+        /// regression), at the gate or at the apply-side validation.
+        rejected_invalid,
+        /// Transactions refused because the service was
+        /// [`Shedding`](crate::HealthState::Shedding) or
+        /// [`Down`](crate::HealthState::Down).
+        shed_unhealthy,
+        /// Micro-batches applied to the window.
+        batches,
+        /// Reclusters completed (= verdict snapshots published).
+        reclusters,
+        /// Recluster requests coalesced because one was already in flight.
+        reclusters_coalesced,
+        /// Queries served.
+        queries,
+        /// Checkpoints written successfully.
+        checkpoints_written,
+        /// Checkpoint writes that failed (the service keeps serving; the
+        /// previous checkpoint on disk stays intact).
+        checkpoint_failures,
+        /// Same-tier engine retries after transient device faults, summed
+        /// over every recluster's LP run.
+        engine_retries,
+        /// Degradation-ladder steps the recluster engine took after
+        /// persistent faults (GPU → hybrid → host).
+        engine_degradations,
+        /// Completed LP iterations resumed instead of recomputed after a
+        /// fault (see [`ResilienceReport`](glp_core::ResilienceReport)).
+        iterations_salvaged,
+        /// Automatic shard failovers completed (checkpoint + journal replay
+        /// rebuilt a Down shard and re-admitted it).
+        failovers,
+        /// Validated micro-batches journaled to the write-ahead log before
+        /// fan-out.
+        wal_appended_batches,
+        /// Micro-batches replayed from the journal into a shard (failover
+        /// rebuild or crash-restart catch-up).
+        wal_replayed_batches,
+        /// Journal segments deleted because checkpoints made them redundant.
+        wal_truncations,
+        /// Reclusters that ran the incremental delta-replay path.
+        reclusters_incremental,
+        /// Reclusters that ran from scratch (ineligible delta, drift cap, or
+        /// no warm start available).
+        reclusters_full,
+        /// Transactions shed because the bounded queue was full, under
+        /// either policy — the unified queue-overflow reason
+        /// (`shed_dropped_oldest + shed_rejected_new`), counted alongside
+        /// the per-policy breakdown so dashboards read one shed taxonomy:
+        /// overflow / unhealthy / invalid.
+        shed_overflow,
+        /// Burst episodes the ingest burst detector entered (shed rate over
+        /// the configured threshold; see `BurstState`).
+        bursts_detected,
+        /// Blacklist revisions applied (each one invalidates the warm
+        /// recluster memo — the churn guard forcing the next recluster full).
+        blacklist_revisions,
+        /// Snapshots scored against ground truth by a `DetectionProbe`.
+        probe_evaluations,
+    }
+    rest {
+        /// Worker panics caught by the supervisor.
+        worker_panics: AtomicU64,
+        /// Worker restarts the supervisor performed (a final, abandoned
+        /// panic is counted in `worker_panics` but not here).
+        worker_restarts: AtomicU64,
+        /// Submit → batch-apply latency per transaction (ns).
+        ingest_lag: Histogram,
+        /// Applied micro-batch sizes (transactions).
+        batch_size: Histogram,
+        /// Wall time per recluster (ns).
+        recluster_wall: Histogram,
+        /// Query latency (ns).
+        query_latency: Histogram,
+        /// Delta-frontier sizes (vertices recomputed at iteration 0) of
+        /// every recluster that ran LP — the whole graph for full runs, the
+        /// touched set for incremental ones.
+        delta_frontier: Histogram,
+        /// GPU event totals summed over every recluster's LP run.
+        gpu_totals: Mutex<KernelCounters>,
+        /// Per-kernel launch aggregation (count / total / p50 / max modeled
+        /// seconds by engine tier) summed over every recluster's LP run.
+        kernel_profile: Mutex<KernelProfile>,
+        /// Detection-quality time series: one [`ProbePoint`] per snapshot a
+        /// `DetectionProbe` scored against ground truth, in scoring order.
+        detection: Mutex<Vec<ProbePoint>>,
+    }
 }
 
 /// One detection-quality measurement: a published verdict snapshot
@@ -328,16 +339,6 @@ impl ProbePoint {
     }
 }
 
-/// The `detection` JSON section — shared by the live and snapshot
-/// exports so the two serialize identically.
-fn detection_json(points: &[ProbePoint]) -> serde_json::Value {
-    serde_json::json!({
-        "points": points.iter().map(|p| p.to_json()).collect::<Vec<_>>(),
-        "latest_precision": points.last().map_or(0.0, |p| p.precision),
-        "latest_recall": points.last().map_or(0.0, |p| p.recall),
-    })
-}
-
 impl Telemetry {
     /// A fresh, zeroed telemetry block.
     pub fn new() -> Self {
@@ -361,6 +362,18 @@ impl Telemetry {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .merge(profile);
+    }
+
+    /// Counts one applied micro-batch of `size` transactions.
+    pub fn record_batch(&self, size: usize) {
+        self.batch_size.record(size as u64);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one query answered, started at `t0`.
+    pub fn record_query(&self, t0: Instant) {
+        self.query_latency.record(t0.elapsed().as_nanos() as u64);
+        self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one recluster's path decision and the frontier it
@@ -420,103 +433,12 @@ impl Telemetry {
         }
     }
 
-    /// Checkpoint counter order. Append-only: new counters go at the
-    /// end so old checkpoints keep restoring.
-    fn counter_cells(&self) -> [&AtomicU64; 24] {
-        [
-            &self.ingested,
-            &self.shed_dropped_oldest,
-            &self.shed_rejected_new,
-            &self.rejected_invalid,
-            &self.shed_unhealthy,
-            &self.batches,
-            &self.reclusters,
-            &self.reclusters_coalesced,
-            &self.queries,
-            &self.checkpoints_written,
-            &self.checkpoint_failures,
-            &self.engine_retries,
-            &self.engine_degradations,
-            &self.iterations_salvaged,
-            &self.failovers,
-            &self.wal_appended_batches,
-            &self.wal_replayed_batches,
-            &self.wal_truncations,
-            &self.reclusters_incremental,
-            &self.reclusters_full,
-            &self.shed_overflow,
-            &self.bursts_detected,
-            &self.blacklist_revisions,
-            &self.probe_evaluations,
-        ]
-    }
-
     /// The full telemetry block as JSON (histogram values in ns unless
-    /// noted; `batch_size` in transactions).
+    /// noted; `batch_size` in transactions) — the JSON of
+    /// [`Self::snapshot`], so live and fleet-merged exports are drop-in
+    /// interchangeable for dashboards.
     pub fn to_json(&self) -> serde_json::Value {
-        let gpu = self.gpu_totals.lock().unwrap_or_else(|e| e.into_inner());
-        let profile_rows: Vec<serde_json::Value> = {
-            let profile = self
-                .kernel_profile
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            profile
-                .rows()
-                .map(|(tier, kernel, row)| {
-                    serde_json::json!({
-                        "tier": tier,
-                        "kernel": kernel,
-                        "count": row.count,
-                        "total_s": row.total_s,
-                        "p50_s": row.p50_s(),
-                        "max_s": row.max_s,
-                    })
-                })
-                .collect()
-        };
-        serde_json::json!({
-            "ingested": self.ingested.load(Ordering::Relaxed),
-            "shed_dropped_oldest": self.shed_dropped_oldest.load(Ordering::Relaxed),
-            "shed_rejected_new": self.shed_rejected_new.load(Ordering::Relaxed),
-            "rejected_invalid": self.rejected_invalid.load(Ordering::Relaxed),
-            "shed_unhealthy": self.shed_unhealthy.load(Ordering::Relaxed),
-            "batches": self.batches.load(Ordering::Relaxed),
-            "reclusters": self.reclusters.load(Ordering::Relaxed),
-            "reclusters_coalesced": self.reclusters_coalesced.load(Ordering::Relaxed),
-            "queries": self.queries.load(Ordering::Relaxed),
-            "worker_panics": self.worker_panics.load(Ordering::Relaxed),
-            "worker_restarts": self.worker_restarts.load(Ordering::Relaxed),
-            "checkpoints_written": self.checkpoints_written.load(Ordering::Relaxed),
-            "checkpoint_failures": self.checkpoint_failures.load(Ordering::Relaxed),
-            "engine_retries": self.engine_retries.load(Ordering::Relaxed),
-            "engine_degradations": self.engine_degradations.load(Ordering::Relaxed),
-            "iterations_salvaged": self.iterations_salvaged.load(Ordering::Relaxed),
-            "failovers": self.failovers.load(Ordering::Relaxed),
-            "wal_appended_batches": self.wal_appended_batches.load(Ordering::Relaxed),
-            "wal_replayed_batches": self.wal_replayed_batches.load(Ordering::Relaxed),
-            "wal_truncations": self.wal_truncations.load(Ordering::Relaxed),
-            "reclusters_incremental": self.reclusters_incremental.load(Ordering::Relaxed),
-            "reclusters_full": self.reclusters_full.load(Ordering::Relaxed),
-            "shed_overflow": self.shed_overflow.load(Ordering::Relaxed),
-            "bursts_detected": self.bursts_detected.load(Ordering::Relaxed),
-            "blacklist_revisions": self.blacklist_revisions.load(Ordering::Relaxed),
-            "probe_evaluations": self.probe_evaluations.load(Ordering::Relaxed),
-            "ingest_lag_ns": self.ingest_lag.to_json(),
-            "batch_size": self.batch_size.to_json(),
-            "recluster_wall_ns": self.recluster_wall.to_json(),
-            "query_latency_ns": self.query_latency.to_json(),
-            "delta_frontier": self.delta_frontier.to_json(),
-            "detection": detection_json(&self.detection_points()),
-            "gpu": serde_json::json!({
-                "global_read_sectors": gpu.global_read_sectors,
-                "global_write_sectors": gpu.global_write_sectors,
-                "global_atomics": gpu.global_atomics,
-                "shared_accesses": gpu.shared_accesses,
-                "warp_intrinsics": gpu.warp_intrinsics,
-                "kernel_launches": gpu.kernel_launches,
-            }),
-            "kernel_profile": profile_rows,
-        })
+        self.snapshot().to_json()
     }
 
     /// A plain-value copy of the whole telemetry block, mergeable with
@@ -541,35 +463,6 @@ impl Telemetry {
         }
     }
 }
-
-/// Checkpoint-order counter names, parallel to
-/// `Telemetry::counter_cells` (append-only, like the cells).
-const COUNTER_NAMES: [&str; 24] = [
-    "ingested",
-    "shed_dropped_oldest",
-    "shed_rejected_new",
-    "rejected_invalid",
-    "shed_unhealthy",
-    "batches",
-    "reclusters",
-    "reclusters_coalesced",
-    "queries",
-    "checkpoints_written",
-    "checkpoint_failures",
-    "engine_retries",
-    "engine_degradations",
-    "iterations_salvaged",
-    "failovers",
-    "wal_appended_batches",
-    "wal_replayed_batches",
-    "wal_truncations",
-    "reclusters_incremental",
-    "reclusters_full",
-    "shed_overflow",
-    "bursts_detected",
-    "blacklist_revisions",
-    "probe_evaluations",
-];
 
 /// A point-in-time, plain-value copy of one core's [`Telemetry`]. The
 /// sharded router merges the snapshots of every shard core plus its own
@@ -630,20 +523,29 @@ impl TelemetrySnapshot {
     }
 
     /// The named counter's value (0 if this snapshot predates it).
+    /// Panics on a name no counter has: a typo must not read as "zero
+    /// events".
     pub fn counter(&self, name: &str) -> u64 {
-        COUNTER_NAMES
-            .iter()
-            .position(|&n| n == name)
-            .and_then(|i| self.counters.get(i).copied())
-            .unwrap_or(0)
+        match name {
+            "worker_panics" => self.worker_panics,
+            "worker_restarts" => self.worker_restarts,
+            _ => {
+                let i = COUNTER_NAMES
+                    .iter()
+                    .position(|&n| n == name)
+                    .unwrap_or_else(|| panic!("no telemetry counter is named {name:?}"));
+                self.counters.get(i).copied().unwrap_or(0)
+            }
+        }
     }
 
-    /// Same JSON shape as [`Telemetry::to_json`], so fleet-wide and
-    /// single-core exports are drop-in interchangeable for dashboards.
+    /// The telemetry block as JSON: every counter under its field name,
+    /// histograms as `{count, mean, p50, p95, p99, max}` (values in ns;
+    /// `batch_size` in transactions, `delta_frontier` in vertices), the
+    /// detection series, GPU totals and per-kernel profile rows.
     pub fn to_json(&self) -> serde_json::Value {
         // The vendored serde_json keeps objects as insertion-ordered
-        // pairs; build the document in the same key order as
-        // [`Telemetry::to_json`] so the two serialize identically.
+        // pairs.
         let mut doc: Vec<(String, serde_json::Value)> = Vec::new();
         for (i, name) in COUNTER_NAMES.iter().enumerate() {
             doc.push((
@@ -667,7 +569,15 @@ impl TelemetrySnapshot {
         ));
         doc.push(("query_latency_ns".to_string(), self.query_latency.to_json()));
         doc.push(("delta_frontier".to_string(), self.delta_frontier.to_json()));
-        doc.push(("detection".to_string(), detection_json(&self.detection)));
+        let points = &self.detection;
+        doc.push((
+            "detection".to_string(),
+            serde_json::json!({
+                "points": points.iter().map(|p| p.to_json()).collect::<Vec<_>>(),
+                "latest_precision": points.last().map_or(0.0, |p| p.precision),
+                "latest_recall": points.last().map_or(0.0, |p| p.recall),
+            }),
+        ));
         doc.push((
             "gpu".to_string(),
             serde_json::json!({
@@ -817,6 +727,25 @@ mod tests {
             serde_json::to_string(&reference.to_json()).unwrap(),
             "merged fleet JSON must equal the single-block reference"
         );
+    }
+
+    #[test]
+    fn supervisor_counters_resolve_by_name() {
+        let t = Telemetry::new();
+        t.worker_panics.fetch_add(3, Ordering::Relaxed);
+        t.worker_restarts.fetch_add(2, Ordering::Relaxed);
+        let s = t.snapshot();
+        assert_eq!(s.counter("worker_panics"), 3);
+        assert_eq!(s.counter("worker_restarts"), 2);
+        // Still per-process: not part of the checkpoint image.
+        assert_eq!(t.counters_snapshot().len(), COUNTER_NAMES.len());
+        assert!(!COUNTER_NAMES.contains(&"worker_panics"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no telemetry counter is named \"worker_panic\"")]
+    fn an_unknown_counter_name_is_a_loud_error() {
+        Telemetry::new().snapshot().counter("worker_panic");
     }
 
     #[test]

@@ -197,6 +197,48 @@ fn multi_gpu_failed_reupload_returns_the_error_without_freeing_phantoms() {
     assert_eq!(prog.labels(), &barriers[0][..]);
 }
 
+/// The initial-upload twin of the test above: device 1's *first* upload
+/// runs out of memory after device 0's share is already resident. A
+/// failed `stage` is followed by no `teardown`, so it must release its
+/// uploaded prefix itself — otherwise a retry (a `ResilientEngine`'s, or
+/// here a plain second run) uploads on top of the leaked share.
+#[test]
+fn multi_gpu_failed_initial_upload_leaves_nothing_resident() {
+    let g = path(64);
+    let opts = RunOptions::default();
+    let (reference_labels, _, _) = reference(&g, &opts);
+
+    let mut engine = MultiGpuEngine::titan_v(2);
+    let second = engine.gpus().device(1).id();
+    faults::inject_fault(second, FaultKind::Oom, 0);
+    let served_before = faults::faults_served();
+    let mut prog = ClassicLp::new(g.num_vertices());
+    let outcome = engine.run(&g, &mut prog, &opts);
+    faults::clear_device(second);
+
+    assert_eq!(
+        faults::faults_served(),
+        served_before + 1,
+        "the fault fires"
+    );
+    assert!(outcome.is_err(), "the failed upload must surface");
+    for d in 0..2 {
+        assert_eq!(
+            engine.gpus().device(d).resident_bytes(),
+            0,
+            "device {d} leaks its share"
+        );
+    }
+
+    // The same engine, fault-free: a clean run from clean devices.
+    let mut prog = ClassicLp::new(g.num_vertices());
+    engine.run(&g, &mut prog, &opts).unwrap();
+    assert_eq!(prog.labels(), &reference_labels[..]);
+    for d in 0..2 {
+        assert_eq!(engine.gpus().device(d).resident_bytes(), 0);
+    }
+}
+
 /// Acceptance (d): the injection machinery is inert while nothing is armed
 /// against a live device — repeated runs agree bit-for-bit in results
 /// *and* modeled cost, and no fault is ever served. (The feature-off
