@@ -160,7 +160,7 @@ impl Engine for CpuLp {
         let mut report = LpRunReport::default();
         let mut totals = CpuCounters::default();
 
-        for iteration in opts.start_iteration..opts.max_iterations {
+        for iteration in 0..opts.max_iterations {
             prog.begin_iteration(iteration);
             // PickLabel: sequential streaming pass.
             for (v, slot) in spoken.iter_mut().enumerate() {

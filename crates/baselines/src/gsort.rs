@@ -17,7 +17,8 @@
 //! makes this approach lose to GLP.
 
 use glp_core::engine::{
-    drive, Backend, BestLabel, Decision, Engine, EngineError, Phase, RunOptions, ShardStats,
+    drive, Backend, BestLabel, BspEngine, Decision, Engine, EngineError, Phase, RunOptions,
+    ShardStats,
 };
 use glp_core::{LpProgram, LpRunReport};
 use glp_gpusim::{Device, DeviceError, KernelCtx, WARP_SIZE};
@@ -80,10 +81,16 @@ impl Engine for GSortLp {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
+        drive(&mut *self.backend(g, opts), g, prog, opts)
+    }
+}
+
+impl BspEngine for GSortLp {
+    fn backend<'a>(&'a mut self, g: &Graph, opts: &RunOptions) -> Box<dyn Backend + 'a> {
         let n = g.num_vertices();
         let shards = opts.resolve_shards();
         let per = n.div_ceil(shards).max(1);
-        let mut backend = GSortBackend {
+        Box::new(GSortBackend {
             device: &mut self.device,
             // G-Sort needs graph + labels + the |E|-sized NL and weight arrays.
             footprint: g.size_bytes() + (n as u64) * 20 + g.incoming().num_edges() * 12,
@@ -92,8 +99,7 @@ impl Engine for GSortLp {
                 .collect(),
             label_bytes: n as u64 * 4,
             transfer_s: 0.0,
-        };
-        drive(&mut backend, g, prog, opts)
+        })
     }
 }
 

@@ -18,8 +18,11 @@
 //!    `v`'s state changed (the convergence signal).
 //! 5. `end_iteration(it)` then `finished(it, changed)`.
 //!
-//! Engines never look inside the program's state; baselines drive the same
-//! trait so results are comparable across all seven execution engines.
+//! The trait is those callbacks plus `labels`, `finished` and hidden
+//! engine plumbing. Engines never look inside the program's state — fault
+//! recovery included, which re-drives a device phase against the live
+//! program — and baselines drive the same trait, so results are comparable
+//! across all seven execution engines.
 
 use glp_graph::{EdgeId, Label, VertexId};
 
@@ -97,28 +100,6 @@ pub trait LpProgram: Sync {
     /// comparison).
     fn labels(&self) -> &[Label];
 
-    /// Serializes the program's *mutable* state at a BSP barrier into an
-    /// opaque byte blob, or `None` when the program does not support
-    /// checkpointing (the default). A program returning `Some` promises
-    /// that `restore_state` with that blob, followed by re-running from
-    /// the next iteration, reproduces the exact run — including any
-    /// per-iteration randomness, which must therefore be part of the
-    /// blob.
-    ///
-    /// [`ResilientEngine`](crate::ResilientEngine) refuses to retry or
-    /// degrade programs without checkpoint support: re-driving
-    /// `begin_iteration` against un-restored state would diverge.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restores state captured by `save_state`. Returns false (and must
-    /// leave the program unchanged) when the blob is not recognized.
-    /// Default: refuses everything, matching the `save_state` default.
-    fn restore_state(&mut self, _blob: &[u8]) -> bool {
-        false
-    }
-
     // -- Engine plumbing -------------------------------------------------
     //
     // The three hidden methods below are not Table 1 callbacks and
@@ -157,30 +138,6 @@ pub trait LpProgram: Sync {
         }
         changed
     }
-}
-
-/// Encodes a label array little-endian — the shared helper for
-/// [`LpProgram::save_state`] implementations whose mutable state is one
-/// label vector.
-pub fn labels_to_blob(labels: &[Label]) -> Vec<u8> {
-    let mut blob = Vec::with_capacity(labels.len() * 4);
-    for &l in labels {
-        blob.extend_from_slice(&l.to_le_bytes());
-    }
-    blob
-}
-
-/// Decodes a blob written by [`labels_to_blob`]. `None` on any length
-/// mismatch, so `restore_state` impls can refuse foreign blobs.
-pub fn blob_to_labels(blob: &[u8], expect_len: usize) -> Option<Vec<Label>> {
-    if blob.len() != expect_len * 4 {
-        return None;
-    }
-    Some(
-        blob.chunks_exact(4)
-            .map(|c| Label::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -238,22 +195,5 @@ mod tests {
         assert!(p.update_vertex(0, Some((9, 1.0))));
         assert!(!p.update_vertex(0, Some((9, 1.0))));
         assert!(!p.update_vertex(1, None));
-    }
-
-    #[test]
-    fn default_checkpointing_is_refused() {
-        let mut p = Fixed { labels: vec![7, 8] };
-        assert!(p.save_state().is_none());
-        assert!(!p.restore_state(&[1, 2, 3]));
-        assert_eq!(p.labels(), &[7, 8]);
-    }
-
-    #[test]
-    fn label_blob_roundtrip_and_length_check() {
-        let labels = vec![0u32, 1, u32::MAX, 12345];
-        let blob = labels_to_blob(&labels);
-        assert_eq!(blob_to_labels(&blob, 4).as_deref(), Some(&labels[..]));
-        assert!(blob_to_labels(&blob, 3).is_none());
-        assert!(blob_to_labels(&blob[1..], 4).is_none());
     }
 }

@@ -198,10 +198,10 @@ pub fn replay_delta(
 }
 
 /// Captures a from-scratch run's per-iteration label memo as the run
-/// executes, via a [`BarrierHook`](super::BarrierHook) — chainable
-/// through [`ResilientEngine`](super::ResilientEngine), whose retries
-/// re-fire barriers (the capture is idempotent per iteration because
-/// every tier is bit-identical).
+/// executes, via a [`BarrierHook`](super::BarrierHook): a barrier fires
+/// exactly once per iteration, under a
+/// [`ResilientEngine`](super::ResilientEngine) ladder and its recoveries
+/// too, so the memo has one entry per iteration, in order.
 #[derive(Clone, Default)]
 pub struct MemoRecorder {
     captured: std::sync::Arc<std::sync::Mutex<Vec<Vec<Label>>>>,
@@ -215,29 +215,17 @@ impl MemoRecorder {
 
     /// The hook to install with
     /// [`RunOptions::with_barrier_hook`](super::RunOptions::with_barrier_hook).
-    /// `n` is the graph's vertex count (to decode
-    /// [`save_state`](crate::api::LpProgram::save_state) blobs).
-    pub fn hook(&self, n: usize) -> super::BarrierHook {
+    /// (`_n` is unused, kept for existing callers.)
+    pub fn hook(&self, _n: usize) -> super::BarrierHook {
         let captured = std::sync::Arc::clone(&self.captured);
         super::BarrierHook::new(move |ev| {
             let mut c = captured.lock().unwrap_or_else(|e| e.into_inner());
-            // A resumed attempt replays its first barrier; capture each
-            // iteration exactly once, in order.
-            if ev.iteration as usize != c.len() {
-                return;
-            }
-            if let Some(blob) = ev.program.save_state() {
-                if let Some(labels) = crate::api::blob_to_labels(&blob, n) {
-                    c.push(labels);
-                }
-            }
+            c.push(ev.program.labels().to_vec());
         })
     }
 
-    /// The captured per-iteration label arrays. Valid as a replay memo
-    /// only when its length equals the run's iteration count (a program
-    /// that refuses mid-run saves leaves gaps — the caller should fall
-    /// back to from-scratch next time).
+    /// The captured per-iteration label arrays: one entry per iteration
+    /// the run committed.
     pub fn into_memo(self) -> Vec<Vec<Label>> {
         std::mem::take(&mut *self.captured.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -345,8 +333,7 @@ mod tests {
 
     #[test]
     fn recorder_chains_through_the_resilient_ladder() {
-        // The memo hook must survive ResilientEngine installing its own
-        // salvage hook (chained, not replaced).
+        // The caller's hook is the only hook a ladder run fires.
         let g = graph_with(&[]);
         let mut prog = WeightedLp::from_graph(&g, 30).with_retention(2.0);
         let recorder = MemoRecorder::new();
@@ -368,11 +355,10 @@ mod tests {
     #[test]
     fn warm_start_frontier_honored_at_iteration_zero() {
         // A converged program rerun with an all-false warm-start frontier
-        // schedules nothing and changes nothing — the `initial_frontier`
-        // gap this PR closes (it used to require `start_iteration > 0`).
-        // One rule for every backend of the BSP driver: the hybrid tier
-        // (on a device small enough to force streaming) used to saturate
-        // iteration 0 regardless.
+        // schedules nothing and changes nothing. One rule for every
+        // backend of the BSP driver: the hybrid tier (on a device small
+        // enough to force streaming) used to saturate iteration 0
+        // regardless.
         let g = graph_with(&[]);
         let n = g.num_vertices();
         let streaming = DeviceConfig::tiny(n as u64 * 20 + g.size_bytes() / 3);

@@ -4,11 +4,10 @@
 //! EngineError>`: every way a simulated device can die mid-run maps onto
 //! one variant here, converted from the device-layer
 //! [`DeviceError`](glp_gpusim::DeviceError) at the engine boundary. The
-//! split into *transient* and *persistent* faults is what the
-//! [`ResilientEngine`](super::ResilientEngine) recovery policy keys on:
-//! transient faults are retried on the same engine tier (resuming from the
-//! last completed BSP barrier), persistent faults walk the degradation
-//! ladder to the next tier.
+//! split into *transient* and *persistent* faults is what the BSP driver's
+//! recovery policy ([`ResilientEngine`](super::ResilientEngine)) keys on: a
+//! transient fault re-drives the failed iteration on the same tier, a
+//! persistent one on the next tier of the ladder.
 
 use glp_gpusim::DeviceError;
 use std::fmt;
@@ -44,8 +43,8 @@ pub enum EngineError {
         capacity: u64,
     },
     /// A harness shard of a parallel kernel panicked. Transient from the
-    /// scheduler's point of view: the device is healthy and the iteration
-    /// can be re-driven from the last barrier.
+    /// scheduler's point of view: the device is healthy and the iteration's
+    /// device phase can be re-driven.
     ShardPanicked {
         /// Index of the first panicked shard.
         shard: usize,

@@ -5,7 +5,7 @@
 use super::bsp::{drive, Backend, Phase};
 use super::dispatch::split_by_degree;
 use super::kernels::{self, DecisionsOut, KernelKind, KernelShard, ShardStats};
-use super::{Decision, Direction, Engine, EngineError, RunOptions};
+use super::{BspEngine, Decision, Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_gpusim::{Device, DeviceError};
@@ -64,8 +64,18 @@ impl Engine for GpuEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        let mut backend = GpuBackend::new(&mut self.device, g, Adjacency::Resident, opts);
-        drive(&mut backend, g, prog, opts)
+        drive(&mut *self.backend(g, opts), g, prog, opts)
+    }
+}
+
+impl BspEngine for GpuEngine {
+    fn backend<'a>(&'a mut self, g: &Graph, opts: &RunOptions) -> Box<dyn Backend + 'a> {
+        Box::new(GpuBackend::new(
+            &mut self.device,
+            g,
+            Adjacency::Resident,
+            opts,
+        ))
     }
 }
 

@@ -10,9 +10,9 @@
 //! Streaming overlaps kernel execution (double buffering), so an iteration
 //! pays `max(compute, transfer)`.
 
-use super::bsp::{drive, Phase};
+use super::bsp::{drive, Backend, Phase};
 use super::gpu::{bytes_per_edge, resident_bytes, Adjacency, GpuBackend};
-use super::{Engine, EngineError, RunOptions};
+use super::{BspEngine, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_gpusim::Device;
@@ -80,6 +80,12 @@ impl Engine for HybridEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
+        drive(&mut *self.backend(g, opts), g, prog, opts)
+    }
+}
+
+impl BspEngine for HybridEngine {
+    fn backend<'a>(&'a mut self, g: &Graph, opts: &RunOptions) -> Box<dyn Backend + 'a> {
         let mem = self.device.config().global_mem_bytes;
         let resident = resident_bytes(g);
         assert!(
@@ -89,8 +95,7 @@ impl Engine for HybridEngine {
         let adjacency = Adjacency::Host {
             streamed: resident + g.size_bytes() > mem,
         };
-        let mut backend = GpuBackend::new(&mut self.device, g, adjacency, opts);
-        drive(&mut backend, g, prog, opts)
+        Box::new(GpuBackend::new(&mut self.device, g, adjacency, opts))
     }
 }
 

@@ -11,7 +11,9 @@
 //!   in [`bsp`](SequentialEngine::bsp) mode the synchronous host tier.
 //!
 //! The synchronous tiers share one iteration loop: [`drive`] runs the BSP
-//! workflow once, and each tier is a [`Backend`] of it.
+//! workflow once, each tier is a [`Backend`] of it ([`BspEngine`]), and
+//! fault recovery is the driver's policy — [`ResilientEngine`] hands it a
+//! ladder of backends.
 //!
 //! All of them (plus the baselines in `glp-baselines` and the simulated
 //! in-house cluster in `glp-fraud`) are driven through the [`Engine`]
@@ -30,7 +32,7 @@ mod options;
 mod resilient;
 mod sequential;
 
-pub use bsp::{drive, initial_active, Backend, Phase};
+pub use bsp::{drive, initial_active, Backend, Phase, ResilienceReport};
 pub use delta::{replay_delta, DeltaReplay, MemoRecorder};
 pub use dispatch::{Buckets, DegreeThresholds};
 pub use error::EngineError;
@@ -41,8 +43,8 @@ pub use kernels::KernelShard;
 pub use kernels::ShardStats;
 pub use multi::MultiGpuEngine;
 pub use options::{BarrierEvent, BarrierHook, Direction, FrontierMode, RunOptions, SweepOrder};
-pub use resilient::{ResilienceReport, ResilientEngine};
-pub use sequential::SequentialEngine;
+pub use resilient::ResilientEngine;
+pub use sequential::{SequentialBsp, SequentialEngine};
 
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
@@ -69,9 +71,7 @@ use glp_sketch::{BoundedHashTable, InsertOutcome};
 /// * the returned report carries per-iteration `changed` and `active`
 ///   counts;
 /// * on `Err`, no iteration was partially applied: the program's state is
-///   that of the last *completed* barrier, so a caller holding a matching
-///   checkpoint can resume with
-///   [`RunOptions::resume_from`](RunOptions::resume_from).
+///   that of the last *completed* barrier.
 pub trait Engine {
     /// Engine display name (for reports and benchmark tables).
     fn name(&self) -> &'static str;
@@ -79,13 +79,30 @@ pub trait Engine {
     /// Runs `prog` on `g` under `opts` until the program reports
     /// termination or `opts.max_iterations` is hit. Fails when the
     /// underlying device faults mid-run; see [`EngineError`] for the
-    /// taxonomy and [`ResilientEngine`] for the recovery wrapper.
+    /// taxonomy and [`ResilientEngine`] for running under a recovery policy.
     fn run(
         &mut self,
         g: &Graph,
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError>;
+}
+
+/// An [`Engine`] whose `run` is [`drive`] over one [`Backend`] — what a
+/// [`ResilientEngine`] ladder is made of. The recovery policy re-drives a
+/// failed device phase on the next backend, so an engine with a loop of its
+/// own (the asynchronous sweep, the CPU baselines) cannot sit on a ladder:
+/// it does not implement this trait.
+///
+/// ```compile_fail
+/// use glp_core::{ResilientEngine, SequentialEngine};
+/// // The asynchronous sweep has no barrier to re-drive from.
+/// ResilientEngine::new(vec![Box::new(SequentialEngine::new())]);
+/// ```
+pub trait BspEngine: Engine {
+    /// The backend of one run over `g` under `opts`, borrowing the
+    /// engine's devices.
+    fn backend<'a>(&'a mut self, g: &Graph, opts: &RunOptions) -> Box<dyn Backend + 'a>;
 }
 
 /// Per-vertex outcome of the LabelPropagation phase: the winning label and

@@ -23,7 +23,7 @@ use super::gpu::{
     bytes_per_edge, charge_frontier, charge_snapshot, charge_update, pick_labels, propagate,
 };
 use super::kernels::ShardStats;
-use super::{Decision, Direction, Engine, EngineError, RunOptions};
+use super::{BspEngine, Decision, Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_gpusim::{Device, DeviceConfig, DeviceError, MultiGpu};
@@ -69,17 +69,22 @@ impl Engine for MultiGpuEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
+        drive(&mut *self.backend(g, opts), g, prog, opts)
+    }
+}
+
+impl BspEngine for MultiGpuEngine {
+    fn backend<'a>(&'a mut self, _g: &Graph, opts: &RunOptions) -> Box<dyn Backend + 'a> {
         opts.validate_for_device(self.gpus.device(0).config().shared_mem_per_block);
         let shards = opts.resolve_shards().div_ceil(self.gpus.len()).max(1);
-        let mut backend = MultiBackend {
+        Box::new(MultiBackend {
             gpus: &mut self.gpus,
             assign: Vec::new(),
             ranges: Vec::new(),
             footprints: Vec::new(),
             shards,
             transfer_s: 0.0,
-        };
-        drive(&mut backend, g, prog, opts)
+        })
     }
 }
 

@@ -80,11 +80,11 @@ pub enum Direction {
     Pull,
 }
 
-/// What the engine saw at one completed BSP barrier, handed to the
-/// [`BarrierHook`] after `end_iteration` ran. Everything a checkpointing
-/// caller needs to resume from exactly this point: the iteration that just
-/// finished, its trace values, and the frontier that iteration `iteration
-/// + 1` would consume.
+/// What the driver saw at one completed BSP barrier, handed to the
+/// [`BarrierHook`] after `end_iteration` ran: the iteration that just
+/// committed, its trace values, the frontier that iteration `iteration + 1`
+/// will consume, and the program at the barrier. A barrier fires exactly
+/// once per iteration, in order, whatever recoveries happened in between.
 pub struct BarrierEvent<'a> {
     /// The 0-based iteration that just completed.
     pub iteration: u32,
@@ -96,11 +96,11 @@ pub struct BarrierEvent<'a> {
     /// sparsely; `None` under the dense schedule.
     pub active: Option<&'a [bool]>,
     /// How this barrier's frontier rebuild ran ([`Direction::Dense`]
-    /// under the dense schedule). A resuming caller carries it into the
-    /// stitched [`direction_per_iteration`](crate::LpRunReport::direction_per_iteration)
-    /// trace.
+    /// under the dense schedule).
     pub direction: Direction,
-    /// The program, for [`save_state`](crate::LpProgram::save_state).
+    /// The program at the barrier — its [`labels`](crate::LpProgram::labels)
+    /// are this iteration's result (what [`MemoRecorder`](super::MemoRecorder)
+    /// captures).
     pub program: &'a dyn LpProgram,
 }
 
@@ -116,10 +116,10 @@ impl fmt::Debug for BarrierEvent<'_> {
     }
 }
 
-/// A callback fired by the BSP engines after every completed barrier.
+/// A callback fired by the BSP driver after every completed barrier.
 ///
-/// Installing one makes the engine charge a `barrier_snapshot` kernel per
-/// barrier (checkpointing is not free — the labels have to be read back),
+/// Installing one makes the run charge a `barrier_snapshot` kernel per
+/// barrier (observing the labels is not free — they have to be read back),
 /// with the modeled cost surfaced in
 /// [`LpRunReport::snapshot_seconds`](crate::LpRunReport::snapshot_seconds).
 #[derive(Clone)]
@@ -177,20 +177,13 @@ pub struct RunOptions {
     /// Vertex visit order of the asynchronous sequential engine; ignored
     /// by the BSP engines.
     pub sweep_order: SweepOrder,
-    /// First iteration to execute (0 in an ordinary run). A resuming
-    /// caller sets this to the iteration a previous attempt failed in,
-    /// after restoring the program's state from the last completed
-    /// barrier; the engine's iteration counter, traces, and termination
-    /// checks all use the absolute number.
-    pub start_iteration: u32,
-    /// The activation bitmap the first executed iteration should consume
-    /// — a resume bitmap captured by a [`BarrierEvent`], or a warm-start
-    /// frontier for `start_iteration == 0`, where the caller warrants it
-    /// covers every vertex whose decision could differ from the program's
-    /// current state. Ignored when the run schedules densely.
+    /// A warm-start frontier: the activation bitmap iteration 0 should
+    /// consume, where the caller warrants it covers every vertex whose
+    /// decision could differ from the program's current state. Ignored
+    /// when the run schedules densely.
     pub initial_frontier: Option<Vec<bool>>,
-    /// Checkpoint callback fired after each completed barrier (BSP
-    /// engines only; the asynchronous sequential sweep has no barrier).
+    /// Callback fired after each completed barrier (BSP engines only; the
+    /// asynchronous sequential sweep has no barrier).
     pub barrier_hook: Option<BarrierHook>,
     /// Span recorder threaded through the whole run: engines emit
     /// run/iteration/dispatch spans, the device emits kernel and transfer
@@ -215,7 +208,6 @@ impl Default for RunOptions {
             cms_width: 2048,
             shards: 0,
             sweep_order: SweepOrder::Ascending,
-            start_iteration: 0,
             initial_frontier: None,
             barrier_hook: None,
             tracer: None,
@@ -260,15 +252,7 @@ impl RunOptions {
         self
     }
 
-    /// Resumes from `iteration`, optionally restoring the frontier the
-    /// failed iteration was scheduled against.
-    pub fn resume_from(mut self, iteration: u32, frontier: Option<Vec<bool>>) -> Self {
-        self.start_iteration = iteration;
-        self.initial_frontier = frontier;
-        self
-    }
-
-    /// Installs a per-barrier checkpoint callback.
+    /// Installs a per-barrier callback.
     pub fn with_barrier_hook(mut self, hook: BarrierHook) -> Self {
         self.barrier_hook = Some(hook);
         self
@@ -356,13 +340,11 @@ mod tests {
     }
 
     #[test]
-    fn resume_and_hook_builders() {
+    fn hook_and_tracer_builders() {
         let o = RunOptions::default()
-            .resume_from(4, Some(vec![true, false]))
             .with_barrier_hook(BarrierHook::new(|_| {}))
             .with_tracer(Tracer::new());
-        assert_eq!(o.start_iteration, 4);
-        assert_eq!(o.initial_frontier.as_deref(), Some(&[true, false][..]));
+        assert!(o.initial_frontier.is_none());
         assert!(o.barrier_hook.is_some());
         // RunOptions stays Clone with a hook and tracer installed (both
         // Arc-backed handles).

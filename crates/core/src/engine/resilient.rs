@@ -1,90 +1,43 @@
-//! Fault-tolerant execution: retry, iteration-granular resume, and a
-//! graceful-degradation ladder.
+//! Fault-tolerant execution: a ladder of engines under the driver's
+//! recovery policy.
 //!
-//! [`ResilientEngine`] wraps an ordered ladder of engines (fastest first)
-//! and drives whichever tier is currently healthy:
+//! [`ResilientEngine`] holds an ordered ladder of [`BspEngine`]s (fastest
+//! first) and a retry budget, and runs them as *one* driven run
+//! ([`super::bsp`]): when a device phase fails, a **transient** fault
+//! ([`EngineError::is_transient`]) re-stages the same tier after a capped
+//! exponential backoff, a **persistent** one (device lost, out of memory) or
+//! an exhausted budget stages the next tier, and the failed iteration's
+//! device phase is re-driven there — completed iterations are never
+//! recomputed, and nothing is checkpointed: the frontier, the report and
+//! the program stay with the driver. Because every BSP backend is
+//! bit-identical, a run that starts on the GPU and finishes on the host
+//! produces exactly the labels the GPU would have, for any program.
 //!
-//! 1. A [`BarrierHook`] checkpoints the program's state (via
-//!    [`LpProgram::save_state`]) and the live frontier at every completed
-//!    BSP barrier. The snapshot readback is charged to the cost model
-//!    (`barrier_snapshot` kernel, surfaced as
-//!    [`LpRunReport::snapshot_seconds`](crate::LpRunReport::snapshot_seconds)).
-//! 2. A **transient** fault ([`EngineError::is_transient`]) is retried on
-//!    the same tier with capped exponential backoff, restoring the last
-//!    checkpoint and resuming from the iteration that failed — completed
-//!    iterations are never recomputed.
-//! 3. A **persistent** fault (device lost, out of memory) or an exhausted
-//!    retry budget walks the ladder down one tier and resumes there.
-//!    Because every BSP engine in the workspace is bit-identical, a run
-//!    that starts on the GPU and finishes on the host produces exactly
-//!    the labels the GPU would have.
-//!
-//! Programs that do not implement `save_state` cannot be safely retried
-//! (`begin_iteration` is not idempotent in general — e.g. SLP's speaker
-//! draw), so for them the wrapper runs the top tier once and propagates
-//! any fault unchanged.
+//! What recovery costs on the modeled clock is the label readback at every
+//! barrier (`barrier_snapshot`, surfaced as
+//! [`LpRunReport::snapshot_seconds`](crate::LpRunReport::snapshot_seconds)):
+//! the host copy that makes losing a card free.
 
-use super::bsp::trace_fail;
-use super::options::BarrierHook;
-use super::{Direction, Engine, EngineError, RunOptions};
+use super::bsp::{drive_ladder, Recovery};
+use super::{Backend, BspEngine, Engine, EngineError, ResilienceReport, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_graph::Graph;
-use glp_trace::{Category, Clock, Tracer};
-use std::sync::{Arc, Mutex};
+use glp_trace::{Category, Clock};
 use std::time::Duration;
 
-/// What the recovery machinery did during the last
-/// [`ResilientEngine::run`].
-#[derive(Clone, Debug, Default)]
-pub struct ResilienceReport {
-    /// Same-tier retries after transient faults.
-    pub retries: u32,
-    /// Ladder steps taken after persistent faults (or exhausted retries).
-    pub degradations: u32,
-    /// Completed iterations carried across recoveries instead of being
-    /// recomputed, summed over all recovery events.
-    pub iterations_salvaged: u64,
-    /// Name of the tier that produced the final outcome.
-    pub tier: Option<&'static str>,
-    /// Every fault observed, in order.
-    pub faults: Vec<EngineError>,
-}
-
-/// The last completed barrier, as captured by the checkpoint hook.
-#[derive(Default)]
-struct Salvage {
-    /// Next iteration to execute (= completed iterations).
-    next: u32,
-    /// Program state at the last completed barrier (initially the
-    /// pre-run state).
-    blob: Option<Vec<u8>>,
-    /// Frontier the next iteration should consume (sparse runs only).
-    frontier: Option<Vec<bool>>,
-    /// Traces for iterations `0..next`, stitched into the final report.
-    changed: Vec<u64>,
-    active: Vec<u64>,
-    directions: Vec<Direction>,
-}
-
-/// The fault-tolerant wrapper. See the module docs for the recovery
-/// policy.
+/// A ladder of engines run under the recovery policy. See the module docs.
 pub struct ResilientEngine {
-    tiers: Vec<Box<dyn Engine>>,
-    max_retries: u32,
-    backoff_base: Duration,
-    backoff_cap: Duration,
+    tiers: Vec<Box<dyn BspEngine>>,
+    policy: Recovery,
     last: ResilienceReport,
 }
 
 impl std::fmt::Debug for ResilientEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientEngine")
-            .field(
-                "tiers",
-                &self.tiers.iter().map(|t| t.name()).collect::<Vec<_>>(),
-            )
-            .field("max_retries", &self.max_retries)
+            .field("tiers", &self.tier_names())
+            .field("policy", &self.policy)
             .field("last", &self.last)
             .finish()
     }
@@ -95,13 +48,15 @@ impl ResilientEngine {
     ///
     /// # Panics
     /// Panics when the ladder is empty.
-    pub fn new(tiers: Vec<Box<dyn Engine>>) -> Self {
+    pub fn new(tiers: Vec<Box<dyn BspEngine>>) -> Self {
         assert!(!tiers.is_empty(), "ladder needs at least one tier");
         Self {
             tiers,
-            max_retries: 3,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
+            policy: Recovery {
+                max_retries: 3,
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(50),
+            },
             last: ResilienceReport::default(),
         }
     }
@@ -118,15 +73,15 @@ impl ResilientEngine {
 
     /// Transient-fault retry budget per tier (default 3).
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.max_retries = max_retries;
+        self.policy.max_retries = max_retries;
         self
     }
 
     /// Exponential-backoff schedule for transient retries: `base`, then
     /// doubling up to `cap`. Tests pass `Duration::ZERO` to skip sleeping.
     pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
+        self.policy.backoff_base = base;
+        self.policy.backoff_cap = cap;
         self
     }
 
@@ -152,172 +107,24 @@ impl Engine for ResilientEngine {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        self.last = ResilienceReport::default();
-        // The wrapper's own span runs on the wall clock (its overhead is
-        // host-side: retries, backoff, restores), stamped from the
-        // tracer's time base so it sits inside any caller span around the
-        // run; tier runs nest under it structurally while keeping their
-        // modeled clocks.
-        let wall_now = || opts.tracer.as_ref().map_or(0.0, Tracer::wall_now);
-        let trace_mark = opts.tracer.as_ref().map(|t| {
+        // The ladder's own span runs on the wall clock (its overhead is
+        // host-side: backoff, re-staging), stamped from the tracer's time
+        // base so it sits inside any caller span around the run; tier runs
+        // nest under it structurally while keeping their modeled clocks.
+        let span = opts.tracer.as_ref().map(|t| {
             let mark = t.open_depth();
             t.begin(Category::Run, self.name(), Clock::Wall, t.wall_now());
-            mark
+            (t, mark)
         });
-        let Some(initial_blob) = prog.save_state() else {
-            // No checkpoint support: a failed attempt leaves the program
-            // in an unrecoverable mid-iteration state, so retrying or
-            // degrading would not reproduce the fault-free run. One
-            // attempt, fault propagated.
-            self.last.tier = Some(self.tiers[0].name());
-            let out = self.tiers[0].run(g, prog, opts);
-            if let Err(e) = &out {
-                self.last.faults.push(*e);
-                trace_fail(&opts.tracer, trace_mark, wall_now());
-            } else if let Some(t) = &opts.tracer {
-                t.end(t.wall_now());
-            }
-            return out;
-        };
-
-        let salvage = Arc::new(Mutex::new(Salvage {
-            blob: Some(initial_blob),
-            ..Default::default()
-        }));
-        let salvage_hook = {
-            let salvage = Arc::clone(&salvage);
-            BarrierHook::new(move |ev| {
-                let mut s = salvage.lock().expect("salvage lock");
-                // Guard against a re-fired barrier (a resumed attempt
-                // replays its first hook at exactly `next`).
-                if ev.iteration as usize != s.changed.len() {
-                    return;
-                }
-                // A program may refuse mid-run saves; keep the previous
-                // checkpoint then (recovery just redoes more work).
-                if let Some(blob) = ev.program.save_state() {
-                    s.blob = Some(blob);
-                    s.frontier = ev.active.map(<[bool]>::to_vec);
-                    s.changed.push(ev.changed);
-                    s.active.push(ev.scheduled);
-                    s.directions.push(ev.direction);
-                    s.next = ev.iteration + 1;
-                }
-            })
-        };
-        // The wrapper needs the barrier for its salvage state, but a
-        // caller's own hook (e.g. a memo-capturing recluster) must keep
-        // firing too — chain rather than replace. Both observe the same
-        // barrier; the single `barrier_snapshot` charge already covers it.
-        let hook = match &opts.barrier_hook {
-            Some(user) => {
-                let (salvage_hook, user) = (salvage_hook.clone(), user.clone());
-                BarrierHook::new(move |ev| {
-                    salvage_hook.fire(ev);
-                    user.fire(ev);
-                })
-            }
-            None => salvage_hook,
-        };
-
-        let mut tier = 0usize;
-        let mut retries_left = self.max_retries;
-        let mut backoff = self.backoff_base;
-        let mut first_attempt = true;
-
-        loop {
-            let (start, frontier) = {
-                let s = salvage.lock().expect("salvage lock");
-                (s.next, s.frontier.clone())
-            };
-            if !first_attempt {
-                let s = salvage.lock().expect("salvage lock");
-                let blob = s.blob.as_deref().expect("checkpoint blob present");
-                assert!(
-                    prog.restore_state(blob),
-                    "program rejected its own checkpoint"
-                );
-            }
-            first_attempt = false;
-            let mut attempt_opts = opts.clone().with_barrier_hook(hook.clone());
-            attempt_opts.start_iteration = start;
-            attempt_opts.initial_frontier = frontier;
-
-            match self.tiers[tier].run(g, prog, &attempt_opts) {
-                Ok(mut report) => {
-                    let s = salvage.lock().expect("salvage lock");
-                    let prefix = (start as usize).min(s.changed.len());
-                    if prefix > 0 {
-                        // Stitch the salvaged iterations' traces in front
-                        // of the final attempt's resumed traces. (The
-                        // timing fields cover only the final attempt — a
-                        // degraded tier has its own clock.)
-                        let mut changed = s.changed[..prefix].to_vec();
-                        changed.append(&mut report.changed_per_iteration);
-                        report.changed_per_iteration = changed;
-                        let mut active = s.active[..prefix].to_vec();
-                        active.append(&mut report.active_per_iteration);
-                        report.active_per_iteration = active;
-                        let mut directions = s.directions[..prefix].to_vec();
-                        directions.append(&mut report.direction_per_iteration);
-                        report.direction_per_iteration = directions;
-                        report.iterations = report.iterations.max(start);
-                    }
-                    self.last.tier = Some(self.tiers[tier].name());
-                    if let Some(t) = &opts.tracer {
-                        t.end(t.wall_now());
-                    }
-                    return Ok(report);
-                }
-                Err(e) => {
-                    self.last.faults.push(e);
-                    let completed = salvage.lock().expect("salvage lock").next;
-                    // The failing tier's `fail_open_to` recorded which span
-                    // was mid-flight when the fault hit (the failed
-                    // iteration); the recovery instant attaches there so a
-                    // trace shows *what* a retry/degrade recovered from.
-                    let fault_span = opts.tracer.as_ref().and_then(|t| t.take_error_span());
-                    if e.is_transient() && retries_left > 0 {
-                        retries_left -= 1;
-                        self.last.retries += 1;
-                        if let Some(t) = &opts.tracer {
-                            t.instant_with_parent(
-                                Category::Resilience,
-                                "retry",
-                                Clock::Wall,
-                                t.wall_now(),
-                                fault_span,
-                            );
-                        }
-                        if backoff > Duration::ZERO {
-                            std::thread::sleep(backoff);
-                        }
-                        backoff = (backoff * 2).min(self.backoff_cap);
-                    } else if tier + 1 < self.tiers.len() {
-                        tier += 1;
-                        self.last.degradations += 1;
-                        retries_left = self.max_retries;
-                        backoff = self.backoff_base;
-                        if let Some(t) = &opts.tracer {
-                            t.instant_with_parent(
-                                Category::Resilience,
-                                "degrade",
-                                Clock::Wall,
-                                t.wall_now(),
-                                fault_span,
-                            );
-                        }
-                    } else {
-                        self.last.tier = Some(self.tiers[tier].name());
-                        trace_fail(&opts.tracer, trace_mark, wall_now());
-                        return Err(e);
-                    }
-                    // Everything completed before the fault is resumed,
-                    // not recomputed.
-                    self.last.iterations_salvaged += u64::from(completed);
-                }
-            }
+        let mut backends: Vec<_> = self.tiers.iter_mut().map(|t| t.backend(g, opts)).collect();
+        let mut rungs: Vec<&mut dyn Backend> = backends.iter_mut().map(|b| &mut **b as _).collect();
+        let outcome = drive_ladder(&mut rungs, &self.policy, g, prog, opts, &mut self.last);
+        match (&outcome, span) {
+            (Ok(_), Some((t, _))) => t.end(t.wall_now()),
+            (Err(_), Some((t, mark))) => t.fail_open_to(mark, t.wall_now()),
+            (_, None) => {}
         }
+        outcome
     }
 }
 
@@ -325,8 +132,9 @@ impl Engine for ResilientEngine {
 mod tests {
     use super::super::{FrontierMode, GpuEngine, SequentialEngine};
     use super::*;
-    use crate::variants::{ClassicLp, Slp};
+    use crate::variants::ClassicLp;
     use glp_graph::gen::{caveman, two_cliques_bridge};
+    use glp_trace::Tracer;
 
     /// A caller span around a ladder run contains the ladder's own wall
     /// span, and that contains a host tier's: all three are stamped from
@@ -410,18 +218,69 @@ mod tests {
         }
     }
 
+    /// The policy needs no injected fault to be exercised: a graph that
+    /// does not fit the top tier's card is a persistent fault at `stage`,
+    /// and the ladder walks down to the hybrid tier, which streams it.
     #[test]
-    fn checkpoint_free_program_still_runs() {
-        let g = caveman(4, 6);
-        let mut engine = ResilientEngine::gpu_ladder();
-        let mut slp = Slp::new(g.num_vertices(), 7);
-        assert!(slp.save_state().is_some(), "SLP does checkpoint");
-        // LLP-style programs without sparse activation also work; the real
-        // no-checkpoint case is pinned through the API default test. Here
-        // we confirm a checkpointing program round-trips through the
-        // wrapper untouched.
-        let report = engine.run(&g, &mut slp, &RunOptions::default()).unwrap();
-        assert!(report.iterations > 0);
+    fn out_of_memory_at_staging_walks_the_ladder() {
+        use super::super::HybridEngine;
+        use glp_gpusim::{Device, DeviceConfig};
+        let g = caveman(6, 8);
+        let state = g.num_vertices() as u64 * 20;
+        let small = || Device::new(DeviceConfig::tiny(state + g.size_bytes() / 3));
+        let mut want = ClassicLp::new(g.num_vertices());
+        let bare = GpuEngine::titan_v()
+            .run(&g, &mut want, &RunOptions::default())
+            .unwrap();
+
+        let mut engine = ResilientEngine::new(vec![
+            Box::new(GpuEngine::new(small())),
+            Box::new(HybridEngine::new(small())),
+        ]);
+        let mut prog = ClassicLp::new(g.num_vertices());
+        let report = engine.run(&g, &mut prog, &RunOptions::default()).unwrap();
+        let stats = engine.resilience();
+        assert_eq!((stats.retries, stats.degradations), (0, 1));
+        assert_eq!(stats.iterations_salvaged, 0);
+        assert_eq!(stats.tier, Some("GLP-hybrid"));
+        assert!(matches!(
+            stats.faults[..],
+            [EngineError::OutOfMemory { .. }]
+        ));
+        assert_eq!(prog.labels(), want.labels());
+        assert_eq!(report.changed_per_iteration, bare.changed_per_iteration);
+        assert!(report.transfer_seconds > 0.0, "the hybrid tier streamed");
+
+        // With nothing below it the same fault is the run's, and the card
+        // is left empty.
+        let gpu = GpuEngine::new(small());
+        let mut engine = ResilientEngine::new(vec![Box::new(gpu)]);
+        let mut prog = ClassicLp::new(g.num_vertices());
+        let err = engine
+            .run(&g, &mut prog, &RunOptions::default())
+            .unwrap_err();
+        assert!(!err.is_transient());
+        assert_eq!(engine.resilience().tier, Some("GLP"));
+        assert_eq!(engine.resilience().degradations, 0);
+    }
+
+    /// The barrier readback is what a run that *can* recover pays; one rung
+    /// with no retry budget cannot, so it is a bare engine to the bit.
+    #[test]
+    fn one_rung_without_a_retry_budget_is_a_bare_engine() {
+        let g = caveman(6, 8);
+        let mut bare_prog = ClassicLp::new(g.num_vertices());
+        let bare = GpuEngine::titan_v()
+            .run(&g, &mut bare_prog, &RunOptions::default())
+            .unwrap();
+        let mut engine =
+            ResilientEngine::new(vec![Box::new(GpuEngine::titan_v())]).with_max_retries(0);
+        let mut prog = ClassicLp::new(g.num_vertices());
+        let report = engine.run(&g, &mut prog, &RunOptions::default()).unwrap();
+        assert_eq!(report.snapshots_taken, 0);
+        assert_eq!(report.modeled_seconds, bare.modeled_seconds);
+        assert_eq!(report.iteration_seconds, bare.iteration_seconds);
+        assert_eq!(prog.labels(), bare_prog.labels());
     }
 
     #[test]

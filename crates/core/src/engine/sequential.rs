@@ -21,8 +21,8 @@
 use super::bsp::{drive, initial_active, Backend, Phase};
 use super::kernels::ShardStats;
 use super::{
-    exact_mfl, mfl_scratch, Decision, Direction, Engine, EngineError, FrontierMode, RunOptions,
-    SweepOrder,
+    exact_mfl, mfl_scratch, BspEngine, Decision, Direction, Engine, EngineError, FrontierMode,
+    RunOptions, SweepOrder,
 };
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
@@ -32,64 +32,71 @@ use glp_sketch::BoundedHashTable;
 use glp_trace::{Category, Clock};
 use std::time::Instant;
 
-/// The sequential host engine. Stateless — sweep order and iteration cap
-/// come from [`RunOptions`]. Two modes:
-///
-/// * [`SequentialEngine::new`] — the **asynchronous** gold standard
-///   described above;
-/// * [`SequentialEngine::bsp`] — a **synchronous** (BSP) host sweep that
-///   reproduces the GPU engines' labels *and* per-iteration traces
-///   byte-for-byte: the bottom rung of
-///   [`ResilientEngine`](super::ResilientEngine)'s degradation ladder,
-///   where a run stranded by dead devices finishes on the host without
-///   changing its answer.
+/// The sequential host engine: the **asynchronous** gold standard
+/// described above. Stateless — sweep order and iteration cap come from
+/// [`RunOptions`]. Its synchronous sibling is [`SequentialEngine::bsp`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SequentialEngine {
-    bsp: bool,
-}
+pub struct SequentialEngine;
+
+/// The **synchronous** (BSP) host engine ([`SequentialEngine::bsp`]): a
+/// host sweep that reproduces the GPU engines' labels *and* per-iteration
+/// traces byte-for-byte — the bottom rung of
+/// [`ResilientEngine`](super::ResilientEngine)'s degradation ladder, where
+/// a run stranded by dead devices finishes on the host without changing its
+/// answer. No cost model is attached — only wall-clock is reported.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SequentialBsp;
 
 impl SequentialEngine {
     /// The asynchronous engine (no resources to own).
     pub fn new() -> Self {
-        Self { bsp: false }
+        Self
     }
 
     /// The synchronous (BSP) host engine: bit-identical to the GPU
-    /// engines, iteration for iteration. No cost model is attached — only
-    /// wall-clock is reported.
-    pub fn bsp() -> Self {
-        Self { bsp: true }
-    }
-
-    /// Whether this instance runs synchronous BSP sweeps.
-    pub fn is_bsp(&self) -> bool {
-        self.bsp
+    /// engines, iteration for iteration.
+    pub fn bsp() -> SequentialBsp {
+        SequentialBsp
     }
 }
 
-impl Engine for SequentialEngine {
+impl Engine for SequentialBsp {
     fn name(&self) -> &'static str {
-        if self.bsp {
-            "Sequential-BSP"
-        } else {
-            "Sequential"
-        }
+        "Sequential-BSP"
     }
 
-    /// Runs `prog` on `g`. Asynchronous mode re-reads `pick_label` per
-    /// edge, so updates from earlier vertices in the sweep are visible
-    /// immediately; BSP mode freezes the spoken labels per iteration like
-    /// the GPU engines. Host execution cannot fault, so this engine never
-    /// returns `Err`.
+    /// Runs `prog` on `g` with the spoken labels frozen per iteration, like
+    /// the GPU engines. Host execution cannot fault: never returns `Err`.
     fn run(
         &mut self,
         g: &Graph,
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        if self.bsp {
-            return drive(&mut HostBackend { ht: mfl_scratch(g) }, g, prog, opts);
-        }
+        drive(&mut HostBackend::default(), g, prog, opts)
+    }
+}
+
+impl BspEngine for SequentialBsp {
+    fn backend<'a>(&'a mut self, _g: &Graph, _opts: &RunOptions) -> Box<dyn Backend + 'a> {
+        Box::new(HostBackend::default())
+    }
+}
+
+impl Engine for SequentialEngine {
+    fn name(&self) -> &'static str {
+        "Sequential"
+    }
+
+    /// Runs `prog` on `g`, re-reading `pick_label` per edge, so updates
+    /// from earlier vertices in the sweep are visible immediately. Host
+    /// execution cannot fault, so this engine never returns `Err`.
+    fn run(
+        &mut self,
+        g: &Graph,
+        prog: &mut dyn LpProgram,
+        opts: &RunOptions,
+    ) -> Result<LpRunReport, EngineError> {
         assert_eq!(
             prog.num_vertices(),
             g.num_vertices(),
@@ -125,7 +132,7 @@ impl Engine for SequentialEngine {
             t.begin(Category::Run, self.name(), Clock::Wall, t.wall_now());
         }
 
-        for iteration in opts.start_iteration..opts.max_iterations {
+        for iteration in 0..opts.max_iterations {
             if let Some(t) = &opts.tracer {
                 t.begin_arg(
                     Category::Iteration,
@@ -242,8 +249,11 @@ impl Engine for SequentialEngine {
 /// trace are byte-identical to the device tiers'. Checkpoints cost nothing
 /// here (`snapshots_taken` counts, `snapshot_seconds` stays 0 — host memory
 /// is already addressable).
+#[derive(Default)]
 struct HostBackend {
-    ht: BoundedHashTable,
+    /// The MFL scratch, sized on first use: a ladder's host rung that never
+    /// runs allocates nothing.
+    ht: Option<BoundedHashTable>,
 }
 
 impl Backend for HostBackend {
@@ -258,8 +268,9 @@ impl Backend for HostBackend {
         decisions: &mut [Decision],
     ) -> Result<ShardStats, DeviceError> {
         let csr = p.g.incoming();
+        let ht = self.ht.get_or_insert_with(|| mfl_scratch(p.g));
         for v in p.work.scheduled_vertices() {
-            decisions[v as usize] = exact_mfl(p.prog, csr, &mut self.ht, v, |u| spoken[u as usize]);
+            decisions[v as usize] = exact_mfl(p.prog, csr, ht, v, |u| spoken[u as usize]);
         }
         Ok(ShardStats::default())
     }

@@ -61,8 +61,8 @@ pub mod variants;
 
 pub use api::{LpProgram, NeighborContribution};
 pub use engine::{
-    replay_delta, BarrierEvent, BarrierHook, DeltaReplay, Direction, Engine, EngineError,
-    FrontierMode, GpuEngine, HybridEngine, MemoRecorder, MflStrategy, MultiGpuEngine,
+    replay_delta, BarrierEvent, BarrierHook, BspEngine, DeltaReplay, Direction, Engine,
+    EngineError, FrontierMode, GpuEngine, HybridEngine, MemoRecorder, MflStrategy, MultiGpuEngine,
     ResilienceReport, ResilientEngine, RunOptions, SequentialEngine, SweepOrder,
 };
 pub use report::LpRunReport;

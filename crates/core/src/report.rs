@@ -5,6 +5,14 @@ use glp_gpusim::KernelCounters;
 use glp_trace::KernelProfile;
 
 /// Summary of one LP run on any engine.
+///
+/// A run is one report, however many attempts the recovery policy needed
+/// ([`ResilientEngine`](crate::ResilientEngine)): the per-iteration vectors
+/// always have `iterations` entries, each on the clock of the tier that
+/// committed it; `modeled_seconds` / `transfer_seconds` sum the attempts'
+/// own device clocks (so a single attempt reads as ever); `wall_seconds`
+/// spans the whole ladder; counters and the kernel profile merge every tier
+/// that ran.
 #[derive(Clone, Debug, Default)]
 pub struct LpRunReport {
     /// Iterations executed.
@@ -43,13 +51,12 @@ pub struct LpRunReport {
     /// High-degree vertices processed by the CMS+HT kernel, summed over
     /// iterations (denominator for the fallback rate).
     pub smem_vertices: u64,
-    /// Modeled seconds spent on per-barrier checkpoint snapshots (only
-    /// non-zero when a [`BarrierHook`](crate::BarrierHook) is installed —
-    /// included in `modeled_seconds`, broken out so the overhead of
-    /// fault tolerance is visible).
+    /// Modeled seconds spent on per-barrier label snapshots (only non-zero
+    /// when a [`BarrierHook`](crate::BarrierHook) is installed or the run
+    /// can recover — included in `modeled_seconds`, broken out so the
+    /// overhead of fault tolerance is visible).
     pub snapshot_seconds: f64,
-    /// Barrier snapshots taken (one per completed iteration when a hook
-    /// is installed).
+    /// Barrier snapshots taken (one per completed iteration of such a run).
     pub snapshots_taken: u64,
     /// Per-kernel aggregation (count / total / p50 / max modeled seconds,
     /// keyed by engine tier and kernel name) over this run's launches.
@@ -91,8 +98,8 @@ impl LpRunReport {
             .count()
     }
 
-    /// Share of modeled time spent on checkpoint snapshots — the price of
-    /// iteration-granular resume.
+    /// Share of modeled time spent on barrier snapshots — the price of
+    /// iteration-granular recovery.
     pub fn snapshot_fraction(&self) -> f64 {
         if self.modeled_seconds == 0.0 {
             0.0

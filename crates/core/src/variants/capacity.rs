@@ -7,7 +7,7 @@
 //! vertices outside it, so growth spills into the next-best label. A
 //! three-callback customization, like everything else in the framework.
 
-use crate::api::{blob_to_labels, labels_to_blob, LpProgram};
+use crate::api::LpProgram;
 use glp_graph::{Label, VertexId};
 
 /// Balanced LP: classic scoring, but a label at its capacity cannot
@@ -114,23 +114,6 @@ impl LpProgram for CapacityLp {
 
     fn labels(&self) -> &[Label] {
         &self.labels
-    }
-
-    // At a barrier the online volumes equal a recount of the labels, so
-    // the labels alone are a complete checkpoint.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(labels_to_blob(&self.labels))
-    }
-
-    fn restore_state(&mut self, blob: &[u8]) -> bool {
-        match blob_to_labels(blob, self.labels.len()) {
-            Some(labels) => {
-                self.labels = labels;
-                self.recompute_volumes();
-                true
-            }
-            None => false,
-        }
     }
 }
 

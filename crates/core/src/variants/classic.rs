@@ -1,6 +1,6 @@
 //! Classic label propagation (Raghavan, Albert & Kumara 2007 — paper §2.1).
 
-use crate::api::{blob_to_labels, labels_to_blob, LpProgram, NeighborContribution};
+use crate::api::{LpProgram, NeighborContribution};
 use glp_graph::{EdgeId, Label, VertexId};
 
 /// Classic LP: each vertex starts with a unique label (its own id) and
@@ -80,22 +80,6 @@ impl LpProgram for ClassicLp {
 
     fn labels(&self) -> &[Label] {
         &self.labels
-    }
-
-    // The label vector is the whole mutable state — `max_iterations` is
-    // run configuration — so a barrier checkpoint is just the labels.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(labels_to_blob(&self.labels))
-    }
-
-    fn restore_state(&mut self, blob: &[u8]) -> bool {
-        match blob_to_labels(blob, self.labels.len()) {
-            Some(labels) => {
-                self.labels = labels;
-                true
-            }
-            None => false,
-        }
     }
 }
 

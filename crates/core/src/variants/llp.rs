@@ -1,6 +1,6 @@
 //! Layered label propagation (Boldi et al. 2011 — paper §3.1).
 
-use crate::api::{blob_to_labels, labels_to_blob, LpProgram};
+use crate::api::LpProgram;
 use glp_graph::{Label, VertexId};
 
 /// LLP: classic LP tends to produce undesirably large communities; LLP
@@ -87,23 +87,6 @@ impl LpProgram for Llp {
 
     fn labels(&self) -> &[Label] {
         &self.labels
-    }
-
-    // The volumes are a pure function of the labels (recomputed by
-    // `begin_iteration`), so labels alone checkpoint the program.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(labels_to_blob(&self.labels))
-    }
-
-    fn restore_state(&mut self, blob: &[u8]) -> bool {
-        match blob_to_labels(blob, self.labels.len()) {
-            Some(labels) => {
-                self.labels = labels;
-                self.recompute_volumes();
-                true
-            }
-            None => false,
-        }
     }
 }
 

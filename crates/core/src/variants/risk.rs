@@ -6,7 +6,7 @@
 //! ones when both reach a vertex. It is `SeededLp` plus one overridden
 //! callback — the kind of strategy iteration §3.1's API design exists for.
 
-use crate::api::{blob_to_labels, labels_to_blob, LpProgram, NeighborContribution};
+use crate::api::{LpProgram, NeighborContribution};
 use glp_graph::{EdgeId, Label, VertexId, INVALID_LABEL};
 
 /// Seeded LP where each seed's label carries a risk multiplier.
@@ -96,21 +96,6 @@ impl LpProgram for RiskWeightedLp {
 
     fn labels(&self) -> &[Label] {
         &self.labels
-    }
-
-    // Labels are the only mutable state; the risk table is configuration.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(labels_to_blob(&self.labels))
-    }
-
-    fn restore_state(&mut self, blob: &[u8]) -> bool {
-        match blob_to_labels(blob, self.labels.len()) {
-            Some(labels) => {
-                self.labels = labels;
-                true
-            }
-            None => false,
-        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! vertices propagate; everything else starts unlabeled and joins a
 //! suspicious cluster only when a seeded label reaches it.
 
-use crate::api::{blob_to_labels, labels_to_blob, LpProgram, NeighborContribution};
+use crate::api::{LpProgram, NeighborContribution};
 use glp_graph::{EdgeId, Label, VertexId, INVALID_LABEL};
 use std::sync::Arc;
 
@@ -163,22 +163,6 @@ impl LpProgram for SeededLp {
 
     fn labels(&self) -> &[Label] {
         &self.labels
-    }
-
-    // Labels are the only mutable state; the weight arrays and scoring
-    // knobs are immutable run configuration.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(labels_to_blob(&self.labels))
-    }
-
-    fn restore_state(&mut self, blob: &[u8]) -> bool {
-        match blob_to_labels(blob, self.labels.len()) {
-            Some(labels) => {
-                self.labels = labels;
-                true
-            }
-            None => false,
-        }
     }
 }
 

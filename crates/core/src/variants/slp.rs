@@ -193,64 +193,6 @@ impl LpProgram for Slp {
     fn labels(&self) -> &[Label] {
         &self.labels_cache
     }
-
-    // The memories (entry *order* included — the speaker draw walks them
-    // in order) are the whole mutable state. The per-iteration "random"
-    // draw is a pure hash of (seed, iteration, vertex), so no RNG state
-    // needs to be captured, and the labels cache is re-derived.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        let mut blob = Vec::new();
-        blob.extend_from_slice(&(self.memories.len() as u32).to_le_bytes());
-        for m in &self.memories {
-            blob.extend_from_slice(&(m.entries.len() as u32).to_le_bytes());
-            for &(l, c) in &m.entries {
-                blob.extend_from_slice(&l.to_le_bytes());
-                blob.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        Some(blob)
-    }
-
-    fn restore_state(&mut self, blob: &[u8]) -> bool {
-        fn take_u32(rd: &mut &[u8]) -> Option<u32> {
-            if rd.len() < 4 {
-                return None;
-            }
-            let (head, tail) = rd.split_at(4);
-            *rd = tail;
-            Some(u32::from_le_bytes([head[0], head[1], head[2], head[3]]))
-        }
-        let mut rd = blob;
-        let parsed = (|| -> Option<Vec<Memory>> {
-            let n = take_u32(&mut rd)? as usize;
-            if n != self.memories.len() {
-                return None;
-            }
-            let mut memories = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = take_u32(&mut rd)? as usize;
-                if k == 0 || k > self.max_labels {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let l = take_u32(&mut rd)?;
-                    let c = take_u32(&mut rd)?;
-                    entries.push((l, c));
-                }
-                memories.push(Memory { entries });
-            }
-            rd.is_empty().then_some(memories)
-        })();
-        match parsed {
-            Some(memories) => {
-                self.memories = memories;
-                self.refresh_dominants();
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ impl Engine for InHouseLp {
         let mut ht = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
         let scheduled = (0..n as VertexId).filter(|&v| csr.degree(v) > 0).count() as u64;
 
-        for iteration in opts.start_iteration..opts.max_iterations {
+        for iteration in 0..opts.max_iterations {
             prog.begin_iteration(iteration);
             for (v, slot) in spoken.iter_mut().enumerate() {
                 *slot = prog.pick_label(v as VertexId);

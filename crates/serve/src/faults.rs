@@ -21,6 +21,7 @@
 //! `glp_gpusim::faults` (so a "slow recluster" is experienced by the
 //! entire stack above the device, not simulated at the top).
 
+use crate::unpoison;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -270,7 +271,7 @@ impl FaultPlan {
 
     /// Faults that have fired so far, with timestamps.
     pub fn fired(&self) -> Vec<FiredFault> {
-        self.fired.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        unpoison(self.fired.lock()).clone()
     }
 
     /// Whether every scheduled fault has fired.
@@ -287,13 +288,10 @@ impl FaultPlan {
                     .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
-                self.fired
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(FiredFault {
-                        what: slot.fault.describe(),
-                        at: Instant::now(),
-                    });
+                unpoison(self.fired.lock()).push(FiredFault {
+                    what: slot.fault.describe(),
+                    at: Instant::now(),
+                });
                 return Some(slot.fault);
             }
         }

@@ -32,6 +32,7 @@
 //! so the machine is trivially deterministic under fault injection.
 
 use crate::config::ServeConfig;
+use crate::unpoison;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -137,9 +138,7 @@ impl HealthMonitor {
 
     /// The worst current crash streak across all workers.
     pub fn consecutive_crashes(&self) -> u32 {
-        self.streaks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        unpoison(self.streaks.lock())
             .values()
             .copied()
             .max()
@@ -148,17 +147,17 @@ impl HealthMonitor {
 
     /// Records which engine tier produced the most recent recluster — the
     /// recluster worker reports it after every LP run, so operators can
-    /// see at a glance whether scoring currently runs on the GPU or has
-    /// degraded down the ladder (see
-    /// [`ResilientEngine`](glp_core::ResilientEngine)).
+    /// see at a glance whether scoring currently runs on the GPU or the
+    /// BSP driver's recovery policy has degraded it down the
+    /// [`ResilientEngine`](glp_core::ResilientEngine) ladder.
     pub fn set_engine_tier(&self, tier: &'static str) {
-        *self.engine_tier.lock().unwrap_or_else(|e| e.into_inner()) = Some(tier);
+        *unpoison(self.engine_tier.lock()) = Some(tier);
     }
 
     /// The engine tier of the most recent recluster (`None` before the
     /// first snapshot is published).
     pub fn engine_tier(&self) -> Option<&'static str> {
-        *self.engine_tier.lock().unwrap_or_else(|e| e.into_inner())
+        *unpoison(self.engine_tier.lock())
     }
 
     /// Raised and cleared by the burst detector (see
@@ -178,10 +177,7 @@ impl HealthMonitor {
 
     /// The panic message of the most recent worker crash, if any.
     pub fn last_panic(&self) -> Option<String> {
-        self.last_panic
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        unpoison(self.last_panic.lock()).clone()
     }
 
     fn severity(&self, streak: u32) -> HealthState {
@@ -200,10 +196,9 @@ impl HealthMonitor {
     /// Returns the state after the transition (the supervisor stops
     /// restarting on [`HealthState::Down`]).
     pub fn record_crash(&self, worker: &'static str, panic_msg: &str) -> HealthState {
-        *self.last_panic.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(format!("{worker}: {panic_msg}"));
+        *unpoison(self.last_panic.lock()) = Some(format!("{worker}: {panic_msg}"));
         let streak = {
-            let mut s = self.streaks.lock().unwrap_or_else(|e| e.into_inner());
+            let mut s = unpoison(self.streaks.lock());
             let entry = s.entry(worker).or_insert(0);
             *entry += 1;
             *entry
@@ -225,7 +220,7 @@ impl HealthMonitor {
             return;
         }
         let target = {
-            let mut s = self.streaks.lock().unwrap_or_else(|e| e.into_inner());
+            let mut s = unpoison(self.streaks.lock());
             s.insert(worker, 0);
             self.severity(s.values().copied().max().unwrap_or(0))
         };
@@ -253,10 +248,7 @@ impl HealthMonitor {
     /// from its checkpoint plus journal replay — reviving a shard whose
     /// window is still wrong would serve bad verdicts, not heal anything.
     pub fn revive(&self) {
-        self.streaks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        unpoison(self.streaks.lock()).clear();
         self.state
             .store(HealthState::Healthy as u8, Ordering::Release);
     }

@@ -157,6 +157,16 @@ pub mod swap;
 pub mod telemetry;
 pub mod wal;
 
+/// Takes a lock whatever a panicked holder left behind
+/// (`unpoison(m.lock())`, or `.read()` / `.write()`). Every structure this
+/// crate keeps behind a lock is valid at each instruction boundary — plain
+/// counters, whole-value swaps, a window whose apply is all-or-nothing — so
+/// a poisoned lock still guards good data, and a worker's crash must not
+/// cascade into every thread that touches the lock next.
+pub(crate) fn unpoison<G>(attempt: std::sync::LockResult<G>) -> G {
+    attempt.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use config::{FleetConfig, ServeConfig, ShedPolicy};
 pub use exchange::{BoundaryCache, ExchangeReport, FleetSnapshot, ShardFrame};
 #[cfg(feature = "fault-injection")]

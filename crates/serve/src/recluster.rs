@@ -256,11 +256,12 @@ impl<'a> ReclusterRequest<'a> {
         (memo.covers(delta, self.cfg) && monotone && small_enough).then_some((memo, delta))
     }
 
-    /// Executes the recluster. LP runs behind
-    /// [`ResilientEngine::gpu_ladder`] on the full path (device faults
-    /// retry/degrade without losing the window; labels are
-    /// engine-independent, so a degraded snapshot is byte-identical to
-    /// the GPU's) and through [`replay_delta`] on the incremental path.
+    /// Executes the recluster. LP runs on [`ResilientEngine::gpu_ladder`]
+    /// on the full path (the driver re-drives an iteration a device fault
+    /// interrupted, on the same tier or the next, so the window and the
+    /// memo survive; labels are engine-independent, so a degraded snapshot
+    /// is byte-identical to the GPU's) and through [`replay_delta`] on the
+    /// incremental path.
     /// If every ladder tier fails the recluster panics and the
     /// supervisor's crash/restart machinery takes over (see
     /// [`crate::supervisor`]).
@@ -340,14 +341,13 @@ impl<'a> ReclusterRequest<'a> {
             .run(&workload.graph, &mut prog, &opts)
             .unwrap_or_else(|e| panic!("recluster LP failed on every engine tier: {e}"));
         let captured = recorder.into_memo();
-        let memo = (captured.len() == report.iterations as usize && !captured.is_empty())
-            .then_some(LpMemo {
-                per_iteration: captured,
-                max_iterations: cfg.pipeline.lp_iterations,
-                transactions: workload.num_transactions,
-                num_users: workload.num_user_vertices,
-                num_vertices: n,
-            });
+        let memo = (!captured.is_empty()).then_some(LpMemo {
+            per_iteration: captured,
+            max_iterations: cfg.pipeline.lp_iterations,
+            transactions: workload.num_transactions,
+            num_users: workload.num_user_vertices,
+            num_vertices: n,
+        });
         let snapshot = assemble_snapshot(
             workload,
             cfg,

@@ -81,6 +81,7 @@ use crate::supervisor::{
 };
 use crate::swap::EpochCell;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
+use crate::unpoison;
 use crate::wal::{FleetWal, WalError, WalRecord};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
@@ -488,8 +489,7 @@ impl FleetCore {
             for s in &self.shards {
                 s.update_blacklist(add, remove);
             }
-            *self.boundary.lock().unwrap_or_else(|e| e.into_inner()) =
-                BoundaryCache::new(self.cfg.shard.window_days);
+            *unpoison(self.boundary.lock()) = BoundaryCache::new(self.cfg.shard.window_days);
         }
         changed
     }
@@ -650,7 +650,7 @@ impl FleetCore {
         let end = self.window_end.load(Ordering::Acquire);
         let as_of = self.batches_applied();
         let blacklist = self.blacklist();
-        let mut boundary = self.boundary.lock().unwrap_or_else(|e| e.into_inner());
+        let mut boundary = unpoison(self.boundary.lock());
         let r = reconcile_with(
             &frames,
             &locals,
@@ -796,9 +796,7 @@ impl FleetCore {
                 "fault-injection: wal-append-fail",
             )))
         } else {
-            wal.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .append(fleet_batch, watermark, accepted)
+            unpoison(wal.lock()).append(fleet_batch, watermark, accepted)
         };
         match result {
             Ok(()) => {
@@ -829,11 +827,7 @@ impl FleetCore {
         if durable == 0 {
             return;
         }
-        match wal
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .truncate_covered(durable)
-        {
+        match unpoison(wal.lock()).truncate_covered(durable) {
             Ok(removed) => {
                 if removed > 0 {
                     self.telemetry
@@ -873,11 +867,7 @@ impl FleetCore {
         let from_checkpoint = image.is_some();
         let (mut window, base) =
             image.unwrap_or_else(|| (StampedWindow::empty(self.cfg.shard.window_days), 0));
-        let records = wal
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .records()
-            .map_err(FailoverError::Wal)?;
+        let records = unpoison(wal.lock()).records().map_err(FailoverError::Wal)?;
         let next = self
             .replay_keyspace(i, &records, base, |sub, watermark| {
                 window.apply(sub, watermark)
@@ -899,19 +889,13 @@ impl FleetCore {
             wall: started.elapsed(),
             completed_at: Instant::now(),
         };
-        self.failover_log
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(event.clone());
+        unpoison(self.failover_log.lock()).push(event.clone());
         Ok(event)
     }
 
     /// Completed failovers, in completion order.
     pub fn failover_events(&self) -> Vec<FailoverEvent> {
-        self.failover_log
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        unpoison(self.failover_log.lock()).clone()
     }
 
     /// The fan-out's failover trigger: false without a journal (the
@@ -949,7 +933,7 @@ impl FleetCore {
     /// journaled. Returns the number of per-shard record applications.
     pub fn sync_from_wal(&self) -> Result<u64, WalError> {
         let Some(wal) = &self.wal else { return Ok(0) };
-        let tail = wal.lock().unwrap_or_else(|e| e.into_inner()).tail_batch();
+        let tail = unpoison(wal.lock()).tail_batch();
         let Some(tail) = tail else { return Ok(0) };
         let caught_up = |count: u64| count > tail;
         if caught_up(self.batches_applied())
@@ -961,7 +945,7 @@ impl FleetCore {
         {
             return Ok(0);
         }
-        let records = wal.lock().unwrap_or_else(|e| e.into_inner()).records()?;
+        let records = unpoison(wal.lock()).records()?;
         let mut replayed = 0u64;
         for (i, shard) in self.shards.iter().enumerate() {
             if shard.health_monitor().is_down() {

@@ -44,6 +44,7 @@ use crate::stamped::{admit, record_admission, StampedWindow};
 use crate::supervisor::{supervise, RestartPolicy, WorkerExit, WorkerOutcome, WorkerStatus};
 use crate::swap::EpochCell;
 use crate::telemetry::Telemetry;
+use crate::unpoison;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
 use glp_fraud::Transaction;
@@ -70,13 +71,13 @@ impl Blacklist {
 
     /// The current seeds.
     pub(crate) fn get(&self) -> Vec<u32> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        unpoison(self.0.lock()).clone()
     }
 
     /// Inserts `add`, retracts `remove`; returns whether the effective
     /// seed set changed.
     pub(crate) fn update(&self, add: &[u32], remove: &[u32]) -> bool {
-        let mut bl = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        let mut bl = unpoison(self.0.lock());
         let before = bl.clone();
         bl.extend_from_slice(add);
         bl.sort_unstable();
@@ -332,11 +333,11 @@ impl ServiceCore {
     }
 
     fn state(&self) -> MutexGuard<'_, StampedWindow> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        unpoison(self.state.lock())
     }
 
     fn warm(&self) -> MutexGuard<'_, WarmState> {
-        self.recluster.lock().unwrap_or_else(|e| e.into_inner())
+        unpoison(self.recluster.lock())
     }
 
     /// Validates one submitted micro-batch, stamps what it admits from

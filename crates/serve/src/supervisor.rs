@@ -24,6 +24,7 @@
 use crate::config::ServeConfig;
 use crate::health::{HealthMonitor, HealthState};
 use crate::telemetry::Telemetry;
+use crate::unpoison;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -109,10 +110,7 @@ impl WorkerStatus {
 
     /// The worker's outcome so far.
     pub fn outcome(&self) -> WorkerOutcome {
-        self.outcome
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        unpoison(self.outcome.lock()).clone()
     }
 
     /// Panics caught so far.
@@ -127,7 +125,7 @@ impl WorkerStatus {
     }
 
     fn set_outcome(&self, o: WorkerOutcome) {
-        *self.outcome.lock().unwrap_or_else(|e| e.into_inner()) = o;
+        *unpoison(self.outcome.lock()) = o;
     }
 }
 

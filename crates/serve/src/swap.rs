@@ -9,6 +9,7 @@
 //! callers cheaply detect staleness ("has anything been published since I
 //! last looked?") without loading the snapshot.
 
+use crate::unpoison;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -42,14 +43,14 @@ impl<T> EpochCell<T> {
     /// poisoned cell still holds a fully valid `Arc` and readers must
     /// keep serving it (the last good snapshot) rather than panic.
     pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&*unpoison(self.current.read()))
     }
 
     /// Installs a new snapshot and returns the new epoch (monotonically
     /// increasing from the starting epoch plus one).
     pub fn publish(&self, value: T) -> u64 {
         let arc = Arc::new(value);
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = arc;
+        *unpoison(self.current.write()) = arc;
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 

@@ -9,6 +9,7 @@
 //! right trade for a hot path — recording must never contend, and
 //! latency SLOs care about orders of magnitude, not microseconds.
 
+use crate::unpoison;
 use glp_gpusim::KernelCounters;
 use glp_trace::KernelProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -349,19 +350,13 @@ impl Telemetry {
     /// Recovers from poisoning: a panicked recluster must not take down
     /// every later telemetry reader.
     pub fn merge_gpu(&self, counters: &KernelCounters) {
-        self.gpu_totals
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(counters);
+        unpoison(self.gpu_totals.lock()).merge(counters);
     }
 
     /// Folds one recluster's per-kernel profile into the running totals.
     /// Recovers from poisoning like [`Self::merge_gpu`].
     pub fn merge_kernel_profile(&self, profile: &KernelProfile) {
-        self.kernel_profile
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .merge(profile);
+        unpoison(self.kernel_profile.lock()).merge(profile);
     }
 
     /// Counts one applied micro-batch of `size` transactions.
@@ -399,18 +394,12 @@ impl Telemetry {
     /// Records one detection-quality measurement into the time series.
     pub fn record_probe(&self, point: ProbePoint) {
         self.probe_evaluations.fetch_add(1, Ordering::Relaxed);
-        self.detection
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(point);
+        unpoison(self.detection.lock()).push(point);
     }
 
     /// The detection time series recorded so far (scoring order).
     pub fn detection_points(&self) -> Vec<ProbePoint> {
-        self.detection
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        unpoison(self.detection.lock()).clone()
     }
 
     /// The monotonic counters in checkpoint order (see
@@ -453,12 +442,8 @@ impl Telemetry {
             recluster_wall: self.recluster_wall.snapshot(),
             query_latency: self.query_latency.snapshot(),
             delta_frontier: self.delta_frontier.snapshot(),
-            gpu_totals: *self.gpu_totals.lock().unwrap_or_else(|e| e.into_inner()),
-            kernel_profile: self
-                .kernel_profile
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            gpu_totals: *unpoison(self.gpu_totals.lock()),
+            kernel_profile: unpoison(self.kernel_profile.lock()).clone(),
             detection: self.detection_points(),
         }
     }

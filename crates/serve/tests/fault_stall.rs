@@ -39,6 +39,10 @@ fn recluster_stall_degrades_health_and_sheds_bounded() {
         recluster_every_batches: 1,
         max_staleness_batches: 2,
         engine_shards: 1,
+        // Every recluster full: the stall is armed at the device layer,
+        // and an incremental recluster (host replay, no kernel launch)
+        // at index 1 would leave it unserved.
+        delta_fraction_max: 0.0,
         ..ServeConfig::default()
     }
     .with_window_days(10);
@@ -55,9 +59,10 @@ fn recluster_stall_degrades_health_and_sheds_bounded() {
     // the stalled recluster is in flight.
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut saw_degraded = false;
-    let mut rejected = 0u64;
+    let (mut submitted, mut rejected) = (0u64, 0u64);
     'outer: loop {
         for t in s.window(0, s.config.days) {
+            submitted += 1;
             if service.submit(*t).is_err() {
                 rejected += 1;
             }
@@ -85,13 +90,20 @@ fn recluster_stall_degrades_health_and_sheds_bounded() {
     );
     assert!(report.clean(), "a slow recluster is not a crash");
     let t = report.core.telemetry();
-    // Every locally observed rejection is either a full-queue shed or —
-    // when the pump loop wraps the stream after the watermark advanced —
-    // a day-regression rejection; both are counted, nothing is silent.
-    assert_eq!(
-        t.shed_rejected_new.load(Ordering::Relaxed) + t.rejected_invalid.load(Ordering::Relaxed),
-        rejected
-    );
+    let counted = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+    // Nothing is silent. Every submission was either queued or refused at
+    // the gate, and every gate refusal is a counted full-queue shed or a
+    // counted day regression. `rejected_invalid` can exceed the gate's
+    // share: when the pump loop wraps the 20-day stream, the gate (which
+    // only refuses days that fell out of the window) queues transactions
+    // the apply-side admit rule (nothing older than the running end) then
+    // refuses — so the surplus is exactly what was queued but not applied.
+    assert_eq!(submitted, counted(&t.ingested) + rejected);
+    let refused = counted(&t.shed_rejected_new) + counted(&t.rejected_invalid);
+    assert!(rejected <= refused);
+    // A standalone core stamps what it applies consecutively from 0.
+    let applied = report.core.last_seq().map_or(0, |s| s + 1);
+    assert_eq!(refused - rejected, counted(&t.ingested) - applied);
     assert!(t.shed_rejected_new.load(Ordering::Relaxed) > 0);
     assert_eq!(t.worker_panics.load(Ordering::Relaxed), 0);
     // Shutdown ran a final recluster, so the service recovered to

@@ -18,14 +18,15 @@ use glp_core::engine::{
     BarrierHook, Engine, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
 };
 use glp_core::{
-    CapacityLp, ClassicLp, Llp, LpProgram, RiskWeightedLp, RunOptions, SeededLp, Slp, WeightedLp,
+    CapacityLp, ClassicLp, Llp, LpProgram, NeighborContribution, RiskWeightedLp, RunOptions,
+    SeededLp, Slp, WeightedLp,
 };
 use glp_fraud::{
     AdversarialStream, AdversaryConfig, RegionalStream, RegionalTxConfig, TxConfig, TxStream,
 };
 use glp_gpusim::{Device, DeviceConfig};
 use glp_graph::gen::{caveman, community_powerlaw, two_cliques_bridge, CommunityPowerLawConfig};
-use glp_graph::Graph;
+use glp_graph::{EdgeId, Graph, Label, VertexId};
 use std::sync::Arc;
 
 /// Iteration budget shared by the equivalence suites: long enough for
@@ -90,6 +91,66 @@ pub fn variants(g: &Graph) -> Vec<(&'static str, Box<dyn LpProgram>)> {
             Box::new(CapacityLp::with_max_iterations(n, 64, ITERS)),
         ),
     ]
+}
+
+/// A program written against the public trait only: per-edge weights
+/// derived from the endpoint ids (non-uniform, so packed warps take the
+/// weighted reduction) and a retention bonus in the score. Defined here,
+/// outside `glp-core`, against the documented Table 1 callbacks only —
+/// what every out-of-crate program looks like to the engines.
+/// `tests/host_path_identity.rs` pins its decisions and charges.
+pub struct MixLp {
+    /// Current labels; start it from `(0..n).collect()`.
+    pub labels: Vec<Label>,
+}
+
+/// `MixLp`'s iteration cap (part of what `host_path_identity.rs` pins).
+const MIX_ITERS: u32 = 8;
+
+impl LpProgram for MixLp {
+    fn num_vertices(&self) -> usize {
+        self.labels.len()
+    }
+    fn pick_label(&self, v: VertexId) -> Label {
+        self.labels[v as usize]
+    }
+    fn load_neighbor(
+        &self,
+        v: VertexId,
+        u: VertexId,
+        _edge: EdgeId,
+        label: Label,
+    ) -> NeighborContribution {
+        NeighborContribution {
+            label,
+            weight: 1.0 + f64::from((v ^ u) & 3),
+        }
+    }
+    fn label_score(&self, v: VertexId, l: Label, freq: f64) -> f64 {
+        if l == self.labels[v as usize] {
+            freq + 0.5
+        } else {
+            freq
+        }
+    }
+    fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
+        match winner {
+            Some((l, _)) if l != self.labels[v as usize] => {
+                self.labels[v as usize] = l;
+                true
+            }
+            _ => false,
+        }
+    }
+    fn finished(&self, iteration: u32, changed: u64) -> bool {
+        changed == 0 || iteration + 1 >= MIX_ITERS
+    }
+    fn sparse_activation(&self) -> bool {
+        true
+    }
+    fn labels(&self) -> &[Label] {
+        &self.labels
+    }
 }
 
 /// One fresh engine of every tier, sized for `g`: host sweep, in-core

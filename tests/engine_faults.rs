@@ -17,9 +17,14 @@
 //!       modeled cost are identical run to run.
 //! Plus the observability side of recovery: a mid-run device loss must
 //! leave `degrade` / `repartition` events in the span trace, parented to
-//! the exact iteration the fault interrupted. And the property-based
-//! sweep: arbitrary transient faults across all four GLP engines and both
-//! frontier modes never perturb labels or the `changed` trace.
+//! the exact iteration the fault interrupted. Recovery being the driver's
+//! policy, not a program capability, has its own cases: a program with a
+//! non-idempotent `begin_iteration` and no way to checkpoint survives three
+//! recoveries with its barrier hook firing once per iteration, a recovered
+//! run's report covers the whole run, and a rung without a frontier
+//! continues all-active. And the property-based sweep: arbitrary transient
+//! faults across the five backends, both frontier modes and three programs
+//! never perturb labels or the `changed` trace.
 //!
 //! Fixture builders (`reference`, `launches_per_iteration`) live in
 //! `glp-test-support`, shared with the frontier and golden-trace suites.
@@ -30,12 +35,15 @@ use glp_suite::baselines::GSortLp;
 use glp_suite::core::engine::{
     BarrierHook, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
 };
-use glp_suite::core::{ClassicLp, Engine, FrontierMode, LpProgram, ResilientEngine, RunOptions};
+use glp_suite::core::{
+    BspEngine, ClassicLp, Engine, FrontierMode, LpProgram, ResilientEngine, RunOptions, Slp,
+};
 use glp_suite::gpusim::faults::{self, FaultKind};
 use glp_suite::gpusim::Device;
 use glp_suite::graph::gen::{caveman, path, two_cliques_bridge};
+use glp_suite::graph::{Label, VertexId};
 use glp_suite::trace::{Category, Kind, Tracer};
-use glp_test_support::{launches_per_iteration, reference};
+use glp_test_support::{launches_per_iteration, reference, MixLp};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -77,6 +85,17 @@ fn transient_launch_failure_resumes_at_failed_iteration() {
     assert_eq!(prog.labels(), &want_labels[..]);
     assert_eq!(report.changed_per_iteration, want_changed);
     assert_eq!(report.active_per_iteration, want_active);
+    assert_report_covers_the_whole_run(&report);
+}
+
+/// A recovered run's report is not truncated to its final attempt: every
+/// per-iteration vector has one entry per iteration, and every barrier —
+/// before and after the recovery — took its snapshot.
+fn assert_report_covers_the_whole_run(report: &glp_suite::core::LpRunReport) {
+    let iterations = report.iterations as usize;
+    assert_eq!(report.changed_per_iteration.len(), iterations);
+    assert_eq!(report.iteration_seconds.len(), iterations);
+    assert_eq!(report.snapshots_taken, u64::from(report.iterations));
 }
 
 /// Acceptance (b): persistent device loss on the GPU tier (and then on the
@@ -116,6 +135,129 @@ fn persistent_device_loss_degrades_to_sequential() {
     assert_eq!(prog.labels(), &want_labels[..]);
     assert_eq!(report.changed_per_iteration, want_changed);
     assert_eq!(report.active_per_iteration, want_active);
+    assert_report_covers_the_whole_run(&report);
+}
+
+/// A program the old checkpointing recovery could not have carried: its
+/// `begin_iteration` is counting and **not idempotent** (every call draws a
+/// fresh salt that the scores read), and it offers no way to save or
+/// restore that state. Recovery must therefore never begin an iteration
+/// twice — and never needs to.
+struct SaltedLp {
+    labels: Vec<Label>,
+    salt: u32,
+    begun: Vec<u32>,
+}
+
+impl SaltedLp {
+    const ITERS: u32 = 6;
+
+    fn new(n: usize) -> Self {
+        Self {
+            labels: (0..n as Label).collect(),
+            salt: 0,
+            begun: Vec::new(),
+        }
+    }
+}
+
+impl LpProgram for SaltedLp {
+    fn num_vertices(&self) -> usize {
+        self.labels.len()
+    }
+    fn pick_label(&self, v: VertexId) -> Label {
+        self.labels[v as usize]
+    }
+    fn label_score(&self, _v: VertexId, l: Label, freq: f64) -> f64 {
+        freq + f64::from((l ^ self.salt) & 3) / 8.0
+    }
+    fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
+        match winner {
+            Some((l, _)) if l != self.labels[v as usize] => {
+                self.labels[v as usize] = l;
+                true
+            }
+            _ => false,
+        }
+    }
+    fn begin_iteration(&mut self, iteration: u32) {
+        self.salt = self.salt.wrapping_mul(31).wrapping_add(iteration + 7);
+        self.begun.push(iteration);
+    }
+    fn finished(&self, iteration: u32, _changed: u64) -> bool {
+        iteration + 1 >= Self::ITERS
+    }
+    fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+}
+
+/// Recovery is a driver policy, not a program capability: a program with a
+/// non-idempotent `begin_iteration` and no checkpoint support survives a
+/// transient retry *and* a GPU → hybrid → host degrade with labels and the
+/// `changed` trace equal to the fault-free run, every iteration begun
+/// exactly once — and the caller's barrier hook fires exactly once per
+/// iteration, in order, across all three recoveries.
+#[test]
+fn a_program_without_checkpoints_survives_retry_and_degrade() {
+    // A path keeps relabelling for many iterations.
+    let g = path(200);
+    let n = g.num_vertices();
+    let dense = RunOptions::default().with_frontier(FrontierMode::Dense);
+    let per_iter = launches_per_iteration(&g, &dense);
+    let mut want = SaltedLp::new(n);
+    let want_report = GpuEngine::titan_v().run(&g, &mut want, &dense).unwrap();
+    assert_eq!(want_report.iterations, SaltedLp::ITERS);
+    assert!(
+        want_report.changed_per_iteration[3] > 0,
+        "the salted run must still be moving when the faults land"
+    );
+
+    let gpu = GpuEngine::titan_v();
+    let hybrid = HybridEngine::titan_v();
+    let (gpu_dev, hybrid_dev) = (gpu.device().id(), hybrid.device().id());
+    let mut engine = ResilientEngine::new(vec![
+        Box::new(gpu),
+        Box::new(hybrid),
+        Box::new(SequentialEngine::bsp()),
+    ])
+    .with_backoff(Duration::ZERO, Duration::ZERO);
+    // A rejected launch inside iteration 1 (retried on the GPU), the GPU
+    // lost inside iteration 2 — two launches further than a fault-free run
+    // would be: the rejected one and the one before it — and the hybrid
+    // card lost on its first kernel: only the host can finish.
+    faults::inject_fault(gpu_dev, FaultKind::LaunchFail, per_iter + 1);
+    faults::inject_fault(gpu_dev, FaultKind::DeviceLost, 2 * per_iter + 3);
+    faults::inject_fault(hybrid_dev, FaultKind::DeviceLost, 0);
+
+    let barriers: Arc<Mutex<Vec<Vec<Label>>>> = Arc::default();
+    let sink = Arc::clone(&barriers);
+    let opts = RunOptions::default().with_barrier_hook(BarrierHook::new(move |ev| {
+        let mut fired = sink.lock().unwrap();
+        assert_eq!(ev.iteration as usize, fired.len(), "once each, in order");
+        fired.push(ev.program.labels().to_vec());
+    }));
+    let mut prog = SaltedLp::new(n);
+    let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
+    faults::clear_device(gpu_dev);
+    faults::clear_device(hybrid_dev);
+
+    let stats = engine.resilience();
+    assert_eq!(stats.retries, 1);
+    assert_eq!(stats.degradations, 2, "GPU -> hybrid -> host");
+    assert_eq!(stats.faults.len(), 3);
+    assert_eq!(stats.iterations_salvaged, 1 + 2 + 2);
+    assert_eq!(stats.tier, Some("Sequential-BSP"));
+    assert_eq!(prog.labels(), want.labels());
+    assert_eq!(
+        report.changed_per_iteration,
+        want_report.changed_per_iteration
+    );
+    assert_eq!(prog.begun, (0..SaltedLp::ITERS).collect::<Vec<_>>());
+    assert_report_covers_the_whole_run(&report);
+    let barriers = barriers.lock().unwrap();
+    assert_eq!(barriers.len(), SaltedLp::ITERS as usize);
+    assert_eq!(barriers.last().unwrap(), prog.labels());
 }
 
 /// Acceptance (c): losing one of four GPUs mid-run does not abort the
@@ -363,11 +505,11 @@ fn multi_gpu_repartition_emits_resilience_span_mid_iteration() {
     assert!(trace.named("GLP-multi").all(|e| !e.err));
 }
 
-/// Every `Engine` honours `RunOptions::resume_from`, so any of them can
-/// sit on a lower rung of the ladder: the GPU is lost inside iteration 2
-/// of 6, G-Sort resumes at iteration 2 from the salvaged barrier, and the
-/// stitched run is byte-identical to the fault-free GPU run — same labels,
-/// same traces, six iterations (not two salvaged plus a fresh six).
+/// Every backend of the BSP driver can sit on a lower rung of the ladder:
+/// the GPU is lost inside iteration 2 of 6, G-Sort re-drives iteration 2
+/// from the live program, and the run is byte-identical to the fault-free
+/// GPU run — same labels, same traces, six iterations (not two salvaged
+/// plus a fresh six).
 #[test]
 fn lower_tier_resumes_at_the_failed_iteration_not_at_zero() {
     let g = path(200);
@@ -405,6 +547,47 @@ fn lower_tier_resumes_at_the_failed_iteration_not_at_zero() {
         report.active_per_iteration,
         want_report.active_per_iteration
     );
+}
+
+/// Frontier capability is per rung: a sparse run that degrades to a
+/// backend which cannot schedule over a frontier (G-Sort) continues
+/// all-active — same labels, same `changed` trace, the salvaged iterations'
+/// frontier sizes followed by full sweeps.
+#[test]
+fn degrading_to_a_rung_without_a_frontier_continues_all_active() {
+    let g = caveman(6, 8);
+    let n = g.num_vertices();
+    let run = |mode| {
+        let opts = RunOptions::default().with_frontier(mode);
+        let mut prog = ClassicLp::new(n);
+        let report = GpuEngine::titan_v().run(&g, &mut prog, &opts).unwrap();
+        (prog.labels().to_vec(), report)
+    };
+    let (want_labels, sparse) = run(FrontierMode::Auto);
+    let (_, dense) = run(FrontierMode::Dense);
+    assert!(
+        sparse.active_per_iteration[1..] != dense.active_per_iteration[1..],
+        "the frontier must shrink after the fault lands"
+    );
+    let opts = RunOptions::default();
+    let per_iter = launches_per_iteration(&g, &opts);
+
+    let gpu = GpuEngine::titan_v();
+    let device = gpu.device().id();
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())])
+        .with_backoff(Duration::ZERO, Duration::ZERO);
+    faults::inject_fault(device, FaultKind::DeviceLost, per_iter + 1);
+    let mut prog = ClassicLp::new(n);
+    let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
+    faults::clear_device(device);
+
+    assert_eq!(engine.resilience().tier, Some("G-Sort"));
+    assert_eq!(engine.resilience().iterations_salvaged, 1);
+    assert_eq!(prog.labels(), &want_labels[..]);
+    assert_eq!(report.changed_per_iteration, sparse.changed_per_iteration);
+    let mut want_active = sparse.active_per_iteration[..1].to_vec();
+    want_active.extend(&dense.active_per_iteration[1..]);
+    assert_eq!(report.active_per_iteration, want_active);
 }
 
 /// The `Engine` contract without any recovery layer above it: when the
@@ -472,16 +655,30 @@ enum Tier {
     Hybrid,
     Multi,
     Sequential,
+    GSort,
+}
+
+/// The programs under the property sweep: one that converges on a sparse
+/// frontier, one with per-iteration randomness (dense), and one written
+/// outside `glp-core` against the Table 1 callbacks only.
+fn sweep_program(sel: usize, n: usize) -> Box<dyn LpProgram> {
+    match sel {
+        0 => Box::new(ClassicLp::new(n)),
+        1 => Box::new(Slp::with_params(n, 5, 0.2, 8, 0x5EED)),
+        _ => Box::new(MixLp {
+            labels: (0..n as Label).collect(),
+        }),
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Satellite property: an injected transient fault — a kernel stall,
     /// a rejected launch, a watchdog timeout, or a shard panic, at any
-    /// launch index, on any GLP engine, in either frontier mode — leaves
-    /// labels AND the `changed` trace byte-identical to the fault-free
-    /// run.
+    /// launch index, on any backend of the driver, in either frontier
+    /// mode, for any program — leaves labels AND the `changed` trace
+    /// byte-identical to the fault-free run.
     #[test]
     fn transient_faults_never_perturb_results(
         cliques in 3usize..6,
@@ -489,20 +686,29 @@ proptest! {
         dense in any::<bool>(),
         kind_sel in 0usize..4,
         after in 0u32..32,
-        tier_sel in 0usize..4,
+        tier_sel in 0usize..5,
+        prog_sel in 0usize..3,
     ) {
         let g = caveman(cliques, size);
+        let tier = [Tier::Gpu, Tier::Hybrid, Tier::Multi, Tier::Sequential, Tier::GSort][tier_sel];
+        // G-Sort has no frontier: it runs (and is compared) dense.
+        let dense = dense || matches!(tier, Tier::GSort);
         let mode = if dense { FrontierMode::Dense } else { FrontierMode::Auto };
         let opts = RunOptions::default().with_frontier(mode);
-        let (want_labels, want_changed, want_active) = reference(&g, &opts);
+        let mut want = sweep_program(prog_sel, g.num_vertices());
+        let want_report = GpuEngine::titan_v().run(&g, &mut *want, &opts).unwrap();
+        let (want_labels, want_changed, want_active) = (
+            want.labels().to_vec(),
+            want_report.changed_per_iteration,
+            want_report.active_per_iteration,
+        );
 
-        let tier = [Tier::Gpu, Tier::Hybrid, Tier::Multi, Tier::Sequential][tier_sel];
         // Index 3 is the stall injector: kernels get slow, not dead —
         // results must be untouched without any recovery machinery firing.
         let kind = [FaultKind::LaunchFail, FaultKind::Timeout, FaultKind::ShardPanic]
             .get(kind_sel)
             .copied();
-        let (boxed, device): (Box<dyn Engine>, Option<u32>) = match tier {
+        let (boxed, device): (Box<dyn BspEngine>, Option<u32>) = match tier {
             Tier::Gpu => {
                 let e = GpuEngine::titan_v();
                 let id = e.device().id();
@@ -519,6 +725,11 @@ proptest! {
                 (Box::new(e), Some(id))
             }
             Tier::Sequential => (Box::new(SequentialEngine::bsp()), None),
+            Tier::GSort => {
+                let e = GSortLp::titan_v();
+                let id = e.device().id();
+                (Box::new(e), Some(id))
+            }
         };
         match (kind, device) {
             (Some(k), Some(id)) => faults::inject_fault(id, k, after),
@@ -531,8 +742,8 @@ proptest! {
         let mut engine = ResilientEngine::new(vec![boxed])
             .with_max_retries(8)
             .with_backoff(Duration::ZERO, Duration::ZERO);
-        let mut prog = ClassicLp::new(g.num_vertices());
-        let outcome = engine.run(&g, &mut prog, &opts);
+        let mut prog = sweep_program(prog_sel, g.num_vertices());
+        let outcome = engine.run(&g, &mut *prog, &opts);
         if let Some(id) = device {
             faults::clear_device(id);
         }

@@ -12,77 +12,24 @@
 //! `FrontierMode::{Dense, Auto}` × three programs × three graphs × 1 and
 //! 3 harness shards. `WeightedLp` carries non-uniform weights, so the
 //! shuffle-reduction branch of the packed kernel runs; `MixLp` is a
-//! program defined *here*, outside `glp-core`, that implements only the
-//! documented Table 1 callbacks — it reaches the kernels through the same
-//! default hook every out-of-crate program gets.
+//! program defined in `glp-test-support`, outside `glp-core`, that
+//! implements only the documented Table 1 callbacks — it reaches the
+//! kernels through the same default hook every out-of-crate program gets.
 
 use glp_suite::core::engine::GpuEngine;
 use glp_suite::core::{
-    ClassicLp, Engine, FrontierMode, LpProgram, MflStrategy, NeighborContribution, RunOptions,
-    WeightedLp,
+    ClassicLp, Engine, FrontierMode, LpProgram, MflStrategy, RunOptions, WeightedLp,
 };
 use glp_suite::gpusim::KernelCounters;
 use glp_suite::graph::gen::{
     bipartite_interaction, community_powerlaw, road_network, BipartiteConfig,
     CommunityPowerLawConfig, RoadConfig,
 };
-use glp_suite::graph::{EdgeId, Graph, Label, VertexId};
+use glp_suite::graph::{Graph, Label};
+use glp_test_support::MixLp;
 use std::sync::Arc;
 
 const ITERS: u32 = 8;
-
-/// A program written against the public trait only: per-edge weights
-/// derived from the endpoint ids (non-uniform, so packed warps take the
-/// weighted reduction) and a retention bonus in the score.
-struct MixLp {
-    labels: Vec<Label>,
-}
-
-impl LpProgram for MixLp {
-    fn num_vertices(&self) -> usize {
-        self.labels.len()
-    }
-    fn pick_label(&self, v: VertexId) -> Label {
-        self.labels[v as usize]
-    }
-    fn load_neighbor(
-        &self,
-        v: VertexId,
-        u: VertexId,
-        _edge: EdgeId,
-        label: Label,
-    ) -> NeighborContribution {
-        NeighborContribution {
-            label,
-            weight: 1.0 + f64::from((v ^ u) & 3),
-        }
-    }
-    fn label_score(&self, v: VertexId, l: Label, freq: f64) -> f64 {
-        if l == self.labels[v as usize] {
-            freq + 0.5
-        } else {
-            freq
-        }
-    }
-    fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
-        match winner {
-            Some((l, _)) if l != self.labels[v as usize] => {
-                self.labels[v as usize] = l;
-                true
-            }
-            _ => false,
-        }
-    }
-    fn finished(&self, iteration: u32, changed: u64) -> bool {
-        changed == 0 || iteration + 1 >= ITERS
-    }
-    fn sparse_activation(&self) -> bool {
-        true
-    }
-    fn labels(&self) -> &[Label] {
-        &self.labels
-    }
-}
 
 fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
