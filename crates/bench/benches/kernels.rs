@@ -1,15 +1,20 @@
 //! Micro-benches of the substrate primitives behind the kernels: the
-//! shared-memory structures of §4.1, the warp intrinsics of §4.2 and the
-//! coalescer — the host cost of the layer every propagation kernel stands
-//! on, readable without running the full benchmark. Each case is one of
-//! the input shapes a host fast path keys on (see DESIGN.md, "Host path of
-//! the simulator").
+//! shared-memory structures of §4.1, the warp intrinsics of §4.2, the two
+//! coalescers and the packed-warp kernel itself — the host cost of the
+//! layer every propagation kernel stands on, readable without running the
+//! full benchmark. Each case is one of the input shapes a host fast path
+//! keys on (see DESIGN.md, "Host path of the simulator").
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use glp_core::engine::{Buckets, DegreeThresholds, GpuEngine};
+use glp_core::{ClassicLp, Engine, LpProgram, MflStrategy, RunOptions, WeightedLp};
 use glp_gpusim::warp::{ballot_sync, match_any_sync, popc, WARP_SIZE};
 use glp_gpusim::{DeviceConfig, KernelCtx};
+use glp_graph::gen::{community_powerlaw, road_network, CommunityPowerLawConfig, RoadConfig};
+use glp_graph::Graph;
 use glp_sketch::{BoundedHashTable, CountMinSketch};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_sketches(c: &mut Criterion) {
     let mut group = c.benchmark_group("sketches");
@@ -93,32 +98,104 @@ fn bench_warp_intrinsics(c: &mut Criterion) {
     group.finish();
 }
 
-/// Byte address of lane `i` in one lane-address shape.
-type LaneAddr = fn(u64) -> u64;
+/// Element index of lane `i` in one lane shape of a 4-byte array.
+type LaneIndex = fn(u32) -> u32;
 
-/// One warp-wide `global_read` per iteration, by lane-address shape.
+/// Lane shapes of one warp-wide access to a 4-byte array.
+const LANE_SHAPES: [(&str, LaneIndex); 3] = [
+    // A CSR target run: consecutive elements.
+    ("monotone", |i| i),
+    // Label gather of a packed warp on a lattice: unsorted lanes inside
+    // a window of a few KiB.
+    ("windowed", |i| (i * 37) % 29 + (i % 4) * 300),
+    // Label gather of a power-law hub: lanes all over the array.
+    ("scattered", |i| {
+        ((u64::from(i) * 0x9e37_79b9) % 1_000_003) as u32
+    }),
+];
+
+/// One warp-wide `global_read` (byte addresses) and one `global_gather`
+/// (element indices) per iteration, by lane shape.
 fn bench_coalescing(c: &mut Criterion) {
-    let mut group = c.benchmark_group("global_read");
     let cfg = DeviceConfig::titan_v();
-    let cases: [(&str, LaneAddr); 3] = [
-        // A CSR target run: consecutive 4-byte elements.
-        ("monotone", |i| 0x2_0000_0000 + i * 4),
-        // Label gather of a packed warp on a lattice: unsorted lanes
-        // inside a window of a few KiB.
-        ("windowed", |i| {
-            0x1_0000_0000 + ((i * 37) % 29) * 4 + (i % 4) * 1200
-        }),
-        // Label gather of a power-law hub: lanes all over the array.
-        ("scattered", |i| {
-            0x1_0000_0000 + (i * 0x9e37_79b9 % 1_000_003) * 4
-        }),
-    ];
-    for (name, addr_of) in cases {
-        let addrs: Vec<u64> = (0..WARP_SIZE as u64).map(addr_of).collect();
+    let mut group = c.benchmark_group("global_read");
+    for (name, index_of) in LANE_SHAPES {
+        let addrs: Vec<u64> = (0..WARP_SIZE as u32)
+            .map(|i| 0x1_0000_0000 + u64::from(index_of(i)) * 4)
+            .collect();
         group.bench_function(name, |b| {
             let mut ctx = KernelCtx::shard(&cfg);
             b.iter(|| ctx.global_read(black_box(&addrs)));
             black_box(ctx.counters.global_read_sectors);
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("global_gather");
+    for (name, index_of) in LANE_SHAPES {
+        let indices: Vec<u32> = (0..WARP_SIZE as u32).map(index_of).collect();
+        group.bench_function(name, |b| {
+            let mut ctx = KernelCtx::shard(&cfg);
+            b.iter(|| ctx.global_gather(black_box(&indices)));
+            black_box(ctx.counters.global_read_sectors);
+        });
+    }
+    group.finish();
+}
+
+/// One `GpuEngine` iteration under `MflStrategy::SmemWarp` on two graphs of
+/// `tests/host_path_identity.rs`: runs of at most four lanes (lattice), runs
+/// of up to 31 lanes beside mid- and high-degree vertices (power law), and
+/// the non-uniform-weight branch. Prints each case's packed lane count so
+/// the time reads as ns per lane.
+fn bench_packed_warp(c: &mut Criterion) {
+    let lattice = road_network(&RoadConfig {
+        width: 40,
+        height: 40,
+        keep: 0.7,
+        seed: 7,
+    });
+    let powerlaw = community_powerlaw(&CommunityPowerLawConfig {
+        num_vertices: 2_500,
+        avg_degree: 12.0,
+        seed: 13,
+        ..Default::default()
+    });
+    let weights: Arc<Vec<f32>> = Arc::new(
+        (0..lattice.num_edges())
+            .map(|e| 0.5 + (e % 7) as f32)
+            .collect(),
+    );
+    type Program = Box<dyn Fn() -> Box<dyn LpProgram>>;
+    let classic = |n: usize| -> Program { Box::new(move || Box::new(ClassicLp::new(n))) };
+    let n = lattice.num_vertices();
+    let cases: [(&str, &Graph, Program); 3] = [
+        ("lattice", &lattice, classic(n)),
+        ("powerlaw", &powerlaw, classic(powerlaw.num_vertices())),
+        (
+            "weighted",
+            &lattice,
+            Box::new(move || Box::new(WeightedLp::new(n, weights.clone(), 1))),
+        ),
+    ];
+    let opts = RunOptions::default()
+        .with_max_iterations(1)
+        .with_strategy(MflStrategy::SmemWarp)
+        .with_shards(1);
+    let mut group = c.benchmark_group("packed_warp");
+    for (name, g, program) in cases {
+        let buckets = Buckets::build(g, opts.strategy, DegreeThresholds::default());
+        let lanes: u64 = buckets
+            .warp_packed
+            .iter()
+            .map(|&v| u64::from(g.degree(v)))
+            .sum();
+        println!("packed_warp/{name}: {lanes} packed lanes per iteration");
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut prog = program();
+                let report = GpuEngine::titan_v().run(g, prog.as_mut(), &opts);
+                black_box(report.expect("healthy device").modeled_seconds)
+            });
         });
     }
     group.finish();
@@ -128,6 +205,7 @@ criterion_group!(
     kernels,
     bench_sketches,
     bench_warp_intrinsics,
-    bench_coalescing
+    bench_coalescing,
+    bench_packed_warp
 );
 criterion_main!(kernels);

@@ -31,13 +31,21 @@
 //!   `load_neighbor` and `label_score` inline into the edge loops;
 //! * decisions are written in place into the shard's own sub-slice of the
 //!   decision array ([`DecisionsOut`]) — no per-launch result vector;
-//! * per-warp lane registers live in one [`PackedWarp`] reused across the
-//!   warps of a shard, and the table scans, warp intrinsics and coalescing
-//!   counts underneath are linear in what is occupied, not in capacity.
+//! * the packed-warp kernel does not rediscover what its packer knew: one
+//!   `PackedWarp`, reused across the warps of a shard, records the run of
+//!   lanes each packed vertex owns, so the same-vertex groups Figure 3
+//!   finds with `__match_any_sync` are the runs, the same-label groups are
+//!   a first-occurrence scan inside a run, and each *distinct* label is
+//!   scored once. The charges are Figure 3's; the intrinsic formulation
+//!   itself is the `#[cfg(test)]` oracle the kernel is tested against;
+//! * label gathers are coalesced from the neighbors' vertex ids
+//!   ([`KernelCtx::global_gather`]): a run count when they ascend, one pass
+//!   over per-shard sector stamps otherwise — no address array, no table;
+//!   the table scans underneath the other kernels are linear in what is
+//!   occupied, not in capacity.
 
 use super::{BestLabel, Decision};
 use crate::api::LpProgram;
-use glp_gpusim::warp::{ballot_sync, match_any_sync, popc};
 use glp_gpusim::{KernelCtx, SharedMem, WARP_SIZE};
 use glp_graph::{Csr, Label, VertexId, INVALID_VERTEX};
 use glp_sketch::{BoundedHashTable, CountMinSketch, InsertOutcome};
@@ -54,11 +62,19 @@ pub(crate) mod layout {
     /// Global fallback hash-table region (8 bytes per slot).
     pub const GHT: u64 = 0x5_0000_0000;
 
-    /// Byte address of vertex `u`'s entry in `L`.
-    #[inline]
-    pub fn label_addr(u: u32) -> u64 {
-        LABELS + u64::from(u) * 4
-    }
+    /// Neighbor ids per sector of the target array.
+    pub const TARGETS_PER_SECTOR: u64 = glp_gpusim::SECTOR_BYTES / 4;
+    /// Decision slots per sector of the decision array.
+    pub const DECISIONS_PER_SECTOR: u64 = glp_gpusim::SECTOR_BYTES / 8;
+
+    // The kernels count the sectors of a label gather, of a packed warp's
+    // neighbor-id load and of its decision write from element indices
+    // (`index / elements per sector`): exact only from an aligned base.
+    const _: () = assert!(
+        LABELS.is_multiple_of(glp_gpusim::SECTOR_BYTES)
+            && TARGETS.is_multiple_of(glp_gpusim::SECTOR_BYTES)
+            && DECISIONS.is_multiple_of(glp_gpusim::SECTOR_BYTES)
+    );
 }
 
 /// Per-shard instrumentation returned by the kernels (and, summed over a
@@ -184,17 +200,13 @@ impl KernelShard<'_, '_> {
     }
 }
 
-/// Charges a warp-wide gather of the spoken labels of `nbrs` (coalescing
-/// computed from the actual vertex ids — neighbors in the same community
-/// sit near each other only as much as the graph says they do).
+/// Charges the gathers of the spoken labels of `nbrs`, a warp at a time
+/// (coalescing computed from the actual vertex ids — neighbors in the same
+/// community sit near each other only as much as the graph says they do).
 #[inline]
 fn charge_label_gather(ctx: &mut KernelCtx, nbrs: &[VertexId]) {
-    let mut addrs = [0u64; WARP_SIZE];
     for chunk in nbrs.chunks(WARP_SIZE) {
-        for (a, &u) in addrs.iter_mut().zip(chunk) {
-            *a = layout::label_addr(u);
-        }
-        ctx.global_read(&addrs[..chunk.len()]);
+        ctx.global_gather(chunk);
     }
 }
 
@@ -202,38 +214,92 @@ fn charge_label_gather(ctx: &mut KernelCtx, nbrs: &[VertexId]) {
 // Low-degree: one warp, multiple vertices (§4.2).
 // ---------------------------------------------------------------------------
 
-/// The lane registers of one packed warp. One instance serves every warp
-/// of a kernel shard: `used` is reset per warp, and only lanes below it
-/// are ever read, so nothing needs re-initialising in between.
+/// Distinct sectors of one warp-wide access whose lanes the caller presents
+/// in ascending order, a contiguous range at a time: the ranges' sectors,
+/// the one two adjacent ranges share counted once.
+struct AscendingSectors {
+    count: u64,
+    last: u64,
+}
+
+impl AscendingSectors {
+    fn new() -> Self {
+        Self {
+            count: 0,
+            last: u64::MAX,
+        }
+    }
+
+    /// Adds the sectors `first ..= last` (`first` not below any seen).
+    #[inline]
+    fn touch(&mut self, first: u64, last: u64) {
+        self.count += last - first + u64::from(first != self.last);
+        self.last = last;
+    }
+}
+
+/// One packed vertex: the lanes `lane .. lane + degree` of the warp hold
+/// its edges `edge .. edge + degree`.
+#[derive(Clone, Copy)]
+struct Run {
+    vertex: VertexId,
+    lane: usize,
+    edge: u64,
+}
+
+/// One packed warp: the vertex runs the packer recorded and the lane
+/// registers [`flush`](Self::flush) fills. One instance serves every warp
+/// of a kernel shard: `used` and `packed` are reset per warp, and only
+/// runs and lanes below them are ever read, so nothing needs
+/// re-initialising in between.
 struct PackedWarp {
+    /// Lanes in use.
     used: usize,
-    vertex: [VertexId; WARP_SIZE],
-    edge: [u64; WARP_SIZE],
+    /// Vertices packed (`runs[..packed]`, in ascending vertex order).
+    packed: usize,
+    runs: [Run; WARP_SIZE],
+    nbr: [VertexId; WARP_SIZE],
     label: [Label; WARP_SIZE],
     weight: [f64; WARP_SIZE],
-    score: [f64; WARP_SIZE],
-    /// Scratch for the lane addresses of one warp-wide access.
-    addrs: [u64; WARP_SIZE],
-    vkeys: [u64; WARP_SIZE],
-    lkeys: [u64; WARP_SIZE],
 }
 
 impl PackedWarp {
     fn new() -> Self {
         Self {
             used: 0,
-            vertex: [INVALID_VERTEX; WARP_SIZE],
-            edge: [0; WARP_SIZE],
+            packed: 0,
+            runs: [Run {
+                vertex: INVALID_VERTEX,
+                lane: 0,
+                edge: 0,
+            }; WARP_SIZE],
+            nbr: [INVALID_VERTEX; WARP_SIZE],
             label: [0; WARP_SIZE],
             weight: [0.0; WARP_SIZE],
-            score: [f64::MIN; WARP_SIZE],
-            addrs: [0; WARP_SIZE],
-            vkeys: [0; WARP_SIZE],
-            lkeys: [0; WARP_SIZE],
         }
     }
 
-    /// Executes the packed lanes as one warp (Figure 3) and empties it.
+    /// Appends `v`'s `degree` edges, starting at `edge`, to the warp.
+    #[inline]
+    fn pack(&mut self, v: VertexId, edge: u64, degree: usize) {
+        self.runs[self.packed] = Run {
+            vertex: v,
+            lane: self.used,
+            edge,
+        };
+        self.packed += 1;
+        self.used += degree;
+    }
+
+    /// Executes the packed lanes as one warp and empties it.
+    ///
+    /// The charges are Figure 3's, step by step. The grouping those
+    /// intrinsics perform on the device is not recomputed: a lane's
+    /// same-vertex mask *is* its run, and the same-(vertex, label) groups
+    /// are found inside the run by a first-occurrence scan. Each distinct
+    /// label is scored and offered once — every lane of a group would
+    /// score the same `(vertex, label, frequency)`, and
+    /// [`BestLabel::offer`] is idempotent and order-independent.
     fn flush<P: LpProgram + ?Sized>(
         &mut self,
         ctx: &mut KernelCtx,
@@ -243,96 +309,93 @@ impl PackedWarp {
         out: &mut DecisionsOut<'_>,
     ) {
         let used = std::mem::take(&mut self.used);
+        let packed = std::mem::take(&mut self.packed);
         if used == 0 {
             return;
         }
         ctx.warps_launched(1);
         ctx.lanes_active(used as u64);
-        // 1. Load neighbor ids (edge-indexed; spans of packed vertices are
-        //    contiguous per vertex but not across bucket gaps).
-        for i in 0..used {
-            self.addrs[i] = layout::TARGETS + self.edge[i] * 4;
-        }
-        ctx.global_read(&self.addrs[..used]);
-        // 2. Gather spoken labels of those neighbors, and
-        // 3. take each lane's contribution via the user API.
         let targets = csr.targets();
+        // Vertices, hence edge ids and decision slots, ascend across the
+        // warp, so neither access needs its lane addresses spelled out.
+        let mut target_sectors = AscendingSectors::new();
+        let mut decision_sectors = AscendingSectors::new();
         let mut uniform_weights = true;
-        for i in 0..used {
-            let v = self.vertex[i];
-            let u = targets[self.edge[i] as usize];
-            self.addrs[i] = layout::label_addr(u);
-            let c = prog.load_neighbor(v, u, self.edge[i], spoken[u as usize]);
-            self.label[i] = c.label;
-            self.weight[i] = c.weight;
-            uniform_weights &= c.weight == 1.0;
-            self.vkeys[i] = u64::from(v);
-            self.lkeys[i] = (u64::from(v) << 32) | u64::from(c.label);
-        }
-        ctx.global_read(&self.addrs[..used]);
-        ctx.alu(2);
-        // 4. Intrinsic grouping: active lanes → same-vertex mask → same
-        //    (vertex,label) mask → frequency by popcount.
-        let mut preds = [false; WARP_SIZE];
-        preds[..used].fill(true);
-        let active = ballot_sync(u32::MAX, &preds);
-        let vmasks = match_any_sync(active, &self.vkeys);
-        let lmasks = match_any_sync(active, &self.lkeys);
-        ctx.intrinsic(3); // ballot + 2x match_any
-
-        // 5. Score (frequency from the lmask group) and per-vertex
-        //    reduction (leader = lowest lane of vmask).
-        if uniform_weights {
-            for (i, &lmask) in lmasks[..used].iter().enumerate() {
-                let freq = f64::from(popc(lmask));
-                self.score[i] = prog.label_score(self.vertex[i], self.label[i], freq);
+        for r in 0..packed {
+            let Run {
+                vertex: v,
+                lane: begin,
+                edge,
+            } = self.runs[r];
+            let end = if r + 1 < packed {
+                self.runs[r + 1].lane
+            } else {
+                used
+            };
+            // 1. Load neighbor ids (edge-indexed; contiguous per vertex
+            //    but not across bucket gaps).
+            let last_edge = edge + (end - begin) as u64 - 1;
+            target_sectors.touch(
+                edge / layout::TARGETS_PER_SECTOR,
+                last_edge / layout::TARGETS_PER_SECTOR,
+            );
+            // 2. Gather spoken labels of those neighbors (charged below,
+            //    warp-wide), and
+            // 3. take each lane's contribution via the user API.
+            for lane in begin..end {
+                let e = edge + (lane - begin) as u64;
+                let u = targets[e as usize];
+                let c = prog.load_neighbor(v, u, e, spoken[u as usize]);
+                self.nbr[lane] = u;
+                self.label[lane] = c.label;
+                self.weight[lane] = c.weight;
+                uniform_weights &= c.weight == 1.0;
             }
-            ctx.intrinsic(1); // popc
-        } else {
-            // Weighted: sum lane weights across the lmask group (a short
-            // shuffle reduction instead of a single popc).
-            for (i, &lmask) in lmasks[..used].iter().enumerate() {
-                let mut sum = 0.0;
-                let mut rest = lmask;
-                while rest != 0 {
-                    sum += self.weight[rest.trailing_zeros() as usize];
-                    rest &= rest - 1;
-                }
-                self.score[i] = prog.label_score(self.vertex[i], self.label[i], sum);
-            }
-            ctx.intrinsic(5);
-        }
-        ctx.alu(2);
-        let mut results = 0usize;
-        for (i, &vm) in vmasks[..used].iter().enumerate() {
-            if vm.trailing_zeros() as usize != i {
-                continue; // not the group leader
-            }
-            let v = self.vertex[i];
-            let mut best: Option<BestLabel> = None;
+            // 4. + 5. Frequency of each distinct label of the run — lane
+            //    weights summed in ascending lane order, which for uniform
+            //    weights is the popcount — scored and reduced to the
+            //    vertex's best.
             let current = spoken[v as usize];
-            let mut rest = vm;
-            while rest != 0 {
-                let l = rest.trailing_zeros() as usize;
-                BestLabel::offer(&mut best, self.label[l], self.score[l], current);
-                rest &= rest - 1;
+            let mut best: Option<BestLabel> = None;
+            let mut done = 0u32;
+            for lane in begin..end {
+                if (done >> (lane - begin)) & 1 == 1 {
+                    continue;
+                }
+                let label = self.label[lane];
+                let mut freq = 0.0;
+                for peer in lane..end {
+                    if self.label[peer] == label {
+                        freq += self.weight[peer];
+                        done |= 1 << (peer - begin);
+                    }
+                }
+                BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
             }
-            ctx.intrinsic(2); // per-group max + index shuffle
-            self.addrs[results] = layout::DECISIONS + u64::from(v) * 8;
-            results += 1;
+            // 6. The run's leader writes its decision.
+            let sector = u64::from(v) / layout::DECISIONS_PER_SECTOR;
+            decision_sectors.touch(sector, sector);
             out.set(v, BestLabel::into_decision(best));
         }
-        // 6. Group leaders write their decisions.
-        ctx.global_write(&self.addrs[..results]);
+        ctx.counters.global_read_sectors += target_sectors.count;
+        ctx.global_gather(&self.nbr[..used]);
+        ctx.alu(2);
+        // ballot + 2x match_any, then one popc or, for weighted lanes, a
+        // short shuffle reduction.
+        ctx.intrinsic(3);
+        ctx.intrinsic(if uniform_weights { 1 } else { 5 });
+        ctx.alu(2);
+        ctx.intrinsic(2 * packed as u64); // per-group max + index shuffle
+        ctx.counters.global_write_sectors += decision_sectors.count;
     }
 }
 
 /// Processes low-degree vertices by packing the edges of several vertices
-/// into one warp and counting label frequencies with `__ballot_sync` /
-/// `__match_any_sync` / `__popc`, exactly as Figure 3 sketches.
+/// into one warp and counting label frequencies the way Figure 3's
+/// `__ballot_sync` / `__match_any_sync` / `__popc` sequence does.
 ///
-/// Vertices must each have degree in `1..=WARP_SIZE` so a full neighbor
-/// list always fits in one warp.
+/// `vertices` must ascend and each have degree in `1..=WARP_SIZE`, so a
+/// full neighbor list always fits in one warp.
 pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
     ctx: &mut KernelCtx,
     csr: &Csr,
@@ -342,21 +405,24 @@ pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
     out: &mut DecisionsOut<'_>,
 ) {
     let mut warp = PackedWarp::new();
+    let mut prev: Option<VertexId> = None;
     for &v in vertices {
         let deg = csr.degree(v) as usize;
-        debug_assert!(
+        assert!(
             (1..=WARP_SIZE).contains(&deg),
             "warp-packed bucket requires degree 1..=32, got {deg}"
         );
+        // `AscendingSectors` counts the warp's edge ids and decision slots
+        // as ascending ranges.
+        assert!(
+            prev < Some(v),
+            "warp-packed bucket must ascend, got {v} after {prev:?}"
+        );
+        prev = Some(v);
         if warp.used + deg > WARP_SIZE {
             warp.flush(ctx, csr, spoken, prog, out);
         }
-        let off = csr.offset(v);
-        for k in 0..deg {
-            warp.vertex[warp.used + k] = v;
-            warp.edge[warp.used + k] = off + k as u64;
-        }
-        warp.used += deg;
+        warp.pack(v, csr.offset(v), deg);
     }
     warp.flush(ctx, csr, spoken, prog, out);
 }
@@ -658,9 +724,305 @@ pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variants::ClassicLp;
+    use crate::api::NeighborContribution;
+    use crate::variants::{ClassicLp, WeightedLp};
+    use glp_gpusim::warp::{ballot_sync, match_any_sync, popc};
     use glp_gpusim::DeviceConfig;
     use glp_graph::gen::{star, two_cliques_bridge};
+    use glp_graph::EdgeId;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    /// Byte address of vertex `u`'s entry in `L`.
+    fn label_addr(u: u32) -> u64 {
+        layout::LABELS + u64::from(u) * 4
+    }
+
+    /// The lane registers of one packed warp in Figure 3's formulation, the
+    /// oracle of [`PackedWarp`]: every lane carries its vertex, the groups
+    /// are recovered
+    /// with `__ballot_sync` / `__match_any_sync`, every lane scores its own
+    /// label, and the three warp-wide accesses are coalesced from byte
+    /// addresses.
+    struct Figure3Warp {
+        used: usize,
+        vertex: [VertexId; WARP_SIZE],
+        edge: [u64; WARP_SIZE],
+        label: [Label; WARP_SIZE],
+        weight: [f64; WARP_SIZE],
+        score: [f64; WARP_SIZE],
+        addrs: [u64; WARP_SIZE],
+        vkeys: [u64; WARP_SIZE],
+        lkeys: [u64; WARP_SIZE],
+    }
+
+    impl Figure3Warp {
+        fn new() -> Self {
+            Self {
+                used: 0,
+                vertex: [INVALID_VERTEX; WARP_SIZE],
+                edge: [0; WARP_SIZE],
+                label: [0; WARP_SIZE],
+                weight: [0.0; WARP_SIZE],
+                score: [f64::MIN; WARP_SIZE],
+                addrs: [0; WARP_SIZE],
+                vkeys: [0; WARP_SIZE],
+                lkeys: [0; WARP_SIZE],
+            }
+        }
+
+        fn flush<P: LpProgram + ?Sized>(
+            &mut self,
+            ctx: &mut KernelCtx,
+            csr: &Csr,
+            spoken: &[Label],
+            prog: &P,
+            out: &mut DecisionsOut<'_>,
+        ) {
+            let used = std::mem::take(&mut self.used);
+            if used == 0 {
+                return;
+            }
+            ctx.warps_launched(1);
+            ctx.lanes_active(used as u64);
+            // 1. Load neighbor ids.
+            for i in 0..used {
+                self.addrs[i] = layout::TARGETS + self.edge[i] * 4;
+            }
+            ctx.global_read(&self.addrs[..used]);
+            // 2. Gather spoken labels of those neighbors, and
+            // 3. take each lane's contribution via the user API.
+            let targets = csr.targets();
+            let mut uniform_weights = true;
+            for i in 0..used {
+                let v = self.vertex[i];
+                let u = targets[self.edge[i] as usize];
+                self.addrs[i] = label_addr(u);
+                let c = prog.load_neighbor(v, u, self.edge[i], spoken[u as usize]);
+                self.label[i] = c.label;
+                self.weight[i] = c.weight;
+                uniform_weights &= c.weight == 1.0;
+                self.vkeys[i] = u64::from(v);
+                self.lkeys[i] = (u64::from(v) << 32) | u64::from(c.label);
+            }
+            ctx.global_read(&self.addrs[..used]);
+            ctx.alu(2);
+            // 4. Intrinsic grouping: active lanes → same-vertex mask → same
+            //    (vertex,label) mask → frequency by popcount.
+            let mut preds = [false; WARP_SIZE];
+            preds[..used].fill(true);
+            let active = ballot_sync(u32::MAX, &preds);
+            let vmasks = match_any_sync(active, &self.vkeys);
+            let lmasks = match_any_sync(active, &self.lkeys);
+            ctx.intrinsic(3); // ballot + 2x match_any
+
+            // 5. Score (frequency from the lmask group) and per-vertex
+            //    reduction (leader = lowest lane of vmask).
+            if uniform_weights {
+                for (i, &lmask) in lmasks[..used].iter().enumerate() {
+                    let freq = f64::from(popc(lmask));
+                    self.score[i] = prog.label_score(self.vertex[i], self.label[i], freq);
+                }
+                ctx.intrinsic(1); // popc
+            } else {
+                // Weighted: sum lane weights across the lmask group (a
+                // short shuffle reduction instead of a single popc).
+                for (i, &lmask) in lmasks[..used].iter().enumerate() {
+                    let mut sum = 0.0;
+                    let mut rest = lmask;
+                    while rest != 0 {
+                        sum += self.weight[rest.trailing_zeros() as usize];
+                        rest &= rest - 1;
+                    }
+                    self.score[i] = prog.label_score(self.vertex[i], self.label[i], sum);
+                }
+                ctx.intrinsic(5);
+            }
+            ctx.alu(2);
+            let mut results = 0usize;
+            for (i, &vm) in vmasks[..used].iter().enumerate() {
+                if vm.trailing_zeros() as usize != i {
+                    continue; // not the group leader
+                }
+                let v = self.vertex[i];
+                let mut best: Option<BestLabel> = None;
+                let current = spoken[v as usize];
+                let mut rest = vm;
+                while rest != 0 {
+                    let l = rest.trailing_zeros() as usize;
+                    BestLabel::offer(&mut best, self.label[l], self.score[l], current);
+                    rest &= rest - 1;
+                }
+                ctx.intrinsic(2); // per-group max + index shuffle
+                self.addrs[results] = layout::DECISIONS + u64::from(v) * 8;
+                results += 1;
+                out.set(v, BestLabel::into_decision(best));
+            }
+            // 6. Group leaders write their decisions.
+            ctx.global_write(&self.addrs[..results]);
+        }
+    }
+
+    /// [`warp_packed_kernel`] over [`Figure3Warp`].
+    fn figure3_kernel<P: LpProgram + ?Sized>(
+        ctx: &mut KernelCtx,
+        csr: &Csr,
+        spoken: &[Label],
+        prog: &P,
+        vertices: &[VertexId],
+        out: &mut DecisionsOut<'_>,
+    ) {
+        let mut warp = Figure3Warp::new();
+        for &v in vertices {
+            let deg = csr.degree(v) as usize;
+            if warp.used + deg > WARP_SIZE {
+                warp.flush(ctx, csr, spoken, prog, out);
+            }
+            let off = csr.offset(v);
+            for k in 0..deg {
+                warp.vertex[warp.used + k] = v;
+                warp.edge[warp.used + k] = off + k as u64;
+            }
+            warp.used += deg;
+        }
+        warp.flush(ctx, csr, spoken, prog, out);
+    }
+
+    /// A program written against the Table 1 callbacks only, with
+    /// non-uniform weights and a score that favours the current label —
+    /// the shape of `glp_test_support::MixLp`, which depends on this crate
+    /// and so cannot be named from its unit tests.
+    struct Mix {
+        labels: Vec<Label>,
+    }
+
+    impl LpProgram for Mix {
+        fn num_vertices(&self) -> usize {
+            self.labels.len()
+        }
+        fn pick_label(&self, v: VertexId) -> Label {
+            self.labels[v as usize]
+        }
+        fn load_neighbor(
+            &self,
+            v: VertexId,
+            u: VertexId,
+            _edge: EdgeId,
+            label: Label,
+        ) -> NeighborContribution {
+            NeighborContribution {
+                label,
+                weight: 1.0 + f64::from((v ^ u) & 3) * 0.1,
+            }
+        }
+        fn label_score(&self, v: VertexId, l: Label, freq: f64) -> f64 {
+            if l == self.labels[v as usize] {
+                freq + 0.5
+            } else {
+                freq
+            }
+        }
+        fn update_vertex(&mut self, _v: VertexId, _winner: Option<(Label, f64)>) -> bool {
+            false
+        }
+        fn finished(&self, _iteration: u32, _changed: u64) -> bool {
+            true
+        }
+        fn labels(&self) -> &[Label] {
+            &self.labels
+        }
+    }
+
+    /// Runs the packed bucket `vertices` through [`warp_packed_kernel`] and
+    /// through the Figure 3 oracle: equal decisions (score bits included)
+    /// and equal counters, field by field.
+    fn assert_flush_matches_figure3<P: LpProgram>(
+        csr: &Csr,
+        spoken: &[Label],
+        prog: &P,
+        vertices: &[VertexId],
+        what: &str,
+    ) {
+        let cfg = DeviceConfig::titan_v();
+        let bits = |ds: Vec<(VertexId, Decision)>| -> Vec<(VertexId, Option<(Label, u64)>)> {
+            ds.into_iter()
+                .map(|(v, d)| (v, d.map(|(l, s)| (l, s.to_bits()))))
+                .collect()
+        };
+        let mut fast = KernelCtx::new(&cfg);
+        let got = collect(csr, vertices, |out| {
+            warp_packed_kernel(&mut fast, csr, spoken, prog, vertices, out)
+        });
+        let mut oracle = KernelCtx::new(&cfg);
+        let want = collect(csr, vertices, |out| {
+            figure3_kernel(&mut oracle, csr, spoken, prog, vertices, out)
+        });
+        assert_eq!(bits(got), bits(want), "{what}: decisions");
+        assert_eq!(fast.counters, oracle.counters, "{what}: charges");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random packed buckets: degrees 1..=32 with gaps between the
+        /// packed vertices' edge runs, unsorted neighbor lists with
+        /// repeats, few labels (duplicates inside a run, ties with the
+        /// current label), through uniform, edge-weighted and
+        /// callback-weighted programs.
+        #[test]
+        fn fast_flush_equals_figure3(
+            shape in 0u8..4,
+            raw_degrees in prop::collection::vec(1usize..=32, 1..48),
+            gaps in prop::collection::vec(0usize..3, 48),
+            num_labels in 1u32..6,
+            seed in any::<u64>(),
+        ) {
+            let degrees: Vec<usize> = match shape {
+                // Lone degree-32 vertices: one run fills the warp.
+                0 => vec![32; raw_degrees.len().min(3)],
+                // A single-lane tail warp behind one exactly full warp.
+                1 => vec![16, 15, 1, 1],
+                // Road-like: many short runs per warp.
+                2 => raw_degrees.iter().map(|d| 1 + d % 4).collect(),
+                _ => raw_degrees,
+            };
+            // Vertex ids: each packed vertex follows 0..=2 vertices the
+            // bucket skips (degree 0, or too wide for a warp — their edges
+            // open a gap in the edge ids).
+            let mut rng = seed;
+            let mut next = move |bound: u64| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) % bound
+            };
+            let mut all_degrees = Vec::new();
+            let mut vertices = Vec::new();
+            for (&d, &gap) in degrees.iter().zip(&gaps) {
+                for skipped in 0..gap {
+                    all_degrees.push(if skipped == 0 { 0 } else { 40 });
+                }
+                vertices.push(all_degrees.len() as VertexId);
+                all_degrees.push(d);
+            }
+            let n = all_degrees.len();
+            let mut offsets = vec![0u64];
+            for d in &all_degrees {
+                offsets.push(offsets.last().unwrap() + *d as u64);
+            }
+            let m = *offsets.last().unwrap() as usize;
+            let targets: Vec<VertexId> = (0..m).map(|_| next(n as u64) as VertexId).collect();
+            let csr = Csr::from_parts(offsets, targets, None);
+            let spoken: Vec<Label> = (0..n).map(|_| next(u64::from(num_labels)) as Label).collect();
+
+            let classic = ClassicLp::new(n);
+            assert_flush_matches_figure3(&csr, &spoken, &classic, &vertices, "classic");
+            let edge_weights: Arc<Vec<f32>> =
+                Arc::new((0..m).map(|e| 0.5 + (e % 7) as f32).collect());
+            let weighted = WeightedLp::new(n, edge_weights, 8).with_retention(6.0);
+            assert_flush_matches_figure3(&csr, &spoken, &weighted, &vertices, "weighted");
+            let mix = Mix { labels: spoken.clone() };
+            assert_flush_matches_figure3(&csr, &spoken, &mix, &vertices, "mix");
+        }
+    }
 
     /// Runs one kernel over `vertices` into a dense decision array and
     /// lists `(vertex, decision)` for the vertices it was given.
@@ -842,6 +1204,27 @@ mod tests {
         });
         assert_eq!(ctx.counters.warps_launched, 1);
         assert_eq!(got.len(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend, got 3 after Some(4)")]
+    fn warp_packed_bucket_must_ascend() {
+        let g = glp_graph::gen::cycle(8);
+        let cfg = DeviceConfig::titan_v();
+        let prog = ClassicLp::new(8);
+        let spoken: Vec<Label> = (0..8).collect();
+        let mut ctx = KernelCtx::new(&cfg);
+        let mut decisions: Vec<Decision> = vec![None; 8];
+        let mut outs = DecisionsOut::split(&mut decisions, &[&[0, 7]]);
+        let bucket = [2, 4, 3];
+        warp_packed_kernel(
+            &mut ctx,
+            g.incoming(),
+            &spoken,
+            &prog,
+            &bucket,
+            &mut outs[0],
+        );
     }
 
     #[test]

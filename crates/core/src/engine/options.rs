@@ -12,6 +12,7 @@ use super::dispatch::DegreeThresholds;
 use super::kernels::SmemGeometry;
 use super::MflStrategy;
 use crate::api::LpProgram;
+use glp_gpusim::WARP_SIZE;
 use glp_trace::Tracer;
 use std::fmt;
 use std::sync::Arc;
@@ -295,6 +296,12 @@ impl RunOptions {
             self.mid_ht_slots,
             self.thresholds.high
         );
+        assert!(
+            self.thresholds.low as usize <= WARP_SIZE + 1,
+            "thresholds.low ({}) must not exceed {}: a warp-packed vertex's neighbor list has to fit in one warp",
+            self.thresholds.low,
+            WARP_SIZE + 1
+        );
         self.smem_geometry().validate(shared_mem_per_block);
     }
 }
@@ -351,6 +358,17 @@ mod tests {
         let o2 = o.clone();
         assert!(o2.barrier_hook.is_some());
         assert!(o2.tracer.is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "thresholds.low (40)")]
+    fn low_threshold_must_fit_a_warp() {
+        // Degrees 33..=39 would land in the warp-packed bucket.
+        let o = RunOptions {
+            thresholds: DegreeThresholds { low: 40, high: 128 },
+            ..Default::default()
+        };
+        o.validate_for_device(48 * 1024);
     }
 
     #[test]

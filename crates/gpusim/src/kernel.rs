@@ -11,9 +11,10 @@
 //! Declaring an event is on the hot path of every simulated warp, so what
 //! it costs the *host* is kept linear in the lane count: coalescing and
 //! atomic conflicts both reduce to one distinct count over at most 32 lane
-//! values (`count_distinct`) that never sorts. The counts it produces are
-//! exactly those of the sort-based definition, which the tests keep as the
-//! oracle.
+//! values (`count_distinct`) that never sorts, and a gather from a 4-byte
+//! array is counted from the lanes' *element indices*
+//! ([`KernelCtx::global_gather`]) without forming an address at all. The counts are exactly those of the
+//! sort-based definition, which the tests keep as the oracle.
 
 use crate::config::DeviceConfig;
 use crate::counters::KernelCounters;
@@ -32,6 +33,7 @@ pub struct KernelCtx<'a> {
     pub cfg: &'a DeviceConfig,
     /// Accumulated event counts.
     pub counters: KernelCounters,
+    gather: GatherStamps,
 }
 
 /// Widest value range (max − min) [`count_distinct`] resolves with its
@@ -103,18 +105,83 @@ fn conflict_steps(addrs: &[u64]) -> u64 {
     addrs.len() as u64 - count_distinct(addrs)
 }
 
+/// `log2` of the 4-byte elements one sector holds.
+const GATHER_SHIFT: u32 = (SECTOR_BYTES / 4).trailing_zeros();
+
+/// Host scratch of [`KernelCtx::global_gather`]: one stamp per sector of a
+/// 4-byte-element array, grown on demand to cover the highest sector an
+/// unsorted gather has touched (under `elements` bytes). A sector was already counted in
+/// the current warp access iff its stamp equals the current epoch, so a new
+/// access starts by bumping the epoch and the array is never re-zeroed in
+/// between. Every [`KernelCtx`] — one per kernel shard — owns its own, so
+/// harness threads share nothing.
+#[derive(Debug, Default)]
+struct GatherStamps {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+/// `stamps` extended (zero-filled) to hold `sector`, and that entry. At
+/// least doubles, so a shard whose gathers climb through the array a sector
+/// at a time (a lattice) still leaves the hot path O(log sectors) times.
+#[cold]
+#[inline(never)]
+fn grown_to(stamps: &mut Vec<u32>, sector: usize) -> &mut u32 {
+    stamps.resize((sector + 1).max(2 * stamps.len()), 0);
+    &mut stamps[sector]
+}
+
+impl GatherStamps {
+    /// Distinct sectors among up to one warp's element indices into a
+    /// sector-aligned 4-byte array (element `i` lives in sector `i / 8`):
+    /// the run count when the lanes arrive non-decreasing (a sorted
+    /// neighbour run), one pass over the stamps otherwise.
+    fn distinct_sectors(&mut self, indices: &[u32]) -> u64 {
+        debug_assert!(indices.len() <= WARP_SIZE);
+        let Some(&first) = indices.first() else {
+            return 0;
+        };
+        let mut prev = first >> GATHER_SHIFT;
+        let mut runs = 1u64;
+        let mut monotone = true;
+        for &i in &indices[1..] {
+            let s = i >> GATHER_SHIFT;
+            runs += u64::from(s != prev);
+            monotone &= s >= prev;
+            prev = s;
+        }
+        if monotone {
+            return runs;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps written 2^32 accesses ago would read as current.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        let mut distinct = 0u64;
+        for &i in indices {
+            let sector = (i >> GATHER_SHIFT) as usize;
+            let stamp = match self.stamps.get_mut(sector) {
+                Some(stamp) => stamp,
+                None => grown_to(&mut self.stamps, sector),
+            };
+            distinct += u64::from(*stamp != epoch);
+            *stamp = epoch;
+        }
+        distinct
+    }
+}
+
 impl<'a> KernelCtx<'a> {
     /// A fresh context for one kernel launch on `cfg`.
     pub fn new(cfg: &'a DeviceConfig) -> Self {
         #[cfg(feature = "fault-injection")]
         crate::faults::on_kernel_launch();
-        Self {
-            cfg,
-            counters: KernelCounters {
-                kernel_launches: 1,
-                ..Default::default()
-            },
-        }
+        let mut ctx = Self::shard(cfg);
+        ctx.counters.kernel_launches = 1;
+        ctx
     }
 
     /// A context for a shard of a kernel (no extra launch overhead); used
@@ -123,6 +190,7 @@ impl<'a> KernelCtx<'a> {
         Self {
             cfg,
             counters: KernelCounters::default(),
+            gather: GatherStamps::default(),
         }
     }
 
@@ -144,6 +212,14 @@ impl<'a> KernelCtx<'a> {
     #[inline]
     pub fn global_read(&mut self, addrs: &[u64]) {
         self.counters.global_read_sectors += distinct_sectors(addrs);
+    }
+
+    /// One warp-wide gather from a sector-aligned array of 4-byte elements
+    /// with the lanes' element indices (≤ 32 of them). Charges what
+    /// [`Self::global_read`] charges for the same lanes' byte addresses.
+    #[inline]
+    pub fn global_gather(&mut self, indices: &[u32]) {
+        self.counters.global_read_sectors += self.gather.distinct_sectors(indices);
     }
 
     /// One warp-wide global write with explicit lane byte-addresses.
@@ -294,8 +370,58 @@ mod tests {
         extra
     }
 
+    /// What [`KernelCtx::global_read`] charges for the byte addresses of
+    /// `indices` into a sector-aligned 4-byte array, by the sort-based oracle.
+    fn gather_reference(indices: &[u32]) -> u64 {
+        let addrs: Vec<u64> = indices
+            .iter()
+            .map(|&i| 0x1_0000_0000 + u64::from(i) * 4)
+            .collect();
+        distinct_sectors_reference(&addrs)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn gather_coalescer_equals_the_sort_based_reference(
+            shape in 0..SHAPES,
+            raw in prop::collection::vec(any::<u64>(), 0..=32),
+            window in 0usize..5,
+            start_epoch in 0usize..3,
+        ) {
+            // Index ranges inside one sector, across two, and wide.
+            let window = [1u64, 8, 9, 300, 100_000][window];
+            let start_epoch = [0u32, 7, u32::MAX - 2][start_epoch];
+            let indices: Vec<u32> = shaped(shape, raw.iter().map(|x| x % window).collect())
+                .iter()
+                .map(|&i| i as u32)
+                .collect();
+            let elements = indices.iter().max().map_or(1, |&m| m + 1);
+            let other: Vec<u32> = indices
+                .iter()
+                .rev()
+                .map(|&i| (i * 31 + 5) % elements)
+                .collect();
+            // One context per harness shard, used turn by turn: neither may
+            // see the other's stamps, nor its own from an earlier access —
+            // also when the epoch wraps in between.
+            let cfg = DeviceConfig::titan_v();
+            let (mut shard_a, mut shard_b) = (KernelCtx::shard(&cfg), KernelCtx::shard(&cfg));
+            shard_a.gather.epoch = start_epoch;
+            for round in 0..4 {
+                prop_assert_eq!(
+                    shard_a.gather.distinct_sectors(&indices),
+                    gather_reference(&indices),
+                    "round {} shape {} indices {:?}", round, shape, indices
+                );
+                prop_assert_eq!(
+                    shard_b.gather.distinct_sectors(&other),
+                    gather_reference(&other),
+                    "round {} other {:?}", round, other
+                );
+            }
+        }
 
         #[test]
         fn coalescer_equals_the_sort_based_reference(
@@ -332,6 +458,61 @@ mod tests {
             let addrs = [range * SECTOR_BYTES, 0, 40, range * SECTOR_BYTES + 8, 64];
             assert_eq!(distinct_sectors(&addrs), 4, "range {range}");
             assert_eq!(distinct_sectors_reference(&addrs), 4);
+        }
+    }
+
+    #[test]
+    fn gather_epoch_wrap_does_not_alias_stale_stamps() {
+        let mut gather = GatherStamps::default();
+        // Sectors 5 and 2, unsorted so the stamps are written: epoch 1.
+        assert_eq!(gather.distinct_sectors(&[40, 16]), 2);
+        assert_eq!(gather.epoch, 1);
+        gather.epoch = u32::MAX - 1;
+        assert_eq!(gather.distinct_sectors(&[9, 1]), 2);
+        assert_eq!(gather.epoch, u32::MAX);
+        // The wrap lands on epoch 1 again, where sectors 5 and 2 still
+        // carry their stamps from the first access.
+        assert_eq!(gather.distinct_sectors(&[41, 17, 42]), 2);
+        assert_eq!(gather.epoch, 1);
+    }
+
+    #[test]
+    fn gather_stamps_grow_with_the_unsorted_gathers_only() {
+        let mut gather = GatherStamps::default();
+        // Sorted neighbour runs never touch the stamps.
+        assert_eq!(gather.distinct_sectors(&[3, 9, 900, 901]), 3);
+        assert!(gather.stamps.is_empty());
+        // An unsorted one extends them over its highest sector, zero-filled,
+        // at least doubling.
+        assert_eq!(gather.distinct_sectors(&[900, 3, 901]), 2);
+        assert_eq!(gather.stamps.len(), 901 / 8 + 1);
+        assert_eq!(gather.distinct_sectors(&[912, 900, 3]), 3);
+        assert_eq!(gather.stamps.len(), 2 * (901 / 8 + 1));
+        assert_eq!(gather.distinct_sectors(&[4001, 900, 3, 4000]), 3);
+        assert_eq!(gather.stamps.len(), 4001 / 8 + 1);
+    }
+
+    #[test]
+    fn gather_charges_what_the_byte_addresses_would() {
+        let cfg = DeviceConfig::titan_v();
+        let (mut by_index, mut by_addr) = (ctx(&cfg), ctx(&cfg));
+        // A lattice-like window, a scattered warp and a sorted run.
+        let warps: [Vec<u32>; 3] = [
+            (0..32).map(|i| (i * 37) % 29 + (i % 4) * 300).collect(),
+            (0..32).map(|i| (i * 2_654_435_761u32) % 4096).collect(),
+            (0..32).map(|i| 100 + 3 * i).collect(),
+        ];
+        for indices in &warps {
+            let addrs: Vec<u64> = indices
+                .iter()
+                .map(|&i| 0x1_0000_0000 + u64::from(i) * 4)
+                .collect();
+            by_index.global_gather(indices);
+            by_addr.global_read(&addrs);
+            assert_eq!(
+                by_index.counters.global_read_sectors,
+                by_addr.counters.global_read_sectors
+            );
         }
     }
 
