@@ -17,8 +17,10 @@ use glp_core::{ClassicLp, Engine, FrontierMode, RunOptions};
 fn main() {
     let args = Args::parse();
     let iters: u32 = args.get("iters", 20);
+    let datasets = selected_datasets(&args);
+    args.finish();
     let mut rows = Vec::new();
-    for (spec, scale) in selected_datasets(&args) {
+    for (spec, scale) in datasets {
         eprintln!("... {} (scale 1/{scale})", spec.name);
         let g = spec.generate_scaled(scale);
         let run = |frontier: FrontierMode| {

@@ -17,6 +17,7 @@ fn main() {
     let args = Args::parse();
     let iters: u32 = args.get("iters", 20);
     let scale_mul: u64 = args.get("scale-mul", 4);
+    args.finish();
     let spec = by_name("ljournal").expect("registry");
     let g = spec.generate_scaled(spec.default_scale * scale_mul);
     eprintln!(

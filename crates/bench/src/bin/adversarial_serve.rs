@@ -45,8 +45,8 @@ use std::time::{Duration, Instant};
 /// rotate out of the current truth.
 const WINDOW_DAYS: u32 = 10;
 
-fn stream(args: &Args) -> AdversarialStream {
-    AdversarialStream::generate(&AdversaryConfig {
+fn stream_config(args: &Args) -> AdversaryConfig {
+    AdversaryConfig {
         base: RegionalTxConfig {
             regions: 4,
             users_per_region: 200,
@@ -67,7 +67,7 @@ fn stream(args: &Args) -> AdversarialStream {
         burst_day: Some(6),
         burst_tx: args.get("burst-tx", 8_000),
         label_noise: 6,
-    })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -248,8 +248,11 @@ fn main() {
     let args = Args::parse();
     let json_path = args.get_str("json").unwrap_or("BENCH_adversarial.json");
 
+    let config = stream_config(&args);
+    args.finish();
+
     eprintln!("... generating adversarial stream");
-    let s = stream(&args);
+    let s = AdversarialStream::generate(&config);
     let total = s.transactions.len();
     eprintln!(
         "... {total} transactions over {} days, {} pool accounts, {} noise entries",

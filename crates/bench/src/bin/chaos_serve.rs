@@ -236,6 +236,7 @@ fn main() {
     let args = Args::parse();
     let json_path = args.get_str("json").unwrap_or("BENCH_chaos.json");
     let seed: u64 = args.get("seed", 42);
+    let failover_runs: usize = args.get("failover-runs", 5);
 
     let tx_cfg = TxConfig {
         num_users: args.get("users", 1_500),
@@ -248,6 +249,7 @@ fn main() {
         blacklist_fraction: 0.25,
         ..Default::default()
     };
+    args.finish();
     eprintln!("... generating transaction stream ({} days)", tx_cfg.days);
     let stream = TxStream::generate(&tx_cfg);
     let all: Vec<Transaction> = stream.window(0, tx_cfg.days).copied().collect();
@@ -326,7 +328,6 @@ fn main() {
     }
     std::fs::remove_file(&ckpt_path).ok();
 
-    let failover_runs: usize = args.get("failover-runs", 5);
     eprintln!("... scenario shard-failover: {failover_runs} killed-shard rebuilds");
     let failover = run_failover(&all, &stream.blacklist, seed, failover_runs);
 

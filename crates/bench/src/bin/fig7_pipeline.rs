@@ -26,6 +26,7 @@ fn main() {
     let scale: u64 = args.get("scale", 4);
     let iters: u32 = args.get("iters", 20);
     let device_mem_mb: u64 = args.get("device-mem-mb", 64 / scale.min(16));
+    args.finish();
     eprintln!("... generating transaction stream (scale 1/{scale})");
     let stream = table4_stream(scale);
 

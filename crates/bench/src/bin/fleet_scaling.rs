@@ -1,0 +1,224 @@
+//! fleet_scaling — the sharding scaling curve of the scoring fleet
+//! (`glp-serve`), the one serving claim the committed benchmark does not
+//! make (its `serve_fleet` workload runs a fixed 4 shards).
+//!
+//! One regional stream is driven through a [`FleetCore`] at 1, 2, 4, and 8
+//! shards with community-aware routing and full boundary exchanges at the
+//! recluster cadence. Shard reclusters run sequentially and each wall is
+//! measured in isolation; a parallel deployment's round cost is modeled as
+//! `max(shard walls) + exchange wall`, giving a modeled tx/s per shard
+//! count. The curve self-asserts the quantity sharding actually divides —
+//! Σ over rounds of the slowest shard's recluster wall: at 4 shards it
+//! must be at least `MIN_RECLUSTER_SPEEDUP` (2×) smaller than at 1 shard, or
+//! the bench exits non-zero. The routing/apply wall and the exchange wall
+//! are serial whatever the shard count; they are reported beside it (and
+//! fold into the end-to-end `speedup_vs_1shard`), unasserted — a ratio of
+//! wall sums that include them *falls* whenever label propagation gets
+//! faster.
+//!
+//! Usage: `cargo run -p glp-bench --release --bin fleet_scaling
+//!         [--shards 1,2,4,8] [--regions N] [--users-per-region N]
+//!         [--items-per-region N] [--days N] [--tx-per-day N]
+//!         [--window-days N] [--max-batch N] [--exchange-every N]
+//!         [--json BENCH_scaling.json]`
+
+use glp_bench::table::print_table;
+use glp_bench::Args;
+use glp_fraud::{RegionalStream, RegionalTxConfig, Transaction};
+use glp_serve::{FleetConfig, FleetCore, Partitioner, ServeConfig};
+use std::time::Instant;
+
+/// Floor on (Σ slowest-shard recluster wall at 1 shard) / (same at 4).
+const MIN_RECLUSTER_SPEEDUP: f64 = 2.0;
+
+fn main() {
+    let args = Args::parse();
+    let shard_counts: Vec<usize> = args
+        .get_str("shards")
+        .unwrap_or("1,2,4,8")
+        .split(',')
+        .map(|s| s.trim().parse().expect("--shards takes integers"))
+        .collect();
+    let window_days = args.get("window-days", 10);
+    let max_batch: usize = args.get("max-batch", 512);
+    let exchange_every: u64 = args.get("exchange-every", 8);
+    let json_path = args.get_str("json").unwrap_or("BENCH_scaling.json");
+    let r_cfg = RegionalTxConfig {
+        regions: args.get("regions", 8),
+        users_per_region: args.get("users-per-region", 400),
+        items_per_region: args.get("items-per-region", 150),
+        days: args.get("days", 12),
+        tx_per_day: args.get("tx-per-day", 6_000),
+        cross_rings: 8,
+        ring_size: 12,
+        ring_tx_per_day: 40,
+        blacklist_fraction: 0.25,
+        ..Default::default()
+    };
+    args.finish();
+    if !(shard_counts.contains(&1) && shard_counts.contains(&4)) {
+        eprintln!("error: --shards must include 1 and 4 (the asserted ratio)");
+        std::process::exit(2);
+    }
+
+    eprintln!(
+        "... generating regional stream ({} regions, {} days)",
+        r_cfg.regions, r_cfg.days
+    );
+    let stream = RegionalStream::generate(&r_cfg);
+    let all: Vec<Transaction> = stream.window(0, r_cfg.days).copied().collect();
+    eprintln!("... {} transactions", all.len());
+
+    let mut rows = Vec::new();
+    let mut json_rows: Vec<serde_json::Value> = Vec::new();
+    // Per shard count: (modeled tx/s, Σ over rounds of the slowest shard's
+    // recluster wall).
+    let mut curve: Vec<(usize, f64, f64)> = Vec::new();
+    for &n in &shard_counts {
+        eprintln!("... {n} shard(s)");
+        let cfg = FleetConfig {
+            shards: n,
+            exchange_every_batches: exchange_every,
+            // One engine thread per shard core: each shard's wall stands
+            // for one core's work, so harness threads spawned per kernel
+            // launch (a fixed cost no shard count divides) stay out of it.
+            shard: ServeConfig {
+                engine_shards: 1,
+                ..ServeConfig::default()
+            },
+            ..FleetConfig::default()
+        }
+        .with_window_days(window_days);
+        let core = FleetCore::new(
+            cfg,
+            Partitioner::balanced(n, 7, stream.community_map()),
+            stream.blacklist.clone(),
+        );
+        let mut apply_wall = 0.0f64;
+        let mut shard_max_wall = 0.0f64;
+        let mut exchange_wall = 0.0f64;
+        let mut rounds = 0u64;
+        let mut batches = 0u64;
+        let mut boundary_users = 0usize;
+        let mut spanning = 0usize;
+        let mut exchange = |core: &FleetCore| {
+            let o = core.exchange_now();
+            shard_max_wall += o
+                .shard_runs
+                .iter()
+                .map(|r| r.wall_seconds)
+                .fold(0.0, f64::max);
+            exchange_wall += o.exchange_wall;
+            rounds += 1;
+            boundary_users = o.report.boundary_users;
+            spanning = o.report.spanning_components;
+        };
+        for chunk in all.chunks(max_batch) {
+            let t0 = Instant::now();
+            core.apply_transactions(chunk);
+            apply_wall += t0.elapsed().as_secs_f64();
+            batches += 1;
+            if batches.is_multiple_of(exchange_every) {
+                exchange(&core);
+            }
+        }
+        exchange(&core);
+        assert!(
+            core.fleet_snapshot().verdicts.num_flagged() > 0,
+            "scaling run must flag the planted rings"
+        );
+        let round_wall = shard_max_wall + exchange_wall;
+        let modeled_wall = apply_wall + round_wall;
+        let tx_per_s = all.len() as f64 / modeled_wall;
+        curve.push((n, tx_per_s, shard_max_wall));
+        let speedup = tx_per_s / curve[0].1;
+        let recluster_speedup = curve[0].2 / shard_max_wall;
+        rows.push(vec![
+            format!("{n}"),
+            format!("{}", all.len()),
+            format!("{rounds}"),
+            format!("{:.3}s", apply_wall),
+            format!("{:.3}s", shard_max_wall),
+            format!("{:.3}s", exchange_wall),
+            format!("{recluster_speedup:.2}x"),
+            format!("{:.3}s", modeled_wall),
+            format!("{tx_per_s:.0}"),
+            format!("{speedup:.2}x"),
+            format!("{boundary_users}"),
+        ]);
+        json_rows.push(serde_json::json!({
+            "shards": n as u64,
+            "transactions": all.len() as u64,
+            "exchange_rounds": rounds,
+            "apply_wall_s": apply_wall,
+            "shard_recluster_max_wall_s": shard_max_wall,
+            "recluster_speedup_vs_1shard": recluster_speedup,
+            "modeled_round_wall_s": round_wall,
+            "exchange_wall_s": exchange_wall,
+            "modeled_wall_s": modeled_wall,
+            "modeled_tx_per_s": tx_per_s,
+            "speedup_vs_1shard": speedup,
+            "boundary_users": boundary_users as u64,
+            "spanning_components": spanning as u64,
+        }));
+    }
+
+    println!("fleet_scaling: sharding scaling curve (modeled-parallel rounds)");
+    print_table(
+        &[
+            "shards",
+            "txs",
+            "rounds",
+            "apply",
+            "Σmax shard",
+            "exchange",
+            "shard speedup",
+            "modeled",
+            "tx/s",
+            "speedup",
+            "boundary",
+        ],
+        &rows,
+    );
+
+    let at = |shards: usize| {
+        *curve
+            .iter()
+            .find(|(n, ..)| *n == shards)
+            .expect("checked after parsing")
+    };
+    let ((_, tx1, wall1), (_, tx4, wall4)) = (at(1), at(4));
+    let (recluster_speedup, end_to_end) = (wall1 / wall4, tx4 / tx1);
+    let doc = serde_json::json!({
+        "bench": "fleet_scaling",
+        "stream": serde_json::json!({
+            "regions": r_cfg.regions as u64,
+            "users_per_region": r_cfg.users_per_region as u64,
+            "days": r_cfg.days,
+            "tx_per_day": r_cfg.tx_per_day as u64,
+            "transactions": all.len() as u64,
+        }),
+        "exchange_every_batches": exchange_every,
+        "rows": json_rows,
+        "min_recluster_speedup_4_over_1": MIN_RECLUSTER_SPEEDUP,
+        "recluster_speedup_4_over_1": recluster_speedup,
+        "speedup_4_over_1": end_to_end,
+    });
+    std::fs::write(
+        json_path,
+        serde_json::to_string_pretty(&doc).expect("serializable"),
+    )
+    .unwrap_or_else(|e| panic!("writing {json_path}: {e}"));
+    eprintln!("wrote {json_path}");
+
+    eprintln!(
+        "... 4-shard recluster speedup over 1-shard: {recluster_speedup:.2}x \
+         (floor {MIN_RECLUSTER_SPEEDUP:.1}x); end-to-end modeled throughput \
+         {end_to_end:.2}x (not asserted)"
+    );
+    assert!(
+        recluster_speedup >= MIN_RECLUSTER_SPEEDUP,
+        "scaling regression: at 4 shards the slowest-shard recluster wall is only \
+         {recluster_speedup:.2}x smaller than at 1 shard (floor {MIN_RECLUSTER_SPEEDUP:.1}x)"
+    );
+}

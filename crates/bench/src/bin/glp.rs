@@ -38,23 +38,26 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn load_graph(args: &Args) -> Graph {
+/// Reads the graph flags now; loads or generates the graph when called,
+/// so a command rejects bad flags before it pays for the graph.
+fn graph_source(args: &Args) -> Box<dyn FnOnce() -> Graph + '_> {
     if let Some(path) = args.get_str("graph") {
-        if path.ends_with(".el") {
-            io::read_edge_list_file(path, io::EdgeListOptions::default())
-                .unwrap_or_else(|e| die(&format!("reading {path}: {e}")))
-        } else {
-            io::read_binary_file(path).unwrap_or_else(|e| die(&format!("reading {path}: {e}")))
-        }
+        Box::new(move || {
+            if path.ends_with(".el") {
+                io::read_edge_list_file(path, io::EdgeListOptions::default())
+                    .unwrap_or_else(|e| die(&format!("reading {path}: {e}")))
+            } else {
+                io::read_binary_file(path).unwrap_or_else(|e| die(&format!("reading {path}: {e}")))
+            }
+        })
     } else if let Some(name) = args.get_str("dataset") {
         let spec = by_name(name)
             .unwrap_or_else(|| die(&format!("unknown dataset {name:?} (see Table 2 names)")));
-        let scale_mul: u64 = args.get("scale-mul", 4);
-        eprintln!(
-            "generating {name} at scale 1/{}",
-            spec.default_scale * scale_mul
-        );
-        spec.generate_scaled(spec.default_scale * scale_mul)
+        let scale = spec.default_scale * args.get("scale-mul", 4u64);
+        Box::new(move || {
+            eprintln!("generating {name} at scale 1/{scale}");
+            spec.generate_scaled(scale)
+        })
     } else {
         die("pass --graph <file> or --dataset <table2 name>");
     }
@@ -107,10 +110,12 @@ fn run_program(
 }
 
 fn cmd_generate(args: &Args) {
-    let g = load_graph(args);
+    let load = graph_source(args);
     let Some(out) = args.get_str("out") else {
         die("--out <path> required");
     };
+    args.finish();
+    let g = load();
     let result = if out.ends_with(".el") {
         std::fs::File::create(out)
             .map_err(io::IoError::from)
@@ -129,39 +134,35 @@ fn cmd_generate(args: &Args) {
 }
 
 fn cmd_run(args: &Args) {
-    let g = load_graph(args);
+    let load = graph_source(args);
     let iters: u32 = args.get("iters", 20);
     let engine = args.get_str("engine").unwrap_or("glp").to_string();
     let algo = args.get_str("algo").unwrap_or("classic").to_string();
     let opts = run_options(args);
-    let n = g.num_vertices();
-    let (report, labels): (LpRunReport, Vec<u32>) = match algo.as_str() {
-        "classic" => {
-            let mut p = ClassicLp::with_max_iterations(n, iters);
-            let r = run_program(&engine, &g, &mut p, &opts);
-            (r, p.labels().to_vec())
-        }
+    let program: Box<dyn FnOnce(usize) -> Box<dyn LpProgram>> = match algo.as_str() {
+        "classic" => Box::new(move |n| Box::new(ClassicLp::with_max_iterations(n, iters))),
         "llp" => {
             let gamma: f64 = args.get("gamma", 1.0);
-            let mut p = Llp::with_max_iterations(n, gamma, iters);
-            let r = run_program(&engine, &g, &mut p, &opts);
-            (r, p.labels().to_vec())
+            Box::new(move |n| Box::new(Llp::with_max_iterations(n, gamma, iters)))
         }
         "slp" => {
             let seed: u64 = args.get("seed", 0x519);
-            let mut p = Slp::with_params(n, 5, 0.2, iters, seed);
-            let r = run_program(&engine, &g, &mut p, &opts);
-            (r, p.labels().to_vec())
+            Box::new(move |n| Box::new(Slp::with_params(n, 5, 0.2, iters, seed)))
         }
         "seeded" => {
             let every: usize = args.get("seed-every", 100);
-            let seeds: Vec<u32> = (0..n as u32).step_by(every.max(1)).collect();
-            let mut p = SeededLp::with_max_iterations(n, &seeds, iters);
-            let r = run_program(&engine, &g, &mut p, &opts);
-            (r, p.labels().to_vec())
+            Box::new(move |n| {
+                let seeds: Vec<u32> = (0..n as u32).step_by(every.max(1)).collect();
+                Box::new(SeededLp::with_max_iterations(n, &seeds, iters))
+            })
         }
         other => die(&format!("unknown algo {other:?} (classic|llp|slp|seeded)")),
     };
+    args.finish();
+    let g = load();
+    let mut prog = program(g.num_vertices());
+    let report = run_program(&engine, &g, prog.as_mut(), &opts);
+    let labels = prog.labels();
     println!(
         "{algo} on {} vertices / {} edges with {engine}:",
         g.num_vertices(),
@@ -177,9 +178,9 @@ fn cmd_run(args: &Args) {
         fmt_seconds(report.seconds_per_iteration())
     );
     println!("  wall clock (sim) : {}", fmt_seconds(report.wall_seconds));
-    println!("  communities      : {}", num_communities(&labels));
+    println!("  communities      : {}", num_communities(labels));
     if g.is_undirected() {
-        println!("  modularity       : {:.4}", modularity(&g, &labels));
+        println!("  modularity       : {:.4}", modularity(&g, labels));
     }
     if report.smem_vertices > 0 {
         println!(
@@ -190,8 +191,10 @@ fn cmd_run(args: &Args) {
 }
 
 fn cmd_profile(args: &Args) {
-    let g = load_graph(args);
+    let load = graph_source(args);
     let iters: u32 = args.get("iters", 20);
+    args.finish();
+    let g = load();
     let mut engine = GpuEngine::titan_v();
     let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), iters);
     let report = engine
@@ -210,7 +213,9 @@ fn cmd_profile(args: &Args) {
 }
 
 fn cmd_info(args: &Args) {
-    let g = load_graph(args);
+    let load = graph_source(args);
+    args.finish();
+    let g = load();
     let s = degree_stats(&g);
     println!("vertices      : {}", s.num_vertices);
     println!("edges         : {}", s.num_edges);

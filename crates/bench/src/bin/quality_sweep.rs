@@ -21,6 +21,7 @@ fn main() {
     let args = Args::parse();
     let n: usize = args.get("vertices", 20_000);
     let iters: u32 = args.get("iters", 20);
+    args.finish();
 
     println!("Detection quality vs mixing (classic LP, {n} vertices, {iters} iterations)");
     let mut rows = Vec::new();

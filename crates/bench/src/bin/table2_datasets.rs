@@ -15,8 +15,10 @@ use glp_graph::stats::degree_stats;
 
 fn main() {
     let args = Args::parse();
+    let datasets = selected_datasets(&args);
+    args.finish();
     let mut rows = Vec::new();
-    for (spec, scale) in selected_datasets(&args) {
+    for (spec, scale) in datasets {
         eprintln!("... generating {} (scale 1/{scale})", spec.name);
         let g = spec.generate_scaled(scale);
         let s = degree_stats(&g);

@@ -32,8 +32,10 @@ fn run(strategy: MflStrategy, g: &Graph, iters: u32) -> LpRunReport {
 fn main() {
     let args = Args::parse();
     let iters: u32 = args.get("iters", 20);
+    let datasets = selected_datasets(&args);
+    args.finish();
     let mut rows = Vec::new();
-    for (spec, scale) in selected_datasets(&args) {
+    for (spec, scale) in datasets {
         eprintln!("... {} (scale 1/{scale})", spec.name);
         let g = spec.generate_scaled(scale);
         let global = run(MflStrategy::Global, &g, iters);

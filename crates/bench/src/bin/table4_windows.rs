@@ -16,6 +16,7 @@ use glp_fraud::window::{table4, WindowWorkload};
 fn main() {
     let args = Args::parse();
     let scale: u64 = args.get("scale", 4);
+    args.finish();
     eprintln!("... generating transaction stream (scale 1/{scale})");
     let stream = table4_stream(scale);
     let mut rows = Vec::new();

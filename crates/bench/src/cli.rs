@@ -1,13 +1,16 @@
 //! Minimal flag parsing shared by the experiment binaries (no external
 //! CLI dependency needed for `--flag value` pairs and boolean switches).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
-/// Parsed command-line flags.
+/// Parsed command-line flags. Remembers which names the program asked
+/// for, so [`Args::finish`] can reject the ones it never did.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     flags: HashMap<String, String>,
     switches: Vec<String>,
+    consumed: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -43,8 +46,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        self.flags
-            .get(name)
+        self.get_str(name)
             .map(|v| {
                 v.parse().unwrap_or_else(|e| {
                     eprintln!("error: --{name} {v:?}: {e}");
@@ -56,12 +58,40 @@ impl Args {
 
     /// Raw string value of `--name`.
     pub fn get_str(&self, name: &str) -> Option<&str> {
+        self.consumed.borrow_mut().insert(name.to_string());
         self.flags.get(name).map(String::as_str)
     }
 
     /// Whether switch `--name` was given.
     pub fn has(&self, name: &str) -> bool {
+        self.consumed.borrow_mut().insert(name.to_string());
         self.switches.iter().any(|s| s == name)
+    }
+
+    /// Call once every flag has been read: a flag or switch on the command
+    /// line that the program never asked for (misspelt, or since deleted)
+    /// prints a clean error and exits 2 instead of silently running the
+    /// defaults.
+    pub fn finish(&self) {
+        let unknown = self.unknown();
+        if !unknown.is_empty() {
+            eprintln!("error: unknown flag(s): {}", unknown.join(" "));
+            std::process::exit(2);
+        }
+    }
+
+    /// Given names nothing read, as `--name`, sorted.
+    fn unknown(&self) -> Vec<String> {
+        let consumed = self.consumed.borrow();
+        let mut unknown: Vec<String> = self
+            .flags
+            .keys()
+            .chain(&self.switches)
+            .filter(|name| !consumed.contains(*name))
+            .map(|name| format!("--{name}"))
+            .collect();
+        unknown.sort();
+        unknown
     }
 }
 
@@ -87,6 +117,29 @@ mod tests {
     fn string_values() {
         let a = parse("--datasets dblp,roadNet");
         assert_eq!(a.get_str("datasets"), Some("dblp,roadNet"));
+    }
+
+    #[test]
+    fn misspelt_flag_is_unknown() {
+        let a = parse("--scale 8 --delta-round 12");
+        assert_eq!(a.get("scale", 1u64), 8);
+        assert_eq!(a.get("delta-rounds", 16usize), 16);
+        assert_eq!(a.unknown(), ["--delta-round"]);
+    }
+
+    #[test]
+    fn misspelt_switch_is_unknown() {
+        let a = parse("--full --ful");
+        assert!(a.has("full"));
+        assert_eq!(a.unknown(), ["--ful"]);
+    }
+
+    #[test]
+    fn all_consumed_leaves_nothing_unknown() {
+        let a = parse("--scale 8 --full --datasets dblp");
+        let _ = (a.get("scale", 1u64), a.has("full"), a.get_str("datasets"));
+        assert!(a.unknown().is_empty());
+        a.finish(); // must return, not exit
     }
 
     #[test]

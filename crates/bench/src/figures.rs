@@ -36,6 +36,8 @@ pub fn selected_datasets(args: &Args) -> Vec<(DatasetSpec, u64)> {
 pub fn run_speedup_figure(title: &str, algos: &[Algo], args: &Args) {
     let iterations: u32 = args.get("iters", 20);
     let datasets = selected_datasets(args);
+    let json_path = args.get_str("json");
+    args.finish();
     println!("{title}");
     println!(
         "(modeled time; speedup over OMP; {} iterations per algorithm run)",
@@ -78,7 +80,7 @@ pub fn run_speedup_figure(title: &str, algos: &[Algo], args: &Args) {
     print_table(&headers, &rows);
 
     // Structured output for downstream tooling.
-    if let Some(path) = args.get_str("json") {
+    if let Some(path) = json_path {
         let doc = serde_json::json!({
             "title": title,
             "iterations": iterations,

@@ -173,7 +173,10 @@ pub struct RunOptions {
     /// CMS buckets per row `w`.
     pub cms_width: usize,
     /// Harness OS threads per kernel (0 = number of available cores,
-    /// capped at 16). Has no effect on modeled time or results.
+    /// capped at 16). Has no effect on modeled time or results. The
+    /// threads are spawned per launch, so on small graphs 1 is the fast
+    /// setting: a CI-sized serving recluster measured 11.6 ms pinned to 1
+    /// against 12–39 ms with auto on two cores.
     pub shards: usize,
     /// Vertex visit order of the asynchronous sequential engine; ignored
     /// by the BSP engines.

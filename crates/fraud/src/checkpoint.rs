@@ -355,38 +355,36 @@ fn read_u64(bytes: &[u8], offset: usize) -> u64 {
 #[cfg(feature = "fault-injection")]
 pub mod faults {
     use super::{io, CheckpointError};
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::cell::Cell;
 
-    static FAIL_WRITES: AtomicU32 = AtomicU32::new(0);
-
-    /// Arms the injector for the next `n` checkpoint writes.
-    pub fn fail_next_writes(n: u32) {
-        FAIL_WRITES.store(n, Ordering::Release);
+    thread_local! {
+        /// The calling thread's armed write failures. Per thread, like
+        /// gpusim's armed stalls: the service arms and writes on the same
+        /// thread, and a failure armed there must not be consumed by a
+        /// sibling service's (or a fleet's) checkpoint on another thread.
+        static FAIL_WRITES: Cell<u32> = const { Cell::new(0) };
     }
 
-    /// Disarms the injector.
+    /// Arms the injector for the next `n` checkpoint writes of the
+    /// calling thread.
+    pub fn fail_next_writes(n: u32) {
+        FAIL_WRITES.set(n);
+    }
+
+    /// Disarms the calling thread's injector.
     pub fn clear() {
-        FAIL_WRITES.store(0, Ordering::Release);
+        FAIL_WRITES.set(0);
     }
 
     pub(super) fn maybe_fail_write() -> Result<(), CheckpointError> {
-        let mut left = FAIL_WRITES.load(Ordering::Acquire);
-        while left > 0 {
-            match FAIL_WRITES.compare_exchange_weak(
-                left,
-                left - 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    return Err(CheckpointError::Io(io::Error::other(
-                        "injected checkpoint write failure",
-                    )))
-                }
-                Err(now) => left = now,
-            }
+        let left = FAIL_WRITES.get();
+        if left == 0 {
+            return Ok(());
         }
-        Ok(())
+        FAIL_WRITES.set(left - 1);
+        Err(CheckpointError::Io(io::Error::other(
+            "injected checkpoint write failure",
+        )))
     }
 }
 
@@ -447,6 +445,27 @@ mod tests {
         ckpt.write_atomic(&path).expect("write");
         let back = WindowCheckpoint::read(&path).expect("read");
         assert_eq!(back.encode(), ckpt.encode());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An armed write failure belongs to the thread that armed it: another
+    /// thread's checkpoint goes through, the arming thread's next one fails.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn armed_write_failure_is_scoped_to_the_arming_thread() {
+        let s = stream();
+        let w = IncrementalWindow::new(&s, 5, s.config.days);
+        let ckpt = WindowCheckpoint::capture(&w, 7, 2, vec![9]);
+        let path = std::env::temp_dir().join(format!("glp_ckpt_tl_{}.ckpt", std::process::id()));
+        faults::fail_next_writes(1);
+        std::thread::scope(|sc| {
+            sc.spawn(|| ckpt.write_atomic(&path).expect("sibling thread's write"));
+        });
+        assert!(matches!(
+            ckpt.write_atomic(&path),
+            Err(CheckpointError::Io(_))
+        ));
+        ckpt.write_atomic(&path).expect("injector spent");
         std::fs::remove_file(&path).ok();
     }
 

@@ -26,7 +26,7 @@ use glp_fraud::{
 };
 use glp_gpusim::{Device, DeviceConfig};
 use glp_graph::gen::{caveman, community_powerlaw, two_cliques_bridge, CommunityPowerLawConfig};
-use glp_graph::{EdgeId, Graph, Label, VertexId};
+use glp_graph::{EdgeId, Graph, GraphBuilder, Label, VertexId};
 use std::sync::Arc;
 
 /// Iteration budget shared by the equivalence suites: long enough for
@@ -55,6 +55,27 @@ pub fn graphs() -> Vec<(&'static str, Graph)> {
 /// golden-trace suite): converges in a handful of iterations.
 pub fn tiny_graph() -> Graph {
     two_cliques_bridge(9)
+}
+
+/// The convergence-shaped workload of the modeled-clock claims: `cliques`
+/// disjoint `k`-cliques (settle in ~3 BSP rounds) plus one `path_len`-vertex
+/// path (labels keep sliding, so a thin frontier survives every round).
+pub fn convergence_workload(cliques: usize, k: usize, path_len: usize) -> Graph {
+    let mut b = GraphBuilder::new(cliques * k + path_len);
+    for c in 0..cliques {
+        let base = c * k;
+        for a in 0..k {
+            for z in (a + 1)..k {
+                b.add_edge((base + a) as VertexId, (base + z) as VertexId);
+            }
+        }
+    }
+    for i in 1..path_len {
+        let v = (cliques * k + i) as VertexId;
+        b.add_edge(v - 1, v);
+    }
+    b.symmetrize(true);
+    b.build()
 }
 
 /// Fresh program instances of every LP variant, sized for `g`.

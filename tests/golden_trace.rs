@@ -13,15 +13,17 @@
 //! push→pull→push Auto switch sequence. Also pins the observability
 //! contract's other half: with no tracer attached, behavior is
 //! byte-identical — labels, convergence traces, modeled cost, and the
-//! device kernel log do not move.
+//! device kernel log do not move. And it pins that simulated time is one
+//! timeline recorded once: on the GPU and hybrid tiers the span seconds
+//! reconcile with what the cost model charged, one kernel span per launch.
 
-use glp_suite::core::engine::GpuEngine;
+use glp_suite::core::engine::{BarrierHook, GpuEngine};
 use glp_suite::core::{
     ClassicLp, Direction, Engine, FrontierMode, Llp, LpProgram, LpRunReport, RunOptions,
 };
 use glp_suite::graph::{Graph, GraphBuilder};
-use glp_suite::trace::Tracer;
-use glp_test_support::{tiny_graph, ITERS};
+use glp_suite::trace::{Category, Trace, Tracer};
+use glp_test_support::{engines, graphs, tiny_graph, ITERS};
 
 /// The pinned structure of `ClassicLp` on [`tiny_graph`] under the Auto
 /// frontier: three iterations to converge, one warp-packed bucket, the
@@ -154,27 +156,39 @@ fn llp(g: &Graph) -> Box<dyn LpProgram> {
     Box::new(Llp::with_max_iterations(g.num_vertices(), 2.0, ITERS))
 }
 
+/// Runs `prog` on `engine` with a tracer attached to `opts` and returns
+/// the finished trace plus the run report, after checking the trace is
+/// well-formed with nothing dropped and no span left open.
+fn traced(
+    engine: &mut dyn Engine,
+    g: &Graph,
+    prog: &mut dyn LpProgram,
+    opts: RunOptions,
+) -> (Trace, LpRunReport) {
+    let tracer = Tracer::new();
+    let report = engine
+        .run(g, prog, &opts.with_tracer(tracer.clone()))
+        .expect("pinned run succeeds");
+    let trace = tracer.finish();
+    trace.check_well_formed(1e-9).expect("trace is well-formed");
+    assert_eq!(trace.dropped, 0, "run must not hit the sink bound");
+    assert_eq!(tracer.open_spans(), 0, "spans left open after the run");
+    (trace, report)
+}
+
 /// Runs `prog` traced on the single-GPU engine and returns the
-/// durations-free structural export plus the run report, after checking
-/// well-formedness.
+/// durations-free structural export plus the run report.
 fn traced_run(
     g: &Graph,
     mut prog: Box<dyn LpProgram>,
     shards: usize,
     frontier: FrontierMode,
 ) -> (String, LpRunReport) {
-    let tracer = Tracer::new();
     let opts = RunOptions::default()
         .with_max_iterations(ITERS)
         .with_shards(shards)
-        .with_frontier(frontier)
-        .with_tracer(tracer.clone());
-    let report = GpuEngine::titan_v()
-        .run(g, prog.as_mut(), &opts)
-        .expect("pinned run succeeds");
-    let trace = tracer.finish();
-    trace.check_well_formed(1e-9).expect("trace is well-formed");
-    assert_eq!(trace.dropped, 0, "tiny run must not hit the sink bound");
+        .with_frontier(frontier);
+    let (trace, report) = traced(&mut GpuEngine::titan_v(), g, prog.as_mut(), opts);
     (trace.structure(), report)
 }
 
@@ -479,4 +493,57 @@ fn disabled_tracing_is_byte_identical() {
         report_t.kernel_profile.total_seconds().to_bits(),
         report_p.kernel_profile.total_seconds().to_bits()
     );
+}
+
+/// Simulated time is one timeline, recorded once: with checkpointing on
+/// (so `barrier_snapshot` kernels appear), the kernel + transfer span
+/// seconds sum to the modeled clock, snapshot spans to `snapshot_seconds`
+/// and the kernel profile to the kernel spans — all to 1e-9, with exactly
+/// one kernel span per launch — on the in-core GPU engine and on the
+/// hybrid engine streaming a graph its device cannot hold. Transfer spans
+/// are what extended the clock: all of `transfer_seconds` in core, only
+/// the part of it compute did not hide when streaming.
+#[test]
+fn spans_reconcile_with_the_cost_model_on_gpu_and_hybrid() {
+    let (_, g) = graphs().pop().expect("the power-law graph");
+    let tiers = engines(&g)
+        .into_iter()
+        .filter(|(tier, _)| matches!(*tier, "gpu" | "hybrid"));
+    for (tier, mut engine) in tiers {
+        let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), ITERS);
+        let opts = RunOptions::default()
+            .with_max_iterations(ITERS)
+            .with_barrier_hook(BarrierHook::new(|_| {}));
+        let (trace, report) = traced(engine.as_mut(), &g, &mut prog, opts);
+        assert!(report.snapshots_taken > 0, "{tier}: no checkpoint taken");
+
+        let kernel_s = trace.category_seconds(Category::Kernel);
+        let transfer_s = trace.category_seconds(Category::Transfer);
+        let snapshot_s = trace.total_seconds("barrier_snapshot");
+        let reconcile = |what: &str, spans: f64, charged: f64| {
+            assert!(
+                (spans - charged).abs() < 1e-9,
+                "{tier}: {what} spans {spans} != charged {charged}"
+            );
+        };
+        reconcile("modeled", kernel_s + transfer_s, report.modeled_seconds);
+        reconcile("snapshot", snapshot_s, report.snapshot_seconds);
+        reconcile("profile", kernel_s, report.kernel_profile.total_seconds());
+        if tier == "gpu" {
+            reconcile("transfer", transfer_s, report.transfer_seconds);
+        } else {
+            assert!(
+                transfer_s < report.transfer_seconds,
+                "{tier}: streaming hid nothing behind compute"
+            );
+        }
+
+        let kernel_spans = trace
+            .events
+            .iter()
+            .filter(|e| e.cat == Category::Kernel)
+            .count() as u64;
+        let launches: u64 = report.kernel_profile.rows().map(|(_, _, r)| r.count).sum();
+        assert_eq!(kernel_spans, launches, "{tier}: one kernel span per launch");
+    }
 }
