@@ -1,6 +1,6 @@
 //! Micro-benches of the substrate primitives behind the kernels: the
 //! shared-memory structures of §4.1, the warp intrinsics of §4.2, the two
-//! coalescers and the packed-warp kernel itself — the host cost of the
+//! coalescers, the packed-warp kernel and the CMS+HT block kernel — the host cost of the
 //! layer every propagation kernel stands on, readable without running the
 //! full benchmark. Each case is one of the input shapes a host fast path
 //! keys on (see DESIGN.md, "Host path of the simulator").
@@ -10,8 +10,11 @@ use glp_core::engine::{Buckets, DegreeThresholds, GpuEngine};
 use glp_core::{ClassicLp, Engine, LpProgram, MflStrategy, RunOptions, WeightedLp};
 use glp_gpusim::warp::{ballot_sync, match_any_sync, popc, WARP_SIZE};
 use glp_gpusim::{DeviceConfig, KernelCtx};
-use glp_graph::gen::{community_powerlaw, road_network, CommunityPowerLawConfig, RoadConfig};
-use glp_graph::Graph;
+use glp_graph::gen::{
+    bipartite_interaction, community_powerlaw, road_network, BipartiteConfig,
+    CommunityPowerLawConfig, RoadConfig,
+};
+use glp_graph::{Graph, Label};
 use glp_sketch::{BoundedHashTable, CountMinSketch};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -139,6 +142,94 @@ fn bench_coalescing(c: &mut Criterion) {
             black_box(ctx.counters.global_read_sectors);
         });
     }
+    // A sorted neighbour chunk of the block kernel: one block's worth of
+    // ascending ids, counted in one call where the rows above take eight.
+    let sorted_list: Vec<u32> = (0..256).map(|i| 400 + i * 3 / 2).collect();
+    group.bench_function("sorted_list", |b| {
+        let mut ctx = KernelCtx::shard(&cfg);
+        b.iter(|| ctx.global_gather_list(black_box(&sorted_list)));
+        black_box(ctx.counters.global_read_sectors);
+    });
+    group.finish();
+}
+
+/// One `GpuEngine` iteration with the degree thresholds at 0, so every
+/// vertex is a block of the CMS+HT kernel, on two graphs of
+/// `tests/host_path_identity.rs` and a denser power-law one, from the label
+/// states its run walk tells apart: converged (long runs of equal neighbour
+/// labels), mid-run on short lists and on hub-sized ones, and fresh (runs
+/// only where an edge repeats). Prints each case's census — blocks,
+/// lanes, label runs, share of lanes in runs of 16 or more — so the time
+/// reads as ns per lane beside the shape that explains it.
+fn bench_block_cms_ht(c: &mut Criterion) {
+    let bipartite = bipartite_interaction(&BipartiteConfig {
+        num_users: 60,
+        num_items: 30,
+        num_interactions: 6_000,
+        skew: 0.6,
+        seed: 11,
+    });
+    let powerlaw = community_powerlaw(&CommunityPowerLawConfig {
+        num_vertices: 2_500,
+        avg_degree: 12.0,
+        seed: 13,
+        ..Default::default()
+    });
+    // Hub-sized lists (a hundred lanes and up) whose labels are half-way
+    // to converged: where a wrong guess between the two insert loops costs
+    // most, and what told a gate on the previous chunk from one on the
+    // chunk's own first lanes.
+    let hubs = community_powerlaw(&CommunityPowerLawConfig {
+        num_vertices: 1_500,
+        avg_degree: 150.0,
+        seed: 13,
+        ..Default::default()
+    });
+    let opts = RunOptions::default()
+        .with_strategy(MflStrategy::SmemWarp)
+        .with_thresholds(DegreeThresholds { low: 0, high: 0 })
+        .with_shards(1);
+    let labels_after = |g: &Graph, iterations: u32| -> Vec<Label> {
+        let mut prog = ClassicLp::new(g.num_vertices());
+        GpuEngine::titan_v()
+            .run(g, &mut prog, &opts.clone().with_max_iterations(iterations))
+            .expect("healthy device");
+        prog.labels().to_vec()
+    };
+    let cases: [(&str, &Graph, Vec<Label>); 4] = [
+        ("concentrated", &bipartite, labels_after(&bipartite, 8)),
+        ("mixed", &powerlaw, labels_after(&powerlaw, 2)),
+        ("hubs", &hubs, labels_after(&hubs, 3)),
+        ("diverse", &bipartite, labels_after(&bipartite, 0)),
+    ];
+    let block_threads = DeviceConfig::titan_v().threads_per_block as usize;
+    let opts = opts.with_max_iterations(1);
+    let mut group = c.benchmark_group("block_cms_ht");
+    for (name, g, labels) in cases {
+        let blocks = Buckets::build(g, opts.strategy, opts.thresholds).block_per_vertex;
+        let (mut lanes, mut runs, mut long) = (0u64, 0u64, 0u64);
+        for &v in &blocks {
+            for chunk in g.incoming().neighbors(v).chunks(block_threads) {
+                lanes += chunk.len() as u64;
+                for run in chunk.chunk_by(|&a, &b| labels[a as usize] == labels[b as usize]) {
+                    runs += 1;
+                    long += if run.len() >= 16 { run.len() as u64 } else { 0 };
+                }
+            }
+        }
+        println!(
+            "block_cms_ht/{name}: {} blocks, {lanes} lanes in {runs} runs per iteration, {:.0} % of lanes in runs >= 16",
+            blocks.len(),
+            100.0 * long as f64 / lanes.max(1) as f64
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut prog = ClassicLp::from_labels(labels.clone(), 1);
+                let report = GpuEngine::titan_v().run(g, &mut prog, &opts);
+                black_box(report.expect("healthy device").modeled_seconds)
+            });
+        });
+    }
     group.finish();
 }
 
@@ -206,6 +297,7 @@ criterion_group!(
     bench_sketches,
     bench_warp_intrinsics,
     bench_coalescing,
-    bench_packed_warp
+    bench_packed_warp,
+    bench_block_cms_ht
 );
 criterion_main!(kernels);

@@ -41,11 +41,17 @@
 //! * label gathers are coalesced from the neighbors' vertex ids
 //!   ([`KernelCtx::global_gather`]): a run count when they ascend, one pass
 //!   over per-shard sector stamps otherwise — no address array, no table;
-//!   the table scans underneath the other kernels are linear in what is
-//!   occupied, not in capacity.
+//!   the table kernels count a whole neighbor list — the block kernel one
+//!   block-wide chunk of it — in a single call
+//!   ([`KernelCtx::global_gather_list`]), and the table scans underneath
+//!   them are linear in what is occupied, not in capacity;
+//! * the CMS+HT block kernel consumes its chunk as *runs of equal labels*
+//!   when the input has them (sorted neighbor lists, converged labels): one
+//!   hash probe and one store per run, the lanes' charges multiplied out.
+//!   The lane-by-lane kernel it replaced is its `#[cfg(test)]` oracle.
 
 use super::{BestLabel, Decision};
-use crate::api::LpProgram;
+use crate::api::{LpProgram, NeighborContribution};
 use glp_gpusim::{KernelCtx, SharedMem, WARP_SIZE};
 use glp_graph::{Csr, Label, VertexId, INVALID_VERTEX};
 use glp_sketch::{BoundedHashTable, CountMinSketch, InsertOutcome};
@@ -193,20 +199,10 @@ impl KernelShard<'_, '_> {
             }
             KernelKind::BlockCmsHt(geom) => {
                 let stats = &mut self.stats;
-                block_cms_ht_kernel(ctx, csr, spoken, prog, vertices, geom, stats, out)
+                block_cms_ht_kernel(ctx, csr, spoken, prog, vertices, geom, None, stats, out)
             }
             KernelKind::GlobalHash => global_hash_kernel(ctx, csr, spoken, prog, vertices, out),
         }
-    }
-}
-
-/// Charges the gathers of the spoken labels of `nbrs`, a warp at a time
-/// (coalescing computed from the actual vertex ids — neighbors in the same
-/// community sit near each other only as much as the graph says they do).
-#[inline]
-fn charge_label_gather(ctx: &mut KernelCtx, nbrs: &[VertexId]) {
-    for chunk in nbrs.chunks(WARP_SIZE) {
-        ctx.global_gather(chunk);
     }
 }
 
@@ -473,6 +469,8 @@ pub(crate) fn warp_per_vertex_kernel<P: LpProgram + ?Sized>(
             nbrs.len(),
             ht.capacity()
         );
+        // The warps below read the list's consecutive 32-lane windows.
+        ctx.global_gather_list(nbrs);
         for (c, chunk) in nbrs.chunks(WARP_SIZE).enumerate() {
             // Contiguous neighbor-id load.
             ctx.global_read_seq(
@@ -480,7 +478,6 @@ pub(crate) fn warp_per_vertex_kernel<P: LpProgram + ?Sized>(
                 chunk.len() as u64,
                 4,
             );
-            charge_label_gather(ctx, chunk);
             let mut conflicts = 0u64;
             for (i, &u) in chunk.iter().enumerate() {
                 let edge = off + (c * WARP_SIZE + i) as u64;
@@ -526,9 +523,32 @@ pub(crate) struct SmemGeometry {
 }
 
 impl SmemGeometry {
-    /// Panics if HT+CMS exceed one block's shared memory — the same failure
-    /// a real kernel launch would report.
+    /// Panics if a dimension is one the sketches cannot be built with, or
+    /// if HT+CMS exceed one block's shared memory — the same failure a real
+    /// kernel launch would report. Engines call it before the first launch
+    /// ([`RunOptions::validate_for_device`](super::RunOptions)): inside a
+    /// kernel shard the same panic is a device fault the driver retries.
     pub(crate) fn validate(&self, shared_mem_per_block: usize) {
+        assert!(
+            self.ht_slots > 0,
+            "ht_slots ({}) must be positive",
+            self.ht_slots
+        );
+        assert!(
+            self.ht_probe_limit > 0,
+            "ht_probe_limit ({}) must be positive",
+            self.ht_probe_limit
+        );
+        assert!(
+            (1..=8).contains(&self.cms_depth),
+            "cms_depth ({}) must be in 1..=8",
+            self.cms_depth
+        );
+        assert!(
+            self.cms_width > 0,
+            "cms_width ({}) must be positive",
+            self.cms_width
+        );
         let mut arena = SharedMem::new(shared_mem_per_block);
         arena.alloc(self.ht_slots.next_power_of_two() * 8);
         arena.alloc(self.cms_depth * self.cms_width * 4);
@@ -546,11 +566,209 @@ fn global_scratch_table(csr: &Csr, vertices: &[VertexId]) -> BoundedHashTable {
     BoundedHashTable::new((2 * max_deg).max(16), u32::MAX)
 }
 
+/// Global fallback of [`block_cms_ht_kernel`] (lines 16–24): exactly
+/// recounts every label of `v`'s neighbors that is not resident in `ht`, in
+/// the global hash table `ght`, and offers them to `best`.
+#[allow(clippy::too_many_arguments)]
+fn global_recount<P: LpProgram + ?Sized>(
+    ctx: &mut KernelCtx,
+    csr: &Csr,
+    spoken: &[Label],
+    prog: &P,
+    v: VertexId,
+    ht: &BoundedHashTable,
+    ght: &mut BoundedHashTable,
+    best: &mut Option<BestLabel>,
+) {
+    ght.clear();
+    let off = csr.offset(v);
+    let mut addrs = [0u64; WARP_SIZE];
+    let mut pending = 0usize;
+    for (j, &u) in csr.neighbors(v).iter().enumerate() {
+        let contrib = prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
+        if ht.contains(u64::from(contrib.label)) {
+            continue; // gt_score := ht_score (already scanned)
+        }
+        match ght.insert_add(u64::from(contrib.label), contrib.weight) {
+            InsertOutcome::Added { .. } => {}
+            InsertOutcome::Full { .. } => unreachable!("GHT sized to 2x degree"),
+        }
+        addrs[pending] = layout::GHT + (u64::from(contrib.label) % ght.capacity() as u64) * 8;
+        pending += 1;
+        if pending == WARP_SIZE {
+            ctx.global_atomic(&addrs);
+            pending = 0;
+        }
+    }
+    if pending > 0 {
+        ctx.global_atomic(&addrs[..pending]);
+    }
+    best_in_table(ght, prog, v, spoken[v as usize], best);
+    ctx.alu(2 * ght.occupied() as u64);
+    ctx.block_reduce();
+}
+
+/// Leading lanes of a chunk that must speak one label for the chunk to be
+/// inserted [run by run](BlockSketch::insert_runs): the kernel's guess, from
+/// the chunk itself, at whether its labels come in long runs.
+///
+/// The census behind it, classic LP over the benchmark's inputs (block-kernel
+/// lanes and label runs per LP run, share of lanes in runs of 16 or more):
+/// `lp_highdeg` 49.7 M lanes in 372 k runs (mean 133, 98 %) — one probe and
+/// one store per run instead of a hash and a dependent add per lane;
+/// `lp_outofcore` 7.5 M lanes in 4.1 M runs (mean 1.8, 3.5 M of them single
+/// lanes, 17 %) — a run boundary every other lane is a mispredicted branch
+/// every other lane, and the lane-by-lane loop wins. Four equal lanes in a
+/// row are what a run-walk needs to break even (a lost branch costs about
+/// what four lanes' hashing does), nearly certain where runs are long and a
+/// one-in-ten event where they average two.
+const RUN_WALK_PROBE_LANES: usize = 4;
+
+/// The shared-memory sketches of one block and what the block's scan has
+/// learnt from them so far.
+struct BlockSketch {
+    ht: BoundedHashTable,
+    cms: CountMinSketch,
+    /// `s(CMS)`: the best score an overflowed label reached by its running
+    /// CMS estimate — a ceiling on what any label outside the HT can score.
+    s_cms: f64,
+    overflowed: bool,
+}
+
+/// What one chunk's inserts are charged.
+#[derive(Default)]
+struct ChunkTally {
+    ht_ops: u64,
+    ht_conflicts: u64,
+    cms_ops: u64,
+}
+
+impl BlockSketch {
+    fn new(geom: SmemGeometry) -> Self {
+        Self {
+            ht: BoundedHashTable::new(geom.ht_slots, geom.ht_probe_limit),
+            cms: CountMinSketch::new(geom.cms_depth, geom.cms_width),
+            s_cms: f64::MIN,
+            overflowed: false,
+        }
+    }
+
+    /// Empties the sketches for the next vertex.
+    fn reset(&mut self) {
+        self.ht.clear();
+        self.cms.clear();
+        self.s_cms = f64::MIN;
+        self.overflowed = false;
+    }
+
+    /// Overflow path: a lane the HT rejected goes to the CMS; the running
+    /// estimate scores a candidate ceiling.
+    #[inline]
+    fn overflow<P: LpProgram + ?Sized>(
+        &mut self,
+        prog: &P,
+        v: VertexId,
+        lane: NeighborContribution,
+    ) {
+        self.overflowed = true;
+        let est = self.cms.add(u64::from(lane.label), lane.weight);
+        self.s_cms = self.s_cms.max(prog.label_score(v, lane.label, est));
+    }
+
+    /// Inserts a chunk's contributions lane by lane.
+    #[inline]
+    fn insert_lanes<P: LpProgram + ?Sized>(
+        &mut self,
+        prog: &P,
+        v: VertexId,
+        lanes: impl Iterator<Item = NeighborContribution>,
+    ) -> ChunkTally {
+        let mut tally = ChunkTally::default();
+        for lane in lanes {
+            match self.ht.insert_add(u64::from(lane.label), lane.weight) {
+                InsertOutcome::Added { probes, .. } => {
+                    tally.ht_ops += 1;
+                    tally.ht_conflicts += u64::from(probes - 1);
+                }
+                InsertOutcome::Full { probes } => {
+                    tally.ht_conflicts += u64::from(probes - 1);
+                    tally.cms_ops += 1;
+                    self.overflow(prog, v, lane);
+                }
+            }
+        }
+        tally
+    }
+
+    /// Inserts a chunk's contributions a run of equal labels at a time: every
+    /// lane of a run would hash to the same slot with the same outcome, so
+    /// the run probes once, its weights are added to the count in lane order
+    /// and the lanes' charges are multiplied out. Lanes of a rejected run
+    /// still enter the CMS one by one — `s(CMS)` reads the running estimate.
+    fn insert_runs<P: LpProgram + ?Sized>(
+        &mut self,
+        prog: &P,
+        v: VertexId,
+        mut lanes: impl Iterator<Item = NeighborContribution>,
+    ) -> ChunkTally {
+        let mut tally = ChunkTally::default();
+        let mut next = lanes.next();
+        while let Some(first) = next {
+            let label = first.label;
+            let mut run_lanes = 1u64;
+            let probes = match self.ht.find_or_claim(u64::from(label)) {
+                Ok((slot, probes)) => {
+                    let count = self.ht.count_mut(slot);
+                    let mut sum = *count + first.weight;
+                    next = loop {
+                        match lanes.next() {
+                            Some(lane) if lane.label == label => {
+                                sum += lane.weight;
+                                run_lanes += 1;
+                            }
+                            other => break other,
+                        }
+                    };
+                    *count = sum;
+                    tally.ht_ops += run_lanes;
+                    probes
+                }
+                Err(probes) => {
+                    let mut lane = first;
+                    next = loop {
+                        self.overflow(prog, v, lane);
+                        match lanes.next() {
+                            Some(same) if same.label == label => {
+                                lane = same;
+                                run_lanes += 1;
+                            }
+                            other => break other,
+                        }
+                    };
+                    tally.cms_ops += run_lanes;
+                    probes
+                }
+            };
+            tally.ht_conflicts += u64::from(probes - 1) * run_lanes;
+        }
+        tally
+    }
+}
+
 /// Procedure `SharedMemBigNodes`: single scan inserting every neighbor
 /// label into the shared HT, overflowing to the shared CMS; two block
 /// reductions compare `s(HT)` against `s(CMS)`; only when the CMS *might*
 /// hold a better label does the block fall back to a global-memory hash
 /// table (exactly recounting the overflow labels). Returns exact winners.
+///
+/// Neighbor lists are sorted and labels converge, so the contributions of a
+/// chunk arrive in runs of equal labels: a chunk whose first
+/// [`RUN_WALK_PROBE_LANES`] lanes agree is inserted
+/// [run by run](BlockSketch::insert_runs), any other
+/// [lane by lane](BlockSketch::insert_lanes). The choice is the kernel's own,
+/// from the labels it is about to consume, and changes neither a decision
+/// nor a charge; `force_walk` pins it either way for the tests that prove
+/// that, and is `None` everywhere else.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
     ctx: &mut KernelCtx,
@@ -559,14 +777,14 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
     prog: &P,
     vertices: &[VertexId],
     geom: SmemGeometry,
+    force_walk: Option<bool>,
     stats: &mut ShardStats,
     out: &mut DecisionsOut<'_>,
 ) {
     geom.validate(ctx.cfg.shared_mem_per_block);
     let block_threads = ctx.cfg.threads_per_block as usize;
     let warps_per_block = u64::from(ctx.cfg.warps_per_block());
-    let mut ht = BoundedHashTable::new(geom.ht_slots, geom.ht_probe_limit);
-    let mut cms = CountMinSketch::new(geom.cms_depth, geom.cms_width);
+    let mut sketch = BlockSketch::new(geom);
     // Theorem 1 makes the fallback rare, and its table is sized by the
     // largest degree in the shard: built by the first vertex that needs it.
     let mut ght: Option<BoundedHashTable> = None;
@@ -574,87 +792,45 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
     for &v in vertices {
         ctx.warps_launched(warps_per_block);
         ctx.lanes_active(u64::from(csr.degree(v)).min(32 * warps_per_block));
-        ht.clear();
-        cms.clear();
+        sketch.reset();
         stats.smem_vertices += 1;
         let off = csr.offset(v);
         let nbrs = csr.neighbors(v);
-        let mut s_cms = f64::MIN;
-        let mut overflowed = false;
         for (c, chunk) in nbrs.chunks(block_threads).enumerate() {
-            ctx.global_read_seq(
-                layout::TARGETS + (off + (c * block_threads) as u64) * 4,
-                chunk.len() as u64,
-                4,
-            );
-            charge_label_gather(ctx, chunk);
-            let mut ht_ops = 0u64;
-            let mut ht_conflicts = 0u64;
-            let mut cms_ops = 0u64;
-            for (i, &u) in chunk.iter().enumerate() {
-                let edge = off + (c * block_threads + i) as u64;
-                let contrib = prog.load_neighbor(v, u, edge, spoken[u as usize]);
-                match ht.insert_add(u64::from(contrib.label), contrib.weight) {
-                    InsertOutcome::Added { probes, .. } => {
-                        ht_ops += 1;
-                        ht_conflicts += u64::from(probes - 1);
-                    }
-                    InsertOutcome::Full { probes } => {
-                        // Overflow path: label goes to the CMS; the running
-                        // estimate scores a candidate ceiling.
-                        overflowed = true;
-                        ht_conflicts += u64::from(probes - 1);
-                        let est = cms.add(u64::from(contrib.label), contrib.weight);
-                        s_cms = s_cms.max(prog.label_score(v, contrib.label, est));
-                        cms_ops += 1;
-                    }
-                }
-            }
+            let first_edge = off + (c * block_threads) as u64;
+            ctx.global_read_seq(layout::TARGETS + first_edge * 4, chunk.len() as u64, 4);
+            ctx.global_gather_list(chunk);
+            let load =
+                |(&u, edge): (&VertexId, u64)| prog.load_neighbor(v, u, edge, spoken[u as usize]);
+            let lanes = || chunk.iter().zip(first_edge..).map(load);
+            let walk_runs = force_walk.unwrap_or_else(|| {
+                let mut probe = lanes().take(RUN_WALK_PROBE_LANES).map(|lane| lane.label);
+                let first = probe.next();
+                chunk.len() >= RUN_WALK_PROBE_LANES && probe.all(|label| Some(label) == first)
+            });
+            let tally = if walk_runs {
+                sketch.insert_runs(prog, v, lanes())
+            } else {
+                sketch.insert_lanes(prog, v, lanes())
+            };
             ctx.alu(2);
-            ctx.shared_atomic(ht_ops, ht_conflicts);
-            ctx.shared_atomic(cms_ops * geom.cms_depth as u64, 0);
+            ctx.shared_atomic(tally.ht_ops, tally.ht_conflicts);
+            ctx.shared_atomic(tally.cms_ops * geom.cms_depth as u64, 0);
         }
         // Exact HT scan + two block reductions (s(HT), s(CMS)).
+        let ht = &sketch.ht;
         ctx.shared_access_uniform((ht.capacity() / WARP_SIZE) as u64);
         let mut best: Option<BestLabel> = None;
-        let current = spoken[v as usize];
-        best_in_table(&ht, prog, v, current, &mut best);
+        best_in_table(ht, prog, v, spoken[v as usize], &mut best);
         ctx.alu(2 * ht.occupied() as u64);
         ctx.block_reduce();
         ctx.block_reduce();
 
         let s_ht = best.map_or(f64::MIN, |b| b.score);
-        if overflowed && s_ht < s_cms {
-            // Global fallback (lines 16–24): exactly recount every label
-            // that is not resident in the HT, in a global hash table.
+        if sketch.overflowed && s_ht < sketch.s_cms {
             stats.fallbacks += 1;
             let ght = ght.get_or_insert_with(|| global_scratch_table(csr, vertices));
-            ght.clear();
-            let mut addrs = [0u64; WARP_SIZE];
-            let mut pending = 0usize;
-            for (j, &u) in nbrs.iter().enumerate() {
-                let contrib = prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
-                if ht.contains(u64::from(contrib.label)) {
-                    continue; // gt_score := ht_score (already scanned)
-                }
-                match ght.insert_add(u64::from(contrib.label), contrib.weight) {
-                    InsertOutcome::Added { .. } => {}
-                    InsertOutcome::Full { .. } => unreachable!("GHT sized to 2x degree"),
-                }
-                addrs[pending] =
-                    layout::GHT + (u64::from(contrib.label) % ght.capacity() as u64) * 8;
-                pending += 1;
-                if pending == WARP_SIZE {
-                    ctx.global_atomic(&addrs);
-                    pending = 0;
-                }
-            }
-            if pending > 0 {
-                ctx.global_atomic(&addrs[..pending]);
-            }
-            best_in_table(ght, prog, v, current, &mut best);
-            ctx.alu(2 * ght.occupied() as u64);
-            ctx.block_reduce();
+            global_recount(ctx, csr, spoken, prog, v, ht, ght, &mut best);
         }
         ctx.global_write_scattered(1);
         out.set(v, BestLabel::into_decision(best));
@@ -690,13 +866,13 @@ pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
         // The per-vertex table region must be zeroed every iteration — a
         // cost the shared-memory kernels never pay.
         ctx.global_write_seq(region, region_slots, 8);
+        ctx.global_gather_list(nbrs);
         for (c, chunk) in nbrs.chunks(WARP_SIZE).enumerate() {
             ctx.global_read_seq(
                 layout::TARGETS + (off + (c * WARP_SIZE) as u64) * 4,
                 chunk.len() as u64,
                 4,
             );
-            charge_label_gather(ctx, chunk);
             let mut addrs = [0u64; WARP_SIZE];
             for (i, &u) in chunk.iter().enumerate() {
                 let edge = off + (c * WARP_SIZE + i) as u64;
@@ -724,7 +900,6 @@ pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::NeighborContribution;
     use crate::variants::{ClassicLp, WeightedLp};
     use glp_gpusim::warp::{ballot_sync, match_any_sync, popc};
     use glp_gpusim::DeviceConfig;
@@ -944,11 +1119,6 @@ mod tests {
         what: &str,
     ) {
         let cfg = DeviceConfig::titan_v();
-        let bits = |ds: Vec<(VertexId, Decision)>| -> Vec<(VertexId, Option<(Label, u64)>)> {
-            ds.into_iter()
-                .map(|(v, d)| (v, d.map(|(l, s)| (l, s.to_bits()))))
-                .collect()
-        };
         let mut fast = KernelCtx::new(&cfg);
         let got = collect(csr, vertices, |out| {
             warp_packed_kernel(&mut fast, csr, spoken, prog, vertices, out)
@@ -957,7 +1127,7 @@ mod tests {
         let want = collect(csr, vertices, |out| {
             figure3_kernel(&mut oracle, csr, spoken, prog, vertices, out)
         });
-        assert_eq!(bits(got), bits(want), "{what}: decisions");
+        assert_eq!(score_bits(got), score_bits(want), "{what}: decisions");
         assert_eq!(fast.counters, oracle.counters, "{what}: charges");
     }
 
@@ -1021,6 +1191,232 @@ mod tests {
             assert_flush_matches_figure3(&csr, &spoken, &weighted, &vertices, "weighted");
             let mix = Mix { labels: spoken.clone() };
             assert_flush_matches_figure3(&csr, &spoken, &mix, &vertices, "mix");
+        }
+    }
+
+    /// [`block_cms_ht_kernel`] as it ran before it walked label runs, the
+    /// oracle it is tested against: every lane hashes its own label into
+    /// the HT and is charged on its own, and the label gather is counted a
+    /// warp at a time.
+    #[allow(clippy::too_many_arguments)]
+    fn lanewise_block_kernel<P: LpProgram + ?Sized>(
+        ctx: &mut KernelCtx,
+        csr: &Csr,
+        spoken: &[Label],
+        prog: &P,
+        vertices: &[VertexId],
+        geom: SmemGeometry,
+        stats: &mut ShardStats,
+        out: &mut DecisionsOut<'_>,
+    ) {
+        geom.validate(ctx.cfg.shared_mem_per_block);
+        let block_threads = ctx.cfg.threads_per_block as usize;
+        let warps_per_block = u64::from(ctx.cfg.warps_per_block());
+        let mut ht = BoundedHashTable::new(geom.ht_slots, geom.ht_probe_limit);
+        let mut cms = CountMinSketch::new(geom.cms_depth, geom.cms_width);
+        let mut ght = global_scratch_table(csr, vertices);
+
+        for &v in vertices {
+            ctx.warps_launched(warps_per_block);
+            ctx.lanes_active(u64::from(csr.degree(v)).min(32 * warps_per_block));
+            ht.clear();
+            cms.clear();
+            stats.smem_vertices += 1;
+            let off = csr.offset(v);
+            let nbrs = csr.neighbors(v);
+            let mut s_cms = f64::MIN;
+            let mut overflowed = false;
+            for (c, chunk) in nbrs.chunks(block_threads).enumerate() {
+                ctx.global_read_seq(
+                    layout::TARGETS + (off + (c * block_threads) as u64) * 4,
+                    chunk.len() as u64,
+                    4,
+                );
+                for warp in chunk.chunks(WARP_SIZE) {
+                    ctx.global_gather(warp);
+                }
+                let mut ht_ops = 0u64;
+                let mut ht_conflicts = 0u64;
+                let mut cms_ops = 0u64;
+                for (i, &u) in chunk.iter().enumerate() {
+                    let edge = off + (c * block_threads + i) as u64;
+                    let contrib = prog.load_neighbor(v, u, edge, spoken[u as usize]);
+                    match ht.insert_add(u64::from(contrib.label), contrib.weight) {
+                        InsertOutcome::Added { probes, .. } => {
+                            ht_ops += 1;
+                            ht_conflicts += u64::from(probes - 1);
+                        }
+                        InsertOutcome::Full { probes } => {
+                            overflowed = true;
+                            ht_conflicts += u64::from(probes - 1);
+                            let est = cms.add(u64::from(contrib.label), contrib.weight);
+                            s_cms = s_cms.max(prog.label_score(v, contrib.label, est));
+                            cms_ops += 1;
+                        }
+                    }
+                }
+                ctx.alu(2);
+                ctx.shared_atomic(ht_ops, ht_conflicts);
+                ctx.shared_atomic(cms_ops * geom.cms_depth as u64, 0);
+            }
+            ctx.shared_access_uniform((ht.capacity() / WARP_SIZE) as u64);
+            let mut best: Option<BestLabel> = None;
+            best_in_table(&ht, prog, v, spoken[v as usize], &mut best);
+            ctx.alu(2 * ht.occupied() as u64);
+            ctx.block_reduce();
+            ctx.block_reduce();
+
+            let s_ht = best.map_or(f64::MIN, |b| b.score);
+            if overflowed && s_ht < s_cms {
+                stats.fallbacks += 1;
+                global_recount(ctx, csr, spoken, prog, v, &ht, &mut ght, &mut best);
+            }
+            ctx.global_write_scattered(1);
+            out.set(v, BestLabel::into_decision(best));
+        }
+    }
+
+    /// Decisions with their scores as bits: `-0.0 == 0.0` must not pass.
+    fn score_bits(ds: Vec<(VertexId, Decision)>) -> Vec<(VertexId, Option<(Label, u64)>)> {
+        ds.into_iter()
+            .map(|(v, d)| (v, d.map(|(l, s)| (l, s.to_bits()))))
+            .collect()
+    }
+
+    /// Runs the high-degree bucket `hubs` through [`block_cms_ht_kernel`] —
+    /// run walk forced on, forced off and left to the kernel — and through
+    /// the lane-by-lane oracle: equal decisions (score bits included), equal
+    /// counters field by field, equal shard stats.
+    fn assert_run_walk_matches_lanewise<P: LpProgram>(
+        csr: &Csr,
+        spoken: &[Label],
+        prog: &P,
+        hubs: &[VertexId],
+        geom: SmemGeometry,
+        what: &str,
+    ) {
+        let cfg = DeviceConfig::titan_v();
+        let mut oracle = KernelCtx::new(&cfg);
+        let mut want_stats = ShardStats::default();
+        let want = score_bits(collect(csr, hubs, |out| {
+            lanewise_block_kernel(
+                &mut oracle,
+                csr,
+                spoken,
+                prog,
+                hubs,
+                geom,
+                &mut want_stats,
+                out,
+            )
+        }));
+        for force_walk in [Some(true), Some(false), None] {
+            let mut ctx = KernelCtx::new(&cfg);
+            let mut stats = ShardStats::default();
+            let got = score_bits(collect(csr, hubs, |out| {
+                block_cms_ht_kernel(
+                    &mut ctx, csr, spoken, prog, hubs, geom, force_walk, &mut stats, out,
+                )
+            }));
+            assert_eq!(got, want, "{what}, walk {force_walk:?}: decisions");
+            assert_eq!(
+                ctx.counters, oracle.counters,
+                "{what}, walk {force_walk:?}: charges"
+            );
+            assert_eq!(
+                (stats.fallbacks, stats.smem_vertices),
+                (want_stats.fallbacks, want_stats.smem_vertices),
+                "{what}, walk {force_walk:?}: shard stats"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random high-degree buckets whose label streams have the shapes
+        /// the run walk keys on, through a HT small enough that runs begin
+        /// `Added` and later labels are rejected into the CMS and on to the
+        /// global fallback.
+        #[test]
+        fn run_walk_equals_lane_by_lane(
+            shape in 0u8..5,
+            degrees in prop::collection::vec(129usize..2_000, 1..5),
+            num_labels in 1u32..40,
+            sorted in any::<bool>(),
+            ht_slots in 4usize..=16,
+            ht_probe_limit in 1u32..=2,
+            cms_depth in 1usize..=4,
+            cms_width in 8usize..64,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = seed;
+            let mut next = move |bound: u64| {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (rng >> 33) % bound
+            };
+            // Vertices `0..pool` are the neighbours; the hubs follow them.
+            // Hub `h` reads `degree` consecutive vertices from a start of
+            // its own, so its label stream is a window of `spoken`.
+            let pool = 2_100usize;
+            let hubs: Vec<VertexId> = (0..degrees.len()).map(|h| (pool + h) as VertexId).collect();
+            let mut offsets = vec![0u64; pool + 1];
+            let mut targets: Vec<VertexId> = Vec::new();
+            for &d in &degrees {
+                let start = next((pool - d) as u64 + 1) as VertexId;
+                let mut nbrs: Vec<VertexId> = (start..start + d as VertexId).collect();
+                if !sorted {
+                    // One window of the list out of order: the gather's
+                    // stamp path, and the same labels in another order.
+                    let at = next((d - 40) as u64) as usize;
+                    nbrs[at..at + 40].reverse();
+                }
+                targets.extend(nbrs);
+                offsets.push(targets.len() as u64);
+            }
+            let n = pool + hubs.len();
+            let m = targets.len();
+            let csr = Csr::from_parts(offsets, targets, None);
+            let block = DeviceConfig::titan_v().threads_per_block as usize;
+            let mean = [2, 8, 64][next(3) as usize];
+            let mut spoken: Vec<Label> = Vec::with_capacity(n);
+            while spoken.len() < n {
+                let at = spoken.len();
+                let label = next(u64::from(num_labels)) as Label;
+                let len = match shape {
+                    // All equal.
+                    0 => n,
+                    // Strictly alternating.
+                    1 => {
+                        spoken.push(at as Label % 2);
+                        continue;
+                    }
+                    // Geometric run lengths, mean 2, 8 or 64.
+                    2 => {
+                        let mut len = 1;
+                        while next(mean) != 0 {
+                            len += 1;
+                        }
+                        len
+                    }
+                    // Runs a little shorter than a chunk: wherever a hub
+                    // starts, one of them straddles a chunk boundary.
+                    3 => block - 1 - next(40) as usize,
+                    // ... and than a warp's window.
+                    _ => WARP_SIZE - 1 - next(8) as usize,
+                };
+                spoken.extend(std::iter::repeat_n(label, len.min(n - at)));
+            }
+
+            let geom = SmemGeometry { ht_slots, ht_probe_limit, cms_depth, cms_width };
+            let classic = ClassicLp::new(n);
+            assert_run_walk_matches_lanewise(&csr, &spoken, &classic, &hubs, geom, "classic");
+            let edge_weights: Arc<Vec<f32>> =
+                Arc::new((0..m).map(|e| 0.5 + (e % 7) as f32).collect());
+            let weighted = WeightedLp::new(n, edge_weights, 8).with_retention(6.0);
+            assert_run_walk_matches_lanewise(&csr, &spoken, &weighted, &hubs, geom, "weighted");
+            let mix = Mix { labels: spoken.clone() };
+            assert_run_walk_matches_lanewise(&csr, &spoken, &mix, &hubs, geom, "mix");
         }
     }
 
@@ -1120,7 +1516,9 @@ mod tests {
         let mut ctx = KernelCtx::new(&cfg);
         let mut stats = ShardStats::default();
         let mut got = collect(csr, &all, |out| {
-            block_cms_ht_kernel(&mut ctx, csr, &spoken, &prog, &all, geom, &mut stats, out)
+            block_cms_ht_kernel(
+                &mut ctx, csr, &spoken, &prog, &all, geom, None, &mut stats, out,
+            )
         });
         sort(&mut got);
         assert_eq!(got, expected, "{gname}: block kernel");
@@ -1180,7 +1578,17 @@ mod tests {
         let mut stats = ShardStats::default();
         let csr = g.incoming();
         let got = collect(csr, &[0], |out| {
-            block_cms_ht_kernel(&mut ctx, csr, &spoken, &prog, &[0], geom, &mut stats, out)
+            block_cms_ht_kernel(
+                &mut ctx,
+                csr,
+                &spoken,
+                &prog,
+                &[0],
+                geom,
+                None,
+                &mut stats,
+                out,
+            )
         });
         // 299 distinct singleton labels, 8-slot HT: CMS estimate ties or
         // beats the HT's best (all frequencies 1) only when collisions

@@ -374,6 +374,50 @@ mod tests {
         o.validate_for_device(48 * 1024);
     }
 
+    // Sketch dimensions `BoundedHashTable::new` / `CountMinSketch::new`
+    // reject must not reach a kernel shard, where the panic would read as a
+    // retryable device fault — and `0usize.next_power_of_two() == 1` lets
+    // them pass the shared-memory budget.
+    #[test]
+    #[should_panic(expected = "ht_slots (0)")]
+    fn ht_slots_must_be_positive() {
+        let o = RunOptions {
+            ht_slots: 0,
+            ..Default::default()
+        };
+        o.validate_for_device(48 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "ht_probe_limit (0)")]
+    fn ht_probe_limit_must_be_positive() {
+        let o = RunOptions {
+            ht_probe_limit: 0,
+            ..Default::default()
+        };
+        o.validate_for_device(48 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "cms_depth (9)")]
+    fn cms_depth_must_have_a_row_multiplier() {
+        let o = RunOptions {
+            cms_depth: 9,
+            ..Default::default()
+        };
+        o.validate_for_device(48 * 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "cms_width (0)")]
+    fn cms_width_must_be_positive() {
+        let o = RunOptions {
+            cms_width: 0,
+            ..Default::default()
+        };
+        o.validate_for_device(48 * 1024);
+    }
+
     #[test]
     #[should_panic(expected = "mid HT")]
     fn mid_ht_must_cover_high_threshold() {

@@ -172,6 +172,37 @@ impl GatherStamps {
         }
         distinct
     }
+
+    /// [`distinct_sectors`](Self::distinct_sectors) summed over the warp
+    /// accesses that read a list of any length 32 consecutive elements at a
+    /// time. One pass over the adjacent pairs of the whole list — no window
+    /// bookkeeping, so it vectorises — settles a sorted list: every window
+    /// is non-decreasing, its sectors are its runs, and the runs of all
+    /// windows are the list's sector steps, less those that fall between two
+    /// windows, plus one per window. Any descent sends the list through the
+    /// windows one by one.
+    fn distinct_sectors_list(&mut self, indices: &[u32]) -> u64 {
+        // Neighbour lists: a vertex's degree is a `u32`.
+        debug_assert!(u32::try_from(indices.len()).is_ok());
+        let mut steps = 0u32;
+        let mut descents = 0u32;
+        for pair in indices.windows(2) {
+            let (a, b) = (pair[0] >> GATHER_SHIFT, pair[1] >> GATHER_SHIFT);
+            steps += u32::from(a != b);
+            descents += u32::from(a > b);
+        }
+        if descents != 0 {
+            return indices
+                .chunks(WARP_SIZE)
+                .map(|window| self.distinct_sectors(window))
+                .sum();
+        }
+        let between = (WARP_SIZE..indices.len())
+            .step_by(WARP_SIZE)
+            .filter(|&i| indices[i - 1] >> GATHER_SHIFT != indices[i] >> GATHER_SHIFT)
+            .count();
+        u64::from(steps) - between as u64 + indices.len().div_ceil(WARP_SIZE) as u64
+    }
 }
 
 impl<'a> KernelCtx<'a> {
@@ -220,6 +251,15 @@ impl<'a> KernelCtx<'a> {
     #[inline]
     pub fn global_gather(&mut self, indices: &[u32]) {
         self.counters.global_read_sectors += self.gather.distinct_sectors(indices);
+    }
+
+    /// The gathers that read `indices` — a list of any length — from a
+    /// sector-aligned array of 4-byte elements, 32 consecutive list entries
+    /// per warp access: charges what one [`Self::global_gather`] per
+    /// `indices.chunks(32)` charges.
+    #[inline]
+    pub fn global_gather_list(&mut self, indices: &[u32]) {
+        self.counters.global_read_sectors += self.gather.distinct_sectors_list(indices);
     }
 
     /// One warp-wide global write with explicit lane byte-addresses.
@@ -424,6 +464,44 @@ mod tests {
         }
 
         #[test]
+        fn list_gather_equals_one_gather_per_warp(
+            shape in 0..SHAPES,
+            len in 0usize..7,
+            raw in prop::collection::vec(any::<u64>(), 1_000),
+            window in 0usize..5,
+            sorted_but_one in any::<bool>(),
+        ) {
+            // No warp, one lane, a warp less / exactly / plus one lane, two
+            // full windows, many windows and a short tail.
+            let len = [0, 1, 31, 32, 33, 64, 1_000][len];
+            let window = [1u64, 8, 9, 300, 100_000][window];
+            let mut indices: Vec<u32> = shaped(shape, raw[..len].iter().map(|x| x % window).collect())
+                .iter()
+                .map(|&i| i as u32)
+                .collect();
+            if sorted_but_one {
+                // A sorted neighbour list with one window out of order in
+                // the middle: only that window may need the stamps.
+                indices.sort_unstable();
+                let mid = len / 2 / WARP_SIZE * WARP_SIZE;
+                indices[mid..(mid + WARP_SIZE).min(len)].reverse();
+            }
+            let cfg = DeviceConfig::titan_v();
+            let (mut by_list, mut by_warp) = (KernelCtx::shard(&cfg), KernelCtx::shard(&cfg));
+            // Twice: the second list-long gather meets the first one's stamps.
+            for round in 0..2 {
+                by_list.global_gather_list(&indices);
+                for warp in indices.chunks(WARP_SIZE) {
+                    by_warp.global_gather(warp);
+                }
+                prop_assert_eq!(
+                    by_list.counters, by_warp.counters,
+                    "round {} shape {} indices {:?}", round, shape, indices
+                );
+            }
+        }
+
+        #[test]
         fn coalescer_equals_the_sort_based_reference(
             shape in 0..SHAPES,
             raw in prop::collection::vec(any::<u64>(), 0..=32),
@@ -479,8 +557,12 @@ mod tests {
     #[test]
     fn gather_stamps_grow_with_the_unsorted_gathers_only() {
         let mut gather = GatherStamps::default();
-        // Sorted neighbour runs never touch the stamps.
+        // Sorted neighbour runs never touch the stamps, however long.
         assert_eq!(gather.distinct_sectors(&[3, 9, 900, 901]), 3);
+        // Sectors 0..=17, two of them read by the warps on either side of
+        // a window boundary.
+        let list: Vec<u32> = (0..70).map(|i| 3 + 2 * i).collect();
+        assert_eq!(gather.distinct_sectors_list(&list), 18 + 2);
         assert!(gather.stamps.is_empty());
         // An unsorted one extends them over its highest sector, zero-filled,
         // at least doubling.

@@ -12,6 +12,12 @@
 //! O(occupied), not O(capacity): on the GPU 32 lanes sweep the slots at
 //! once, on the host a slot-by-slot sweep of a mostly empty table would
 //! dominate the run.
+//!
+//! A caller that holds a *run* of weights for one key — the block kernel
+//! walking a sorted neighbour list whose labels have converged — need not
+//! repeat the probe per weight: [`BoundedHashTable::find_or_claim`] is the
+//! probe sequence of `insert_add` on its own, and
+//! [`BoundedHashTable::count_mut`] the count it would have added to.
 
 /// Result of [`BoundedHashTable::insert_add`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -22,6 +28,10 @@ pub enum InsertOutcome {
     /// Probe budget exhausted; key must overflow to the CMS.
     Full { probes: u32 },
 }
+
+/// A resident key's slot, from [`BoundedHashTable::find_or_claim`].
+#[derive(Clone, Copy, Debug)]
+pub struct Slot(usize);
 
 /// Sentinel for an empty slot.
 const EMPTY: u64 = u64::MAX;
@@ -115,6 +125,47 @@ impl BoundedHashTable {
         InsertOutcome::Full {
             probes: self.probe_limit,
         }
+    }
+
+    /// Where `key` lives — the slot already holding it or the empty one it
+    /// now claims — and the probes that took, or `Err(probes)` when the
+    /// budget is exhausted: the probe sequence and outcome of
+    /// [`insert_add`](Self::insert_add) without the add. A caller holding a
+    /// *run* of weights for one key probes once and accumulates through
+    /// [`count_mut`](Self::count_mut); every `insert_add` of that run would
+    /// have walked the same slots to the same end, because a resident key
+    /// never moves and a rejected one stays rejected until
+    /// [`clear`](Self::clear).
+    ///
+    /// A claimed slot counts `-0.0`, the identity of `f64` addition
+    /// (`-0.0 + w` has the bits of `w` for every `w`; `0.0 + -0.0` has
+    /// not), so the first weight added is stored as `insert_add` stores it.
+    #[inline]
+    pub fn find_or_claim(&mut self, key: u64) -> Result<(Slot, u32), u32> {
+        debug_assert_ne!(key, EMPTY, "sentinel key");
+        let mut slot = self.home(key);
+        for probe in 1..=self.probe_limit {
+            let resident = self.keys[slot];
+            if resident == key {
+                return Ok((Slot(slot), probe));
+            }
+            if resident == EMPTY {
+                self.keys[slot] = key;
+                self.counts[slot] = -0.0;
+                self.occupied += 1;
+                self.touched.push(slot);
+                return Ok((Slot(slot), probe));
+            }
+            slot = (slot + 1) & self.mask;
+        }
+        Err(self.probe_limit)
+    }
+
+    /// The count in a slot [`find_or_claim`](Self::find_or_claim) returned
+    /// since the last [`clear`](Self::clear).
+    #[inline]
+    pub fn count_mut(&mut self, slot: Slot) -> &mut f64 {
+        &mut self.counts[slot.0]
     }
 
     /// Current count for `key`, if present within the probe budget.
@@ -222,25 +273,62 @@ mod tests {
         /// After any interleaving of inserts, accumulations, rejected
         /// (`Full`) inserts, clears and reuse, `iter` yields exactly the
         /// occupied slots — the same multiset a full slot scan finds — and
-        /// `max_entry` is what the scan's fold gives.
+        /// `max_entry` is what the scan's fold gives. Every op is a run of
+        /// weights for one key, added through one `find_or_claim` here and
+        /// by one `insert_add` per weight on a second table: same outcome
+        /// and probes for every lane, and the same table to the bit.
         #[test]
         fn iter_is_the_occupied_set(
-            ops in prop::collection::vec((0u8..16, 0u64..48, 1u32..5), 0..300),
+            ops in prop::collection::vec((0u8..16, 0u64..48, 0u32..5), 0..300),
             cap in 1usize..40,
             probe in 1u32..6,
         ) {
             let mut ht = BoundedHashTable::new(cap, probe);
+            let mut lanewise = ht.clone();
+            let bits = |entries: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+                entries.into_iter().map(|(k, c)| (k, c.to_bits())).collect()
+            };
             // 48 keys into at most 64 slots under a probe budget of at most
             // 5: rejected (`Full`) inserts are part of the interleaving.
             for (op, key, w) in ops {
                 if op == 0 {
                     ht.clear();
+                    lanewise.clear();
                 } else {
-                    ht.insert_add(key, f64::from(w));
+                    // Inexact weights, so the order of the adds shows in the
+                    // bits; `-0.0` first, the one weight `0.0 + w` would not
+                    // store as itself.
+                    let weights = (0..op).map(|lane| match (w, lane) {
+                        (0, 0) => -0.0,
+                        _ => f64::from(w) + 0.1 * f64::from(lane),
+                    });
+                    let run = ht.find_or_claim(key);
+                    if let Ok((slot, _)) = run {
+                        let count = ht.count_mut(slot);
+                        let mut sum = *count;
+                        for weight in weights.clone() {
+                            sum += weight;
+                        }
+                        *count = sum;
+                    }
+                    for weight in weights {
+                        let lane = match lanewise.insert_add(key, weight) {
+                            InsertOutcome::Added { probes, .. } => Ok(probes),
+                            InsertOutcome::Full { probes } => Err(probes),
+                        };
+                        prop_assert_eq!(lane, run.map(|(_, probes)| probes));
+                    }
                 }
                 prop_assert_eq!(sorted(ht.iter()), sorted(ht.iter_slots()));
                 prop_assert_eq!(ht.iter().count(), ht.occupied());
                 prop_assert_eq!(ht.max_entry(), max_of(ht.iter_slots()));
+                // Same entries in the same first-insertion order.
+                prop_assert_eq!(bits(ht.iter().collect()), bits(lanewise.iter().collect()));
+                prop_assert_eq!(ht.occupied(), lanewise.occupied());
+                prop_assert_eq!(bits(ht.max_entry().into_iter().collect()), bits(lanewise.max_entry().into_iter().collect()));
+                for key in 0..48 {
+                    prop_assert_eq!(ht.get(key).map(f64::to_bits), lanewise.get(key).map(f64::to_bits));
+                }
             }
         }
     }

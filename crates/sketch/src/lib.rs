@@ -22,4 +22,4 @@ pub mod ht;
 pub mod theory;
 
 pub use cms::CountMinSketch;
-pub use ht::{BoundedHashTable, InsertOutcome};
+pub use ht::{BoundedHashTable, InsertOutcome, Slot};
