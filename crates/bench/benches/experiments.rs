@@ -14,6 +14,7 @@ use glp_fraud::{
 };
 use glp_gpusim::{Device, DeviceConfig};
 use glp_graph::datasets::by_name;
+use glp_graph::gen::{bipartite_interaction, BipartiteConfig};
 use glp_graph::Graph;
 
 fn small_graph() -> Graph {
@@ -185,6 +186,41 @@ fn bench_window_materialize(c: &mut Criterion) {
     group.finish();
 }
 
+/// The phase memo's mechanism beside its bypass (one 20-iteration
+/// `GpuEngine` run each): on a user–item window synchronous LP falls into a
+/// 2-cycle and about half the iterations replay a recorded phase; on a road
+/// lattice labels keep sliding, no input repeats and every phase is computed
+/// — that case pays the per-iteration fingerprint and nothing else.
+fn bench_period2(c: &mut Criterion) {
+    let window = bipartite_interaction(&BipartiteConfig {
+        num_users: 4_000,
+        num_items: 1_500,
+        num_interactions: 64_000,
+        skew: 0.8,
+        seed: 1,
+    });
+    let lattice = by_name("roadNet").expect("registry").generate_scaled(64);
+    let mut group = c.benchmark_group("period2");
+    group.sample_size(10);
+    for (name, g) in [("bipartite_window", &window), ("road_lattice", &lattice)] {
+        let run = || {
+            let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), 20);
+            GpuEngine::titan_v()
+                .run(g, &mut prog, &RunOptions::default())
+                .expect("healthy device")
+        };
+        let report = run();
+        println!(
+            "period2/{name}: {} vertices, {} of {} iterations replayed",
+            g.num_vertices(),
+            report.replayed_iterations,
+            report.iterations
+        );
+        group.bench_function(name, |b| b.iter(run));
+    }
+    group.finish();
+}
+
 criterion_group!(
     experiments,
     bench_table2_generation,
@@ -192,6 +228,7 @@ criterion_group!(
     bench_fig5_fig6_variants,
     bench_table3_strategies,
     bench_table4_fig7_windows,
-    bench_window_materialize
+    bench_window_materialize,
+    bench_period2
 );
 criterion_main!(experiments);

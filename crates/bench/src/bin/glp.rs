@@ -168,7 +168,10 @@ fn cmd_run(args: &Args) {
         g.num_vertices(),
         g.num_edges()
     );
-    println!("  iterations       : {}", report.iterations);
+    println!(
+        "  iterations       : {} ({} replayed)",
+        report.iterations, report.replayed_iterations
+    );
     println!(
         "  modeled time     : {}",
         fmt_seconds(report.modeled_seconds)
@@ -205,8 +208,9 @@ fn cmd_profile(args: &Args) {
         )
         .expect("healthy device");
     println!(
-        "classic LP, {} iterations, {} modeled\n",
+        "classic LP, {} iterations ({} replayed), {} modeled\n",
         report.iterations,
+        report.replayed_iterations,
         fmt_seconds(report.modeled_seconds)
     );
     print!("{}", DeviceProfile::of(engine.device()));

@@ -86,12 +86,18 @@ pub trait LpProgram: Sync {
     /// number of vertices whose `update_vertex` returned true.
     fn finished(&self, iteration: u32, changed: u64) -> bool;
 
-    /// Whether a vertex's decision depends *only* on its neighbors' spoken
-    /// labels (no global state, no per-iteration randomness). When true,
-    /// frontier-based engines (Ligra) may skip vertices none of whose
-    /// neighbors changed — classic/seeded/weighted LP qualify; LLP (global
-    /// volumes) and SLP (random speaker draws) do not. Default: false
-    /// (always safe).
+    /// Whether a vertex's decision — winning label *and* score — is a
+    /// function of the labels the vertex and its in-neighbors speak this
+    /// round and of state that does not change between iterations (edge
+    /// weights, degrees, a fixed threshold): no global state recomputed per
+    /// round, no per-iteration randomness, nothing read from the iteration
+    /// number. Two optimizations assume exactly that. Frontier scheduling
+    /// skips a vertex none of whose in-neighbors changed label, keeping its
+    /// previous decision; and the BSP driver replays a whole
+    /// LabelPropagation phase, decisions included, when every spoken label
+    /// and the frontier equal those of two iterations earlier.
+    /// Classic/seeded/weighted LP qualify; LLP (global volumes) and SLP
+    /// (random speaker draws) do not. Default: false (always safe).
     fn sparse_activation(&self) -> bool {
         false
     }

@@ -58,6 +58,12 @@ pub struct LpRunReport {
     pub snapshot_seconds: f64,
     /// Barrier snapshots taken (one per completed iteration of such a run).
     pub snapshots_taken: u64,
+    /// Iterations whose LabelPropagation phase the driver replayed from the
+    /// record of the identical phase two iterations earlier instead of
+    /// computing it (a run in a 2-cycle). Modeled time, counters and traces
+    /// do not tell such an iteration from a computed one; always 0 for
+    /// programs without `sparse_activation`.
+    pub replayed_iterations: u32,
     /// Per-kernel aggregation (count / total / p50 / max modeled seconds,
     /// keyed by engine tier and kernel name) over this run's launches.
     /// Filled from the device's kernel log whether or not a tracer is

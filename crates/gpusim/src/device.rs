@@ -57,6 +57,9 @@ pub struct KernelRecord {
     pub seconds: f64,
     /// Event counts of this launch.
     pub counters: KernelCounters,
+    /// Whether the launch passed the per-launch stall hook
+    /// ([`KernelCtx::new`]), so that [`Device::relaunch`] serves it too.
+    stall_point: bool,
 }
 
 impl Device {
@@ -181,7 +184,7 @@ impl Device {
             (ctx.counters, r)
         })) {
             Ok((counters, r)) => {
-                self.commit(name, counters);
+                self.commit(name, counters, true);
                 Ok(r)
             }
             Err(_) => Err(DeviceError::ShardPanicked {
@@ -213,7 +216,7 @@ impl Device {
             (ctx.counters, r)
         })) {
             Ok((counters, r)) => {
-                self.commit(name, counters);
+                self.commit(name, counters, false);
                 Ok(r)
             }
             Err(_) => Err(DeviceError::ShardPanicked {
@@ -272,7 +275,8 @@ impl Device {
         // part through `KernelCtx::new`, the threaded shards through the
         // merge base.
         let mut merged = KernelCounters::default();
-        let results: Vec<std::thread::Result<(KernelCounters, R)>> = if parts.len() == 1 {
+        let inline = parts.len() == 1;
+        let results: Vec<std::thread::Result<(KernelCounters, R)>> = if inline {
             let part = parts.pop().expect("one part");
             vec![catch_unwind(AssertUnwindSafe(|| {
                 run(part, KernelCtx::new(cfg))
@@ -306,11 +310,35 @@ impl Device {
                 }
             }
         }
-        self.commit(name, merged);
+        self.commit(name, merged, inline);
         Ok(out)
     }
 
-    fn commit(&mut self, name: &'static str, counters: KernelCounters) {
+    /// Repeats the launch logged at `logged` (an index into
+    /// [`Self::kernel_log`]) without running its kernel code: the caller
+    /// holds the results already and warrants the kernel would compute and
+    /// count exactly what it did then. The repeat passes the same launch
+    /// boundary — a lost device, an armed fault plan and (where the original
+    /// did) the stall hook all apply — and is charged and logged from the
+    /// recorded counters as a fresh launch, so the clock, totals, log and
+    /// trace cannot tell it from one that ran.
+    pub fn relaunch(&mut self, logged: usize) -> Result<(), DeviceError> {
+        let KernelRecord {
+            name,
+            counters,
+            stall_point,
+            ..
+        } = self.kernel_log[logged];
+        self.pre_launch(name)?;
+        #[cfg(feature = "fault-injection")]
+        if stall_point {
+            crate::faults::on_kernel_launch();
+        }
+        self.commit(name, counters, stall_point);
+        Ok(())
+    }
+
+    fn commit(&mut self, name: &'static str, counters: KernelCounters, stall_point: bool) {
         let seconds = self.cost.kernel_seconds(&self.cfg, &counters);
         self.totals.merge(&counters);
         if let Some(t) = &self.tracer {
@@ -331,6 +359,7 @@ impl Device {
             name,
             seconds,
             counters,
+            stall_point,
         });
     }
 
@@ -661,6 +690,53 @@ mod tests {
             "span seconds {spans} vs clock {}",
             traced.0
         );
+    }
+
+    #[test]
+    fn relaunch_repeats_a_logged_launch_exactly() {
+        let tracer = Tracer::new();
+        let mut d = Device::titan_v();
+        d.set_tracer(Some(tracer.clone()));
+        d.launch("k", |ctx| {
+            ctx.alu(1000);
+            ctx.global_read_seq(0, 1 << 16, 4);
+        })
+        .unwrap();
+        d.launch_fused("fragment", |ctx| ctx.alu(7)).unwrap();
+        let (clock, once) = (d.elapsed_seconds(), *d.totals());
+
+        d.relaunch(0).unwrap();
+        d.relaunch(1).unwrap();
+        let log = d.kernel_log();
+        assert_eq!(log.len(), 4);
+        for (first, again) in log[..2].iter().zip(&log[2..]) {
+            assert_eq!(first.name, again.name);
+            assert_eq!(first.seconds.to_bits(), again.seconds.to_bits());
+            assert_eq!(first.counters, again.counters);
+        }
+        // The clock took the same two additions in the same order.
+        let want = (clock + log[0].seconds) + log[1].seconds;
+        assert_eq!(d.elapsed_seconds().to_bits(), want.to_bits());
+        let mut twice = once;
+        twice.merge(&once);
+        assert_eq!(*d.totals(), twice);
+
+        // A lost device refuses the repeat at the boundary; nothing moves.
+        d.mark_lost();
+        assert_eq!(d.relaunch(0), Err(DeviceError::Lost { device: d.id() }));
+        assert_eq!(d.kernel_log().len(), 4);
+        assert_eq!(d.elapsed_seconds().to_bits(), want.to_bits());
+        assert_eq!(*d.totals(), twice);
+
+        // Four kernel spans; each repeat starts where the clock then stood.
+        let trace = tracer.finish();
+        let spans: Vec<_> = trace.events.iter().collect();
+        assert_eq!(spans.len(), 4);
+        for (first, again) in spans[..2].iter().zip(&spans[2..]) {
+            assert_eq!((first.cat, first.name), (again.cat, again.name));
+            assert_eq!(first.dur_s.to_bits(), again.dur_s.to_bits());
+        }
+        assert_eq!(spans[2].start_s.to_bits(), clock.to_bits());
     }
 
     #[test]

@@ -200,7 +200,6 @@ mod tests {
 
     #[test]
     fn armed_stall_delays_exactly_n_launches() {
-        clear();
         let cfg = DeviceConfig::default();
         inject_kernel_stall(2, 20_000);
         let before = stalls_served();
@@ -214,7 +213,37 @@ mod tests {
         let t1 = Instant::now();
         let _c = KernelCtx::new(&cfg);
         assert!(t1.elapsed() < Duration::from_millis(15));
-        clear();
+        // A repeated launch serves the hook exactly when its original did:
+        // a launch does, a fused fragment does not.
+        let mut d = crate::Device::titan_v();
+        d.launch("k", |ctx| ctx.alu(1)).unwrap();
+        d.launch_fused("fragment", |ctx| ctx.alu(1)).unwrap();
+        inject_kernel_stall(5, 0);
+        let before = stalls_served();
+        d.relaunch(0).unwrap();
+        d.relaunch(1).unwrap();
+        assert_eq!(stalls_served() - before, 1);
+        // Disarm this thread only: `clear` would also drop the plans sibling
+        // tests hold armed.
+        inject_kernel_stall(0, 0);
+    }
+
+    #[test]
+    fn an_armed_plan_counts_a_relaunch_and_fires_on_one() {
+        let mut d = crate::Device::titan_v();
+        d.launch("k", |ctx| ctx.alu(1)).unwrap();
+        inject_fault(d.id(), FaultKind::LaunchFail, 1);
+        d.relaunch(0).unwrap();
+        let (device, kernel) = (d.id(), "k");
+        assert_eq!(
+            d.relaunch(0),
+            Err(crate::DeviceError::LaunchFailed { device, kernel })
+        );
+        assert_eq!(
+            d.kernel_log().len(),
+            2,
+            "the rejected repeat charged nothing"
+        );
     }
 
     #[test]

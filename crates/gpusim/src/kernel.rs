@@ -581,7 +581,9 @@ mod tests {
         // A lattice-like window, a scattered warp and a sorted run.
         let warps: [Vec<u32>; 3] = [
             (0..32).map(|i| (i * 37) % 29 + (i % 4) * 300).collect(),
-            (0..32).map(|i| (i * 2_654_435_761u32) % 4096).collect(),
+            (0..32u32)
+                .map(|i| i.wrapping_mul(2_654_435_761) % 4096)
+                .collect(),
             (0..32).map(|i| 100 + 3 * i).collect(),
         ];
         for indices in &warps {

@@ -22,7 +22,11 @@
 //! non-idempotent `begin_iteration` and no way to checkpoint survives three
 //! recoveries with its barrier hook firing once per iteration, a recovered
 //! run's report covers the whole run, and a rung without a frontier
-//! continues all-active. And the property-based sweep: arbitrary transient
+//! continues all-active. A fault that lands on a *replayed* launch — the
+//! driver re-commits the launches of a phase whose exact input it saw two
+//! iterations ago — is a fault like any other: retried, degraded or
+//! repartitioned around, with the replay records rebuilt from scratch on the
+//! new attempt. And the property-based sweep: arbitrary transient
 //! faults across the five backends, both frontier modes and three programs
 //! never perturb labels or the `changed` trace.
 //!
@@ -40,8 +44,10 @@ use glp_suite::core::{
 };
 use glp_suite::gpusim::faults::{self, FaultKind};
 use glp_suite::gpusim::Device;
-use glp_suite::graph::gen::{caveman, path, two_cliques_bridge};
-use glp_suite::graph::{Label, VertexId};
+use glp_suite::graph::gen::{
+    bipartite_interaction, caveman, path, two_cliques_bridge, BipartiteConfig,
+};
+use glp_suite::graph::{Graph, Label, VertexId};
 use glp_suite::trace::{Category, Kind, Tracer};
 use glp_test_support::{launches_per_iteration, reference, MixLp};
 use proptest::prelude::*;
@@ -645,6 +651,146 @@ fn a_fault_in_the_last_kernel_leaves_the_previous_barriers_labels() {
     check(GpuEngine::titan_v, GpuEngine::device);
     check(HybridEngine::titan_v, HybridEngine::device);
     check(|| MultiGpuEngine::titan_v(1), |e| e.gpus().device(0));
+}
+
+/// A user–item window: synchronous LP falls into a 2-cycle on it within a
+/// few iterations and the driver replays every phase from then on.
+fn cycling_window() -> Graph {
+    bipartite_interaction(&BipartiteConfig {
+        num_users: 60,
+        num_items: 25,
+        num_interactions: 400,
+        skew: 0.8,
+        seed: 7,
+    })
+}
+
+const CYCLE_ITERS: u32 = 20;
+
+/// Fault-free run of `engine` over [`cycling_window`]: the program, the
+/// report, and — in `device`'s launch sequence — the index of the first
+/// LabelPropagation launch of an iteration whose phase is a replay, two
+/// iterations into the replayed stretch (replays run to the end of a run
+/// once they begin, so the stretch is the last `replayed_iterations`).
+fn cycling_probe<E: Engine>(
+    mut engine: E,
+    device: impl Fn(&E) -> &Device,
+    opts: &RunOptions,
+) -> (ClassicLp, glp_suite::core::LpRunReport, u32) {
+    let g = cycling_window();
+    let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), CYCLE_ITERS);
+    let report = engine.run(&g, &mut prog, opts).unwrap();
+    assert_eq!(
+        report.iterations, CYCLE_ITERS,
+        "the window must keep cycling"
+    );
+    assert!(
+        report.replayed_iterations >= 8,
+        "too few replays to land a fault on: {}",
+        report.replayed_iterations
+    );
+    let target = (CYCLE_ITERS - report.replayed_iterations + 2) as usize;
+    let pick = device(&engine)
+        .kernel_log()
+        .iter()
+        .enumerate()
+        .filter(|(_, rec)| rec.name == "pick_label")
+        .nth(target)
+        .expect("one PickLabel per iteration")
+        .0;
+    (prog, report, pick as u32 + 1)
+}
+
+/// After a recovery the driver holds no record: two iterations until the
+/// fingerprint repeats, two more recorded, then replays resume — four
+/// computed iterations a fault-free run replays.
+fn assert_memo_was_rebuilt(
+    report: &glp_suite::core::LpRunReport,
+    fault_free: &glp_suite::core::LpRunReport,
+) {
+    assert_eq!(
+        report.replayed_iterations,
+        fault_free.replayed_iterations - 4,
+        "the records must be dropped at the fault and rebuilt from scratch"
+    );
+    assert_eq!(
+        report.changed_per_iteration,
+        fault_free.changed_per_iteration
+    );
+    assert_eq!(report.active_per_iteration, fault_free.active_per_iteration);
+    assert_eq!(
+        report.direction_per_iteration,
+        fault_free.direction_per_iteration
+    );
+}
+
+/// A launch the driver *replays* passes the launch boundary like one it
+/// computes: a `LaunchFail` armed on it fires there and is retried on the
+/// same tier, and a `DeviceLost` armed on it walks the ladder.
+#[test]
+fn faults_on_a_replayed_launch_are_retried_and_degraded_around() {
+    let g = cycling_window();
+    let hooked = RunOptions::default().with_barrier_hook(BarrierHook::new(|_| {}));
+    let (want, want_report, launch) =
+        cycling_probe(GpuEngine::titan_v(), GpuEngine::device, &hooked);
+
+    for kind in [FaultKind::LaunchFail, FaultKind::DeviceLost] {
+        let gpu = GpuEngine::titan_v();
+        let device = gpu.device().id();
+        let mut engine = ResilientEngine::new(vec![
+            Box::new(gpu),
+            Box::new(HybridEngine::titan_v()),
+            Box::new(SequentialEngine::bsp()),
+        ])
+        .with_backoff(Duration::ZERO, Duration::ZERO);
+        faults::inject_fault(device, kind, launch);
+        let served_before = faults::faults_served();
+        let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), CYCLE_ITERS);
+        let report = engine
+            .run(&g, &mut prog, &RunOptions::default())
+            .expect("recovers");
+        faults::clear_device(device);
+
+        assert_eq!(
+            faults::faults_served(),
+            served_before + 1,
+            "{kind:?} not fired"
+        );
+        let stats = engine.resilience();
+        let retried = kind == FaultKind::LaunchFail;
+        assert_eq!(
+            (stats.retries, stats.degradations),
+            (u32::from(retried), u32::from(!retried))
+        );
+        assert_eq!(stats.tier, Some(if retried { "GLP" } else { "GLP-hybrid" }));
+        assert_eq!(prog.labels(), want.labels(), "{kind:?}");
+        assert_memo_was_rebuilt(&report, &want_report);
+        assert_report_covers_the_whole_run(&report);
+    }
+}
+
+/// The multi-GPU twin: the second of two devices is lost on a replayed
+/// launch, the backend repartitions onto the survivor, and the phase is
+/// computed afresh there — the records described the old partitioning.
+#[test]
+fn device_loss_on_a_replayed_launch_repartitions() {
+    let g = cycling_window();
+    let opts = RunOptions::default();
+    let (want, want_report, launch) =
+        cycling_probe(MultiGpuEngine::titan_v(2), |e| e.gpus().device(1), &opts);
+
+    let mut engine = MultiGpuEngine::titan_v(2);
+    let victim = engine.gpus().device(1).id();
+    faults::inject_fault(victim, FaultKind::DeviceLost, launch);
+    let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), CYCLE_ITERS);
+    let report = engine
+        .run(&g, &mut prog, &opts)
+        .expect("the survivor finishes");
+    faults::clear_device(victim);
+
+    assert_eq!(engine.gpus().survivors(), vec![0]);
+    assert_eq!(prog.labels(), want.labels());
+    assert_memo_was_rebuilt(&report, &want_report);
 }
 
 /// The engines under the property sweep. Sequential has no device to
