@@ -1,42 +1,40 @@
 //! Multicore-CPU baselines: OMP, Ligra, TigerGraph.
 //!
-//! One engine with three presets — they share the per-vertex aggregation
-//! (exact, same tie rule as the GPU kernels) and differ in the cost
-//! structure the paper attributes to each system:
+//! One [`Backend`] of the workspace's BSP driver with three presets. They
+//! share everything that computes — the driver's loop, frontier and report,
+//! and the exact host MFL ([`exact_mfl`], same tie rule as the GPU kernels)
+//! — so a personality is three constants of the cost structure the paper
+//! attributes to each system:
 //!
-//! * **OMP** — dense parallel-for every iteration.
-//! * **Ligra** — frontier-based: after iteration `t`, only vertices with an
-//!   in-neighbor that changed at `t` recompute at `t+1`.
+//! * **OMP** — a parallel-for over the scheduled vertices.
+//! * **Ligra** — the same with frontier bookkeeping on every instruction
+//!   (a 1.05 factor); it is the CPU system one runs with a frontier.
 //! * **TigerGraph** — accumulator-style: messages (src label per edge) are
-//!   materialized to a buffer before aggregation, and every instruction
-//!   pays an interpreter overhead factor; classic LP only, like the
-//!   original (§5.1: "TG only supports the classic LP").
+//!   materialized to a buffer before aggregation, every instruction pays
+//!   an interpreter overhead factor, and a superstep costs a query
+//!   scheduling round; classic LP only, like the original (§5.1: "TG only
+//!   supports the classic LP").
 //!
-//! Scheduling is controlled by [`RunOptions::frontier`] like everywhere
-//! else: [`FrontierMode::Auto`](glp_core::FrontierMode) engages the
-//! frontier for sparse-activation programs (dense fallback otherwise,
-//! which matches how Ligra LP handles LLP/SLP); the benchmark harness
-//! pins OMP and TigerGraph to `Dense` — their historical personalities.
+//! Scheduling is [`RunOptions::frontier`]'s like everywhere else, with one
+//! preset: there is no CPU cost model to price a push/pull crossover
+//! against, so [`FrontierMode::Auto`] keeps Ligra's native scatter
+//! (`Push`). Programs without sparse activation get the driver's dense
+//! fallback, which matches how Ligra LP handles LLP/SLP; the benchmark
+//! harness pins OMP and TigerGraph to `Dense` — their historical
+//! personalities.
 //!
-//! Modeled time comes from [`CpuConfig`]'s roofline so it is comparable
-//! with the GPU engines' modeled time.
+//! Modeled time comes from [`CpuConfig`]'s roofline over the work the
+//! backend counts, so it is comparable with the GPU engines' modeled time.
 
 use glp_core::engine::{
-    initial_active, BestLabel, Decision, Direction, Engine, EngineError, RunOptions,
+    drive, exact_mfl, mfl_scratch, Backend, BspEngine, Decision, Direction, Engine, EngineError,
+    Phase, RunOptions, ShardStats,
 };
 use glp_core::{FrontierMode, LpProgram, LpRunReport};
 use glp_gpusim::host::{CpuConfig, CpuCounters};
+use glp_gpusim::DeviceError;
 use glp_graph::{Graph, Label, VertexId};
-use glp_sketch::{BoundedHashTable, InsertOutcome};
-use std::time::Instant;
-
-/// Which baseline personality a [`CpuLp`] runs with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Flavor {
-    Omp,
-    Ligra,
-    TigerGraph,
-}
+use glp_sketch::BoundedHashTable;
 
 /// Configuration of a CPU baseline's *machine* (run-level knobs like the
 /// iteration cap and frontier mode live in [`RunOptions`]).
@@ -44,7 +42,9 @@ enum Flavor {
 pub struct CpuLpConfig {
     /// The machine (defaults to the paper's Xeon W-2133).
     pub cpu: CpuConfig,
-    /// Software threads (capped at physical cores by the cost model).
+    /// Software threads of the *modeled* machine: an input of the cost
+    /// model (capped at physical cores there). How many host threads a
+    /// run uses is [`RunOptions::shards`]'s business.
     pub threads: u32,
 }
 
@@ -61,7 +61,7 @@ impl Default for CpuLpConfig {
 #[derive(Clone, Debug)]
 pub struct CpuLp {
     cfg: CpuLpConfig,
-    flavor: Flavor,
+    name: &'static str,
     /// Interpreter/runtime overhead multiplier on instruction and
     /// random-access counts (accumulator indirection).
     instr_factor: f64,
@@ -78,7 +78,7 @@ impl CpuLp {
     pub fn omp(cfg: CpuLpConfig) -> Self {
         Self {
             cfg,
-            flavor: Flavor::Omp,
+            name: "OMP",
             instr_factor: 1.0,
             materialize_messages: false,
             superstep_overhead_s: 1e-4,
@@ -89,12 +89,9 @@ impl CpuLp {
     /// The Ligra baseline (frontier-based).
     pub fn ligra(cfg: CpuLpConfig) -> Self {
         Self {
-            cfg,
-            flavor: Flavor::Ligra,
+            name: "Ligra",
             instr_factor: 1.05, // frontier bookkeeping
-            materialize_messages: false,
-            superstep_overhead_s: 1e-4,
-            totals: CpuCounters::default(),
+            ..Self::omp(cfg)
         }
     }
 
@@ -102,12 +99,12 @@ impl CpuLp {
     /// must not hand it LLP/SLP programs (the benches don't).
     pub fn tigergraph(cfg: CpuLpConfig) -> Self {
         Self {
-            cfg,
-            flavor: Flavor::TigerGraph,
+            // "TG", as the paper's figure legends abbreviate it.
+            name: "TG",
             instr_factor: 3.0, // interpreted accumulator engine
             materialize_messages: true,
             superstep_overhead_s: 2e-3, // query scheduling per superstep
-            totals: CpuCounters::default(),
+            ..Self::omp(cfg)
         }
     }
 
@@ -119,12 +116,7 @@ impl CpuLp {
 
 impl Engine for CpuLp {
     fn name(&self) -> &'static str {
-        match self.flavor {
-            Flavor::Omp => "OMP",
-            Flavor::Ligra => "Ligra",
-            // "TG", as the paper's figure legends abbreviate it.
-            Flavor::TigerGraph => "TG",
-        }
+        self.name
     }
 
     /// Runs `prog` on `g`; modeled seconds come from the CPU roofline.
@@ -136,216 +128,161 @@ impl Engine for CpuLp {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        assert_eq!(
-            prog.num_vertices(),
-            g.num_vertices(),
-            "program sized for a different graph"
-        );
-        let wall_start = Instant::now();
-        let n = g.num_vertices();
-        let csr = g.incoming();
-        let threads = self.cfg.threads.max(1);
-        let shards = (threads as usize).clamp(1, 16);
-        let use_frontier = opts.frontier.sparse(prog.sparse_activation());
-        // Direction handling mirrors the asynchronous sequential engine:
-        // forced `Pull` rebuilds by gathering over in-neighbors, everything
-        // else scatters (`Auto` has no device cost model to price a
-        // crossover against, so it keeps Ligra's native scatter).
-        let pull = use_frontier && opts.frontier == FrontierMode::Pull;
-
-        let mut spoken: Vec<Label> = vec![0; n];
-        let mut decisions: Vec<Decision> = vec![None; n];
-        // Frontier state: `active[v]` = must recompute v this iteration.
-        let mut active = initial_active(n, use_frontier, opts);
-        let mut report = LpRunReport::default();
-        let mut totals = CpuCounters::default();
-
-        for iteration in 0..opts.max_iterations {
-            prog.begin_iteration(iteration);
-            // PickLabel: sequential streaming pass.
-            for (v, slot) in spoken.iter_mut().enumerate() {
-                *slot = prog.pick_label(v as VertexId);
-            }
-            totals.instructions += 2 * n as u64;
-            totals.seq_bytes += 8 * n as u64;
-
-            // Aggregate per active vertex, sharded across OS threads.
-            let ranges: Vec<(usize, usize)> = {
-                let per = n.div_ceil(shards).max(1);
-                (0..shards)
-                    .map(|i| ((i * per).min(n), ((i + 1) * per).min(n)))
-                    .collect()
-            };
-            let prog_ref: &dyn LpProgram = prog;
-            let active_ref: &[bool] = &active;
-            let spoken_ref: &[Label] = &spoken;
-            type ShardOutput = (Vec<(VertexId, Decision)>, CpuCounters);
-            let shard_results: Result<Vec<ShardOutput>, EngineError> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = ranges
-                        .iter()
-                        .map(|&(lo, hi)| {
-                            scope.spawn(move || {
-                                let mut out = Vec::new();
-                                let mut c = CpuCounters::default();
-                                let max_deg = (lo..hi)
-                                    .map(|v| csr.degree(v as VertexId) as usize)
-                                    .max()
-                                    .unwrap_or(0);
-                                let mut ht = BoundedHashTable::new((2 * max_deg).max(16), u32::MAX);
-                                for v in lo..hi {
-                                    let v = v as VertexId;
-                                    if !active_ref[v as usize] || csr.degree(v) == 0 {
-                                        continue;
-                                    }
-                                    out.push((
-                                        v,
-                                        decide(prog_ref, csr, spoken_ref, v, &mut ht, &mut c),
-                                    ));
-                                }
-                                (out, c)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .enumerate()
-                        .map(|(shard, h)| {
-                            h.join().map_err(|_| EngineError::ShardPanicked { shard })
-                        })
-                        .collect()
-                });
-            let shard_results = shard_results?;
-
-            decisions.iter_mut().for_each(|d| *d = None);
-            let mut scheduled = 0u64;
-            for (out, c) in shard_results {
-                totals.merge(&c);
-                scheduled += out.len() as u64;
-                for (v, d) in out {
-                    decisions[v as usize] = d;
-                }
-            }
-            report.active_per_iteration.push(scheduled);
-            if self.materialize_messages {
-                // TigerGraph materializes (dst, label) messages per edge:
-                // one write + one read of 8 bytes each before aggregation.
-                totals.seq_bytes += 16 * csr.num_edges();
-            }
-
-            // UpdateVertex + frontier maintenance.
-            let mut changed_vertices: Vec<VertexId> = Vec::new();
-            let mut changed = 0u64;
-            for v in 0..n {
-                // A frontier-skipped vertex keeps its previous state.
-                if use_frontier && !active[v] {
-                    continue;
-                }
-                if prog.update_vertex(v as VertexId, decisions[v]) {
-                    changed += 1;
-                    changed_vertices.push(v as VertexId);
-                }
-            }
-            totals.instructions += 2 * n as u64;
-            totals.seq_bytes += 16 * n as u64;
-            if use_frontier {
-                if pull {
-                    // Gather: every vertex scans its in-neighbors for a
-                    // changed one (early exit). Marks exactly the vertices
-                    // the scatter path marks — see
-                    // `recompute_active_pull` in glp-core.
-                    let mut changed_flag = vec![false; n];
-                    for &v in &changed_vertices {
-                        changed_flag[v as usize] = true;
-                    }
-                    let inc = g.incoming();
-                    let mut scanned = 0u64;
-                    for (v, a) in active.iter_mut().enumerate() {
-                        *a = false;
-                        for &u in inc.neighbors(v as VertexId) {
-                            scanned += 1;
-                            if changed_flag[u as usize] {
-                                *a = true;
-                                break;
-                            }
-                        }
-                    }
-                    totals.instructions += 2 * scanned + n as u64;
-                    totals.seq_bytes += 4 * scanned;
-                } else {
-                    // Frontier maintenance is streaming work: scan the
-                    // changed vertices' out-lists and set bitmap bits.
-                    active.iter_mut().for_each(|a| *a = false);
-                    let out = g.outgoing();
-                    let mut touched = 0u64;
-                    for &v in &changed_vertices {
-                        for &u in out.neighbors(v) {
-                            active[u as usize] = true;
-                        }
-                        touched += u64::from(out.degree(v));
-                    }
-                    totals.instructions += 2 * touched + 4 * changed_vertices.len() as u64;
-                    totals.seq_bytes += 4 * touched;
-                }
-            }
-
-            prog.end_iteration(iteration);
-            report.changed_per_iteration.push(changed);
-            report.direction_per_iteration.push(if !use_frontier {
-                Direction::Dense
-            } else if pull {
-                Direction::Pull
-            } else {
-                Direction::Push
-            });
-            report.iterations = iteration + 1;
-            if prog.finished(iteration, changed) {
-                break;
-            }
-        }
-
-        totals.instructions = (totals.instructions as f64 * self.instr_factor) as u64;
-        totals.random_accesses = (totals.random_accesses as f64 * self.instr_factor) as u64;
-        self.totals = totals;
-        report.modeled_seconds = self.cfg.cpu.seconds(&totals, threads)
-            + f64::from(report.iterations) * self.superstep_overhead_s;
-        report.wall_seconds = wall_start.elapsed().as_secs_f64();
-        Ok(report)
+        let frontier = match opts.frontier {
+            FrontierMode::Auto => FrontierMode::Push,
+            forced => forced,
+        };
+        let opts = RunOptions {
+            frontier,
+            ..opts.clone()
+        };
+        drive(&mut *self.backend(g, &opts), g, prog, &opts)
     }
 }
 
-/// Exact per-vertex aggregation with the workspace tie rule, charging CPU
-/// work: one random access per neighbor label, hash-scratch instructions,
-/// streaming bytes for the CSR slice.
-fn decide<P: LpProgram + ?Sized>(
-    prog: &P,
-    csr: &glp_graph::Csr,
-    spoken: &[Label],
-    v: VertexId,
-    ht: &mut BoundedHashTable,
-    c: &mut CpuCounters,
-) -> Decision {
-    ht.clear();
-    let off = csr.offset(v);
-    let nbrs = csr.neighbors(v);
-    for (j, &u) in nbrs.iter().enumerate() {
-        let contrib = prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
-        match ht.insert_add(u64::from(contrib.label), contrib.weight) {
-            InsertOutcome::Added { .. } => {}
-            InsertOutcome::Full { .. } => unreachable!("scratch sized to 2x degree"),
+impl BspEngine for CpuLp {
+    fn backend<'a>(&'a mut self, _g: &Graph, opts: &RunOptions) -> Box<dyn Backend + 'a> {
+        Box::new(CpuBackend {
+            lp: self,
+            shards: opts.resolve_shards(),
+            tables: Vec::new(),
+            work: CpuCounters::default(),
+            supersteps: 0,
+        })
+    }
+}
+
+/// One run on the modeled CPU: the work counted so far and the supersteps
+/// begun are the tier's clock.
+struct CpuBackend<'a> {
+    lp: &'a mut CpuLp,
+    /// Host threads of the LabelPropagation fan-out.
+    shards: usize,
+    /// One MFL scratch per host thread, built on first use: a ladder's CPU
+    /// rung that never runs allocates nothing.
+    tables: Vec<BoundedHashTable>,
+    /// Work counted so far, before the personality's overhead factor.
+    work: CpuCounters,
+    supersteps: u32,
+}
+
+impl CpuBackend<'_> {
+    /// The work counted so far as the personality's runtime executes it.
+    fn scaled(&self) -> CpuCounters {
+        let scale = |count: u64| (count as f64 * self.lp.instr_factor) as u64;
+        CpuCounters {
+            instructions: scale(self.work.instructions),
+            random_accesses: scale(self.work.random_accesses),
+            seq_bytes: self.work.seq_bytes,
         }
     }
-    c.random_accesses += nbrs.len() as u64;
-    c.instructions += 8 * nbrs.len() as u64 + 20;
-    c.seq_bytes += 4 * nbrs.len() as u64;
-    let mut best: Option<BestLabel> = None;
-    let current = spoken[v as usize];
-    for (l, freq) in ht.iter() {
-        let label = l as Label;
-        BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
+}
+
+impl Backend for CpuBackend<'_> {
+    fn name(&self) -> &'static str {
+        self.lp.name
     }
-    c.instructions += 3 * ht.occupied() as u64;
-    BestLabel::into_decision(best)
+
+    fn modeled_now(&self) -> Option<f64> {
+        let lp = &*self.lp;
+        let compute = lp.cfg.cpu.seconds(&self.scaled(), lp.cfg.threads);
+        Some(compute + f64::from(self.supersteps) * lp.superstep_overhead_s)
+    }
+
+    /// PickLabel: a sequential streaming pass. It opens the superstep.
+    fn pick(&mut self, p: &Phase<'_>, spoken: &mut [Label]) -> Result<(), DeviceError> {
+        p.prog.pick_labels_into(0, spoken);
+        let n = spoken.len() as u64;
+        self.work.instructions += 2 * n;
+        self.work.seq_bytes += 8 * n;
+        self.supersteps += 1;
+        Ok(())
+    }
+
+    /// Exact per-vertex aggregation over contiguous slices of the scheduled
+    /// list, one host thread each, charging CPU work per vertex: one random
+    /// access per neighbor label, hash-scratch instructions, streaming
+    /// bytes for the CSR slice. Counters are sums over vertices, so the
+    /// split cannot move a modeled number.
+    fn propagate(
+        &mut self,
+        p: &Phase<'_>,
+        spoken: &[Label],
+        decisions: &mut [Decision],
+    ) -> Result<ShardStats, DeviceError> {
+        let csr = p.g.incoming();
+        if self.tables.is_empty() {
+            self.tables = vec![mfl_scratch(p.g); self.shards];
+        }
+        let scheduled: Vec<VertexId> = p.work.scheduled_vertices().collect();
+        let per = scheduled.len().div_ceil(self.shards).max(1);
+        let aggregate = |slice: &[VertexId], ht: &mut BoundedHashTable| {
+            let mut c = CpuCounters::default();
+            let decide = |&v: &VertexId| {
+                let d = exact_mfl(p.prog, csr, ht, v, |u| spoken[u as usize]);
+                let deg = u64::from(csr.degree(v));
+                c.random_accesses += deg;
+                c.instructions += 8 * deg + 20 + 3 * ht.occupied() as u64;
+                c.seq_bytes += 4 * deg;
+                d
+            };
+            (slice.iter().map(decide).collect::<Vec<Decision>>(), c)
+        };
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = scheduled
+                .chunks(per)
+                .zip(&mut self.tables)
+                .map(|(slice, ht)| scope.spawn(|| aggregate(slice, ht)))
+                .collect();
+            spawned.into_iter().map(|h| h.join()).collect()
+        });
+        for (shard, (slice, result)) in scheduled.chunks(per).zip(joined).enumerate() {
+            // There is no device here; the panicked shard is what matters.
+            let (decided, c) =
+                result.map_err(|_| DeviceError::ShardPanicked { device: 0, shard })?;
+            self.work.merge(&c);
+            for (&v, d) in slice.iter().zip(decided) {
+                decisions[v as usize] = d;
+            }
+        }
+        if self.lp.materialize_messages {
+            // TigerGraph materializes (dst, label) messages per edge:
+            // one write + one read of 8 bytes each before aggregation.
+            self.work.seq_bytes += 16 * csr.num_edges();
+        }
+        Ok(ShardStats::default())
+    }
+
+    fn charge_update(&mut self, n: u64) -> Result<(), DeviceError> {
+        self.work.instructions += 2 * n;
+        self.work.seq_bytes += 16 * n;
+        Ok(())
+    }
+
+    /// Frontier maintenance is streaming work. Push scans the changed
+    /// vertices' out-lists and sets bitmap bits; pull has every vertex scan
+    /// its in-neighbors for a changed one (early exit).
+    fn charge_frontier(
+        &mut self,
+        _priced: bool,
+        dir: Direction,
+        changed: u64,
+        volume: u64,
+        next_active: &[bool],
+    ) -> Result<(), DeviceError> {
+        let per_vertex = match dir {
+            Direction::Pull => next_active.len() as u64,
+            _ => 4 * changed,
+        };
+        self.work.instructions += 2 * volume + per_vertex;
+        self.work.seq_bytes += 4 * volume;
+        Ok(())
+    }
+
+    fn teardown(&mut self, _completed: bool) -> f64 {
+        self.lp.totals = self.scaled();
+        0.0
+    }
 }
 
 #[cfg(test)]
@@ -444,6 +381,44 @@ mod tests {
             r_tg.modeled_seconds,
             r_omp.modeled_seconds
         );
+    }
+
+    /// Classic LP whose scoring callback panics at one vertex.
+    struct Bomb(ClassicLp, VertexId);
+
+    impl LpProgram for Bomb {
+        fn num_vertices(&self) -> usize {
+            self.0.num_vertices()
+        }
+        fn pick_label(&self, v: VertexId) -> Label {
+            self.0.pick_label(v)
+        }
+        fn label_score(&self, v: VertexId, l: Label, freq: f64) -> f64 {
+            assert_ne!(v, self.1, "boom");
+            self.0.label_score(v, l, freq)
+        }
+        fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
+            self.0.update_vertex(v, winner)
+        }
+        fn finished(&self, iteration: u32, changed: u64) -> bool {
+            self.0.finished(iteration, changed)
+        }
+        fn labels(&self) -> &[Label] {
+            self.0.labels()
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_is_an_error_and_nothing_is_applied() {
+        // 16 scheduled vertices over 3 shards: vertex 7 is in the second.
+        let g = caveman(4, 4);
+        let mut prog = Bomb(ClassicLp::new(g.num_vertices()), 7);
+        let before = prog.labels().to_vec();
+        let err = CpuLp::omp(CpuLpConfig::default())
+            .run(&g, &mut prog, &RunOptions::default().with_shards(3))
+            .unwrap_err();
+        assert_eq!(err, EngineError::ShardPanicked { shard: 1 });
+        assert_eq!(prog.labels(), &before[..]);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!
 //! All baselines drive the same [`LpProgram`](glp_core::LpProgram) trait and
 //! use the same deterministic tie-breaking, so their label outputs are
-//! bit-identical to the GLP engines' — tested in this crate.
+//! bit-identical to the GLP engines' — tested in this crate. None owns an
+//! iteration loop: each is a backend of (or a preset over a backend of)
+//! [`glp_core::engine::drive`], supplying where data lives and what a step
+//! costs.
 
 pub mod cpu;
 pub mod ghash;

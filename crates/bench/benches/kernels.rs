@@ -75,26 +75,6 @@ fn bench_warp_intrinsics(c: &mut Criterion) {
     group.bench_function("match_any_sync", |b| {
         b.iter(|| black_box(match_any_sync(u32::MAX, black_box(&vals))));
     });
-    // 32 distinct unsorted keys: the table path at its fullest.
-    let mut distinct = [0u64; WARP_SIZE];
-    for (i, v) in distinct.iter_mut().enumerate() {
-        *v = (i as u64 * 0x9e37_79b9) % 1009;
-    }
-    group.bench_function("match_any_sync/32_distinct", |b| {
-        b.iter(|| black_box(match_any_sync(u32::MAX, black_box(&distinct))));
-    });
-    // Vertex keys of a packed warp: eight ascending runs of four lanes.
-    let mut runs = [0u64; WARP_SIZE];
-    for (i, v) in runs.iter_mut().enumerate() {
-        *v = 1000 + (i / 4) as u64;
-    }
-    group.bench_function("match_any_sync/vertex_runs", |b| {
-        b.iter(|| black_box(match_any_sync(u32::MAX, black_box(&runs))));
-    });
-    // A half-filled last warp (prefix mask) over unsorted label keys.
-    group.bench_function("match_any_sync/partial_mask", |b| {
-        b.iter(|| black_box(match_any_sync(0x0000_ffff, black_box(&vals))));
-    });
     group.bench_function("popc", |b| {
         b.iter(|| black_box(popc(black_box(0xdead_beef))));
     });

@@ -21,7 +21,7 @@
 //! device phase from PickLabel without beginning the iteration again: on the
 //! backend itself if it healed in place ([`Backend::recover`]), else — after
 //! a teardown — on the same rung re-staged (transient fault, retry budget
-//! left) or on the next rung of the ladder (DESIGN.md § One driver, five
+//! left) or on the next rung of the ladder (DESIGN.md § One driver, seven
 //! backends has the diagram). The frontier, the scratch, the report and the
 //! program never leave the driver, so nothing is checkpointed, restored or
 //! stitched. A bare engine's `run` is the one-rung, zero-retry case;
@@ -37,7 +37,8 @@
 //! committed and the recorded launches pass the devices' launch boundary once
 //! more ([`Device::relaunch`]), so the modeled clock, the counters, the kernel
 //! log, the trace and the fault behaviour cannot tell a replayed iteration
-//! from a computed one.
+//! from a computed one. A rung that keeps a modeled clock without a device
+//! (the CPU baselines, the cluster) has nothing to re-commit: never replayed.
 
 use super::dispatch::Buckets;
 use super::kernels::ShardStats;
@@ -117,13 +118,14 @@ pub trait Backend {
         Ok(())
     }
 
-    /// Charges the frontier rebuild the driver just ran on the host:
-    /// `volume` scatter marks (push) or scanned in-edges (pull) gave
-    /// `next_active`; `priced` adds `Auto`'s density measurement.
+    /// Charges the frontier rebuild the driver just ran on the host: `changed`
+    /// vertices' `volume` scatter marks (push) or `volume` scanned in-edges
+    /// (pull) gave `next_active`; `priced` adds `Auto`'s density measurement.
     fn charge_frontier(
         &mut self,
         _priced: bool,
         _dir: Direction,
+        _changed: u64,
         _volume: u64,
         _next_active: &[bool],
     ) -> Result<(), DeviceError> {
@@ -316,6 +318,9 @@ struct Driver<'a, 'b> {
     /// default one host tiers use — so all tiers choose alike.
     cost: CostModel,
     start: f64,
+    /// Whether this attempt may replay: replay re-commits the *devices'*
+    /// launches, so a modeled clock kept without a device would lose charges.
+    replayable: bool,
     trace_mark: Option<usize>,
     g: &'a Graph,
     opts: &'a RunOptions,
@@ -386,6 +391,7 @@ pub(crate) fn drive_ladder(
         clock: Clock::Wall,
         cost: CostModel::default(),
         start: 0.0,
+        replayable: false,
         trace_mark: None,
         g,
         opts,
@@ -442,11 +448,12 @@ impl Driver<'_, '_> {
             self.backend().each_device(&mut |d| {
                 cost.get_or_insert_with(|| d.cost_model().clone());
             });
-            self.cost = cost.unwrap_or_default();
             self.clock = match self.backend().modeled_now() {
                 Some(_) => Clock::Modeled,
                 None => Clock::Wall,
             };
+            self.replayable = cost.is_some() || self.clock == Clock::Wall;
+            self.cost = cost.unwrap_or_default();
             self.start = self.now();
             let (name, clock, start) = (self.backend().name(), self.clock, self.start);
             self.stats.tier = Some(name);
@@ -581,7 +588,7 @@ impl Driver<'_, '_> {
                     work: &work,
                     saturated,
                 };
-                let memo = memoize.then_some(&active[..]);
+                let memo = (memoize && self.replayable).then_some(&active[..]);
                 let fault =
                     match self.device_phase(&phase, &mut scratch, memo, sparse, last_direction) {
                         Ok(out) => break (sparse, work.scheduled() as u64, out),
@@ -685,12 +692,12 @@ impl Driver<'_, '_> {
         self.backend().stream(p, after - before);
         self.backend().charge_update(n)?;
         let direction = if sparse {
-            mark_changed(&cur.spoken, &cur.decisions, &mut s.changed);
+            let changed = mark_changed(&cur.spoken, &cur.decisions, &mut s.changed);
             let dir = choose_direction(p.opts.frontier, p.g, &s.changed, &self.cost);
             let volume = rebuild_frontier(p.g, dir, &s.changed, &mut s.next_active);
             let priced = p.opts.frontier == FrontierMode::Auto;
             self.backend()
-                .charge_frontier(priced, dir, volume, &s.next_active)?;
+                .charge_frontier(priced, dir, changed, volume, &s.next_active)?;
             dir
         } else {
             Direction::Dense
@@ -772,13 +779,16 @@ pub fn initial_active(n: usize, sparse: bool, opts: &RunOptions) -> Vec<bool> {
     }
 }
 
-/// Flags the vertices whose decision differs from the label they spoke
-/// this round — the change set every frontier rebuild starts from. `Auto`'s
-/// pricing ([`choose_direction`]) and the rebuild it then picks both read it.
-pub(crate) fn mark_changed(spoken: &[Label], decisions: &[Decision], changed: &mut [bool]) {
-    for ((c, &s), &d) in changed.iter_mut().zip(spoken).zip(decisions) {
+/// Flags (and counts) the vertices whose decision differs from the label they
+/// spoke this round — the change set every frontier rebuild starts from.
+/// `Auto`'s pricing ([`choose_direction`]) and the rebuild it picks read it.
+pub(crate) fn mark_changed(spoken: &[Label], decisions: &[Decision], flags: &mut [bool]) -> u64 {
+    let mut count = 0;
+    for ((c, &s), &d) in flags.iter_mut().zip(spoken).zip(decisions) {
         *c = matches!(d, Some((l, _)) if l != s);
+        count += u64::from(*c);
     }
+    count
 }
 
 /// Rebuilds the active set from the `changed` set in direction `dir`,

@@ -185,6 +185,7 @@ impl Backend for GpuBackend<'_> {
         &mut self,
         priced: bool,
         dir: Direction,
+        _changed: u64,
         volume: u64,
         next_active: &[bool],
     ) -> Result<(), DeviceError> {

@@ -11,14 +11,14 @@
 //!   in [`bsp`](SequentialEngine::bsp) mode the synchronous host tier.
 //!
 //! The synchronous tiers share one iteration loop: [`drive`] runs the BSP
-//! workflow once, each tier is a [`Backend`] of it ([`BspEngine`]), and
-//! fault recovery is the driver's policy — [`ResilientEngine`] hands it a
-//! ladder of backends.
+//! workflow once, each tier is a [`Backend`] of it ([`BspEngine`]) — the
+//! baselines in `glp-baselines` and the simulated in-house cluster in
+//! `glp-fraud` too — and fault recovery is the driver's policy:
+//! [`ResilientEngine`] hands it a ladder of backends.
 //!
-//! All of them (plus the baselines in `glp-baselines` and the simulated
-//! in-house cluster in `glp-fraud`) are driven through the [`Engine`]
-//! trait with a shared [`RunOptions`], so callers swap engines without
-//! touching per-engine config types.
+//! All of them are driven through the [`Engine`] trait with a shared
+//! [`RunOptions`], so callers swap engines without touching per-engine
+//! config types.
 
 mod bsp;
 mod delta;
@@ -89,10 +89,11 @@ pub trait Engine {
 }
 
 /// An [`Engine`] whose `run` is [`drive`] over one [`Backend`] — what a
-/// [`ResilientEngine`] ladder is made of. The recovery policy re-drives a
-/// failed device phase on the next backend, so an engine with a loop of its
-/// own (the asynchronous sweep, the CPU baselines) cannot sit on a ladder:
-/// it does not implement this trait.
+/// [`ResilientEngine`] ladder is made of. Every synchronous engine of the
+/// workspace is one, the CPU baselines and the in-house cluster included.
+/// The recovery policy re-drives a failed device phase on the next backend,
+/// so the one engine with a loop of its own — the asynchronous sweep, which
+/// has no barrier — cannot sit on a ladder: it does not implement this trait.
 ///
 /// ```compile_fail
 /// use glp_core::{ResilientEngine, SequentialEngine};
@@ -154,7 +155,7 @@ impl BestLabel {
 
 /// Scratch table for [`exact_mfl`], sized so no neighborhood of `g` can
 /// fill it.
-pub(crate) fn mfl_scratch(g: &Graph) -> BoundedHashTable {
+pub fn mfl_scratch(g: &Graph) -> BoundedHashTable {
     let csr = g.incoming();
     let max_deg = (0..g.num_vertices() as VertexId)
         .map(|v| csr.degree(v) as usize)
@@ -167,9 +168,10 @@ pub(crate) fn mfl_scratch(g: &Graph) -> BoundedHashTable {
 /// in-neighbors' contributions in `ht` ([`mfl_scratch`]), then the shared
 /// [`BestLabel`] tie rule. `spoken(u)` is the label `u` speaks — a frozen
 /// array for the BSP tiers, the program's live state for the asynchronous
-/// sweep.
+/// sweep. `ht` is left holding `v`'s label histogram, so a tier that prices
+/// the scan reads [`occupied`](BoundedHashTable::occupied) off it.
 #[inline]
-pub(crate) fn exact_mfl(
+pub fn exact_mfl(
     prog: &dyn LpProgram,
     csr: &Csr,
     ht: &mut BoundedHashTable,

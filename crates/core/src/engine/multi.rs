@@ -206,6 +206,7 @@ impl Backend for MultiBackend<'_> {
         &mut self,
         priced: bool,
         dir: Direction,
+        _changed: u64,
         volume: u64,
         next_active: &[bool],
     ) -> Result<(), DeviceError> {

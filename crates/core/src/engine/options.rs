@@ -173,7 +173,10 @@ pub struct RunOptions {
     /// CMS buckets per row `w`.
     pub cms_width: usize,
     /// Harness OS threads per kernel (0 = number of available cores,
-    /// capped at 16). Has no effect on modeled time or results. The
+    /// capped at 16) — for every engine: the device tiers shard a launch
+    /// over them, the CPU baselines their per-vertex aggregation (whose
+    /// `CpuLpConfig::threads` is the *modeled* machine's, a cost-model
+    /// input). Has no effect on modeled time or results. The
     /// threads are spawned per launch, so on small graphs 1 is the fast
     /// setting: a CI-sized serving recluster measured 11.6 ms pinned to 1
     /// against 12–39 ms with auto on two cores.

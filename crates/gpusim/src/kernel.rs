@@ -18,13 +18,10 @@
 
 use crate::config::DeviceConfig;
 use crate::counters::KernelCounters;
-use crate::warp::{LaneTable, WARP_SIZE};
+use crate::warp::WARP_SIZE;
 
 /// Bytes per global-memory sector (Volta coalesces at 32-byte granularity).
 pub const SECTOR_BYTES: u64 = 32;
-
-/// Number of shared-memory banks.
-pub const NUM_BANKS: u32 = 32;
 
 /// Mutable per-kernel accounting state.
 #[derive(Debug)]
@@ -40,6 +37,50 @@ pub struct KernelCtx<'a> {
 /// bitmap: 256 sectors are an 8 KiB window, which holds the label gathers
 /// of a packed warp on a lattice a few hundred vertices wide.
 const BITMAP_RANGE: u64 = 256;
+
+/// Slots of a [`LaneTable`]: twice the lane count, so a warp's worth of
+/// distinct keys fills it to one half and linear probing stays short.
+const LANE_TABLE_SLOTS: usize = 2 * WARP_SIZE;
+
+/// A 64-slot open-addressing table on the stack, sized for the at most 32
+/// keys one warp-wide access can present. It is what keeps the scattered
+/// path of [`count_distinct`] linear in the lane count.
+///
+/// Each slot carries a caller-owned `mark`; a slot is free while its mark
+/// is zero, so whoever is handed a slot by [`find`](Self::find) must leave
+/// a non-zero mark in it (a seen flag).
+struct LaneTable {
+    keys: [u64; LANE_TABLE_SLOTS],
+    marks: [u32; LANE_TABLE_SLOTS],
+}
+
+impl LaneTable {
+    #[inline]
+    fn new() -> Self {
+        Self {
+            keys: [0; LANE_TABLE_SLOTS],
+            marks: [0; LANE_TABLE_SLOTS],
+        }
+    }
+
+    /// The slot of `key`: the one already holding it (mark non-zero) or
+    /// the free one it now claims (mark still zero).
+    ///
+    /// At most [`WARP_SIZE`] distinct keys may be presented (the table
+    /// would otherwise fill up and the probe would not terminate).
+    #[inline]
+    fn find(&mut self, key: u64) -> usize {
+        // Fibonacci multiply-shift: the top six bits index the table.
+        let mut slot = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58) as usize;
+        // `&`, not `&&`: whether a slot is free or already holds the key is
+        // a coin flip the branch predictor loses; a true collision is rare.
+        while (self.marks[slot] != 0) & (self.keys[slot] != key) {
+            slot = (slot + 1) % LANE_TABLE_SLOTS;
+        }
+        self.keys[slot] = key;
+        slot
+    }
+}
 
 /// Number of distinct values among up to one warp's lane values — the
 /// coalescer (distinct sectors) and the atomic-conflict count (lanes minus
@@ -290,16 +331,10 @@ impl<'a> KernelCtx<'a> {
         self.counters.global_write_sectors += end.div_ceil(SECTOR_BYTES) - base / SECTOR_BYTES;
     }
 
-    /// One warp-wide *random* global read where each active lane touches its
-    /// own sector (the pessimal pattern of per-vertex global hash tables).
-    /// Cheaper to call than [`Self::global_read`] when the caller already
-    /// knows the addresses do not coalesce.
-    #[inline]
-    pub fn global_read_scattered(&mut self, lanes: u64) {
-        self.counters.global_read_sectors += lanes;
-    }
-
-    /// Scattered warp-wide global write (see [`Self::global_read_scattered`]).
+    /// One warp-wide *random* global write where each active lane touches
+    /// its own sector (the pessimal pattern of per-vertex global hash
+    /// tables). Cheaper to call than [`Self::global_write`] when the caller
+    /// already knows the addresses do not coalesce.
     #[inline]
     pub fn global_write_scattered(&mut self, lanes: u64) {
         self.counters.global_write_sectors += lanes;
@@ -311,22 +346,6 @@ impl<'a> KernelCtx<'a> {
     pub fn global_atomic(&mut self, addrs: &[u64]) {
         self.counters.global_atomics += addrs.len() as u64;
         self.counters.global_atomic_conflicts += conflict_steps(addrs);
-    }
-
-    /// One warp-wide shared-memory access with the lanes' bank indices:
-    /// charges 1 access plus (max bank multiplicity − 1) conflict steps.
-    #[inline]
-    pub fn shared_access(&mut self, banks: &[u32]) {
-        debug_assert!(banks.len() <= WARP_SIZE);
-        self.counters.shared_accesses += 1;
-        let mut mult = [0u8; NUM_BANKS as usize];
-        let mut max = 0u8;
-        for &b in banks {
-            let m = &mut mult[(b % NUM_BANKS) as usize];
-            *m += 1;
-            max = max.max(*m);
-        }
-        self.counters.shared_bank_conflicts += u64::from(max.saturating_sub(1));
     }
 
     /// `n` uniform (conflict-free) shared accesses — the fast path when the
@@ -368,11 +387,39 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::warp::tests::{shaped, SHAPES};
     use proptest::prelude::*;
 
     fn ctx(cfg: &DeviceConfig) -> KernelCtx<'_> {
         KernelCtx::new(cfg)
+    }
+
+    /// Number of [`shaped`] shapes.
+    const SHAPES: u8 = 7;
+
+    /// Rearranges one warp-wide access's raw lane values into the shapes
+    /// the linear-time host paths of the coalescers key on.
+    fn shaped(shape: u8, mut v: Vec<u64>) -> Vec<u64> {
+        match shape % SHAPES {
+            // Already sorted: vertex keys of a packed warp, a CSR run.
+            0 => v.sort_unstable(),
+            // Piecewise sorted: concatenated sorted neighbour runs.
+            1 => v.chunks_mut(5).for_each(<[u64]>::sort_unstable),
+            2 => v = vec![v.first().copied().unwrap_or(0); v.len()],
+            // All distinct, unsorted.
+            3 => v
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, x)| *x = (*x << 5) | i as u64),
+            // Few groups (converged labels).
+            4 => v.iter_mut().for_each(|x| *x %= 3),
+            // Descending: sorted the wrong way round.
+            5 => {
+                v.sort_unstable();
+                v.reverse();
+            }
+            _ => {}
+        }
+        v
     }
 
     /// The sort-based coalescer [`distinct_sectors`] replaced, kept as the
@@ -649,13 +696,23 @@ mod tests {
     }
 
     #[test]
-    fn bank_conflicts_use_max_multiplicity() {
-        let cfg = DeviceConfig::titan_v();
-        let mut k = ctx(&cfg);
-        // banks 0,0,0,1 -> max multiplicity 3 -> 2 extra steps
-        k.shared_access(&[0, 32, 64, 1]);
-        assert_eq!(k.counters.shared_accesses, 1);
-        assert_eq!(k.counters.shared_bank_conflicts, 2);
+    fn lane_table_hands_out_one_slot_per_key() {
+        // A full warp of distinct keys fits, each in a slot of its own,
+        // and presenting a key again finds the slot it marked.
+        let mut t = LaneTable::new();
+        let key = |k: usize| k as u64 * 0x1_0000_0001;
+        let slots: Vec<usize> = (0..WARP_SIZE)
+            .map(|k| {
+                let s = t.find(key(k));
+                assert_eq!(t.marks[s], 0, "key {k} was handed a used slot");
+                t.marks[s] = 1 << k;
+                s
+            })
+            .collect();
+        for (k, &s) in slots.iter().enumerate() {
+            assert_eq!(t.find(key(k)), s);
+            assert_eq!(t.marks[s], 1 << k);
+        }
     }
 
     #[test]

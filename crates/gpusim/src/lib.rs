@@ -54,4 +54,4 @@ pub use kernel::KernelCtx;
 pub use multi::MultiGpu;
 pub use profile::DeviceProfile;
 pub use shared::SharedMem;
-pub use warp::{ballot_sync, lanes_init, match_any_sync, popc, WARP_SIZE};
+pub use warp::{ballot_sync, match_any_sync, popc, WARP_SIZE};

@@ -1,7 +1,7 @@
 //! Property-based invariants of the GPU model: coalescing bounds, warp
 //! intrinsic algebra, cost-model monotonicity.
 
-use glp_gpusim::warp::{ballot_sync, match_any_sync, popc, warp_reduce_max, WARP_SIZE};
+use glp_gpusim::warp::{ballot_sync, match_any_sync, popc, WARP_SIZE};
 use glp_gpusim::{CostModel, DeviceConfig, KernelCounters, KernelCtx};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -151,19 +151,6 @@ proptest! {
             .count() as u32;
         prop_assert_eq!(popc(mask), expect);
         prop_assert_eq!(mask & !active, 0, "ballot leaked inactive lanes");
-    }
-
-    /// warp_reduce_max returns the true maximum over active lanes.
-    #[test]
-    fn reduce_max_is_max(keys in prop::collection::vec(-100.0f64..100.0, 32), active in 1u32..) {
-        let mut arr = [0.0f64; WARP_SIZE];
-        arr.copy_from_slice(&keys);
-        let got = warp_reduce_max(active, &arr);
-        let expect = (0..32)
-            .filter(|&i| (active >> i) & 1 == 1)
-            .map(|i| arr[i])
-            .fold(f64::MIN, f64::max);
-        prop_assert_eq!(got.unwrap().0, expect);
     }
 
     /// More counted events never make a kernel cheaper (cost monotonicity).

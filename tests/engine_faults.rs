@@ -35,7 +35,7 @@
 
 #![cfg(feature = "fault-injection")]
 
-use glp_suite::baselines::GSortLp;
+use glp_suite::baselines::{CpuLp, CpuLpConfig, GSortLp};
 use glp_suite::core::engine::{
     BarrierHook, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
 };
@@ -553,6 +553,42 @@ fn lower_tier_resumes_at_the_failed_iteration_not_at_zero() {
         report.active_per_iteration,
         want_report.active_per_iteration
     );
+}
+
+/// The CPU baselines are rungs like any other since they became backends
+/// of the one driver: a GPU lost inside iteration 1 leaves OMP to re-drive
+/// iteration 1 from the live program and finish the run — same labels,
+/// same traces, on a frontier (unlike G-Sort, OMP can schedule over one),
+/// and the report's clock is the two tiers' own clocks added up.
+#[test]
+fn a_lost_gpu_finishes_on_the_omp_baseline() {
+    let g = caveman(6, 8);
+    let opts = RunOptions::default();
+    let (want_labels, want_changed, want_active) = reference(&g, &opts);
+    let per_iter = launches_per_iteration(&g, &opts);
+
+    let gpu = GpuEngine::titan_v();
+    let device = gpu.device().id();
+    let omp = CpuLp::omp(CpuLpConfig::default());
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(omp)])
+        .with_backoff(Duration::ZERO, Duration::ZERO);
+    faults::inject_fault(device, FaultKind::DeviceLost, per_iter + 1);
+
+    let mut prog = ClassicLp::new(g.num_vertices());
+    let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
+    faults::clear_device(device);
+
+    let stats = engine.resilience();
+    assert_eq!(stats.degradations, 1);
+    assert_eq!(stats.tier, Some("OMP"));
+    assert_eq!(stats.iterations_salvaged, 1);
+    assert_eq!(prog.labels(), &want_labels[..]);
+    assert_eq!(report.changed_per_iteration, want_changed);
+    assert_eq!(report.active_per_iteration, want_active);
+    assert_report_covers_the_whole_run(&report);
+    // OMP's share alone is a fork/join per superstep it ran.
+    let omp_supersteps = f64::from(report.iterations - 1);
+    assert!(report.modeled_seconds > omp_supersteps * 1e-4);
 }
 
 /// Frontier capability is per rung: a sparse run that degrades to a
