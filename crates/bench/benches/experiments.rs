@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glp_bench::workloads::table4_stream;
 use glp_bench::{run_algo, Algo, Approach};
 use glp_core::engine::{GpuEngine, HybridEngine, MflStrategy, MultiGpuEngine};
-use glp_core::{ClassicLp, Engine, RunOptions};
+use glp_core::{replay_delta, ClassicLp, Engine, MemoRecorder, RunOptions};
 use glp_fraud::{
     FraudPipeline, InHouseLp, IncrementalWindow, PipelineConfig, Transaction, TxConfig, TxStream,
     WindowWorkload,
@@ -15,7 +15,7 @@ use glp_fraud::{
 use glp_gpusim::{Device, DeviceConfig};
 use glp_graph::datasets::by_name;
 use glp_graph::gen::{bipartite_interaction, BipartiteConfig};
-use glp_graph::Graph;
+use glp_graph::{Graph, GraphBuilder, VertexId};
 
 fn small_graph() -> Graph {
     by_name("dblp").expect("registry").generate_scaled(32)
@@ -186,11 +186,31 @@ fn bench_window_materialize(c: &mut Criterion) {
     group.finish();
 }
 
-/// The phase memo's mechanism beside its bypass (one 20-iteration
-/// `GpuEngine` run each): on a user–item window synchronous LP falls into a
+/// `g` plus `extra` undirected edges, parallel edges merged.
+fn with_edges(g: &Graph, extra: &[(VertexId, VertexId)]) -> Graph {
+    let mut b = GraphBuilder::with_capacity(g.num_vertices(), g.num_edges() as usize);
+    for v in 0..g.num_vertices() as VertexId {
+        for &u in g.neighbors(v).iter().filter(|&&u| u < v) {
+            b.add_edge(u, v);
+        }
+    }
+    for &(u, v) in extra {
+        b.add_edge(u, v);
+    }
+    b.symmetrize(true).dedup(true);
+    b.build()
+}
+
+/// The period-2 records' mechanism beside its bypass, on both paths that
+/// keep them (20 iterations of `ClassicLp` each). Full path, one
+/// `GpuEngine` run: on a user–item window synchronous LP falls into a
 /// 2-cycle and about half the iterations replay a recorded phase; on a road
 /// lattice labels keep sliding, no input repeats and every phase is computed
-/// — that case pays the per-iteration fingerprint and nothing else.
+/// — that case pays the per-iteration fingerprint and nothing else. Delta
+/// path, one `replay_delta` of a 64-edge delta against the memo of the run
+/// before it: the window's frontier takes its decisions from the record two
+/// back once the labels cycle; the lattice's never can, and pays one
+/// compare per iteration.
 fn bench_period2(c: &mut Criterion) {
     let window = bipartite_interaction(&BipartiteConfig {
         num_users: 4_000,
@@ -217,6 +237,49 @@ fn bench_period2(c: &mut Criterion) {
             report.iterations
         );
         group.bench_function(name, |b| b.iter(run));
+    }
+    // 64 "transactions": a user–item edge each on the window (users come
+    // first in its id space), a shortcut between nearby vertices each on
+    // the lattice.
+    let window_delta: Vec<(VertexId, VertexId)> = (0..64)
+        .map(|k| (k * 61 % 4_000, 4_000 + k * 23 % 1_500))
+        .collect();
+    let stride = lattice.num_vertices() as VertexId / 64;
+    let lattice_delta: Vec<(VertexId, VertexId)> =
+        (0..64).map(|k| (k * stride, k * stride + 2)).collect();
+    for (name, g, delta) in [
+        ("bipartite_window", &window, &window_delta),
+        ("road_lattice", &lattice, &lattice_delta),
+    ] {
+        let (old, new) = (with_edges(g, &[]), with_edges(g, delta));
+        let n = new.num_vertices();
+        let recorder = MemoRecorder::new();
+        GpuEngine::titan_v()
+            .run(
+                &old,
+                &mut ClassicLp::with_max_iterations(n, 20),
+                &RunOptions::default().with_barrier_hook(recorder.hook(n)),
+            )
+            .expect("healthy device");
+        let memo = recorder.into_memo();
+        let mut seeds = vec![false; n];
+        for &(u, v) in delta {
+            seeds[u as usize] = true;
+            seeds[v as usize] = true;
+        }
+        let run = || {
+            let mut prog = ClassicLp::with_max_iterations(n, 20);
+            replay_delta(&new, &mut prog, &memo, &seeds, 20)
+        };
+        let replay = run();
+        println!(
+            "period2/delta_replay/{name}: frontier {} (peak {}), {} of {} iterations taken from the record",
+            replay.initial_frontier,
+            replay.peak_frontier,
+            replay.report.replayed_iterations,
+            replay.report.iterations
+        );
+        group.bench_function(format!("delta_replay/{name}"), |b| b.iter(run));
     }
     group.finish();
 }

@@ -95,7 +95,9 @@ pub trait LpProgram: Sync {
     /// skips a vertex none of whose in-neighbors changed label, keeping its
     /// previous decision; and the BSP driver replays a whole
     /// LabelPropagation phase, decisions included, when every spoken label
-    /// and the frontier equal those of two iterations earlier.
+    /// and the frontier equal those of two iterations earlier
+    /// ([`replay_delta`](crate::replay_delta) does the same for its
+    /// frontier's decisions).
     /// Classic/seeded/weighted LP qualify; LLP (global volumes) and SLP
     /// (random speaker draws) do not. Default: false (always safe).
     fn sparse_activation(&self) -> bool {

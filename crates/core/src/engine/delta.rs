@@ -57,7 +57,37 @@
 //! on the frontier. What remains per iteration beside that
 //! frontier-proportional work is four branch-free `memcpy`-class passes
 //! over a label-sized array (spoken labels, the dense decision array in
-//! and out of `apply_decisions`, the entry copy).
+//! and out of `apply_decisions`, the entry copy) — and, while the frontier
+//! list repeats two apart, one compare of the spoken labels against the
+//! phase two back plus, on a miss, one copy of them into the record.
+//!
+//! ## A 2-cycle computes each half once
+//!
+//! Synchronous LP on a user–item window falls into a period-2 orbit, and
+//! the vertices a delta touches (popular items) sit in the middle of it:
+//! the engines' lag-1 rule "no in-neighbor changed, keep the decision"
+//! never fires for them, yet from some iteration on everything they read
+//! is what they read two iterations earlier. So the replay keeps the last
+//! three *frontier phases* — the frontier list, the spoken labels, one
+//! exact decision per frontier vertex — and when iteration `t`'s frontier
+//! list and spoken labels equal those of `t − 2`, element by element (no
+//! fingerprint), it writes the recorded decisions instead of computing
+//! them. This is [the driver's phase replay](super::bsp) at the replay's
+//! own granularity, under the same licence: only for a program declaring
+//! [`sparse_activation`](LpProgram::sparse_activation) — a frontier
+//! vertex's exact decision is then a function of the spoken labels and
+//! the program's pure callbacks — and only from a phase this call
+//! recorded (computed, or taken over in turn).
+//!
+//! What a hit does *not* reuse: off the frontier the **current** memo
+//! entry supplies the decision, as on every other iteration, so nothing
+//! requires the memo to be periodic; `apply_decisions`, the divergence
+//! check against the current entry and the next frontier run unchanged.
+//! The frontier list is compared first and a phase is recorded only when
+//! its list equals the one two back: a replay whose frontier keeps
+//! growing (a road lattice, where the delta's divergence spreads a hop an
+//! iteration) compares two lengths per iteration and keeps nothing
+//! label-sized.
 //!
 //! Past the memo's end the last entry extends as a fixpoint, which is
 //! valid when the memoized run converged (`changed == 0` implies the
@@ -74,6 +104,15 @@ use std::time::Instant;
 /// What one [`replay_delta`] produced: the run report (host wall clock
 /// only — no device is involved), the *new* memo for the next delta, and
 /// the frontier trajectory.
+///
+/// `report.replayed_iterations` counts the iterations whose frontier
+/// decisions were taken from the phase two back instead of computed (see
+/// the module docs). A hit reuses exactly that — one exact decision per
+/// frontier vertex and their `scheduled` count. It never reuses a memo
+/// entry (off the frontier the current one decides), and
+/// `apply_decisions`, the divergence check and the next frontier run on
+/// every iteration: every field below is what a replay that computed
+/// every frontier leaves.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaReplay {
     /// Iterations, per-iteration `changed` (identical to the from-scratch
@@ -89,6 +128,20 @@ pub struct DeltaReplay {
     pub initial_frontier: usize,
     /// Largest frontier any iteration consumed.
     pub peak_frontier: usize,
+}
+
+/// One iteration's frontier phase: the frontier list and, when the phase
+/// was recorded, the spoken labels its exact decisions read and what they
+/// were.
+#[derive(Default)]
+struct FrontierPhase {
+    frontier: Vec<VertexId>,
+    /// Empty unless recorded (so nothing equals it).
+    spoken: Vec<Label>,
+    /// One decision per frontier vertex, in list order.
+    decided: Vec<Decision>,
+    /// Frontier vertices with a neighbor list (what the report counts).
+    scheduled: u64,
 }
 
 /// Replays `prog` over `g` against a remapped `memo` of the previous
@@ -123,11 +176,20 @@ pub fn replay_delta(
     // walks the frontier and its out-neighbors, never the graph.
     let seed_list: Vec<VertexId> = (0..n as VertexId).filter(|&v| seeds[v as usize]).collect();
     let isolated: Vec<VertexId> = (0..n as VertexId).filter(|&v| g.degree(v) == 0).collect();
-    let mut frontier = seed_list.clone();
     let mut on_frontier: Vec<bool> = seeds.to_vec();
     let mut next: Vec<VertexId> = Vec::new();
-    let mut spoken: Vec<Label> = vec![0; n];
     let mut decisions: Vec<Decision> = vec![None; n];
+    // A frontier vertex's exact decision is a function of the spoken
+    // labels only for a `sparse_activation` program: only then may a
+    // recorded phase stand in for a computed one.
+    let memoize = prog.sparse_activation();
+    #[cfg(test)]
+    let memoize = memoize && !tests::ALWAYS_COMPUTE.get();
+    // `ring[0]` is the frontier phase being driven, `ring[1]` and `ring[2]`
+    // the ones one and two iterations back.
+    let mut ring: [FrontierPhase; 3] = Default::default();
+    ring[0].frontier = seed_list.clone();
+    let mut spoken: Vec<Label> = vec![0; n];
     let mut result = DeltaReplay {
         initial_frontier: seed_list.len(),
         peak_frontier: seed_list.len(),
@@ -137,22 +199,46 @@ pub fn replay_delta(
 
     for iteration in 0..max_iterations {
         prog.begin_iteration(iteration);
+        let [cur, _, old] = &mut ring;
         prog.pick_labels_into(0, &mut spoken);
         let pred = &memo[(iteration as usize).min(memo.len() - 1)];
         // Off the frontier the memo's label *is* the vertex's
-        // from-scratch decision; the score slot is ignored by
-        // `update_vertex` (only the label lands in program state).
+        // from-scratch decision. Only the label lands in program state;
+        // the score is one no adoption floor (`SeededLp`) turns away.
         for (d, &p) in decisions.iter_mut().zip(pred) {
-            *d = Some((p, 0.0));
+            *d = Some((p, f64::INFINITY));
         }
         for &v in &isolated {
             decisions[v as usize] = None;
         }
-        let mut scheduled = 0u64;
-        for &v in &frontier {
-            if g.degree(v) > 0 {
-                scheduled += 1;
-                decisions[v as usize] = exact_mfl(&*prog, csr, &mut ht, v, |u| spoken[u as usize]);
+        // Same frontier, same spoken labels as two iterations back: the
+        // exact decisions are the ones recorded then. Compared element by
+        // element, and the frontier — the short list — first: while it
+        // does not repeat, nothing label-sized is compared or kept.
+        let periodic = memoize && old.frontier == cur.frontier;
+        let hit = periodic && old.spoken == spoken;
+        if hit {
+            std::mem::swap(&mut cur.spoken, &mut old.spoken);
+            std::mem::swap(&mut cur.decided, &mut old.decided);
+            cur.scheduled = old.scheduled;
+            report.replayed_iterations += 1;
+            for (&v, &d) in cur.frontier.iter().zip(&cur.decided) {
+                decisions[v as usize] = d;
+            }
+        } else {
+            cur.decided.clear();
+            cur.scheduled = 0;
+            for &v in &cur.frontier {
+                if g.degree(v) > 0 {
+                    cur.scheduled += 1;
+                    decisions[v as usize] =
+                        exact_mfl(&*prog, csr, &mut ht, v, |u| spoken[u as usize]);
+                }
+                cur.decided.push(decisions[v as usize]);
+            }
+            cur.spoken.clear();
+            if periodic {
+                cur.spoken.extend_from_slice(&spoken);
             }
         }
         let changed = prog.apply_decisions(&decisions);
@@ -164,7 +250,7 @@ pub fn replay_delta(
         // its out-neighbors.
         let labels = prog.labels();
         let mut entry = pred.clone();
-        for &v in &frontier {
+        for &v in &cur.frontier {
             on_frontier[v as usize] = false;
         }
         let mut admit = |v: VertexId| {
@@ -173,7 +259,7 @@ pub fn replay_delta(
             }
         };
         seed_list.iter().for_each(|&v| admit(v));
-        for &v in &frontier {
+        for &v in &cur.frontier {
             let l = labels[v as usize];
             if l != pred[v as usize] {
                 entry[v as usize] = l;
@@ -181,13 +267,16 @@ pub fn replay_delta(
                 out.neighbors(v).iter().for_each(|&w| admit(w));
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
-        result.peak_frontier = result.peak_frontier.max(frontier.len());
+        result.peak_frontier = result.peak_frontier.max(next.len());
         result.memo.push(entry);
         report.changed_per_iteration.push(changed);
-        report.active_per_iteration.push(scheduled);
+        report.active_per_iteration.push(cur.scheduled);
         report.iterations = iteration + 1;
+        // The phase two back, which nothing compares against any more,
+        // becomes the one the next iteration drives.
+        ring.rotate_right(1);
+        std::mem::swap(&mut ring[0].frontier, &mut next);
+        next.clear();
         if prog.finished(iteration, changed) {
             result.converged = changed == 0;
             break;
@@ -238,9 +327,22 @@ mod tests {
         SequentialEngine,
     };
     use super::*;
-    use crate::variants::WeightedLp;
+    use crate::variants::{ClassicLp, Llp, SeededLp, WeightedLp};
     use glp_gpusim::{Device, DeviceConfig};
+    use glp_graph::gen::{
+        bipartite_interaction, caveman, community_powerlaw, road_network, BipartiteConfig,
+        CommunityPowerLawConfig, RoadConfig,
+    };
     use glp_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    thread_local! {
+        /// The pin that proves record ≡ recompute: while set, the calling
+        /// thread's replays compute every frontier. Absent from non-test
+        /// builds.
+        pub(super) static ALWAYS_COMPUTE: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
 
     /// Two weighted communities bridged by growing edges; `extra` edges
     /// are appended to the base graph to form the delta.
@@ -389,6 +491,200 @@ mod tests {
             assert_eq!(prog.labels(), &settled[..], "{tier}");
             assert_eq!(report.active_per_iteration, vec![0], "{tier}");
             assert_eq!(report.changed_per_iteration, vec![0], "{tier}");
+        }
+    }
+    const ITERS: u32 = 20;
+
+    /// The user–item window shape (synchronous LP 2-cycles on it), a
+    /// caveman ring, a power-law community graph, a road lattice.
+    fn family(family: usize, seed: u64) -> Graph {
+        match family {
+            0 => bipartite_interaction(&BipartiteConfig {
+                num_users: 60,
+                num_items: 25,
+                num_interactions: 600,
+                skew: 0.8,
+                seed,
+            }),
+            1 => caveman(6, 5),
+            2 => community_powerlaw(&CommunityPowerLawConfig {
+                num_vertices: 200,
+                avg_degree: 6.0,
+                num_communities: 6,
+                seed,
+                ..Default::default()
+            }),
+            _ => road_network(&RoadConfig {
+                width: 12,
+                height: 9,
+                keep: 0.7,
+                seed,
+            }),
+        }
+    }
+
+    /// `base` over `extra_vertices` more vertices plus the `extra` edges.
+    /// An edge keeps the weight it has in `base` (an unweighted base is
+    /// weighted by endpoints, parallel edges summed); an extra edge that
+    /// repeats one thickens it.
+    fn grown(base: &Graph, extra_vertices: usize, extra: &[(VertexId, VertexId)]) -> Graph {
+        let by_endpoints = |u: VertexId, v: VertexId| 1.0 + ((u + v) % 3) as f32;
+        let mut b = GraphBuilder::new(base.num_vertices() + extra_vertices);
+        for v in 0..base.num_vertices() as VertexId {
+            let weights = base.incoming().neighbor_weights(v);
+            for (j, &u) in base.neighbors(v).iter().enumerate() {
+                if u < v {
+                    b.add_weighted_edge(u, v, weights.map_or(by_endpoints(u, v), |w| w[j]));
+                }
+            }
+        }
+        for &(u, v) in extra {
+            b.add_weighted_edge(u, v, by_endpoints(u, v));
+        }
+        b.symmetrize(true).dedup(true);
+        b.build()
+    }
+
+    /// `ClassicLp`, `WeightedLp` without and with retention, `SeededLp`;
+    /// `Llp` past them.
+    fn program(variant: usize, g: &Graph) -> Box<dyn LpProgram> {
+        let n = g.num_vertices();
+        match variant {
+            0 => Box::new(ClassicLp::with_max_iterations(n, ITERS)),
+            1 => Box::new(WeightedLp::from_graph(g, ITERS)),
+            2 => Box::new(WeightedLp::from_graph(g, ITERS).with_retention(0.5)),
+            3 => {
+                let seeds: Vec<VertexId> = (0..n as VertexId).step_by(7).collect();
+                Box::new(SeededLp::with_max_iterations(n, &seeds, ITERS))
+            }
+            // Not `sparse_activation`: scores read per-round global volumes.
+            _ => Box::new(Llp::with_max_iterations(n, 1.0, ITERS)),
+        }
+    }
+
+    /// What a replay leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        labels: Vec<Label>,
+        changed: Vec<u64>,
+        active: Vec<u64>,
+        memo: Vec<Vec<Label>>,
+        converged: bool,
+        frontiers: (usize, usize),
+    }
+
+    /// Replays with the records live (`reuse`) or pinned off; returns the
+    /// outcome and how many iterations were taken from a record.
+    fn replay(
+        g: &Graph,
+        prog: &mut dyn LpProgram,
+        memo: &[Vec<Label>],
+        seeds: &[bool],
+        reuse: bool,
+    ) -> (Outcome, u32) {
+        ALWAYS_COMPUTE.set(!reuse);
+        let r = replay_delta(g, prog, memo, seeds, ITERS);
+        ALWAYS_COMPUTE.set(false);
+        let outcome = Outcome {
+            labels: prog.labels().to_vec(),
+            changed: r.report.changed_per_iteration,
+            active: r.report.active_per_iteration,
+            memo: r.memo,
+            converged: r.converged,
+            frontiers: (r.initial_frontier, r.peak_frontier),
+        };
+        (outcome, r.report.replayed_iterations)
+    }
+
+    /// The from-scratch run of `variant` over `g`: labels, `changed`
+    /// trace, memo.
+    fn from_scratch(variant: usize, g: &Graph) -> (Vec<Label>, Vec<u64>, Vec<Vec<Label>>) {
+        let mut prog = program(variant, g);
+        let recorder = MemoRecorder::new();
+        let opts = RunOptions::default()
+            .with_max_iterations(ITERS)
+            .with_barrier_hook(recorder.hook(g.num_vertices()));
+        let report = SequentialEngine::bsp().run(g, &mut *prog, &opts).unwrap();
+        (
+            prog.labels().to_vec(),
+            report.changed_per_iteration,
+            recorder.into_memo(),
+        )
+    }
+
+    /// A delta over `old`: the `picks` as edges between existing vertices,
+    /// one edge to a new vertex, and a second new vertex that is seeded
+    /// but isolated. Returns the grown graph, the old run's memo carried
+    /// into its id space (identity placeholders on the new vertices) and
+    /// the seed bitmap.
+    fn delta_case(
+        variant: usize,
+        old: &Graph,
+        picks: &[(u32, u32)],
+    ) -> (Graph, Vec<Vec<Label>>, Vec<bool>) {
+        let n_old = old.num_vertices() as VertexId;
+        let mut extra: Vec<(VertexId, VertexId)> = picks
+            .iter()
+            .map(|&(a, b)| (a % n_old, b % n_old))
+            .filter(|(u, v)| u != v)
+            .collect();
+        extra.push((picks[0].0 % n_old, n_old));
+        let new = grown(old, 2, &extra);
+        let mut seeds = vec![false; new.num_vertices()];
+        for &(u, v) in &extra {
+            seeds[u as usize] = true;
+            seeds[v as usize] = true;
+        }
+        seeds[n_old as usize + 1] = true;
+        let (_, _, mut memo) = from_scratch(variant, old);
+        for entry in &mut memo {
+            entry.extend([n_old, n_old + 1]);
+        }
+        (new, memo, seeds)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// A replay that takes frontier decisions from its records leaves
+        /// exactly what the replay that computes every frontier leaves —
+        /// which is what the from-scratch run leaves.
+        #[test]
+        fn taking_the_record_equals_recomputing(
+            fam in 0usize..4,
+            seed in 0u64..1000,
+            variant in 0usize..4,
+            picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 1..12),
+        ) {
+            let old = grown(&family(fam, seed), 0, &[]);
+            let (new, memo, seeds) = delta_case(variant, &old, &picks);
+            let mut computed = program(variant, &new);
+            let (want, none) = replay(&new, &mut *computed, &memo, &seeds, false);
+            prop_assert_eq!(none, 0);
+            let mut reused = program(variant, &new);
+            let (got, hits) = replay(&new, &mut *reused, &memo, &seeds, true);
+            prop_assert_eq!(&got, &want);
+            let (labels, changed, _) = from_scratch(variant, &new);
+            prop_assert_eq!(&got.labels, &labels);
+            prop_assert_eq!(&got.changed, &changed);
+            // A window still cycles at the cap: it has repeated itself.
+            prop_assert!(fam != 0 || hits > 0, "bipartite window replayed nothing");
+        }
+    }
+
+    /// The licence is the program's: on a window where `ClassicLp` takes
+    /// most of its frontiers from the records, a program that does not
+    /// declare `sparse_activation` computes every one.
+    #[test]
+    fn a_program_without_sparse_activation_takes_no_record() {
+        let old = grown(&family(0, 7), 0, &[]);
+        for (variant, licensed) in [(0, true), (4, false)] {
+            let (new, memo, seeds) = delta_case(variant, &old, &[(3, 70), (11, 64)]);
+            let mut prog = program(variant, &new);
+            let (outcome, hits) = replay(&new, &mut *prog, &memo, &seeds, true);
+            assert_eq!(outcome.changed.len(), ITERS as usize, "still cycling");
+            let want = if licensed { ITERS / 2..ITERS } else { 0..1 };
+            assert!(want.contains(&hits), "variant {variant} took {hits}");
         }
     }
 }

@@ -61,7 +61,11 @@ pub struct LpRunReport {
     /// Iterations whose LabelPropagation phase the driver replayed from the
     /// record of the identical phase two iterations earlier instead of
     /// computing it (a run in a 2-cycle). Modeled time, counters and traces
-    /// do not tell such an iteration from a computed one; always 0 for
+    /// do not tell such an iteration from a computed one. In the report of
+    /// a [`replay_delta`](crate::replay_delta) it counts the iterations
+    /// whose frontier decisions were taken from such a record — the same
+    /// rule at the replay's granularity — so a serving recluster carries
+    /// the count on its full and its incremental runs alike. Always 0 for
     /// programs without `sparse_activation`.
     pub replayed_iterations: u32,
     /// Per-kernel aggregation (count / total / p50 / max modeled seconds,

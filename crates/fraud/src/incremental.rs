@@ -496,7 +496,7 @@ fn patch_csr(
 mod tests {
     use super::*;
     use crate::transactions::TxConfig;
-    use glp_graph::GraphBuilder;
+    use glp_graph::{GraphBuilder, IdMap};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -525,8 +525,8 @@ mod tests {
     /// summed. Returns the graph and the user / item-vertex mappings.
     fn reference_build<'a>(
         txs: impl IntoIterator<Item = &'a Transaction>,
-    ) -> (Graph, HashMap<u32, VertexId>, HashMap<u32, VertexId>) {
-        let mut user_vertex: HashMap<u32, VertexId> = HashMap::new();
+    ) -> (Graph, IdMap<u32, VertexId>, HashMap<u32, VertexId>) {
+        let mut user_vertex: IdMap<u32, VertexId> = IdMap::default();
         let mut item_slot: HashMap<u32, u32> = HashMap::new();
         let mut pairs: Vec<(VertexId, u32)> = Vec::new();
         for t in txs {

@@ -15,8 +15,7 @@
 //! more than the two endpoint arrays beside the result.
 
 use crate::transactions::{Transaction, TxStream};
-use glp_graph::{Csr, EdgeId, Graph, VertexId};
-use std::collections::HashMap;
+use glp_graph::{Csr, EdgeId, Graph, IdMap, VertexId};
 use std::sync::Arc;
 
 /// One sliding-window workload: the graph plus id mappings.
@@ -29,7 +28,7 @@ pub struct WindowWorkload {
     /// materialized it (which patches it into the next window's graph).
     pub graph: Arc<Graph>,
     /// Graph vertex id of each participating user: `user_vertex[u]`.
-    pub user_vertex: HashMap<u32, VertexId>,
+    pub user_vertex: IdMap<u32, VertexId>,
     /// Number of user vertices (items follow them in the id space).
     pub num_user_vertices: usize,
     /// Transactions the window was built from — an identity stamp that
@@ -46,8 +45,8 @@ pub struct WindowWorkload {
 #[derive(Clone, Debug)]
 pub(crate) struct BuiltWindow {
     pub(crate) graph: Arc<Graph>,
-    pub(crate) user_vertex: HashMap<u32, VertexId>,
-    pub(crate) item_slot: HashMap<u32, u32>,
+    pub(crate) user_vertex: IdMap<u32, VertexId>,
+    pub(crate) item_slot: IdMap<u32, u32>,
 }
 
 /// Builds a window's graph from a single in-order pass over its
@@ -60,8 +59,8 @@ pub(crate) fn build_window<'a, I>(txs: I) -> BuiltWindow
 where
     I: IntoIterator<Item = &'a Transaction>,
 {
-    let mut user_vertex: HashMap<u32, VertexId> = HashMap::new();
-    let mut item_slot: HashMap<u32, u32> = HashMap::new();
+    let mut user_vertex: IdMap<u32, VertexId> = IdMap::default();
+    let mut item_slot: IdMap<u32, u32> = IdMap::default();
     let mut pairs: Vec<(VertexId, u32)> = Vec::new();
     for t in txs {
         let next = user_vertex.len() as VertexId;

@@ -16,6 +16,8 @@
 //!   deterministic helper topologies for tests.
 //! * [`datasets`] — a registry reproducing Table 2 and Table 4 signatures at
 //!   a configurable scale.
+//! * [`idhash`] — [`IdMap`] / [`IdSet`]: hash maps keyed by integer ids
+//!   under a seeded multiply-shift hasher (the serving stack's id maps).
 //! * [`stats`] — degree statistics used to size kernel dispatch buckets.
 //! * [`partition`] — vertex-range partitioning for the hybrid out-of-core
 //!   mode and the multi-GPU / distributed execution models.
@@ -26,6 +28,7 @@ pub mod builder;
 pub mod csr;
 pub mod datasets;
 pub mod gen;
+pub mod idhash;
 pub mod io;
 pub mod partition;
 pub mod stats;
@@ -33,4 +36,5 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::{Csr, Graph};
+pub use idhash::{IdHashBuilder, IdMap, IdSet};
 pub use types::{EdgeId, Label, VertexId, INVALID_LABEL, INVALID_VERTEX};

@@ -38,7 +38,7 @@ use crate::query::VerdictSnapshot;
 use crate::recluster::{ReclusterOutcome, ReclusterRequest, WarmState};
 use crate::stamped::StampedWindow;
 use glp_fraud::{IncrementalWindow, Transaction, WindowWorkload};
-use std::collections::{HashMap, HashSet};
+use glp_graph::{IdMap, IdSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -196,14 +196,14 @@ fn item_key(i: u32) -> u64 {
 
 /// Plain iterative union-find with path halving.
 struct Dsu {
-    index: HashMap<u64, usize>,
+    index: IdMap<u64, usize>,
     parent: Vec<usize>,
 }
 
 impl Dsu {
     fn new() -> Self {
         Self {
-            index: HashMap::new(),
+            index: IdMap::default(),
             parent: Vec::new(),
         }
     }
@@ -270,56 +270,51 @@ pub fn reconcile_with(
 ) -> Reconciled {
     assert_eq!(frames.len(), locals.len(), "one local snapshot per frame");
 
-    // Pass 1: connected components of the union graph.
+    // Pass 1: connected components of the union graph. Each
+    // transaction's dense buyer id is kept, so the later passes index
+    // where this one hashed.
+    let stamped = || {
+        frames
+            .iter()
+            .flat_map(|f| f.txs.iter().map(move |&(seq, t)| (f.shard, seq, t)))
+    };
     let mut dsu = Dsu::new();
-    for f in frames {
-        for &(_, t) in &f.txs {
-            let (u, i) = (dsu.id(user_key(t.buyer)), dsu.id(item_key(t.item)));
-            dsu.union(u, i);
-        }
+    let mut buyers: Vec<usize> = Vec::with_capacity(frames.iter().map(|f| f.txs.len()).sum());
+    for (_, _, t) in stamped() {
+        let (u, i) = (dsu.id(user_key(t.buyer)), dsu.id(item_key(t.item)));
+        dsu.union(u, i);
+        buyers.push(u);
     }
 
     // Pass 2: which components' users span two or more shards. A user
     // appears only on the shard that owns it, so the user's frame is
     // its shard.
-    let mut shards_of_root: HashMap<usize, (usize, bool)> = HashMap::new();
-    for f in frames {
-        for &(_, t) in &f.txs {
-            let id = dsu.id(user_key(t.buyer));
-            let root = dsu.find(id);
-            let e = shards_of_root.entry(root).or_insert((f.shard, false));
-            if e.0 != f.shard {
-                e.1 = true; // a second shard touched this component
-            }
-        }
+    let mut shard_of_root: Vec<Option<usize>> = vec![None; dsu.parent.len()];
+    let mut spanning = vec![false; dsu.parent.len()];
+    for ((shard, _, _), &id) in stamped().zip(&buyers) {
+        let root = dsu.find(id);
+        // A second shard touching the component makes it spanning.
+        spanning[root] |= *shard_of_root[root].get_or_insert(shard) != shard;
     }
-    let spanning: HashSet<usize> = shards_of_root
-        .iter()
-        .filter(|(_, &(_, multi))| multi)
-        .map(|(&root, _)| root)
-        .collect();
 
     // Pass 3: collect the spanning components' transactions and merge
     // them back into global arrival order by sequence stamp. The
     // day-monotone apply filter made accepted days non-decreasing in
     // stamp order, so the merged log is day-sorted like any real log.
-    let mut boundary_users: HashSet<u32> = HashSet::new();
-    let mut boundary_items: HashSet<u32> = HashSet::new();
+    let mut boundary_users: IdSet<u32> = IdSet::default();
+    let mut boundary_items: IdSet<u32> = IdSet::default();
     let mut merged: Vec<(u64, Transaction)> = Vec::new();
-    for f in frames {
-        for &(seq, t) in &f.txs {
-            let id = dsu.id(user_key(t.buyer));
-            if spanning.contains(&dsu.find(id)) {
-                boundary_users.insert(t.buyer);
-                boundary_items.insert(t.item);
-                merged.push((seq, t));
-            }
+    for ((_, seq, t), &id) in stamped().zip(&buyers) {
+        if spanning[dsu.find(id)] {
+            boundary_users.insert(t.buyer);
+            boundary_items.insert(t.item);
+            merged.push((seq, t));
         }
     }
     merged.sort_unstable_by_key(|&(seq, _)| seq);
 
     let report = ExchangeReport {
-        spanning_components: spanning.len(),
+        spanning_components: spanning.iter().filter(|&&s| s).count(),
         boundary_users: boundary_users.len(),
         boundary_items: boundary_items.len(),
         boundary_txs: merged.len(),
