@@ -37,17 +37,18 @@
 //! label-exchange protocol merges by. Version-1 images (no stamp
 //! section) still decode, with `seqs` empty.
 //!
-//! Writes go through a temp file + atomic rename, so a crash mid-write
-//! leaves the previous checkpoint intact; reads verify magic, version,
-//! length, checksum, and the window invariants before anything is
-//! trusted. A torn, truncated, or bit-flipped file yields a typed
-//! [`CheckpointError`], never a corrupt window.
+//! Writes go through the codec's atomic write (temp file + rename), so a
+//! crash mid-write leaves the previous checkpoint intact; reads verify
+//! magic, version, length, checksum, and the window invariants before
+//! anything is trusted. A torn, truncated, or bit-flipped file yields a
+//! typed [`RecordError`], never a corrupt window. The framing pieces —
+//! CRC, field reader, transaction encoding, atomic write — are shared
+//! with the fleet journal ([`crate::journal`]).
 
+use crate::codec::{self, check_crc, crc32, put_tx, Reader, RecordError, TX_BYTES};
 use crate::incremental::IncrementalWindow;
 use crate::transactions::Transaction;
-use std::fmt;
 use std::fs;
-use std::io::{self, Write};
 use std::path::Path;
 
 /// Current encoding version. Bump on any layout change; [`decode`]
@@ -59,56 +60,6 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 
 const MAGIC: [u8; 4] = *b"GLPW";
 const HEADER_BYTES: usize = 36;
-const TX_BYTES: usize = 16;
-
-/// Why a checkpoint failed to load.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// The file could not be read or written.
-    Io(io::Error),
-    /// Shorter than any valid checkpoint, or its declared counts overrun
-    /// the actual length (a truncated / torn file).
-    Truncated,
-    /// The magic bytes are not `GLPW`.
-    BadMagic,
-    /// A version this build does not understand.
-    BadVersion(u32),
-    /// The stored CRC-32 does not match the bytes.
-    BadChecksum {
-        /// Checksum recorded in the file.
-        stored: u32,
-        /// Checksum of the bytes actually read.
-        actual: u32,
-    },
-    /// Decoded cleanly but violates a window invariant.
-    Invalid(&'static str),
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "checkpoint io error: {e}"),
-            Self::Truncated => write!(f, "checkpoint truncated"),
-            Self::BadMagic => write!(f, "not a GLPW checkpoint"),
-            Self::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            Self::BadChecksum { stored, actual } => {
-                write!(
-                    f,
-                    "checksum mismatch: stored {stored:#010x}, actual {actual:#010x}"
-                )
-            }
-            Self::Invalid(why) => write!(f, "invalid checkpoint: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<io::Error> for CheckpointError {
-    fn from(e: io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 /// One captured service state: the window plus the serving-side clocks.
 #[derive(Clone, Debug)]
@@ -174,9 +125,9 @@ impl WindowCheckpoint {
 
     /// Reconstructs the window this checkpoint captured. Validates the
     /// window invariants (see [`IncrementalWindow::from_parts`]).
-    pub fn restore_window(&self) -> Result<IncrementalWindow, CheckpointError> {
+    pub fn restore_window(&self) -> Result<IncrementalWindow, RecordError> {
         IncrementalWindow::from_parts(self.days, self.end, self.log.clone())
-            .map_err(CheckpointError::Invalid)
+            .map_err(RecordError::Invalid)
     }
 
     /// Serializes to the versioned, CRC-trailed byte layout.
@@ -202,10 +153,7 @@ impl WindowCheckpoint {
         }
         out.extend_from_slice(&(self.log.len() as u64).to_le_bytes());
         for t in &self.log {
-            out.extend_from_slice(&t.buyer.to_le_bytes());
-            out.extend_from_slice(&t.item.to_le_bytes());
-            out.extend_from_slice(&t.day.to_le_bytes());
-            out.extend_from_slice(&t.amount.to_bits().to_le_bytes());
+            put_tx(&mut out, t);
         }
         out.extend_from_slice(&(self.seqs.len() as u64).to_le_bytes());
         for s in &self.seqs {
@@ -217,76 +165,32 @@ impl WindowCheckpoint {
     }
 
     /// Decodes and fully validates one checkpoint image.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        if bytes.len() < HEADER_BYTES + 8 + 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let (payload, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(CheckpointError::BadChecksum { stored, actual });
-        }
-        if payload[0..4] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let version = read_u32(payload, 4);
-        if version != 1 && version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion(version));
-        }
-        let days = read_u32(payload, 8);
-        let end = read_u32(payload, 12);
-        let batches_applied = read_u64(payload, 16);
-        let snapshot_epoch = read_u64(payload, 24);
-        let n_counters = read_u32(payload, 32) as usize;
-        let counters_end = HEADER_BYTES + 8 * n_counters;
-        if payload.len() < counters_end + 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        let counters: Vec<u64> = (0..n_counters)
-            .map(|i| read_u64(payload, HEADER_BYTES + 8 * i))
-            .collect();
-        let n_txs = read_u64(payload, counters_end) as usize;
-        let txs_start = counters_end + 8;
-        let txs_end = txs_start + TX_BYTES * n_txs;
+    pub fn decode(bytes: &[u8]) -> Result<Self, RecordError> {
+        let split = bytes.len().checked_sub(4).ok_or(RecordError::Truncated)?;
+        let (payload, crc) = bytes.split_at(split);
+        check_crc(Reader::new(crc).u32()?, payload)?;
+        let mut r = Reader::new(payload);
+        let version = r.header(&MAGIC, &[1, CHECKPOINT_VERSION])?;
+        let (days, end) = (r.u32()?, r.u32()?);
+        let (batches_applied, snapshot_epoch) = (r.u64()?, r.u64()?);
+        let n_counters = r.u32()?;
+        let counters = r.many(n_counters.into(), 8, Reader::u64)?;
+        let n_txs = r.u64()?;
+        let log = r.many(n_txs, TX_BYTES, Reader::tx)?;
         // Version 1 ends at the transaction section; version 2 appends
         // the sequence-stamp section (count + stamps).
-        let n_seqs = if version == 1 {
-            if payload.len() != txs_end {
-                return Err(CheckpointError::Truncated);
-            }
-            0
-        } else {
-            if payload.len() < txs_end + 8 {
-                return Err(CheckpointError::Truncated);
-            }
-            let n_seqs = read_u64(payload, txs_end) as usize;
-            if payload.len() != txs_end + 8 + 8 * n_seqs {
-                return Err(CheckpointError::Truncated);
-            }
-            n_seqs
-        };
+        let n_seqs = if version == 1 { 0 } else { r.u64()? };
         if n_seqs != 0 && n_seqs != n_txs {
-            return Err(CheckpointError::Invalid(
+            return Err(RecordError::Invalid(
                 "sequence stamps must be empty or parallel the log",
             ));
         }
-        let log: Vec<Transaction> = (0..n_txs)
-            .map(|i| {
-                let o = txs_start + TX_BYTES * i;
-                Transaction {
-                    buyer: read_u32(payload, o),
-                    item: read_u32(payload, o + 4),
-                    day: read_u32(payload, o + 8),
-                    amount: f32::from_bits(read_u32(payload, o + 12)),
-                }
-            })
-            .collect();
-        let seqs: Vec<u64> = (0..n_seqs)
-            .map(|i| read_u64(payload, txs_end + 8 + 8 * i))
-            .collect();
+        let seqs = r.many(n_seqs, 8, Reader::u64)?;
+        if r.remaining() != 0 {
+            return Err(RecordError::Invalid("bytes past the last section"));
+        }
         if seqs.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(CheckpointError::Invalid(
+            return Err(RecordError::Invalid(
                 "sequence stamps must be strictly increasing",
             ));
         }
@@ -304,87 +208,15 @@ impl WindowCheckpoint {
         Ok(ckpt)
     }
 
-    /// Writes the checkpoint to `path` via temp-file + atomic rename: a
-    /// crash mid-write leaves any previous checkpoint at `path` intact.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
-        #[cfg(feature = "fault-injection")]
-        faults::maybe_fail_write()?;
-        let tmp = path.with_extension("ckpt-tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
+    /// Writes the checkpoint to `path` atomically: a crash mid-write
+    /// leaves any previous checkpoint at `path` intact.
+    pub fn write_atomic(&self, path: &Path) -> Result<(), RecordError> {
+        codec::write_atomic(path, &self.encode())
     }
 
     /// Reads and validates the checkpoint at `path`.
-    pub fn read(path: &Path) -> Result<Self, CheckpointError> {
+    pub fn read(path: &Path) -> Result<Self, RecordError> {
         Self::decode(&fs::read(path)?)
-    }
-}
-
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the same
-/// polynomial gzip and PNG use. Bitwise, no table: checkpoints are
-/// written once per few hundred batches, so simplicity wins over speed.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-fn read_u32(bytes: &[u8], offset: usize) -> u32 {
-    u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"))
-}
-
-fn read_u64(bytes: &[u8], offset: usize) -> u64 {
-    u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"))
-}
-
-/// Checkpoint-write fault injection (feature `fault-injection` only):
-/// arm [`fail_next_writes`] and the next N [`WindowCheckpoint::write_atomic`]
-/// calls fail with an injected I/O error *before touching the filesystem*
-/// — modeling a full disk or yanked volume without leaving junk behind.
-#[cfg(feature = "fault-injection")]
-pub mod faults {
-    use super::{io, CheckpointError};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// The calling thread's armed write failures. Per thread, like
-        /// gpusim's armed stalls: the service arms and writes on the same
-        /// thread, and a failure armed there must not be consumed by a
-        /// sibling service's (or a fleet's) checkpoint on another thread.
-        static FAIL_WRITES: Cell<u32> = const { Cell::new(0) };
-    }
-
-    /// Arms the injector for the next `n` checkpoint writes of the
-    /// calling thread.
-    pub fn fail_next_writes(n: u32) {
-        FAIL_WRITES.set(n);
-    }
-
-    /// Disarms the calling thread's injector.
-    pub fn clear() {
-        FAIL_WRITES.set(0);
-    }
-
-    pub(super) fn maybe_fail_write() -> Result<(), CheckpointError> {
-        let left = FAIL_WRITES.get();
-        if left == 0 {
-            return Ok(());
-        }
-        FAIL_WRITES.set(left - 1);
-        Err(CheckpointError::Io(io::Error::other(
-            "injected checkpoint write failure",
-        )))
     }
 }
 
@@ -448,24 +280,55 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// An armed write failure belongs to the thread that armed it: another
-    /// thread's checkpoint goes through, the arming thread's next one fails.
-    #[cfg(feature = "fault-injection")]
+    /// Crash points of the atomic write over an existing image — temp
+    /// absent, partial at every length, complete but not renamed,
+    /// renamed: `read` returns the old image or the new one, never an
+    /// error.
     #[test]
-    fn armed_write_failure_is_scoped_to_the_arming_thread() {
-        let s = stream();
-        let w = IncrementalWindow::new(&s, 5, s.config.days);
-        let ckpt = WindowCheckpoint::capture(&w, 7, 2, vec![9]);
-        let path = std::env::temp_dir().join(format!("glp_ckpt_tl_{}.ckpt", std::process::id()));
-        faults::fail_next_writes(1);
-        std::thread::scope(|sc| {
-            sc.spawn(|| ckpt.write_atomic(&path).expect("sibling thread's write"));
-        });
-        assert!(matches!(
-            ckpt.write_atomic(&path),
-            Err(CheckpointError::Io(_))
-        ));
-        ckpt.write_atomic(&path).expect("injector spent");
+    fn atomic_write_crash_points_read_the_old_or_the_new_image() {
+        let old = WindowCheckpoint {
+            days: 3,
+            end: 5,
+            batches_applied: 1,
+            snapshot_epoch: 0,
+            counters: vec![6],
+            log: vec![Transaction {
+                buyer: 1,
+                item: 2,
+                day: 4,
+                amount: 2.0,
+            }],
+            seqs: vec![],
+        };
+        let new = WindowCheckpoint {
+            batches_applied: 2,
+            seqs: vec![9],
+            ..old.clone()
+        }
+        .encode();
+        let path = std::env::temp_dir().join(format!("glp_ckpt_crash_{}.ckpt", std::process::id()));
+        let tmp = codec::temp_path(&path);
+        let mut rows: Vec<(Option<&[u8]>, bool)> = vec![(None, false), (None, true)];
+        rows.extend((0..=new.len()).map(|k| (Some(&new[..k]), false)));
+        for (temp, renamed) in rows {
+            std::fs::write(&path, old.encode()).unwrap();
+            let _ = std::fs::remove_file(&tmp);
+            if let Some(bytes) = temp {
+                std::fs::write(&tmp, bytes).unwrap();
+            }
+            if renamed {
+                std::fs::write(&tmp, &new).unwrap();
+                std::fs::rename(&tmp, &path).unwrap();
+            }
+            let read = WindowCheckpoint::read(&path).expect("an image existed");
+            let want = if renamed { new.clone() } else { old.encode() };
+            assert_eq!(read.encode(), want, "temp {:?}", temp.map(<[u8]>::len));
+        }
+        old.write_atomic(&path).unwrap();
+        assert!(!tmp.exists(), "a finished write leaves no temp");
+        // Each of a fleet's `<base>.shard<i>` images stages its own temp.
+        let shard = |i: usize| codec::temp_path(&path.with_file_name(format!("f.ckpt.shard{i}")));
+        assert_ne!(shard(0), shard(1));
         std::fs::remove_file(&path).ok();
     }
 
@@ -480,17 +343,17 @@ mod tests {
         flipped[20] ^= 0x40;
         assert!(matches!(
             WindowCheckpoint::decode(&flipped),
-            Err(CheckpointError::BadChecksum { .. })
+            Err(RecordError::BadChecksum { .. })
         ));
 
         // Truncation: caught before anything is parsed.
         assert!(matches!(
             WindowCheckpoint::decode(&good[..good.len() / 2]),
-            Err(CheckpointError::Truncated | CheckpointError::BadChecksum { .. })
+            Err(RecordError::Truncated | RecordError::BadChecksum { .. })
         ));
         assert!(matches!(
             WindowCheckpoint::decode(&[]),
-            Err(CheckpointError::Truncated)
+            Err(RecordError::Truncated)
         ));
 
         // Wrong magic / version with a *valid* checksum: still rejected.
@@ -501,7 +364,7 @@ mod tests {
         bad_magic[n - 4..].copy_from_slice(&crc);
         assert!(matches!(
             WindowCheckpoint::decode(&bad_magic),
-            Err(CheckpointError::BadMagic)
+            Err(RecordError::BadMagic)
         ));
 
         let mut bad_version = good.clone();
@@ -510,7 +373,7 @@ mod tests {
         bad_version[n - 4..].copy_from_slice(&crc);
         assert!(matches!(
             WindowCheckpoint::decode(&bad_version),
-            Err(CheckpointError::BadVersion(99))
+            Err(RecordError::BadVersion(99))
         ));
     }
 
@@ -557,7 +420,7 @@ mod tests {
             // error is always the checksum mismatch, reached without any
             // field being parsed, let alone trusted.
             assert!(
-                matches!(err, CheckpointError::BadChecksum { .. }),
+                matches!(err, RecordError::BadChecksum { .. }),
                 "byte {i}: unexpected error {err}"
             );
         }
@@ -583,7 +446,7 @@ mod tests {
         };
         assert!(matches!(
             WindowCheckpoint::decode(&ckpt.encode()),
-            Err(CheckpointError::Invalid(_))
+            Err(RecordError::Invalid(_))
         ));
     }
 
@@ -643,7 +506,7 @@ mod tests {
         short.seqs = vec![1, 2];
         assert!(matches!(
             WindowCheckpoint::decode(&short.encode()),
-            Err(CheckpointError::Invalid(_))
+            Err(RecordError::Invalid(_))
         ));
 
         // Non-increasing stamps.
@@ -651,7 +514,7 @@ mod tests {
         flat.seqs = vec![7; n];
         assert!(matches!(
             WindowCheckpoint::decode(&flat.encode()),
-            Err(CheckpointError::Invalid(_))
+            Err(RecordError::Invalid(_))
         ));
     }
 
@@ -660,7 +523,7 @@ mod tests {
         let path = std::env::temp_dir().join("glp_ckpt_definitely_missing.ckpt");
         assert!(matches!(
             WindowCheckpoint::read(&path),
-            Err(CheckpointError::Io(_))
+            Err(RecordError::Io(_))
         ));
     }
 }

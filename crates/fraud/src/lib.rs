@@ -25,17 +25,26 @@
 //! * [`checkpoint`] — versioned, CRC-checked on-disk snapshots of a
 //!   window (plus serving clocks), so a restarted service resumes from
 //!   its last checkpoint instead of an empty window.
+//! * [`journal`] — the serving fleet's segmented write-ahead batch log,
+//!   replayed on top of checkpoints after a shard or fleet crash.
+//!
+//! Checkpoint images and journal segments are the two on-disk records;
+//! they share one codec (CRC, field reader, transaction encoding, atomic
+//! write) and one error type, [`RecordError`].
 
 pub mod adversary;
 pub mod checkpoint;
+mod codec;
 pub mod incremental;
 pub mod inhouse;
+pub mod journal;
 pub mod pipeline;
 pub mod transactions;
 pub mod window;
 
 pub use adversary::{AdversarialStream, AdversaryConfig};
-pub use checkpoint::{CheckpointError, WindowCheckpoint, CHECKPOINT_VERSION};
+pub use checkpoint::{WindowCheckpoint, CHECKPOINT_VERSION};
+pub use codec::RecordError;
 pub use incremental::{IncrementalWindow, WindowDelta};
 pub use inhouse::InHouseLp;
 pub use pipeline::{

@@ -15,11 +15,14 @@
 //! never re-triggers after the supervisor restarts the worker. To model a
 //! crash *loop*, list the same index several times.
 //!
-//! The hooks live at three layers, mirroring where real faults originate:
-//! panics and corruption in this crate's worker loops, checkpoint-write
-//! failures in `glp_fraud::checkpoint::faults`, and kernel stalls in
-//! `glp_gpusim::faults` (so a "slow recluster" is experienced by the
-//! entire stack above the device, not simulated at the top).
+//! The hooks live at two layers, mirroring where real faults originate:
+//! panics, corruption and failed journal or checkpoint writes in this
+//! crate (the worker loops, [`ServiceCore::checkpoint`] and the fleet
+//! router's journal append), and kernel stalls in `glp_gpusim::faults`
+//! (so a "slow recluster" is experienced by the entire stack above the
+//! device, not simulated at the top).
+//!
+//! [`ServiceCore::checkpoint`]: crate::service::ServiceCore::checkpoint
 
 use crate::unpoison;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,8 +68,8 @@ pub enum Fault {
         /// Batch index to fire at.
         at_batch: u64,
     },
-    /// Make the checkpoint write due at batch `at_batch` fail with an
-    /// injected I/O error (via `glp_fraud::checkpoint::faults`).
+    /// Make the checkpoint a core writes at batch count `at_batch` fail
+    /// with an injected I/O error before it touches the filesystem.
     CheckpointFail {
         /// Batch index to fire at.
         at_batch: u64,
@@ -325,8 +328,8 @@ impl FaultPlan {
             .is_some()
     }
 
-    /// Batcher hook, before the checkpoint write due at batch `batch`:
-    /// whether the write should be made to fail.
+    /// Checkpoint hook, before a core writes its image at batch count
+    /// `batch`: whether the write should be made to fail.
     pub fn checkpoint_fail_due(&self, batch: u64) -> bool {
         self.take(|f| matches!(f, Fault::CheckpointFail { at_batch } if *at_batch == batch))
             .is_some()

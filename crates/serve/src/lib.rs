@@ -62,7 +62,9 @@
 //!   the window is periodically persisted through
 //!   [`glp_fraud::checkpoint`] and [`FraudService::recover`] resumes
 //!   from it with byte-identical LP output (pinned in
-//!   `tests/checkpoint_restore.rs`).
+//!   `tests/checkpoint_restore.rs`). Checkpoints and the fleet journal
+//!   are glp-fraud's two on-disk records; every read or write of either
+//!   fails with one [`RecordError`](glp_fraud::RecordError).
 //! * **Fault injection** (feature `fault-injection`, module [`faults`])
 //!   — a deterministic, seeded [`FaultPlan`](faults::FaultPlan) drives
 //!   worker panics, kernel stalls, corrupt transactions, and checkpoint
@@ -103,9 +105,10 @@
 //!   serving, and [`FleetCore::restore`](router::FleetCore::restore) /
 //!   [`ShardRouter::recover`](router::ShardRouter::recover) bring the
 //!   whole fleet back from per-shard checkpoints.
-//! * **Journal + failover** ([`wal`], [`router`]) — with
+//! * **Journal + failover** ([`router`], [`glp_fraud::journal`]) — with
 //!   [`FleetConfig::wal_dir`] set, the router journals every validated
-//!   batch to a segmented, CRC-framed write-ahead log *before* fan-out.
+//!   batch to a segmented, CRC-framed write-ahead log ([`FleetWal`])
+//!   *before* fan-out.
 //!   A shard that dies is then rebuilt automatically — last checkpoint
 //!   plus journal replay of its keyspace — and re-admitted,
 //!   byte-identical to a fleet that never lost it; whole-fleet
@@ -155,7 +158,6 @@ mod stamped;
 pub mod supervisor;
 pub mod swap;
 pub mod telemetry;
-pub mod wal;
 
 /// Takes a lock whatever a panicked holder left behind
 /// (`unpoison(m.lock())`, or `.read()` / `.write()`). Every structure this
@@ -171,6 +173,7 @@ pub use config::{FleetConfig, ServeConfig, ShedPolicy};
 pub use exchange::{BoundaryCache, ExchangeReport, FleetSnapshot, ShardFrame};
 #[cfg(feature = "fault-injection")]
 pub use faults::{Fault, FaultPlan, FaultSpec, FiredFault};
+pub use glp_fraud::journal::{FleetWal, WalRecord};
 pub use health::{
     fleet_state, FleetHealthReport, HealthMonitor, HealthReport, HealthState, HealthThresholds,
     ShardHealthReport,
@@ -181,10 +184,9 @@ pub use probe::DetectionProbe;
 pub use query::{FraudScorer, Verdict, VerdictSnapshot};
 pub use recluster::{LpMemo, ReclusterMode, ReclusterOutcome, ReclusterRequest, ReclusterRun};
 pub use router::{
-    ExchangeOutcome, FailoverError, FailoverEvent, FleetCore, FleetHandle, FleetRecoveryError,
-    FleetShutdownReport, FleetTelemetry, ShardRouter,
+    ExchangeOutcome, FailoverError, FailoverEvent, FleetCore, FleetHandle, FleetShutdownReport,
+    FleetTelemetry, ShardRouter,
 };
 pub use service::{FraudService, QueryHandle, ServiceCore, ShutdownReport};
 pub use supervisor::{supervise, supervise_with, RestartPolicy, WorkerOutcome, WorkerStatus};
 pub use telemetry::{Histogram, ProbePoint, Telemetry, TelemetrySnapshot};
-pub use wal::{FleetWal, WalError, WalRecord};

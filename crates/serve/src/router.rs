@@ -39,8 +39,8 @@
 //!
 //! **Journal + failover.** With `wal_dir` configured, the router
 //! journals every validated, seq-stamped micro-batch to a write-ahead
-//! log ([`crate::wal`]) *before* fan-out. That single ordering decision
-//! buys three recovery paths:
+//! log ([`glp_fraud::journal`]) *before* fan-out. That single ordering
+//! decision buys three recovery paths:
 //!
 //! * **Automatic shard failover** — a shard that reaches `Down` is no
 //!   longer shed forever: the next batch routed its way triggers
@@ -82,10 +82,10 @@ use crate::supervisor::{
 use crate::swap::EpochCell;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::unpoison;
-use crate::wal::{FleetWal, WalError, WalRecord};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
-use glp_fraud::Transaction;
+use glp_fraud::checkpoint::WindowCheckpoint;
+use glp_fraud::journal::{FleetWal, WalRecord};
+use glp_fraud::{RecordError, Transaction};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -111,42 +111,6 @@ pub struct ExchangeOutcome {
     pub report: ExchangeReport,
 }
 
-/// Why a whole-fleet recovery ([`FleetCore::restore`] /
-/// [`ShardRouter::recover`]) failed.
-#[derive(Debug)]
-pub enum FleetRecoveryError {
-    /// A shard checkpoint was unreadable and no journal was configured
-    /// to rebuild that shard from.
-    Checkpoint(CheckpointError),
-    /// The write-ahead journal itself was unreadable, or replay hit a
-    /// gap (e.g. a checkpoint was deleted *and* the covering segments
-    /// were already truncated).
-    Wal(WalError),
-}
-
-impl std::fmt::Display for FleetRecoveryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Checkpoint(e) => write!(f, "fleet recovery: checkpoint: {e}"),
-            Self::Wal(e) => write!(f, "fleet recovery: journal: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FleetRecoveryError {}
-
-impl From<CheckpointError> for FleetRecoveryError {
-    fn from(e: CheckpointError) -> Self {
-        Self::Checkpoint(e)
-    }
-}
-
-impl From<WalError> for FleetRecoveryError {
-    fn from(e: WalError) -> Self {
-        Self::Wal(e)
-    }
-}
-
 /// Why a shard failover ([`FleetCore::failover_shard`]) failed.
 #[derive(Debug)]
 pub enum FailoverError {
@@ -155,7 +119,7 @@ pub enum FailoverError {
     /// shed (the pre-journal behaviour).
     NoJournal,
     /// The journal could not supply the shard's missing history.
-    Wal(WalError),
+    Wal(RecordError),
 }
 
 impl std::fmt::Display for FailoverError {
@@ -285,7 +249,7 @@ pub struct FleetCore {
 }
 
 /// Opens the configured journal, if any.
-fn open_wal(cfg: &FleetConfig) -> Result<Option<FleetWal>, WalError> {
+fn open_wal(cfg: &FleetConfig) -> Result<Option<FleetWal>, RecordError> {
     cfg.wal_dir
         .as_ref()
         .map(|dir| FleetWal::open(dir, cfg.wal_segment_bytes))
@@ -320,14 +284,14 @@ impl FleetCore {
         cfg: FleetConfig,
         partitioner: Partitioner,
         blacklist: Vec<u32>,
-    ) -> Result<Self, FleetRecoveryError> {
+    ) -> Result<Self, RecordError> {
         assert_eq!(partitioner.shards(), cfg.shards);
         let wal = open_wal(&cfg)?;
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut durables = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
             let restored = match cfg.shard_checkpoint_path(i) {
-                None => Err(CheckpointError::Invalid("no checkpoint path configured")),
+                None => Err(RecordError::Invalid("no checkpoint path configured")),
                 Some(path) => WindowCheckpoint::read(&path).and_then(|ckpt| {
                     ServiceCore::restore(cfg.shard.clone(), blacklist.clone(), &ckpt)
                         .map(|core| (core, ckpt.batches_applied))
@@ -335,7 +299,7 @@ impl FleetCore {
             };
             let (core, durable) = match restored {
                 Ok(restored) => restored,
-                Err(e) if wal.is_none() => return Err(e.into()),
+                Err(e) if wal.is_none() => return Err(e),
                 // Unreadable image, journal available: start this shard
                 // empty and let `sync_from_wal` replay its entire history
                 // from the journal.
@@ -364,7 +328,7 @@ impl FleetCore {
         partitioner: Partitioner,
         blacklist: Vec<u32>,
         ckpt: &WindowCheckpoint,
-    ) -> Result<Self, CheckpointError> {
+    ) -> Result<Self, RecordError> {
         assert_eq!(partitioner.shards(), cfg.shards);
         let wal = open_wal(&cfg).expect("the configured journal directory must be openable");
         let shards = StampedWindow::from_checkpoint(ckpt, cfg.shard.window_days)?
@@ -754,11 +718,11 @@ impl FleetCore {
     /// recovery point. Successful images advance the journal-truncation
     /// watermark and truncate the journal when configured. Returns the
     /// first error after attempting all.
-    pub fn checkpoint_all(&self) -> Result<(), CheckpointError> {
+    pub fn checkpoint_all(&self) -> Result<(), RecordError> {
         let mut first_err = None;
         for (i, s) in self.shards.iter().enumerate() {
             let Some(path) = self.cfg.shard_checkpoint_path(i) else {
-                return Err(CheckpointError::Invalid("no checkpoint path configured"));
+                return Err(RecordError::Invalid("no checkpoint path configured"));
             };
             if s.health_monitor().is_down() {
                 continue;
@@ -792,7 +756,7 @@ impl FleetCore {
         #[cfg(not(feature = "fault-injection"))]
         let injected = false;
         let result = if injected {
-            Err(WalError::Io(std::io::Error::other(
+            Err(RecordError::Io(std::io::Error::other(
                 "fault-injection: wal-append-fail",
             )))
         } else {
@@ -909,7 +873,7 @@ impl FleetCore {
         match self.failover_shard(i) {
             Ok(_) => true,
             Err(e) => {
-                if matches!(e, FailoverError::Wal(WalError::Gap { .. })) {
+                if matches!(e, FailoverError::Wal(RecordError::Gap { .. })) {
                     // The journal will never grow the missing history
                     // back; retrying per batch would fail identically.
                     self.failover_blocked[i].store(true, Ordering::Relaxed);
@@ -931,7 +895,7 @@ impl FleetCore {
     /// interleaved with fan-out. Fleet-level cursors (batch count,
     /// watermark, next sequence stamp) advance past everything
     /// journaled. Returns the number of per-shard record applications.
-    pub fn sync_from_wal(&self) -> Result<u64, WalError> {
+    pub fn sync_from_wal(&self) -> Result<u64, RecordError> {
         let Some(wal) = &self.wal else { return Ok(0) };
         let tail = unpoison(wal.lock()).tail_batch();
         let Some(tail) = tail else { return Ok(0) };
@@ -978,7 +942,7 @@ impl FleetCore {
     /// The journal replay loop, written once: feeds `apply` every record
     /// from batch `next` on, restricted to shard `i`'s keyspace and in
     /// router sequence order, with the record's watermark. Records must
-    /// be dense from `next` — a hole is a typed [`WalError::Gap`].
+    /// be dense from `next` — a hole is a typed [`RecordError::Gap`].
     /// Returns the batch count after the last record replayed.
     fn replay_keyspace(
         &self,
@@ -986,11 +950,11 @@ impl FleetCore {
         records: &[WalRecord],
         mut next: u64,
         mut apply: impl FnMut(&[(u64, Transaction)], u32),
-    ) -> Result<u64, WalError> {
+    ) -> Result<u64, RecordError> {
         let first = next;
         for rec in records.iter().filter(|rec| rec.batch >= first) {
             if rec.batch != next {
-                return Err(WalError::Gap {
+                return Err(RecordError::Gap {
                     needed: next,
                     first: rec.batch,
                 });
@@ -1098,7 +1062,7 @@ impl ShardRouter {
         cfg: FleetConfig,
         partitioner: Partitioner,
         blacklist: Vec<u32>,
-    ) -> Result<Self, FleetRecoveryError> {
+    ) -> Result<Self, RecordError> {
         Ok(Self::start_on(Arc::new(FleetCore::restore(
             cfg,
             partitioner,

@@ -46,8 +46,8 @@ use crate::swap::EpochCell;
 use crate::telemetry::Telemetry;
 use crate::unpoison;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
-use glp_fraud::Transaction;
+use glp_fraud::checkpoint::WindowCheckpoint;
+use glp_fraud::{RecordError, Transaction};
 use glp_trace::{Category, Clock, Tracer};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -142,7 +142,7 @@ impl ServiceCore {
         cfg: ServeConfig,
         blacklist: Vec<u32>,
         ckpt: &WindowCheckpoint,
-    ) -> Result<Self, CheckpointError> {
+    ) -> Result<Self, RecordError> {
         let window = StampedWindow::from_checkpoint(ckpt, cfg.window_days)?;
         let core = Self::from_state(
             cfg,
@@ -486,18 +486,34 @@ impl ServiceCore {
     /// clock, snapshot epoch, and monotonic counters) to `path` via an
     /// atomic temp-file write. Failures are counted
     /// (`checkpoint_failures`) and returned; the previous checkpoint on
-    /// disk is never damaged by a failed write. Returns the batch count
-    /// the persisted image carries — the core's *durable* progress, which
-    /// the fleet router uses as its journal-truncation watermark.
-    pub fn checkpoint(&self, path: &Path) -> Result<u64, CheckpointError> {
+    /// disk is never damaged by a failed write. An attached fault plan's
+    /// `Fault::CheckpointFail` due at the image's batch count fails the
+    /// write before the filesystem is touched. Returns the batch count the
+    /// persisted image carries — the core's *durable* progress, which the
+    /// fleet router uses as its journal-truncation watermark.
+    pub fn checkpoint(&self, path: &Path) -> Result<u64, RecordError> {
         self.span("checkpoint");
         let ckpt = self.state().capture(
             self.batches_applied.load(Ordering::Relaxed),
             self.verdicts.epoch(),
             self.telemetry.counters_snapshot(),
         );
+        #[cfg(feature = "fault-injection")]
+        let injected = self
+            .faults
+            .as_ref()
+            .is_some_and(|plan| plan.checkpoint_fail_due(ckpt.batches_applied));
+        #[cfg(not(feature = "fault-injection"))]
+        let injected = false;
         // The write itself runs outside the window lock.
-        let result = match ckpt.write_atomic(path) {
+        let written = if injected {
+            Err(RecordError::Io(std::io::Error::other(
+                "fault-injection: checkpoint-fail",
+            )))
+        } else {
+            ckpt.write_atomic(path)
+        };
+        let result = match written {
             Ok(()) => {
                 self.telemetry
                     .checkpoints_written
@@ -644,7 +660,7 @@ impl FraudService {
         cfg: ServeConfig,
         blacklist: Vec<u32>,
         path: &Path,
-    ) -> Result<Self, CheckpointError> {
+    ) -> Result<Self, RecordError> {
         let ckpt = WindowCheckpoint::read(path)?;
         let core = ServiceCore::restore(cfg, blacklist, &ckpt)?;
         Ok(Self::start_on(Arc::new(core)))
@@ -819,12 +835,6 @@ fn batch_loop(core: &ServiceCore, batcher: &Batcher, recluster_tx: &Sender<()>) 
                 }
                 if let Some(path) = &core.cfg.checkpoint_path {
                     if applied.is_multiple_of(core.cfg.checkpoint_every_batches) {
-                        #[cfg(feature = "fault-injection")]
-                        if let Some(plan) = core.faults() {
-                            if plan.checkpoint_fail_due(applied) {
-                                glp_fraud::checkpoint::faults::fail_next_writes(1);
-                            }
-                        }
                         // Failure is counted inside and does not stop
                         // the service; the previous checkpoint survives.
                         let _ = core.checkpoint(path);

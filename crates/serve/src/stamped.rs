@@ -23,8 +23,8 @@
 use crate::exchange::ShardFrame;
 use crate::ingest::Submitted;
 use crate::telemetry::Telemetry;
-use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
-use glp_fraud::{IncrementalWindow, Transaction};
+use glp_fraud::checkpoint::WindowCheckpoint;
+use glp_fraud::{IncrementalWindow, RecordError, Transaction};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -153,12 +153,9 @@ impl StampedWindow {
     /// stamps (version 1, or written by [`WindowCheckpoint::capture`])
     /// get their log positions — correct because a single log *is* in
     /// arrival order. The image's batch clock is `ckpt.batches_applied`.
-    pub(crate) fn from_checkpoint(
-        ckpt: &WindowCheckpoint,
-        days: u32,
-    ) -> Result<Self, CheckpointError> {
+    pub(crate) fn from_checkpoint(ckpt: &WindowCheckpoint, days: u32) -> Result<Self, RecordError> {
         if ckpt.days != days {
-            return Err(CheckpointError::Invalid(
+            return Err(RecordError::Invalid(
                 "checkpoint window length disagrees with the configuration",
             ));
         }

@@ -8,7 +8,8 @@
 //! the final snapshot depends only on the surviving transactions and
 //! their order, not on where batch (or process) boundaries fell.
 
-use glp_fraud::checkpoint::{CheckpointError, WindowCheckpoint};
+use glp_fraud::checkpoint::WindowCheckpoint;
+use glp_fraud::RecordError as CheckpointError;
 use glp_fraud::{Transaction, TxConfig, TxStream};
 use glp_serve::{FraudService, HealthState, ServeConfig, ServiceCore, ShedPolicy};
 use std::path::PathBuf;
