@@ -46,16 +46,20 @@ pub enum Fault {
         /// Batch index to fire at.
         at_batch: u64,
     },
-    /// Panic the recluster worker just before recluster `at_recluster`.
+    /// Panic the recluster worker just before its first recluster at or
+    /// after index `at_recluster`. "At or after": reclusters run on other
+    /// threads too (a synchronous `recluster_now`) and advance the same
+    /// index, so the worker may never see `at_recluster` itself.
     ReclusterPanic {
-        /// Recluster index (= reclusters completed so far) to fire at.
+        /// Recluster index (= reclusters completed so far) from which on
+        /// to fire.
         at_recluster: u64,
     },
-    /// Stall recluster `at_recluster` by `millis` via an injected kernel
-    /// stall in `glp-gpusim` — the whole stack above the device sees a
-    /// slow card.
+    /// Stall the recluster worker's first recluster at or after index
+    /// `at_recluster` by `millis` via an injected kernel stall in
+    /// `glp-gpusim` — the whole stack above the device sees a slow card.
     ReclusterStall {
-        /// Recluster index to fire at.
+        /// Recluster index from which on to fire.
         at_recluster: u64,
         /// Injected stall length in milliseconds.
         millis: u64,
@@ -336,10 +340,10 @@ impl FaultPlan {
     }
 
     /// Recluster hook, before recluster `next`: panics if a
-    /// [`Fault::ReclusterPanic`] is due.
+    /// [`Fault::ReclusterPanic`] is due at `next` or was due earlier.
     pub fn maybe_panic_recluster(&self, next: u64) {
         if let Some(f) = self
-            .take(|f| matches!(f, Fault::ReclusterPanic { at_recluster } if *at_recluster == next))
+            .take(|f| matches!(f, Fault::ReclusterPanic { at_recluster } if *at_recluster <= next))
         {
             panic!("fault-injection: {}", f.describe());
         }
@@ -375,10 +379,10 @@ impl FaultPlan {
     }
 
     /// Recluster hook, before recluster `next`: the stall length to
-    /// inject, if one is due.
+    /// inject, if one is due at `next` or was due earlier.
     pub fn stall_due(&self, next: u64) -> Option<u64> {
         match self.take(
-            |f| matches!(f, Fault::ReclusterStall { at_recluster, .. } if *at_recluster == next),
+            |f| matches!(f, Fault::ReclusterStall { at_recluster, .. } if *at_recluster <= next),
         ) {
             Some(Fault::ReclusterStall { millis, .. }) => Some(millis),
             _ => None,
@@ -443,6 +447,29 @@ mod tests {
         assert!(plan.corrupt_due(3));
         assert!(plan.corrupt_due(3), "second listing fires a second time");
         assert!(!plan.corrupt_due(3), "then the plan is exhausted");
+        assert!(plan.all_fired());
+        assert_eq!(plan.fired().len(), 2);
+    }
+
+    #[test]
+    fn recluster_faults_fire_once_at_or_after_their_index() {
+        let plan = FaultPlan::new([
+            Fault::ReclusterPanic { at_recluster: 1 },
+            Fault::ReclusterStall {
+                at_recluster: 1,
+                millis: 7,
+            },
+        ]);
+        plan.maybe_panic_recluster(0);
+        assert_eq!(plan.stall_due(0), None, "not due yet");
+        // Another thread's recluster took index 1: the worker's hook
+        // first sees 2, and both faults still fire — once.
+        assert_eq!(plan.stall_due(2), Some(7));
+        assert_eq!(plan.stall_due(3), None);
+        let err = std::panic::catch_unwind(|| plan.maybe_panic_recluster(2)).unwrap_err();
+        let msg = crate::supervisor::panic_message(err.as_ref());
+        assert!(msg.contains("recluster-panic@recluster1"), "{msg}");
+        plan.maybe_panic_recluster(3);
         assert!(plan.all_fired());
         assert_eq!(plan.fired().len(), 2);
     }

@@ -7,8 +7,10 @@
 //!   micro-batch, fan it out by
 //!   [`Partitioner`](crate::partition::Partitioner), recluster shards,
 //!   run an exchange round, look up a verdict, checkpoint/restore the
-//!   whole fleet. No threads; the determinism suite and the scaling
-//!   bench drive it step by step.
+//!   whole fleet. No long-lived threads: a round's shard reclusters and
+//!   checkpoint writes fan out over scoped workers, up to one per core,
+//!   and are joined before the call returns. The determinism suite and
+//!   the scaling bench drive it step by step.
 //! * [`ShardRouter`] — the threaded shell: one supervised **router**
 //!   worker drains the ingest queue and fans batches out, one supervised
 //!   **recluster** worker per shard refreshes that shard's local
@@ -86,8 +88,10 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::journal::{FleetWal, WalRecord};
 use glp_fraud::{RecordError, Transaction};
+use std::cell::Cell;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -95,11 +99,11 @@ use std::time::{Duration, Instant};
 /// What one [`FleetCore::exchange_now`] round cost and found.
 #[derive(Clone, Debug)]
 pub struct ExchangeOutcome {
-    /// What each shard's pre-exchange local recluster ran (a down shard
-    /// contributes a zero-wall, zero-frontier `Full` placeholder). On
-    /// real hardware the shards recluster in parallel, so the modeled
-    /// parallel cost of the round is the max of the shard walls — the
-    /// accounting the scaling bench uses.
+    /// What each shard's pre-exchange local recluster ran, in shard
+    /// order (a down shard contributes a zero-wall, zero-frontier `Full`
+    /// placeholder). The shards recluster concurrently, up to one per
+    /// core, so with a core per shard the round's shard phase costs the
+    /// max of these walls — the accounting the scaling bench uses.
     pub shard_runs: Vec<ReclusterRun>,
     /// What the boundary recluster ran, when one was needed (`None`
     /// when no component spans shards).
@@ -244,6 +248,9 @@ pub struct FleetCore {
     /// falls back to a full boundary recluster — so recovery paths never
     /// need to reset it.
     boundary: Mutex<BoundaryCache>,
+    /// Workers of one fan-out round ([`Self::fan_out`]):
+    /// `min(shards, available_parallelism)`, read once at construction.
+    workers: usize,
     #[cfg(feature = "fault-injection")]
     faults: Option<Arc<FaultPlan>>,
 }
@@ -379,6 +386,8 @@ impl FleetCore {
             .map(|i| &*Box::leak(format!("shard{i}-apply").into_boxed_str()))
             .collect();
         let boundary = Mutex::new(BoundaryCache::new(cfg.shard.window_days));
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let workers = shards.len().min(cores);
         Self {
             health: Arc::new(HealthMonitor::for_config(&cfg.shard)),
             cfg,
@@ -396,9 +405,59 @@ impl FleetCore {
             failover_log: Mutex::new(Vec::new()),
             failover_blocked,
             boundary,
+            workers,
             #[cfg(feature = "fault-injection")]
             faults: None,
         }
+    }
+
+    /// Runs `f(i, shard i)` for every shard and returns the results in
+    /// shard order. Shards share no state, so the calls fan out over
+    /// `workers` scoped threads that claim shard indices from a shared
+    /// counter; a single worker (a 1-shard fleet, a 1-core host) runs
+    /// them inline and spawns nothing. A panicking call is re-raised
+    /// here with its original payload, after every worker has stopped.
+    /// Everything order-sensitive — which error is first, watermarks,
+    /// journal truncation, the boundary exchange — stays with the caller.
+    fn fan_out<R: Send>(&self, f: impl Fn(usize, &ServiceCore) -> R + Sync) -> Vec<R> {
+        let n = self.shards.len();
+        #[cfg(test)]
+        let workers = tests::WORKERS.get().unwrap_or(self.workers).min(n);
+        #[cfg(not(test))]
+        let workers = self.workers;
+        let run = |i: usize| f(i, &self.shards[i]);
+        if workers <= 1 {
+            return (0..n).map(run).collect();
+        }
+        // Relaxed: the counter only hands out indices; results travel
+        // back through `join`, which orders them after the worker's writes.
+        let next = AtomicUsize::new(0);
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut claimed = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return claimed;
+                            }
+                            claimed.push((i, run(i)));
+                        }
+                    })
+                })
+                .collect();
+            let mut done = Vec::with_capacity(n);
+            for h in handles {
+                match h.join() {
+                    Ok(claimed) => done.extend(claimed),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Attaches a fault plan (feature `fault-injection`): the routed
@@ -570,35 +629,34 @@ impl FleetCore {
         self.apply(&Submitted::now(txs))
     }
 
-    /// Triggers every live shard's local recluster synchronously,
-    /// returning one [`ReclusterRun`] per shard — the fleet's analogue
-    /// of [`ServiceCore::recluster_now`](crate::service::ServiceCore::recluster_now),
+    /// Triggers every live shard's local recluster and waits for all of
+    /// them, returning one [`ReclusterRun`] per shard in shard order —
+    /// the fleet's analogue of [`ServiceCore::recluster_now`](crate::service::ServiceCore::recluster_now),
     /// sharing its name and per-run shape. A down shard contributes a
-    /// zero-wall, zero-frontier `Full` placeholder. Shards run
-    /// sequentially on this thread — each wall is measured in
-    /// isolation, so a parallel deployment's round cost is modeled as
+    /// zero-wall, zero-frontier `Full` placeholder. Shards recluster
+    /// concurrently, up to one per core, so each wall is measured with
+    /// its siblings running; with a core per shard the round costs the
     /// `max` of the returned walls (the scaling bench's accounting).
     pub fn recluster_now(&self) -> Vec<ReclusterRun> {
-        self.shards
-            .iter()
-            .map(|s| {
-                if s.health_monitor().is_down() {
-                    ReclusterRun {
-                        mode: ReclusterMode::Full,
-                        wall_seconds: 0.0,
-                        frontier: 0,
-                    }
-                } else {
-                    s.recluster_now()
+        self.fan_out(|_, s| {
+            if s.health_monitor().is_down() {
+                ReclusterRun {
+                    mode: ReclusterMode::Full,
+                    wall_seconds: 0.0,
+                    frontier: 0,
                 }
-            })
-            .collect()
+            } else {
+                s.recluster_now()
+            }
+        })
     }
 
     /// One full exchange round: fresh local reclusters on every live
-    /// shard, then boundary reconciliation, then publication of the
-    /// fleet snapshot. Down shards contribute nothing — their keyspace
-    /// is missing from the fleet snapshot until they are restored.
+    /// shard (concurrently, see [`Self::recluster_now`]), then boundary
+    /// reconciliation on this thread once all of them are done, then
+    /// publication of the fleet snapshot. Down shards contribute nothing
+    /// — their keyspace is missing from the fleet snapshot until they
+    /// are restored.
     pub fn exchange_now(&self) -> ExchangeOutcome {
         let shard_runs = self.recluster_now();
         let started = Instant::now();
@@ -713,25 +771,29 @@ impl FleetCore {
         }
     }
 
-    /// Checkpoints every live shard to its `<base>.shard<i>` path. A
-    /// down shard is skipped — its last good image on disk *is* its
-    /// recovery point. Successful images advance the journal-truncation
-    /// watermark and truncate the journal when configured. Returns the
-    /// first error after attempting all.
+    /// Checkpoints every live shard to its `<base>.shard<i>` path, the
+    /// image writes running concurrently (up to one per core). Without a
+    /// configured path nothing is written. A down shard is skipped — its
+    /// last good image on disk *is* its recovery point. Once every write
+    /// has finished, successful images advance the journal-truncation
+    /// watermark and the journal is truncated when configured. Returns
+    /// the error of the lowest-numbered failing shard after attempting
+    /// all.
     pub fn checkpoint_all(&self) -> Result<(), RecordError> {
+        let paths = (0..self.shards.len())
+            .map(|i| self.cfg.shard_checkpoint_path(i))
+            .collect::<Option<Vec<_>>>()
+            .ok_or(RecordError::Invalid("no checkpoint path configured"))?;
+        let written =
+            self.fan_out(|i, s| (!s.health_monitor().is_down()).then(|| s.checkpoint(&paths[i])));
         let mut first_err = None;
-        for (i, s) in self.shards.iter().enumerate() {
-            let Some(path) = self.cfg.shard_checkpoint_path(i) else {
-                return Err(RecordError::Invalid("no checkpoint path configured"));
-            };
-            if s.health_monitor().is_down() {
-                continue;
-            }
-            match s.checkpoint(&path) {
-                Ok(durable) => self.durable[i].store(durable, Ordering::Relaxed),
-                Err(e) => {
+        for (i, result) in written.into_iter().enumerate() {
+            match result {
+                Some(Ok(durable)) => self.durable[i].store(durable, Ordering::Relaxed),
+                Some(Err(e)) => {
                     first_err.get_or_insert(e);
                 }
+                None => {}
             }
         }
         self.truncate_journal();
@@ -1090,12 +1152,13 @@ impl ShardRouter {
             recluster_txs.push(tx);
             let name: &'static str = Box::leak(format!("shard{i}-recluster").into_boxed_str());
             let shard = Arc::clone(shard);
+            let owed = Cell::new(false);
             let (worker, status) = supervise(
                 name,
                 Arc::clone(shard.health_monitor()),
                 Arc::clone(shard.telemetry()),
                 policy,
-                move || recluster_loop(&shard, &rx, name),
+                move || recluster_loop(&shard, &rx, name, &owed),
             );
             shard_workers.push(Some(worker));
             shard_statuses.push(status);
@@ -1270,6 +1333,15 @@ fn exchange_loop(core: &FleetCore, rx: &Receiver<()>) -> WorkerExit {
 mod tests {
     use super::*;
     use glp_fraud::{RegionalStream, RegionalTxConfig};
+    use std::path::Path;
+
+    thread_local! {
+        /// Pins the worker count of the calling thread's fan-out rounds
+        /// (`Some(1)`: every shard inline, in shard order). Absent from
+        /// non-test builds.
+        pub(super) static WORKERS: std::cell::Cell<Option<usize>> =
+            const { std::cell::Cell::new(None) };
+    }
 
     fn stream() -> RegionalStream {
         RegionalStream::generate(&RegionalTxConfig {
@@ -1380,5 +1452,172 @@ mod tests {
                 0
             );
         }
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_shard_order_whatever_the_finish_order() {
+        let core = FleetCore::new(fleet_cfg(4), Partitioner::hashed(4, 1), Vec::new());
+        WORKERS.set(Some(2));
+        // Whichever worker claims shard 0 holds it until the other one
+        // has finished shards 1, 2 and 3.
+        let (release, hold) = std::sync::mpsc::channel();
+        let hold = Mutex::new(hold);
+        let finished = Mutex::new(Vec::new());
+        let got = core.fan_out(|i, _| {
+            if i == 0 {
+                unpoison(hold.lock())
+                    .recv()
+                    .expect("shard 3 releases shard 0");
+            }
+            unpoison(finished.lock()).push(i);
+            if i == 3 {
+                release.send(()).expect("shard 0 is waiting");
+            }
+            i * 10
+        });
+        WORKERS.set(None);
+        assert_eq!(*unpoison(finished.lock()), [1, 2, 3, 0]);
+        assert_eq!(got, [0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn fan_out_reraises_a_worker_panic_with_its_payload() {
+        let core = FleetCore::new(fleet_cfg(4), Partitioner::hashed(4, 1), Vec::new());
+        WORKERS.set(Some(2));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            core.fan_out(|i, _| {
+                if i == 2 {
+                    panic!("shard {i} failed");
+                }
+            })
+        }));
+        WORKERS.set(None);
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        let msg = panic_message(payload.as_ref());
+        assert_eq!(msg, "shard 2 failed", "the payload must survive the join");
+    }
+
+    #[test]
+    fn a_one_shard_fan_out_spawns_nothing() {
+        let core = FleetCore::new(fleet_cfg(1), Partitioner::hashed(1, 1), Vec::new());
+        let caller = std::thread::current().id();
+        assert_eq!(core.fan_out(|_, _| std::thread::current().id()), [caller]);
+    }
+
+    /// What one drive of a journaled 4-shard fleet published.
+    #[derive(Default)]
+    struct Observed {
+        /// Fleet snapshot after every exchange round, the restored
+        /// fleet's last.
+        fleet: Vec<Vec<u8>>,
+        /// Every shard's snapshot at the end of the drive, then after
+        /// the restore.
+        shards: Vec<Vec<u8>>,
+        /// `(mode, frontier)` of every shard and boundary run.
+        runs: Vec<(ReclusterMode, usize)>,
+        /// Durable watermarks after each `checkpoint_all`.
+        durable: Vec<Vec<u64>>,
+        /// Journal segment files after each `checkpoint_all`.
+        segments: Vec<Vec<String>>,
+    }
+
+    /// Exchange rounds every day, checkpoints with journal truncation,
+    /// one shard taken `Down` mid-stream (and failed over on the next
+    /// batch), then a crash and a restore that replays the journal tail
+    /// through `sync_from_wal` — with the calling thread's fan-out pinned
+    /// to `workers`.
+    fn drive(workers: Option<usize>, tag: &str) -> Observed {
+        let s = stream();
+        let dir = std::env::temp_dir().join(format!("glp_fan_out_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = fleet_cfg(4);
+        cfg.shard.checkpoint_path = Some(dir.join("fleet.ckpt"));
+        cfg.wal_dir = Some(dir.join("wal"));
+        // Small segments, so that truncation has segments to delete.
+        cfg.wal_segment_bytes = 16 << 10;
+        let segments = |wal: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(wal)
+                .expect("journal directory")
+                .map(|e| {
+                    e.expect("dir entry")
+                        .file_name()
+                        .to_string_lossy()
+                        .into_owned()
+                })
+                .collect();
+            names.sort();
+            names
+        };
+        let partitioner = || Partitioner::balanced(4, 7, s.community_map());
+        let all: Vec<Transaction> = s.window(0, s.config.days).copied().collect();
+        WORKERS.set(workers);
+        let mut seen = Observed::default();
+        {
+            let fleet = FleetCore::new(cfg.clone(), partitioner(), s.blacklist.clone());
+            for (round, batches) in all.chunks(128).enumerate() {
+                for batch in batches.chunks(64) {
+                    fleet.apply_transactions(batch);
+                }
+                if round == 50 {
+                    // Down until the next batch routed its way fails it over.
+                    let victim = fleet.shards()[2].health_monitor();
+                    for _ in 0..cfg.shard.down_after_crashes {
+                        victim.record_crash("test", "killed");
+                    }
+                }
+                let o = fleet.exchange_now();
+                let runs = o.shard_runs.iter().chain(&o.boundary_run);
+                seen.runs.extend(runs.map(|r| (r.mode, r.frontier)));
+                seen.fleet
+                    .push(fleet.fleet_snapshot().verdicts.canonical_bytes());
+                // The batches after the last checkpoint live in the
+                // journal only.
+                if matches!(round, 20 | 40 | 50 | 70) {
+                    fleet.checkpoint_all().expect("checkpoint");
+                    let durable = fleet.durable.iter().map(|d| d.load(Ordering::Relaxed));
+                    seen.durable.push(durable.collect());
+                    seen.segments.push(segments(&dir.join("wal")));
+                }
+            }
+            assert_eq!(fleet.failover_events().len(), 1, "shard 2 failed over");
+            seen.shards.extend(
+                fleet
+                    .shards()
+                    .iter()
+                    .map(|s| s.snapshot().canonical_bytes()),
+            );
+        }
+        let restored = FleetCore::restore(cfg, partitioner(), s.blacklist.clone())
+            .expect("checkpoints + journal tail");
+        seen.fleet
+            .push(restored.fleet_snapshot().verdicts.canonical_bytes());
+        seen.shards.extend(
+            restored
+                .shards()
+                .iter()
+                .map(|s| s.snapshot().canonical_bytes()),
+        );
+        WORKERS.set(None);
+        let _ = std::fs::remove_dir_all(&dir);
+        seen
+    }
+
+    #[test]
+    fn the_fan_out_is_invisible() {
+        let inline = drive(Some(1), "inline");
+        let fanned = drive(None, "fanned");
+        // The drive reaches what it claims to: incremental shard runs, and
+        // a checkpoint that skipped the down shard, whose old image pins
+        // the truncation watermark.
+        assert!(inline
+            .runs
+            .iter()
+            .any(|r| r.0 == ReclusterMode::Incremental));
+        assert!(inline.durable[2][2] < inline.durable[2][0]);
+        assert!(inline.fleet == fanned.fleet, "fleet snapshots differ");
+        assert!(inline.shards == fanned.shards, "shard snapshots differ");
+        assert_eq!(inline.runs, fanned.runs);
+        assert_eq!(inline.durable, fanned.durable);
+        assert_eq!(inline.segments, fanned.segments);
     }
 }

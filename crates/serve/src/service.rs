@@ -49,6 +49,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::{RecordError, Transaction};
 use glp_trace::{Category, Clock, Tracer};
+use std::cell::Cell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -421,8 +422,9 @@ impl ServiceCore {
     /// graph, or a rebuild from the live log after expiry); LP and scoring
     /// run on the immutable result. Returns what ran: the mode, the wall
     /// seconds, and the frontier the LP consumed. (`wall_seconds` is what
-    /// the scaling bench combines as `max(shard walls)` to model shards
-    /// running in parallel on hardware this container does not have.)
+    /// the scaling bench combines as `max(shard walls)`: a fleet round
+    /// runs its shards' reclusters concurrently, up to one per core, so
+    /// with a core per shard that max is the round's shard phase.)
     pub fn recluster_now(&self) -> ReclusterRun {
         let started = Instant::now();
         self.span("recluster");
@@ -692,8 +694,9 @@ impl FraudService {
             let core = Arc::clone(&core);
             let health = Arc::clone(&core.health);
             let telemetry = Arc::clone(core.telemetry());
+            let owed = Cell::new(false);
             supervise("recluster", health, telemetry, policy, move || {
-                recluster_loop(&core, &recluster_rx, "recluster")
+                recluster_loop(&core, &recluster_rx, "recluster", &owed)
             })
         };
         Self {
@@ -859,17 +862,23 @@ fn corrupt_if_due(core: &ServiceCore, mut batch: Vec<Submitted>) -> Vec<Submitte
 
 /// The recluster worker of one core — the single service's, and each
 /// fleet shard's: one recluster per poke, progress recorded under `name`.
+/// `owed` outlives the worker's incarnations: a poke whose recluster
+/// panicked is served again by the restarted worker before it waits for
+/// the next one, so a crash costs a retry, not verdicts (and an
+/// unhealed crash streak) stale until traffic pokes again.
 pub(crate) fn recluster_loop(
     core: &ServiceCore,
     rx: &Receiver<()>,
     name: &'static str,
+    owed: &Cell<bool>,
 ) -> WorkerExit {
-    while rx.recv().is_ok() {
+    while owed.take() || rx.recv().is_ok() {
         if core.health.is_down() {
             // Skip, don't exit: a fleet failover may revive this core,
             // and its recluster worker must still be here when it does.
             continue;
         }
+        owed.set(true);
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = core.faults() {
             let next = core.telemetry.reclusters.load(Ordering::Relaxed);
@@ -881,6 +890,7 @@ pub(crate) fn recluster_loop(
             plan.maybe_panic_recluster(next);
         }
         core.recluster_now();
+        owed.set(false);
         core.health.record_progress(name);
     }
     WorkerExit::Finished
@@ -1117,6 +1127,38 @@ mod tests {
         // running: pointer-clone + two binary searches.
         let p99 = t.query_latency.quantile(0.99);
         assert!(p99 < 1_000_000, "p99 query latency {p99} ns");
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_restarted_recluster_worker_serves_the_poke_its_crash_lost() {
+        use crate::faults::Fault;
+        let s = stream();
+        let plan = Arc::new(FaultPlan::new([Fault::ReclusterPanic { at_recluster: 0 }]));
+        let core = Arc::new(ServiceCore::new(cfg(), s.blacklist.clone()).with_faults(plan));
+        let day0: Vec<Transaction> = s.window(0, 1).copied().collect();
+        core.apply_transactions(&day0);
+        // One poke, then the channel closes: no later traffic will poke
+        // the restarted worker.
+        let (tx, rx) = bounded(1);
+        tx.send(()).expect("capacity 1");
+        drop(tx);
+        let (worker, status) = {
+            let core = Arc::clone(&core);
+            let owed = Cell::new(false);
+            supervise(
+                "recluster",
+                Arc::clone(&core.health),
+                Arc::clone(core.telemetry()),
+                RestartPolicy::for_config(&core.cfg),
+                move || recluster_loop(&core, &rx, "recluster", &owed),
+            )
+        };
+        worker.join().expect("supervisor threads do not panic");
+        assert_eq!(status.outcome(), WorkerOutcome::Clean { panics: 1 });
+        assert_eq!(core.telemetry().reclusters.load(Ordering::Relaxed), 1);
+        assert_eq!(core.staleness_batches(), 0);
+        assert_eq!(core.health().state, HealthState::Healthy);
     }
 
     /// A fleet-shard-shaped fixture: an 8-day window over a 12-day
