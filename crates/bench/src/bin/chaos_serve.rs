@@ -3,11 +3,12 @@
 //!
 //! Runs one scenario per fault class the fault-tolerance layer claims to
 //! survive — a lossless batcher panic, a panic inside the window lock, a
-//! recluster-worker panic, a device-level recluster stall, a corrupt
+//! recluster-worker panic, a recluster stall, a corrupt
 //! in-pipeline transaction, a failed checkpoint write, and a terminal
 //! crash loop — each driven by a deterministic [`FaultPlan`] pinned to
 //! logical batch/recluster indices. For every scenario it reports the
-//! recovery latency (fault firing → health back to `Healthy`), caught
+//! recovery latency (first fault firing → health back to `Healthy` with
+//! fresh verdicts; for the stall, never less than the stall), caught
 //! panics, supervisor restarts, shed counts, and the final health state,
 //! as a table and as `BENCH_chaos.json`.
 //!
@@ -84,22 +85,24 @@ fn run_scenario(
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut recovered_at = None;
     loop {
+        let fired = plan.all_fired();
+        // The tail of the stream may not land on the recluster cadence:
+        // run one synchronously so staleness can reach 0. It queues behind
+        // a recluster in flight, so a stall that has fired is waited out.
+        service.recluster_now();
         let h = service.health();
         if h.state == HealthState::Down {
             // Terminal: prove the gate is closed (counted) on the way out.
             let _ = service.submit(all[0]);
             break;
         }
-        if plan.all_fired() && h.state == HealthState::Healthy && h.staleness_batches == 0 {
+        if fired && h.state == HealthState::Healthy && h.staleness_batches == 0 {
             recovered_at = Some(Instant::now());
             break;
         }
         if Instant::now() >= deadline {
             break;
         }
-        // The tail of the stream may not land on the recluster cadence:
-        // run one synchronously so staleness can reach 0.
-        service.recluster_now();
         std::thread::sleep(Duration::from_micros(500));
     }
     let recovery = match (recovered_at, plan.fired().first()) {
@@ -269,6 +272,7 @@ fn main() {
     // SplitMix-free seeding: derive per-scenario indices from the seed
     // via FaultPlan::seeded where the class supports it, and pin the
     // structurally-constrained ones (crash loop) explicitly.
+    let stall = Duration::from_millis(200);
     let scenarios: Vec<(&'static str, ServeConfig, Arc<FaultPlan>)> = vec![
         (
             "batcher-panic",
@@ -297,7 +301,7 @@ fn main() {
             base_cfg(),
             Arc::new(FaultPlan::new([Fault::ReclusterStall {
                 at_recluster: 1,
-                millis: 200,
+                millis: stall.as_millis() as u64,
             }])),
         ),
         (
@@ -431,16 +435,20 @@ fn main() {
     eprintln!("... wrote {json_path}");
 
     // The bin doubles as a smoke check in CI: fail loudly if any
-    // recoverable scenario did not recover or the crash loop did not
-    // reach Down.
+    // recoverable scenario did not recover, the stall was not served, or
+    // the crash loop did not reach Down.
     for o in &outcomes {
         if o.scenario == "crash-loop" {
             assert_eq!(o.final_state, HealthState::Down, "crash loop must go Down");
-        } else {
+            continue;
+        }
+        let recovery = o
+            .recovery
+            .unwrap_or_else(|| panic!("scenario {} never recovered to Healthy", o.scenario));
+        if o.scenario == "recluster-stall" {
             assert!(
-                o.recovery.is_some(),
-                "scenario {} never recovered to Healthy",
-                o.scenario
+                recovery >= stall,
+                "the {stall:?} stall was not served: recovered in {recovery:?}"
             );
         }
     }

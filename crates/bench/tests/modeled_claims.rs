@@ -3,11 +3,17 @@
 //! graphs, not measurements — and the margins are thin (346.3 vs 373.3 µs,
 //! 813.8 vs 833.5 µs), so the sizes below are part of each claim. That the
 //! modes agree on labels and convergence is `tests/frontier_equivalence.rs`
-//! and `tests/direction_equivalence.rs`.
+//! and `tests/direction_equivalence.rs`. The delta-replay claim at the end
+//! is a work count, exact for the same reason.
 
 use glp_core::engine::GpuEngine;
-use glp_core::{ClassicLp, Engine, FrontierMode, LpRunReport, RunOptions};
+use glp_core::{
+    replay_delta, ClassicLp, Engine, FrontierMode, LpRunReport, MemoRecorder, RunOptions,
+    SequentialEngine, WeightedLp,
+};
+use glp_fraud::{IncrementalWindow, Transaction, TxConfig, TxStream};
 use glp_graph::Graph;
+use glp_serve::ServeConfig;
 use glp_test_support::convergence_workload;
 
 fn run(g: &Graph, iters: u32, frontier: FrontierMode) -> LpRunReport {
@@ -79,4 +85,69 @@ fn each_direction_wins_its_workload_and_auto_tracks_the_winner() {
             "{name}: auto ({auto}) worse than 1.05x the best forced mode ({won})"
         );
     }
+}
+
+/// DynLP's batch-update contract (incremental ≡ from scratch, at O(delta)
+/// cost) as a deterministic work count. On the `serve_delta` window shape —
+/// an 8-day window of 4 000 users and 8 000 tx/day, then one 64-tx batch
+/// re-dated onto its last day — `replay_delta` over the batch's touched
+/// vertices reads at most `|E| × iterations / 13` neighbour entries. It
+/// reads 87 904 of 116 166 × 20 (1/26.4: 120 touched vertices, 8 computed
+/// iterations, 12 taken from the record); a replay that computes the whole
+/// of V on the same iterations reads 1/2.5.
+#[test]
+fn a_delta_replay_scans_a_sliver_of_the_window() {
+    const K: u64 = 13;
+    let warm_days = 8;
+    let s = TxStream::generate(&TxConfig {
+        num_users: 4_000,
+        num_items: 1_500,
+        days: warm_days + 1,
+        tx_per_day: 8_000,
+        num_rings: 5,
+        ring_size: 12,
+        ring_tx_per_day: 40,
+        blacklist_fraction: 0.25,
+        seed: 1,
+        ..TxConfig::default()
+    });
+    let cfg = ServeConfig::default();
+    let mut window = IncrementalWindow::empty(cfg.window_days);
+    let cut = s.transactions.partition_point(|t| t.day < warm_days);
+    window.apply_batch(&s.transactions[..cut]);
+    window.materialize_delta();
+    let batch: Vec<Transaction> = s.transactions[cut..cut + 64]
+        .iter()
+        .map(|t| Transaction {
+            day: warm_days - 1,
+            ..*t
+        })
+        .collect();
+    window.apply_batch(&batch);
+    let (workload, delta) = window.materialize_delta();
+    let g = &workload.graph;
+
+    let iterations = cfg.pipeline.lp_iterations;
+    let program = || WeightedLp::from_graph(g, iterations).with_retention(cfg.pipeline.retention);
+    let recorder = MemoRecorder::new();
+    let opts = RunOptions::default()
+        .with_max_iterations(iterations)
+        .with_barrier_hook(recorder.hook(g.num_vertices()));
+    SequentialEngine::bsp()
+        .run(g, &mut program(), &opts)
+        .expect("host run");
+    let mut seeds = vec![false; g.num_vertices()];
+    for &v in &delta.touched {
+        seeds[v as usize] = true;
+    }
+    let replay = replay_delta(g, &mut program(), &recorder.into_memo(), &seeds, iterations);
+
+    let dense = g.num_edges() * u64::from(replay.report.iterations);
+    assert!(
+        K * replay.edges_scanned <= dense,
+        "replay scanned {} of {dense} edge entries (|E| {} × {} iterations): more than 1/{K}",
+        replay.edges_scanned,
+        g.num_edges(),
+        replay.report.iterations
+    );
 }

@@ -128,6 +128,11 @@ pub struct DeltaReplay {
     pub initial_frontier: usize,
     /// Largest frontier any iteration consumed.
     pub peak_frontier: usize,
+    /// Neighbour entries the exact decisions read, summed over the
+    /// iterations that computed them (iterations taken from a record read
+    /// none) — the replay's work, which an O(delta) replay keeps far under
+    /// `|E| × iterations`.
+    pub edges_scanned: u64,
 }
 
 /// One iteration's frontier phase: the frontier list and, when the phase
@@ -231,6 +236,7 @@ pub fn replay_delta(
             for &v in &cur.frontier {
                 if g.degree(v) > 0 {
                     cur.scheduled += 1;
+                    result.edges_scanned += u64::from(csr.degree(v));
                     decisions[v as usize] =
                         exact_mfl(&*prog, csr, &mut ht, v, |u| spoken[u as usize]);
                 }

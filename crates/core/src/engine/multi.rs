@@ -54,6 +54,11 @@ impl MultiGpuEngine {
     pub fn gpus(&self) -> &MultiGpu {
         &self.gpus
     }
+
+    /// The device set, mutably (to attach a fault plan to one device).
+    pub fn gpus_mut(&mut self) -> &mut MultiGpu {
+        &mut self.gpus
+    }
 }
 
 impl Engine for MultiGpuEngine {

@@ -4,22 +4,26 @@ use crate::config::DeviceConfig;
 use crate::cost::CostModel;
 use crate::counters::KernelCounters;
 use crate::error::DeviceError;
+#[cfg(feature = "fault-injection")]
+use crate::faults::{FaultKind, FaultPlan};
 use crate::kernel::KernelCtx;
 use glp_trace::{Category, Clock, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
+#[cfg(feature = "fault-injection")]
+use std::sync::Arc;
 
-/// Process-unique device ids, so fault plans and error reports can name a
-/// specific card even when tests construct devices concurrently.
+/// Process-unique device ids, so error reports can name a specific card
+/// even when tests construct devices concurrently.
 static NEXT_DEVICE_ID: AtomicU32 = AtomicU32::new(0);
 
 /// A simulated GPU accumulating modeled time and event totals.
 ///
-/// Every launch and upload is fallible: faults injected through
-/// [`faults`](crate::faults) (feature `fault-injection`), a natural
-/// device-memory overflow, a panicking kernel shard, or a device already
-/// marked lost all surface as [`DeviceError`]s instead of panics, so the
-/// engine layer above can retry, resume, or degrade.
+/// Every launch and upload is fallible: faults read from an attached
+/// [`FaultPlan`](crate::faults::FaultPlan) (feature `fault-injection`), a
+/// natural device-memory overflow, a panicking kernel shard, or a device
+/// already marked lost all surface as [`DeviceError`]s instead of panics,
+/// so the engine layer above can retry, resume, or degrade.
 ///
 /// ```
 /// use glp_gpusim::Device;
@@ -46,6 +50,9 @@ pub struct Device {
     lost: bool,
     kernel_log: Vec<KernelRecord>,
     tracer: Option<Tracer>,
+    /// The attached plan and this device's launches and uploads since.
+    #[cfg(feature = "fault-injection")]
+    faults: Option<(Arc<FaultPlan>, [u64; 2])>,
 }
 
 /// One entry of the per-device kernel log.
@@ -57,9 +64,6 @@ pub struct KernelRecord {
     pub seconds: f64,
     /// Event counts of this launch.
     pub counters: KernelCounters,
-    /// Whether the launch passed the per-launch stall hook
-    /// ([`KernelCtx::new`]), so that [`Device::relaunch`] serves it too.
-    stall_point: bool,
 }
 
 impl Device {
@@ -76,6 +80,8 @@ impl Device {
             lost: false,
             kernel_log: Vec::new(),
             tracer: None,
+            #[cfg(feature = "fault-injection")]
+            faults: None,
         }
     }
 
@@ -84,7 +90,7 @@ impl Device {
         Self::new(DeviceConfig::titan_v())
     }
 
-    /// Process-unique device id (what fault plans and errors reference).
+    /// Process-unique device id (what errors reference).
     pub fn id(&self) -> u32 {
         self.id
     }
@@ -95,9 +101,9 @@ impl Device {
         self.lost
     }
 
-    /// Marks the device lost (what [`FaultKind::DeviceLost`]
-    /// (crate::faults::FaultKind) does at the launch boundary; exposed so
-    /// tests and simulations can force a loss directly).
+    /// Marks the device lost (what a `DeviceLost` fault does at the launch
+    /// boundary; exposed so tests and simulations can force a loss
+    /// directly).
     pub fn mark_lost(&mut self) {
         self.lost = true;
     }
@@ -110,6 +116,26 @@ impl Device {
     /// with and without a tracer.
     pub fn set_tracer(&mut self, tracer: Option<Tracer>) {
         self.tracer = tracer;
+    }
+
+    /// Attaches (or detaches, with `None`) a fault plan (feature
+    /// `fault-injection`). The launch boundary — plain, fused, sharded and
+    /// repeated launches alike — and [`Self::upload`] read it: a
+    /// [`Fault::Device`](crate::faults::Fault::Device) fires at this
+    /// device's `at`-th launch (upload, for `Oom`) counted from here.
+    #[cfg(feature = "fault-injection")]
+    pub fn set_faults(&mut self, plan: Option<Arc<FaultPlan>>) {
+        self.faults = plan.map(|plan| (plan, [0, 0]));
+    }
+
+    /// Counts one launch (`upload`: one upload) against the attached plan
+    /// and returns the failure due there, if any.
+    #[cfg(feature = "fault-injection")]
+    fn fault_due(&mut self, upload: bool) -> Option<FaultKind> {
+        let (plan, seen) = self.faults.as_mut()?;
+        let index = seen[usize::from(upload)];
+        seen[usize::from(upload)] += 1;
+        plan.device_fault_due(index, upload)
     }
 
     /// Rendering track for this device's spans (0 is the host/engine
@@ -133,16 +159,15 @@ impl Device {
         self.cost = cost;
     }
 
-    /// Checks the launch boundary: lost devices and armed failure plans
-    /// turn into errors before any kernel code runs.
+    /// Checks the launch boundary: lost devices and faults the attached
+    /// plan has due turn into errors before any kernel code runs.
     fn pre_launch(&mut self, kernel: &'static str) -> Result<(), DeviceError> {
         let _ = kernel;
         if self.lost {
             return Err(DeviceError::Lost { device: self.id });
         }
         #[cfg(feature = "fault-injection")]
-        if let Some(kind) = crate::faults::take_launch_fault(self.id) {
-            use crate::faults::FaultKind;
+        if let Some(kind) = self.fault_due(false) {
             return Err(match kind {
                 FaultKind::LaunchFail => DeviceError::LaunchFailed {
                     device: self.id,
@@ -160,7 +185,7 @@ impl Device {
                     device: self.id,
                     shard: 0,
                 },
-                FaultKind::Oom => unreachable!("OOM plans fire at the upload boundary"),
+                FaultKind::Oom => unreachable!("OOM faults fire at the upload boundary"),
             });
         }
         Ok(())
@@ -184,7 +209,7 @@ impl Device {
             (ctx.counters, r)
         })) {
             Ok((counters, r)) => {
-                self.commit(name, counters, true);
+                self.commit(name, counters);
                 Ok(r)
             }
             Err(_) => Err(DeviceError::ShardPanicked {
@@ -216,7 +241,7 @@ impl Device {
             (ctx.counters, r)
         })) {
             Ok((counters, r)) => {
-                self.commit(name, counters, false);
+                self.commit(name, counters);
                 Ok(r)
             }
             Err(_) => Err(DeviceError::ShardPanicked {
@@ -310,7 +335,7 @@ impl Device {
                 }
             }
         }
-        self.commit(name, merged, inline);
+        self.commit(name, merged);
         Ok(out)
     }
 
@@ -318,27 +343,17 @@ impl Device {
     /// [`Self::kernel_log`]) without running its kernel code: the caller
     /// holds the results already and warrants the kernel would compute and
     /// count exactly what it did then. The repeat passes the same launch
-    /// boundary — a lost device, an armed fault plan and (where the original
-    /// did) the stall hook all apply — and is charged and logged from the
-    /// recorded counters as a fresh launch, so the clock, totals, log and
-    /// trace cannot tell it from one that ran.
+    /// boundary — a lost device and an attached fault plan both apply — and
+    /// is charged and logged from the recorded counters as a fresh launch,
+    /// so the clock, totals, log and trace cannot tell it from one that ran.
     pub fn relaunch(&mut self, logged: usize) -> Result<(), DeviceError> {
-        let KernelRecord {
-            name,
-            counters,
-            stall_point,
-            ..
-        } = self.kernel_log[logged];
+        let KernelRecord { name, counters, .. } = self.kernel_log[logged];
         self.pre_launch(name)?;
-        #[cfg(feature = "fault-injection")]
-        if stall_point {
-            crate::faults::on_kernel_launch();
-        }
-        self.commit(name, counters, stall_point);
+        self.commit(name, counters);
         Ok(())
     }
 
-    fn commit(&mut self, name: &'static str, counters: KernelCounters, stall_point: bool) {
+    fn commit(&mut self, name: &'static str, counters: KernelCounters) {
         let seconds = self.cost.kernel_seconds(&self.cfg, &counters);
         self.totals.merge(&counters);
         if let Some(t) = &self.tracer {
@@ -359,7 +374,6 @@ impl Device {
             name,
             seconds,
             counters,
-            stall_point,
         });
     }
 
@@ -369,15 +383,15 @@ impl Device {
     /// device memory — callers should fall back to the hybrid out-of-core
     /// mode (that is the paper's own rule) — and with
     /// [`DeviceError::Lost`] on a lost device. Under `fault-injection`, an
-    /// armed [`FaultKind::Oom`](crate::faults::FaultKind) plan fails the
-    /// upload even when the bytes would fit (simulated fragmentation /
-    /// exhaustion by a co-tenant).
+    /// `Oom` fault the attached plan has due fails the upload even when
+    /// the bytes would fit (simulated fragmentation / exhaustion by a
+    /// co-tenant).
     pub fn upload(&mut self, bytes: u64) -> Result<(), DeviceError> {
         if self.lost {
             return Err(DeviceError::Lost { device: self.id });
         }
         #[cfg(feature = "fault-injection")]
-        if crate::faults::take_upload_fault(self.id).is_some() {
+        if self.fault_due(true).is_some() {
             return Err(DeviceError::OutOfMemory {
                 device: self.id,
                 requested: bytes,

@@ -1,13 +1,14 @@
 //! Typed device faults surfaced at the launch/transfer boundaries.
 //!
 //! Real LP fleets lose cards, trip kernel watchdogs, and run out of device
-//! memory; a simulator that can only make kernels *slow* (the stall
-//! injector in [`faults`](crate::faults)) cannot rehearse any of that.
-//! Every fallible entry point of [`Device`](crate::Device) —
+//! memory. Every fallible entry point of [`Device`](crate::Device) —
 //! [`launch`](crate::Device::launch),
 //! [`launch_parallel`](crate::Device::launch_parallel) and
 //! [`upload`](crate::Device::upload) — returns one of these errors, which
-//! the engine layer converts into its own `EngineError`.
+//! the engine layer converts into its own `EngineError`. Under the
+//! `fault-injection` feature a fault plan attached to the device
+//! (`Device::set_faults`) raises them on a deterministic schedule, so the
+//! whole recovery path can be rehearsed.
 
 use std::fmt;
 

@@ -249,8 +249,6 @@ impl GatherStamps {
 impl<'a> KernelCtx<'a> {
     /// A fresh context for one kernel launch on `cfg`.
     pub fn new(cfg: &'a DeviceConfig) -> Self {
-        #[cfg(feature = "fault-injection")]
-        crate::faults::on_kernel_launch();
         let mut ctx = Self::shard(cfg);
         ctx.counters.kernel_launches = 1;
         ctx

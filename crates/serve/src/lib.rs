@@ -65,11 +65,14 @@
 //!   `tests/checkpoint_restore.rs`). Checkpoints and the fleet journal
 //!   are glp-fraud's two on-disk records; every read or write of either
 //!   fails with one [`RecordError`](glp_fraud::RecordError).
-//! * **Fault injection** (feature `fault-injection`, module [`faults`])
-//!   — a deterministic, seeded [`FaultPlan`](faults::FaultPlan) drives
-//!   worker panics, kernel stalls, corrupt transactions, and checkpoint
-//!   failures at chosen batch indices, for the chaos tests and the
-//!   `chaos_serve` bench bin.
+//! * **Fault injection** (feature `fault-injection`) — a deterministic,
+//!   seeded `FaultPlan` drives worker panics, recluster stalls, corrupt
+//!   transactions, checkpoint and journal failures and shard crashes at
+//!   chosen batch and recluster indices, for the chaos tests and the
+//!   `chaos_serve` bench bin. `Fault`, `FaultPlan`, `FaultSpec` and
+//!   `FiredFault` are the simulated device's own, re-exported: one plan
+//!   and one firing rule — each fault fires once, at the first event at
+//!   or after its index — read by every layer where its faults fire.
 //!
 //! ## Sharded serving
 //!
@@ -144,8 +147,6 @@
 
 pub mod config;
 pub mod exchange;
-#[cfg(feature = "fault-injection")]
-pub mod faults;
 pub mod health;
 pub mod ingest;
 pub mod partition;
@@ -171,9 +172,9 @@ pub(crate) fn unpoison<G>(attempt: std::sync::LockResult<G>) -> G {
 
 pub use config::{FleetConfig, ServeConfig, ShedPolicy};
 pub use exchange::{BoundaryCache, ExchangeReport, FleetSnapshot, ShardFrame};
-#[cfg(feature = "fault-injection")]
-pub use faults::{Fault, FaultPlan, FaultSpec, FiredFault};
 pub use glp_fraud::journal::{FleetWal, WalRecord};
+#[cfg(feature = "fault-injection")]
+pub use glp_gpusim::faults::{Fault, FaultPlan, FaultSpec, FiredFault};
 pub use health::{
     fleet_state, FleetHealthReport, HealthMonitor, HealthReport, HealthState, HealthThresholds,
     ShardHealthReport,

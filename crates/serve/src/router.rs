@@ -67,8 +67,6 @@
 
 use crate::config::FleetConfig;
 use crate::exchange::{reconcile_with, BoundaryCache, ExchangeReport, FleetSnapshot};
-#[cfg(feature = "fault-injection")]
-use crate::faults::FaultPlan;
 use crate::health::{
     fleet_state, FleetHealthReport, HealthMonitor, HealthState, ShardHealthReport,
 };
@@ -84,6 +82,8 @@ use crate::supervisor::{
 use crate::swap::EpochCell;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::unpoison;
+#[cfg(feature = "fault-injection")]
+use crate::FaultPlan;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::journal::{FleetWal, WalRecord};

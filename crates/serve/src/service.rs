@@ -34,8 +34,6 @@
 
 use crate::config::ServeConfig;
 use crate::exchange::ShardFrame;
-#[cfg(feature = "fault-injection")]
-use crate::faults::FaultPlan;
 use crate::health::{HealthMonitor, HealthReport, HealthState};
 use crate::ingest::{open_ingest, Batcher, Closed, IngestGate, Submitted};
 use crate::query::{FraudScorer, Verdict, VerdictSnapshot};
@@ -45,6 +43,8 @@ use crate::supervisor::{supervise, RestartPolicy, WorkerExit, WorkerOutcome, Wor
 use crate::swap::EpochCell;
 use crate::telemetry::Telemetry;
 use crate::unpoison;
+#[cfg(feature = "fault-injection")]
+use crate::FaultPlan;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::{RecordError, Transaction};
@@ -881,12 +881,15 @@ pub(crate) fn recluster_loop(
         owed.set(true);
         #[cfg(feature = "fault-injection")]
         if let Some(plan) = core.faults() {
+            // A stall is served here, full or incremental recluster alike,
+            // and claimed under the recluster lock it holds: every other
+            // recluster (a synchronous `recluster_now` too) waits it out.
+            let warm = core.warm();
             let next = core.telemetry.reclusters.load(Ordering::Relaxed);
             if let Some(millis) = plan.stall_due(next) {
-                // The stall is injected at the device layer: the whole
-                // stack above gpusim experiences a slow card.
-                glp_gpusim::faults::inject_kernel_stall(1, millis * 1_000);
+                thread::sleep(std::time::Duration::from_millis(millis));
             }
+            drop(warm);
             plan.maybe_panic_recluster(next);
         }
         core.recluster_now();
@@ -1129,10 +1132,64 @@ mod tests {
         assert!(p99 < 1_000_000, "p99 query latency {p99} ns");
     }
 
+    /// A stall claimed by an incremental recluster — which launches no
+    /// kernel — is served there: the poke that claims it publishes no
+    /// sooner than the stall ends, and the full recluster after it, on the
+    /// same worker thread, is not slowed by it.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_stall_is_served_by_the_recluster_that_claims_it() {
+        use crate::Fault;
+        const STALL: Duration = Duration::from_millis(150);
+        let s = stream();
+        let mut c = cfg();
+        c.delta_fraction_max = 1.0;
+        // One incremental run, then a full one.
+        c.full_recluster_every = 1;
+        let day0: Vec<Transaction> = s.window(0, 1).copied().collect();
+        let (first, rest) = day0.split_at(day0.len() / 2);
+        let (second, third) = rest.split_at(rest.len() / 2);
+        let plan = Arc::new(FaultPlan::new([Fault::ReclusterStall {
+            at_recluster: 1,
+            millis: STALL.as_millis() as u64,
+        }]));
+        let core = Arc::new(ServiceCore::new(c, s.blacklist.clone()).with_faults(plan));
+        core.apply_transactions(first);
+        assert_eq!(core.recluster_now().mode, ReclusterMode::Full);
+        let (tx, rx) = bounded(1);
+        let worker = {
+            let core = Arc::clone(&core);
+            thread::spawn(move || recluster_loop(&core, &rx, "recluster", &Cell::new(false)))
+        };
+        // Apply, poke the worker, and wait for its snapshot.
+        let poke = |txs: &[Transaction]| {
+            core.apply_transactions(txs);
+            let epoch = core.epoch();
+            let started = Instant::now();
+            tx.send(()).expect("worker alive");
+            while core.epoch() == epoch {
+                thread::sleep(Duration::from_micros(100));
+            }
+            started.elapsed()
+        };
+        let t = Arc::clone(core.telemetry());
+        let stalled = poke(second);
+        assert_eq!(t.reclusters_incremental.load(Ordering::Relaxed), 1);
+        assert!(stalled >= STALL, "stall not served: {stalled:?}");
+        let after = poke(third);
+        assert_eq!(t.reclusters_full.load(Ordering::Relaxed), 2);
+        assert!(
+            after < STALL,
+            "the stall leaked into a later recluster: {after:?}"
+        );
+        drop(tx);
+        worker.join().expect("worker exits cleanly");
+    }
+
     #[cfg(feature = "fault-injection")]
     #[test]
     fn a_restarted_recluster_worker_serves_the_poke_its_crash_lost() {
-        use crate::faults::Fault;
+        use crate::Fault;
         let s = stream();
         let plan = Arc::new(FaultPlan::new([Fault::ReclusterPanic { at_recluster: 0 }]));
         let core = Arc::new(ServiceCore::new(cfg(), s.blacklist.clone()).with_faults(plan));

@@ -1,8 +1,8 @@
 //! Device-fault acceptance suite (feature `fault-injection` only).
 //!
-//! Exercises the whole recovery path end to end: deterministic faults are
-//! armed against specific simulated devices via `glp_gpusim::faults`, and
-//! the assertions pin the contract that **no injected fault may change the
+//! Exercises the whole recovery path end to end: a deterministic
+//! `glp_gpusim::faults::FaultPlan` is attached to specific simulated
+//! devices, and the assertions pin the contract that **no injected fault may change the
 //! computed labels or the per-iteration traces** — recovery resumes, it
 //! never silently recomputes differently.
 //!
@@ -26,7 +26,7 @@
 //! driver re-commits the launches of a phase whose exact input it saw two
 //! iterations ago — is a fault like any other: retried, degraded or
 //! repartitioned around, with the replay records rebuilt from scratch on the
-//! new attempt. And the property-based sweep: arbitrary transient
+//! new attempt. And the property-based sweep: arbitrary transient device
 //! faults across the five backends, both frontier modes and three programs
 //! never perturb labels or the `changed` trace.
 //!
@@ -42,7 +42,7 @@ use glp_suite::core::engine::{
 use glp_suite::core::{
     BspEngine, ClassicLp, Engine, FrontierMode, LpProgram, ResilientEngine, RunOptions, Slp,
 };
-use glp_suite::gpusim::faults::{self, FaultKind};
+use glp_suite::gpusim::faults::{Fault, FaultKind, FaultPlan};
 use glp_suite::gpusim::Device;
 use glp_suite::graph::gen::{
     bipartite_interaction, caveman, path, two_cliques_bridge, BipartiteConfig,
@@ -53,6 +53,23 @@ use glp_test_support::{launches_per_iteration, reference, MixLp};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// A plan of device faults: each fires at the `at`-th launch (upload, for
+/// `Oom`) of the device the plan is attached to.
+fn plan(faults: &[(FaultKind, u32)]) -> Arc<FaultPlan> {
+    let device = |&(kind, at): &(FaultKind, u32)| Fault::Device {
+        kind,
+        at: at.into(),
+    };
+    Arc::new(FaultPlan::new(faults.iter().map(device)))
+}
+
+/// A Titan V reading `faults`.
+fn titan_v(faults: &Arc<FaultPlan>) -> Device {
+    let mut device = Device::titan_v();
+    device.set_faults(Some(Arc::clone(faults)));
+    device
+}
 
 /// Acceptance (a): a transient launch failure is retried on the same tier
 /// and the retry resumes at the failed iteration — completed iterations
@@ -65,24 +82,17 @@ fn transient_launch_failure_resumes_at_failed_iteration() {
     let (want_labels, want_changed, want_active) = reference(&g, &opts);
     let per_iter = launches_per_iteration(&g, &opts);
 
-    let gpu = GpuEngine::titan_v();
-    let device = gpu.device().id();
-    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
     // Fire inside iteration 1: iteration 0's barrier has committed, so the
     // retry must resume rather than restart.
-    faults::inject_fault(device, FaultKind::LaunchFail, per_iter + 1);
-    let served_before = faults::faults_served();
+    let faults = plan(&[(FaultKind::LaunchFail, per_iter + 1)]);
+    let gpu = GpuEngine::new(titan_v(&faults));
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())])
+        .with_backoff(Duration::ZERO, Duration::ZERO);
 
     let mut prog = ClassicLp::new(g.num_vertices());
     let report = engine.run(&g, &mut prog, &opts).expect("retry recovers");
-    faults::clear_device(device);
 
-    assert_eq!(
-        faults::faults_served(),
-        served_before + 1,
-        "fault not fired"
-    );
+    assert_eq!(faults.fired().len(), 1, "fault not fired");
     let stats = engine.resilience();
     assert_eq!(stats.retries, 1);
     assert_eq!(stats.degradations, 0);
@@ -114,24 +124,19 @@ fn persistent_device_loss_degrades_to_sequential() {
     let (want_labels, want_changed, want_active) = reference(&g, &opts);
     let per_iter = launches_per_iteration(&g, &opts);
 
-    let gpu = GpuEngine::titan_v();
-    let hybrid = HybridEngine::titan_v();
-    let (gpu_dev, hybrid_dev) = (gpu.device().id(), hybrid.device().id());
+    // Lose the GPU after one completed iteration and the hybrid card on
+    // its very first kernel: only the host tier can finish.
+    let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, per_iter + 1)])));
+    let hybrid = HybridEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, 0)])));
     let mut engine = ResilientEngine::new(vec![
         Box::new(gpu),
         Box::new(hybrid),
         Box::new(SequentialEngine::bsp()),
     ])
     .with_backoff(Duration::ZERO, Duration::ZERO);
-    // Lose the GPU after one completed iteration and the hybrid card on
-    // its very first kernel: only the host tier can finish.
-    faults::inject_fault(gpu_dev, FaultKind::DeviceLost, per_iter + 1);
-    faults::inject_fault(hybrid_dev, FaultKind::DeviceLost, 0);
 
     let mut prog = ClassicLp::new(g.num_vertices());
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
-    faults::clear_device(gpu_dev);
-    faults::clear_device(hybrid_dev);
 
     let stats = engine.resilience();
     assert_eq!(stats.degradations, 2, "GPU -> hybrid -> host");
@@ -219,22 +224,21 @@ fn a_program_without_checkpoints_survives_retry_and_degrade() {
         "the salted run must still be moving when the faults land"
     );
 
-    let gpu = GpuEngine::titan_v();
-    let hybrid = HybridEngine::titan_v();
-    let (gpu_dev, hybrid_dev) = (gpu.device().id(), hybrid.device().id());
+    // A rejected launch inside iteration 1 (retried on the GPU), the GPU
+    // lost inside iteration 2 — two launches further than a fault-free run
+    // would be: the rejected one and the one before it — and the hybrid
+    // card lost on its first kernel: only the host can finish.
+    let gpu = GpuEngine::new(titan_v(&plan(&[
+        (FaultKind::LaunchFail, per_iter + 1),
+        (FaultKind::DeviceLost, 2 * per_iter + 3),
+    ])));
+    let hybrid = HybridEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, 0)])));
     let mut engine = ResilientEngine::new(vec![
         Box::new(gpu),
         Box::new(hybrid),
         Box::new(SequentialEngine::bsp()),
     ])
     .with_backoff(Duration::ZERO, Duration::ZERO);
-    // A rejected launch inside iteration 1 (retried on the GPU), the GPU
-    // lost inside iteration 2 — two launches further than a fault-free run
-    // would be: the rejected one and the one before it — and the hybrid
-    // card lost on its first kernel: only the host can finish.
-    faults::inject_fault(gpu_dev, FaultKind::LaunchFail, per_iter + 1);
-    faults::inject_fault(gpu_dev, FaultKind::DeviceLost, 2 * per_iter + 3);
-    faults::inject_fault(hybrid_dev, FaultKind::DeviceLost, 0);
 
     let barriers: Arc<Mutex<Vec<Vec<Label>>>> = Arc::default();
     let sink = Arc::clone(&barriers);
@@ -245,8 +249,6 @@ fn a_program_without_checkpoints_survives_retry_and_degrade() {
     }));
     let mut prog = SaltedLp::new(n);
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
-    faults::clear_device(gpu_dev);
-    faults::clear_device(hybrid_dev);
 
     let stats = engine.resilience();
     assert_eq!(stats.retries, 1);
@@ -276,16 +278,15 @@ fn multi_gpu_survives_single_device_loss() {
     let (want_labels, want_changed, _) = reference(&g, &opts);
 
     let mut engine = MultiGpuEngine::titan_v(4);
-    let victim = engine.gpus().device(1).id();
     // Let the victim serve a couple of kernels first so the loss lands
     // mid-run, between barriers.
-    faults::inject_fault(victim, FaultKind::DeviceLost, 2);
+    let victim = plan(&[(FaultKind::DeviceLost, 2)]);
+    engine.gpus_mut().device_mut(1).set_faults(Some(victim));
 
     let mut prog = ClassicLp::new(g.num_vertices());
     let report = engine
         .run(&g, &mut prog, &opts)
         .expect("survivors finish the run");
-    faults::clear_device(victim);
 
     assert!(engine.gpus().device(1).is_lost());
     assert_eq!(engine.gpus().survivors(), vec![0, 2, 3]);
@@ -322,21 +323,22 @@ fn multi_gpu_failed_reupload_returns_the_error_without_freeing_phantoms() {
     barriers.lock().unwrap().clear();
 
     let mut engine = MultiGpuEngine::titan_v(2);
-    let (lost, survivor) = (engine.gpus().device(0).id(), engine.gpus().device(1).id());
-    faults::inject_fault(lost, FaultKind::DeviceLost, first_of_iteration_1 as u32);
+    let lost = plan(&[(FaultKind::DeviceLost, first_of_iteration_1 as u32)]);
     // The survivor's upload 0 is the initial staging; upload 1 the re-upload.
-    faults::inject_fault(survivor, FaultKind::Oom, 1);
-    let served_before = faults::faults_served();
+    let survivor = plan(&[(FaultKind::Oom, 1)]);
+    engine
+        .gpus_mut()
+        .device_mut(0)
+        .set_faults(Some(Arc::clone(&lost)));
+    engine
+        .gpus_mut()
+        .device_mut(1)
+        .set_faults(Some(Arc::clone(&survivor)));
     let mut prog = ClassicLp::new(g.num_vertices());
     let outcome = engine.run(&g, &mut prog, &opts);
-    faults::clear_device(lost);
-    faults::clear_device(survivor);
 
-    assert_eq!(
-        faults::faults_served(),
-        served_before + 2,
-        "both faults fire"
-    );
+    let fired = lost.fired().len() + survivor.fired().len();
+    assert_eq!(fired, 2, "both faults fire");
     assert!(outcome.is_err(), "the failed re-upload must surface");
     assert!(engine.gpus().device(0).is_lost());
     assert_eq!(engine.gpus().device(1).resident_bytes(), 0, "nothing leaks");
@@ -357,18 +359,15 @@ fn multi_gpu_failed_initial_upload_leaves_nothing_resident() {
     let (reference_labels, _, _) = reference(&g, &opts);
 
     let mut engine = MultiGpuEngine::titan_v(2);
-    let second = engine.gpus().device(1).id();
-    faults::inject_fault(second, FaultKind::Oom, 0);
-    let served_before = faults::faults_served();
+    let second = plan(&[(FaultKind::Oom, 0)]);
+    engine
+        .gpus_mut()
+        .device_mut(1)
+        .set_faults(Some(Arc::clone(&second)));
     let mut prog = ClassicLp::new(g.num_vertices());
     let outcome = engine.run(&g, &mut prog, &opts);
-    faults::clear_device(second);
 
-    assert_eq!(
-        faults::faults_served(),
-        served_before + 1,
-        "the fault fires"
-    );
+    assert_eq!(second.fired().len(), 1, "the fault fires");
     assert!(outcome.is_err(), "the failed upload must surface");
     for d in 0..2 {
         assert_eq!(
@@ -387,28 +386,27 @@ fn multi_gpu_failed_initial_upload_leaves_nothing_resident() {
     }
 }
 
-/// Acceptance (d): the injection machinery is inert while nothing is armed
-/// against a live device — repeated runs agree bit-for-bit in results
-/// *and* modeled cost, and no fault is ever served. (The feature-off
-/// build's purity is pinned by the default test suite compiling these
-/// hooks out entirely.)
+/// Acceptance (d): the injection machinery is inert while nothing is due
+/// on a live device — repeated runs agree bit-for-bit in results *and*
+/// modeled cost, and no fault is ever served. (The feature-off build's
+/// purity is pinned by the default test suite compiling these hooks out
+/// entirely.)
 #[test]
 fn unarmed_injectors_change_nothing() {
     let g = two_cliques_bridge(9);
     let opts = RunOptions::default();
-    // A plan against an id no real device gets in this process must never
-    // be consumed by anyone else's launches.
-    faults::inject_fault(0xFAB0_BEEF, FaultKind::LaunchFail, 0);
-    let served_before = faults::faults_served();
+    // A plan read at every launch whose fault is never due.
+    let faults = plan(&[(FaultKind::LaunchFail, u32::MAX)]);
 
     let (labels_a, changed_a, _) = reference(&g, &opts);
     let mut prog = ClassicLp::new(g.num_vertices());
-    let report_a = GpuEngine::titan_v().run(&g, &mut prog, &opts).unwrap();
+    let report_a = GpuEngine::new(titan_v(&faults))
+        .run(&g, &mut prog, &opts)
+        .unwrap();
     let mut prog_b = ClassicLp::new(g.num_vertices());
     let report_b = GpuEngine::titan_v().run(&g, &mut prog_b, &opts).unwrap();
 
-    faults::clear_device(0xFAB0_BEEF);
-    assert_eq!(faults::faults_served(), served_before, "stray fault served");
+    assert!(faults.fired().is_empty(), "stray fault served");
     assert_eq!(prog.labels(), prog_b.labels());
     assert_eq!(prog.labels(), &labels_a[..]);
     assert_eq!(report_a.changed_per_iteration, changed_a);
@@ -426,19 +424,16 @@ fn device_loss_emits_degrade_span_under_failed_iteration() {
     let base = RunOptions::default();
     let per_iter = launches_per_iteration(&g, &base);
 
-    let gpu = GpuEngine::titan_v();
-    let device = gpu.device().id();
-    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
     // Persistent loss inside iteration 1: the ladder must degrade, and
     // the interrupted iteration is identifiable in the trace.
-    faults::inject_fault(device, FaultKind::DeviceLost, per_iter + 1);
+    let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, per_iter + 1)])));
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())])
+        .with_backoff(Duration::ZERO, Duration::ZERO);
 
     let tracer = Tracer::new();
     let opts = base.with_tracer(tracer.clone());
     let mut prog = ClassicLp::new(g.num_vertices());
     engine.run(&g, &mut prog, &opts).expect("ladder recovers");
-    faults::clear_device(device);
     assert_eq!(engine.resilience().degradations, 1);
 
     let trace = tracer.finish();
@@ -475,16 +470,15 @@ fn multi_gpu_repartition_emits_resilience_span_mid_iteration() {
     let (want_labels, _, _) = reference(&g, &base);
 
     let mut engine = MultiGpuEngine::titan_v(4);
-    let victim = engine.gpus().device(1).id();
     // Launch 0 is the victim's pick_label; launch 1 is its first
     // propagate kernel, so the loss fires inside the dispatch span.
-    faults::inject_fault(victim, FaultKind::DeviceLost, 1);
+    let victim = plan(&[(FaultKind::DeviceLost, 1)]);
+    engine.gpus_mut().device_mut(1).set_faults(Some(victim));
 
     let tracer = Tracer::new();
     let opts = base.with_tracer(tracer.clone());
     let mut prog = ClassicLp::new(g.num_vertices());
     engine.run(&g, &mut prog, &opts).expect("survivors finish");
-    faults::clear_device(victim);
     assert_eq!(prog.labels(), &want_labels[..], "recovery stays exact");
 
     let trace = tracer.finish();
@@ -529,15 +523,12 @@ fn lower_tier_resumes_at_the_failed_iteration_not_at_zero() {
     );
     let per_iter = launches_per_iteration(&g, &opts);
 
-    let gpu = GpuEngine::titan_v();
-    let device = gpu.device().id();
+    let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, 2 * per_iter + 1)])));
     let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())])
         .with_backoff(Duration::ZERO, Duration::ZERO);
-    faults::inject_fault(device, FaultKind::DeviceLost, 2 * per_iter + 1);
 
     let mut prog = ClassicLp::with_max_iterations(n, 6);
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
-    faults::clear_device(device);
 
     let stats = engine.resilience();
     assert_eq!(stats.degradations, 1);
@@ -567,16 +558,13 @@ fn a_lost_gpu_finishes_on_the_omp_baseline() {
     let (want_labels, want_changed, want_active) = reference(&g, &opts);
     let per_iter = launches_per_iteration(&g, &opts);
 
-    let gpu = GpuEngine::titan_v();
-    let device = gpu.device().id();
+    let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, per_iter + 1)])));
     let omp = CpuLp::omp(CpuLpConfig::default());
     let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(omp)])
         .with_backoff(Duration::ZERO, Duration::ZERO);
-    faults::inject_fault(device, FaultKind::DeviceLost, per_iter + 1);
 
     let mut prog = ClassicLp::new(g.num_vertices());
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
-    faults::clear_device(device);
 
     let stats = engine.resilience();
     assert_eq!(stats.degradations, 1);
@@ -614,14 +602,11 @@ fn degrading_to_a_rung_without_a_frontier_continues_all_active() {
     let opts = RunOptions::default();
     let per_iter = launches_per_iteration(&g, &opts);
 
-    let gpu = GpuEngine::titan_v();
-    let device = gpu.device().id();
+    let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, per_iter + 1)])));
     let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())])
         .with_backoff(Duration::ZERO, Duration::ZERO);
-    faults::inject_fault(device, FaultKind::DeviceLost, per_iter + 1);
     let mut prog = ClassicLp::new(n);
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
-    faults::clear_device(device);
 
     assert_eq!(engine.resilience().tier, Some("G-Sort"));
     assert_eq!(engine.resilience().iterations_salvaged, 1);
@@ -639,7 +624,7 @@ fn degrading_to_a_rung_without_a_frontier_continues_all_active() {
 #[test]
 fn a_fault_in_the_last_kernel_leaves_the_previous_barriers_labels() {
     const K: usize = 2;
-    fn check<E: Engine>(make: impl Fn() -> E, device: impl Fn(&E) -> &Device) {
+    fn check<E: Engine>(make: impl Fn(Device) -> E, device: impl Fn(&E) -> &Device) {
         // A path keeps relabelling for many iterations, so iteration K has
         // updates to (not) apply.
         let g = path(64);
@@ -650,7 +635,7 @@ fn a_fault_in_the_last_kernel_leaves_the_previous_barriers_labels() {
         }));
 
         // Fault-free probe: where in the launch sequence iteration K ends.
-        let mut probe = make();
+        let mut probe = make(Device::titan_v());
         let mut prog = ClassicLp::new(g.num_vertices());
         let report = probe.run(&g, &mut prog, &opts).unwrap();
         assert!(
@@ -667,12 +652,9 @@ fn a_fault_in_the_last_kernel_leaves_the_previous_barriers_labels() {
             .0;
         barriers.lock().unwrap().clear();
 
-        let mut engine = make();
-        let id = device(&engine).id();
-        faults::inject_fault(id, FaultKind::LaunchFail, last_of_k as u32);
+        let mut engine = make(titan_v(&plan(&[(FaultKind::LaunchFail, last_of_k as u32)])));
         let mut prog = ClassicLp::new(g.num_vertices());
         let outcome = engine.run(&g, &mut prog, &opts);
-        faults::clear_device(id);
 
         let tier = engine.name();
         assert!(outcome.is_err(), "{tier}: the armed fault must surface");
@@ -684,9 +666,14 @@ fn a_fault_in_the_last_kernel_leaves_the_previous_barriers_labels() {
             "{tier}: iteration {K} was partially applied"
         );
     }
-    check(GpuEngine::titan_v, GpuEngine::device);
-    check(HybridEngine::titan_v, HybridEngine::device);
-    check(|| MultiGpuEngine::titan_v(1), |e| e.gpus().device(0));
+    check(GpuEngine::new, GpuEngine::device);
+    check(HybridEngine::new, HybridEngine::device);
+    let multi = |device| {
+        let mut e = MultiGpuEngine::titan_v(1);
+        *e.gpus_mut().device_mut(0) = device;
+        e
+    };
+    check(multi, |e| e.gpus().device(0));
 }
 
 /// A user–item window: synchronous LP falls into a 2-cycle on it within a
@@ -771,27 +758,19 @@ fn faults_on_a_replayed_launch_are_retried_and_degraded_around() {
         cycling_probe(GpuEngine::titan_v(), GpuEngine::device, &hooked);
 
     for kind in [FaultKind::LaunchFail, FaultKind::DeviceLost] {
-        let gpu = GpuEngine::titan_v();
-        let device = gpu.device().id();
+        let faults = plan(&[(kind, launch)]);
         let mut engine = ResilientEngine::new(vec![
-            Box::new(gpu),
+            Box::new(GpuEngine::new(titan_v(&faults))),
             Box::new(HybridEngine::titan_v()),
             Box::new(SequentialEngine::bsp()),
         ])
         .with_backoff(Duration::ZERO, Duration::ZERO);
-        faults::inject_fault(device, kind, launch);
-        let served_before = faults::faults_served();
         let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), CYCLE_ITERS);
         let report = engine
             .run(&g, &mut prog, &RunOptions::default())
             .expect("recovers");
-        faults::clear_device(device);
 
-        assert_eq!(
-            faults::faults_served(),
-            served_before + 1,
-            "{kind:?} not fired"
-        );
+        assert_eq!(faults.fired().len(), 1, "{kind:?} not fired");
         let stats = engine.resilience();
         let retried = kind == FaultKind::LaunchFail;
         assert_eq!(
@@ -816,13 +795,12 @@ fn device_loss_on_a_replayed_launch_repartitions() {
         cycling_probe(MultiGpuEngine::titan_v(2), |e| e.gpus().device(1), &opts);
 
     let mut engine = MultiGpuEngine::titan_v(2);
-    let victim = engine.gpus().device(1).id();
-    faults::inject_fault(victim, FaultKind::DeviceLost, launch);
+    let victim = plan(&[(FaultKind::DeviceLost, launch)]);
+    engine.gpus_mut().device_mut(1).set_faults(Some(victim));
     let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), CYCLE_ITERS);
     let report = engine
         .run(&g, &mut prog, &opts)
         .expect("the survivor finishes");
-    faults::clear_device(victim);
 
     assert_eq!(engine.gpus().survivors(), vec![0]);
     assert_eq!(prog.labels(), want.labels());
@@ -856,17 +834,17 @@ fn sweep_program(sel: usize, n: usize) -> Box<dyn LpProgram> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Satellite property: an injected transient fault — a kernel stall,
-    /// a rejected launch, a watchdog timeout, or a shard panic, at any
-    /// launch index, on any backend of the driver, in either frontier
-    /// mode, for any program — leaves labels AND the `changed` trace
-    /// byte-identical to the fault-free run.
+    /// Satellite property: an injected transient fault — a rejected
+    /// launch, a watchdog timeout, or a shard panic, at any launch index,
+    /// on any backend of the driver, in either frontier mode, for any
+    /// program — leaves labels AND the `changed` trace byte-identical to
+    /// the fault-free run.
     #[test]
     fn transient_faults_never_perturb_results(
         cliques in 3usize..6,
         size in 4usize..9,
         dense in any::<bool>(),
-        kind_sel in 0usize..4,
+        kind_sel in 0usize..3,
         after in 0u32..32,
         tier_sel in 0usize..5,
         prog_sel in 0usize..3,
@@ -885,54 +863,28 @@ proptest! {
             want_report.active_per_iteration,
         );
 
-        // Index 3 is the stall injector: kernels get slow, not dead —
-        // results must be untouched without any recovery machinery firing.
-        let kind = [FaultKind::LaunchFail, FaultKind::Timeout, FaultKind::ShardPanic]
-            .get(kind_sel)
-            .copied();
-        let (boxed, device): (Box<dyn BspEngine>, Option<u32>) = match tier {
-            Tier::Gpu => {
-                let e = GpuEngine::titan_v();
-                let id = e.device().id();
-                (Box::new(e), Some(id))
-            }
-            Tier::Hybrid => {
-                let e = HybridEngine::titan_v();
-                let id = e.device().id();
-                (Box::new(e), Some(id))
-            }
+        let kind = [FaultKind::LaunchFail, FaultKind::Timeout, FaultKind::ShardPanic][kind_sel];
+        let faults = plan(&[(kind, after)]);
+        let boxed: Box<dyn BspEngine> = match tier {
+            Tier::Gpu => Box::new(GpuEngine::new(titan_v(&faults))),
+            Tier::Hybrid => Box::new(HybridEngine::new(titan_v(&faults))),
             Tier::Multi => {
-                let e = MultiGpuEngine::titan_v(2);
-                let id = e.gpus().device(0).id();
-                (Box::new(e), Some(id))
+                let mut e = MultiGpuEngine::titan_v(2);
+                e.gpus_mut().device_mut(0).set_faults(Some(faults));
+                Box::new(e)
             }
-            Tier::Sequential => (Box::new(SequentialEngine::bsp()), None),
-            Tier::GSort => {
-                let e = GSortLp::titan_v();
-                let id = e.device().id();
-                (Box::new(e), Some(id))
-            }
+            // The control: no device, nothing to fault.
+            Tier::Sequential => Box::new(SequentialEngine::bsp()),
+            Tier::GSort => Box::new(GSortLp::new(titan_v(&faults))),
         };
-        match (kind, device) {
-            (Some(k), Some(id)) => faults::inject_fault(id, k, after),
-            // Stalls carry no device id: a handful of slowed launches,
-            // served to whichever engine this thread drives next.
-            (None, _) => faults::inject_kernel_stall(after.min(6), 100),
-            (Some(_), None) => {} // sequential control: nothing to fault
-        }
 
         let mut engine = ResilientEngine::new(vec![boxed])
             .with_max_retries(8)
             .with_backoff(Duration::ZERO, Duration::ZERO);
         let mut prog = sweep_program(prog_sel, g.num_vertices());
-        let outcome = engine.run(&g, &mut *prog, &opts);
-        if let Some(id) = device {
-            faults::clear_device(id);
-        }
-        if kind.is_none() {
-            faults::inject_kernel_stall(0, 0); // disarm leftover stalls
-        }
-        let report = outcome.expect("transient faults are recoverable");
+        let report = engine
+            .run(&g, &mut *prog, &opts)
+            .expect("transient faults are recoverable");
 
         prop_assert_eq!(prog.labels(), &want_labels[..]);
         prop_assert_eq!(report.changed_per_iteration, want_changed);
