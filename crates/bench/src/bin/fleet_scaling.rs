@@ -10,15 +10,17 @@
 //! `max(shard walls) + exchange wall`, giving a modeled tx/s per shard
 //! count. The measured wall of each `exchange_now` call is reported beside
 //! that modeled round cost, unasserted: it equals the model only when
-//! there are as many cores as shards. The curve self-asserts the quantity
-//! sharding actually divides —
-//! Σ over rounds of the slowest shard's recluster wall: at 4 shards it
-//! must be at least `MIN_RECLUSTER_SPEEDUP` (2×) smaller than at 1 shard, or
-//! the bench exits non-zero. The routing/apply wall and the exchange wall
-//! are serial whatever the shard count; they are reported beside it (and
-//! fold into the end-to-end `speedup_vs_1shard`), unasserted — a ratio of
-//! wall sums that include them *falls* whenever label propagation gets
-//! faster.
+//! there are as many cores as shards. The curve self-asserts the work
+//! sharding actually divides, as a count rather than a time — Σ over rounds
+//! of the largest shard snapshot's graph edges (the window the slowest
+//! shard reclusters): at 4 shards it must be at least `MIN_WORK_SPLIT` (2×)
+//! smaller than at 1 shard, or the bench exits non-zero. The slowest-shard
+//! recluster wall is reported beside it, unasserted: a ratio of two timed
+//! sides moves with the host (it read 2.2–4.2× on 2 vCPUs). The
+//! routing/apply wall and the exchange wall are serial whatever the shard
+//! count; they are reported too (and fold into the end-to-end
+//! `speedup_vs_1shard`), unasserted — a ratio of wall sums that include
+//! them *falls* whenever label propagation gets faster.
 //!
 //! Usage: `cargo run -p glp-bench --release --bin fleet_scaling
 //!         [--shards 1,2,4,8] [--regions N] [--users-per-region N]
@@ -32,8 +34,8 @@ use glp_fraud::{RegionalStream, RegionalTxConfig, Transaction};
 use glp_serve::{FleetConfig, FleetCore, Partitioner, ServeConfig};
 use std::time::Instant;
 
-/// Floor on (Σ slowest-shard recluster wall at 1 shard) / (same at 4).
-const MIN_RECLUSTER_SPEEDUP: f64 = 2.0;
+/// Floor on (Σ largest-shard graph edges at 1 shard) / (same at 4).
+const MIN_WORK_SPLIT: f64 = 2.0;
 
 fn main() {
     let args = Args::parse();
@@ -76,8 +78,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut json_rows: Vec<serde_json::Value> = Vec::new();
     // Per shard count: (modeled tx/s, Σ over rounds of the slowest shard's
-    // recluster wall).
-    let mut curve: Vec<(usize, f64, f64)> = Vec::new();
+    // recluster wall, Σ over rounds of the largest shard's graph edges).
+    let mut curve: Vec<(usize, f64, f64, u64)> = Vec::new();
     for &n in &shard_counts {
         eprintln!("... {n} shard(s)");
         let cfg = FleetConfig {
@@ -102,6 +104,7 @@ fn main() {
         let mut shard_max_wall = 0.0f64;
         let mut exchange_wall = 0.0f64;
         let mut measured_round_wall = 0.0f64;
+        let mut largest_edges = 0u64;
         let mut rounds = 0u64;
         let mut batches = 0u64;
         let mut boundary_users = 0usize;
@@ -116,6 +119,8 @@ fn main() {
                 .map(|r| r.wall_seconds)
                 .fold(0.0, f64::max);
             exchange_wall += o.exchange_wall;
+            let shards = core.shards().iter();
+            largest_edges += shards.map(|s| s.snapshot().graph_edges).max().unwrap_or(0);
             rounds += 1;
             boundary_users = o.report.boundary_users;
             spanning = o.report.spanning_components;
@@ -137,9 +142,10 @@ fn main() {
         let round_wall = shard_max_wall + exchange_wall;
         let modeled_wall = apply_wall + round_wall;
         let tx_per_s = all.len() as f64 / modeled_wall;
-        curve.push((n, tx_per_s, shard_max_wall));
+        curve.push((n, tx_per_s, shard_max_wall, largest_edges));
         let speedup = tx_per_s / curve[0].1;
         let recluster_speedup = curve[0].2 / shard_max_wall;
+        let work_split = curve[0].3 as f64 / largest_edges.max(1) as f64;
         rows.push(vec![
             format!("{n}"),
             format!("{}", all.len()),
@@ -150,6 +156,8 @@ fn main() {
             format!("{:.3}s", round_wall),
             format!("{:.3}s", measured_round_wall),
             format!("{recluster_speedup:.2}x"),
+            format!("{largest_edges}"),
+            format!("{work_split:.2}x"),
             format!("{:.3}s", modeled_wall),
             format!("{tx_per_s:.0}"),
             format!("{speedup:.2}x"),
@@ -162,6 +170,8 @@ fn main() {
             "apply_wall_s": apply_wall,
             "shard_recluster_max_wall_s": shard_max_wall,
             "recluster_speedup_vs_1shard": recluster_speedup,
+            "largest_shard_edges": largest_edges,
+            "work_split_vs_1shard": work_split,
             "modeled_round_wall_s": round_wall,
             "measured_round_wall_s": measured_round_wall,
             "exchange_wall_s": exchange_wall,
@@ -187,6 +197,8 @@ fn main() {
             "Σround model",
             "Σround measured",
             "shard speedup",
+            "Σmax edges",
+            "edge split",
             "modeled",
             "tx/s",
             "speedup",
@@ -201,8 +213,9 @@ fn main() {
             .find(|(n, ..)| *n == shards)
             .expect("checked after parsing")
     };
-    let ((_, tx1, wall1), (_, tx4, wall4)) = (at(1), at(4));
+    let ((_, tx1, wall1, edges1), (_, tx4, wall4, edges4)) = (at(1), at(4));
     let (recluster_speedup, end_to_end) = (wall1 / wall4, tx4 / tx1);
+    let work_split = edges1 as f64 / edges4.max(1) as f64;
     let doc = serde_json::json!({
         "bench": "fleet_scaling",
         "stream": serde_json::json!({
@@ -215,7 +228,8 @@ fn main() {
         "exchange_every_batches": exchange_every,
         "cores": cores as u64,
         "rows": json_rows,
-        "min_recluster_speedup_4_over_1": MIN_RECLUSTER_SPEEDUP,
+        "min_work_split_4_over_1": MIN_WORK_SPLIT,
+        "work_split_4_over_1": work_split,
         "recluster_speedup_4_over_1": recluster_speedup,
         "speedup_4_over_1": end_to_end,
     });
@@ -227,13 +241,14 @@ fn main() {
     eprintln!("wrote {json_path}");
 
     eprintln!(
-        "... 4-shard recluster speedup over 1-shard: {recluster_speedup:.2}x \
-         (floor {MIN_RECLUSTER_SPEEDUP:.1}x); end-to-end modeled throughput \
+        "... 4-shard largest-shard edge split over 1-shard: {work_split:.2}x \
+         (floor {MIN_WORK_SPLIT:.1}x); slowest-shard recluster wall \
+         {recluster_speedup:.2}x and end-to-end modeled throughput \
          {end_to_end:.2}x (not asserted)"
     );
     assert!(
-        recluster_speedup >= MIN_RECLUSTER_SPEEDUP,
-        "scaling regression: at 4 shards the slowest-shard recluster wall is only \
-         {recluster_speedup:.2}x smaller than at 1 shard (floor {MIN_RECLUSTER_SPEEDUP:.1}x)"
+        work_split >= MIN_WORK_SPLIT,
+        "scaling regression: at 4 shards the largest shard's graph edges, summed over \
+         rounds, are only {work_split:.2}x fewer than at 1 shard (floor {MIN_WORK_SPLIT:.1}x)"
     );
 }

@@ -7,14 +7,18 @@
 //! on top of the workspace's existing pieces:
 //!
 //! ```text
-//!  producers ──▶ [bounded queue] ──▶ batcher ──▶ IncrementalWindow
-//!      │  shed (counted:              │ micro-batches        │ materialize
-//!      │  drop-oldest / reject-new)   │                      ▼ (short lock)
-//!      ▼                              │             recluster thread
+//!  producers ──▶ [bounded queue] ──▶ front worker ──▶ IncrementalWindow
+//!      │  shed (counted:              │ batcher | router     │ materialize
+//!      │  drop-oldest / reject-new)   │ staleness gate       ▼ (short lock)
+//!      ▼                              │          recluster worker per core
 //!   Err(tx) back to producer         poke ─────────▶  LP + scoring
 //!                                                          │ publish
 //!  queries ◀── QueryHandle ◀── EpochCell<VerdictSnapshot> ◀┘ (Arc swap)
 //! ```
+//!
+//! [`FraudService`] and the fleet's [`ShardRouter`] run this one threaded
+//! shell — one front-worker loop, one start, one ordered shutdown — each
+//! around its own synchronous core.
 //!
 //! Three stages, three guarantees:
 //!
@@ -52,12 +56,12 @@
 //!
 //! The service is supervised and durable:
 //!
-//! * **Supervision** ([`supervisor`]) — both worker threads run under
-//!   supervisors that catch panics, count them, and restart with capped
-//!   exponential backoff. A crash streak walks the [`health`] state
-//!   machine `Healthy → Degraded → Shedding → Down`; the ingest gate
-//!   sheds (counted) from `Shedding`, and queries keep answering from
-//!   the last good snapshot in every state.
+//! * **Supervision** ([`supervisor`]) — every worker of the shell runs
+//!   under a supervisor that catches panics, counts them, and restarts
+//!   with capped exponential backoff. A crash streak walks the
+//!   [`health`] state machine `Healthy → Degraded → Shedding → Down`;
+//!   the ingest gate sheds (counted) from `Shedding`, and queries keep
+//!   answering from the last good snapshot in every state.
 //! * **Checkpoint/restore** — with [`ServeConfig::checkpoint_path`] set,
 //!   the window is periodically persisted through
 //!   [`glp_fraud::checkpoint`] and [`FraudService::recover`] resumes
@@ -155,6 +159,7 @@ pub mod query;
 pub mod recluster;
 pub mod router;
 pub mod service;
+mod shell;
 mod stamped;
 pub mod supervisor;
 pub mod swap;

@@ -11,11 +11,13 @@
 //!   checkpoint writes fan out over scoped workers, up to one per core,
 //!   and are joined before the call returns. The determinism suite and
 //!   the scaling bench drive it step by step.
-//! * [`ShardRouter`] — the threaded shell: one supervised **router**
-//!   worker drains the ingest queue and fans batches out, one supervised
+//! * [`ShardRouter`] — the threaded shell around the fleet, the same
+//!   shell [`FraudService`](crate::FraudService) runs: a supervised
+//!   **router** worker drains the ingest queue and fans batches out (its
+//!   staleness gate waits on the stalest live shard), one supervised
 //!   **recluster** worker per shard refreshes that shard's local
-//!   verdicts, and one supervised **exchange** worker reconciles
-//!   boundary components into the fleet snapshot.
+//!   verdicts, and one supervised **exchange** worker reconciles boundary
+//!   components into the fleet snapshot.
 //!
 //! **Routing and validation.** The router is the fleet's single
 //! authority on validity and ordering: it filters non-finite amounts and
@@ -57,9 +59,9 @@
 //!   corrupt shard checkpoint downgrades to a journal-only rebuild of
 //!   that shard instead of failing the whole restore.
 //! * **The write-ahead crash window** — a crash *between* journal
-//!   append and fan-out leaves a batch durable but unapplied;
-//!   `router_loop` replays it on worker restart before accepting new
-//!   traffic, again exactly once.
+//!   append and fan-out leaves a batch durable but unapplied; the
+//!   router worker replays it on restart before accepting new traffic,
+//!   again exactly once.
 //!
 //! Checkpoints bound the journal: after each fleet checkpoint the
 //! segments every shard's durable image already covers are deleted
@@ -70,30 +72,26 @@ use crate::exchange::{reconcile_with, BoundaryCache, ExchangeReport, FleetSnapsh
 use crate::health::{
     fleet_state, FleetHealthReport, HealthMonitor, HealthState, ShardHealthReport,
 };
-use crate::ingest::{open_ingest, Batcher, Closed, IngestGate, Submitted};
+use crate::ingest::{IngestGate, Submitted};
 use crate::partition::Partitioner;
 use crate::query::{FraudScorer, Verdict, VerdictSnapshot};
 use crate::recluster::{absorb_outcome, ReclusterMode, ReclusterRun};
-use crate::service::{poke, recluster_loop, Blacklist, ServiceCore};
+use crate::service::{Blacklist, ServiceCore};
+use crate::shell::{Core, Front, Shell};
 use crate::stamped::{admit, record_admission, StampedWindow};
-use crate::supervisor::{
-    panic_message, supervise, RestartPolicy, WorkerExit, WorkerOutcome, WorkerStatus,
-};
+use crate::supervisor::{panic_message, WorkerOutcome};
 use crate::swap::EpochCell;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::unpoison;
 #[cfg(feature = "fault-injection")]
 use crate::FaultPlan;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::journal::{FleetWal, WalRecord};
 use glp_fraud::{RecordError, Transaction};
-use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// What one [`FleetCore::exchange_now`] round cost and found.
@@ -212,9 +210,6 @@ pub struct FleetCore {
     /// One scoring core per shard, fed through
     /// [`ServiceCore::apply_stamped`].
     shards: Vec<Arc<ServiceCore>>,
-    /// Per-shard worker names for apply-side crash bookkeeping, leaked
-    /// once at construction (the supervisor's `&'static str` convention).
-    apply_workers: Vec<&'static str>,
     fleet: EpochCell<FleetSnapshot>,
     /// Router-level telemetry (ingest, routing, exchange); shard cores
     /// have their own blocks, merged by [`Self::fleet_telemetry`].
@@ -382,9 +377,6 @@ impl FleetCore {
             .map_or(0, |m| m + 1);
         let durable = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         let failover_blocked = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
-        let apply_workers = (0..shards.len())
-            .map(|i| &*Box::leak(format!("shard{i}-apply").into_boxed_str()))
-            .collect();
         let boundary = Mutex::new(BoundaryCache::new(cfg.shard.window_days));
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let workers = shards.len().min(cores);
@@ -394,7 +386,6 @@ impl FleetCore {
             partitioner,
             blacklist: Blacklist::new(blacklist),
             shards: shards.into_iter().map(Arc::new).collect(),
-            apply_workers,
             fleet: EpochCell::new(FleetSnapshot::default()),
             telemetry: Arc::new(Telemetry::new()),
             batches_applied: AtomicU64::new(batches),
@@ -462,7 +453,8 @@ impl FleetCore {
 
     /// Attaches a fault plan (feature `fault-injection`): the routed
     /// apply consults [`FaultPlan::maybe_panic_shard`] per shard per
-    /// fleet batch.
+    /// fleet batch, and a [`ShardRouter`]'s router worker its batcher
+    /// hooks.
     #[cfg(feature = "fault-injection")]
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
@@ -566,7 +558,7 @@ impl FleetCore {
         }
         for (i, shard) in self.shards.iter().enumerate() {
             let sub = std::mem::take(&mut routed[i]);
-            let (health, worker) = (shard.health_monitor(), self.apply_workers[i]);
+            let health = shard.health_monitor();
             if health.is_down() {
                 if self.try_auto_failover(i) {
                     // The rebuild replayed the journal through this very
@@ -591,14 +583,14 @@ impl FleetCore {
                 shard.apply_stamped(&sub, end);
             }));
             match outcome {
-                Ok(()) => health.record_progress(worker),
+                Ok(()) => health.record_progress("apply"),
                 Err(payload) => {
                     let msg = panic_message(payload.as_ref());
                     shard
                         .telemetry()
                         .worker_panics
                         .fetch_add(1, Ordering::Relaxed);
-                    let state = health.record_crash(worker, &msg);
+                    let state = health.record_crash("apply", &msg);
                     if state == HealthState::Down && self.try_auto_failover(i) {
                         // Rebuilt through this batch, crash and all —
                         // nothing was lost, nothing to shed.
@@ -1083,29 +1075,20 @@ impl FleetShutdownReport {
     }
 }
 
-/// The threaded sharded service (see module docs).
-pub struct ShardRouter {
-    core: Arc<FleetCore>,
-    gate: IngestGate,
-    recluster_txs: Vec<Sender<()>>,
-    exchange_tx: Sender<()>,
-    router_worker: Option<JoinHandle<()>>,
-    router_status: Arc<WorkerStatus>,
-    shard_workers: Vec<Option<JoinHandle<()>>>,
-    shard_statuses: Vec<Arc<WorkerStatus>>,
-    exchange_worker: Option<JoinHandle<()>>,
-    exchange_status: Arc<WorkerStatus>,
-}
+/// The threaded sharded service: the threaded shell around a
+/// [`FleetCore`] (see module docs).
+pub struct ShardRouter(Shell<FleetCore>);
 
 impl ShardRouter {
     /// Starts the fleet: one supervised router worker, one supervised
     /// recluster worker per shard, one supervised exchange worker.
     pub fn start(cfg: FleetConfig, partitioner: Partitioner, blacklist: Vec<u32>) -> Self {
-        Self::start_on(Arc::new(FleetCore::new(cfg, partitioner, blacklist)))
+        Self::start_on(FleetCore::new(cfg, partitioner, blacklist))
     }
 
     /// Starts the fleet with a fault plan attached (feature
-    /// `fault-injection`).
+    /// `fault-injection`): the router worker's batcher hooks and the
+    /// routed apply consult it.
     #[cfg(feature = "fault-injection")]
     pub fn start_with_faults(
         cfg: FleetConfig,
@@ -1113,9 +1096,7 @@ impl ShardRouter {
         blacklist: Vec<u32>,
         plan: Arc<FaultPlan>,
     ) -> Self {
-        Self::start_on(Arc::new(
-            FleetCore::new(cfg, partitioner, blacklist).with_faults(plan),
-        ))
+        Self::start_on(FleetCore::new(cfg, partitioner, blacklist).with_faults(plan))
     }
 
     /// Resumes a fleet from its per-shard checkpoints plus journal
@@ -1125,105 +1106,43 @@ impl ShardRouter {
         partitioner: Partitioner,
         blacklist: Vec<u32>,
     ) -> Result<Self, RecordError> {
-        Ok(Self::start_on(Arc::new(FleetCore::restore(
+        Ok(Self::start_on(FleetCore::restore(
             cfg,
             partitioner,
             blacklist,
-        )?)))
+        )?))
     }
 
-    fn start_on(core: Arc<FleetCore>) -> Self {
-        let policy = RestartPolicy::for_config(&core.cfg.shard);
-        let (gate, new_batcher) = open_ingest(
-            &core.cfg.shard,
-            Arc::clone(&core.window_end),
-            Arc::clone(&core.health),
-            Arc::clone(&core.telemetry),
-        );
-
-        // One capacity-1 poke channel per shard recluster worker plus
-        // one for the exchange worker; requests coalesce (counted) like
-        // the single service's.
-        let mut recluster_txs = Vec::with_capacity(core.shards.len());
-        let mut shard_workers = Vec::with_capacity(core.shards.len());
-        let mut shard_statuses = Vec::with_capacity(core.shards.len());
-        for (i, shard) in core.shards.iter().enumerate() {
-            let (tx, rx): (Sender<()>, Receiver<()>) = bounded(1);
-            recluster_txs.push(tx);
-            let name: &'static str = Box::leak(format!("shard{i}-recluster").into_boxed_str());
-            let shard = Arc::clone(shard);
-            let owed = Cell::new(false);
-            let (worker, status) = supervise(
-                name,
-                Arc::clone(shard.health_monitor()),
-                Arc::clone(shard.telemetry()),
-                policy,
-                move || recluster_loop(&shard, &rx, name, &owed),
-            );
-            shard_workers.push(Some(worker));
-            shard_statuses.push(status);
-        }
-
-        let (exchange_tx, exchange_rx): (Sender<()>, Receiver<()>) = bounded(1);
-        let (exchange_worker, exchange_status) = {
-            let core = Arc::clone(&core);
-            let health = Arc::clone(&core.health);
-            let telemetry = Arc::clone(&core.telemetry);
-            supervise("exchange", health, telemetry, policy, move || {
-                exchange_loop(&core, &exchange_rx)
-            })
-        };
-
-        let (router_worker, router_status) = {
-            let core = Arc::clone(&core);
-            let health = Arc::clone(&core.health);
-            let telemetry = Arc::clone(&core.telemetry);
-            let recluster_txs = recluster_txs.clone();
-            let exchange_tx = exchange_tx.clone();
-            supervise("router", health, telemetry, policy, move || {
-                router_loop(&core, &new_batcher(), &recluster_txs, &exchange_tx)
-            })
-        };
-
-        Self {
-            core,
-            gate,
-            recluster_txs,
-            exchange_tx,
-            router_worker: Some(router_worker),
-            router_status,
-            shard_workers,
-            shard_statuses,
-            exchange_worker: Some(exchange_worker),
-            exchange_status,
-        }
+    fn start_on(core: FleetCore) -> Self {
+        let shards = core.shards.clone();
+        Self(Shell::start(Arc::new(core), shards))
     }
 
     /// A producer-side submission gate (cloneable).
     pub fn gate(&self) -> IngestGate {
-        self.gate.clone()
+        self.0.gate.clone()
     }
 
     /// Submits one transaction through the fleet's gate.
     pub fn submit(&self, tx: Transaction) -> Result<(), Transaction> {
-        self.gate.submit(tx)
+        self.0.gate.submit(tx)
     }
 
     /// A fleet-wide query handle (cloneable).
     pub fn handle(&self) -> FleetHandle {
         FleetHandle {
-            core: Arc::clone(&self.core),
+            core: Arc::clone(&self.0.core),
         }
     }
 
     /// The synchronous fleet core.
     pub fn core(&self) -> &Arc<FleetCore> {
-        &self.core
+        &self.0.core
     }
 
     /// The current fleet health document.
     pub fn health(&self) -> FleetHealthReport {
-        self.core.health()
+        self.0.core.health()
     }
 
     /// Triggers every live shard's local recluster synchronously,
@@ -1233,105 +1152,79 @@ impl ShardRouter {
     /// serializes this with its recluster worker, so a forced run never
     /// races a scheduled one.
     pub fn recluster_now(&self) -> Vec<ReclusterRun> {
-        self.core.recluster_now()
+        self.0.core.recluster_now()
     }
 
     /// Asks the exchange worker for a reconciliation round now
     /// (coalesces if one is pending).
     pub fn force_exchange(&self) {
-        poke(&self.exchange_tx, &self.core.telemetry);
+        self.0.force_exchange();
     }
 
     /// Stops the fleet: closes the ingest queue, drains the router,
     /// joins every worker, runs one final exchange round so the last
     /// batches are scored fleet-wide, and writes final checkpoints when
     /// configured. Worker panics are reported, not re-thrown.
-    pub fn shutdown(mut self) -> FleetShutdownReport {
-        drop(self.gate);
-        if let Some(h) = self.router_worker.take() {
-            h.join().expect("supervisor threads do not panic");
-        }
-        drop(std::mem::take(&mut self.recluster_txs));
-        for w in &mut self.shard_workers {
-            if let Some(h) = w.take() {
-                h.join().expect("supervisor threads do not panic");
-            }
-        }
-        drop(self.exchange_tx);
-        if let Some(h) = self.exchange_worker.take() {
-            h.join().expect("supervisor threads do not panic");
-        }
-        self.core.exchange_now();
-        if self.core.cfg.shard.checkpoint_path.is_some() {
-            let _ = self.core.checkpoint_all();
-        }
+    pub fn shutdown(self) -> FleetShutdownReport {
+        let (core, mut shards) = self.0.shutdown();
+        let exchange = shards.pop().expect("the exchange worker starts last");
+        let router = shards.remove(0);
         FleetShutdownReport {
-            state: self.core.health().state,
-            router: self.router_status.outcome(),
-            shards: self.shard_statuses.iter().map(|s| s.outcome()).collect(),
-            exchange: self.exchange_status.outcome(),
-            core: Arc::clone(&self.core),
+            state: core.health().state,
+            router,
+            shards,
+            exchange,
+            core,
         }
     }
 }
 
-fn router_loop(
-    core: &FleetCore,
-    batcher: &Batcher,
-    recluster_txs: &[Sender<()>],
-    exchange_tx: &Sender<()>,
-) -> WorkerExit {
-    // Heal the write-ahead crash window first: a batch journaled by a
-    // previous incarnation of this worker but never fanned out (the
-    // crash hit between append and fan-out) replays exactly once before
-    // any new traffic is drained.
-    if let Err(e) = core.sync_from_wal() {
-        core.health.record_crash("wal-journal", &e.to_string());
-    }
-    loop {
-        match batcher.next_batch() {
-            Err(Closed) => return WorkerExit::Finished,
-            Ok(batch) => {
-                if batch.is_empty() {
-                    continue; // idle tick
-                }
-                let applied = core.apply(&batch);
-                core.health.record_progress("router");
-                if applied.is_multiple_of(core.cfg.shard.recluster_every_batches) {
-                    for (i, tx) in recluster_txs.iter().enumerate() {
-                        if !core.shards[i].health_monitor().is_down() {
-                            poke(tx, &core.telemetry);
-                        }
-                    }
-                }
-                if applied.is_multiple_of(core.cfg.exchange_every_batches) {
-                    poke(exchange_tx, &core.telemetry);
-                }
-                if core.cfg.shard.checkpoint_path.is_some()
-                    && applied.is_multiple_of(core.cfg.shard.checkpoint_every_batches)
-                {
-                    // Failures are counted per shard; the fleet keeps
-                    // serving and previous images stay intact.
-                    let _ = core.checkpoint_all();
-                }
-            }
+impl Core for FleetCore {
+    fn front(&self) -> Front {
+        Front {
+            name: "router",
+            cfg: self.cfg.shard.clone(),
+            health: Arc::clone(&self.health),
+            telemetry: Arc::clone(&self.telemetry),
+            window_end: Arc::clone(&self.window_end),
+            tracer: None,
+            exchange_every: Some(self.cfg.exchange_every_batches),
+            #[cfg(feature = "fault-injection")]
+            plan: self.faults.clone(),
         }
     }
-}
 
-fn exchange_loop(core: &FleetCore, rx: &Receiver<()>) -> WorkerExit {
-    while rx.recv().is_ok() {
-        if core.health.is_down() {
-            return WorkerExit::Finished;
-        }
-        core.exchange_now();
+    fn apply_batch(&self, batch: &[Submitted]) -> u64 {
+        self.apply(batch)
     }
-    WorkerExit::Finished
+
+    #[cfg(feature = "fault-injection")]
+    fn applied(&self) -> u64 {
+        self.batches_applied()
+    }
+
+    fn save(&self) {
+        let _ = self.checkpoint_all();
+    }
+
+    fn refresh(&self) {
+        self.exchange_now();
+    }
+
+    /// Heals the write-ahead crash window: a batch journaled by a
+    /// previous incarnation of the router worker but never fanned out
+    /// replays exactly once before any new traffic is drained.
+    fn resume(&self) {
+        if let Err(e) = self.sync_from_wal() {
+            self.health.record_crash("wal-journal", &e.to_string());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ShedPolicy;
     use glp_fraud::{RegionalStream, RegionalTxConfig};
     use std::path::Path;
 
@@ -1429,6 +1322,114 @@ mod tests {
         assert_eq!(t.fleet_state, HealthState::Healthy);
         assert_eq!(t.shard_failovers, vec![0, 0]);
         assert!(t.counter("batches") > 0);
+    }
+
+    /// The router worker runs the batcher's fault hooks: a panic before
+    /// the drain is lossless, and the record corrupted after the gate is
+    /// shed by the router's admit — so the fleet scores exactly what a
+    /// fault-free fleet fed the stream without that record scores.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn the_router_worker_reads_the_batcher_fault_hooks() {
+        use crate::{Fault, FaultSpec};
+        let s = stream();
+        let all: Vec<Transaction> = s.window(0, s.config.days).copied().collect();
+        let mut cfg = fleet_cfg(2);
+        // Nothing sheds: both runs must apply the same transactions.
+        cfg.shard.queue_capacity = 1 << 16;
+        cfg.shard.shed_policy = ShedPolicy::RejectNew;
+        let spec = FaultSpec {
+            batcher_panics: 1,
+            corrupt_txs: 1,
+            batch_horizon: 2,
+            ..FaultSpec::default()
+        };
+        let plan = Arc::new(FaultPlan::seeded(7, &spec));
+        // A horizon of 2 pins both to batch 1: the panic fires before the
+        // second batch is drained, the corruption hits its first record.
+        assert_eq!(
+            plan.scheduled(),
+            [
+                Fault::BatcherPanic { at_batch: 1 },
+                Fault::CorruptTx { at_batch: 1 }
+            ]
+        );
+        let router = ShardRouter::start_with_faults(
+            cfg.clone(),
+            partitioner(&s, 2),
+            s.blacklist.clone(),
+            Arc::clone(&plan),
+        );
+        // The first batch is the first record alone, so the second batch
+        // starts with the second record.
+        router.submit(all[0]).expect("fleet accepts while running");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while router.core().batches_applied() == 0 {
+            assert!(Instant::now() < deadline, "the first batch never applied");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for t in &all[1..] {
+            router.submit(*t).expect("large queue, no shed");
+        }
+        let report = router.shutdown();
+        assert!(plan.all_fired(), "the router never read the plan");
+        assert_eq!(report.router, WorkerOutcome::Clean { panics: 1 });
+        let rejected = report
+            .core
+            .telemetry()
+            .rejected_invalid
+            .load(Ordering::Relaxed);
+        assert_eq!(rejected, 1, "the corrupted record is shed, exactly once");
+
+        let reference = ShardRouter::start(cfg, partitioner(&s, 2), s.blacklist.clone());
+        for (i, t) in all.iter().enumerate().filter(|&(i, _)| i != 1) {
+            reference
+                .submit(*t)
+                .unwrap_or_else(|_| panic!("record {i} shed"));
+        }
+        let want = reference.shutdown().core.fleet_snapshot();
+        assert_eq!(
+            report.core.fleet_snapshot().verdicts.canonical_bytes(),
+            want.verdicts.canonical_bytes(),
+            "the recovered fleet must converge to the fault-free verdicts"
+        );
+    }
+
+    #[test]
+    fn staleness_gate_bounds_every_live_shard_and_sheds_under_overload() {
+        // Cadence of 1 and a staleness bound of 1: every fleet batch must
+        // be reclustered on every shard before the next applies. The
+        // router is therefore slower than the producer, the tiny queue
+        // fills, and overload surfaces as counted rejections — not as
+        // stale verdicts.
+        let s = stream();
+        let mut cfg = fleet_cfg(2);
+        cfg.shard.queue_capacity = 64;
+        cfg.shard.max_batch = 64;
+        cfg.shard.shed_policy = ShedPolicy::RejectNew;
+        cfg.shard.recluster_every_batches = 1;
+        cfg.shard.max_staleness_batches = 1;
+        let router = ShardRouter::start(cfg, partitioner(&s, 2), s.blacklist.clone());
+        let mut rejected = 0u64;
+        for t in s.window(0, s.config.days) {
+            if router.submit(*t).is_err() {
+                rejected += 1;
+            }
+        }
+        let core = router.shutdown().core;
+        let t = core.telemetry();
+        assert!(rejected > 0, "overload should shed");
+        assert_eq!(t.shed_rejected_new.load(Ordering::Relaxed), rejected);
+        for shard in core.shards() {
+            // Batch k + 1 waits for a snapshot as of batch k on every
+            // shard; shutdown adds the last one.
+            let reclusters = shard.telemetry().reclusters.load(Ordering::Relaxed);
+            assert!(
+                reclusters >= core.batches_applied(),
+                "{reclusters} reclusters"
+            );
+            assert_eq!(shard.staleness_batches(), 0, "shutdown reclusters last");
+        }
     }
 
     #[test]

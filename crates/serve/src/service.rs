@@ -7,19 +7,14 @@
 //! * [`ServiceCore`] — the synchronous heart: apply a micro-batch, run a
 //!   recluster, look up a verdict, write/restore a checkpoint. No threads
 //!   of its own; tests and the determinism suite drive it step by step.
-//! * [`FraudService`] — the threaded shell: a **batcher** thread drains
-//!   the ingest queue into micro-batches and applies them, and a
-//!   **recluster** thread rebuilds verdicts when poked. Requests to
-//!   recluster travel over a capacity-1 channel: if one is already in
-//!   flight the request coalesces (counted), so recluster work can never
-//!   queue up behind itself.
-//!
-//! Both workers run under [`supervisor`](crate::supervisor) threads: a
-//! panic is caught, counted, recorded in the [`HealthMonitor`], and
-//! answered with a capped-exponential-backoff restart until the health
-//! machine says [`Down`](HealthState::Down). Queries keep being served
-//! from the last good snapshot throughout — every lock on the query and
-//! telemetry paths recovers from poisoning instead of propagating it.
+//! * [`FraudService`] — the threaded shell around one core, the same
+//!   shell the fleet's [`ShardRouter`](crate::ShardRouter) runs: a
+//!   supervised **batcher** worker drains the ingest queue into
+//!   micro-batches and applies them, and a supervised **recluster**
+//!   worker rebuilds verdicts when poked. Queries keep being served from
+//!   the last good snapshot whatever the workers do — every lock on the
+//!   query and telemetry paths recovers from poisoning instead of
+//!   propagating it.
 //!
 //! Shared state is exactly two cells: the window behind a `Mutex` (held
 //! only to apply a batch or clone out a materialization) and the verdict
@@ -35,25 +30,23 @@
 use crate::config::ServeConfig;
 use crate::exchange::ShardFrame;
 use crate::health::{HealthMonitor, HealthReport, HealthState};
-use crate::ingest::{open_ingest, Batcher, Closed, IngestGate, Submitted};
+use crate::ingest::{IngestGate, Submitted};
 use crate::query::{FraudScorer, Verdict, VerdictSnapshot};
 use crate::recluster::{absorb_outcome, ReclusterMode, ReclusterRun, WarmState};
+use crate::shell::{Core, Front, Shell};
 use crate::stamped::{admit, record_admission, StampedWindow};
-use crate::supervisor::{supervise, RestartPolicy, WorkerExit, WorkerOutcome, WorkerStatus};
+use crate::supervisor::WorkerOutcome;
 use crate::swap::EpochCell;
 use crate::telemetry::Telemetry;
 use crate::unpoison;
 #[cfg(feature = "fault-injection")]
 use crate::FaultPlan;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::{RecordError, Transaction};
 use glp_trace::{Category, Clock, Tracer};
-use std::cell::Cell;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 /// The live blacklist seeds, always canonical (sorted, deduplicated).
@@ -337,7 +330,7 @@ impl ServiceCore {
         unpoison(self.state.lock())
     }
 
-    fn warm(&self) -> MutexGuard<'_, WarmState> {
+    pub(crate) fn warm(&self) -> MutexGuard<'_, WarmState> {
         unpoison(self.recluster.lock())
     }
 
@@ -602,8 +595,7 @@ impl FraudScorer for QueryHandle {
 }
 
 /// How [`FraudService::shutdown`] went: the core for final inspection
-/// plus each supervised worker's outcome. Replaces the PR-1 behaviour of
-/// re-panicking on `join()` when a worker had died.
+/// plus each supervised worker's outcome.
 #[derive(Clone)]
 pub struct ShutdownReport {
     /// The service core (snapshots, telemetry, health) after the final
@@ -625,22 +617,15 @@ impl ShutdownReport {
     }
 }
 
-/// The threaded always-on service.
-pub struct FraudService {
-    core: Arc<ServiceCore>,
-    gate: IngestGate,
-    recluster_tx: Sender<()>,
-    batcher: Option<JoinHandle<()>>,
-    recluster_worker: Option<JoinHandle<()>>,
-    batcher_status: Arc<WorkerStatus>,
-    recluster_status: Arc<WorkerStatus>,
-}
+/// The threaded always-on service: the threaded shell around one
+/// [`ServiceCore`].
+pub struct FraudService(Shell<ServiceCore>);
 
 impl FraudService {
     /// Starts the service: spawns the supervised batcher and recluster
     /// workers.
     pub fn start(cfg: ServeConfig, blacklist: Vec<u32>) -> Self {
-        Self::start_on(Arc::new(ServiceCore::new(cfg, blacklist)))
+        Self::start_on(ServiceCore::new(cfg, blacklist))
     }
 
     /// Starts the service with a fault plan attached (feature
@@ -649,7 +634,7 @@ impl FraudService {
     /// indices.
     #[cfg(feature = "fault-injection")]
     pub fn start_with_faults(cfg: ServeConfig, blacklist: Vec<u32>, plan: Arc<FaultPlan>) -> Self {
-        Self::start_on(Arc::new(ServiceCore::new(cfg, blacklist).with_faults(plan)))
+        Self::start_on(ServiceCore::new(cfg, blacklist).with_faults(plan))
     }
 
     /// Resumes a service from the checkpoint at `path`: the window,
@@ -664,77 +649,39 @@ impl FraudService {
         path: &Path,
     ) -> Result<Self, RecordError> {
         let ckpt = WindowCheckpoint::read(path)?;
-        let core = ServiceCore::restore(cfg, blacklist, &ckpt)?;
-        Ok(Self::start_on(Arc::new(core)))
+        Ok(Self::start_on(ServiceCore::restore(cfg, blacklist, &ckpt)?))
     }
 
-    fn start_on(core: Arc<ServiceCore>) -> Self {
-        let cfg = &core.cfg;
-        let policy = RestartPolicy::for_config(cfg);
-        let (gate, new_batcher) = open_ingest(
-            cfg,
-            Arc::clone(&core.window_end),
-            Arc::clone(&core.health),
-            Arc::clone(core.telemetry()),
-        );
-        // Capacity 1: at most one recluster pending beyond the one in
-        // flight; further requests coalesce.
-        let (recluster_tx, recluster_rx): (Sender<()>, Receiver<()>) = bounded(1);
-
-        let (batcher, batcher_status) = {
-            let core = Arc::clone(&core);
-            let recluster_tx = recluster_tx.clone();
-            let health = Arc::clone(&core.health);
-            let telemetry = Arc::clone(core.telemetry());
-            supervise("batcher", health, telemetry, policy, move || {
-                batch_loop(&core, &new_batcher(), &recluster_tx)
-            })
-        };
-        let (recluster_worker, recluster_status) = {
-            let core = Arc::clone(&core);
-            let health = Arc::clone(&core.health);
-            let telemetry = Arc::clone(core.telemetry());
-            let owed = Cell::new(false);
-            supervise("recluster", health, telemetry, policy, move || {
-                recluster_loop(&core, &recluster_rx, "recluster", &owed)
-            })
-        };
-        Self {
-            core,
-            gate,
-            recluster_tx,
-            batcher: Some(batcher),
-            recluster_worker: Some(recluster_worker),
-            batcher_status,
-            recluster_status,
-        }
+    fn start_on(core: ServiceCore) -> Self {
+        let core = Arc::new(core);
+        Self(Shell::start(Arc::clone(&core), vec![core]))
     }
 
     /// A producer-side submission gate (cloneable).
     pub fn gate(&self) -> IngestGate {
-        self.gate.clone()
+        self.0.gate.clone()
     }
 
     /// Submits one transaction through the service's own gate.
     pub fn submit(&self, tx: Transaction) -> Result<(), Transaction> {
-        self.gate.submit(tx)
+        self.0.gate.submit(tx)
     }
 
     /// A query handle (cloneable).
     pub fn handle(&self) -> QueryHandle {
         QueryHandle {
-            core: Arc::clone(&self.core),
+            core: Arc::clone(&self.0.core),
         }
     }
 
     /// The synchronous core (telemetry, staleness, snapshots).
     pub fn core(&self) -> &Arc<ServiceCore> {
-        &self.core
+        &self.0.core
     }
 
     /// The current health observation.
     pub fn health(&self) -> HealthReport {
-        self.core.health()
+        self.0.core.health()
     }
 
     /// Runs a recluster on the caller's thread right now and reports
@@ -744,159 +691,62 @@ impl FraudService {
     /// The warm-start lock serializes this with the recluster worker, so
     /// a forced run never races a scheduled one.
     pub fn recluster_now(&self) -> ReclusterRun {
-        self.core.recluster_now()
+        self.0.core.recluster_now()
     }
 
     /// Stops the service: closes the ingest queue, lets the batcher
-    /// drain what is already queued, runs one final recluster so the
-    /// last batches are scored, and joins both supervisors. Worker
-    /// panics along the way are *reported*, not re-thrown — a service
-    /// that lost a worker still shuts down in order. Any gates cloned
-    /// out of the service must be dropped first, or the queue never
-    /// reads as closed.
-    pub fn shutdown(mut self) -> ShutdownReport {
-        drop(self.gate);
-        if let Some(h) = self.batcher.take() {
-            h.join().expect("supervisor threads do not panic");
-        }
-        drop(self.recluster_tx);
-        if let Some(h) = self.recluster_worker.take() {
-            h.join().expect("supervisor threads do not panic");
-        }
-        self.core.recluster_now();
-        // A final checkpoint so a clean shutdown leaves the freshest
-        // possible resume point.
-        if let Some(path) = &self.core.cfg.checkpoint_path {
-            let _ = self.core.checkpoint(path);
-        }
+    /// drain what is already queued, joins both supervisors, then runs
+    /// one final recluster so the last batches are scored and writes a
+    /// final checkpoint when configured. Worker panics along the way are
+    /// *reported*, not re-thrown — a service that lost a worker still
+    /// shuts down in order. Any gates cloned out of the service must be
+    /// dropped first, or the queue never reads as closed.
+    pub fn shutdown(self) -> ShutdownReport {
+        let (core, outcomes) = self.0.shutdown();
+        let [batcher, recluster] =
+            <[WorkerOutcome; 2]>::try_from(outcomes).expect("a batcher and a recluster worker");
         ShutdownReport {
-            state: self.core.health().state,
-            batcher: self.batcher_status.outcome(),
-            recluster: self.recluster_status.outcome(),
-            core: Arc::clone(&self.core),
+            state: core.health().state,
+            batcher,
+            recluster,
+            core,
         }
     }
 }
 
-/// Asks the worker behind a capacity-1 channel for one more run. If a
-/// request is already pending behind the run in flight, this one
-/// coalesces into it (counted) — work can never queue up behind itself.
-pub(crate) fn poke(tx: &Sender<()>, telemetry: &Telemetry) {
-    match tx.try_send(()) {
-        Ok(()) | Err(TrySendError::Disconnected(())) => {}
-        Err(TrySendError::Full(())) => {
-            telemetry
-                .reclusters_coalesced
-                .fetch_add(1, Ordering::Relaxed);
+impl Core for ServiceCore {
+    fn front(&self) -> Front {
+        Front {
+            name: "batcher",
+            cfg: self.cfg.clone(),
+            health: Arc::clone(&self.health),
+            telemetry: Arc::clone(&self.telemetry),
+            window_end: Arc::clone(&self.window_end),
+            tracer: self.tracer.clone(),
+            exchange_every: None,
+            #[cfg(feature = "fault-injection")]
+            plan: self.faults.clone(),
         }
     }
-}
 
-fn batch_loop(core: &ServiceCore, batcher: &Batcher, recluster_tx: &Sender<()>) -> WorkerExit {
-    loop {
-        // Staleness gate: if verdicts have fallen max_staleness_batches
-        // behind the window, stop applying until the recluster thread
-        // catches up. The queue keeps absorbing traffic meanwhile and
-        // sheds (counted) once full — bounded staleness turns overload
-        // into backpressure instead of ever-staler answers. A Down
-        // service can never catch up, so the wait aborts instead of
-        // spinning forever.
-        while core.staleness_batches() >= core.cfg.max_staleness_batches {
-            if core.health.is_down() {
-                return WorkerExit::Finished;
-            }
-            poke(recluster_tx, &core.telemetry);
-            thread::sleep(std::time::Duration::from_micros(200));
-        }
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = core.faults() {
-            // Fires *before* the batch is drained: the queued
-            // transactions survive the panic and the restarted worker
-            // applies them — recovery is lossless by construction.
-            plan.maybe_panic_batcher(core.batches_applied());
-        }
-        let next = {
-            // The batch span covers the drain wait: budget-bounded queue
-            // reads until the micro-batch fills or times out.
-            core.span("batch");
-            let next = batcher.next_batch();
-            core.end_span();
-            next
-        };
-        match next {
-            Err(Closed) => return WorkerExit::Finished,
-            Ok(batch) => {
-                if batch.is_empty() {
-                    continue; // idle tick
-                }
-                #[cfg(feature = "fault-injection")]
-                let batch = corrupt_if_due(core, batch);
-                let applied = core.apply(&batch);
-                core.health.record_progress("batcher");
-                if applied.is_multiple_of(core.cfg.recluster_every_batches) {
-                    poke(recluster_tx, &core.telemetry);
-                }
-                if let Some(path) = &core.cfg.checkpoint_path {
-                    if applied.is_multiple_of(core.cfg.checkpoint_every_batches) {
-                        // Failure is counted inside and does not stop
-                        // the service; the previous checkpoint survives.
-                        let _ = core.checkpoint(path);
-                    }
-                }
-            }
-        }
+    fn apply_batch(&self, batch: &[Submitted]) -> u64 {
+        self.apply(batch)
     }
-}
 
-#[cfg(feature = "fault-injection")]
-fn corrupt_if_due(core: &ServiceCore, mut batch: Vec<Submitted>) -> Vec<Submitted> {
-    if let Some(plan) = core.faults() {
-        if plan.corrupt_due(core.batches_applied()) {
-            // A corrupt record materializing inside the pipeline, after
-            // the gate: the apply-side validation must shed it.
-            batch[0].tx.amount = f32::NAN;
-        }
+    #[cfg(feature = "fault-injection")]
+    fn applied(&self) -> u64 {
+        self.batches_applied()
     }
-    batch
-}
 
-/// The recluster worker of one core — the single service's, and each
-/// fleet shard's: one recluster per poke, progress recorded under `name`.
-/// `owed` outlives the worker's incarnations: a poke whose recluster
-/// panicked is served again by the restarted worker before it waits for
-/// the next one, so a crash costs a retry, not verdicts (and an
-/// unhealed crash streak) stale until traffic pokes again.
-pub(crate) fn recluster_loop(
-    core: &ServiceCore,
-    rx: &Receiver<()>,
-    name: &'static str,
-    owed: &Cell<bool>,
-) -> WorkerExit {
-    while owed.take() || rx.recv().is_ok() {
-        if core.health.is_down() {
-            // Skip, don't exit: a fleet failover may revive this core,
-            // and its recluster worker must still be here when it does.
-            continue;
+    fn save(&self) {
+        if let Some(path) = &self.cfg.checkpoint_path {
+            let _ = self.checkpoint(path);
         }
-        owed.set(true);
-        #[cfg(feature = "fault-injection")]
-        if let Some(plan) = core.faults() {
-            // A stall is served here, full or incremental recluster alike,
-            // and claimed under the recluster lock it holds: every other
-            // recluster (a synchronous `recluster_now` too) waits it out.
-            let warm = core.warm();
-            let next = core.telemetry.reclusters.load(Ordering::Relaxed);
-            if let Some(millis) = plan.stall_due(next) {
-                thread::sleep(std::time::Duration::from_millis(millis));
-            }
-            drop(warm);
-            plan.maybe_panic_recluster(next);
-        }
-        core.recluster_now();
-        owed.set(false);
-        core.health.record_progress(name);
     }
-    WorkerExit::Finished
+
+    fn refresh(&self) {
+        self.recluster_now();
+    }
 }
 
 #[cfg(test)]
@@ -904,7 +754,15 @@ mod tests {
     use super::*;
     use crate::config::ShedPolicy;
     use glp_fraud::{TxConfig, TxStream};
+    use std::thread;
     use std::time::Duration;
+    #[cfg(feature = "fault-injection")]
+    use {
+        crate::shell::recluster_loop,
+        crate::supervisor::{supervise, RestartPolicy},
+        crossbeam::channel::bounded,
+        std::cell::Cell,
+    };
 
     fn stream() -> TxStream {
         TxStream::generate(&TxConfig {
@@ -1159,7 +1017,7 @@ mod tests {
         let (tx, rx) = bounded(1);
         let worker = {
             let core = Arc::clone(&core);
-            thread::spawn(move || recluster_loop(&core, &rx, "recluster", &Cell::new(false)))
+            thread::spawn(move || recluster_loop(&core, &rx, &Cell::new(false)))
         };
         // Apply, poke the worker, and wait for its snapshot.
         let poke = |txs: &[Transaction]| {
@@ -1208,7 +1066,7 @@ mod tests {
                 Arc::clone(&core.health),
                 Arc::clone(core.telemetry()),
                 RestartPolicy::for_config(&core.cfg),
-                move || recluster_loop(&core, &rx, "recluster", &owed),
+                move || recluster_loop(&core, &rx, &owed),
             )
         };
         worker.join().expect("supervisor threads do not panic");
