@@ -213,11 +213,14 @@ fn bench_block_cms_ht(c: &mut Criterion) {
     group.finish();
 }
 
-/// One `GpuEngine` iteration under `MflStrategy::SmemWarp` on two graphs of
+/// `GpuEngine` runs under `MflStrategy::SmemWarp` on two graphs of
 /// `tests/host_path_identity.rs`: runs of at most four lanes (lattice), runs
 /// of up to 31 lanes beside mid- and high-degree vertices (power law), and
-/// the non-uniform-weight branch. Prints each case's packed lane count so
-/// the time reads as ns per lane.
+/// the non-uniform-weight branch. Each case runs one iteration, which prices
+/// every schedule, and twenty (`_x20`), where an iteration that schedules
+/// the vertex lists an earlier one priced is charged from the run's schedule
+/// ledger. Prints each case's packed lane count, so the time reads as ns per
+/// lane, and how many of its propagation launches priced their schedule.
 fn bench_packed_warp(c: &mut Criterion) {
     let lattice = road_network(&RoadConfig {
         width: 40,
@@ -236,8 +239,10 @@ fn bench_packed_warp(c: &mut Criterion) {
             .map(|e| 0.5 + (e % 7) as f32)
             .collect(),
     );
-    type Program = Box<dyn Fn() -> Box<dyn LpProgram>>;
-    let classic = |n: usize| -> Program { Box::new(move || Box::new(ClassicLp::new(n))) };
+    type Program = Box<dyn Fn(u32) -> Box<dyn LpProgram>>;
+    let classic = |n: usize| -> Program {
+        Box::new(move |iterations| Box::new(ClassicLp::with_max_iterations(n, iterations)))
+    };
     let n = lattice.num_vertices();
     let cases: [(&str, &Graph, Program); 3] = [
         ("lattice", &lattice, classic(n)),
@@ -245,29 +250,43 @@ fn bench_packed_warp(c: &mut Criterion) {
         (
             "weighted",
             &lattice,
-            Box::new(move || Box::new(WeightedLp::new(n, weights.clone(), 1))),
+            Box::new(move |iterations| Box::new(WeightedLp::new(n, weights.clone(), iterations))),
         ),
     ];
     let opts = RunOptions::default()
-        .with_max_iterations(1)
         .with_strategy(MflStrategy::SmemWarp)
         .with_shards(1);
     let mut group = c.benchmark_group("packed_warp");
-    for (name, g, program) in cases {
-        let buckets = Buckets::build(g, opts.strategy, DegreeThresholds::default());
-        let lanes: u64 = buckets
-            .warp_packed
-            .iter()
-            .map(|&v| u64::from(g.degree(v)))
-            .sum();
-        println!("packed_warp/{name}: {lanes} packed lanes per iteration");
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut prog = program();
-                let report = GpuEngine::titan_v().run(g, prog.as_mut(), &opts);
-                black_box(report.expect("healthy device").modeled_seconds)
+    for (iterations, suffix) in [(1, ""), (20, "_x20")] {
+        let opts = opts.clone().with_max_iterations(iterations);
+        for (name, g, program) in &cases {
+            let buckets = Buckets::build(g, opts.strategy, DegreeThresholds::default());
+            let lanes: u64 = buckets
+                .warp_packed
+                .iter()
+                .map(|&v| u64::from(g.degree(v)))
+                .sum();
+            let report = GpuEngine::titan_v()
+                .run(g, program(iterations).as_mut(), &opts)
+                .expect("healthy device");
+            let launches: u64 = report
+                .kernel_profile
+                .rows()
+                .filter(|(_, kernel, _)| kernel.starts_with("lp_"))
+                .map(|(_, _, row)| row.count)
+                .sum();
+            println!(
+                "packed_warp/{name}{suffix}: {lanes} packed lanes per iteration, {} of {launches} propagation launches priced",
+                report.priced_launches
+            );
+            group.bench_function(format!("{name}{suffix}"), |b| {
+                b.iter(|| {
+                    let mut prog = program(iterations);
+                    let report = GpuEngine::titan_v().run(g, prog.as_mut(), &opts);
+                    black_box(report.expect("healthy device").modeled_seconds)
+                });
             });
-        });
+        }
     }
     group.finish();
 }

@@ -3,15 +3,17 @@
 //! graphs, not measurements — and the margins are thin (346.3 vs 373.3 µs,
 //! 813.8 vs 833.5 µs), so the sizes below are part of each claim. That the
 //! modes agree on labels and convergence is `tests/frontier_equivalence.rs`
-//! and `tests/direction_equivalence.rs`. The delta-replay claim at the end
-//! is a work count, exact for the same reason.
+//! and `tests/direction_equivalence.rs`. The delta-replay and schedule
+//! ledger claims at the end are work counts, exact for the same reason.
 
 use glp_core::engine::GpuEngine;
 use glp_core::{
-    replay_delta, ClassicLp, Engine, FrontierMode, LpRunReport, MemoRecorder, RunOptions,
-    SequentialEngine, WeightedLp,
+    replay_delta, ClassicLp, Engine, FrontierMode, LpRunReport, MemoRecorder, MflStrategy,
+    RunOptions, SequentialEngine, WeightedLp,
 };
 use glp_fraud::{IncrementalWindow, Transaction, TxConfig, TxStream};
+use glp_graph::datasets::{by_name, GraphFamily};
+use glp_graph::gen::{bipartite_interaction, road_network, BipartiteConfig, RoadConfig};
 use glp_graph::Graph;
 use glp_serve::ServeConfig;
 use glp_test_support::convergence_workload;
@@ -150,4 +152,71 @@ fn a_delta_replay_scans_a_sliver_of_the_window() {
         g.num_edges(),
         replay.report.iterations
     );
+}
+
+/// The committed benchmark's `lp_lowdeg` (`roadNet`) or `lp_highdeg`
+/// (`aligraph`) input at `--scale 1`: the dataset's generator at 1/24 of
+/// the paper's size, its seed offset by `seed`.
+fn benchmark_input(dataset: &str, seed: u64) -> Graph {
+    let spec = by_name(dataset).expect("Table 2 dataset");
+    let v = (spec.paper_vertices / 24).max(64) as usize;
+    let e = (2 * spec.paper_edges / 24).max(256);
+    let seed = 0x617 + spec.id as u64 + seed;
+    match spec.family {
+        GraphFamily::Road => {
+            let side = ((v as f64).sqrt().round() as usize).max(2);
+            road_network(&RoadConfig {
+                width: side,
+                height: side,
+                keep: (e as f64 / v as f64 / 4.0).min(1.0),
+                seed,
+            })
+        }
+        GraphFamily::Interaction => {
+            let users = v * 2 / 3;
+            bipartite_interaction(&BipartiteConfig {
+                num_users: users.max(8),
+                num_items: (v - users).max(8),
+                num_interactions: (e / 2) as usize,
+                skew: 0.6,
+                seed,
+            })
+        }
+        _ => panic!("{dataset} is not an in-core LP workload"),
+    }
+}
+
+/// A run prices each schedule once: on the benchmark's two in-core LP
+/// inputs (seed 1), every iteration that schedules the vertex list an
+/// earlier one priced is charged from the run's schedule ledger. The road
+/// lattice schedules the same 81 177 vertices in all 20 iterations, the
+/// interaction graph all 622 of its hubs in each computed iteration: one
+/// propagation launch is priced in either run, the warp-packed one and the
+/// CMS+HT one.
+#[test]
+fn each_benchmark_schedule_is_priced_once() {
+    for (dataset, kernel, scheduled) in [
+        ("roadNet", "lp_warp_packed", 81_177),
+        ("aligraph", "lp_block_cms_ht", 622),
+    ] {
+        let g = benchmark_input(dataset, 1);
+        let opts = RunOptions::default()
+            .with_max_iterations(20)
+            .with_frontier(FrontierMode::Auto)
+            .with_strategy(MflStrategy::SmemWarp)
+            .with_shards(1);
+        let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), 20);
+        let report = GpuEngine::titan_v()
+            .run(&g, &mut prog, &opts)
+            .expect("healthy device");
+        let propagations: Vec<(&str, u64)> = report
+            .kernel_profile
+            .rows()
+            .filter(|(_, name, _)| name.starts_with("lp_"))
+            .map(|(_, name, row)| (name, row.count))
+            .collect();
+        assert_eq!(report.active_per_iteration[1], scheduled, "{dataset}");
+        assert_eq!(propagations, [(kernel, 20)], "{dataset}");
+        assert_eq!(report.priced_launches, 1, "{dataset}");
+    }
 }

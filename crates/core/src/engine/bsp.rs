@@ -62,8 +62,11 @@ pub struct Phase<'a> {
     /// The run's options.
     pub opts: &'a RunOptions,
     /// This iteration's dispatch: the buckets restricted to the frontier.
+    /// The full bucketing stands in whenever the frontier holds every
+    /// vertex a kernel processes, so `work.isolated` lists the frontier's
+    /// isolated vertices only when `saturated`.
     pub work: &'a Buckets,
-    /// Whether `work` is the full bucketing (dense, or a full frontier).
+    /// Whether every vertex is active (dense, or a full frontier).
     pub saturated: bool,
 }
 
@@ -574,9 +577,10 @@ impl Driver<'_, '_> {
                     active.fill(true);
                 }
                 // Filter: the degree-bucketed dispatch over this iteration's
-                // frontier; the full bucketing is reused while it is saturated.
+                // frontier; the full bucketing is reused while the frontier
+                // holds every vertex the kernels process, isolated or not.
                 let saturated = !sparse || active.iter().all(|&a| a);
-                let work: Cow<'_, Buckets> = if saturated {
+                let work: Cow<'_, Buckets> = if saturated || buckets.filter_keeps_all(&active) {
                     Cow::Borrowed(&buckets)
                 } else {
                     Cow::Owned(buckets.filtered(&active))
@@ -614,6 +618,10 @@ impl Driver<'_, '_> {
             report.smem_fallbacks += stats.fallbacks;
             report.smem_vertices += stats.smem_vertices;
             report.replayed_iterations += u32::from(replayed);
+            // A replayed phase re-commits launches; it priced nothing.
+            if !replayed {
+                report.priced_launches += stats.priced_launches;
+            }
             if self.snapshots {
                 report.snapshot_seconds += snapshot_s;
                 report.snapshots_taken += 1;
@@ -870,7 +878,7 @@ pub(crate) fn dispatch_name(prev: Option<Direction>) -> &'static str {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::{
         BarrierHook, Engine, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
     };
@@ -952,7 +960,7 @@ mod tests {
     }
 
     /// One engine of each tier the driver serves in this crate.
-    enum Rig {
+    pub(crate) enum Rig {
         Gpu(GpuEngine),
         Hybrid(HybridEngine),
         Multi(MultiGpuEngine),
@@ -960,7 +968,7 @@ mod tests {
     }
 
     impl Rig {
-        fn new(tier: usize, g: &Graph) -> Self {
+        pub(crate) fn new(tier: usize, g: &Graph) -> Self {
             match tier {
                 0 => Rig::Gpu(GpuEngine::titan_v()),
                 1 => {
@@ -974,7 +982,7 @@ mod tests {
             }
         }
 
-        fn engine(&mut self) -> &mut dyn Engine {
+        pub(crate) fn engine(&mut self) -> &mut dyn Engine {
             match self {
                 Rig::Gpu(e) => e,
                 Rig::Hybrid(e) => e,
@@ -984,7 +992,7 @@ mod tests {
         }
 
         /// Every device's kernel log: name, seconds bits, counters.
-        fn logs(&self) -> Vec<Vec<(&'static str, u64, KernelCounters)>> {
+        pub(crate) fn logs(&self) -> Vec<Vec<(&'static str, u64, KernelCounters)>> {
             let devices: Vec<&Device> = match self {
                 Rig::Gpu(e) => vec![e.device()],
                 Rig::Hybrid(e) => vec![e.device()],

@@ -127,6 +127,19 @@ impl Buckets {
             global_hash: keep(&self.global_hash),
         }
     }
+
+    /// Whether [`filtered`](Self::filtered) by `active` would keep every
+    /// kernel bucket whole: every vertex but the isolated ones is active.
+    /// `self` is a full bucketing of the graph `active` flags.
+    pub(crate) fn filter_keeps_all(&self, active: &[bool]) -> bool {
+        let on = active.iter().filter(|&&a| a).count();
+        let isolated_on = self
+            .isolated
+            .iter()
+            .filter(|&&v| active[v as usize])
+            .count();
+        on - isolated_on == self.scheduled()
+    }
 }
 
 /// Splits `vertices` into at most `shards` contiguous slices with

@@ -4,7 +4,7 @@
 
 use super::bsp::{drive, Backend, Phase};
 use super::dispatch::split_by_degree;
-use super::kernels::{self, DecisionsOut, KernelKind, KernelShard, ShardStats};
+use super::kernels::{self, DecisionsOut, KernelKind, KernelShard, ScheduleLedger, ShardStats};
 use super::{BspEngine, Decision, Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
@@ -107,6 +107,8 @@ pub(crate) enum Adjacency {
 /// downloaded at the end.
 pub(crate) struct GpuBackend<'a> {
     device: &'a mut Device,
+    /// The schedules this run priced on `device`; dropped with the run.
+    ledger: ScheduleLedger,
     adjacency: Adjacency,
     footprint: u64,
     label_bytes: u64,
@@ -125,6 +127,7 @@ impl<'a> GpuBackend<'a> {
         let streamed = matches!(adjacency, Adjacency::Host { streamed: true });
         Self {
             device,
+            ledger: ScheduleLedger::default(),
             adjacency,
             footprint: resident_bytes(g) + if streamed { 0 } else { g.size_bytes() },
             label_bytes: g.num_vertices() as u64 * 4,
@@ -168,7 +171,8 @@ impl Backend for GpuBackend<'_> {
         decisions: &mut [Decision],
     ) -> Result<ShardStats, DeviceError> {
         let all = 0..spoken.len() as VertexId;
-        propagate(self.device, p, all, self.shards, spoken, decisions)
+        let (device, ledger) = (&mut *self.device, &mut self.ledger);
+        propagate(device, ledger, p, all, self.shards, spoken, decisions)
     }
 
     fn stream(&mut self, p: &Phase<'_>, compute_s: f64) {
@@ -335,9 +339,11 @@ pub(crate) fn pick_labels(
 /// LabelPropagation (Figure 2): degree-bucketed kernels over the vertices
 /// of `p.work` that fall in `range` (one device's share; buckets are
 /// ascending, so the share is a sub-slice). `decisions[v]` belongs to
-/// vertex `v`.
+/// vertex `v`. Each harness part is charged its schedule from `ledger`,
+/// the device's schedule ledger for this run, and its decision pass.
 pub(crate) fn propagate(
     device: &mut Device,
+    ledger: &mut ScheduleLedger,
     p: &Phase<'_>,
     range: Range<VertexId>,
     shards: usize,
@@ -364,6 +370,9 @@ pub(crate) fn propagate(
         ),
         (KernelKind::GlobalHash, &p.work.global_hash),
     ];
+    let reuse = true;
+    #[cfg(test)]
+    let reuse = reuse && !tests::ALWAYS_PRICE.get();
     let mut stats = ShardStats::default();
     for (kind, bucket) in launches {
         let vertices = &bucket[share(bucket)];
@@ -374,25 +383,29 @@ pub(crate) fn propagate(
         // gets the matching sub-slice of `decisions` to write in place.
         let parts = split_by_degree(g, vertices, shards);
         let outs = DecisionsOut::split(decisions, &parts);
-        let work: Vec<_> = parts.into_iter().zip(outs).collect();
-        let per_shard = device.launch_sharded(kind.name(), work, |(vertices, out), ctx| {
-            let mut shard = KernelShard {
-                ctx,
-                csr,
-                spoken,
-                kind,
-                vertices,
-                out,
-                stats: ShardStats::default(),
-            };
-            // The one virtual call of the shard: behind it the kernel runs
-            // monomorphised for the concrete program.
-            prog.propagate_shard(&mut shard);
-            shard.stats
-        })?;
-        for st in &per_shard {
+        let ledgers = ledger.parts(kind, parts.len());
+        let work: Vec<_> = parts.into_iter().zip(outs).zip(ledgers).collect();
+        let per_shard =
+            device.launch_sharded(kind.name(), work, |((vertices, out), ledger), ctx| {
+                let priced = ledger.charge(ctx, csr, kind, vertices, reuse);
+                let mut shard = KernelShard {
+                    ctx,
+                    csr,
+                    spoken,
+                    kind,
+                    vertices,
+                    out,
+                    stats: ShardStats::default(),
+                };
+                // The one virtual call of the shard: behind it the kernel runs
+                // monomorphised for the concrete program.
+                prog.propagate_shard(&mut shard);
+                (shard.stats, priced)
+            })?;
+        for (st, _) in &per_shard {
             stats.merge(st);
         }
+        stats.priced_launches += u64::from(per_shard.iter().any(|&(_, priced)| priced));
     }
     Ok(stats)
 }
@@ -417,11 +430,26 @@ pub(crate) fn charge_update(
 
 #[cfg(test)]
 mod tests {
+    use super::super::bsp::tests::Rig;
     use super::super::bsp::{dispatch_name, mark_changed, rebuild_frontier};
-    use super::super::{FrontierMode, MflStrategy};
+    use super::super::kernels::tests::Mix;
+    use super::super::{Buckets, FrontierMode, MflStrategy};
     use super::*;
-    use crate::variants::ClassicLp;
-    use glp_graph::gen::{caveman, two_cliques_bridge};
+    use crate::variants::{ClassicLp, RiskWeightedLp, SeededLp, WeightedLp};
+    use glp_gpusim::KernelCounters;
+    use glp_graph::gen::{
+        bipartite_interaction, caveman, community_powerlaw, road_network, two_cliques_bridge,
+        BipartiteConfig, CommunityPowerLawConfig, RoadConfig,
+    };
+    use std::sync::Arc;
+
+    thread_local! {
+        /// The pin that proves reuse ≡ pricing: while set, the calling
+        /// thread's launches price every schedule afresh. Absent from
+        /// non-test builds.
+        pub(super) static ALWAYS_PRICE: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
 
     fn labels_after(strategy: MflStrategy, g: &Graph) -> (Vec<Label>, LpRunReport) {
         let mut engine = GpuEngine::titan_v();
@@ -579,5 +607,187 @@ mod tests {
         let mut engine = GpuEngine::titan_v();
         let mut prog = ClassicLp::new(3);
         let _ = engine.run(&g, &mut prog, &RunOptions::default());
+    }
+
+    /// Two frontiers of one length and different vertices, one after the
+    /// other through one ledger: the second is priced again, the first once
+    /// more when it returns, and every launch is charged exactly what a
+    /// fresh ledger charges.
+    #[test]
+    fn a_same_length_frontier_is_priced_again() {
+        let g = caveman(6, 5);
+        let n = g.num_vertices();
+        let opts = RunOptions::default().with_shards(1);
+        let buckets = Buckets::build(&g, opts.strategy, opts.thresholds);
+        let frontier = |vs: &[VertexId]| {
+            let mut active = vec![false; n];
+            vs.iter().for_each(|&v| active[v as usize] = true);
+            buckets.filtered(&active)
+        };
+        let (a, b): (Vec<VertexId>, Vec<VertexId>) =
+            ((0..12).collect(), (0..24).step_by(2).collect());
+        let (a, b) = (frontier(&a), frontier(&b));
+        assert_eq!(a.warp_packed.len(), b.warp_packed.len());
+        assert_eq!(a.scheduled(), a.warp_packed.len(), "one packed launch each");
+        let prog = ClassicLp::new(n);
+        let spoken: Vec<Label> = (0..n as Label).collect();
+        let launch = |device: &mut Device, ledger: &mut ScheduleLedger, work: &Buckets| {
+            let saturated = false;
+            let p = Phase {
+                g: &g,
+                prog: &prog,
+                opts: &opts,
+                work,
+                saturated,
+            };
+            let mut decisions = vec![None; n];
+            let all = 0..n as VertexId;
+            let stats = propagate(device, ledger, &p, all, 1, &spoken, &mut decisions).unwrap();
+            let log = device.kernel_log();
+            (stats.priced_launches, log[log.len() - 1].counters)
+        };
+        let fresh =
+            |work: &Buckets| launch(&mut Device::titan_v(), &mut ScheduleLedger::default(), work).1;
+        assert_ne!(fresh(&a), fresh(&b));
+        let (mut device, mut ledger) = (Device::titan_v(), ScheduleLedger::default());
+        for (work, priced) in [(&a, 1), (&a, 0), (&b, 1), (&b, 0), (&a, 1)] {
+            assert_eq!(
+                launch(&mut device, &mut ledger, work),
+                (priced, fresh(work))
+            );
+        }
+    }
+
+    const LEDGER_ITERS: u32 = 8;
+
+    /// A road lattice with isolated vertices (every other vertex packed), a
+    /// bipartite window whose items are CMS+HT hubs, and a power law that
+    /// fills all three buckets.
+    fn ledger_graphs() -> [Graph; 3] {
+        [
+            road_network(&RoadConfig {
+                width: 16,
+                height: 16,
+                keep: 0.6,
+                seed: 5,
+            }),
+            bipartite_interaction(&BipartiteConfig {
+                num_users: 60,
+                num_items: 25,
+                num_interactions: 3000,
+                skew: 0.8,
+                seed: 7,
+            }),
+            community_powerlaw(&CommunityPowerLawConfig {
+                num_vertices: 600,
+                avg_degree: 10.0,
+                num_communities: 6,
+                seed: 9,
+                ..Default::default()
+            }),
+        ]
+    }
+
+    /// Classic, weighted, seeded, risk-weighted and `Mix`. The seeded two
+    /// weigh an unlabeled neighbour 0, so a packed warp's uniform-weight
+    /// flag moves with the labels while its schedule repeats.
+    fn ledger_programs(g: &Graph) -> [Box<dyn LpProgram>; 5] {
+        let n = g.num_vertices();
+        let edges = g.incoming().num_edges();
+        let weights = Arc::new((0..edges).map(|e| 1.0 + (e % 3) as f32).collect::<Vec<_>>());
+        let seeds: Vec<VertexId> = (0..n as VertexId).step_by(9).collect();
+        let risks: Vec<(VertexId, f32)> =
+            seeds.iter().map(|&s| (s, 1.0 + (s % 4) as f32)).collect();
+        [
+            Box::new(ClassicLp::with_max_iterations(n, LEDGER_ITERS)),
+            Box::new(WeightedLp::new(n, weights, LEDGER_ITERS)),
+            Box::new(SeededLp::with_max_iterations(n, &seeds, LEDGER_ITERS)),
+            Box::new(RiskWeightedLp::new(n, &risks, LEDGER_ITERS)),
+            Box::new(Mix {
+                labels: (0..n as Label).collect(),
+            }),
+        ]
+    }
+
+    /// What a run leaves that a schedule ledger could move: per device,
+    /// every launch's name, modeled seconds and counters, in order; the
+    /// labels; the modeled clock.
+    #[derive(Debug, PartialEq)]
+    struct Charged {
+        launches: Vec<Vec<(&'static str, u64, KernelCounters)>>,
+        labels: Vec<Label>,
+        modeled: u64,
+    }
+
+    /// Runs `prog` on `rig`'s engine, pricing every launch if `always`;
+    /// returns what the run charged and its priced-launch count.
+    fn charged_run(
+        rig: &mut Rig,
+        g: &Graph,
+        prog: &mut dyn LpProgram,
+        opts: &RunOptions,
+        always: bool,
+    ) -> (Charged, u64) {
+        let marks: Vec<usize> = rig.logs().iter().map(Vec::len).collect();
+        ALWAYS_PRICE.set(always);
+        let report = rig.engine().run(g, prog, opts).unwrap();
+        ALWAYS_PRICE.set(false);
+        let logs = rig.logs().into_iter().zip(marks);
+        let charged = Charged {
+            launches: logs.map(|(log, mark)| log[mark..].to_vec()).collect(),
+            labels: prog.labels().to_vec(),
+            modeled: report.modeled_seconds.to_bits(),
+        };
+        (charged, report.priced_launches)
+    }
+
+    /// Reusing priced schedules ≡ pricing every launch. On the three device
+    /// tiers (one GPU, a streamed hybrid, two GPUs), both frontier modes, 1 and 3 harness shards, five programs and
+    /// three graphs, the kernel log, the labels and the modeled clock equal
+    /// those of the same runs under [`ALWAYS_PRICE`]. One engine serves a
+    /// graph's five runs in turn, and the runs alternate the CMS+HT
+    /// geometry: a ledger that outlived its run would charge the next one
+    /// the other geometry's table scans.
+    #[test]
+    fn reusing_schedules_equals_pricing_every_launch() {
+        let small_ht = RunOptions {
+            ht_slots: 16,
+            ht_probe_limit: 4,
+            cms_width: 64,
+            ..RunOptions::default()
+        };
+        for (gi, g) in ledger_graphs().iter().enumerate() {
+            for tier in 0..3 {
+                for mode in [FrontierMode::Dense, FrontierMode::Auto] {
+                    for shards in [1, 3] {
+                        let [priced, reused] = [true, false].map(|always| {
+                            let mut rig = Rig::new(tier, g);
+                            let programs = ledger_programs(g).into_iter().enumerate();
+                            let runs = programs.map(|(pi, mut prog)| {
+                                let base = if pi % 2 == 0 {
+                                    &small_ht
+                                } else {
+                                    &RunOptions::default()
+                                };
+                                let opts = base.clone().with_frontier(mode).with_shards(shards);
+                                charged_run(&mut rig, g, prog.as_mut(), &opts, always)
+                            });
+                            runs.collect::<Vec<_>>()
+                        });
+                        for (pi, ((want, all), (got, some))) in
+                            priced.iter().zip(&reused).enumerate()
+                        {
+                            let case = format!(
+                                "graph {gi}, tier {tier}, {mode:?}, {shards} shards, program {pi}"
+                            );
+                            assert_eq!(got, want, "{case}");
+                            if mode == FrontierMode::Dense {
+                                assert!(some < all, "{case}: nothing reused ({some} of {all})");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

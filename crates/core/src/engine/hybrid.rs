@@ -139,7 +139,8 @@ mod tests {
     use crate::engine::GpuEngine;
     use crate::variants::ClassicLp;
     use glp_gpusim::DeviceConfig;
-    use glp_graph::gen::caveman;
+    use glp_graph::gen::{caveman, road_network, RoadConfig};
+    use glp_graph::VertexId;
 
     #[test]
     fn hybrid_matches_in_memory_labels() {
@@ -196,5 +197,32 @@ mod tests {
         let mut hybrid = HybridEngine::new(Device::new(DeviceConfig::tiny(64)));
         let mut prog = ClassicLp::new(g.num_vertices());
         let _ = hybrid.run(&g, &mut prog, &RunOptions::default());
+    }
+
+    /// A streamed run ships the adjacency of the vertices it schedules: all
+    /// of V while every vertex is active, only the scheduled ones once a
+    /// vertex is not — also when those are isolated and the kernels run the
+    /// full bucketing. The bits were captured while such an iteration still
+    /// filtered the bucketing.
+    #[test]
+    fn a_frontier_short_of_isolated_vertices_streams_the_scheduled_only() {
+        let g = road_network(&RoadConfig {
+            width: 16,
+            height: 16,
+            keep: 0.6,
+            seed: 5,
+        });
+        let n = g.num_vertices() as VertexId;
+        let isolated = (0..n).filter(|&v| g.degree(v) == 0).count() as u64;
+        assert!(isolated > 0);
+        let mem = resident_bytes(&g) + g.size_bytes() / 2;
+        let mut hybrid = HybridEngine::new(Device::new(DeviceConfig::tiny(mem)));
+        let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), 8);
+        let report = hybrid.run(&g, &mut prog, &RunOptions::default()).unwrap();
+        // Iteration 0 is all-active; from then on only the isolated
+        // vertices, which no change reaches, are left out.
+        let scheduled = u64::from(n) - isolated;
+        assert_eq!(report.active_per_iteration, [scheduled; 8]);
+        assert_eq!(report.transfer_seconds.to_bits(), 0x3ebb_b133_914f_1a62);
     }
 }

@@ -23,6 +23,19 @@
 //! half is free to be as fast as the host allows as long as no counter
 //! moves (`tests/host_path_identity.rs` pins every one):
 //!
+//! * the charges are kept in two ledgers. The **schedule ledger** holds what
+//!   the CSR, the device and the launch's vertex list alone fix: warps and
+//!   lanes, the neighbour-id loads, the label gather (it reads the
+//!   neighbours' *ids*, whatever their labels hold), the decision writes and
+//!   the constant per-vertex and per-chunk instructions. [`schedule_charges`]
+//!   counts them, and its `schedule_*` helpers are the only code that counts
+//!   a label gather. The **data ledger** holds what the labels decide: hash
+//!   table atomics and their conflicts, the CMS, the fallback recount,
+//!   `alu(2 · occupied)` and a packed warp's popc or shuffle sum. The kernel
+//!   functions below charge it as they decide. A run prices each schedule
+//!   once: it keeps the last one per device, kernel and harness part
+//!   ([`PartLedger`]), and a launch whose part lists the same vertices —
+//!   compared element by element — is charged the kept counts;
 //! * kernels are generic over the **concrete** program type. An engine
 //!   holds a `&dyn LpProgram`; it wraps one shard's inputs in a
 //!   [`KernelShard`] and makes a single virtual call,
@@ -31,18 +44,16 @@
 //!   `load_neighbor` and `label_score` inline into the edge loops;
 //! * decisions are written in place into the shard's own sub-slice of the
 //!   decision array ([`DecisionsOut`]) — no per-launch result vector;
-//! * the packed-warp kernel does not rediscover what its packer knew: one
-//!   `PackedWarp`, reused across the warps of a shard, records the run of
-//!   lanes each packed vertex owns, so the same-vertex groups Figure 3
-//!   finds with `__match_any_sync` are the runs, the same-label groups are
-//!   a first-occurrence scan inside a run, and each *distinct* label is
+//! * the packed-warp kernel decides vertex by vertex: a vertex's lanes are
+//!   its run, so the same-vertex groups Figure 3 finds with
+//!   `__match_any_sync` need no search, the same-label groups are a
+//!   first-occurrence scan inside the run, and each *distinct* label is
 //!   scored once. The charges are Figure 3's; the intrinsic formulation
 //!   itself is the `#[cfg(test)]` oracle the kernel is tested against;
 //! * label gathers are coalesced from the neighbors' vertex ids
 //!   ([`KernelCtx::global_gather`]): a run count when they ascend, one pass
 //!   over per-shard sector stamps otherwise — no address array, no table;
-//!   the table kernels count a whole neighbor list — the block kernel one
-//!   block-wide chunk of it — in a single call
+//!   the table kernels count a neighbor list a chunk at a time
 //!   ([`KernelCtx::global_gather_list`]), and the table scans underneath
 //!   them are linear in what is occupied, not in capacity;
 //! * the CMS+HT block kernel consumes its chunk as *runs of equal labels*
@@ -52,7 +63,7 @@
 
 use super::{BestLabel, Decision};
 use crate::api::{LpProgram, NeighborContribution};
-use glp_gpusim::{KernelCtx, SharedMem, WARP_SIZE};
+use glp_gpusim::{KernelCounters, KernelCtx, SharedMem, WARP_SIZE};
 use glp_graph::{Csr, Label, VertexId, INVALID_VERTEX};
 use glp_sketch::{BoundedHashTable, CountMinSketch, InsertOutcome};
 
@@ -91,12 +102,16 @@ pub struct ShardStats {
     pub fallbacks: u64,
     /// High-degree vertices processed by the CMS+HT kernel.
     pub smem_vertices: u64,
+    /// Propagation launches that priced a schedule ledger rather than
+    /// reusing one (counted per launch by the backend, not per shard).
+    pub priced_launches: u64,
 }
 
 impl ShardStats {
     pub(crate) fn merge(&mut self, o: &ShardStats) {
         self.fallbacks += o.fallbacks;
         self.smem_vertices += o.smem_vertices;
+        self.priced_launches += o.priced_launches;
     }
 }
 
@@ -165,12 +180,77 @@ impl KernelKind {
             KernelKind::GlobalHash => "lp_global_hash",
         }
     }
+
+    /// The kernel's slot in a [`ScheduleLedger`].
+    fn slot(self) -> usize {
+        match self {
+            KernelKind::WarpPacked => 0,
+            KernelKind::WarpPerVertex { .. } => 1,
+            KernelKind::BlockCmsHt(_) => 2,
+            KernelKind::GlobalHash => 3,
+        }
+    }
 }
 
-/// One shard of one propagation-kernel launch: everything a kernel needs
-/// except the program. Engines build it and pass it through
-/// [`LpProgram::propagate_shard`], the one virtual call per shard that
-/// brings the concrete program type to the generic kernels.
+/// The schedule one harness part of one kernel priced last: its vertex list
+/// and what [`schedule_charges`] charged for it.
+#[derive(Debug, Default)]
+pub(crate) struct PartLedger {
+    vertices: Vec<VertexId>,
+    charges: KernelCounters,
+}
+
+impl PartLedger {
+    /// Charges the schedule of `kind` over `vertices` to `ctx`: the kept
+    /// counts when this part priced exactly `vertices` last time and
+    /// `reuse` allows it, else a fresh pricing, which is kept. Returns
+    /// whether it priced.
+    ///
+    /// The counts are a function of the CSR, the device, the kernel's
+    /// launch parameters and the list. The ledger's owner, one run's
+    /// backend, fixes the first three; the list is compared element by
+    /// element.
+    pub(crate) fn charge(
+        &mut self,
+        ctx: &mut KernelCtx,
+        csr: &Csr,
+        kind: KernelKind,
+        vertices: &[VertexId],
+        reuse: bool,
+    ) -> bool {
+        let priced = !reuse || self.vertices != vertices;
+        if priced {
+            let data = std::mem::take(&mut ctx.counters);
+            schedule_charges(ctx, csr, kind, vertices);
+            self.charges = std::mem::replace(&mut ctx.counters, data);
+            self.vertices.clear();
+            self.vertices.extend_from_slice(vertices);
+        }
+        ctx.counters.merge(&self.charges);
+        priced
+    }
+}
+
+/// One device's schedule ledgers for one run: per kernel, one
+/// [`PartLedger`] per harness part.
+#[derive(Debug, Default)]
+pub(crate) struct ScheduleLedger {
+    kernels: [Vec<PartLedger>; 4],
+}
+
+impl ScheduleLedger {
+    /// The ledgers of `kind`'s first `parts` harness parts, in part order.
+    pub(crate) fn parts(&mut self, kind: KernelKind, parts: usize) -> &mut [PartLedger] {
+        let ledgers = &mut self.kernels[kind.slot()];
+        ledgers.resize_with(parts, PartLedger::default);
+        ledgers
+    }
+}
+
+/// One shard of one propagation-kernel launch: everything a kernel's
+/// decision pass needs except the program. Engines build it and pass it
+/// through [`LpProgram::propagate_shard`], the one virtual call per shard
+/// that brings the concrete program type to the generic kernels.
 ///
 /// Not part of the user-facing API: programs never construct or inspect
 /// one.
@@ -187,13 +267,17 @@ pub struct KernelShard<'a, 'c> {
 }
 
 impl KernelShard<'_, '_> {
-    /// Runs the shard's kernel with `prog`'s callbacks statically
-    /// dispatched.
+    /// Runs the shard's decision pass with `prog`'s callbacks statically
+    /// dispatched, charging the data ledger. The schedule ledger is the
+    /// caller's ([`PartLedger::charge`]).
     pub(crate) fn run<P: LpProgram + ?Sized>(&mut self, prog: &P) {
         let (ctx, csr, spoken, vertices) = (&mut *self.ctx, self.csr, self.spoken, self.vertices);
         let out = &mut self.out;
         match self.kind {
-            KernelKind::WarpPacked => warp_packed_kernel(ctx, csr, spoken, prog, vertices, out),
+            KernelKind::WarpPacked => {
+                let weight_sums = warp_packed_kernel(csr, spoken, prog, vertices, out);
+                ctx.intrinsic(weight_sums);
+            }
             KernelKind::WarpPerVertex { ht_slots } => {
                 warp_per_vertex_kernel(ctx, csr, spoken, prog, vertices, ht_slots, out)
             }
@@ -207,8 +291,70 @@ impl KernelShard<'_, '_> {
 }
 
 // ---------------------------------------------------------------------------
-// Low-degree: one warp, multiple vertices (§4.2).
+// The schedule ledger: what a launch charges whatever the labels hold.
 // ---------------------------------------------------------------------------
+
+/// Charges every event of `kind` over `vertices` that no label can change:
+/// the schedule half of a launch, whose decision half is the kernel
+/// function [`KernelShard::run`] calls.
+pub(crate) fn schedule_charges(
+    ctx: &mut KernelCtx,
+    csr: &Csr,
+    kind: KernelKind,
+    vertices: &[VertexId],
+) {
+    match kind {
+        KernelKind::WarpPacked => schedule_packed(ctx, csr, vertices),
+        KernelKind::WarpPerVertex { ht_slots } => {
+            let scan = table_scan(&BoundedHashTable::new(ht_slots, ht_slots as u32));
+            for &v in vertices {
+                schedule_warp_per_vertex(ctx, csr, v);
+                ctx.shared_access_uniform(scan);
+                ctx.intrinsic(5); // warp max-reduction
+                ctx.global_write_scattered(1);
+            }
+        }
+        KernelKind::BlockCmsHt(geom) => schedule_block(ctx, csr, vertices, geom),
+        KernelKind::GlobalHash => {
+            for &v in vertices {
+                let (region, region_slots) = global_region(csr, v);
+                // The per-vertex table region must be zeroed every
+                // iteration — a cost the shared-memory kernels never pay —
+                // and is scanned (coalesced) for the best final score.
+                ctx.global_write_seq(region, region_slots, 8);
+                schedule_warp_per_vertex(ctx, csr, v);
+                ctx.global_read_seq(region, region_slots, 8);
+                ctx.intrinsic(5);
+                ctx.global_write_scattered(1);
+            }
+        }
+    }
+}
+
+/// Warp-wide shared accesses of a final scan over `table`'s slots.
+fn table_scan(table: &BoundedHashTable) -> u64 {
+    (table.capacity() / WARP_SIZE) as u64
+}
+
+/// A one-warp-per-vertex kernel's warp over `v` and its reads of `v`'s list.
+fn schedule_warp_per_vertex(ctx: &mut KernelCtx, csr: &Csr, v: VertexId) {
+    ctx.warps_launched(1);
+    ctx.lanes_active(u64::from(csr.degree(v)).min(32));
+    schedule_list(ctx, csr, v, WARP_SIZE);
+}
+
+/// The reads of `v`'s neighbor list by `lanes` lanes at a time: per chunk,
+/// the contiguous neighbor-id load, the label gather (32 entries per warp
+/// access) and the chunk's `alu(2)`.
+fn schedule_list(ctx: &mut KernelCtx, csr: &Csr, v: VertexId, lanes: usize) {
+    let off = csr.offset(v);
+    for (c, chunk) in csr.neighbors(v).chunks(lanes).enumerate() {
+        let first_edge = off + (c * lanes) as u64;
+        ctx.global_read_seq(layout::TARGETS + first_edge * 4, chunk.len() as u64, 4);
+        ctx.global_gather_list(chunk);
+        ctx.alu(2);
+    }
+}
 
 /// Distinct sectors of one warp-wide access whose lanes the caller presents
 /// in ascending order, a contiguous range at a time: the ranges' sectors,
@@ -234,173 +380,41 @@ impl AscendingSectors {
     }
 }
 
-/// One packed vertex: the lanes `lane .. lane + degree` of the warp hold
-/// its edges `edge .. edge + degree`.
-#[derive(Clone, Copy)]
-struct Run {
-    vertex: VertexId,
-    lane: usize,
-    edge: u64,
-}
-
-/// One packed warp: the vertex runs the packer recorded and the lane
-/// registers [`flush`](Self::flush) fills. One instance serves every warp
-/// of a kernel shard: `used` and `packed` are reset per warp, and only
-/// runs and lanes below them are ever read, so nothing needs
-/// re-initialising in between.
-struct PackedWarp {
+/// One packed warp as [`schedule_packed`] fills it.
+struct WarpSchedule {
     /// Lanes in use.
     used: usize,
-    /// Vertices packed (`runs[..packed]`, in ascending vertex order).
-    packed: usize,
-    runs: [Run; WARP_SIZE],
+    /// Vertices packed.
+    packed: u64,
+    /// The lanes' neighbor ids: the label gather's indices.
     nbr: [VertexId; WARP_SIZE],
-    label: [Label; WARP_SIZE],
-    weight: [f64; WARP_SIZE],
+    /// Vertices, hence edge ids and decision slots, ascend across the warp,
+    /// so neither access needs its lane addresses spelled out.
+    target_sectors: AscendingSectors,
+    decision_sectors: AscendingSectors,
 }
 
-impl PackedWarp {
+impl WarpSchedule {
     fn new() -> Self {
         Self {
             used: 0,
             packed: 0,
-            runs: [Run {
-                vertex: INVALID_VERTEX,
-                lane: 0,
-                edge: 0,
-            }; WARP_SIZE],
             nbr: [INVALID_VERTEX; WARP_SIZE],
-            label: [0; WARP_SIZE],
-            weight: [0.0; WARP_SIZE],
+            target_sectors: AscendingSectors::new(),
+            decision_sectors: AscendingSectors::new(),
         }
-    }
-
-    /// Appends `v`'s `degree` edges, starting at `edge`, to the warp.
-    #[inline]
-    fn pack(&mut self, v: VertexId, edge: u64, degree: usize) {
-        self.runs[self.packed] = Run {
-            vertex: v,
-            lane: self.used,
-            edge,
-        };
-        self.packed += 1;
-        self.used += degree;
-    }
-
-    /// Executes the packed lanes as one warp and empties it.
-    ///
-    /// The charges are Figure 3's, step by step. The grouping those
-    /// intrinsics perform on the device is not recomputed: a lane's
-    /// same-vertex mask *is* its run, and the same-(vertex, label) groups
-    /// are found inside the run by a first-occurrence scan. Each distinct
-    /// label is scored and offered once — every lane of a group would
-    /// score the same `(vertex, label, frequency)`, and
-    /// [`BestLabel::offer`] is idempotent and order-independent.
-    fn flush<P: LpProgram + ?Sized>(
-        &mut self,
-        ctx: &mut KernelCtx,
-        csr: &Csr,
-        spoken: &[Label],
-        prog: &P,
-        out: &mut DecisionsOut<'_>,
-    ) {
-        let used = std::mem::take(&mut self.used);
-        let packed = std::mem::take(&mut self.packed);
-        if used == 0 {
-            return;
-        }
-        ctx.warps_launched(1);
-        ctx.lanes_active(used as u64);
-        let targets = csr.targets();
-        // Vertices, hence edge ids and decision slots, ascend across the
-        // warp, so neither access needs its lane addresses spelled out.
-        let mut target_sectors = AscendingSectors::new();
-        let mut decision_sectors = AscendingSectors::new();
-        let mut uniform_weights = true;
-        for r in 0..packed {
-            let Run {
-                vertex: v,
-                lane: begin,
-                edge,
-            } = self.runs[r];
-            let end = if r + 1 < packed {
-                self.runs[r + 1].lane
-            } else {
-                used
-            };
-            // 1. Load neighbor ids (edge-indexed; contiguous per vertex
-            //    but not across bucket gaps).
-            let last_edge = edge + (end - begin) as u64 - 1;
-            target_sectors.touch(
-                edge / layout::TARGETS_PER_SECTOR,
-                last_edge / layout::TARGETS_PER_SECTOR,
-            );
-            // 2. Gather spoken labels of those neighbors (charged below,
-            //    warp-wide), and
-            // 3. take each lane's contribution via the user API.
-            for lane in begin..end {
-                let e = edge + (lane - begin) as u64;
-                let u = targets[e as usize];
-                let c = prog.load_neighbor(v, u, e, spoken[u as usize]);
-                self.nbr[lane] = u;
-                self.label[lane] = c.label;
-                self.weight[lane] = c.weight;
-                uniform_weights &= c.weight == 1.0;
-            }
-            // 4. + 5. Frequency of each distinct label of the run — lane
-            //    weights summed in ascending lane order, which for uniform
-            //    weights is the popcount — scored and reduced to the
-            //    vertex's best.
-            let current = spoken[v as usize];
-            let mut best: Option<BestLabel> = None;
-            let mut done = 0u32;
-            for lane in begin..end {
-                if (done >> (lane - begin)) & 1 == 1 {
-                    continue;
-                }
-                let label = self.label[lane];
-                let mut freq = 0.0;
-                for peer in lane..end {
-                    if self.label[peer] == label {
-                        freq += self.weight[peer];
-                        done |= 1 << (peer - begin);
-                    }
-                }
-                BestLabel::offer(&mut best, label, prog.label_score(v, label, freq), current);
-            }
-            // 6. The run's leader writes its decision.
-            let sector = u64::from(v) / layout::DECISIONS_PER_SECTOR;
-            decision_sectors.touch(sector, sector);
-            out.set(v, BestLabel::into_decision(best));
-        }
-        ctx.counters.global_read_sectors += target_sectors.count;
-        ctx.global_gather(&self.nbr[..used]);
-        ctx.alu(2);
-        // ballot + 2x match_any, then one popc or, for weighted lanes, a
-        // short shuffle reduction.
-        ctx.intrinsic(3);
-        ctx.intrinsic(if uniform_weights { 1 } else { 5 });
-        ctx.alu(2);
-        ctx.intrinsic(2 * packed as u64); // per-group max + index shuffle
-        ctx.counters.global_write_sectors += decision_sectors.count;
     }
 }
 
-/// Processes low-degree vertices by packing the edges of several vertices
-/// into one warp and counting label frequencies the way Figure 3's
-/// `__ballot_sync` / `__match_any_sync` / `__popc` sequence does.
+/// Packs the low-degree bucket `vertices` into warps greedily — a vertex
+/// opens a new warp when its lanes would overflow the current one — and
+/// charges each warp's label-free events.
 ///
 /// `vertices` must ascend and each have degree in `1..=WARP_SIZE`, so a
 /// full neighbor list always fits in one warp.
-pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
-    ctx: &mut KernelCtx,
-    csr: &Csr,
-    spoken: &[Label],
-    prog: &P,
-    vertices: &[VertexId],
-    out: &mut DecisionsOut<'_>,
-) {
-    let mut warp = PackedWarp::new();
+fn schedule_packed(ctx: &mut KernelCtx, csr: &Csr, vertices: &[VertexId]) {
+    let targets = csr.targets();
+    let mut warp = WarpSchedule::new();
     let mut prev: Option<VertexId> = None;
     for &v in vertices {
         let deg = csr.degree(v) as usize;
@@ -416,11 +430,137 @@ pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
         );
         prev = Some(v);
         if warp.used + deg > WARP_SIZE {
-            warp.flush(ctx, csr, spoken, prog, out);
+            schedule_warp(ctx, &warp);
+            warp = WarpSchedule::new();
         }
-        warp.pack(v, csr.offset(v), deg);
+        let edge = csr.offset(v);
+        warp.nbr[warp.used..warp.used + deg].copy_from_slice(&targets[edge as usize..][..deg]);
+        warp.target_sectors.touch(
+            edge / layout::TARGETS_PER_SECTOR,
+            (edge + deg as u64 - 1) / layout::TARGETS_PER_SECTOR,
+        );
+        let sector = u64::from(v) / layout::DECISIONS_PER_SECTOR;
+        warp.decision_sectors.touch(sector, sector);
+        warp.used += deg;
+        warp.packed += 1;
     }
-    warp.flush(ctx, csr, spoken, prog, out);
+    schedule_warp(ctx, &warp);
+}
+
+/// Figure 3's charges for one packed warp, step by step, but for the popc
+/// or shuffle sum between steps 4 and 5, which the labels choose
+/// ([`warp_packed_kernel`]).
+fn schedule_warp(ctx: &mut KernelCtx, warp: &WarpSchedule) {
+    if warp.used == 0 {
+        return;
+    }
+    ctx.warps_launched(1);
+    ctx.lanes_active(warp.used as u64);
+    // 1. Load neighbor ids (edge-indexed; contiguous per vertex but not
+    //    across bucket gaps).
+    ctx.counters.global_read_sectors += warp.target_sectors.count;
+    // 2. Gather spoken labels of those neighbors; 3. take each lane's
+    //    contribution.
+    ctx.global_gather(&warp.nbr[..warp.used]);
+    ctx.alu(2);
+    // 4. ballot + 2x match_any.
+    ctx.intrinsic(3);
+    ctx.alu(2);
+    // 5. Per-group max + index shuffle.
+    ctx.intrinsic(2 * warp.packed);
+    // 6. Every run's leader writes its decision.
+    ctx.counters.global_write_sectors += warp.decision_sectors.count;
+}
+
+/// The CMS+HT kernel's blocks over `vertices`: each block's warps and lanes,
+/// its reads of the neighbor list a block-wide chunk at a time, the exact HT
+/// scan, the two block reductions (`s(HT)`, `s(CMS)`) and the decision
+/// write.
+fn schedule_block(ctx: &mut KernelCtx, csr: &Csr, vertices: &[VertexId], geom: SmemGeometry) {
+    geom.validate(ctx.cfg.shared_mem_per_block);
+    let block_threads = ctx.cfg.threads_per_block as usize;
+    let warps_per_block = u64::from(ctx.cfg.warps_per_block());
+    let scan = table_scan(&BoundedHashTable::new(geom.ht_slots, geom.ht_probe_limit));
+    for &v in vertices {
+        ctx.warps_launched(warps_per_block);
+        ctx.lanes_active(u64::from(csr.degree(v)).min(32 * warps_per_block));
+        schedule_list(ctx, csr, v, block_threads);
+        ctx.shared_access_uniform(scan);
+        ctx.block_reduce();
+        ctx.block_reduce();
+        ctx.global_write_scattered(1);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Low-degree: one warp, multiple vertices (§4.2).
+// ---------------------------------------------------------------------------
+
+/// Decides the low-degree bucket `vertices` the way Figure 3's packed warps
+/// would, and returns the one charge of theirs the labels decide: per warp —
+/// packed by [`schedule_packed`]'s rule — `intrinsic(1)` (the popc) when
+/// every lane weighs 1, else `intrinsic(5)` (a short shuffle reduction).
+///
+/// The grouping Figure 3's intrinsics perform on the device is not
+/// recomputed: a lane's same-vertex mask *is* its vertex's run of lanes, and
+/// the same-(vertex, label) groups are found inside the run by a
+/// first-occurrence scan. Each distinct label is scored and offered once —
+/// every lane of a group would score the same `(vertex, label, frequency)`,
+/// and [`BestLabel::offer`] is idempotent and order-independent.
+pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
+    csr: &Csr,
+    spoken: &[Label],
+    prog: &P,
+    vertices: &[VertexId],
+    out: &mut DecisionsOut<'_>,
+) -> u64 {
+    let mut label = [0 as Label; WARP_SIZE];
+    let mut weight = [0.0; WARP_SIZE];
+    let weight_sum = |uniform: bool| if uniform { 1 } else { 5 };
+    let (mut used, mut uniform, mut intrinsics) = (0usize, true, 0u64);
+    for &v in vertices {
+        let nbrs = csr.neighbors(v);
+        let deg = nbrs.len();
+        if used + deg > WARP_SIZE {
+            intrinsics += weight_sum(uniform);
+            (used, uniform) = (0, true);
+        }
+        used += deg;
+        // 2. + 3. Each lane's contribution via the user API.
+        for (lane, (&u, e)) in nbrs.iter().zip(csr.offset(v)..).enumerate() {
+            let c = prog.load_neighbor(v, u, e, spoken[u as usize]);
+            label[lane] = c.label;
+            weight[lane] = c.weight;
+            uniform &= c.weight == 1.0;
+        }
+        // 4. + 5. Frequency of each distinct label of the run — lane
+        //    weights summed in ascending lane order, which for uniform
+        //    weights is the popcount — scored and reduced to the vertex's
+        //    best.
+        let current = spoken[v as usize];
+        let mut best: Option<BestLabel> = None;
+        let mut done = 0u32;
+        for lane in 0..deg {
+            if (done >> lane) & 1 == 1 {
+                continue;
+            }
+            let l = label[lane];
+            let mut freq = 0.0;
+            for peer in lane..deg {
+                if label[peer] == l {
+                    freq += weight[peer];
+                    done |= 1 << peer;
+                }
+            }
+            BestLabel::offer(&mut best, l, prog.label_score(v, l, freq), current);
+        }
+        // 6. The run's leader writes its decision.
+        out.set(v, BestLabel::into_decision(best));
+    }
+    if used > 0 {
+        intrinsics += weight_sum(uniform);
+    }
+    intrinsics
 }
 
 // ---------------------------------------------------------------------------
@@ -458,8 +598,6 @@ pub(crate) fn warp_per_vertex_kernel<P: LpProgram + ?Sized>(
 ) {
     let mut ht = BoundedHashTable::new(ht_slots, ht_slots as u32);
     for &v in vertices {
-        ctx.warps_launched(1);
-        ctx.lanes_active(u64::from(csr.degree(v)).min(32));
         ht.clear();
         let off = csr.offset(v);
         let nbrs = csr.neighbors(v);
@@ -469,15 +607,7 @@ pub(crate) fn warp_per_vertex_kernel<P: LpProgram + ?Sized>(
             nbrs.len(),
             ht.capacity()
         );
-        // The warps below read the list's consecutive 32-lane windows.
-        ctx.global_gather_list(nbrs);
         for (c, chunk) in nbrs.chunks(WARP_SIZE).enumerate() {
-            // Contiguous neighbor-id load.
-            ctx.global_read_seq(
-                layout::TARGETS + (off + (c * WARP_SIZE) as u64) * 4,
-                chunk.len() as u64,
-                4,
-            );
             let mut conflicts = 0u64;
             for (i, &u) in chunk.iter().enumerate() {
                 let edge = off + (c * WARP_SIZE + i) as u64;
@@ -491,16 +621,12 @@ pub(crate) fn warp_per_vertex_kernel<P: LpProgram + ?Sized>(
                     }
                 }
             }
-            ctx.alu(2);
             ctx.shared_atomic(chunk.len() as u64, conflicts);
         }
         // Final scan with exact frequencies.
-        ctx.shared_access_uniform((ht.capacity() / WARP_SIZE) as u64);
         let mut best: Option<BestLabel> = None;
         best_in_table(&ht, prog, v, spoken[v as usize], &mut best);
         ctx.alu(2 * ht.occupied() as u64);
-        ctx.intrinsic(5); // warp max-reduction
-        ctx.global_write_scattered(1);
         out.set(v, BestLabel::into_decision(best));
     }
 }
@@ -781,25 +907,19 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
     stats: &mut ShardStats,
     out: &mut DecisionsOut<'_>,
 ) {
-    geom.validate(ctx.cfg.shared_mem_per_block);
     let block_threads = ctx.cfg.threads_per_block as usize;
-    let warps_per_block = u64::from(ctx.cfg.warps_per_block());
     let mut sketch = BlockSketch::new(geom);
     // Theorem 1 makes the fallback rare, and its table is sized by the
     // largest degree in the shard: built by the first vertex that needs it.
     let mut ght: Option<BoundedHashTable> = None;
 
     for &v in vertices {
-        ctx.warps_launched(warps_per_block);
-        ctx.lanes_active(u64::from(csr.degree(v)).min(32 * warps_per_block));
         sketch.reset();
         stats.smem_vertices += 1;
         let off = csr.offset(v);
         let nbrs = csr.neighbors(v);
         for (c, chunk) in nbrs.chunks(block_threads).enumerate() {
             let first_edge = off + (c * block_threads) as u64;
-            ctx.global_read_seq(layout::TARGETS + first_edge * 4, chunk.len() as u64, 4);
-            ctx.global_gather_list(chunk);
             let load =
                 |(&u, edge): (&VertexId, u64)| prog.load_neighbor(v, u, edge, spoken[u as usize]);
             let lanes = || chunk.iter().zip(first_edge..).map(load);
@@ -813,18 +933,14 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
             } else {
                 sketch.insert_lanes(prog, v, lanes())
             };
-            ctx.alu(2);
             ctx.shared_atomic(tally.ht_ops, tally.ht_conflicts);
             ctx.shared_atomic(tally.cms_ops * geom.cms_depth as u64, 0);
         }
-        // Exact HT scan + two block reductions (s(HT), s(CMS)).
+        // Exact HT scan, then `s(HT)` against `s(CMS)`.
         let ht = &sketch.ht;
-        ctx.shared_access_uniform((ht.capacity() / WARP_SIZE) as u64);
         let mut best: Option<BestLabel> = None;
         best_in_table(ht, prog, v, spoken[v as usize], &mut best);
         ctx.alu(2 * ht.occupied() as u64);
-        ctx.block_reduce();
-        ctx.block_reduce();
 
         let s_ht = best.map_or(f64::MIN, |b| b.score);
         if sketch.overflowed && s_ht < sketch.s_cms {
@@ -832,7 +948,6 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
             let ght = ght.get_or_insert_with(|| global_scratch_table(csr, vertices));
             global_recount(ctx, csr, spoken, prog, v, ht, ght, &mut best);
         }
-        ctx.global_write_scattered(1);
         out.set(v, BestLabel::into_decision(best));
     }
 }
@@ -840,6 +955,13 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
 // ---------------------------------------------------------------------------
 // Global-memory hash tables (the `global` ablation baseline / G-Hash).
 // ---------------------------------------------------------------------------
+
+/// Vertex `v`'s hash-table region in global memory: its base address and
+/// slots (twice its degree, at least 16, rounded up to a power of two).
+fn global_region(csr: &Csr, v: VertexId) -> (u64, u64) {
+    let slots = (2 * csr.degree(v) as usize).max(16).next_power_of_two();
+    (layout::GHT + csr.offset(v) * 16, slots as u64)
+}
 
 /// One warp per vertex; every label insert is an atomic into a per-vertex
 /// hash-table region in *global* memory (scattered sectors), then the
@@ -856,23 +978,10 @@ pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
 ) {
     let mut ght = global_scratch_table(csr, vertices);
     for &v in vertices {
-        ctx.warps_launched(1);
-        ctx.lanes_active(u64::from(csr.degree(v)).min(32));
         ght.clear();
         let off = csr.offset(v);
-        let nbrs = csr.neighbors(v);
-        let region_slots = ((2 * nbrs.len()).max(16)).next_power_of_two() as u64;
-        let region = layout::GHT + csr.offset(v) * 16;
-        // The per-vertex table region must be zeroed every iteration — a
-        // cost the shared-memory kernels never pay.
-        ctx.global_write_seq(region, region_slots, 8);
-        ctx.global_gather_list(nbrs);
-        for (c, chunk) in nbrs.chunks(WARP_SIZE).enumerate() {
-            ctx.global_read_seq(
-                layout::TARGETS + (off + (c * WARP_SIZE) as u64) * 4,
-                chunk.len() as u64,
-                4,
-            );
+        let (region, region_slots) = global_region(csr, v);
+        for (c, chunk) in csr.neighbors(v).chunks(WARP_SIZE).enumerate() {
             let mut addrs = [0u64; WARP_SIZE];
             for (i, &u) in chunk.iter().enumerate() {
                 let edge = off + (c * WARP_SIZE + i) as u64;
@@ -883,28 +992,23 @@ pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
                 }
                 addrs[i] = region + (u64::from(contrib.label) % region_slots) * 8;
             }
-            ctx.alu(2);
             ctx.global_atomic(&addrs[..chunk.len()]);
         }
-        // Scan the region (coalesced) for the best final score.
-        ctx.global_read_seq(region, region_slots, 8);
         let mut best: Option<BestLabel> = None;
         best_in_table(&ght, prog, v, spoken[v as usize], &mut best);
         ctx.alu(2 * ght.occupied() as u64);
-        ctx.intrinsic(5);
-        ctx.global_write_scattered(1);
         out.set(v, BestLabel::into_decision(best));
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
-    use crate::variants::{ClassicLp, WeightedLp};
+    use crate::variants::{ClassicLp, SeededLp, WeightedLp};
     use glp_gpusim::warp::{ballot_sync, match_any_sync, popc};
     use glp_gpusim::DeviceConfig;
     use glp_graph::gen::{star, two_cliques_bridge};
-    use glp_graph::EdgeId;
+    use glp_graph::{EdgeId, INVALID_LABEL};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -914,11 +1018,11 @@ mod tests {
     }
 
     /// The lane registers of one packed warp in Figure 3's formulation, the
-    /// oracle of [`PackedWarp`]: every lane carries its vertex, the groups
-    /// are recovered
-    /// with `__ballot_sync` / `__match_any_sync`, every lane scores its own
-    /// label, and the three warp-wide accesses are coalesced from byte
-    /// addresses.
+    /// oracle of the packed-warp kernel's two passes ([`schedule_packed`],
+    /// [`warp_packed_kernel`]) fused: every lane carries its vertex, the
+    /// groups are recovered with `__ballot_sync` / `__match_any_sync`, every
+    /// lane scores its own label, and the three warp-wide accesses are
+    /// coalesced from byte addresses.
     struct Figure3Warp {
         used: usize,
         vertex: [VertexId; WARP_SIZE],
@@ -1038,7 +1142,7 @@ mod tests {
         }
     }
 
-    /// [`warp_packed_kernel`] over [`Figure3Warp`].
+    /// The packed-warp kernel over [`Figure3Warp`].
     fn figure3_kernel<P: LpProgram + ?Sized>(
         ctx: &mut KernelCtx,
         csr: &Csr,
@@ -1067,8 +1171,8 @@ mod tests {
     /// non-uniform weights and a score that favours the current label —
     /// the shape of `glp_test_support::MixLp`, which depends on this crate
     /// and so cannot be named from its unit tests.
-    struct Mix {
-        labels: Vec<Label>,
+    pub(crate) struct Mix {
+        pub(crate) labels: Vec<Label>,
     }
 
     impl LpProgram for Mix {
@@ -1097,21 +1201,27 @@ mod tests {
                 freq
             }
         }
-        fn update_vertex(&mut self, _v: VertexId, _winner: Option<(Label, f64)>) -> bool {
-            false
+        fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
+            match winner {
+                Some((l, _)) if l != self.labels[v as usize] => {
+                    self.labels[v as usize] = l;
+                    true
+                }
+                _ => false,
+            }
         }
-        fn finished(&self, _iteration: u32, _changed: u64) -> bool {
-            true
+        fn finished(&self, iteration: u32, changed: u64) -> bool {
+            changed == 0 || iteration + 1 >= 8
         }
         fn labels(&self) -> &[Label] {
             &self.labels
         }
     }
 
-    /// Runs the packed bucket `vertices` through [`warp_packed_kernel`] and
+    /// Runs the packed bucket `vertices` through the packed-warp launch and
     /// through the Figure 3 oracle: equal decisions (score bits included)
     /// and equal counters, field by field.
-    fn assert_flush_matches_figure3<P: LpProgram>(
+    fn assert_packed_matches_figure3<P: LpProgram>(
         csr: &Csr,
         spoken: &[Label],
         prog: &P,
@@ -1120,9 +1230,14 @@ mod tests {
     ) {
         let cfg = DeviceConfig::titan_v();
         let mut fast = KernelCtx::new(&cfg);
-        let got = collect(csr, vertices, |out| {
-            warp_packed_kernel(&mut fast, csr, spoken, prog, vertices, out)
-        });
+        let (got, _) = launch(
+            &mut fast,
+            csr,
+            spoken,
+            prog,
+            KernelKind::WarpPacked,
+            vertices,
+        );
         let mut oracle = KernelCtx::new(&cfg);
         let want = collect(csr, vertices, |out| {
             figure3_kernel(&mut oracle, csr, spoken, prog, vertices, out)
@@ -1138,9 +1253,10 @@ mod tests {
         /// packed vertices' edge runs, unsorted neighbor lists with
         /// repeats, few labels (duplicates inside a run, ties with the
         /// current label), through uniform, edge-weighted and
-        /// callback-weighted programs.
+        /// callback-weighted programs, and a seeded one whose lanes weigh 0
+        /// or 1 by their labels.
         #[test]
-        fn fast_flush_equals_figure3(
+        fn packed_kernel_equals_figure3(
             shape in 0u8..4,
             raw_degrees in prop::collection::vec(1usize..=32, 1..48),
             gaps in prop::collection::vec(0usize..3, 48),
@@ -1184,13 +1300,19 @@ mod tests {
             let spoken: Vec<Label> = (0..n).map(|_| next(u64::from(num_labels)) as Label).collect();
 
             let classic = ClassicLp::new(n);
-            assert_flush_matches_figure3(&csr, &spoken, &classic, &vertices, "classic");
+            assert_packed_matches_figure3(&csr, &spoken, &classic, &vertices, "classic");
             let edge_weights: Arc<Vec<f32>> =
                 Arc::new((0..m).map(|e| 0.5 + (e % 7) as f32).collect());
             let weighted = WeightedLp::new(n, edge_weights, 8).with_retention(6.0);
-            assert_flush_matches_figure3(&csr, &spoken, &weighted, &vertices, "weighted");
+            assert_packed_matches_figure3(&csr, &spoken, &weighted, &vertices, "weighted");
             let mix = Mix { labels: spoken.clone() };
-            assert_flush_matches_figure3(&csr, &spoken, &mix, &vertices, "mix");
+            assert_packed_matches_figure3(&csr, &spoken, &mix, &vertices, "mix");
+            let unlabeled: Vec<Label> = spoken
+                .iter()
+                .map(|&l| if l == 0 { INVALID_LABEL } else { l })
+                .collect();
+            let seeded = SeededLp::new(n, &[]);
+            assert_packed_matches_figure3(&csr, &unlabeled, &seeded, &vertices, "seeded");
         }
     }
 
@@ -1283,10 +1405,11 @@ mod tests {
             .collect()
     }
 
-    /// Runs the high-degree bucket `hubs` through [`block_cms_ht_kernel`] —
-    /// run walk forced on, forced off and left to the kernel — and through
-    /// the lane-by-lane oracle: equal decisions (score bits included), equal
-    /// counters field by field, equal shard stats.
+    /// Runs the high-degree bucket `hubs` through the block kernel's schedule
+    /// and [`block_cms_ht_kernel`] — run walk forced on, forced off and left
+    /// to the kernel — and through the lane-by-lane oracle: equal decisions
+    /// (score bits included), equal counters field by field, equal shard
+    /// stats.
     fn assert_run_walk_matches_lanewise<P: LpProgram>(
         csr: &Csr,
         spoken: &[Label],
@@ -1312,6 +1435,7 @@ mod tests {
         }));
         for force_walk in [Some(true), Some(false), None] {
             let mut ctx = KernelCtx::new(&cfg);
+            schedule_charges(&mut ctx, csr, KernelKind::BlockCmsHt(geom), hubs);
             let mut stats = ShardStats::default();
             let got = score_bits(collect(csr, hubs, |out| {
                 block_cms_ht_kernel(
@@ -1436,6 +1560,38 @@ mod tests {
             .collect()
     }
 
+    /// One launch of `kind` over `vertices` as an engine runs it: the
+    /// schedule priced, then the decision pass. Returns the decisions and
+    /// the shard stats.
+    fn launch<P: LpProgram>(
+        ctx: &mut KernelCtx,
+        csr: &Csr,
+        spoken: &[Label],
+        prog: &P,
+        kind: KernelKind,
+        vertices: &[VertexId],
+    ) -> (Vec<(VertexId, Decision)>, ShardStats) {
+        schedule_charges(ctx, csr, kind, vertices);
+        let mut stats = ShardStats::default();
+        let got = collect(csr, vertices, |out| {
+            let mut shard = KernelShard {
+                ctx,
+                csr,
+                spoken,
+                kind,
+                vertices,
+                out: DecisionsOut {
+                    base: out.base,
+                    slots: &mut *out.slots,
+                },
+                stats: ShardStats::default(),
+            };
+            shard.run(prog);
+            stats = shard.stats;
+        });
+        (got, stats)
+    }
+
     fn exact_reference(csr: &Csr, spoken: &[Label], prog: &ClassicLp, v: VertexId) -> Decision {
         let mut counts = std::collections::HashMap::<Label, f64>::new();
         let off = csr.offset(v);
@@ -1465,13 +1621,15 @@ mod tests {
             expected.push((v, exact_reference(csr, &spoken, &prog, v)));
         }
         let sort = |v: &mut Vec<(VertexId, Decision)>| v.sort_by_key(|e| e.0);
+        let run = |kind: KernelKind, vertices: &[VertexId]| {
+            let mut ctx = KernelCtx::new(&cfg);
+            let (mut got, stats) = launch(&mut ctx, csr, &spoken, &prog, kind, vertices);
+            sort(&mut got);
+            (got, stats)
+        };
 
         // Global kernel handles everything.
-        let mut ctx = KernelCtx::new(&cfg);
-        let mut got = collect(csr, &all, |out| {
-            global_hash_kernel(&mut ctx, csr, &spoken, &prog, &all, out)
-        });
-        sort(&mut got);
+        let (got, _) = run(KernelKind::GlobalHash, &all);
         assert_eq!(got, expected, "{gname}: global kernel");
 
         // Mid kernel handles everything whose degree fits its HT.
@@ -1481,11 +1639,7 @@ mod tests {
             .copied()
             .filter(|&v| (g.degree(v) as usize) <= ht_slots)
             .collect();
-        let mut ctx = KernelCtx::new(&cfg);
-        let mut got = collect(csr, &fit, |out| {
-            warp_per_vertex_kernel(&mut ctx, csr, &spoken, &prog, &fit, ht_slots, out)
-        });
-        sort(&mut got);
+        let (got, _) = run(KernelKind::WarpPerVertex { ht_slots }, &fit);
         let expected_fit: Vec<_> = expected
             .iter()
             .copied()
@@ -1494,11 +1648,7 @@ mod tests {
         assert_eq!(got, expected_fit, "{gname}: mid kernel");
 
         // Warp-packed kernel on the low bucket.
-        let mut ctx = KernelCtx::new(&cfg);
-        let mut got = collect(csr, &low, |out| {
-            warp_packed_kernel(&mut ctx, csr, &spoken, &prog, &low, out)
-        });
-        sort(&mut got);
+        let (got, _) = run(KernelKind::WarpPacked, &low);
         let expected_low: Vec<_> = expected
             .iter()
             .copied()
@@ -1513,14 +1663,7 @@ mod tests {
             cms_depth: 4,
             cms_width: 64,
         };
-        let mut ctx = KernelCtx::new(&cfg);
-        let mut stats = ShardStats::default();
-        let mut got = collect(csr, &all, |out| {
-            block_cms_ht_kernel(
-                &mut ctx, csr, &spoken, &prog, &all, geom, None, &mut stats, out,
-            )
-        });
-        sort(&mut got);
+        let (got, stats) = run(KernelKind::BlockCmsHt(geom), &all);
         assert_eq!(got, expected, "{gname}: block kernel");
         assert_eq!(stats.smem_vertices, all.len() as u64);
     }
@@ -1575,21 +1718,8 @@ mod tests {
             cms_width: 64,
         };
         let mut ctx = KernelCtx::new(&cfg);
-        let mut stats = ShardStats::default();
-        let csr = g.incoming();
-        let got = collect(csr, &[0], |out| {
-            block_cms_ht_kernel(
-                &mut ctx,
-                csr,
-                &spoken,
-                &prog,
-                &[0],
-                geom,
-                None,
-                &mut stats,
-                out,
-            )
-        });
+        let kind = KernelKind::BlockCmsHt(geom);
+        let (got, stats) = launch(&mut ctx, g.incoming(), &spoken, &prog, kind, &[0]);
         // 299 distinct singleton labels, 8-slot HT: CMS estimate ties or
         // beats the HT's best (all frequencies 1) only when collisions
         // inflate an estimate; either way the winner is the smallest label.
@@ -1606,10 +1736,8 @@ mod tests {
         let spoken: Vec<Label> = (0..16).collect();
         let all: Vec<VertexId> = (0..16).collect();
         let mut ctx = KernelCtx::new(&cfg);
-        let csr = g.incoming();
-        let got = collect(csr, &all, |out| {
-            warp_packed_kernel(&mut ctx, csr, &spoken, &prog, &all, out)
-        });
+        let kind = KernelKind::WarpPacked;
+        let (got, _) = launch(&mut ctx, g.incoming(), &spoken, &prog, kind, &all);
         assert_eq!(ctx.counters.warps_launched, 1);
         assert_eq!(got.len(), 16);
     }
@@ -1619,20 +1747,8 @@ mod tests {
     fn warp_packed_bucket_must_ascend() {
         let g = glp_graph::gen::cycle(8);
         let cfg = DeviceConfig::titan_v();
-        let prog = ClassicLp::new(8);
-        let spoken: Vec<Label> = (0..8).collect();
         let mut ctx = KernelCtx::new(&cfg);
-        let mut decisions: Vec<Decision> = vec![None; 8];
-        let mut outs = DecisionsOut::split(&mut decisions, &[&[0, 7]]);
-        let bucket = [2, 4, 3];
-        warp_packed_kernel(
-            &mut ctx,
-            g.incoming(),
-            &spoken,
-            &prog,
-            &bucket,
-            &mut outs[0],
-        );
+        schedule_charges(&mut ctx, g.incoming(), KernelKind::WarpPacked, &[2, 4, 3]);
     }
 
     #[test]
@@ -1647,13 +1763,23 @@ mod tests {
 
         let csr = g.incoming();
         let mut packed = KernelCtx::new(&cfg);
-        collect(csr, &all, |out| {
-            warp_packed_kernel(&mut packed, csr, &spoken, &prog, &all, out)
-        });
+        launch(
+            &mut packed,
+            csr,
+            &spoken,
+            &prog,
+            KernelKind::WarpPacked,
+            &all,
+        );
         let mut per_vertex = KernelCtx::new(&cfg);
-        collect(csr, &all, |out| {
-            global_hash_kernel(&mut per_vertex, csr, &spoken, &prog, &all, out)
-        });
+        launch(
+            &mut per_vertex,
+            csr,
+            &spoken,
+            &prog,
+            KernelKind::GlobalHash,
+            &all,
+        );
 
         let u_packed = packed.counters.warp_utilization();
         let u_single = per_vertex.counters.warp_utilization();
@@ -1673,14 +1799,17 @@ mod tests {
 
         let csr = g.incoming();
         let mut ctx_g = KernelCtx::new(&cfg);
-        collect(csr, &all, |out| {
-            global_hash_kernel(&mut ctx_g, csr, &spoken, &prog, &all, out)
-        });
-
+        launch(
+            &mut ctx_g,
+            csr,
+            &spoken,
+            &prog,
+            KernelKind::GlobalHash,
+            &all,
+        );
         let mut ctx_m = KernelCtx::new(&cfg);
-        collect(csr, &all, |out| {
-            warp_per_vertex_kernel(&mut ctx_m, csr, &spoken, &prog, &all, 256, out)
-        });
+        let mid = KernelKind::WarpPerVertex { ht_slots: 256 };
+        launch(&mut ctx_m, csr, &spoken, &prog, mid, &all);
 
         assert!(
             ctx_g.counters.global_sectors() > 2 * ctx_m.counters.global_sectors(),

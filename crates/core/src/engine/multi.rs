@@ -22,7 +22,7 @@ use super::bsp::{drive, Backend, Phase};
 use super::gpu::{
     bytes_per_edge, charge_frontier, charge_snapshot, charge_update, pick_labels, propagate,
 };
-use super::kernels::ShardStats;
+use super::kernels::{ScheduleLedger, ShardStats};
 use super::{BspEngine, Decision, Direction, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
@@ -83,6 +83,9 @@ impl BspEngine for MultiGpuEngine {
         opts.validate_for_device(self.gpus.device(0).config().shared_mem_per_block);
         let shards = opts.resolve_shards().div_ceil(self.gpus.len()).max(1);
         Box::new(MultiBackend {
+            ledgers: (0..self.gpus.len())
+                .map(|_| ScheduleLedger::default())
+                .collect(),
             gpus: &mut self.gpus,
             assign: Vec::new(),
             ranges: Vec::new(),
@@ -95,6 +98,9 @@ impl BspEngine for MultiGpuEngine {
 
 struct MultiBackend<'a> {
     gpus: &'a mut MultiGpu,
+    /// Per device (indexed like `gpus`), the schedules this run priced on
+    /// it; dropped with the run.
+    ledgers: Vec<ScheduleLedger>,
     /// The current partitioning over the alive devices: vertex range
     /// `ranges[i]` lives on device `assign[i]` and, once uploaded,
     /// occupies `footprints[i]` bytes there (freed before a repartition).
@@ -189,13 +195,20 @@ impl Backend for MultiBackend<'_> {
         spoken: &[Label],
         decisions: &mut [Decision],
     ) -> Result<ShardStats, DeviceError> {
-        let shards = self.shards;
         let mut stats = ShardStats::default();
-        self.each_part(|dev, r| {
-            let st = propagate(dev, p, r.start..r.end, shards, spoken, decisions)?;
+        for (&d, r) in self.assign.iter().zip(&self.ranges) {
+            let (dev, ledger) = (self.gpus.device_mut(d), &mut self.ledgers[d]);
+            let st = propagate(
+                dev,
+                ledger,
+                p,
+                r.start..r.end,
+                self.shards,
+                spoken,
+                decisions,
+            )?;
             stats.merge(&st);
-            Ok(())
-        })?;
+        }
         Ok(stats)
     }
 

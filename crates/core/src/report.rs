@@ -68,6 +68,13 @@ pub struct LpRunReport {
     /// the count on its full and its incremental runs alike. Always 0 for
     /// programs without `sparse_activation`.
     pub replayed_iterations: u32,
+    /// Propagation-kernel launches that priced their schedule (counted the
+    /// events the CSR and the vertex list alone fix) instead of taking it
+    /// from the run's schedule ledger, which keeps the last vertex list each
+    /// device, kernel and harness part priced. A host-side work count: the
+    /// modeled clock charges every launch alike. Replayed iterations price
+    /// nothing; host tiers report 0.
+    pub priced_launches: u64,
     /// Per-kernel aggregation (count / total / p50 / max modeled seconds,
     /// keyed by engine tier and kernel name) over this run's launches.
     /// Filled from the device's kernel log whether or not a tracer is
