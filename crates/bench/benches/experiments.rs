@@ -1,7 +1,8 @@
 //! Criterion benches mirroring every paper experiment at reduced scale, so
 //! `cargo bench --workspace` exercises each table/figure end to end. The
-//! experiment binaries (`cargo run -p glp-bench --bin ...`) produce the
-//! full tables; these track the harness's own performance.
+//! full tables are `paper_grid`'s (`cargo run -p glp-bench --release --bin
+//! paper_grid`, written to `results/`); these track the harness's own
+//! performance.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use glp_bench::workloads::table4_stream;

@@ -245,7 +245,7 @@ fn main() {
         std::process::exit(2);
     }
     let cmd = argv.remove(0);
-    let args = Args::from_iter(argv);
+    let args = Args::from_iter(argv).unwrap_or_else(|e| die(&e));
     match cmd.as_str() {
         "generate" => cmd_generate(&args),
         "run" => cmd_run(&args),

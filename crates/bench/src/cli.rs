@@ -1,5 +1,5 @@
 //! Minimal flag parsing shared by the experiment binaries (no external
-//! CLI dependency needed for `--flag value` pairs and boolean switches).
+//! CLI dependency needed for `--flag value` pairs).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -9,34 +9,34 @@ use std::collections::{HashMap, HashSet};
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     flags: HashMap<String, String>,
-    switches: Vec<String>,
     consumed: RefCell<HashSet<String>>,
 }
 
 impl Args {
-    /// Parses `std::env::args()`.
+    /// Parses `std::env::args()`; a malformed command line prints a clean
+    /// error and exits 2.
     pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+        Self::from_iter(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit iterator (testable).
+    /// Parses an explicit iterator of `--flag value` pairs (testable).
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(it: impl IntoIterator<Item = String>) -> Self {
+    pub fn from_iter(it: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut args = Args::default();
         let mut it = it.into_iter().peekable();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
-                panic!("unexpected positional argument {a:?}");
+                return Err(format!("unexpected positional argument {a:?}"));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let v = it.next().expect("peeked");
-                    args.flags.insert(name.to_string(), v);
-                }
-                _ => args.switches.push(name.to_string()),
-            }
+            let Some(v) = it.next_if(|v| !v.starts_with("--")) else {
+                return Err(format!("flag --{name} needs a value"));
+            };
+            args.flags.insert(name.to_string(), v);
         }
-        args
+        Ok(args)
     }
 
     /// Value of `--name`, parsed, or `default`. A present-but-unparsable
@@ -62,14 +62,8 @@ impl Args {
         self.flags.get(name).map(String::as_str)
     }
 
-    /// Whether switch `--name` was given.
-    pub fn has(&self, name: &str) -> bool {
-        self.consumed.borrow_mut().insert(name.to_string());
-        self.switches.iter().any(|s| s == name)
-    }
-
-    /// Call once every flag has been read: a flag or switch on the command
-    /// line that the program never asked for (misspelt, or since deleted)
+    /// Call once every flag has been read: a flag on the command line that
+    /// the program never asked for (misspelt, or since deleted)
     /// prints a clean error and exits 2 instead of silently running the
     /// defaults.
     pub fn finish(&self) {
@@ -86,7 +80,6 @@ impl Args {
         let mut unknown: Vec<String> = self
             .flags
             .keys()
-            .chain(&self.switches)
             .filter(|name| !consumed.contains(*name))
             .map(|name| format!("--{name}"))
             .collect();
@@ -99,52 +92,57 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
+    fn parse(s: &str) -> Result<Args, String> {
         Args::from_iter(s.split_whitespace().map(String::from))
     }
 
+    fn parse_ok(s: &str) -> Args {
+        parse(s).expect("well-formed command line")
+    }
+
     #[test]
-    fn flags_and_switches() {
-        let a = parse("--scale 8 --full --iters 5");
+    fn flag_values_and_defaults() {
+        let a = parse_ok("--scale 8 --iters 5");
         assert_eq!(a.get("scale", 1u64), 8);
         assert_eq!(a.get("iters", 20u32), 5);
-        assert!(a.has("full"));
-        assert!(!a.has("quick"));
         assert_eq!(a.get("missing", 3i32), 3);
     }
 
     #[test]
     fn string_values() {
-        let a = parse("--datasets dblp,roadNet");
+        let a = parse_ok("--datasets dblp,roadNet");
         assert_eq!(a.get_str("datasets"), Some("dblp,roadNet"));
     }
 
     #[test]
     fn misspelt_flag_is_unknown() {
-        let a = parse("--scale 8 --delta-round 12");
+        let a = parse_ok("--scale 8 --delta-round 12");
         assert_eq!(a.get("scale", 1u64), 8);
         assert_eq!(a.get("delta-rounds", 16usize), 16);
         assert_eq!(a.unknown(), ["--delta-round"]);
     }
 
     #[test]
-    fn misspelt_switch_is_unknown() {
-        let a = parse("--full --ful");
-        assert!(a.has("full"));
-        assert_eq!(a.unknown(), ["--ful"]);
+    fn valueless_flag_rejected() {
+        assert_eq!(
+            parse("--full --iters 5").unwrap_err(),
+            "flag --full needs a value"
+        );
     }
 
     #[test]
     fn all_consumed_leaves_nothing_unknown() {
-        let a = parse("--scale 8 --full --datasets dblp");
-        let _ = (a.get("scale", 1u64), a.has("full"), a.get_str("datasets"));
+        let a = parse_ok("--scale 8 --datasets dblp");
+        let _ = (a.get("scale", 1u64), a.get_str("datasets"));
         assert!(a.unknown().is_empty());
         a.finish(); // must return, not exit
     }
 
     #[test]
-    #[should_panic(expected = "unexpected positional")]
     fn positional_rejected() {
-        parse("oops");
+        assert_eq!(
+            parse("oops").unwrap_err(),
+            "unexpected positional argument \"oops\""
+        );
     }
 }

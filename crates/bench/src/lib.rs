@@ -1,21 +1,10 @@
 //! # glp-bench — harness regenerating every table and figure of the paper
 //!
-//! One binary per experiment (see `DESIGN.md`'s experiment index):
+//! The binaries (see `DESIGN.md`'s experiment index):
 //!
 //! | binary | reproduces |
 //! |--------|------------|
-//! | `table2_datasets` | Table 2 — dataset statistics |
-//! | `fig4_classic`    | Figure 4 — classic-LP speedups over OMP |
-//! | `fig5_llp`        | Figure 5 — LLP speedups over OMP |
-//! | `fig6_slp`        | Figure 6 — SLP speedups over OMP |
-//! | `table3_ablation` | Table 3 — smem / smem+warp speedups over global |
-//! | `table4_windows`  | Table 4 — sliding-window workload sizes |
-//! | `fig7_pipeline`   | Figure 7 — GLP (1 & 2 GPUs) vs the in-house cluster |
-//! | `ablation_sketch` | extra: HT/CMS geometry sweep (Theorem 1 in practice) |
-//! | `ablation_thresholds` | extra: degree-dispatch threshold sweep |
-//! | `ablation_frontier` | extra: frontier on/off per dataset |
-//! | `ablation_hardware` | extra: one workload across GPU generations |
-//! | `quality_sweep`   | extra: detection quality (NMI/purity/modularity) vs mixing; LLP resolution effect |
+//! | `paper_grid`      | every table and figure of §5 plus the extra ablations and the quality sweep, written to `results/` |
 //! | `fleet_scaling`   | serving: tx/s vs shard count (1/2/4/8), self-asserting the 4-shard recluster speedup |
 //! | `chaos_serve`     | serving: recovery and failover MTTR under injected faults (feature `fault-injection`) |
 //! | `adversarial_serve` | serving: evolving rings, burst flood and label noise vs detection quality |
@@ -35,7 +24,6 @@
 
 pub mod approaches;
 pub mod cli;
-pub mod figures;
 pub mod table;
 pub mod workloads;
 

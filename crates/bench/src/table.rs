@@ -1,8 +1,8 @@
 //! Fixed-width text tables for experiment output.
 
-/// Prints `rows` under `headers` with per-column auto width, plus a rule
+/// Renders `rows` under `headers` with per-column auto width, plus a rule
 /// line, in the style of the paper's tables.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -17,14 +17,20 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             .enumerate()
             .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
             .collect();
-        println!("| {} |", joined.join(" | "));
+        format!("| {} |\n", joined.join(" | "))
     };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    let mut out = line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
     let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    println!("|-{}-|", rule.join("-+-"));
+    out += &format!("|-{}-|\n", rule.join("-+-"));
     for row in rows {
-        line(row);
+        out += &line(row);
     }
+    out
+}
+
+/// Prints [`render_table`]'s output to stdout.
+pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", render_table(headers, rows));
 }
 
 /// Formats seconds with a sensible unit.
@@ -62,6 +68,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn mismatched_rows_rejected() {
-        print_table(&["a", "b"], &[vec!["1".into()]]);
+        render_table(&["a", "b"], &[vec!["1".into()]]);
     }
 }

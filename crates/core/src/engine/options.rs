@@ -176,10 +176,13 @@ pub struct RunOptions {
     /// capped at 16) — for every engine: the device tiers shard a launch
     /// over them, the CPU baselines their per-vertex aggregation (whose
     /// `CpuLpConfig::threads` is the *modeled* machine's, a cost-model
-    /// input). Has no effect on modeled time or results. The
-    /// threads are spawned per launch, so on small graphs 1 is the fast
-    /// setting: a CI-sized serving recluster measured 11.6 ms pinned to 1
-    /// against 12–39 ms with auto on two cores.
+    /// input). Labels and the changed / active traces never depend on it,
+    /// but modeled counters can differ by a few boundary warps with how a
+    /// launch is split (`tests/host_path_identity.rs` pins rows at 1 and 3
+    /// shards that differ), which is why the committed benchmark and
+    /// `paper_grid` pin 1. The threads are spawned per launch, so on small
+    /// graphs 1 is the fast setting: a CI-sized serving recluster measured
+    /// 11.6 ms pinned to 1 against 12–39 ms with auto on two cores.
     pub shards: usize,
     /// Vertex visit order of the asynchronous sequential engine; ignored
     /// by the BSP engines.
