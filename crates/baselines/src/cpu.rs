@@ -314,19 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn omp_matches_gpu_classic() {
-        let g = sample();
-        let proto = ClassicLp::new(g.num_vertices());
-        let want = gpu_reference(&g, &proto);
-        let mut p = proto.clone();
-        let report = CpuLp::omp(CpuLpConfig::default())
-            .run(&g, &mut p, &dense())
-            .unwrap();
-        assert_eq!(p.labels(), &want[..]);
-        assert!(report.modeled_seconds > 0.0);
-    }
-
-    #[test]
     fn ligra_frontier_matches_dense() {
         let g = caveman(12, 8);
         let proto = ClassicLp::new(g.num_vertices());

@@ -77,21 +77,6 @@ mod tests {
     use glp_graph::gen::{community_powerlaw, CommunityPowerLawConfig};
 
     #[test]
-    fn ghash_matches_glp_labels() {
-        let g = community_powerlaw(&CommunityPowerLawConfig {
-            num_vertices: 1_200,
-            avg_degree: 9.0,
-            ..Default::default()
-        });
-        let opts = RunOptions::default();
-        let mut reference = ClassicLp::new(g.num_vertices());
-        GpuEngine::titan_v().run(&g, &mut reference, &opts).unwrap();
-        let mut p = ClassicLp::new(g.num_vertices());
-        GHashLp::titan_v().run(&g, &mut p, &opts).unwrap();
-        assert_eq!(p.labels(), reference.labels());
-    }
-
-    #[test]
     fn glp_beats_both_gpu_baselines() {
         let g = community_powerlaw(&CommunityPowerLawConfig {
             num_vertices: 8_000,

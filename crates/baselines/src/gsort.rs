@@ -289,21 +289,6 @@ mod tests {
     use glp_graph::gen::{community_powerlaw, star, CommunityPowerLawConfig};
 
     #[test]
-    fn gsort_matches_glp_labels() {
-        let g = community_powerlaw(&CommunityPowerLawConfig {
-            num_vertices: 1_500,
-            avg_degree: 8.0,
-            ..Default::default()
-        });
-        let opts = RunOptions::default();
-        let mut reference = ClassicLp::new(g.num_vertices());
-        GpuEngine::titan_v().run(&g, &mut reference, &opts).unwrap();
-        let mut p = ClassicLp::new(g.num_vertices());
-        GSortLp::titan_v().run(&g, &mut p, &opts).unwrap();
-        assert_eq!(p.labels(), reference.labels());
-    }
-
-    #[test]
     fn gsort_llp_matches_glp() {
         let g = community_powerlaw(&CommunityPowerLawConfig {
             num_vertices: 800,

@@ -2,9 +2,7 @@
 //! graphs, every kernel path must agree with a brute-force MFL reference
 //! under the workspace tie rule, across strategies and variants.
 
-use glp_core::engine::{
-    Engine, FrontierMode, GpuEngine, MflStrategy, RunOptions, SequentialEngine,
-};
+use glp_core::engine::{Engine, GpuEngine, MflStrategy, RunOptions};
 use glp_core::{ClassicLp, Llp, LpProgram};
 use glp_graph::{Graph, GraphBuilder, Label, VertexId, INVALID_LABEL};
 use proptest::prelude::*;
@@ -118,39 +116,5 @@ proptest! {
             .run(&g, &mut llp, &RunOptions::default())
             .unwrap();
         prop_assert_eq!(classic.labels(), llp.labels());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Frontier scheduling is invisible in the results: labels, changed
-    /// counts, and iteration counts all match dense execution, for any
-    /// graph, on both the BSP and the asynchronous engine.
-    #[test]
-    fn frontier_is_bit_identical_to_dense(g in arbitrary_graph()) {
-        let n = g.num_vertices();
-        let dense_opts = RunOptions::default()
-            .with_max_iterations(12)
-            .with_frontier(FrontierMode::Dense);
-        let auto_opts = RunOptions::default().with_max_iterations(12);
-
-        let mut dense = ClassicLp::with_max_iterations(n, 12);
-        let rd = GpuEngine::titan_v().run(&g, &mut dense, &dense_opts).unwrap();
-        let mut auto = ClassicLp::with_max_iterations(n, 12);
-        let ra = GpuEngine::titan_v().run(&g, &mut auto, &auto_opts).unwrap();
-        prop_assert_eq!(dense.labels(), auto.labels());
-        prop_assert_eq!(&rd.changed_per_iteration, &ra.changed_per_iteration);
-
-        let mut seq_dense = ClassicLp::with_max_iterations(n, 12);
-        let sd = SequentialEngine::new()
-            .run(&g, &mut seq_dense, &dense_opts)
-            .unwrap();
-        let mut seq_auto = ClassicLp::with_max_iterations(n, 12);
-        let sa = SequentialEngine::new()
-            .run(&g, &mut seq_auto, &auto_opts)
-            .unwrap();
-        prop_assert_eq!(seq_dense.labels(), seq_auto.labels());
-        prop_assert_eq!(&sd.changed_per_iteration, &sa.changed_per_iteration);
     }
 }

@@ -385,7 +385,9 @@ impl<'a> KernelCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warp::match_any_sync;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn ctx(cfg: &DeviceConfig) -> KernelCtx<'_> {
         KernelCtx::new(cfg)
@@ -395,7 +397,8 @@ mod tests {
     const SHAPES: u8 = 7;
 
     /// Rearranges one warp-wide access's raw lane values into the shapes
-    /// the linear-time host paths of the coalescers key on.
+    /// the linear-time host paths of the coalescers and `match_any_sync`
+    /// key on.
     fn shaped(shape: u8, mut v: Vec<u64>) -> Vec<u64> {
         match shape % SHAPES {
             // Already sorted: vertex keys of a packed warp, a CSR run.
@@ -570,6 +573,69 @@ mod tests {
                 conflict_steps_reference(&addrs),
                 "shape {} span {} addrs {:?}", shape, span, addrs
             );
+        }
+    }
+
+    proptest! {
+        /// match_any against its definition — lane `i`'s mask is exactly the
+        /// active lanes holding lane `i`'s value — on every input shape and
+        /// under full, prefix (fewer than 32 lanes) and non-prefix masks.
+        #[test]
+        fn match_any_is_the_pairwise_definition(
+            shape in 0..SHAPES,
+            raw in prop::collection::vec(0u64..40, 32),
+            mask_kind in 0u8..3,
+            bits in any::<u32>(),
+        ) {
+            let mut arr = [0u64; WARP_SIZE];
+            arr.copy_from_slice(&shaped(shape, raw));
+            let active = match mask_kind {
+                0 => u32::MAX,
+                1 => ((1u64 << (bits % 33)) - 1) as u32,
+                _ => bits,
+            };
+            let masks = match_any_sync(active, &arr);
+            for lane in 0..WARP_SIZE {
+                let expect = if (active >> lane) & 1 == 0 {
+                    0
+                } else {
+                    (0..WARP_SIZE)
+                        .filter(|&p| (active >> p) & 1 == 1 && arr[p] == arr[lane])
+                        .fold(0u32, |m, p| m | 1 << p)
+                };
+                prop_assert_eq!(masks[lane], expect, "shape {} active {:#x} lane {}", shape, active, lane);
+            }
+        }
+
+        /// The coalescer against its definition: a warp access costs the
+        /// number of distinct 32-byte sectors among its lane addresses, an
+        /// atomic one conflict step per lane beyond the first on an address —
+        /// for monotone, windowed (narrow sector range) and scattered lanes,
+        /// and any lane count up to 32.
+        #[test]
+        fn coalescing_is_a_distinct_count(
+            shape in 0..SHAPES,
+            raw in prop::collection::vec(any::<u64>(), 0..=32),
+            span in 0usize..5,
+            base in 0u64..1_000_000,
+        ) {
+            // Sector ranges below, at and above the host path's bitmap window.
+            let span = [1u64, 255, 256, 257, 1 << 28][span] * 32;
+            let addrs: Vec<u64> = shaped(shape, raw.iter().map(|x| x % span).collect())
+                .iter()
+                .map(|a| base + a)
+                .collect();
+            let cfg = DeviceConfig::titan_v();
+            let mut ctx = KernelCtx::new(&cfg);
+            ctx.global_read(&addrs);
+            ctx.global_write(&addrs);
+            ctx.global_atomic(&addrs);
+            let sectors = addrs.iter().map(|a| a / 32).collect::<BTreeSet<_>>().len() as u64;
+            let distinct = addrs.iter().collect::<BTreeSet<_>>().len() as u64;
+            prop_assert_eq!(ctx.counters.global_read_sectors, sectors, "addrs {:?}", addrs);
+            prop_assert_eq!(ctx.counters.global_write_sectors, sectors);
+            prop_assert_eq!(ctx.counters.global_atomics, addrs.len() as u64);
+            prop_assert_eq!(ctx.counters.global_atomic_conflicts, addrs.len() as u64 - distinct);
         }
     }
 

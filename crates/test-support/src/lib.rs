@@ -1,61 +1,28 @@
 //! # glp-test-support — shared builders for the workspace test suites
 //!
-//! The integration suites (`tests/frontier_equivalence.rs`,
-//! `tests/engine_faults.rs`, `tests/golden_trace.rs`, the serve
-//! determinism tests) all need the same fixtures: a small pool of graphs
-//! with known structure, fresh program instances of every LP variant,
-//! one engine of every tier, a fault-free reference run, and a
-//! deterministic transaction stream for the fraud pipeline. This crate
-//! is the single home for those builders so the suites stay in lockstep
-//! — a new program variant or engine tier added here is exercised by
-//! every suite at once.
+//! Two kinds of fixture live here. The engine suites share one generator:
+//! [`oracle`] draws small LP runs over every engine, program and run
+//! option and checks each against the plain host BSP run, shrinking a
+//! failure to a `Case` literal (the frontier, direction and
+//! engine-equivalence suites are its sweeps, `tests/engine_oracle.rs` its
+//! pinned repros). Around it sit the fixtures the other suites need: the two
+//! out-of-crate programs ([`MixLp`], [`SaltedLp`]), a fault-free reference
+//! run and the launches one iteration costs (`tests/engine_faults.rs`),
+//! the modeled-clock claims' workload, and the deterministic transaction
+//! streams of the fraud and serving suites.
 //!
 //! Everything here is deterministic: fixed seeds, fixed sizes, no
 //! clocks. Builders hand out *fresh* instances per call (programs and
 //! engines are stateful), so each run owns its state.
 
-use glp_core::engine::{
-    BarrierHook, Engine, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
-};
-use glp_core::{
-    CapacityLp, ClassicLp, Llp, LpProgram, NeighborContribution, RiskWeightedLp, RunOptions,
-    SeededLp, Slp, WeightedLp,
-};
+pub mod oracle;
+
+use glp_core::engine::{BarrierHook, Engine, GpuEngine};
+use glp_core::{ClassicLp, LpProgram, NeighborContribution, RunOptions};
 use glp_fraud::{
     AdversarialStream, AdversaryConfig, RegionalStream, RegionalTxConfig, TxConfig, TxStream,
 };
-use glp_gpusim::{Device, DeviceConfig};
-use glp_graph::gen::{caveman, community_powerlaw, two_cliques_bridge, CommunityPowerLawConfig};
 use glp_graph::{EdgeId, Graph, GraphBuilder, Label, VertexId};
-use std::sync::Arc;
-
-/// Iteration budget shared by the equivalence suites: long enough for
-/// the test graphs to settle, short enough to keep the full
-/// graphs × engines × variants × modes sweep cheap.
-pub const ITERS: u32 = 12;
-
-/// The standard small-graph pool: one planted-community graph where LP
-/// converges crisply, one power-law graph that exercises every
-/// degree-bucket path (isolated through global-hash).
-pub fn graphs() -> Vec<(&'static str, Graph)> {
-    vec![
-        ("caveman", caveman(12, 8)),
-        (
-            "powerlaw",
-            community_powerlaw(&CommunityPowerLawConfig {
-                num_vertices: 1_500,
-                avg_degree: 8.0,
-                ..Default::default()
-            }),
-        ),
-    ]
-}
-
-/// A tiny two-community graph for tests that pin exact structure (the
-/// golden-trace suite): converges in a handful of iterations.
-pub fn tiny_graph() -> Graph {
-    two_cliques_bridge(9)
-}
 
 /// The convergence-shaped workload of the modeled-clock claims: `cliques`
 /// disjoint `k`-cliques (settle in ~3 BSP rounds) plus one `path_len`-vertex
@@ -76,42 +43,6 @@ pub fn convergence_workload(cliques: usize, k: usize, path_len: usize) -> Graph 
     }
     b.symmetrize(true);
     b.build()
-}
-
-/// Fresh program instances of every LP variant, sized for `g`.
-/// Sparse-activation programs (classic, seeded, weighted, risk) exercise
-/// the real frontier machinery; globally-coupled ones (LLP, SLP,
-/// capacity) pin the dense fallback. Programs are stateful; each run
-/// needs its own instance.
-pub fn variants(g: &Graph) -> Vec<(&'static str, Box<dyn LpProgram>)> {
-    let n = g.num_vertices();
-    let seeds: Vec<u32> = (0..n as u32).step_by(53).collect();
-    let risk_seeds: Vec<(u32, f32)> = seeds.iter().map(|&v| (v, 1.0 + (v % 5) as f32)).collect();
-    // The generators emit unweighted graphs; give WeightedLp a synthetic
-    // deterministic weight per incoming edge so it exercises real weights.
-    let edge_weights: Arc<Vec<f32>> =
-        Arc::new((0..g.num_edges()).map(|e| 0.5 + (e % 7) as f32).collect());
-    vec![
-        (
-            "classic",
-            Box::new(ClassicLp::with_max_iterations(n, ITERS)),
-        ),
-        ("llp", Box::new(Llp::with_max_iterations(n, 2.0, ITERS))),
-        ("slp", Box::new(Slp::with_params(n, 5, 0.2, ITERS, 0x5EED))),
-        (
-            "seeded",
-            Box::new(SeededLp::with_max_iterations(n, &seeds, ITERS)),
-        ),
-        (
-            "weighted",
-            Box::new(WeightedLp::new(n, edge_weights, ITERS).with_retention(0.3)),
-        ),
-        ("risk", Box::new(RiskWeightedLp::new(n, &risk_seeds, ITERS))),
-        (
-            "capacity",
-            Box::new(CapacityLp::with_max_iterations(n, 64, ITERS)),
-        ),
-    ]
 }
 
 /// A program written against the public trait only: per-edge weights
@@ -174,20 +105,61 @@ impl LpProgram for MixLp {
     }
 }
 
-/// One fresh engine of every tier, sized for `g`: host sweep, in-core
-/// GPU, out-of-core hybrid (on a device too small for the graph, so
-/// streaming engages), and a two-device multi-GPU.
-pub fn engines(g: &Graph) -> Vec<(&'static str, Box<dyn Engine>)> {
-    let tiny = (g.num_vertices() as u64) * 20 + g.size_bytes() / 3;
-    vec![
-        ("sequential", Box::new(SequentialEngine::new())),
-        ("gpu", Box::new(GpuEngine::titan_v())),
-        (
-            "hybrid",
-            Box::new(HybridEngine::new(Device::new(DeviceConfig::tiny(tiny)))),
-        ),
-        ("multi", Box::new(MultiGpuEngine::titan_v(2))),
-    ]
+/// A program the old checkpointing recovery could not have carried: its
+/// `begin_iteration` is counting and **not idempotent** (every call draws a
+/// fresh salt that the scores read), and it offers no way to save or
+/// restore that state. Recovery must therefore never begin an iteration
+/// twice — and never needs to.
+pub struct SaltedLp {
+    labels: Vec<Label>,
+    salt: u32,
+    /// Every iteration begun, in order.
+    pub begun: Vec<u32>,
+}
+
+impl SaltedLp {
+    /// The iteration cap.
+    pub const ITERS: u32 = 6;
+
+    /// Every vertex its own label.
+    pub fn new(n: usize) -> Self {
+        Self {
+            labels: (0..n as Label).collect(),
+            salt: 0,
+            begun: Vec::new(),
+        }
+    }
+}
+
+impl LpProgram for SaltedLp {
+    fn num_vertices(&self) -> usize {
+        self.labels.len()
+    }
+    fn pick_label(&self, v: VertexId) -> Label {
+        self.labels[v as usize]
+    }
+    fn label_score(&self, _v: VertexId, l: Label, freq: f64) -> f64 {
+        freq + f64::from((l ^ self.salt) & 3) / 8.0
+    }
+    fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
+        match winner {
+            Some((l, _)) if l != self.labels[v as usize] => {
+                self.labels[v as usize] = l;
+                true
+            }
+            _ => false,
+        }
+    }
+    fn begin_iteration(&mut self, iteration: u32) {
+        self.salt = self.salt.wrapping_mul(31).wrapping_add(iteration + 7);
+        self.begun.push(iteration);
+    }
+    fn finished(&self, iteration: u32, _changed: u64) -> bool {
+        iteration + 1 >= Self::ITERS
+    }
+    fn labels(&self) -> &[Label] {
+        &self.labels
+    }
 }
 
 /// A fault-free `ClassicLp` reference run on the plain GPU engine:
@@ -291,14 +263,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builders_are_deterministic_and_sized_consistently() {
-        let pool = graphs();
-        assert_eq!(pool.len(), 2);
-        for (name, g) in &pool {
-            assert!(g.num_vertices() > 0, "{name} empty");
-            assert_eq!(variants(g).len(), 7);
-            assert_eq!(engines(g).len(), 4);
-        }
+    fn stream_builders_are_deterministic() {
         let a = tx_stream();
         let b = tx_stream();
         assert_eq!(a.blacklist, b.blacklist, "stream builder must be seeded");
@@ -327,7 +292,7 @@ mod tests {
 
     #[test]
     fn reference_run_is_reproducible() {
-        let g = tiny_graph();
+        let g = glp_graph::gen::two_cliques_bridge(9);
         let opts = RunOptions::default();
         let (labels_a, changed_a, active_a) = reference(&g, &opts);
         let (labels_b, changed_b, active_b) = reference(&g, &opts);

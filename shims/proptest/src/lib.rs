@@ -5,8 +5,9 @@
 //! and the `prop_assert*` macros. Cases are generated from a fixed
 //! deterministic seed (derived from the test's name), so failures
 //! reproduce exactly; there is **no shrinking** — a failing case panics
-//! with its case index, and the inputs can be recovered by re-running
-//! under a debugger or with an `eprintln` in the body.
+//! with its case index. The engine suites draw their cases from
+//! `glp_test_support::oracle` instead, which shrinks a failure to a
+//! paste-able `Case` literal.
 
 // Vendored stand-in for an external crate: exempt from workspace lints.
 #![allow(clippy::all)]

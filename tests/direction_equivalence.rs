@@ -1,220 +1,43 @@
-//! Push≡pull≡auto≡dense bit-identity, pinned across every program
-//! variant and every GLP engine.
-//!
-//! Direction-optimized execution ([`FrontierMode::Push`],
-//! [`FrontierMode::Pull`], and the per-iteration [`FrontierMode::Auto`]
-//! chooser) is a pure scheduling knob: push scatters from changed
-//! vertices over out-edges, pull has undecided vertices gather a
-//! changed flag from in-neighbors, and `v ∈ out(u) ⟺ u ∈ in(v)` means
-//! both rebuild the *same* frontier. This suite pins that argument as
-//! bits: labels, the `changed` trace, the `active` trace, and the
-//! iteration count must be byte-identical to dense execution for all 7
-//! LP variants on all 4 engine tiers, on both pool graphs — and on a
-//! property sweep of random graphs. Sparse-activation programs
-//! (classic, seeded, weighted, risk) exercise the real push/pull
-//! machinery; globally-coupled programs (LLP, SLP, capacity) pin the
-//! silent dense fallback in every mode.
-//!
-//! Graph, engine, and program builders live in `glp-test-support` so
-//! this suite, `frontier_equivalence.rs`, and the golden-trace suite
-//! sweep the same fixture pool.
+//! Push ≡ pull ≡ auto ≡ dense: the engine oracle's default sweep, and its
+//! slices by frontier mode. `glp_test_support::oracle` holds every draw's
+//! labels, `changed` trace and iteration count to the plain dense host
+//! run, its `active` trace to a host run in the same mode (`v ∈ out(u) ⟺
+//! u ∈ in(v)`, so push and pull rebuild the same frontier), and its
+//! direction record to the mode. The pinned repros are in
+//! `tests/engine_oracle.rs`.
 
-use glp_suite::core::{Direction, FrontierMode, LpRunReport, RunOptions};
-use glp_suite::graph::gen::{caveman, community_powerlaw, CommunityPowerLawConfig};
-use glp_suite::graph::Graph;
-use glp_test_support::{engines, graphs, variants, ITERS};
-use proptest::prelude::*;
+use glp_test_support::oracle::*;
 
-const MODES: [FrontierMode; 4] = [
-    FrontierMode::Dense,
-    FrontierMode::Push,
-    FrontierMode::Pull,
-    FrontierMode::Auto,
-];
-
-/// Runs one (engine, variant) pair in `mode` on fresh instances and
-/// returns `(labels, report)`.
-fn run_mode(g: &Graph, ename: &str, vname: &str, mode: FrontierMode) -> (Vec<u32>, LpRunReport) {
-    let opts = RunOptions::default()
-        .with_max_iterations(ITERS)
-        .with_frontier(mode);
-    let mut engine = engines(g)
-        .into_iter()
-        .find(|(e, _)| *e == ename)
-        .expect("engine in pool")
-        .1;
-    let mut prog = variants(g)
-        .into_iter()
-        .find(|(v, _)| *v == vname)
-        .expect("variant in pool")
-        .1;
-    let report = engine.run(g, prog.as_mut(), &opts).expect("run succeeds");
-    (prog.labels().to_vec(), report)
-}
-
-/// Asserts the direction record is consistent with the requested mode:
-/// a forced mode may only ever record that direction (or Dense, for the
-/// globally-coupled fallback); Dense records only Dense. Auto is free
-/// to mix Push and Pull but never Dense for a sparse program.
-fn check_direction_record(report: &LpRunReport, mode: FrontierMode, ctx: &str) {
-    let dirs = &report.direction_per_iteration;
-    assert_eq!(
-        dirs.len(),
-        report.iterations as usize,
-        "{ctx}: one direction per iteration"
-    );
-    let banned: &[Direction] = match mode {
-        FrontierMode::Dense => &[Direction::Push, Direction::Pull],
-        FrontierMode::Push => &[Direction::Pull],
-        FrontierMode::Pull => &[Direction::Push],
-        FrontierMode::Auto => &[],
-    };
-    for b in banned {
-        assert!(
-            !dirs.contains(b),
-            "{ctx}: {mode:?} recorded forbidden {b:?} in {dirs:?}"
-        );
-    }
+/// The default sweep, and the generator's coverage check: over it, every
+/// engine, ladder shape, program, mode, strategy, shard count, flag and
+/// fault kind is drawn, every propagation kernel launches and the CMS+HT
+/// global fallback fires.
+#[test]
+fn random_graphs_are_direction_invariant() {
+    let gaps = coverage_gaps(&sweep(CASES, SEED, |_| {}));
+    assert!(gaps.is_empty(), "never drawn or never run: {gaps:?}");
 }
 
 #[test]
 fn every_direction_is_bit_identical_to_dense_for_every_variant_and_engine() {
-    for (gname, g) in graphs() {
-        for (ename, _) in engines(&g) {
-            for (vname, _) in variants(&g) {
-                let (dense_labels, dense_report) = run_mode(&g, ename, vname, FrontierMode::Dense);
-                // Active counts are direction-invariant but not
-                // *density*-invariant (dense runs process every vertex
-                // every iteration), so the sparse trio is compared
-                // against push, not dense.
-                let mut push_active: Option<Vec<u64>> = None;
-                for mode in [FrontierMode::Push, FrontierMode::Pull, FrontierMode::Auto] {
-                    let ctx = format!("{vname} on {ename}/{gname} under {mode:?}");
-                    let (labels, report) = run_mode(&g, ename, vname, mode);
-                    assert_eq!(labels, dense_labels, "{ctx}: labels diverge from dense");
-                    assert_eq!(
-                        report.changed_per_iteration, dense_report.changed_per_iteration,
-                        "{ctx}: changed trace diverges from dense"
-                    );
-                    assert_eq!(report.iterations, dense_report.iterations, "{ctx}");
-                    match &push_active {
-                        None => push_active = Some(report.active_per_iteration.clone()),
-                        Some(want) => assert_eq!(
-                            &report.active_per_iteration, want,
-                            "{ctx}: active trace diverges from push"
-                        ),
-                    }
-                    check_direction_record(&report, mode, &ctx);
-                }
-                check_direction_record(&dense_report, FrontierMode::Dense, vname);
-            }
-        }
+    for mode in [Push, Pull, Auto] {
+        sweep(128, 0xD0, |c| c.frontier = mode);
     }
 }
 
-/// Forced pull must actually take the gather path where the machinery
-/// engages: for a sparse-activation program the record says Pull, and
-/// for a dense-fallback program it says Dense — never silently push.
+/// A forced mode records only its own direction (Dense for a program
+/// without sparse activation).
 #[test]
 fn forced_modes_record_their_own_direction() {
-    let g = caveman(10, 7);
-    for (vname, sparse) in [("classic", true), ("seeded", true), ("llp", false)] {
-        for (mode, dir) in [
-            (FrontierMode::Push, Direction::Push),
-            (FrontierMode::Pull, Direction::Pull),
-        ] {
-            for (ename, _) in engines(&g) {
-                let (_, report) = run_mode(&g, ename, vname, mode);
-                let want = if sparse { dir } else { Direction::Dense };
-                assert!(
-                    report.direction_per_iteration.iter().all(|&d| d == want),
-                    "{vname} on {ename} under {mode:?}: recorded {:?}, want all {want:?}",
-                    report.direction_per_iteration
-                );
-            }
-        }
+    for mode in [Push, Pull] {
+        sweep(128, 0xD4, |c| c.frontier = mode);
     }
 }
 
-/// Every mode agrees with every other mode on the *same* run — the
-/// four-way cross-check (rather than only mode-vs-dense) on every
-/// engine tier. Labels and `changed` agree in all four modes; `active`
-/// agrees within the sparse trio (dense counts every vertex).
+/// The same draws in all four modes: each equals the one plain run.
 #[test]
 fn all_four_modes_agree_pairwise() {
-    let (_, g) = graphs().remove(0);
-    for (ename, _) in engines(&g) {
-        let runs: Vec<(Vec<u32>, LpRunReport)> = MODES
-            .iter()
-            .map(|&m| run_mode(&g, ename, "classic", m))
-            .collect();
-        for w in runs.windows(2) {
-            assert_eq!(w[0].0, w[1].0, "labels disagree across modes on {ename}");
-            assert_eq!(
-                w[0].1.changed_per_iteration, w[1].1.changed_per_iteration,
-                "changed traces disagree across modes on {ename}"
-            );
-        }
-        // runs[1..] = Push, Pull, Auto.
-        for w in runs[1..].windows(2) {
-            assert_eq!(
-                w[0].1.active_per_iteration, w[1].1.active_per_iteration,
-                "active traces disagree across sparse modes on {ename}"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Property sweep: on a random graph (planted caveman or power-law,
-    /// random shape and seed), a random engine tier and a random LP
-    /// variant produce byte-identical labels and convergence traces in
-    /// all four frontier modes.
-    #[test]
-    fn random_graphs_are_direction_invariant(
-        powerlaw in any::<bool>(),
-        cliques in 3usize..8,
-        size in 4usize..10,
-        seed in 0u64..1_000,
-        tier_sel in 0usize..4,
-        variant_sel in 0usize..7,
-    ) {
-        let g = if powerlaw {
-            community_powerlaw(&CommunityPowerLawConfig {
-                num_vertices: 60 * cliques,
-                avg_degree: size as f64,
-                seed,
-                ..Default::default()
-            })
-        } else {
-            caveman(cliques, size)
-        };
-        let ename = engines(&g)[tier_sel].0;
-        let vname = variants(&g)[variant_sel].0;
-        let (dense_labels, dense_report) = run_mode(&g, ename, vname, FrontierMode::Dense);
-        let mut push_active: Option<Vec<u64>> = None;
-        for mode in [FrontierMode::Push, FrontierMode::Pull, FrontierMode::Auto] {
-            let (labels, report) = run_mode(&g, ename, vname, mode);
-            prop_assert_eq!(
-                &labels, &dense_labels,
-                "{} {} on {}: {:?} labels diverge", ename, vname,
-                if powerlaw { "powerlaw" } else { "caveman" }, mode
-            );
-            prop_assert_eq!(
-                &report.changed_per_iteration,
-                &dense_report.changed_per_iteration,
-                "{} {}: {:?} changed trace diverges", ename, vname, mode
-            );
-            match &push_active {
-                None => push_active = Some(report.active_per_iteration.clone()),
-                Some(want) => prop_assert_eq!(
-                    &report.active_per_iteration, want,
-                    "{} {}: {:?} active trace diverges from push", ename, vname, mode
-                ),
-            }
-            check_direction_record(&report, mode, vname);
-        }
+    for mode in [Dense, Push, Pull, Auto] {
+        sweep(64, 0xD5, |c| c.frontier = mode);
     }
 }

@@ -26,12 +26,14 @@
 //! driver re-commits the launches of a phase whose exact input it saw two
 //! iterations ago — is a fault like any other: retried, degraded or
 //! repartitioned around, with the replay records rebuilt from scratch on the
-//! new attempt. And the property-based sweep: arbitrary transient device
-//! faults across the five backends, both frontier modes and three programs
-//! never perturb labels or the `changed` trace.
+//! new attempt. Arbitrary device faults across every backend, ladder,
+//! frontier mode and program are the engine oracle's fault draws (the
+//! `tests/*_equivalence.rs` sweeps): a ladder, or a multi-GPU engine losing
+//! a device, must recover; any other run that fails must hold the last
+//! barrier's labels.
 //!
-//! Fixture builders (`reference`, `launches_per_iteration`) live in
-//! `glp-test-support`, shared with the frontier and golden-trace suites.
+//! Fixture builders (`reference`, `launches_per_iteration`, `SaltedLp`)
+//! live in `glp-test-support`.
 
 #![cfg(feature = "fault-injection")]
 
@@ -39,18 +41,15 @@ use glp_suite::baselines::{CpuLp, CpuLpConfig, GSortLp};
 use glp_suite::core::engine::{
     BarrierHook, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
 };
-use glp_suite::core::{
-    BspEngine, ClassicLp, Engine, FrontierMode, LpProgram, ResilientEngine, RunOptions, Slp,
-};
+use glp_suite::core::{ClassicLp, Engine, FrontierMode, LpProgram, ResilientEngine, RunOptions};
 use glp_suite::gpusim::faults::{Fault, FaultKind, FaultPlan};
 use glp_suite::gpusim::Device;
 use glp_suite::graph::gen::{
     bipartite_interaction, caveman, path, two_cliques_bridge, BipartiteConfig,
 };
-use glp_suite::graph::{Graph, Label, VertexId};
+use glp_suite::graph::{Graph, Label};
 use glp_suite::trace::{Category, Kind, Tracer};
-use glp_test_support::{launches_per_iteration, reference, MixLp};
-use proptest::prelude::*;
+use glp_test_support::{launches_per_iteration, reference, SaltedLp};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -147,60 +146,6 @@ fn persistent_device_loss_degrades_to_sequential() {
     assert_eq!(report.changed_per_iteration, want_changed);
     assert_eq!(report.active_per_iteration, want_active);
     assert_report_covers_the_whole_run(&report);
-}
-
-/// A program the old checkpointing recovery could not have carried: its
-/// `begin_iteration` is counting and **not idempotent** (every call draws a
-/// fresh salt that the scores read), and it offers no way to save or
-/// restore that state. Recovery must therefore never begin an iteration
-/// twice — and never needs to.
-struct SaltedLp {
-    labels: Vec<Label>,
-    salt: u32,
-    begun: Vec<u32>,
-}
-
-impl SaltedLp {
-    const ITERS: u32 = 6;
-
-    fn new(n: usize) -> Self {
-        Self {
-            labels: (0..n as Label).collect(),
-            salt: 0,
-            begun: Vec::new(),
-        }
-    }
-}
-
-impl LpProgram for SaltedLp {
-    fn num_vertices(&self) -> usize {
-        self.labels.len()
-    }
-    fn pick_label(&self, v: VertexId) -> Label {
-        self.labels[v as usize]
-    }
-    fn label_score(&self, _v: VertexId, l: Label, freq: f64) -> f64 {
-        freq + f64::from((l ^ self.salt) & 3) / 8.0
-    }
-    fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
-        match winner {
-            Some((l, _)) if l != self.labels[v as usize] => {
-                self.labels[v as usize] = l;
-                true
-            }
-            _ => false,
-        }
-    }
-    fn begin_iteration(&mut self, iteration: u32) {
-        self.salt = self.salt.wrapping_mul(31).wrapping_add(iteration + 7);
-        self.begun.push(iteration);
-    }
-    fn finished(&self, iteration: u32, _changed: u64) -> bool {
-        iteration + 1 >= Self::ITERS
-    }
-    fn labels(&self) -> &[Label] {
-        &self.labels
-    }
 }
 
 /// Recovery is a driver policy, not a program capability: a program with a
@@ -805,89 +750,4 @@ fn device_loss_on_a_replayed_launch_repartitions() {
     assert_eq!(engine.gpus().survivors(), vec![0]);
     assert_eq!(prog.labels(), want.labels());
     assert_memo_was_rebuilt(&report, &want_report);
-}
-
-/// The engines under the property sweep. Sequential has no device to
-/// fault, so it rides along as a zero-injection control.
-#[derive(Clone, Copy, Debug)]
-enum Tier {
-    Gpu,
-    Hybrid,
-    Multi,
-    Sequential,
-    GSort,
-}
-
-/// The programs under the property sweep: one that converges on a sparse
-/// frontier, one with per-iteration randomness (dense), and one written
-/// outside `glp-core` against the Table 1 callbacks only.
-fn sweep_program(sel: usize, n: usize) -> Box<dyn LpProgram> {
-    match sel {
-        0 => Box::new(ClassicLp::new(n)),
-        1 => Box::new(Slp::with_params(n, 5, 0.2, 8, 0x5EED)),
-        _ => Box::new(MixLp {
-            labels: (0..n as Label).collect(),
-        }),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Satellite property: an injected transient fault — a rejected
-    /// launch, a watchdog timeout, or a shard panic, at any launch index,
-    /// on any backend of the driver, in either frontier mode, for any
-    /// program — leaves labels AND the `changed` trace byte-identical to
-    /// the fault-free run.
-    #[test]
-    fn transient_faults_never_perturb_results(
-        cliques in 3usize..6,
-        size in 4usize..9,
-        dense in any::<bool>(),
-        kind_sel in 0usize..3,
-        after in 0u32..32,
-        tier_sel in 0usize..5,
-        prog_sel in 0usize..3,
-    ) {
-        let g = caveman(cliques, size);
-        let tier = [Tier::Gpu, Tier::Hybrid, Tier::Multi, Tier::Sequential, Tier::GSort][tier_sel];
-        // G-Sort has no frontier: it runs (and is compared) dense.
-        let dense = dense || matches!(tier, Tier::GSort);
-        let mode = if dense { FrontierMode::Dense } else { FrontierMode::Auto };
-        let opts = RunOptions::default().with_frontier(mode);
-        let mut want = sweep_program(prog_sel, g.num_vertices());
-        let want_report = GpuEngine::titan_v().run(&g, &mut *want, &opts).unwrap();
-        let (want_labels, want_changed, want_active) = (
-            want.labels().to_vec(),
-            want_report.changed_per_iteration,
-            want_report.active_per_iteration,
-        );
-
-        let kind = [FaultKind::LaunchFail, FaultKind::Timeout, FaultKind::ShardPanic][kind_sel];
-        let faults = plan(&[(kind, after)]);
-        let boxed: Box<dyn BspEngine> = match tier {
-            Tier::Gpu => Box::new(GpuEngine::new(titan_v(&faults))),
-            Tier::Hybrid => Box::new(HybridEngine::new(titan_v(&faults))),
-            Tier::Multi => {
-                let mut e = MultiGpuEngine::titan_v(2);
-                e.gpus_mut().device_mut(0).set_faults(Some(faults));
-                Box::new(e)
-            }
-            // The control: no device, nothing to fault.
-            Tier::Sequential => Box::new(SequentialEngine::bsp()),
-            Tier::GSort => Box::new(GSortLp::new(titan_v(&faults))),
-        };
-
-        let mut engine = ResilientEngine::new(vec![boxed])
-            .with_max_retries(8)
-            .with_backoff(Duration::ZERO, Duration::ZERO);
-        let mut prog = sweep_program(prog_sel, g.num_vertices());
-        let report = engine
-            .run(&g, &mut *prog, &opts)
-            .expect("transient faults are recoverable");
-
-        prop_assert_eq!(prog.labels(), &want_labels[..]);
-        prop_assert_eq!(report.changed_per_iteration, want_changed);
-        prop_assert_eq!(report.active_per_iteration, want_active);
-    }
 }

@@ -1,61 +1,18 @@
-//! Frontier-vs-dense bit-identity, pinned across every program variant
-//! and every GLP engine.
-//!
-//! The [`Engine`] contract says [`FrontierMode`] is a pure scheduling
-//! knob: switching between [`FrontierMode::Dense`] and
-//! [`FrontierMode::Auto`] must never change the labeling *or* the
-//! per-iteration convergence trace. Sparse-activation programs (classic,
-//! seeded, weighted, risk-weighted) exercise the real frontier machinery;
-//! globally-coupled programs (LLP, SLP, capacity) pin the silent dense
-//! fallback. Either way the assertion is the same: bits equal.
-//!
-//! Graph, engine, and program builders live in `glp-test-support` so this
-//! suite, the fault suite, and the golden-trace suite sweep the same
-//! fixture pool.
+//! Frontier-vs-dense bit-identity: the engine oracle under the `Auto`
+//! frontier (every program; the globally-coupled ones pin the silent dense
+//! fallback), plus what the oracle does not check — that the frontier
+//! actually cuts the work.
 
 use glp_suite::core::engine::GpuEngine;
 use glp_suite::core::{Engine, FrontierMode, RunOptions};
-use glp_test_support::{engines, graphs, variants, ITERS};
+use glp_suite::graph::gen::caveman;
+use glp_test_support::oracle::{sweep, Auto, Program};
+
+const ITERS: u32 = 12;
 
 #[test]
 fn frontier_is_bit_identical_to_dense_for_every_variant_and_engine() {
-    for (gname, g) in graphs() {
-        for (ename, _) in engines(&g) {
-            for (vname, _) in variants(&g) {
-                let mut traces = Vec::new();
-                for frontier in [FrontierMode::Dense, FrontierMode::Auto] {
-                    let opts = RunOptions::default()
-                        .with_max_iterations(ITERS)
-                        .with_frontier(frontier);
-                    let mut engine = engines(&g)
-                        .into_iter()
-                        .find(|(e, _)| *e == ename)
-                        .unwrap()
-                        .1;
-                    let mut prog = variants(&g)
-                        .into_iter()
-                        .find(|(v, _)| *v == vname)
-                        .unwrap()
-                        .1;
-                    let report = engine.run(&g, prog.as_mut(), &opts).unwrap();
-                    traces.push((
-                        prog.labels().to_vec(),
-                        report.changed_per_iteration.clone(),
-                        report.iterations,
-                    ));
-                }
-                assert_eq!(
-                    traces[0].0, traces[1].0,
-                    "{vname} labels diverge on {ename}/{gname}"
-                );
-                assert_eq!(
-                    traces[0].1, traces[1].1,
-                    "{vname} convergence trace diverges on {ename}/{gname}"
-                );
-                assert_eq!(traces[0].2, traces[1].2);
-            }
-        }
-    }
+    sweep(128, 0xF0, |c| c.frontier = Auto);
 }
 
 #[test]
@@ -63,17 +20,17 @@ fn sparse_variants_do_less_work_under_auto() {
     // The frontier must actually engage for sparse-activation programs:
     // summed active counts under Auto must undercut Dense once settling
     // starts. (Non-sparse programs fall back to dense and are exempt.)
-    let g = glp_suite::graph::gen::caveman(12, 8);
-    for (vname, sparse) in [("classic", true), ("seeded", true), ("llp", false)] {
+    let g = caveman(12, 8);
+    for (program, sparse) in [
+        (Program::Classic, true),
+        (Program::Seeded, true),
+        (Program::Llp(2), false),
+    ] {
         let total_active = |frontier: FrontierMode| -> u64 {
             let opts = RunOptions::default()
                 .with_max_iterations(ITERS)
                 .with_frontier(frontier);
-            let mut prog = variants(&g)
-                .into_iter()
-                .find(|(v, _)| *v == vname)
-                .unwrap()
-                .1;
+            let mut prog = program.build(&g, ITERS);
             let report = GpuEngine::titan_v().run(&g, prog.as_mut(), &opts).unwrap();
             report.active_per_iteration.iter().sum()
         };
@@ -82,10 +39,10 @@ fn sparse_variants_do_less_work_under_auto() {
         if sparse {
             assert!(
                 auto < dense,
-                "{vname}: frontier never engaged ({auto} vs {dense})"
+                "{program:?}: frontier never engaged ({auto} vs {dense})"
             );
         } else {
-            assert_eq!(auto, dense, "{vname}: dense fallback should be exact");
+            assert_eq!(auto, dense, "{program:?}: dense fallback should be exact");
         }
     }
 }

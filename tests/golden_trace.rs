@@ -21,9 +21,19 @@ use glp_suite::core::engine::{BarrierHook, GpuEngine};
 use glp_suite::core::{
     ClassicLp, Direction, Engine, FrontierMode, Llp, LpProgram, LpRunReport, RunOptions,
 };
+use glp_suite::graph::gen::{community_powerlaw, two_cliques_bridge, CommunityPowerLawConfig};
 use glp_suite::graph::{Graph, GraphBuilder};
 use glp_suite::trace::{Category, Trace, Tracer};
-use glp_test_support::{engines, graphs, tiny_graph, ITERS};
+use glp_test_support::oracle::Rig;
+
+/// Iteration cap of every pinned run.
+const ITERS: u32 = 12;
+
+/// The pinned graph: two 9-cliques joined by one edge, settled in three
+/// iterations.
+fn tiny_graph() -> Graph {
+    two_cliques_bridge(9)
+}
 
 /// The pinned structure of `ClassicLp` on [`tiny_graph`] under the Auto
 /// frontier: three iterations to converge, one warp-packed bucket, the
@@ -505,11 +515,13 @@ fn disabled_tracing_is_byte_identical() {
 /// the part of it compute did not hide when streaming.
 #[test]
 fn spans_reconcile_with_the_cost_model_on_gpu_and_hybrid() {
-    let (_, g) = graphs().pop().expect("the power-law graph");
-    let tiers = engines(&g)
-        .into_iter()
-        .filter(|(tier, _)| matches!(*tier, "gpu" | "hybrid"));
-    for (tier, mut engine) in tiers {
+    let g = community_powerlaw(&CommunityPowerLawConfig {
+        num_vertices: 1_500,
+        avg_degree: 8.0,
+        ..Default::default()
+    });
+    for (tier, rig) in [("gpu", Rig::Gpu), ("hybrid", Rig::Hybrid)] {
+        let mut engine = rig.engine(&g);
         let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), ITERS);
         let opts = RunOptions::default()
             .with_max_iterations(ITERS)
