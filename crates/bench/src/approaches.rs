@@ -56,7 +56,7 @@ impl Approach {
 
     /// A freshly constructed engine for this approach — the only place in
     /// the benchmark suite that names a concrete engine type.
-    pub fn engine(&self) -> Box<dyn Engine> {
+    fn engine(&self) -> Box<dyn Engine> {
         match self {
             Approach::Tg => Box::new(CpuLp::tigergraph(CpuLpConfig::default())),
             Approach::Ligra => Box::new(CpuLp::ligra(CpuLpConfig::default())),
@@ -70,7 +70,7 @@ impl Approach {
     /// The approach's historical scheduling personality: only Ligra and
     /// GLP are frontier systems; everyone else rescans every vertex every
     /// iteration (§2.2).
-    pub fn frontier(&self) -> FrontierMode {
+    fn frontier(&self) -> FrontierMode {
         match self {
             Approach::Ligra | Approach::Glp => FrontierMode::Auto,
             _ => FrontierMode::Dense,
@@ -81,7 +81,7 @@ impl Approach {
     /// iteration cap, on one harness thread: modeled counters can differ by
     /// a few boundary warps with how a launch is split, and the paper grid
     /// must not depend on the machine's core count.
-    pub fn options(&self, iterations: u32) -> RunOptions {
+    fn options(&self, iterations: u32) -> RunOptions {
         RunOptions::default()
             .with_max_iterations(iterations)
             .with_frontier(self.frontier())

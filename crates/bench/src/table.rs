@@ -28,11 +28,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Prints [`render_table`]'s output to stdout.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    print!("{}", render_table(headers, rows));
-}
-
 /// Formats seconds with a sensible unit.
 pub fn fmt_seconds(s: f64) -> String {
     if s >= 1.0 {

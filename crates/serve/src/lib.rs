@@ -72,8 +72,10 @@
 //! * **Fault injection** (feature `fault-injection`) — a deterministic,
 //!   seeded `FaultPlan` drives worker panics, recluster stalls, corrupt
 //!   transactions, checkpoint and journal failures and shard crashes at
-//!   chosen batch and recluster indices, for the chaos tests and the
-//!   `chaos_serve` bench bin. `Fault`, `FaultPlan`, `FaultSpec` and
+//!   chosen batch and recluster indices, for the chaos tests
+//!   (`tests/fault_injection.rs`, `tests/fault_stall.rs`,
+//!   `tests/shard_loss.rs`, `tests/shard_failover.rs` and the in-crate
+//!   worker and router tests). `Fault`, `FaultPlan`, `FaultSpec` and
 //!   `FiredFault` are the simulated device's own, re-exported: one plan
 //!   and one firing rule — each fault fires once, at the first event at
 //!   or after its index — read by every layer where its faults fire.
@@ -133,9 +135,9 @@
 //!   shed rate is evaluated per [`ServeConfig::burst_window`]
 //!   submissions; a flood that pushes it past the threshold tightens
 //!   batching (smaller/faster batches drain the queue) and raises the
-//!   health overlay to `Degraded`, recovering hysteretically. Admission
-//!   decisions are untouched, so accepted sequences stay deterministic
-//!   (pinned in `tests/overload.rs`).
+//!   health overlay to exactly `Degraded` — never `Shedding` or `Down` —
+//!   recovering hysteretically. Admission decisions are untouched, so
+//!   accepted sequences stay deterministic (pinned in `tests/overload.rs`).
 //! * **Blacklist churn guard** — label noise gets retracted;
 //!   `update_blacklist` on a [`ServiceCore`] applies the change to its
 //!   (always canonical) seed list and resets the warm-start memo, and
@@ -147,7 +149,8 @@
 //!   scores every published snapshot against per-day ground truth into
 //!   a precision/recall time-series in the telemetry JSON, so evolving
 //!   attacks that degrade *verdict quality* (not availability) are
-//!   visible. The `adversarial_serve` bench bin drives all three.
+//!   visible: a live service out-detects a snapshot frozen early in a
+//!   rotating-ring stream (pinned in `tests/label_noise.rs`).
 
 pub mod config;
 pub mod exchange;

@@ -58,9 +58,9 @@ impl Partitioner {
     /// (where plain community hashing routinely lands 3-vs-1). The
     /// trade-off against [`Self::with_communities`]: growing the
     /// community set later reshuffles placement, so this is for fleets
-    /// whose communities are known at start — the scaling bench and any
-    /// deployment partitioned by a fixed region map. Explicit
-    /// [`Self::with_placement`] overrides still win.
+    /// whose communities are known at start — the work-split test of
+    /// `tests/determinism.rs` and any deployment partitioned by a fixed
+    /// region map. Explicit [`Self::with_placement`] overrides still win.
     pub fn balanced(
         shards: usize,
         seed: u64,

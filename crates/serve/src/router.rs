@@ -9,8 +9,8 @@
 //!   run an exchange round, look up a verdict, checkpoint/restore the
 //!   whole fleet. No long-lived threads: a round's shard reclusters and
 //!   checkpoint writes fan out over scoped workers, up to one per core,
-//!   and are joined before the call returns. The determinism suite and
-//!   the scaling bench drive it step by step.
+//!   and are joined before the call returns. The determinism suite
+//!   drives it step by step.
 //! * [`ShardRouter`] — the threaded shell around the fleet, the same
 //!   shell [`FraudService`](crate::FraudService) runs: a supervised
 //!   **router** worker drains the ingest queue and fans batches out (its
@@ -101,7 +101,7 @@ pub struct ExchangeOutcome {
     /// order (a down shard contributes a zero-wall, zero-frontier `Full`
     /// placeholder). The shards recluster concurrently, up to one per
     /// core, so with a core per shard the round's shard phase costs the
-    /// max of these walls — the accounting the scaling bench uses.
+    /// max of these walls.
     pub shard_runs: Vec<ReclusterRun>,
     /// What the boundary recluster ran, when one was needed (`None`
     /// when no component spans shards).
@@ -628,7 +628,7 @@ impl FleetCore {
     /// zero-wall, zero-frontier `Full` placeholder. Shards recluster
     /// concurrently, up to one per core, so each wall is measured with
     /// its siblings running; with a core per shard the round costs the
-    /// `max` of the returned walls (the scaling bench's accounting).
+    /// `max` of the returned walls.
     pub fn recluster_now(&self) -> Vec<ReclusterRun> {
         self.fan_out(|_, s| {
             if s.health_monitor().is_down() {
@@ -1322,6 +1322,23 @@ mod tests {
         assert_eq!(t.fleet_state, HealthState::Healthy);
         assert_eq!(t.shard_failovers, vec![0, 0]);
         assert!(t.counter("batches") > 0);
+    }
+
+    /// A burst flood degrades, never downs: the burst overlay lifts a
+    /// healthy single core and a healthy fleet to exactly `Degraded`, and
+    /// clearing it returns both to `Healthy`.
+    #[test]
+    fn a_burst_degrades_but_never_goes_down() {
+        let s = stream();
+        let single = ServiceCore::new(fleet_cfg(2).shard, s.blacklist.clone());
+        let fleet = FleetCore::new(fleet_cfg(2), partitioner(&s, 2), s.blacklist.clone());
+        let states = |burst: bool| {
+            single.health_monitor().set_burst(burst);
+            fleet.health.set_burst(burst);
+            [single.health().state, fleet.health().state]
+        };
+        assert_eq!(states(true), [HealthState::Degraded; 2]);
+        assert_eq!(states(false), [HealthState::Healthy; 2]);
     }
 
     /// The router worker runs the batcher's fault hooks: a panic before

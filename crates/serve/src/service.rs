@@ -414,10 +414,10 @@ impl ServiceCore {
     /// lock is held only for the materialization (a patch of the previous
     /// graph, or a rebuild from the live log after expiry); LP and scoring
     /// run on the immutable result. Returns what ran: the mode, the wall
-    /// seconds, and the frontier the LP consumed. (`wall_seconds` is what
-    /// the scaling bench combines as `max(shard walls)`: a fleet round
-    /// runs its shards' reclusters concurrently, up to one per core, so
-    /// with a core per shard that max is the round's shard phase.)
+    /// seconds, and the frontier the LP consumed. (A fleet round runs its
+    /// shards' reclusters concurrently, up to one per core, so with a core
+    /// per shard the max of their `wall_seconds` is the round's shard
+    /// phase.)
     pub fn recluster_now(&self) -> ReclusterRun {
         let started = Instant::now();
         self.span("recluster");

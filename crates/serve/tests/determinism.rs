@@ -5,7 +5,7 @@
 //! whole serving stack — window maintenance, materialization, LP,
 //! scoring, and snapshot encoding.
 
-use glp_fraud::Transaction;
+use glp_fraud::{RegionalStream, RegionalTxConfig, Transaction};
 use glp_serve::{FleetConfig, FleetCore, Partitioner, ServeConfig, ServiceCore};
 // The workload is the standard deterministic fraud stream shared with
 // the pipeline and golden-trace suites.
@@ -124,4 +124,60 @@ fn fleet_verdicts_identical_across_1_2_4_shards() {
 #[test]
 fn repeated_fleet_runs_are_identical() {
     assert_eq!(fleet_run(2, 500), fleet_run(2, 500));
+}
+
+/// Σ over the exchange rounds of the largest shard snapshot's
+/// `graph_edges` — the window the slowest shard reclusters — for a fleet
+/// that places the stream's regions round-robin and exchanges every 8
+/// batches of 512. Asserts the fleet flags the planted rings.
+fn largest_shard_work(s: &RegionalStream, shards: usize) -> u64 {
+    let cfg = FleetConfig {
+        shards,
+        ..FleetConfig::default()
+    }
+    .with_window_days(10);
+    let partitioner = Partitioner::balanced(shards, 7, s.community_map());
+    let core = FleetCore::new(cfg, partitioner, s.blacklist.clone());
+    let all: Vec<Transaction> = s.window(0, s.config.days).copied().collect();
+    let mut work = 0;
+    let mut exchange = || {
+        core.exchange_now();
+        let largest = core.shards().iter().map(|c| c.snapshot().graph_edges);
+        work += largest.max().unwrap_or(0);
+    };
+    for (i, chunk) in all.chunks(512).enumerate() {
+        core.apply_transactions(chunk);
+        if (i + 1) % 8 == 0 {
+            exchange();
+        }
+    }
+    exchange();
+    assert!(
+        core.fleet_snapshot().verdicts.num_flagged() > 0,
+        "the {shards}-shard fleet must flag the planted rings"
+    );
+    work
+}
+
+/// Sharding divides the recluster work, counted rather than timed: at 4
+/// shards the largest shard's windows, summed over the rounds, are at
+/// least 2x smaller than the one shard's at 1 (they read 142 574 and
+/// 35 902).
+#[test]
+fn four_shards_split_the_largest_shard_work_at_least_2x() {
+    let s = RegionalStream::generate(&RegionalTxConfig {
+        users_per_region: 200,
+        items_per_region: 80,
+        days: 10,
+        tx_per_day: 2_000,
+        ring_size: 12,
+        ring_tx_per_day: 40,
+        ..Default::default()
+    });
+    let (one, four) = (largest_shard_work(&s, 1), largest_shard_work(&s, 4));
+    assert!(
+        one >= 2 * four,
+        "the largest shard reclusters {four} edges over the rounds at 4 shards \
+         against {one} at 1: less than a 2x split"
+    );
 }

@@ -184,6 +184,7 @@ fn corrupt_transaction_is_shed_by_apply_validation() {
     let report = service.shutdown();
     assert!(plan.all_fired());
     assert!(report.clean(), "corruption must not crash anything");
+    assert_eq!(report.state, HealthState::Healthy);
     let t = report.core.telemetry();
     assert_eq!(
         t.rejected_invalid.load(Ordering::Relaxed),
@@ -208,6 +209,7 @@ fn checkpoint_write_failure_is_counted_not_fatal() {
     let report = service.shutdown();
     assert!(plan.all_fired());
     assert!(report.clean(), "a failed checkpoint write is not a crash");
+    assert_eq!(report.state, HealthState::Healthy);
     let t = report.core.telemetry();
     assert_eq!(t.checkpoint_failures.load(Ordering::Relaxed), 1);
     assert!(

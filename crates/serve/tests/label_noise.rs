@@ -122,10 +122,13 @@ fn additions_also_invalidate_the_memo() {
     );
 }
 
-/// Drives a fleet over the stream with `blacklist` seeds, reclustering
-/// mid-run to warm the boundary cache, then applies `retract` (if any)
-/// and returns the final fleet snapshot's canonical bytes.
-fn fleet_final_bytes(s: &glp_fraud::AdversarialStream, shards: usize, retract: bool) -> Vec<u8> {
+/// Drives a fleet over the stream in 400-transaction batches with an
+/// exchange round every 4 batches and once at the end, and returns every
+/// snapshot those rounds publish. With `retract`, the fleet starts from
+/// the noisy seeds and retracts the noise halfway, right after a round,
+/// so the boundary cache and the shard memos are warm (and poisoned) when
+/// it lands; without, it starts from the clean seeds.
+fn fleet_snapshots(s: &glp_fraud::AdversarialStream, shards: usize, retract: bool) -> Vec<Vec<u8>> {
     let cfg = FleetConfig {
         shards,
         shard: greedy_incremental(),
@@ -140,34 +143,48 @@ fn fleet_final_bytes(s: &glp_fraud::AdversarialStream, shards: usize, retract: b
     };
     let core = FleetCore::new(cfg, partitioner, seeds);
     let all: Vec<Transaction> = s.window(0, s.config.base.days).copied().collect();
-    for (i, chunk) in all.chunks(400).enumerate() {
+    let chunks: Vec<&[Transaction]> = all.chunks(400).collect();
+    let retract_at = chunks.len() / 8 * 4;
+    let mut snapshots = Vec::new();
+    for (i, chunk) in chunks.iter().enumerate() {
+        if retract && i == retract_at {
+            assert!(core.update_blacklist(&[], &s.noise));
+        }
         core.apply_transactions(chunk);
-        // Exchange mid-run so the boundary cache and shard memos are
-        // warm (and poisoned) when the retraction lands.
         if (i + 1) % 4 == 0 {
-            core.exchange_now();
+            let round = core.exchange_now();
+            if retract && i / 4 == retract_at / 4 {
+                // The churn guard's fleet half: the round after the
+                // retraction reclusters every shard and the boundary full.
+                let mut runs = round.shard_runs.iter().chain(&round.boundary_run);
+                assert!(
+                    runs.all(|r| r.mode == ReclusterMode::Full),
+                    "a {shards}-shard fleet replayed a memo across the retraction"
+                );
+            }
+            snapshots.push(core.fleet_snapshot().verdicts.canonical_bytes());
         }
     }
-    if retract {
-        assert!(core.update_blacklist(&[], &s.noise));
-    }
     core.exchange_now();
-    core.fleet_snapshot().verdicts.canonical_bytes()
+    snapshots.push(core.fleet_snapshot().verdicts.canonical_bytes());
+    snapshots
 }
 
 #[test]
 fn fleet_retraction_matches_a_never_poisoned_fleet() {
     let s = adversarial_stream();
-    let clean = fleet_final_bytes(&s, 2, false);
-    let retracted = fleet_final_bytes(&s, 2, true);
+    let clean = fleet_snapshots(&s, 2, false);
+    let retracted = fleet_snapshots(&s, 2, true);
     assert_eq!(
-        retracted, clean,
+        retracted.last(),
+        clean.last(),
         "2-shard fleet must recover byte-identically after retraction \
          (shard memos and the boundary cache must all be invalidated)"
     );
-    // And the retracted fleet agrees across shard counts.
-    assert_eq!(fleet_final_bytes(&s, 1, true), clean);
-    assert_eq!(fleet_final_bytes(&s, 4, true), clean);
+    // And every snapshot the retracted fleet publishes agrees across
+    // shard counts.
+    assert_eq!(fleet_snapshots(&s, 1, true), retracted);
+    assert_eq!(fleet_snapshots(&s, 4, true), retracted);
 }
 
 #[test]
@@ -176,8 +193,7 @@ fn probe_sees_stale_snapshots_lose_recall() {
     // a snapshot frozen early in the stream keeps flagging the mules of
     // its day while the ring rotates fresh accounts in, so its recall
     // against current truth decays — where a live, reclustering service
-    // keeps it high. (This is the bench bin's headline assertion, pinned
-    // here at test scale.)
+    // keeps it high.
     // A 10-day window keeps the statically-seeded members inside the
     // live window (so seeded LP still finds the ring) while the frozen
     // snapshot's members rotate out of the current truth.

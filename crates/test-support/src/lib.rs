@@ -231,7 +231,7 @@ pub fn regional_stream() -> RegionalStream {
 /// suites: evolving rings that rotate members daily behind camouflage
 /// purchases, a mid-stream burst flood, and planted blacklist label
 /// noise — each attack with per-day ground truth. Shared by the
-/// overload/label-noise suites and the `adversarial_serve` bench.
+/// overload and label-noise suites.
 pub fn adversarial_stream() -> AdversarialStream {
     AdversarialStream::generate(&AdversaryConfig {
         base: RegionalTxConfig {
