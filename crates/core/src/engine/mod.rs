@@ -42,7 +42,7 @@ pub use hybrid::HybridEngine;
 pub use kernels::KernelShard;
 pub use kernels::ShardStats;
 pub use multi::MultiGpuEngine;
-pub use options::{BarrierEvent, BarrierHook, Direction, FrontierMode, RunOptions, SweepOrder};
+pub use options::{BarrierEvent, BarrierHook, Direction, FrontierMode, RunOptions};
 pub use resilient::ResilientEngine;
 pub use sequential::{SequentialBsp, SequentialEngine};
 

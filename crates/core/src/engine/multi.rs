@@ -153,8 +153,15 @@ impl Backend for MultiBackend<'_> {
 
     /// Partitions `g` over the surviving devices and uploads every share,
     /// charging transfer time. Fails if no device is left, or one is lost
-    /// or out of memory.
+    /// or out of memory. The uploads start together at the set's clock
+    /// (where the run span opens), so a re-staged attempt does not upload
+    /// from a survivor's earlier clock; no sync overhead is charged.
     fn stage(&mut self, g: &Graph) -> Result<(), DeviceError> {
+        let now = self.gpus.elapsed_seconds();
+        for dev in self.gpus.iter_mut().filter(|d| !d.is_lost()) {
+            let behind = now - dev.elapsed_seconds();
+            dev.advance_clock(behind);
+        }
         self.assign = self.gpus.survivors();
         if self.assign.is_empty() {
             return Err(DeviceError::Lost { device: 0 });

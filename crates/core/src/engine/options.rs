@@ -5,8 +5,8 @@
 //! `glp-fraud` — consumes the same options struct through the
 //! [`Engine`](super::Engine) trait. Engine constructors own only
 //! *resources* (a device, a device set, a cluster model); everything that
-//! describes *one run* lives here, so the ablation binaries toggle a
-//! single knob instead of reaching into per-engine config structs.
+//! describes *one run* lives here, so a caller sets each knob once for
+//! every engine instead of reaching into per-engine config structs.
 
 use super::dispatch::DegreeThresholds;
 use super::kernels::SmemGeometry;
@@ -150,7 +150,7 @@ impl fmt::Debug for BarrierHook {
 /// Construct with [`RunOptions::default`] and chain the `with_*` builders,
 /// or use struct-update syntax — all fields are public. Fields an engine
 /// has no use for are ignored (e.g. the CPU baselines never read the
-/// shared-memory geometry; the GPU engines never read `sweep_order`).
+/// shared-memory geometry).
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Hard iteration cap regardless of the program's own termination.
@@ -184,9 +184,6 @@ pub struct RunOptions {
     /// graphs 1 is the fast setting: a CI-sized serving recluster measured
     /// 11.6 ms pinned to 1 against 12–39 ms with auto on two cores.
     pub shards: usize,
-    /// Vertex visit order of the asynchronous sequential engine; ignored
-    /// by the BSP engines.
-    pub sweep_order: SweepOrder,
     /// A warm-start frontier: the activation bitmap iteration 0 should
     /// consume, where the caller warrants it covers every vertex whose
     /// decision could differ from the program's current state. Ignored
@@ -217,7 +214,6 @@ impl Default for RunOptions {
             cms_depth: 4,
             cms_width: 2048,
             shards: 0,
-            sweep_order: SweepOrder::Ascending,
             initial_frontier: None,
             barrier_hook: None,
             tracer: None,
@@ -253,12 +249,6 @@ impl RunOptions {
     /// Sets the harness OS-thread count (0 = auto).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Chooses the sequential engine's sweep order.
-    pub fn with_sweep_order(mut self, sweep_order: SweepOrder) -> Self {
-        self.sweep_order = sweep_order;
         self
     }
 
@@ -315,16 +305,6 @@ impl RunOptions {
     }
 }
 
-/// Vertex visit order for the sequential engine's asynchronous sweeps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SweepOrder {
-    /// Ascending vertex id every sweep (deterministic, cache friendly).
-    #[default]
-    Ascending,
-    /// Alternate ascending/descending sweeps (reduces order bias).
-    Alternating,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,7 +332,6 @@ mod tests {
         assert_eq!(o.frontier, FrontierMode::Dense);
         assert_eq!(o.strategy, MflStrategy::Global);
         assert_eq!(o.shards, 3);
-        assert_eq!(o.sweep_order, SweepOrder::Ascending);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use super::bsp::{drive, initial_active, Backend, Phase};
 use super::kernels::ShardStats;
 use super::{
     exact_mfl, mfl_scratch, BspEngine, Decision, Direction, Engine, EngineError, FrontierMode,
-    RunOptions, SweepOrder,
+    RunOptions,
 };
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
@@ -145,16 +145,9 @@ impl Engine for SequentialEngine {
             prog.begin_iteration(iteration);
             let mut changed = 0u64;
             let mut visited = 0u64;
-            let visit = |v: VertexId,
-                         prog: &mut dyn LpProgram,
-                         ht: &mut BoundedHashTable,
-                         active: &mut [bool],
-                         visited_at: &mut [u64],
-                         stamp: &mut [u64],
-                         clock: &mut u64,
-                         visited: &mut u64| {
+            for v in 0..n as VertexId {
                 if csr.degree(v) == 0 {
-                    return 0u64;
+                    continue;
                 }
                 if sparse {
                     let armed = active[v as usize]
@@ -164,59 +157,31 @@ impl Engine for SequentialEngine {
                                 s != 0 && s >= visited_at[v as usize]
                             }));
                     if !armed {
-                        return 0u64;
+                        continue;
                     }
                 }
                 // Consume the mark before recomputing: a same-sweep change
                 // in an in-neighbor re-arms it (via scatter marks when
                 // pushing, via the stamp comparison when pulling).
                 active[v as usize] = false;
-                *clock += 1;
+                clock += 1;
                 if pull {
-                    visited_at[v as usize] = *clock;
+                    visited_at[v as usize] = clock;
                 }
-                *visited += 1;
+                visited += 1;
                 // Asynchronous: read each neighbor's *current* spoken label.
-                let d = exact_mfl(&*prog, csr, ht, v, |u| prog.pick_label(u));
+                let d = exact_mfl(&*prog, csr, &mut ht, v, |u| prog.pick_label(u));
                 let did_change = prog.update_vertex(v, d);
                 if did_change && sparse {
                     if pull {
-                        stamp[v as usize] = *clock;
+                        stamp[v as usize] = clock;
                     } else {
                         for &w in out.neighbors(v) {
                             active[w as usize] = true;
                         }
                     }
                 }
-                u64::from(did_change)
-            };
-            let descending = opts.sweep_order == SweepOrder::Alternating && iteration % 2 == 1;
-            if descending {
-                for v in (0..n as VertexId).rev() {
-                    changed += visit(
-                        v,
-                        prog,
-                        &mut ht,
-                        &mut active,
-                        &mut visited_at,
-                        &mut stamp,
-                        &mut clock,
-                        &mut visited,
-                    );
-                }
-            } else {
-                for v in 0..n as VertexId {
-                    changed += visit(
-                        v,
-                        prog,
-                        &mut ht,
-                        &mut active,
-                        &mut visited_at,
-                        &mut stamp,
-                        &mut clock,
-                        &mut visited,
-                    );
-                }
+                changed += u64::from(did_change);
             }
             prog.end_iteration(iteration);
             report.changed_per_iteration.push(changed);
@@ -327,15 +292,6 @@ mod tests {
             "async sweeps should converge quickly, took {}",
             report.iterations
         );
-    }
-
-    #[test]
-    fn alternating_order_still_converges() {
-        let g = two_cliques_bridge(6);
-        let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), 50);
-        let opts = RunOptions::default().with_sweep_order(SweepOrder::Alternating);
-        let report = run(&g, &mut prog, &opts);
-        assert_eq!(*report.changed_per_iteration.last().unwrap(), 0);
     }
 
     #[test]

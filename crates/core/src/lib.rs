@@ -63,7 +63,7 @@ pub use api::{LpProgram, NeighborContribution};
 pub use engine::{
     replay_delta, BarrierEvent, BarrierHook, BspEngine, DeltaReplay, Direction, Engine,
     EngineError, FrontierMode, GpuEngine, HybridEngine, MemoRecorder, MflStrategy, MultiGpuEngine,
-    ResilienceReport, ResilientEngine, RunOptions, SequentialEngine, SweepOrder,
+    ResilienceReport, ResilientEngine, RunOptions, SequentialEngine,
 };
 pub use report::LpRunReport;
 pub use variants::{CapacityLp, ClassicLp, Llp, RiskWeightedLp, SeededLp, Slp, WeightedLp};

@@ -25,9 +25,10 @@
 //!
 //! Every behavior is seeded and deterministic, and the plan emits
 //! ground truth *per day*: [`AdversarialStream::truth_by_day`] lists
-//! exactly who was actively washing on each day, so a
-//! `DetectionProbe` can score any published snapshot against the truth
-//! of the window it covers.
+//! exactly who was actively washing on each day, so any published
+//! snapshot can be scored against the truth of the window it covers
+//! ([`AdversarialStream::truth_in`] with
+//! [`precision_recall`](crate::precision_recall)).
 //!
 //! The generator reuses [`RegionalStream`]'s reserved-slot discipline:
 //! ring pools occupy the top `ring_size` user slots of each region and
@@ -380,9 +381,17 @@ mod tests {
         }
         assert!(distinct.len() > 1, "rotation never changed the active set");
         // Rotation eventually activates every pool member.
-        assert_eq!(s.truth_in(0, s.config.base.days), pool);
+        let days = s.config.base.days;
+        assert_eq!(s.truth_in(0, days), pool);
         // And day 0's truth is a strict subset of the pool.
         assert!(s.truth_by_day[0].len() < pool.len());
+        // A window's truth is the sorted union of its days'; a window past
+        // the schedule is empty.
+        let mut union = s.truth_by_day[1..3].concat();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(s.truth_in(1, 3), union);
+        assert!(s.truth_in(days, days + 5).is_empty());
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub struct PipelineReport {
 /// flagged users scores precision 0, no truth scores recall 0 — a
 /// detector that flags nothing, or a window with nothing to find,
 /// never reads as perfect. Shared by the offline [`PipelineReport`]
-/// and the serving detection probe.
+/// and the serving tests that score published snapshots.
 pub fn precision_recall(flagged: &[u32], truth: &[u32]) -> (f64, f64) {
     let mut flagged: Vec<u32> = flagged.to_vec();
     flagged.sort_unstable();

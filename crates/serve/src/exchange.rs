@@ -70,18 +70,6 @@ pub struct ExchangeReport {
     pub boundary_txs: usize,
 }
 
-impl ExchangeReport {
-    /// The report as JSON (for fleet telemetry export).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "spanning_components": self.spanning_components,
-            "boundary_users": self.boundary_users,
-            "boundary_items": self.boundary_items,
-            "boundary_txs": self.boundary_txs,
-        })
-    }
-}
-
 /// The fleet-wide scoring an exchange round publishes: one merged
 /// snapshot covering every shard's keyspace, plus the boundary user set
 /// (sorted) so the query path knows which users *must* be answered from

@@ -61,16 +61,6 @@ impl HealthState {
             _ => Self::Down,
         }
     }
-
-    /// Lower-case label for telemetry and tables.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Healthy => "healthy",
-            Self::Degraded => "degraded",
-            Self::Shedding => "shedding",
-            Self::Down => "down",
-        }
-    }
 }
 
 /// Crash-streak thresholds (see [`ServeConfig`]).
@@ -277,20 +267,6 @@ pub struct HealthReport {
     pub engine_tier: Option<&'static str>,
 }
 
-impl HealthReport {
-    /// `{state, consecutive_crashes, staleness_batches, ...}` as JSON.
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "state": self.state.as_str(),
-            "consecutive_crashes": self.consecutive_crashes,
-            "staleness_batches": self.staleness_batches,
-            "snapshot_epoch": self.snapshot_epoch,
-            "last_panic": self.last_panic.clone().unwrap_or_default(),
-            "engine_tier": self.engine_tier.unwrap_or(""),
-        })
-    }
-}
-
 /// Combines the router's own state with per-shard states into the
 /// fleet-level state the sharded service reports (see
 /// [`FleetCore::health`](crate::router::FleetCore::health)).
@@ -329,20 +305,6 @@ pub struct ShardHealthReport {
     pub last_panic: Option<String>,
 }
 
-impl ShardHealthReport {
-    /// One JSON row per shard for the fleet health document.
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "shard": self.shard,
-            "state": self.state.as_str(),
-            "consecutive_crashes": self.consecutive_crashes,
-            "worker_panics": self.worker_panics,
-            "worker_restarts": self.worker_restarts,
-            "last_panic": self.last_panic.clone().unwrap_or_default(),
-        })
-    }
-}
-
 /// Fleet-level health: the service state plus one row per shard, so an
 /// operator can tell *which* shard is sick and how it got there.
 #[derive(Clone, Debug)]
@@ -355,18 +317,6 @@ pub struct FleetHealthReport {
     pub shards: Vec<ShardHealthReport>,
     /// Epoch of the fleet snapshot queries are served from.
     pub snapshot_epoch: u64,
-}
-
-impl FleetHealthReport {
-    /// `{state, router, shards: [...], snapshot_epoch}` as JSON.
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "state": self.state.as_str(),
-            "router": self.router.as_str(),
-            "shards": self.shards.iter().map(|s| s.to_json()).collect::<Vec<_>>(),
-            "snapshot_epoch": self.snapshot_epoch,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -42,10 +42,12 @@
 //!   over immutable [`VerdictSnapshot`]s; no network, no async runtime,
 //!   just threads and channels.
 //!
-//! [`telemetry`] keeps monotonic counters and HDR-style log-bucketed
-//! latency histograms (ingest lag, batch size, recluster wall time,
-//! query p50/p95/p99, shed counts) exportable as JSON, plus the GPU
-//! [`KernelCounters`](glp_gpusim::KernelCounters) of every recluster.
+//! [`telemetry`] keeps monotonic counters (queries, reclusters by path,
+//! shed counts by reason), HDR-style log-bucketed histograms of ingest
+//! lag and batch size, and the GPU
+//! [`KernelCounters`](glp_gpusim::KernelCounters) and per-kernel profile
+//! of every recluster. A recluster's own wall time and frontier come
+//! back in its [`ReclusterRun`].
 //!
 //! The bit-determinism of the underlying engine carries through: the
 //! same transaction stream at the same batch boundaries produces
@@ -96,8 +98,8 @@
 //!
 //! * **Routing** ([`partition`]) — a deterministic, community-aware
 //!   [`Partitioner`]: users with a known community hash by community
-//!   (co-locating fraud rings), unknown users by id, with explicit
-//!   placement overrides for rebalancing.
+//!   (co-locating fraud rings), unknown users by id;
+//!   [`Partitioner::balanced`] places a fixed community set round-robin.
 //! * **Shard cores** ([`service`]) — a shard *is* a [`ServiceCore`]: the
 //!   same stamped window, blacklist, warm state and verdict cell as the
 //!   single-core service, fed its slice of the keyspace pre-validated
@@ -129,7 +131,7 @@
 //! ## Adversarial robustness
 //!
 //! Against a workload that fights back (see [`glp_fraud::adversary`]),
-//! three more pieces engage:
+//! two more pieces engage:
 //!
 //! * **Burst-adaptive admission** ([`ingest::BurstState`]) — the gate's
 //!   shed rate is evaluated per [`ServeConfig::burst_window`]
@@ -145,19 +147,18 @@
 //!   resets the boundary cache too — forcing the next recluster to run
 //!   full, because the memo's coverage check compares window lineage,
 //!   not seed sets (pinned in `tests/label_noise.rs`).
-//! * **Detection-quality telemetry** ([`probe`]) — a [`DetectionProbe`]
-//!   scores every published snapshot against per-day ground truth into
-//!   a precision/recall time-series in the telemetry JSON, so evolving
-//!   attacks that degrade *verdict quality* (not availability) are
-//!   visible: a live service out-detects a snapshot frozen early in a
-//!   rotating-ring stream (pinned in `tests/label_noise.rs`).
+//!
+//! Ground truth scores verdict quality offline: a live service
+//! out-detects a snapshot frozen early in a rotating-ring stream
+//! ([`AdversarialStream::truth_in`](glp_fraud::AdversarialStream::truth_in)
+//! and [`precision_recall`](glp_fraud::precision_recall), pinned in
+//! `tests/label_noise.rs`).
 
 pub mod config;
 pub mod exchange;
 pub mod health;
 pub mod ingest;
 pub mod partition;
-pub mod probe;
 pub mod query;
 pub mod recluster;
 pub mod router;
@@ -189,7 +190,6 @@ pub use health::{
 };
 pub use ingest::{Batcher, BurstState, IngestGate, Submitted};
 pub use partition::Partitioner;
-pub use probe::DetectionProbe;
 pub use query::{FraudScorer, Verdict, VerdictSnapshot};
 pub use recluster::{LpMemo, ReclusterMode, ReclusterOutcome, ReclusterRequest, ReclusterRun};
 pub use router::{
@@ -198,4 +198,4 @@ pub use router::{
 };
 pub use service::{FraudService, QueryHandle, ServiceCore, ShutdownReport};
 pub use supervisor::{supervise, supervise_with, RestartPolicy, WorkerOutcome, WorkerStatus};
-pub use telemetry::{Histogram, ProbePoint, Telemetry, TelemetrySnapshot};
+pub use telemetry::{Histogram, Telemetry, TelemetrySnapshot};

@@ -7,10 +7,9 @@
 //! every community across every shard — correct but worst-case for the
 //! exchange. The [`Partitioner`] instead hashes the user's *community*
 //! when one is known (all members land together), falls back to hashing
-//! the user id when not, and accepts explicit per-community placement
-//! overrides for operator-driven rebalancing. Hashing is a fixed
-//! SplitMix64-style mix, seeded, so placement is deterministic across
-//! runs and processes — a prerequisite for the fleet's byte-identity
+//! the user id when not, or places a fixed community set round-robin
+//! ([`Partitioner::balanced`]). Hashing is a fixed SplitMix64-style mix,
+//! seeded, so placement is deterministic across runs and processes — a prerequisite for the fleet's byte-identity
 //! guarantee and for per-shard checkpoint recovery (a restarted fleet
 //! must route every user to the shard that holds its history).
 
@@ -23,7 +22,8 @@ pub struct Partitioner {
     seed: u64,
     /// `user → community` for users with a known community.
     community_of: HashMap<u32, u32>,
-    /// Explicit `community → shard` placements overriding the hash.
+    /// `community → shard` placements overriding the hash (set by
+    /// [`Self::balanced`]).
     overrides: HashMap<u32, usize>,
 }
 
@@ -60,7 +60,7 @@ impl Partitioner {
     /// community set later reshuffles placement, so this is for fleets
     /// whose communities are known at start — the work-split test of
     /// `tests/determinism.rs` and any deployment partitioned by a fixed
-    /// region map. Explicit [`Self::with_placement`] overrides still win.
+    /// region map.
     pub fn balanced(
         shards: usize,
         seed: u64,
@@ -77,14 +77,6 @@ impl Partitioner {
             p.overrides.insert(c, i % shards);
         }
         p
-    }
-
-    /// Pins `community` to `shard`, overriding the hash — the
-    /// rebalancing hook.
-    pub fn with_placement(mut self, community: u32, shard: usize) -> Self {
-        assert!(shard < self.shards, "placement beyond the fleet");
-        self.overrides.insert(community, shard);
-        self
     }
 
     /// Number of shards this partitioner routes across.
@@ -180,12 +172,5 @@ mod tests {
             per_shard[home] += 1;
         }
         assert_eq!(per_shard, [2, 2, 2, 2], "round-robin must balance");
-    }
-
-    #[test]
-    fn placement_override_wins() {
-        let map = (0..100u32).map(|u| (u, u / 50));
-        let p = Partitioner::with_communities(4, 42, map).with_placement(1, 3);
-        assert!((50..100).all(|u| p.shard_of(u) == 3));
     }
 }

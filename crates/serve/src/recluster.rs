@@ -60,16 +60,6 @@ pub enum ReclusterMode {
     Incremental,
 }
 
-impl ReclusterMode {
-    /// Stable lowercase name (telemetry, logs).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Full => "full",
-            Self::Incremental => "incremental",
-        }
-    }
-}
-
 /// The memoized per-iteration label trajectory of one recluster, plus
 /// the identity stamp of the window it described. A later
 /// [`ReclusterRequest::incremental`] presents this together with the
@@ -481,10 +471,11 @@ pub(crate) fn absorb_outcome(
     if let Some(tier) = outcome.resilience.tier {
         health.set_engine_tier(tier);
     }
-    telemetry.record_recluster_outcome(
-        outcome.mode == ReclusterMode::Incremental,
-        outcome.frontier as u64,
-    );
+    let path = match outcome.mode {
+        ReclusterMode::Full => &telemetry.reclusters_full,
+        ReclusterMode::Incremental => &telemetry.reclusters_incremental,
+    };
+    path.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Scores the converged program and resolves everything to plain user

@@ -92,7 +92,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What one [`FleetCore::exchange_now`] round cost and found.
 #[derive(Clone, Debug)]
@@ -136,8 +136,7 @@ impl std::fmt::Display for FailoverError {
 impl std::error::Error for FailoverError {}
 
 /// One completed shard failover, as recorded in
-/// [`FleetCore::failover_events`] — the chaos bench derives MTTR
-/// (kill → re-admitted) from these.
+/// [`FleetCore::failover_events`].
 #[derive(Clone, Debug)]
 pub struct FailoverEvent {
     /// Which shard was rebuilt.
@@ -147,54 +146,20 @@ pub struct FailoverEvent {
     /// Whether a checkpoint supplied the base image (`false` = the
     /// shard was rebuilt from the journal alone).
     pub from_checkpoint: bool,
-    /// Wall time of the rebuild (checkpoint read + replay + swap +
-    /// recluster).
-    pub wall: Duration,
-    /// When the shard was re-admitted.
-    pub completed_at: Instant,
 }
 
-/// The merged fleet telemetry document: every core's counters and
-/// histograms folded into one [`TelemetrySnapshot`], plus the
-/// fleet-level facts no single core owns.
+/// The merged fleet telemetry: the router's and every shard's counters,
+/// GPU totals and kernel profiles folded into one [`TelemetrySnapshot`].
 #[derive(Clone, Debug)]
 pub struct FleetTelemetry {
-    /// Router telemetry plus every shard's, counters summed and
-    /// histograms merged bucket-wise.
+    /// Router telemetry plus every shard's, counters summed.
     pub merged: TelemetrySnapshot,
-    /// Effective fleet health state at snapshot time.
-    pub fleet_state: HealthState,
-    /// Completed failovers per shard, indexed by shard id.
-    pub shard_failovers: Vec<u64>,
 }
 
 impl FleetTelemetry {
     /// The named merged counter's value (see [`TelemetrySnapshot::counter`]).
     pub fn counter(&self, name: &str) -> u64 {
         self.merged.counter(name)
-    }
-
-    /// The merged snapshot's JSON document extended with `fleet_state`
-    /// and `shard_failovers` keys.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut doc = match self.merged.to_json() {
-            serde_json::Value::Object(pairs) => pairs,
-            _ => unreachable!("snapshot JSON is always an object"),
-        };
-        doc.push((
-            "fleet_state".to_string(),
-            serde_json::json!(self.fleet_state.as_str()),
-        ));
-        doc.push((
-            "shard_failovers".to_string(),
-            serde_json::Value::Array(
-                self.shard_failovers
-                    .iter()
-                    .map(|&v| serde_json::json!(v))
-                    .collect(),
-            ),
-        ));
-        serde_json::Value::Object(doc)
     }
 }
 
@@ -684,15 +649,12 @@ impl FleetCore {
             boundary_users: r.boundary_users,
         });
         self.telemetry.reclusters.fetch_add(1, Ordering::Relaxed);
-        let exchange_wall = started.elapsed();
-        self.telemetry
-            .recluster_wall
-            .record(exchange_wall.as_nanos() as u64);
+        let exchange_wall = started.elapsed().as_secs_f64();
         self.health.record_progress("exchange");
         ExchangeOutcome {
             shard_runs,
             boundary_run,
-            exchange_wall: exchange_wall.as_secs_f64(),
+            exchange_wall,
             report: r.report,
         }
     }
@@ -745,22 +707,14 @@ impl FleetCore {
         }
     }
 
-    /// One merged telemetry document for the whole fleet: the router's
-    /// own block plus every shard's, counters summed and histograms
-    /// merged bucket-wise, extended with the effective fleet state and
-    /// per-shard failover counts — one JSON document per fleet.
+    /// The merged telemetry of the whole fleet: the router's own block
+    /// plus every shard's.
     pub fn fleet_telemetry(&self) -> FleetTelemetry {
         let mut merged = self.telemetry.snapshot();
-        let mut shard_failovers = Vec::with_capacity(self.shards.len());
         for s in &self.shards {
             merged.merge(&s.telemetry().snapshot());
-            shard_failovers.push(s.telemetry().failovers.load(Ordering::Relaxed));
         }
-        FleetTelemetry {
-            merged,
-            fleet_state: self.health().state,
-            shard_failovers,
-        }
+        FleetTelemetry { merged }
     }
 
     /// Checkpoints every live shard to its `<base>.shard<i>` path, the
@@ -871,7 +825,6 @@ impl FleetCore {
         let Some(wal) = &self.wal else {
             return Err(FailoverError::NoJournal);
         };
-        let started = Instant::now();
         let shard = &self.shards[i];
         // A missing, corrupt, or mismatched image is not fatal here: the
         // journal-alone path covers it (and the journal will be missing
@@ -904,8 +857,6 @@ impl FleetCore {
             shard: i,
             replayed_batches: replayed,
             from_checkpoint,
-            wall: started.elapsed(),
-            completed_at: Instant::now(),
         };
         unpoison(self.failover_log.lock()).push(event.clone());
         Ok(event)
@@ -1042,10 +993,8 @@ impl FleetHandle {
 
 impl FraudScorer for FleetHandle {
     fn score(&self, user: u32) -> Verdict {
-        let t0 = Instant::now();
-        let v = self.core.verdict(user);
-        self.core.telemetry.record_query(t0);
-        v
+        self.core.telemetry.queries.fetch_add(1, Ordering::Relaxed);
+        self.core.verdict(user)
     }
 
     fn snapshot(&self) -> Arc<VerdictSnapshot> {
@@ -1319,8 +1268,8 @@ mod tests {
         ));
         let t = core.fleet_telemetry();
         assert_eq!(t.merged.worker_panics, 0);
-        assert_eq!(t.fleet_state, HealthState::Healthy);
-        assert_eq!(t.shard_failovers, vec![0, 0]);
+        assert_eq!(core.health().state, HealthState::Healthy);
+        assert_eq!(t.counter("failovers"), 0);
         assert!(t.counter("batches") > 0);
     }
 
@@ -1380,10 +1329,10 @@ mod tests {
         // The first batch is the first record alone, so the second batch
         // starts with the second record.
         router.submit(all[0]).expect("fleet accepts while running");
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
         while router.core().batches_applied() == 0 {
             assert!(Instant::now() < deadline, "the first batch never applied");
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         for t in &all[1..] {
             router.submit(*t).expect("large queue, no shed");

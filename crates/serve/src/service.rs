@@ -466,9 +466,6 @@ impl ServiceCore {
         self.verdicts.publish(snapshot);
         self.end_span();
         self.telemetry.reclusters.fetch_add(1, Ordering::Relaxed);
-        self.telemetry
-            .recluster_wall
-            .record(started.elapsed().as_nanos() as u64);
         self.end_span();
         ReclusterRun {
             mode,
@@ -583,10 +580,8 @@ impl QueryHandle {
 
 impl FraudScorer for QueryHandle {
     fn score(&self, user: u32) -> Verdict {
-        let t0 = Instant::now();
-        let v = self.core.verdicts.load().verdict(user);
-        self.core.telemetry.record_query(t0);
-        v
+        self.core.telemetry.queries.fetch_add(1, Ordering::Relaxed);
+        self.core.verdicts.load().verdict(user)
     }
 
     fn snapshot(&self) -> Arc<VerdictSnapshot> {
@@ -978,16 +973,21 @@ mod tests {
                 }
             })
         };
-        for i in 0..50_000u32 {
-            let _ = handle.score(i % 1_000);
-        }
+        let mut latency: Vec<Duration> = (0..50_000u32)
+            .map(|i| {
+                let t0 = Instant::now();
+                let _ = handle.score(i % 1_000);
+                t0.elapsed()
+            })
+            .collect();
         reclusterer.join().unwrap();
         let t = core.telemetry();
         assert_eq!(t.queries.load(Ordering::Relaxed), 50_000);
         // p99 query latency stays microseconds even with reclusters
         // running: pointer-clone + two binary searches.
-        let p99 = t.query_latency.quantile(0.99);
-        assert!(p99 < 1_000_000, "p99 query latency {p99} ns");
+        latency.sort_unstable();
+        let p99 = latency[latency.len() * 99 / 100];
+        assert!(p99 < Duration::from_millis(1), "p99 query latency {p99:?}");
     }
 
     /// A stall claimed by an incremental recluster — which launches no
@@ -1169,6 +1169,40 @@ mod tests {
             restored.snapshot().canonical_bytes(),
             "restored shard must score byte-identically"
         );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn an_image_carrying_a_deleted_last_counter_restores_every_kept_one() {
+        // Images written while `probe_evaluations` was the 24th and last
+        // checkpointed counter carry one value more than a core keeps:
+        // a restore takes the kept ones in checkpoint order and ignores
+        // the extra one.
+        let s = shard_stream();
+        let path = ckpt_path("longer-counters");
+        let core = ServiceCore::new(shard_cfg(), s.blacklist.clone());
+        let txs: Vec<Transaction> = s.window(0, 2).copied().collect();
+        core.apply_transactions(&txs);
+        core.checkpoint(&path).unwrap();
+        let mut image = WindowCheckpoint::read(&path).unwrap();
+        let kept = image.counters.len();
+        // Counter i holds 1 000 (i + 1), so a value landing in the wrong
+        // cell shows.
+        let parent: Vec<u64> = (1..=kept as u64 + 1).map(|i| i * 1_000).collect();
+        image.counters = parent.clone();
+        image.write_atomic(&path).unwrap();
+        let ckpt = WindowCheckpoint::read(&path).unwrap();
+        assert_eq!(ckpt.counters, parent);
+        let restored = ServiceCore::restore(shard_cfg(), s.blacklist.clone(), &ckpt).unwrap();
+        let got = restored.telemetry().counters_snapshot();
+        assert_eq!(got.len(), kept);
+        assert!(got.iter().zip(&parent).all(|(g, p)| g / 1_000 == p / 1_000));
+        // On top of the image, `restore` ran exactly one full recluster.
+        let moved: u64 = got.iter().zip(&parent).map(|(g, p)| g - p).sum();
+        assert_eq!(moved, 2);
+        let snap = restored.telemetry().snapshot();
+        assert_eq!(snap.counter("reclusters") % 1_000, 1);
+        assert_eq!(snap.counter("reclusters_full") % 1_000, 1);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

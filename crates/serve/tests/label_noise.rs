@@ -14,7 +14,7 @@
 
 use glp_fraud::Transaction;
 use glp_serve::{
-    FleetConfig, FleetCore, Partitioner, ReclusterMode, ServeConfig, ServiceCore, Telemetry,
+    FleetConfig, FleetCore, Partitioner, ReclusterMode, ServeConfig, ServiceCore, VerdictSnapshot,
 };
 use glp_test_support::adversarial_stream;
 
@@ -189,7 +189,7 @@ fn fleet_retraction_matches_a_never_poisoned_fleet() {
 
 #[test]
 fn probe_sees_stale_snapshots_lose_recall() {
-    // Detection-quality telemetry makes the *rotation* attack visible:
+    // Scoring against ground truth makes the *rotation* attack visible:
     // a snapshot frozen early in the stream keeps flagging the mules of
     // its day while the ring rotates fresh accounts in, so its recall
     // against current truth decays — where a live, reclustering service
@@ -201,8 +201,6 @@ fn probe_sees_stale_snapshots_lose_recall() {
     let days = s.config.base.days;
     let window = 10;
     let cfg = ServeConfig::default().with_window_days(window);
-    let probe = glp_serve::DetectionProbe::from_adversarial(&s, window);
-    let t = Telemetry::new();
 
     let core = ServiceCore::new(cfg, s.clean_blacklist());
     let day_txs = |d: u32| -> Vec<Transaction> { s.window(d, d + 1).copied().collect() };
@@ -217,17 +215,18 @@ fn probe_sees_stale_snapshots_lose_recall() {
         core.apply_transactions(&day_txs(d));
     }
     core.recluster_now();
-    let live_point = probe.observe(&core.snapshot(), &t);
+    let live = core.snapshot();
 
-    // The stale snapshot, scored against *today's* truth.
-    let stale_flagged: Vec<u32> = stale.flagged.iter().map(|&(u, _, _)| u).collect();
-    let truth_now = probe.truth_for_window(core.snapshot().window_end);
-    let (_, stale_recall) = glp_fraud::precision_recall(&stale_flagged, &truth_now);
+    // Both snapshots, scored against the truth of *today's* window.
+    let end = live.window_end;
+    let truth_now = s.truth_in(end.saturating_sub(window), end);
+    let recall = |snap: &VerdictSnapshot| {
+        let flagged: Vec<u32> = snap.flagged.iter().map(|&(u, _, _)| u).collect();
+        glp_fraud::precision_recall(&flagged, &truth_now).1
+    };
+    let (live_recall, stale_recall) = (recall(&live), recall(&stale));
     assert!(
-        live_point.recall > stale_recall,
-        "rotation must erode the stale snapshot: live {} vs stale {}",
-        live_point.recall,
-        stale_recall
+        live_recall > stale_recall,
+        "rotation must erode the stale snapshot: live {live_recall} vs stale {stale_recall}"
     );
-    assert_eq!(t.detection_points().len(), 1);
 }

@@ -337,10 +337,10 @@ impl Case {
         if !self.rigs[0].has_device() {
             self.fault = None;
         }
-        // A traced multi-GPU run that recovers from a device fault closes
-        // its spans out of order (the two ignored multi-GPU repros of
+        // A traced multi-GPU run that loses a device closes its dispatch
+        // span before the kernels it holds (the ignored repro of
         // `tests/engine_oracle.rs`): such runs go untraced.
-        if self.fault.is_some() && matches!(self.rigs[0], Multi2 | Multi3) {
+        if matches!(self.fault, Some((DeviceLost, _))) && matches!(self.rigs[0], Multi2 | Multi3) {
             self.tracer = false;
         }
         self

@@ -8,12 +8,13 @@
 //! replays a transaction stream through its bounded ingest queue, and
 //! queries verdicts *while the service is still ingesting and
 //! reclustering* — the serving-path counterpart of the offline
-//! `fraud_pipeline` example. Finishes by printing the telemetry block:
-//! ingest lag, batch sizes, recluster wall time, query latency
-//! percentiles, and shed counts.
+//! `fraud_pipeline` example. Finishes by printing the telemetry: ingest
+//! lag and batch-size percentiles, reclusters by path, queries, and shed
+//! counts.
 
 use glp_suite::fraud::{TxConfig, TxStream};
 use glp_suite::serve::{FraudScorer, FraudService, ServeConfig, Verdict};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 fn main() {
@@ -101,9 +102,31 @@ fn main() {
         100.0 * caught as f64 / ring.len().max(1) as f64
     );
 
-    // 6. The telemetry block the service would export to a dashboard.
+    // 6. The service's telemetry: ingest lag, batch shape, reclusters
+    //    by path, queries and shed counts.
+    let t = core.telemetry();
+    let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
     println!(
-        "\ntelemetry:\n{}",
-        serde_json::to_string_pretty(&core.telemetry().to_json()).expect("serializable")
+        "\ntelemetry:\n  ingested {}, batches {} (p50 size {}), ingest lag p50 {} µs / p99 {} µs",
+        n(&t.ingested),
+        n(&t.batches),
+        t.batch_size.quantile(0.5),
+        t.ingest_lag.quantile(0.5) / 1_000,
+        t.ingest_lag.quantile(0.99) / 1_000
+    );
+    println!(
+        "  reclusters {} ({} full, {} incremental, {} coalesced), queries {}",
+        n(&t.reclusters),
+        n(&t.reclusters_full),
+        n(&t.reclusters_incremental),
+        n(&t.reclusters_coalesced),
+        n(&t.queries)
+    );
+    println!(
+        "  shed: overflow {}, unhealthy {}, invalid {}; health {:?}",
+        n(&t.shed_overflow),
+        n(&t.shed_unhealthy),
+        n(&t.rejected_invalid),
+        core.health().state
     );
 }

@@ -84,10 +84,9 @@ fn a_tie_with_an_overflowed_label_is_recounted() {
 }
 
 /// A multi-GPU rung re-staged after a transient fault opens its run span
-/// at the devices' latest clock, but uploads from each device's own.
+/// at the devices' latest clock, and its uploads start there too.
 #[cfg(feature = "fault-injection")]
 #[test]
-#[ignore = "open: a retried multi-GPU attempt uploads before its run span opens"]
 fn a_retried_multi_gpu_attempt_uploads_inside_its_run_span() {
     check(Case {
         edges: vec![(1, 1)],
