@@ -2,7 +2,8 @@
 //! shared-memory structures of §4.1, the warp intrinsics of §4.2, the two
 //! coalescers, the packed-warp kernel and the CMS+HT block kernel — the host cost of the
 //! layer every propagation kernel stands on, readable without running the
-//! full benchmark. Each case is one of the input shapes a host fast path
+//! full benchmark — and of the graph construction every input goes through
+//! first. Each case is one of the input shapes a host fast path
 //! keys on (see DESIGN.md, "Host path of the simulator").
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -14,7 +15,7 @@ use glp_graph::gen::{
     bipartite_interaction, community_powerlaw, road_network, BipartiteConfig,
     CommunityPowerLawConfig, RoadConfig,
 };
-use glp_graph::{Graph, Label};
+use glp_graph::{Graph, GraphBuilder, Label, VertexId};
 use glp_sketch::{BoundedHashTable, CountMinSketch};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -291,8 +292,64 @@ fn bench_packed_warp(c: &mut Criterion) {
     group.finish();
 }
 
+/// Graph construction: the two generators behind the benchmark's
+/// power-law and interaction inputs (twitter's average degree at 5 000
+/// vertices; aligraph's density at 300), and `GraphBuilder::build` alone on
+/// a fixed, scrambled list of the power-law graph's pairs (each iteration
+/// clones the staged list, then symmetrizes it into a CSR).
+fn bench_graph_build(c: &mut Criterion) {
+    let social = CommunityPowerLawConfig {
+        num_vertices: 5_000,
+        avg_degree: 35.0,
+        gamma: 2.3,
+        num_communities: 33,
+        mixing: 0.08,
+        seed: 17,
+    };
+    let interaction = BipartiteConfig {
+        num_users: 200,
+        num_items: 100,
+        num_interactions: 60_000,
+        skew: 0.6,
+        seed: 17,
+    };
+    let g = community_powerlaw(&social);
+    let mut pairs: Vec<(VertexId, VertexId)> = (0..g.num_vertices() as VertexId)
+        .flat_map(|v| {
+            g.neighbors(v)
+                .iter()
+                .filter(move |&&u| u < v)
+                .map(move |&u| (u, v))
+        })
+        .collect();
+    // A fixed scramble, so the list arrives in no particular order.
+    let m = pairs.len();
+    for i in 0..m {
+        pairs.swap(i, (i * 7_919 + 13) % m);
+    }
+    let mut staged = GraphBuilder::with_capacity(g.num_vertices(), m);
+    staged.extend_edges(pairs).symmetrize(true);
+    println!(
+        "graph_build/builder: {m} pairs into {} stored edges over {} vertices",
+        g.num_edges(),
+        g.num_vertices()
+    );
+    let mut group = c.benchmark_group("graph_build");
+    group.bench_function("community_powerlaw", |b| {
+        b.iter(|| black_box(community_powerlaw(&social).num_edges()));
+    });
+    group.bench_function("bipartite_interaction", |b| {
+        b.iter(|| black_box(bipartite_interaction(&interaction).num_edges()));
+    });
+    group.bench_function("builder", |b| {
+        b.iter(|| black_box(staged.clone().build().num_edges()));
+    });
+    group.finish();
+}
+
 criterion_group!(
     kernels,
+    bench_graph_build,
     bench_sketches,
     bench_warp_intrinsics,
     bench_coalescing,

@@ -125,7 +125,45 @@ impl Csr {
         b
     }
 
+    /// Collapses runs of equal neighbors within each row in place (rows
+    /// must be sorted), summing their weights in row order.
+    pub(crate) fn merge_duplicates(&mut self) {
+        let Csr {
+            offsets,
+            targets,
+            weights,
+        } = self;
+        let n = offsets.len() - 1;
+        let mut write = 0usize;
+        for v in 0..n {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            offsets[v] = write as EdgeId;
+            for read in lo..hi {
+                if write > offsets[v] as usize && targets[write - 1] == targets[read] {
+                    if let Some(ws) = weights {
+                        ws[write - 1] += ws[read];
+                    }
+                } else {
+                    targets[write] = targets[read];
+                    if let Some(ws) = weights {
+                        ws[write] = ws[read];
+                    }
+                    write += 1;
+                }
+            }
+        }
+        offsets[n] = write as EdgeId;
+        targets.truncate(write);
+        targets.shrink_to_fit();
+        if let Some(ws) = weights {
+            ws.truncate(write);
+            ws.shrink_to_fit();
+        }
+    }
+
     /// Builds the reverse (transposed) CSR via counting sort — O(|V|+|E|).
+    /// The sort is stable: each row of the result lists its neighbors
+    /// ascending, copies of one neighbor in this CSR's order.
     pub fn transpose(&self) -> Csr {
         let n = self.num_vertices();
         let mut counts = vec![0u64; n + 1];

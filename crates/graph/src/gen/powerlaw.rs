@@ -48,10 +48,22 @@ impl Default for CommunityPowerLawConfig {
     }
 }
 
-/// Cumulative-weight sampler: O(log n) weighted draws over a fixed weight
-/// vector via binary search on the prefix-sum array.
+/// Cumulative-weight sampler: O(1)-expected weighted draws over a fixed
+/// weight vector through a guide table over the prefix-sum array.
+///
+/// With `k` weights, `bucket(x) = min(⌊x·k/total⌋, k−1)` splits `[0,
+/// total]` into `k` equal ranges (`k/total` is rounded once, up front;
+/// exactness needs only that `bucket` is monotone) and `guide[b]` is the
+/// first index whose prefix falls in a bucket ≥ `b`. A draw `x` starts at `guide[bucket(x)]`
+/// and scans forward while `prefix[i] < x`. `bucket` is monotone, so every
+/// index below the start has a prefix below `x`: the scan returns exactly
+/// the binary search's `partition_point(|p| p < x).min(k−1)`, and each
+/// bucket holds one index on average.
 pub(crate) struct CumSampler {
     prefix: Vec<f64>,
+    guide: Vec<u32>,
+    /// `k / total`.
+    scale: f64,
 }
 
 impl CumSampler {
@@ -63,18 +75,44 @@ impl CumSampler {
             prefix.push(acc);
         }
         assert!(acc > 0.0, "total weight must be positive");
-        Self { prefix }
+        assert!(u32::try_from(prefix.len()).is_ok(), "too many weights");
+        let mut s = Self {
+            guide: Vec::with_capacity(prefix.len()),
+            scale: prefix.len() as f64 / acc,
+            prefix,
+        };
+        // bucket(prefix[k−1]) = bucket(total) = k−1, so the walk stays in range.
+        let mut i = 0;
+        for b in 0..s.prefix.len() {
+            while s.bucket(s.prefix[i]) < b {
+                i += 1;
+            }
+            s.guide.push(i as u32);
+        }
+        s
     }
 
     pub(crate) fn total(&self) -> f64 {
         *self.prefix.last().unwrap()
     }
 
+    #[inline]
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.prefix.len() - 1)
+    }
+
+    #[inline]
+    fn index_of(&self, x: f64) -> usize {
+        let last = self.prefix.len() - 1;
+        let mut i = self.guide[self.bucket(x)] as usize;
+        while i < last && self.prefix[i] < x {
+            i += 1;
+        }
+        i
+    }
+
     pub(crate) fn sample(&self, rng: &mut impl Rng) -> usize {
-        let x: f64 = rng.gen::<f64>() * self.total();
-        self.prefix
-            .partition_point(|&p| p < x)
-            .min(self.prefix.len() - 1)
+        self.index_of(rng.gen::<f64>() * self.total())
     }
 }
 
@@ -134,12 +172,14 @@ pub fn community_powerlaw_with_truth(cfg: &CommunityPowerLawConfig) -> (Graph, V
     // (bounded rounds — heavy skew can make the target unreachable).
     let target_pairs = ((cfg.avg_degree * n as f64) / 2.0).round() as usize;
     let mut keys: Vec<u64> = Vec::with_capacity(target_pairs + target_pairs / 4);
+    let mut drawn: Vec<u64> = Vec::new();
     for _ in 0..6 {
         let deficit = target_pairs.saturating_sub(keys.len());
         if deficit == 0 {
             break;
         }
         // Oversample slightly; later rounds shrink geometrically.
+        drawn.clear();
         for _ in 0..(deficit + deficit / 8 + 16) {
             let src = global.sample(&mut rng) as VertexId;
             let dst = if rng.gen::<f64>() < cfg.mixing {
@@ -153,11 +193,14 @@ pub fn community_powerlaw_with_truth(cfg: &CommunityPowerLawConfig) -> (Graph, V
             };
             if src != dst {
                 let (a, z) = if src < dst { (src, dst) } else { (dst, src) };
-                keys.push(u64::from(a) << 32 | u64::from(z));
+                drawn.push(u64::from(a) << 32 | u64::from(z));
             }
         }
-        keys.sort_unstable();
-        keys.dedup();
+        // Sort only this round's keys; the union with the sorted set is
+        // a merge, equal to sorting and deduplicating everything.
+        drawn.sort_unstable();
+        drawn.dedup();
+        merge_unique(&mut keys, &drawn);
     }
     // Truncate the overshoot *after shuffling*: the keys are sorted (for
     // dedup), so truncating in place would drop only the highest-id edges
@@ -177,9 +220,71 @@ pub fn community_powerlaw_with_truth(cfg: &CommunityPowerLawConfig) -> (Graph, V
     (b.build(), community)
 }
 
+/// Merges the sorted, duplicate-free `drawn` into the sorted,
+/// duplicate-free `keys`, keeping both properties (back to front, in place).
+fn merge_unique(keys: &mut Vec<u64>, drawn: &[u64]) {
+    let (mut i, mut j) = (keys.len(), drawn.len());
+    keys.resize(i + j, 0);
+    while j > 0 {
+        if i > 0 && keys[i - 1] > drawn[j - 1] {
+            keys[i + j - 1] = keys[i - 1];
+            i -= 1;
+        } else {
+            keys[i + j - 1] = drawn[j - 1];
+            j -= 1;
+        }
+    }
+    // A key in both sets now sits twice, side by side.
+    keys.dedup();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The binary search the guide table replaced.
+    fn partition_index(s: &CumSampler, x: f64) -> usize {
+        s.prefix.partition_point(|&p| p < x).min(s.prefix.len() - 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The guide-table walk returns the binary search's index for every
+        /// `x` that matters: 0, each prefix exactly, the floats either side
+        /// of it, just below the total and random draws. Weights repeat
+        /// (equal prefixes), are often zero (runs of equal prefixes) and
+        /// span many magnitudes.
+        #[test]
+        fn guide_table_equals_binary_search(
+            raw in prop::collection::vec((0u8..4, 0u32..1000), 1..200),
+            draws in prop::collection::vec(0.0f64..1.0, 0..64),
+        ) {
+            let weights: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => f64::from(v),
+                    _ => f64::from(v) * 1e-6,
+                })
+                .collect();
+            if weights.iter().sum::<f64>() <= 0.0 {
+                return Ok(());
+            }
+            let s = CumSampler::new(weights.iter().copied());
+            let total = s.total();
+            let mut xs = vec![0.0, total, total.next_down(), total * (1.0 - f64::EPSILON)];
+            for &p in &s.prefix {
+                xs.extend([p, p.next_down(), p.next_up()]);
+            }
+            xs.extend(draws.iter().map(|&u| u * total));
+            for x in xs.into_iter().filter(|x| (0.0..=total).contains(x)) {
+                prop_assert_eq!(s.index_of(x), partition_index(&s, x), "x = {}", x);
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {

@@ -186,7 +186,34 @@ pub fn write_binary(g: &Graph, w: impl Write) -> Result<(), IoError> {
     Ok(())
 }
 
+/// Reads `count` little-endian values, growing the vector as they arrive
+/// rather than trusting `count` for its capacity: a corrupt header then
+/// ends in a clean "truncated" error at the end of the input.
+fn get_array<R: Read, T>(
+    r: &mut R,
+    count: u64,
+    what: &str,
+    get: impl Fn(&mut R) -> io::Result<T>,
+) -> Result<Vec<T>, IoError> {
+    let mut out = Vec::with_capacity(count.min(1 << 16) as usize);
+    for _ in 0..count {
+        out.push(get(r).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => {
+                IoError::Format(format!("snapshot truncated in its {what}"))
+            }
+            _ => IoError::Io(e),
+        })?);
+    }
+    Ok(out)
+}
+
 /// Reads a binary CSR snapshot written by [`write_binary`].
+///
+/// Nothing in the input is trusted: a snapshot whose header, offsets or
+/// targets do not describe a valid CSR (offsets that do not start at 0,
+/// decrease, or do not end at the edge count; a target outside the vertex
+/// range; fewer bytes than the header promises) is an
+/// [`IoError::Format`], never a panic or a graph that fails later.
 pub fn read_binary(r: impl Read) -> Result<Graph, IoError> {
     let mut r = BufReader::new(r);
     let mut magic = [0u8; 8];
@@ -201,22 +228,34 @@ pub fn read_binary(r: impl Read) -> Result<Graph, IoError> {
     let flags = get_u32(&mut r)?;
     let undirected = flags & 1 == 1;
     let weighted = flags & 2 == 2;
-    let n = get_u64(&mut r)? as usize;
-    let e = get_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(get_u64(&mut r)? as EdgeId);
+    let n = get_u64(&mut r)?;
+    let e = get_u64(&mut r)?;
+    // Vertex ids are u32, so a graph has at most 2^32 vertices.
+    if n > 1 << 32 {
+        return Err(IoError::Format(format!("{n} vertices exceed the id range")));
     }
-    let mut targets = Vec::with_capacity(e);
-    for _ in 0..e {
-        targets.push(get_u32(&mut r)?);
+    let offsets: Vec<EdgeId> = get_array(&mut r, n + 1, "offsets", get_u64)?;
+    if offsets[0] != 0 {
+        return Err(IoError::Format("offsets do not start at 0".to_string()));
+    }
+    if let Some(v) = offsets.windows(2).position(|w| w[0] > w[1]) {
+        return Err(IoError::Format(format!("offsets decrease at vertex {v}")));
+    }
+    let end = offsets[offsets.len() - 1];
+    if end != e {
+        return Err(IoError::Format(format!(
+            "offsets end at {end}, not at the {e} edges of the header"
+        )));
+    }
+    let targets: Vec<VertexId> = get_array(&mut r, e, "targets", get_u32)?;
+    if let Some(&t) = targets.iter().find(|&&t| u64::from(t) >= n) {
+        return Err(IoError::Format(format!(
+            "target {t} out of range for {n} vertices"
+        )));
     }
     let weights = if weighted {
-        let mut ws = Vec::with_capacity(e);
-        for _ in 0..e {
-            ws.push(f32::from_bits(get_u32(&mut r)?));
-        }
-        Some(ws)
+        let bits = get_array(&mut r, e, "weights", get_u32)?;
+        Some(bits.into_iter().map(f32::from_bits).collect())
     } else {
         None
     };
@@ -324,6 +363,63 @@ mod tests {
         write_binary(&crate::gen::path(4), &mut buf).unwrap();
         buf[8] = 99; // break the version
         assert!(read_binary(buf.as_slice()).is_err());
+    }
+
+    /// A valid 200-vertex snapshot and the byte offsets of its header's
+    /// vertex count, its offsets array and its targets array.
+    fn snapshot() -> (Vec<u8>, usize, usize, usize) {
+        let mut buf = Vec::new();
+        write_binary(&crate::gen::cycle(200), &mut buf).unwrap();
+        let n_at = 8 + 4 + 4;
+        let offsets_at = n_at + 16;
+        (buf, n_at, offsets_at, offsets_at + 201 * 8)
+    }
+
+    fn format_error(buf: &[u8]) -> String {
+        match read_binary(buf) {
+            Err(IoError::Format(m)) => m,
+            Err(e) => panic!("expected a format error, got {e}"),
+            Ok(_) => panic!("expected a format error, got a graph"),
+        }
+    }
+
+    #[test]
+    fn binary_rejects_a_huge_vertex_count() {
+        let (mut buf, n_at, _, _) = snapshot();
+        buf[n_at..n_at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert!(format_error(&buf).contains("exceed the id range"));
+        // Within the id range but past the end of the input.
+        buf[n_at..n_at + 8].copy_from_slice(&(1u64 << 31).to_le_bytes());
+        assert!(format_error(&buf).contains("truncated"));
+    }
+
+    #[test]
+    fn binary_rejects_a_corrupt_offset() {
+        let (buf, _, offsets_at, _) = snapshot();
+        let at = |k: usize, x: u64| {
+            let mut b = buf.clone();
+            b[offsets_at + 8 * k..offsets_at + 8 * k + 8].copy_from_slice(&x.to_le_bytes());
+            format_error(&b)
+        };
+        assert!(at(0, 3).contains("start at 0"));
+        assert!(at(50, 1).contains("decrease"));
+        assert!(at(200, 9_999).contains("not at the"));
+    }
+
+    #[test]
+    fn binary_rejects_an_out_of_range_target() {
+        let (mut buf, _, _, targets_at) = snapshot();
+        buf[targets_at + 4 * 7..targets_at + 4 * 8].copy_from_slice(&9_999u32.to_le_bytes());
+        assert!(format_error(&buf).contains("target 9999 out of range"));
+    }
+
+    #[test]
+    fn binary_rejects_a_truncated_snapshot() {
+        let (buf, _, offsets_at, targets_at) = snapshot();
+        assert!(read_binary(&buf[..]).is_ok());
+        assert!(format_error(&buf[..buf.len() - 1]).contains("truncated in its targets"));
+        assert!(format_error(&buf[..targets_at - 3]).contains("truncated in its offsets"));
+        assert!(read_binary(&buf[..offsets_at - 5]).is_err());
     }
 
     #[test]
