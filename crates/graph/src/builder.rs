@@ -2,7 +2,9 @@
 //!
 //! The pipeline's graphs arrive as transaction edge lists (paper Figure 1);
 //! this builder is the single path from raw edges to the CSR layout every
-//! engine consumes.
+//! engine consumes. A generator that already holds its pairs sorted and
+//! unique skips the staging through `undirected_from_pairs`, which stores
+//! the same rows.
 
 use crate::csr::{Csr, Graph};
 use crate::types::{EdgeId, VertexId};
@@ -199,6 +201,48 @@ impl GraphBuilder {
     }
 }
 
+/// The symmetric, unweighted CSR of `n` vertices over the strictly
+/// ascending pair keys `a << 32 | z` with `a < z < n` — exactly the rows
+/// [`GraphBuilder`] stores for these pairs with `symmetrize(true)`, built
+/// without staging them (`community_powerlaw`'s sorted key set is the only
+/// copy of its pairs).
+///
+/// One counting pass over both endpoints, a prefix sum and one scatter in
+/// key order. Row `v` first receives its lower neighbours (the keys `(a,
+/// v)`, ascending `a`, all ordered before the keys `(v, ·)`) and then its
+/// higher ones (the keys `(v, z)`, ascending `z`), so every row comes out
+/// ascending.
+pub(crate) fn undirected_from_pairs(n: usize, keys: &[u64]) -> Graph {
+    let split = |key: u64| ((key >> 32) as VertexId, key as VertexId);
+    debug_assert!(
+        keys.windows(2).all(|w| w[0] < w[1])
+            && keys.iter().all(|&k| {
+                let (a, z) = split(k);
+                a < z && (z as usize) < n
+            }),
+        "pair keys must be strictly ascending with a < z < n"
+    );
+    let mut offsets = vec![0 as EdgeId; n + 1];
+    for &key in keys {
+        let (a, z) = split(key);
+        offsets[a as usize + 1] += 1;
+        offsets[z as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut targets = vec![0 as VertexId; 2 * keys.len()];
+    let mut cursor = offsets.clone();
+    for &key in keys {
+        let (a, z) = split(key);
+        targets[cursor[a as usize] as usize] = z;
+        cursor[a as usize] += 1;
+        targets[cursor[z as usize] as usize] = a;
+        cursor[z as usize] += 1;
+    }
+    Graph::undirected(Csr::from_parts(offsets, targets, None))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,6 +338,40 @@ mod tests {
             prop_assert_eq!(got.is_undirected(), oracle.is_undirected());
             prop_assert!(same_bits(got.incoming(), oracle.incoming()));
             prop_assert!(same_bits(got.outgoing(), oracle.outgoing()));
+        }
+
+        /// The direct CSR equals `GraphBuilder`'s symmetrized build of the
+        /// same pairs: random strictly ascending `a < z < n` pair sets over
+        /// up to 64 vertices, from empty through dense, with empty rows and,
+        /// half the time, an edge to vertex `n − 1`.
+        #[test]
+        fn direct_csr_equals_the_builder(
+            n in 2usize..=64,
+            raw in prop::collection::vec((0usize..64, 0usize..64), 0..300),
+            touch_last in any::<bool>(),
+        ) {
+            let mut pairs: std::collections::BTreeSet<(usize, usize)> = raw
+                .iter()
+                .map(|&(x, y)| (x % n, y % n))
+                .filter(|&(x, y)| x != y)
+                .map(|(x, y)| (x.min(y), x.max(y)))
+                .collect();
+            if touch_last {
+                pairs.insert((0, n - 1));
+            }
+            let keys: Vec<u64> = pairs.iter().map(|&(a, z)| (a as u64) << 32 | z as u64).collect();
+            let direct = undirected_from_pairs(n, &keys);
+            let mut b = GraphBuilder::new(n);
+            for &(a, z) in &pairs {
+                b.add_edge(a as VertexId, z as VertexId);
+            }
+            b.symmetrize(true);
+            let built = b.build();
+            prop_assert_eq!(direct.incoming().offsets(), built.incoming().offsets());
+            prop_assert_eq!(direct.incoming().targets(), built.incoming().targets());
+            prop_assert_eq!(direct.incoming().weights(), None);
+            prop_assert_eq!(built.incoming().weights(), None);
+            prop_assert!(direct.is_undirected() && built.is_undirected());
         }
     }
 

@@ -8,7 +8,7 @@
 //! the CMS+HT shared-memory design effective ("two neighbors of a vertex
 //! often share the same label").
 
-use crate::builder::GraphBuilder;
+use crate::builder::undirected_from_pairs;
 use crate::csr::Graph;
 use crate::types::VertexId;
 use rand::{Rng, SeedableRng};
@@ -129,6 +129,10 @@ pub fn community_powerlaw(cfg: &CommunityPowerLawConfig) -> Graph {
 /// Like [`community_powerlaw`], additionally returning the planted
 /// community of every vertex — the ground truth for detection-quality
 /// measurements (NMI/purity against LP's output).
+///
+/// The undirected pairs live in one buffer at a time: round 1's draws
+/// become the key set, the samplers are gone before the CSR is allocated,
+/// and the CSR is written straight from the sorted keys.
 pub fn community_powerlaw_with_truth(cfg: &CommunityPowerLawConfig) -> (Graph, Vec<u32>) {
     assert!(cfg.num_vertices >= 2, "need at least 2 vertices");
     assert!(cfg.gamma > 1.0, "power-law exponent must exceed 1");
@@ -153,8 +157,33 @@ pub fn community_powerlaw_with_truth(cfg: &CommunityPowerLawConfig) -> (Graph, V
         .map(|_| comm_sampler.sample(&mut rng) as u32)
         .collect();
 
+    // Undirected pair count: |E| = avg_degree * n counts both directions.
+    let target_pairs = ((cfg.avg_degree * n as f64) / 2.0).round() as usize;
+    let mut keys = draw_pairs(cfg, &mut rng, weights, &community, target_pairs);
+    cut_to(&mut keys, target_pairs, &mut rng);
+    (undirected_from_pairs(n, &keys), community)
+}
+
+/// Draws the sorted, duplicate-free undirected pair keys `a << 32 | z`
+/// (`a < z`). Degree-weighted sampling repeatedly hits hubs, so duplicates
+/// are common; this resamples until the *unique* pair count reaches
+/// `target_pairs` (bounded rounds — heavy skew can make the target
+/// unreachable), so the set may fall short of it or overshoot it.
+///
+/// Round 1's buffer becomes the key set, and it never reallocates: a later
+/// round starts below the target, so merging its `≤ deficit + deficit/8 +
+/// 16` keys stays within round 1's `target + target/8 + 16`. The samplers
+/// and `weights` are dropped on return.
+fn draw_pairs(
+    cfg: &CommunityPowerLawConfig,
+    rng: &mut ChaCha8Rng,
+    weights: Vec<f64>,
+    community: &[u32],
+    target_pairs: usize,
+) -> Vec<u64> {
     // Per-community member lists with their own cumulative samplers.
-    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); ncomm];
+    let mut members: Vec<Vec<VertexId>> =
+        vec![Vec::new(); cfg.num_communities.clamp(1, cfg.num_vertices)];
     for (v, &c) in community.iter().enumerate() {
         members[c as usize].push(v as VertexId);
     }
@@ -166,29 +195,24 @@ pub fn community_powerlaw_with_truth(cfg: &CommunityPowerLawConfig) -> (Graph, V
         .collect();
     let global = CumSampler::new(weights.iter().copied());
 
-    // Undirected pair count: |E| = avg_degree * n counts both directions.
-    // Degree-weighted sampling repeatedly hits hubs, so duplicates are
-    // common; resample until the *unique* pair count reaches the target
-    // (bounded rounds — heavy skew can make the target unreachable).
-    let target_pairs = ((cfg.avg_degree * n as f64) / 2.0).round() as usize;
-    let mut keys: Vec<u64> = Vec::with_capacity(target_pairs + target_pairs / 4);
-    let mut drawn: Vec<u64> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
     for _ in 0..6 {
         let deficit = target_pairs.saturating_sub(keys.len());
         if deficit == 0 {
             break;
         }
         // Oversample slightly; later rounds shrink geometrically.
-        drawn.clear();
-        for _ in 0..(deficit + deficit / 8 + 16) {
-            let src = global.sample(&mut rng) as VertexId;
+        let draws = deficit + deficit / 8 + 16;
+        let mut drawn: Vec<u64> = Vec::with_capacity(draws);
+        for _ in 0..draws {
+            let src = global.sample(rng) as VertexId;
             let dst = if rng.gen::<f64>() < cfg.mixing {
-                global.sample(&mut rng) as VertexId
+                global.sample(rng) as VertexId
             } else {
                 let c = community[src as usize] as usize;
                 match &comm_samplers[c] {
-                    Some(s) => members[c][s.sample(&mut rng)],
-                    None => global.sample(&mut rng) as VertexId,
+                    Some(s) => members[c][s.sample(rng)],
+                    None => global.sample(rng) as VertexId,
                 }
             };
             if src != dst {
@@ -200,24 +224,32 @@ pub fn community_powerlaw_with_truth(cfg: &CommunityPowerLawConfig) -> (Graph, V
         // a merge, equal to sorting and deduplicating everything.
         drawn.sort_unstable();
         drawn.dedup();
-        merge_unique(&mut keys, &drawn);
-    }
-    // Truncate the overshoot *after shuffling*: the keys are sorted (for
-    // dedup), so truncating in place would drop only the highest-id edges
-    // and bias the degree distribution against high-id vertices.
-    if keys.len() > target_pairs {
-        for i in (1..keys.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            keys.swap(i, j);
+        if keys.is_empty() {
+            keys = drawn;
+        } else {
+            merge_unique(&mut keys, &drawn);
         }
-        keys.truncate(target_pairs);
     }
-    let mut b = GraphBuilder::with_capacity(n, keys.len());
-    for key in keys {
-        b.add_edge((key >> 32) as VertexId, key as VertexId);
+    keys
+}
+
+/// Cuts the sorted key set down to `target` keys chosen uniformly, and
+/// leaves the survivors sorted. Truncating the sorted keys in place would
+/// drop only the highest-id edges and bias the degree distribution against
+/// high-id vertices, so the cut follows a Fisher–Yates shuffle from the
+/// top. That shuffle never touches position `i` again after step `i`: its
+/// steps `len−1 … target` fix which keys are cut and the steps below
+/// `target` only permute the survivors, so it stops at `target`.
+fn cut_to(keys: &mut Vec<u64>, target: usize, rng: &mut ChaCha8Rng) {
+    if keys.len() <= target {
+        return;
     }
-    b.symmetrize(true);
-    (b.build(), community)
+    for i in (target..keys.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        keys.swap(i, j);
+    }
+    keys.truncate(target);
+    keys.sort_unstable();
 }
 
 /// Merges the sorted, duplicate-free `drawn` into the sorted,
@@ -284,6 +316,56 @@ mod tests {
                 prop_assert_eq!(s.index_of(x), partition_index(&s, x), "x = {}", x);
             }
         }
+    }
+
+    /// Stopping the cut's shuffle at `target` keeps the full shuffle's
+    /// survivors on a config that overshoots by many keys, and spends one
+    /// draw per cut key. A stop one step later keeps the key at `target`
+    /// unswapped (another survivor set); one step earlier spends a draw too
+    /// many.
+    #[test]
+    fn early_stopped_cut_keeps_the_full_shuffles_survivors() {
+        let cfg = CommunityPowerLawConfig {
+            num_vertices: 20_000,
+            avg_degree: 2.0,
+            // Near-uniform weights draw few duplicates: round 1 overshoots.
+            gamma: 8.0,
+            ..Default::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let n = cfg.num_vertices;
+        let weights = (0..n).map(|i| ((i + 1) as f64).powf(-1.0 / (cfg.gamma - 1.0)));
+        let community: Vec<u32> = (0..n).map(|v| (v % cfg.num_communities) as u32).collect();
+        let target = n;
+        let keys = draw_pairs(&cfg, &mut rng, weights.collect(), &community, target);
+        assert!(
+            keys.len() > target + 1_000,
+            "overshoot {}",
+            keys.len() - target
+        );
+
+        let mut early = keys.clone();
+        let mut early_rng = rng.clone();
+        cut_to(&mut early, target, &mut early_rng);
+
+        let mut full = keys.clone();
+        let mut full_rng = rng.clone();
+        for i in (1..full.len()).rev() {
+            let j = full_rng.gen_range(0..=i);
+            full.swap(i, j);
+        }
+        full.truncate(target);
+        full.sort_unstable();
+        assert!(early == full, "the early stop cut other keys");
+
+        for i in (target..keys.len()).rev() {
+            rng.gen_range(0..=i);
+        }
+        assert_eq!(
+            early_rng.gen::<u64>(),
+            rng.gen::<u64>(),
+            "one draw per cut key"
+        );
     }
 
     #[test]

@@ -107,19 +107,43 @@ const BENCHMARK: [(&str, u64, u64, u64); 4] = [
     ("twitter", 8192, 3, 2927089262875288622),
 ];
 
-#[test]
-fn benchmark_graphs_keep_their_bytes() {
-    let got: Vec<_> = BENCHMARK
-        .iter()
+/// Each row's name, divisor and seed with the fingerprint its graph has now.
+fn benchmark_rows(rows: &[(&'static str, u64, u64, u64)]) -> Vec<(&'static str, u64, u64, u64)> {
+    rows.iter()
         .map(|&(name, divisor, seed, _)| {
             let spec = by_name(name).unwrap();
-            (
-                name,
-                divisor,
-                seed,
-                fingerprint(&benchmark_graph(&spec, divisor, seed)),
-            )
+            let hash = fingerprint(&benchmark_graph(&spec, divisor, seed));
+            (name, divisor, seed, hash)
         })
-        .collect();
-    assert_eq!(got, BENCHMARK, "a benchmark graph changed");
+        .collect()
+}
+
+#[test]
+fn benchmark_graphs_keep_their_bytes() {
+    assert_eq!(
+        benchmark_rows(&BENCHMARK),
+        BENCHMARK,
+        "a benchmark graph changed"
+    );
+}
+
+/// `lp_outofcore`'s own inputs: twitter/512 at seed offsets 2 and 3, the
+/// two graphs the benchmark's `--seed 1` generates. About 6 s each
+/// unoptimised, so they run in release builds only.
+const OUTOFCORE: [(&str, u64, u64, u64); 2] = [
+    ("twitter", 512, 2, 5388662482519621190),
+    ("twitter", 512, 3, 10874671566280760628),
+];
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 12 s unoptimised; run with --release"
+)]
+fn outofcore_graphs_keep_their_bytes() {
+    assert_eq!(
+        benchmark_rows(&OUTOFCORE),
+        OUTOFCORE,
+        "an lp_outofcore graph changed"
+    );
 }
