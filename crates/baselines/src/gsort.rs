@@ -73,8 +73,8 @@ impl Engine for GSortLp {
     }
 
     /// Runs `prog` on `g`. Faults on the modeled device (only possible
-    /// with `glp-gpusim/fault-injection` active) surface as [`EngineError`];
-    /// device memory is released either way.
+    /// with a fault plan attached) surface as [`EngineError`]; device
+    /// memory is released either way.
     fn run(
         &mut self,
         g: &Graph,

@@ -4,13 +4,11 @@ use crate::config::DeviceConfig;
 use crate::cost::CostModel;
 use crate::counters::KernelCounters;
 use crate::error::DeviceError;
-#[cfg(feature = "fault-injection")]
 use crate::faults::{FaultKind, FaultPlan};
 use crate::kernel::KernelCtx;
 use glp_trace::{Category, Clock, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
-#[cfg(feature = "fault-injection")]
 use std::sync::Arc;
 
 /// Process-unique device ids, so error reports can name a specific card
@@ -20,7 +18,7 @@ static NEXT_DEVICE_ID: AtomicU32 = AtomicU32::new(0);
 /// A simulated GPU accumulating modeled time and event totals.
 ///
 /// Every launch and upload is fallible: faults read from an attached
-/// [`FaultPlan`](crate::faults::FaultPlan) (feature `fault-injection`), a
+/// [`FaultPlan`](crate::faults::FaultPlan), a
 /// natural device-memory overflow, a panicking kernel shard, or a device
 /// already marked lost all surface as [`DeviceError`]s instead of panics,
 /// so the engine layer above can retry, resume, or degrade.
@@ -51,7 +49,6 @@ pub struct Device {
     kernel_log: Vec<KernelRecord>,
     tracer: Option<Tracer>,
     /// The attached plan and this device's launches and uploads since.
-    #[cfg(feature = "fault-injection")]
     faults: Option<(Arc<FaultPlan>, [u64; 2])>,
 }
 
@@ -80,7 +77,6 @@ impl Device {
             lost: false,
             kernel_log: Vec::new(),
             tracer: None,
-            #[cfg(feature = "fault-injection")]
             faults: None,
         }
     }
@@ -118,19 +114,18 @@ impl Device {
         self.tracer = tracer;
     }
 
-    /// Attaches (or detaches, with `None`) a fault plan (feature
-    /// `fault-injection`). The launch boundary — plain, fused, sharded and
-    /// repeated launches alike — and [`Self::upload`] read it: a
+    /// Attaches (or detaches, with `None`) a fault plan. The launch
+    /// boundary — plain, fused, sharded and repeated launches alike — and
+    /// [`Self::upload`] read it: a
     /// [`Fault::Device`](crate::faults::Fault::Device) fires at this
     /// device's `at`-th launch (upload, for `Oom`) counted from here.
-    #[cfg(feature = "fault-injection")]
+    /// With no plan attached each boundary is one `Option` test.
     pub fn set_faults(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.faults = plan.map(|plan| (plan, [0, 0]));
     }
 
     /// Counts one launch (`upload`: one upload) against the attached plan
     /// and returns the failure due there, if any.
-    #[cfg(feature = "fault-injection")]
     fn fault_due(&mut self, upload: bool) -> Option<FaultKind> {
         let (plan, seen) = self.faults.as_mut()?;
         let index = seen[usize::from(upload)];
@@ -162,11 +157,9 @@ impl Device {
     /// Checks the launch boundary: lost devices and faults the attached
     /// plan has due turn into errors before any kernel code runs.
     fn pre_launch(&mut self, kernel: &'static str) -> Result<(), DeviceError> {
-        let _ = kernel;
         if self.lost {
             return Err(DeviceError::Lost { device: self.id });
         }
-        #[cfg(feature = "fault-injection")]
         if let Some(kind) = self.fault_due(false) {
             return Err(match kind {
                 FaultKind::LaunchFail => DeviceError::LaunchFailed {
@@ -382,15 +375,13 @@ impl Device {
     /// Fails with [`DeviceError::OutOfMemory`] when the copy would exceed
     /// device memory — callers should fall back to the hybrid out-of-core
     /// mode (that is the paper's own rule) — and with
-    /// [`DeviceError::Lost`] on a lost device. Under `fault-injection`, an
-    /// `Oom` fault the attached plan has due fails the upload even when
-    /// the bytes would fit (simulated fragmentation / exhaustion by a
-    /// co-tenant).
+    /// [`DeviceError::Lost`] on a lost device. An `Oom` fault the attached
+    /// plan has due fails the upload even when the bytes would fit
+    /// (simulated fragmentation / exhaustion by a co-tenant).
     pub fn upload(&mut self, bytes: u64) -> Result<(), DeviceError> {
         if self.lost {
             return Err(DeviceError::Lost { device: self.id });
         }
-        #[cfg(feature = "fault-injection")]
         if self.fault_due(true).is_some() {
             return Err(DeviceError::OutOfMemory {
                 device: self.id,

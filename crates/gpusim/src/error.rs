@@ -5,10 +5,9 @@
 //! [`launch`](crate::Device::launch),
 //! [`launch_parallel`](crate::Device::launch_parallel) and
 //! [`upload`](crate::Device::upload) — returns one of these errors, which
-//! the engine layer converts into its own `EngineError`. Under the
-//! `fault-injection` feature a fault plan attached to the device
-//! (`Device::set_faults`) raises them on a deterministic schedule, so the
-//! whole recovery path can be rehearsed.
+//! the engine layer converts into its own `EngineError`. A fault plan
+//! attached to the device (`Device::set_faults`) raises them on a
+//! deterministic schedule, so the whole recovery path can be rehearsed.
 
 use std::fmt;
 

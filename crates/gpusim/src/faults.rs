@@ -1,5 +1,5 @@
-//! Deterministic fault injection (feature `fault-injection` only): one
-//! [`FaultPlan`], read by every layer where its faults fire.
+//! Deterministic fault injection: one [`FaultPlan`], read by every layer
+//! where its faults fire.
 //!
 //! A plan is a list of [`Fault`]s pinned to *logical* indices — a device's
 //! launch or upload count, a service's batch or recluster count, a fleet
@@ -27,7 +27,8 @@
 //!
 //! Nothing here is global or per thread. A plan fires only for whoever
 //! holds it, so concurrently running tests cannot trip each other's
-//! faults.
+//! faults. Plans are always compiled: a holder with none attached pays one
+//! `Option` test per hook and fires nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -351,7 +352,7 @@ impl FaultPlan {
     /// Panics with the fault's description if [`Self::take`] claims one.
     fn panic_if_due(&self, index: u64, at: impl Fn(&Fault) -> Option<u64>) {
         if let Some(f) = self.take(index, at) {
-            panic!("fault-injection: {}", f.describe());
+            panic!("injected fault: {}", f.describe());
         }
     }
 

@@ -36,7 +36,6 @@ pub mod cost;
 pub mod counters;
 pub mod device;
 pub mod error;
-#[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod host;
 pub mod kernel;

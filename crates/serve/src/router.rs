@@ -83,7 +83,6 @@ use crate::supervisor::{panic_message, WorkerOutcome};
 use crate::swap::EpochCell;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::unpoison;
-#[cfg(feature = "fault-injection")]
 use crate::FaultPlan;
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::journal::{FleetWal, WalRecord};
@@ -211,7 +210,6 @@ pub struct FleetCore {
     /// Workers of one fan-out round ([`Self::fan_out`]):
     /// `min(shards, available_parallelism)`, read once at construction.
     workers: usize,
-    #[cfg(feature = "fault-injection")]
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -362,7 +360,6 @@ impl FleetCore {
             failover_blocked,
             boundary,
             workers,
-            #[cfg(feature = "fault-injection")]
             faults: None,
         }
     }
@@ -416,11 +413,10 @@ impl FleetCore {
         done.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Attaches a fault plan (feature `fault-injection`): the routed
-    /// apply consults [`FaultPlan::maybe_panic_shard`] per shard per
-    /// fleet batch, and a [`ShardRouter`]'s router worker its batcher
-    /// hooks.
-    #[cfg(feature = "fault-injection")]
+    /// Attaches a fault plan: the routed apply consults
+    /// [`FaultPlan::maybe_panic_shard`] per shard per fleet batch, and a
+    /// [`ShardRouter`]'s router worker its batcher hooks. Without one,
+    /// each hook is a single `Option` test.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
         self
@@ -513,7 +509,6 @@ impl FleetCore {
         // stay dense for replay), then fan out — a crash from here on
         // loses nothing that was accepted.
         self.journal(fleet_batch, end, &accepted);
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = &self.faults {
             plan.maybe_crash_after_journal(fleet_batch);
         }
@@ -539,7 +534,6 @@ impl FleetCore {
                 continue;
             }
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
                 if let Some(plan) = &self.faults {
                     // Fires before the sub-batch lands: the shard window
                     // is untouched, the sub-batch is what's lost.
@@ -756,16 +750,13 @@ impl FleetCore {
     /// durability, never silently.
     fn journal(&self, fleet_batch: u64, watermark: u32, accepted: &[(u64, Transaction)]) {
         let Some(wal) = &self.wal else { return };
-        #[cfg(feature = "fault-injection")]
         let injected = self
             .faults
             .as_ref()
             .is_some_and(|plan| plan.wal_append_fail_due(fleet_batch));
-        #[cfg(not(feature = "fault-injection"))]
-        let injected = false;
         let result = if injected {
             Err(RecordError::Io(std::io::Error::other(
-                "fault-injection: wal-append-fail",
+                "injected fault: wal-append-fail",
             )))
         } else {
             unpoison(wal.lock()).append(fleet_batch, watermark, accepted)
@@ -1035,10 +1026,8 @@ impl ShardRouter {
         Self::start_on(FleetCore::new(cfg, partitioner, blacklist))
     }
 
-    /// Starts the fleet with a fault plan attached (feature
-    /// `fault-injection`): the router worker's batcher hooks and the
-    /// routed apply consult it.
-    #[cfg(feature = "fault-injection")]
+    /// Starts the fleet with a fault plan attached: the router worker's
+    /// batcher hooks and the routed apply consult it.
     pub fn start_with_faults(
         cfg: FleetConfig,
         partitioner: Partitioner,
@@ -1138,7 +1127,6 @@ impl Core for FleetCore {
             window_end: Arc::clone(&self.window_end),
             tracer: None,
             exchange_every: Some(self.cfg.exchange_every_batches),
-            #[cfg(feature = "fault-injection")]
             plan: self.faults.clone(),
         }
     }
@@ -1147,7 +1135,6 @@ impl Core for FleetCore {
         self.apply(batch)
     }
 
-    #[cfg(feature = "fault-injection")]
     fn applied(&self) -> u64 {
         self.batches_applied()
     }
@@ -1294,7 +1281,6 @@ mod tests {
     /// the drain is lossless, and the record corrupted after the gate is
     /// shed by the router's admit — so the fleet scores exactly what a
     /// fault-free fleet fed the stream without that record scores.
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn the_router_worker_reads_the_batcher_fault_hooks() {
         use crate::{Fault, FaultSpec};

@@ -39,7 +39,6 @@ use crate::supervisor::WorkerOutcome;
 use crate::swap::EpochCell;
 use crate::telemetry::Telemetry;
 use crate::unpoison;
-#[cfg(feature = "fault-injection")]
 use crate::FaultPlan;
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::{RecordError, Transaction};
@@ -116,7 +115,6 @@ pub struct ServiceCore {
     /// its time base; the recluster LP run nests its engine spans under
     /// the recluster span via the same handle. Fleet shards have none.
     tracer: Option<Tracer>,
-    #[cfg(feature = "fault-injection")]
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -179,7 +177,6 @@ impl ServiceCore {
             telemetry,
             batches_applied: AtomicU64::new(batches_applied),
             tracer: None,
-            #[cfg(feature = "fault-injection")]
             faults: None,
         }
     }
@@ -200,14 +197,12 @@ impl ServiceCore {
     }
 
     /// Attaches a fault plan; every hook in the worker loops consults it.
-    #[cfg(feature = "fault-injection")]
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
         self
     }
 
     /// The attached fault plan, if any.
-    #[cfg(feature = "fault-injection")]
     pub fn faults(&self) -> Option<&Arc<FaultPlan>> {
         self.faults.as_ref()
     }
@@ -396,7 +391,6 @@ impl ServiceCore {
         batch: &[(u64, Transaction)],
         watermark: u32,
     ) -> u64 {
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = &self.faults {
             // Fires while the window mutex is held: poisons the lock.
             plan.maybe_panic_in_apply(self.batches_applied());
@@ -490,17 +484,14 @@ impl ServiceCore {
             self.verdicts.epoch(),
             self.telemetry.counters_snapshot(),
         );
-        #[cfg(feature = "fault-injection")]
         let injected = self
             .faults
             .as_ref()
             .is_some_and(|plan| plan.checkpoint_fail_due(ckpt.batches_applied));
-        #[cfg(not(feature = "fault-injection"))]
-        let injected = false;
         // The write itself runs outside the window lock.
         let written = if injected {
             Err(RecordError::Io(std::io::Error::other(
-                "fault-injection: checkpoint-fail",
+                "injected fault: checkpoint-fail",
             )))
         } else {
             ckpt.write_atomic(path)
@@ -623,11 +614,9 @@ impl FraudService {
         Self::start_on(ServiceCore::new(cfg, blacklist))
     }
 
-    /// Starts the service with a fault plan attached (feature
-    /// `fault-injection`): every hook in the worker loops consults the
-    /// plan, so the scheduled faults fire at their batch/recluster
-    /// indices.
-    #[cfg(feature = "fault-injection")]
+    /// Starts the service with a fault plan attached: every hook in the
+    /// worker loops consults the plan, so the scheduled faults fire at
+    /// their batch/recluster indices.
     pub fn start_with_faults(cfg: ServeConfig, blacklist: Vec<u32>, plan: Arc<FaultPlan>) -> Self {
         Self::start_on(ServiceCore::new(cfg, blacklist).with_faults(plan))
     }
@@ -719,7 +708,6 @@ impl Core for ServiceCore {
             window_end: Arc::clone(&self.window_end),
             tracer: self.tracer.clone(),
             exchange_every: None,
-            #[cfg(feature = "fault-injection")]
             plan: self.faults.clone(),
         }
     }
@@ -728,7 +716,6 @@ impl Core for ServiceCore {
         self.apply(batch)
     }
 
-    #[cfg(feature = "fault-injection")]
     fn applied(&self) -> u64 {
         self.batches_applied()
     }
@@ -751,7 +738,6 @@ mod tests {
     use glp_fraud::{TxConfig, TxStream};
     use std::thread;
     use std::time::Duration;
-    #[cfg(feature = "fault-injection")]
     use {
         crate::shell::recluster_loop,
         crate::supervisor::{supervise, RestartPolicy},
@@ -994,7 +980,6 @@ mod tests {
     /// kernel — is served there: the poke that claims it publishes no
     /// sooner than the stall ends, and the full recluster after it, on the
     /// same worker thread, is not slowed by it.
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn a_stall_is_served_by_the_recluster_that_claims_it() {
         use crate::Fault;
@@ -1044,7 +1029,6 @@ mod tests {
         worker.join().expect("worker exits cleanly");
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn a_restarted_recluster_worker_serves_the_poke_its_crash_lost() {
         use crate::Fault;

@@ -26,7 +26,6 @@ use crate::ingest::{open_ingest, Batcher, IngestGate, Submitted};
 use crate::service::ServiceCore;
 use crate::supervisor::{supervise, RestartPolicy, WorkerExit, WorkerOutcome, WorkerStatus};
 use crate::telemetry::Telemetry;
-#[cfg(feature = "fault-injection")]
 use crate::FaultPlan;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use glp_trace::{Category, Clock, Tracer};
@@ -52,7 +51,6 @@ pub(crate) struct Front {
     /// The exchange worker's cadence in batches; `None` starts none.
     pub(crate) exchange_every: Option<u64>,
     /// The plan the batcher fault hooks read.
-    #[cfg(feature = "fault-injection")]
     pub(crate) plan: Option<Arc<FaultPlan>>,
 }
 
@@ -64,7 +62,6 @@ pub(crate) trait Core: Send + Sync + 'static {
     /// Applies one drained micro-batch; returns the new batch count.
     fn apply_batch(&self, batch: &[Submitted]) -> u64;
     /// Batches applied so far: the index the batcher fault hooks read.
-    #[cfg(feature = "fault-injection")]
     fn applied(&self) -> u64;
     /// Writes the configured checkpoint. A failure is counted, not fatal:
     /// the previous image on disk survives.
@@ -201,7 +198,6 @@ fn front_loop<C: Core>(
             poke_live();
             thread::sleep(Duration::from_micros(200));
         }
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = &front.plan {
             // Fires *before* the batch is drained: the queued
             // transactions survive the panic and the restarted worker
@@ -217,15 +213,12 @@ fn front_loop<C: Core>(
         if let Some(t) = &front.tracer {
             t.end(t.wall_now());
         }
-        let Ok(batch) = next else {
+        let Ok(mut batch) = next else {
             return WorkerExit::Finished;
         };
         if batch.is_empty() {
             continue; // idle tick
         }
-        #[cfg(feature = "fault-injection")]
-        let mut batch = batch;
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = &front.plan {
             if plan.corrupt_due(core.applied()) {
                 // A corrupt record materializing inside the pipeline,
@@ -280,7 +273,6 @@ pub(crate) fn recluster_loop(
             continue;
         }
         owed.set(true);
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = core.faults() {
             // A stall is served here, full or incremental recluster alike,
             // and claimed under the recluster lock it holds: every other

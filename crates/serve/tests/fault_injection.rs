@@ -1,14 +1,12 @@
-//! Fault-injection pins (feature `fault-injection`): every recovery
-//! claim the fault-tolerance layer makes is demonstrated against an
-//! injected fault, not asserted on faith.
+//! Fault-injection pins: every recovery claim the fault-tolerance layer
+//! makes is demonstrated against an injected fault, not asserted on
+//! faith.
 //!
 //! The central pin: a batcher panic at a seeded batch index, caught and
 //! restarted by the supervisor, yields a final snapshot **byte-identical**
 //! to the fault-free run — the panic hook fires before the batch is
 //! drained, so the queued transactions survive the crash and recovery is
 //! lossless by construction.
-
-#![cfg(feature = "fault-injection")]
 
 use glp_fraud::{TxConfig, TxStream};
 use glp_serve::{

@@ -1,5 +1,4 @@
-//! Recluster-stall injection (feature `fault-injection`): the recluster
-//! worker serves a `ReclusterStall` itself, holding the recluster lock, so
+//! Recluster-stall injection: the recluster worker serves a `ReclusterStall` itself, holding the recluster lock, so
 //! the whole stack above it experiences a slow recluster.
 //!
 //! Pins the staleness gate's contract under a slow recluster: verdict
@@ -7,8 +6,6 @@
 //! into counted shedding at the full queue, and `health()` reports
 //! `Degraded` while the served snapshot is stale — then everything
 //! recovers once the stalled recluster completes.
-
-#![cfg(feature = "fault-injection")]
 
 use glp_serve::{Fault, FaultPlan, FraudService, HealthState, ServeConfig, ShedPolicy};
 use std::sync::atomic::Ordering;

@@ -14,13 +14,9 @@
 //!   journaled-but-unapplied batch exactly once.
 
 use glp_fraud::Transaction;
-use glp_serve::{FleetConfig, FleetCore, HealthState, Partitioner, ShardRouter};
+use glp_serve::{Fault, FaultPlan, FleetConfig, FleetCore, HealthState, Partitioner, ShardRouter};
 use glp_test_support::regional_stream;
 use std::path::{Path, PathBuf};
-
-#[cfg(feature = "fault-injection")]
-use glp_serve::{Fault, FaultPlan};
-#[cfg(feature = "fault-injection")]
 use std::sync::Arc;
 
 const SHARDS: usize = 3;
@@ -68,7 +64,6 @@ fn cleanup(base: &Path, wal: &Path) {
     let _ = std::fs::remove_dir_all(wal);
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn killed_shard_rebuilds_automatically_and_stays_byte_identical() {
     let s = regional_stream();
@@ -261,7 +256,6 @@ fn recover_rebuilds_a_missing_shard_checkpoint_from_the_journal() {
     cleanup(&base, &wal);
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn journal_append_failure_degrades_but_never_stops_scoring() {
     let s = regional_stream();
@@ -307,7 +301,6 @@ fn journal_append_failure_degrades_but_never_stops_scoring() {
     let _ = std::fs::remove_dir_all(&wal);
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn crash_between_journal_and_fanout_replays_exactly_once() {
     let s = regional_stream();
@@ -358,7 +351,6 @@ fn crash_between_journal_and_fanout_replays_exactly_once() {
     let _ = std::fs::remove_dir_all(&wal);
 }
 
-#[cfg(feature = "fault-injection")]
 #[test]
 fn threaded_fleet_auto_heals_a_killed_shard() {
     use std::sync::atomic::Ordering;

@@ -1,11 +1,9 @@
-//! Shard-loss chaos pins (feature `fault-injection`): killing one shard
-//! mid-stream must *degrade* the fleet — its keyspace sheds while every
-//! surviving shard keeps serving verdicts identical to a fault-free run
-//! — never take the whole service down. This is the sharded subsystem's
+//! Shard-loss chaos pins: killing one shard mid-stream must *degrade* the
+//! fleet — its keyspace sheds while every surviving shard keeps serving
+//! verdicts identical to a fault-free run — never take the whole service
+//! down. This is the sharded subsystem's
 //! core availability claim, demonstrated against injected panics rather
 //! than asserted on faith.
-
-#![cfg(feature = "fault-injection")]
 
 use glp_fraud::Transaction;
 use glp_serve::{

@@ -16,7 +16,7 @@
 //! sweep never sit on a ladder, and the sweep is checked against its own
 //! dense run.
 
-pub use self::{Fault::*, Program::*, Rig::*};
+pub use self::{Program::*, Rig::*};
 use crate::{MixLp, SaltedLp};
 use glp_baselines::{CpuLp, CpuLpConfig, GHashLp, GSortLp};
 use glp_core::engine::DegreeThresholds;
@@ -27,6 +27,8 @@ use glp_core::{
 };
 pub use glp_core::{FrontierMode, FrontierMode::*, MflStrategy, MflStrategy::*};
 use glp_fraud::InHouseLp;
+use glp_gpusim::faults::{Fault, FaultPlan};
+pub use glp_gpusim::faults::{FaultKind, FaultKind::*};
 use glp_gpusim::{Device, DeviceConfig};
 use glp_graph::{EdgeId, Graph, GraphBuilder, Label, VertexId};
 use glp_trace::{Category, Kind, Tracer};
@@ -84,7 +86,7 @@ impl Rig {
         self.armed(g, None)
     }
 
-    fn armed(self, g: &Graph, plan: Option<&Plan>) -> Box<dyn Engine> {
+    fn armed(self, g: &Graph, plan: Option<&Arc<FaultPlan>>) -> Box<dyn Engine> {
         match self {
             GHash => Box::new(GHashLp::new(device(DeviceConfig::titan_v(), plan))),
             Async => Box::new(SequentialEngine::new()),
@@ -92,7 +94,7 @@ impl Rig {
         }
     }
 
-    fn rung(self, g: &Graph, plan: Option<&Plan>) -> Box<dyn BspEngine> {
+    fn rung(self, g: &Graph, plan: Option<&Arc<FaultPlan>>) -> Box<dyn BspEngine> {
         let (cpu, titan_v) = (CpuLpConfig::default(), DeviceConfig::titan_v());
         let streamed = g.num_vertices() as u64 * 20 + g.size_bytes() / 3;
         match self {
@@ -103,7 +105,7 @@ impl Rig {
             ))),
             Multi2 | Multi3 => {
                 let mut e = MultiGpuEngine::titan_v(if self == Multi2 { 2 } else { 3 });
-                arm(e.gpus_mut().device_mut(0), plan);
+                e.gpus_mut().device_mut(0).set_faults(plan.cloned());
                 Box::new(e)
             }
             HostBsp => Box::new(SequentialEngine::bsp()),
@@ -117,43 +119,14 @@ impl Rig {
     }
 }
 
-/// The fault plan a case attaches to its first device.
-#[cfg(feature = "fault-injection")]
-type Plan = Arc<glp_gpusim::faults::FaultPlan>;
-#[cfg(not(feature = "fault-injection"))]
-type Plan = std::convert::Infallible;
-
-fn device(cfg: DeviceConfig, plan: Option<&Plan>) -> Device {
+fn device(cfg: DeviceConfig, plan: Option<&Arc<FaultPlan>>) -> Device {
     let mut d = Device::new(cfg);
-    arm(&mut d, plan);
+    d.set_faults(plan.cloned());
     d
 }
 
-#[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
-fn arm(d: &mut Device, plan: Option<&Plan>) {
-    #[cfg(feature = "fault-injection")]
-    d.set_faults(plan.cloned());
-}
-
-/// A device fault (`glp_gpusim::faults::FaultKind`), drawn under the
-/// `fault-injection` feature only. The first three are transient.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
-    LaunchFail,
-    Timeout,
-    ShardPanic,
-    DeviceLost,
-    Oom,
-}
-
-impl Fault {
-    /// Every fault kind.
-    const ALL: [Fault; 5] = [LaunchFail, Timeout, ShardPanic, DeviceLost, Oom];
-
-    fn transient(self) -> bool {
-        matches!(self, LaunchFail | Timeout | ShardPanic)
-    }
-}
+/// Every device fault kind, in draw order. The first three are transient.
+const FAULTS: [FaultKind; 5] = [LaunchFail, Timeout, ShardPanic, DeviceLost, Oom];
 
 /// The LP program: the seven variants of `glp-core` ([`Program::build`] has
 /// their parameters; LLP's γ is drawn from 0, 1, 2 and 16), then [`MixLp`]
@@ -231,7 +204,7 @@ pub struct Case {
     pub warm: Option<u32>,
     /// A fault on the first rung's first device at this launch (upload, for
     /// [`Oom`]) index.
-    pub fault: Option<(Fault, u32)>,
+    pub fault: Option<(FaultKind, u32)>,
 }
 
 impl Default for Case {
@@ -295,8 +268,8 @@ impl Case {
             true => (0..=below(s, 3)).map(|_| pick(s, &rungs)).collect(),
             false => vec![pick(s, &Rig::ALL)],
         };
-        let (program, fault) = (pick(s, &Program::ALL), (pick(s, &Fault::ALL), below(s, 40)));
-        let faulty = cfg!(feature = "fault-injection") && below(s, 2) == 0;
+        let (program, fault) = (pick(s, &Program::ALL), (pick(s, &FAULTS), below(s, 40)));
+        let faulty = below(s, 2) == 0;
         let mut case = Case {
             n,
             edges,
@@ -423,7 +396,8 @@ impl Case {
             return true;
         };
         let multi = matches!(self.rigs[0], Multi2 | Multi3);
-        (self.ladder && (kind.transient() || self.rigs.len() > 1)) || (multi && kind == DeviceLost)
+        let transient = matches!(kind, LaunchFail | Timeout | ShardPanic);
+        (self.ladder && (transient || self.rigs.len() > 1)) || (multi && kind == DeviceLost)
     }
 
     fn engine(&self, g: &Graph) -> Box<dyn Engine> {
@@ -440,28 +414,14 @@ impl Case {
         Box::new(ResilientEngine::new(rungs.collect()).with_backoff(Duration::ZERO, Duration::ZERO))
     }
 
-    #[cfg(feature = "fault-injection")]
-    fn plan(&self) -> Option<Plan> {
-        use glp_gpusim::faults::{self, FaultKind as K, FaultPlan};
-        let (fault, at) = self.fault?;
-        let kind = [
-            K::LaunchFail,
-            K::Timeout,
-            K::ShardPanic,
-            K::DeviceLost,
-            K::Oom,
-        ][fault as usize];
-        let at = at.into();
-        Some(Arc::new(FaultPlan::new([faults::Fault::Device {
+    /// The fault plan the case attaches to its first device.
+    fn plan(&self) -> Option<Arc<FaultPlan>> {
+        let (kind, at) = self.fault?;
+        let fault = Fault::Device {
             kind,
-            at,
-        }])))
-    }
-
-    #[cfg(not(feature = "fault-injection"))]
-    fn plan(&self) -> Option<Plan> {
-        assert!(self.fault.is_none(), "a fault case needs `fault-injection`");
-        None
+            at: at.into(),
+        };
+        Some(Arc::new(FaultPlan::new([fault])))
     }
 
     /// Every case one shrinking step away: fewer vertices, a lower cap, no
@@ -747,9 +707,9 @@ pub fn sweep(cases: u64, seed: u64, shape: impl Fn(&mut Case)) -> BTreeSet<Strin
 
 /// What a sweep should have drawn and run but did not: every engine, ladder
 /// shape, program (LLP at every γ), frontier mode, strategy, shard count,
-/// hook / tracer / warm-start / table flag and (under `fault-injection`)
-/// fault kind, all four propagation kernels, the CMS+HT global fallback and
-/// a run of two iterations or more.
+/// hook / tracer / warm-start / table flag and fault kind, all four
+/// propagation kernels, the CMS+HT global fallback and a run of two
+/// iterations or more.
 pub fn coverage_gaps(seen: &BTreeSet<String>) -> Vec<String> {
     let mut want: Vec<String> = Rig::ALL.iter().map(|r| format!("{r:?}")).collect();
     want.extend((0..=3).map(|k| format!("ladder: {} of {}", k > 0, k.max(1))));
@@ -763,9 +723,7 @@ pub fn coverage_gaps(seen: &BTreeSet<String>) -> Vec<String> {
     let fixed = "shards: 1,shards: 3,warm: None,warm: Some,lp_warp_packed,lp_warp_per_vertex,\
                  lp_block_cms_ht,lp_global_hash,fallback,2+ iterations";
     want.extend(fixed.split(',').map(String::from));
-    if cfg!(feature = "fault-injection") {
-        want.extend(Fault::ALL.iter().map(|f| format!("{f:?}")));
-    }
+    want.extend(FAULTS.iter().map(|f| format!("{f:?}")));
     want.retain(|w| !seen.contains(w));
     want
 }

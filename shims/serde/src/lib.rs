@@ -4,8 +4,9 @@
 //! derives them on plain-old-data config/counter structs but never drives
 //! serde's data model (JSON output goes through the `serde_json` shim's
 //! [`Value`](../serde_json/enum.Value.html) type directly). The derive
-//! macros are re-exported from the `serde_derive` shim, mirroring the real
-//! crate's `derive` feature.
+//! macros are always re-exported from the `serde_derive` shim (the real
+//! crate gates them behind its `derive` feature, which no manifest here
+//! enables).
 
 // Vendored stand-in for an external crate: exempt from workspace lints.
 #![allow(clippy::all)]

@@ -1,4 +1,4 @@
-//! Device-fault acceptance suite (feature `fault-injection` only).
+//! Device-fault acceptance suite.
 //!
 //! Exercises the whole recovery path end to end: a deterministic
 //! `glp_gpusim::faults::FaultPlan` is attached to specific simulated
@@ -13,8 +13,9 @@
 //!       host BSP engine;
 //!   (c) losing one of four GPUs mid-run makes `MultiGpuEngine` finish on
 //!       the three survivors;
-//!   (d) with no fault armed, the injection hooks are inert: results and
-//!       modeled cost are identical run to run.
+//!   (d) a plan with no fault due is no plan: on every rig that owns a
+//!       simulated device, labels, traces, modeled cost and kernel logs
+//!       are bit-identical to the plan-free run.
 //! Plus the observability side of recovery: a mid-run device loss must
 //! leave `degrade` / `repartition` events in the span trace, parented to
 //! the exact iteration the fault interrupted. Recovery being the driver's
@@ -35,15 +36,13 @@
 //! Fixture builders (`reference`, `launches_per_iteration`, `SaltedLp`)
 //! live in `glp-test-support`.
 
-#![cfg(feature = "fault-injection")]
-
 use glp_suite::baselines::{CpuLp, CpuLpConfig, GSortLp};
 use glp_suite::core::engine::{
     BarrierHook, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
 };
 use glp_suite::core::{ClassicLp, Engine, FrontierMode, LpProgram, ResilientEngine, RunOptions};
 use glp_suite::gpusim::faults::{Fault, FaultKind, FaultPlan};
-use glp_suite::gpusim::Device;
+use glp_suite::gpusim::{Device, DeviceConfig};
 use glp_suite::graph::gen::{
     bipartite_interaction, caveman, path, two_cliques_bridge, BipartiteConfig,
 };
@@ -331,32 +330,85 @@ fn multi_gpu_failed_initial_upload_leaves_nothing_resident() {
     }
 }
 
-/// Acceptance (d): the injection machinery is inert while nothing is due
-/// on a live device — repeated runs agree bit-for-bit in results *and*
-/// modeled cost, and no fault is ever served. (The feature-off build's
-/// purity is pinned by the default test suite compiling these hooks out
-/// entirely.)
+/// Acceptance (d): fault plans are always compiled, so this is the guard
+/// that a plan with nothing due charges nothing. On every rig that owns a
+/// simulated device — the GPU, the streamed hybrid, two GPUs and G-Sort —
+/// a plan read at every launch and upload whose fault is never due serves
+/// no fault and leaves the labels, the changed-trace, the modeled seconds
+/// and every device's kernel log bit-identical to the plan-free run.
 #[test]
 fn unarmed_injectors_change_nothing() {
     let g = two_cliques_bridge(9);
-    let opts = RunOptions::default();
-    // A plan read at every launch whose fault is never due.
-    let faults = plan(&[(FaultKind::LaunchFail, u32::MAX)]);
+    let (want_labels, want_changed, _) = reference(&g, &RunOptions::default());
+    let streamed = DeviceConfig::tiny(g.num_vertices() as u64 * 20 + g.size_bytes() / 3);
+    let on = |cfg: &DeviceConfig, plan| {
+        let mut device = Device::new(cfg.clone());
+        device.set_faults(plan);
+        device
+    };
+    let titan = DeviceConfig::titan_v();
+    let runs = [
+        assert_inert(&g, |p| GpuEngine::new(on(&titan, p)), |e| vec![e.device()]),
+        assert_inert(
+            &g,
+            |p| HybridEngine::new(on(&streamed, p)),
+            |e| vec![e.device()],
+        ),
+        assert_inert(
+            &g,
+            |p| {
+                let mut e = MultiGpuEngine::titan_v(2);
+                for d in 0..2 {
+                    e.gpus_mut().device_mut(d).set_faults(p.clone());
+                }
+                e
+            },
+            |e| vec![e.gpus().device(0), e.gpus().device(1)],
+        ),
+        assert_inert(&g, |p| GSortLp::new(on(&titan, p)), |e| vec![e.device()]),
+    ];
+    for (labels, changed) in runs {
+        assert_eq!(labels, want_labels);
+        assert_eq!(changed, want_changed);
+    }
+}
 
-    let (labels_a, changed_a, _) = reference(&g, &opts);
-    let mut prog = ClassicLp::new(g.num_vertices());
-    let report_a = GpuEngine::new(titan_v(&faults))
-        .run(&g, &mut prog, &opts)
-        .unwrap();
-    let mut prog_b = ClassicLp::new(g.num_vertices());
-    let report_b = GpuEngine::titan_v().run(&g, &mut prog_b, &opts).unwrap();
-
-    assert!(faults.fired().is_empty(), "stray fault served");
-    assert_eq!(prog.labels(), prog_b.labels());
-    assert_eq!(prog.labels(), &labels_a[..]);
-    assert_eq!(report_a.changed_per_iteration, changed_a);
-    assert_eq!(report_a.modeled_seconds, report_b.modeled_seconds);
-    assert_eq!(report_a.snapshots_taken, 0, "no hook, no snapshot charge");
+/// Runs `ClassicLp` on `g` twice — on `make(None)` and on `make` with a
+/// never-due plan attached — asserts the two runs bit-identical, down to
+/// each of `devices`' kernel logs, and returns the labels and the
+/// changed-trace.
+fn assert_inert<E: Engine>(
+    g: &Graph,
+    make: impl Fn(Option<Arc<FaultPlan>>) -> E,
+    devices: impl Fn(&E) -> Vec<&Device>,
+) -> (Vec<Label>, Vec<u64>) {
+    let never = plan(&[(FaultKind::LaunchFail, u32::MAX)]);
+    let run = |plan| {
+        let mut engine = make(plan);
+        let mut prog = ClassicLp::new(g.num_vertices());
+        let report = engine.run(g, &mut prog, &RunOptions::default()).unwrap();
+        let logs: Vec<Vec<_>> = devices(&engine)
+            .iter()
+            .map(|d| {
+                let log = d.kernel_log().iter();
+                log.map(|k| (k.name, k.seconds.to_bits(), k.counters))
+                    .collect()
+            })
+            .collect();
+        let modeled = report.modeled_seconds.to_bits();
+        let out = (prog.labels().to_vec(), report.changed_per_iteration);
+        (engine.name(), out, modeled, logs)
+    };
+    let bare = run(None);
+    let armed = run(Some(Arc::clone(&never)));
+    assert!(never.fired().is_empty(), "{}: stray fault served", bare.0);
+    assert!(
+        !bare.3.iter().any(Vec::is_empty),
+        "{}: a device ran nothing",
+        bare.0
+    );
+    assert_eq!(armed, bare, "{}: a never-due plan changed the run", bare.0);
+    bare.1
 }
 
 /// Recovery observability (ladder): a mid-run `DeviceLost` on the GPU

@@ -2,9 +2,9 @@
 //!
 //! `glp_test_support::oracle` draws small LP runs over every engine (bare or
 //! on a recovery ladder), program, frontier mode, MFL strategy, table
-//! geometry, shard count, hook, tracer, warm start and — under
-//! `fault-injection` — device fault, and holds each against the host BSP
-//! engine over the same program with no frontier and no replay. Its sweeps
+//! geometry, shard count, hook, tracer, warm start and device fault, and
+//! holds each against the host BSP engine over the same program with no
+//! frontier and no replay. Its sweeps
 //! are the slices in `tests/{direction,engine,frontier}_equivalence.rs`
 //! (the default one, with the coverage check, is
 //! `random_graphs_are_direction_invariant`). A failure is shrunk and panics
@@ -45,7 +45,6 @@ fn the_frontier_filter_keeps_the_global_hash_bucket() {
 
 /// A device phase re-driven after a recovery does not begin its iteration
 /// again: `SaltedLp` draws a fresh salt per `begin_iteration`.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn a_redriven_iteration_is_not_begun_again() {
     check(Case {
@@ -85,7 +84,6 @@ fn a_tie_with_an_overflowed_label_is_recounted() {
 
 /// A multi-GPU rung re-staged after a transient fault opens its run span
 /// at the devices' latest clock, and its uploads start there too.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn a_retried_multi_gpu_attempt_uploads_inside_its_run_span() {
     check(Case {
@@ -101,7 +99,6 @@ fn a_retried_multi_gpu_attempt_uploads_inside_its_run_span() {
 
 /// A multi-GPU run that loses a device mid-dispatch closes the dispatch
 /// span before the survivors' kernels of that attempt end.
-#[cfg(feature = "fault-injection")]
 #[test]
 #[ignore = "open: a repartitioned dispatch span ends before its kernels"]
 fn a_repartitioned_dispatch_span_holds_its_kernels() {
