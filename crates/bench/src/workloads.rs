@@ -1,6 +1,10 @@
-//! Shared workload construction for the Table 4 / Figure 7 experiments.
+//! Shared workload construction for the Table 4 / Figure 7 experiments and
+//! the period-2 records' bench inputs.
 
 use glp_fraud::{TxConfig, TxStream};
+use glp_graph::datasets::by_name;
+use glp_graph::gen::{bipartite_interaction, BipartiteConfig};
+use glp_graph::Graph;
 
 /// The transaction stream behind the sliding-window experiments, at
 /// `1/scale` of the harness's full bench size (which itself stands in for
@@ -22,6 +26,24 @@ pub fn table4_stream(scale: u64) -> TxStream {
         blacklist_fraction: 0.2,
         seed: 0xFA7D,
     })
+}
+
+/// The user–item window of the `period2` bench group (4 000 users, 1 500
+/// items, 64 000 interactions): synchronous LP falls into a 2-cycle on it.
+pub fn period2_window() -> Graph {
+    bipartite_interaction(&BipartiteConfig {
+        num_users: 4_000,
+        num_items: 1_500,
+        num_interactions: 64_000,
+        skew: 0.8,
+        seed: 1,
+    })
+}
+
+/// The road lattice of the `period2` bench group (`roadNet` at 1/64 of its
+/// default scale): its labels keep sliding, no LP input repeats.
+pub fn period2_lattice() -> Graph {
+    by_name("roadNet").expect("registry").generate_scaled(64)
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //! graphs, not measurements — and the margins are thin (346.3 vs 373.3 µs,
 //! 813.8 vs 833.5 µs), so the sizes below are part of each claim. That the
 //! modes agree on labels and convergence is `tests/frontier_equivalence.rs`
-//! and `tests/direction_equivalence.rs`. The delta-replay and schedule
-//! ledger claims at the end are work counts, exact for the same reason.
+//! and `tests/direction_equivalence.rs`. The delta-replay, period-2 replay
+//! and schedule ledger claims at the end are work counts, exact for the
+//! same reason.
 
-use glp_core::engine::GpuEngine;
+use glp_bench::workloads::{period2_lattice, period2_window};
+use glp_core::engine::{Decision, GpuEngine};
 use glp_core::{
     replay_delta, ClassicLp, Engine, FrontierMode, LpRunReport, MemoRecorder, MflStrategy,
     RunOptions, SequentialEngine, WeightedLp,
@@ -14,7 +16,7 @@ use glp_core::{
 use glp_fraud::{IncrementalWindow, Transaction, TxConfig, TxStream};
 use glp_graph::datasets::{by_name, GraphFamily};
 use glp_graph::gen::{bipartite_interaction, road_network, BipartiteConfig, RoadConfig};
-use glp_graph::Graph;
+use glp_graph::{Graph, Label};
 use glp_serve::ServeConfig;
 use glp_test_support::convergence_workload;
 
@@ -152,6 +154,32 @@ fn a_delta_replay_scans_a_sliver_of_the_window() {
         g.num_edges(),
         replay.report.iterations
     );
+}
+
+/// Where the first replay lands on the `period2` bench group's full-path
+/// inputs (one 20-iteration `GpuEngine` run of `ClassicLp` each). The
+/// window's replay records fit within its CSR, so the driver keeps them
+/// from the first phase and replays from the first repeated input on: 15
+/// of 20 (a memo armed by the repeated fingerprint replays 13). The
+/// lattice's records (1.78 MB) outweigh its CSR (0.59 MB), so it waits for
+/// a fingerprint that never repeats: 0 of 20, and nothing allocated.
+#[test]
+fn the_period2_inputs_replay_from_their_first_repeat() {
+    use std::mem::size_of;
+    let per_vertex = 2 * (size_of::<Label>() + size_of::<Decision>() + 1);
+    for (name, g, fits, replayed) in [
+        ("window", period2_window(), true, 15),
+        ("lattice", period2_lattice(), false, 0),
+    ] {
+        let records = (g.num_vertices() * per_vertex) as u64;
+        assert_eq!(records <= g.size_bytes(), fits, "{name}: {records} B");
+        let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), 20);
+        let report = GpuEngine::titan_v()
+            .run(&g, &mut prog, &RunOptions::default())
+            .expect("healthy device");
+        assert_eq!(report.iterations, 20, "{name}");
+        assert_eq!(report.replayed_iterations, replayed, "{name}");
+    }
 }
 
 /// The committed benchmark's `lp_lowdeg` (`roadNet`) or `lp_highdeg`

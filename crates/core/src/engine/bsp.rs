@@ -39,6 +39,12 @@
 //! log, the trace and the fault behaviour cannot tell a replayed iteration
 //! from a computed one. A rung that keeps a modeled clock without a device
 //! (the CPU baselines, the cluster) has nothing to re-commit: never replayed.
+//! Replaying needs the two phases before the current one on record, and the
+//! records cost [`MEMO_BYTES_PER_VERTEX`] per vertex: a run whose records fit
+//! within its graph's own CSR keeps them from its first phase, so its first
+//! repeated input is already a replay; a sparser graph waits until a
+//! fingerprint of the input repeats, so a run that never cycles never pays
+//! for them.
 
 use super::dispatch::Buckets;
 use super::kernels::ShardStats;
@@ -191,6 +197,11 @@ pub struct ResilienceReport {
     pub faults: Vec<EngineError>,
 }
 
+/// What the two back-phase records of an armed memo cost per vertex: a
+/// spoken label, a decision and a frontier flag each.
+const MEMO_BYTES_PER_VERTEX: usize =
+    2 * (std::mem::size_of::<Label>() + std::mem::size_of::<Decision>() + 1);
+
 /// One LabelPropagation phase: what it read and what it produced. Only
 /// `spoken` and `decisions` are kept while the memo is not armed.
 #[derive(Default)]
@@ -213,14 +224,21 @@ struct PhaseRecord {
 /// `ring[2]` are the phases one and two iterations back, and a phase whose
 /// `(spoken, active)` equals `ring[2]`'s — compared element by element —
 /// takes over its decisions, stats and launches instead of computing them.
-/// The memo arms lazily, the first time an iteration's fingerprint equals the
-/// one two iterations back: a run that never cycles keeps one phase's buffers
-/// and pays one pass over `(spoken, active)` per iteration. The fingerprint
-/// only arms; it never authorises a replay. Records name kernel-log ranges of
-/// the devices they ran on, so any fault forgets them.
+/// When the records fit the budget (`eager`: [`MEMO_BYTES_PER_VERTEX`] per
+/// vertex within the graph's CSR) the memo arms at the first phase that may
+/// be replayed, so the first input equal to the one two back is a replay.
+/// Otherwise it arms lazily, the first time an iteration's fingerprint equals
+/// the one two iterations back: a run that never cycles keeps one phase's
+/// buffers and pays one pass over `(spoken, active)` per iteration, and its
+/// first two repeats are computed into the records. The fingerprint only
+/// arms; it never authorises a replay. Records name kernel-log ranges of the
+/// devices they ran on, so any fault forgets them; the memo then arms again
+/// by the same rule.
 struct Scratch {
     ring: [PhaseRecord; 3],
     armed: bool,
+    /// Whether the memo arms without waiting for a repeated fingerprint.
+    eager: bool,
     /// Fingerprints of the last two iterations, newest first (until armed).
     prints: [Option<u64>; 2],
     changed: Vec<bool>,
@@ -228,13 +246,14 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn new(n: usize, frontier: bool) -> Self {
+    fn new(n: usize, frontier: bool, eager: bool) -> Self {
         let mut ring: [PhaseRecord; 3] = Default::default();
         ring[0].spoken = vec![0; n];
         ring[0].decisions = vec![None; n];
         Self {
             ring,
             armed: false,
+            eager,
             prints: [None; 2],
             changed: vec![false; if frontier { n } else { 0 }],
             next_active: vec![false; if frontier { n } else { 0 }],
@@ -253,20 +272,18 @@ impl Scratch {
     /// After PickLabel: whether this phase's input is exactly the input of
     /// the phase two back, whose outputs it then takes over.
     fn recall(&mut self, active: &[bool]) -> bool {
-        let [cur, _, old] = &mut self.ring;
         if !self.armed {
-            let print = fingerprint(&cur.spoken, active);
-            if self.prints[1] == Some(print) {
-                self.armed = true;
-                let n = cur.spoken.len();
-                for rec in &mut self.ring[1..] {
-                    rec.spoken = vec![0; n];
-                    rec.decisions = vec![None; n];
+            if !self.eager {
+                let print = fingerprint(&self.ring[0].spoken, active);
+                let repeated = self.prints[1] == Some(print);
+                self.prints = [Some(print), self.prints[0]];
+                if !repeated {
+                    return false;
                 }
             }
-            self.prints = [Some(print), self.prints[0]];
-            return false;
+            self.arm();
         }
+        let [cur, _, old] = &mut self.ring;
         let hit = old.recorded && old.spoken == cur.spoken && old.active == active;
         if hit {
             std::mem::swap(&mut cur.decisions, &mut old.decisions);
@@ -278,8 +295,26 @@ impl Scratch {
         hit
     }
 
+    /// Allocates the records of the two phases back; the phase being driven
+    /// is then recorded too.
+    fn arm(&mut self) {
+        self.armed = true;
+        let n = self.ring[0].spoken.len();
+        for rec in &mut self.ring[1..] {
+            rec.spoken = vec![0; n];
+            rec.decisions = vec![None; n];
+        }
+        #[cfg(test)]
+        tests::ARMED.set(Some(if self.eager {
+            tests::Arming::Budget
+        } else {
+            tests::Arming::Fingerprint
+        }));
+    }
+
     /// Drops every record and disarms: what a fault leaves is a different
-    /// device set, or logs the records' ranges no longer describe.
+    /// device set, or logs the records' ranges no longer describe. An `eager`
+    /// memo arms again at the re-driven phase.
     fn forget(&mut self) {
         self.armed = false;
         self.prints = [None; 2];
@@ -557,7 +592,10 @@ impl Driver<'_, '_> {
         // over one (G-Sort) runs its iterations all-active.
         let frontier = opts.frontier.sparse(prog.sparse_activation());
         let mut active = initial_active(n, frontier, opts);
-        let mut scratch = Scratch::new(n, frontier);
+        // Records that fit within the graph's own CSR are kept from the
+        // first phase; a sparser graph's records wait for a repeated input.
+        let eager = (n * MEMO_BYTES_PER_VERTEX) as u64 <= g.size_bytes();
+        let mut scratch = Scratch::new(n, frontier, eager);
         // Under `sparse_activation` a phase is a pure function of
         // `(spoken, active)`: only then may a recorded one stand in for it.
         let memoize = prog.sparse_activation();
@@ -880,10 +918,12 @@ pub(crate) fn dispatch_name(prev: Option<Direction>) -> &'static str {
 #[cfg(test)]
 pub(super) mod tests {
     use super::super::{
-        BarrierHook, Engine, GpuEngine, HybridEngine, MultiGpuEngine, SequentialEngine,
+        BarrierHook, Engine, GpuEngine, HybridEngine, MultiGpuEngine, ResilientEngine,
+        SequentialEngine,
     };
     use super::*;
     use crate::variants::{ClassicLp, SeededLp, WeightedLp};
+    use glp_gpusim::faults::{Fault, FaultKind, FaultPlan};
     use glp_gpusim::{DeviceConfig, KernelCounters};
     use glp_graph::gen::{
         bipartite_interaction, caveman, community_powerlaw, road_network, BipartiteConfig,
@@ -898,6 +938,18 @@ pub(super) mod tests {
         /// thread's runs compute every phase. Absent from non-test builds.
         pub(super) static NEVER_REPLAY: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+        /// How the calling thread's last run armed its memo, if it did.
+        pub(super) static ARMED: std::cell::Cell<Option<Arming>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// The two arming points of the memo.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(super) enum Arming {
+        /// Before the first phase: the records fit within the CSR.
+        Budget,
+        /// On a fingerprint equal to the one two iterations back.
+        Fingerprint,
     }
 
     const ITERS: u32 = 20;
@@ -909,7 +961,9 @@ pub(super) mod tests {
     }
 
     /// The user–item window shape: synchronous LP 2-cycles on it. Dense
-    /// enough that its hubs run the CMS+HT kernel (`ShardStats` is not 0).
+    /// enough that its hubs run the CMS+HT kernel (`ShardStats` is not 0),
+    /// and that its memo arms by the budget: 4.9 KB of records against a
+    /// 24.7 KB CSR.
     fn bipartite(seed: u64) -> Graph {
         bipartite_interaction(&BipartiteConfig {
             num_users: 60,
@@ -1027,7 +1081,7 @@ pub(super) mod tests {
     }
 
     /// Runs with the memo live (`replay`) or pinned off; returns the
-    /// outcome and how many iterations were replayed.
+    /// outcome, how many iterations were replayed and how the memo armed.
     fn run(
         tier: usize,
         g: &Graph,
@@ -1035,7 +1089,7 @@ pub(super) mod tests {
         mode: FrontierMode,
         hook: bool,
         replay: bool,
-    ) -> (Outcome, u32) {
+    ) -> (Outcome, u32, Option<Arming>) {
         let barriers = Arc::new(Mutex::new(Vec::new()));
         let mut opts = RunOptions::default().with_frontier(mode);
         if hook {
@@ -1052,6 +1106,7 @@ pub(super) mod tests {
         }
         let mut rig = Rig::new(tier, g);
         NEVER_REPLAY.set(!replay);
+        ARMED.set(None);
         let report = rig.engine().run(g, prog, &opts).unwrap();
         NEVER_REPLAY.set(false);
         let device_tier = !matches!(rig, Rig::Host(_));
@@ -1078,7 +1133,7 @@ pub(super) mod tests {
             logs: rig.logs(),
             barriers: std::mem::take(&mut *barriers.lock().unwrap()),
         };
-        (outcome, report.replayed_iterations)
+        (outcome, report.replayed_iterations, ARMED.take())
     }
 
     const MODES: [FrontierMode; 4] = [
@@ -1092,7 +1147,10 @@ pub(super) mod tests {
         #![proptest_config(ProptestConfig::with_cases(160))]
 
         /// A run that replays phases leaves exactly what the run that
-        /// computes every phase leaves.
+        /// computes every phase leaves, from either arming point: the
+        /// bipartite window's records fit within its CSR, every other
+        /// graph's wait for a repeated input — the single edge's and,
+        /// under `ClassicLp`, the window's always arm.
         #[test]
         fn replaying_equals_recomputing(
             family in 0usize..5,
@@ -1104,17 +1162,24 @@ pub(super) mod tests {
         ) {
             let g = graph(family, seed);
             let mut computed = program(variant, &g);
-            let (want, none) = run(tier, &g, &mut *computed, MODES[mode], hook, false);
-            prop_assert_eq!(none, 0);
+            let (want, none, unarmed) =
+                run(tier, &g, &mut *computed, MODES[mode], hook, false);
+            prop_assert_eq!((none, unarmed), (0, None));
             let mut replayed = program(variant, &g);
-            let (got, _) = run(tier, &g, &mut *replayed, MODES[mode], hook, true);
+            let (got, _, armed) = run(tier, &g, &mut *replayed, MODES[mode], hook, true);
             prop_assert_eq!(got, want);
+            let expected = if family == 1 { Arming::Budget } else { Arming::Fingerprint };
+            if variant == 0 && family <= 1 {
+                prop_assert_eq!(armed, Some(expected));
+            } else {
+                prop_assert!(armed.is_none() || armed == Some(expected), "{:?}", armed);
+            }
         }
     }
 
     /// The shape the memo exists for: a bipartite window replays about half
     /// of its iterations on every tier and mode, equally often (the memo's
-    /// key is the tier-independent `(spoken, active)`).
+    /// key is the tier-independent `(spoken, active)`), armed by the budget.
     #[test]
     fn a_bipartite_window_replays_on_every_tier() {
         let g = bipartite(7);
@@ -1122,8 +1187,9 @@ pub(super) mod tests {
         for tier in 0..4 {
             for mode in MODES {
                 let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), ITERS);
-                let (outcome, replayed) = run(tier, &g, &mut prog, mode, false, true);
+                let (outcome, replayed, armed) = run(tier, &g, &mut prog, mode, false, true);
                 assert_eq!(outcome.changed.len(), ITERS as usize, "still cycling");
+                assert_eq!(armed, Some(Arming::Budget), "tier {tier}");
                 assert!(tier == 3 || outcome.smem.1 > 0, "no hub on tier {tier}");
                 counts.push(replayed);
             }
@@ -1135,17 +1201,20 @@ pub(super) mod tests {
         );
     }
 
-    /// A single edge swaps its two labels forever: the fingerprint repeats
-    /// at t = 2, the phases of t = 2 and t = 3 are recorded, and every
-    /// iteration from t = 4 on is a replay.
+    /// A single edge swaps its two labels forever. Its records (116 B) do
+    /// not fit within its CSR (32 B), so the fingerprint arms the memo: it
+    /// repeats at t = 2, the phases of t = 2 and t = 3 are recorded, and
+    /// every iteration from t = 4 on is a replay.
     #[test]
     fn a_single_edge_replays_from_the_fourth_iteration_on() {
         let g = single_edge();
         for tier in 0..4 {
             let mut prog = ClassicLp::with_max_iterations(2, ITERS);
-            let (outcome, replayed) = run(tier, &g, &mut prog, FrontierMode::Auto, false, true);
+            let (outcome, replayed, armed) =
+                run(tier, &g, &mut prog, FrontierMode::Auto, false, true);
             assert_eq!(outcome.changed, vec![2; ITERS as usize]);
             assert_eq!(replayed, ITERS - 4, "tier {tier}");
+            assert_eq!(armed, Some(Arming::Fingerprint), "tier {tier}");
         }
     }
 
@@ -1193,8 +1262,8 @@ pub(super) mod tests {
                 iteration: 0,
                 scores: Vec::new(),
             };
-            let (_, replayed) = run(tier, &g, &mut prog, FrontierMode::Auto, false, true);
-            assert_eq!(replayed, 0);
+            let (_, replayed, armed) = run(tier, &g, &mut prog, FrontierMode::Auto, false, true);
+            assert_eq!((replayed, armed), (0, None));
             assert_eq!(prog.labels, [0, 1], "an even number of swaps");
             let want: Vec<f64> = (0..ITERS).flat_map(|t| [1.0 + f64::from(t); 2]).collect();
             assert_eq!(
@@ -1204,6 +1273,28 @@ pub(super) mod tests {
         }
     }
 
+    /// Drives one phase of `s` over `(spoken, active)`; a computed one
+    /// decides `tag` everywhere and is recorded the way the driver records
+    /// it. Returns whether it was replayed, whether the memo is armed and
+    /// the label decided for vertex 0.
+    fn drive_phase(
+        s: &mut Scratch,
+        spoken: [Label; 3],
+        active: [bool; 3],
+        tag: Label,
+    ) -> (bool, bool, Option<Label>) {
+        s.begin_phase();
+        s.ring[0].spoken = spoken.to_vec();
+        let hit = s.recall(&active);
+        if !hit && s.armed {
+            let cur = &mut s.ring[0];
+            cur.decisions.fill(Some((tag, 1.0)));
+            cur.active = active.to_vec();
+            cur.recorded = true;
+        }
+        (hit, s.armed, s.ring[0].decisions[0].map(|(l, _)| l))
+    }
+
     /// The authorisation rule on its own. In a run the frontier is a
     /// function of the labels' history, so once a fingerprint has repeated
     /// `spoken` and `active` repeat together; a colliding fingerprint is what
@@ -1211,21 +1302,8 @@ pub(super) mod tests {
     /// both stands between a stale phase and the commit.
     #[test]
     fn only_an_identical_input_recalls_a_phase() {
-        let mut s = Scratch::new(3, true);
-        // Drives one phase over `(spoken, active)`; a computed one decides
-        // `tag` everywhere and is recorded the way the driver records it.
-        let mut phase = |spoken: [Label; 3], active: [bool; 3], tag: Label| {
-            s.begin_phase();
-            s.ring[0].spoken = spoken.to_vec();
-            let hit = s.recall(&active);
-            if !hit && s.armed {
-                let cur = &mut s.ring[0];
-                cur.decisions.fill(Some((tag, 1.0)));
-                cur.active = active.to_vec();
-                cur.recorded = true;
-            }
-            (hit, s.armed, s.ring[0].decisions[0].map(|(l, _)| l))
-        };
+        let mut s = Scratch::new(3, true, false);
+        let mut phase = |spoken, active, tag| drive_phase(&mut s, spoken, active, tag);
         let (a, b) = ([4, 5, 6], [5, 4, 6]);
         let (all, some) = ([true; 3], [true, false, true]);
         // Not armed until an input repeats two apart; arming replays nothing.
@@ -1244,6 +1322,79 @@ pub(super) mod tests {
         assert_eq!(phase(b, all, 9), (false, true, Some(9)));
         assert_eq!(phase([4, 5, 7], all, 10), (true, true, Some(8)));
         assert_eq!(phase(b, some, 11), (false, true, Some(11)));
+    }
+
+    /// A memo whose records fit the budget is armed from the first phase,
+    /// so the first input equal to the one two back is already a replay;
+    /// after a fault forgets the records it arms again at the re-driven
+    /// phase.
+    #[test]
+    fn a_budgeted_memo_replays_the_first_repeat() {
+        let mut s = Scratch::new(3, true, true);
+        let mut phase = |spoken, tag| drive_phase(&mut s, spoken, [true; 3], tag);
+        let (a, b) = ([4, 5, 6], [5, 4, 6]);
+        assert_eq!(phase(a, 0), (false, true, Some(0)));
+        assert_eq!(phase(b, 1), (false, true, Some(1)));
+        assert_eq!(phase(a, 2), (true, true, Some(0)));
+        s.forget();
+        let mut phase = |spoken, tag| drive_phase(&mut s, spoken, [true; 3], tag);
+        assert_eq!(phase(b, 3), (false, true, Some(3)));
+        assert_eq!(phase(a, 4), (false, true, Some(4)));
+        assert_eq!(phase(b, 5), (true, true, Some(3)));
+    }
+
+    /// A fault forgets the records, and the bipartite window's memo arms
+    /// again at the re-driven phase: only it and the next are computed
+    /// where the fault-free run replays, so the recovered run replays 2
+    /// fewer iterations — a lazily armed memo waits for the fingerprint and
+    /// loses 4 (`tests/engine_faults.rs`). The fault lands on a replayed
+    /// launch and is retried on the same rung, or degraded to the next.
+    #[test]
+    fn a_recovered_window_arms_again_at_once() {
+        let g = bipartite(7);
+        let fresh = || ClassicLp::with_max_iterations(g.num_vertices(), ITERS);
+        // A barrier hook makes the bare run charge the ladder's readbacks.
+        let hooked = RunOptions::default().with_barrier_hook(BarrierHook::new(|_| {}));
+        let mut engine = GpuEngine::titan_v();
+        let mut want = fresh();
+        let fault_free = engine.run(&g, &mut want, &hooked).unwrap();
+        // The first propagation launch two iterations into the replays.
+        let target = (ITERS - fault_free.replayed_iterations + 2) as usize;
+        let pick = engine
+            .device()
+            .kernel_log()
+            .iter()
+            .enumerate()
+            .filter(|(_, rec)| rec.name == "pick_label")
+            .nth(target)
+            .expect("one PickLabel per iteration")
+            .0;
+        for kind in [FaultKind::LaunchFail, FaultKind::DeviceLost] {
+            let at = pick as u64 + 1;
+            let faults = Arc::new(FaultPlan::new([Fault::Device { kind, at }]));
+            let mut device = Device::titan_v();
+            device.set_faults(Some(Arc::clone(&faults)));
+            let mut ladder = ResilientEngine::new(vec![
+                Box::new(GpuEngine::new(device)),
+                Box::new(HybridEngine::titan_v()),
+            ])
+            .with_backoff(Duration::ZERO, Duration::ZERO);
+            let mut prog = fresh();
+            ARMED.set(None);
+            let report = ladder.run(&g, &mut prog, &RunOptions::default()).unwrap();
+            assert_eq!(faults.fired().len(), 1, "{kind:?} not fired");
+            assert_eq!(ARMED.take(), Some(Arming::Budget), "{kind:?}");
+            assert_eq!(prog.labels(), want.labels(), "{kind:?}");
+            assert_eq!(
+                report.changed_per_iteration, fault_free.changed_per_iteration,
+                "{kind:?}"
+            );
+            assert_eq!(
+                report.replayed_iterations,
+                fault_free.replayed_iterations - 2,
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -674,7 +674,11 @@ fn a_fault_in_the_last_kernel_leaves_the_previous_barriers_labels() {
 }
 
 /// A user–item window: synchronous LP falls into a 2-cycle on it within a
-/// few iterations and the driver replays every phase from then on.
+/// few iterations and the driver replays every phase from then on. Its
+/// replay records (4.9 KB) do not fit within its CSR (3.9 KB), so the memo
+/// arms lazily, on a repeated input fingerprint — the path whose recovery
+/// [`assert_memo_was_rebuilt`] counts. (The driver's own bipartite window
+/// fits and arms before its first phase.)
 fn cycling_window() -> Graph {
     bipartite_interaction(&BipartiteConfig {
         num_users: 60,
@@ -721,9 +725,10 @@ fn cycling_probe<E: Engine>(
     (prog, report, pick as u32 + 1)
 }
 
-/// After a recovery the driver holds no record: two iterations until the
-/// fingerprint repeats, two more recorded, then replays resume — four
-/// computed iterations a fault-free run replays.
+/// After a recovery the driver holds no record, and [`cycling_window`]'s
+/// memo arms lazily again: two iterations until the fingerprint repeats,
+/// two more recorded, then replays resume — four computed iterations a
+/// fault-free run replays.
 fn assert_memo_was_rebuilt(
     report: &glp_suite::core::LpRunReport,
     fault_free: &glp_suite::core::LpRunReport,
