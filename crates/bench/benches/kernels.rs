@@ -221,7 +221,9 @@ fn bench_block_cms_ht(c: &mut Criterion) {
 /// every schedule, and twenty (`_x20`), where an iteration that schedules
 /// the vertex lists an earlier one priced is charged from the run's schedule
 /// ledger. Prints each case's packed lane count, so the time reads as ns per
-/// lane, and how many of its propagation launches priced their schedule.
+/// lane, how many of its packed runs have at most four lanes — the runs the
+/// kernel decides in a fixed-width window rather than by a scan — and how
+/// many of its propagation launches priced their schedule.
 fn bench_packed_warp(c: &mut Criterion) {
     let lattice = road_network(&RoadConfig {
         width: 40,
@@ -267,6 +269,12 @@ fn bench_packed_warp(c: &mut Criterion) {
                 .iter()
                 .map(|&v| u64::from(g.degree(v)))
                 .sum();
+            let runs = buckets.warp_packed.len();
+            let windowed = buckets
+                .warp_packed
+                .iter()
+                .filter(|&&v| g.degree(v) <= 4)
+                .count();
             let report = GpuEngine::titan_v()
                 .run(g, program(iterations).as_mut(), &opts)
                 .expect("healthy device");
@@ -277,7 +285,7 @@ fn bench_packed_warp(c: &mut Criterion) {
                 .map(|(_, _, row)| row.count)
                 .sum();
             println!(
-                "packed_warp/{name}{suffix}: {lanes} packed lanes per iteration, {} of {launches} propagation launches priced",
+                "packed_warp/{name}{suffix}: {lanes} packed lanes per iteration, {windowed} of {runs} runs windowed (at most 4 lanes), {} of {launches} propagation launches priced",
                 report.priced_launches
             );
             group.bench_function(format!("{name}{suffix}"), |b| {

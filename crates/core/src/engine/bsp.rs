@@ -53,7 +53,7 @@ use super::{Decision, Direction, EngineError, FrontierMode, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_gpusim::{CostModel, Device, DeviceError};
-use glp_graph::{Graph, Label, VertexId};
+use glp_graph::{Csr, Graph, Label, VertexId};
 use glp_trace::{Category, Clock, KernelProfile};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -738,8 +738,9 @@ impl Driver<'_, '_> {
         self.backend().stream(p, after - before);
         self.backend().charge_update(n)?;
         let direction = if sparse {
-            let changed = mark_changed(&cur.spoken, &cur.decisions, &mut s.changed);
-            let dir = choose_direction(p.opts.frontier, p.g, &s.changed, &self.cost);
+            let (changed, touched) =
+                mark_changed(&cur.spoken, &cur.decisions, p.g.outgoing(), &mut s.changed);
+            let dir = choose_direction(p.opts.frontier, p.g, touched, &self.cost);
             let volume = rebuild_frontier(p.g, dir, &s.changed, &mut s.next_active);
             let priced = p.opts.frontier == FrontierMode::Auto;
             self.backend()
@@ -825,16 +826,24 @@ pub fn initial_active(n: usize, sparse: bool, opts: &RunOptions) -> Vec<bool> {
     }
 }
 
-/// Flags (and counts) the vertices whose decision differs from the label they
-/// spoke this round — the change set every frontier rebuild starts from.
-/// `Auto`'s pricing ([`choose_direction`]) and the rebuild it picks read it.
-pub(crate) fn mark_changed(spoken: &[Label], decisions: &[Decision], flags: &mut [bool]) -> u64 {
-    let mut count = 0;
-    for ((c, &s), &d) in flags.iter_mut().zip(spoken).zip(decisions) {
+/// Flags the vertices whose decision differs from the label they spoke this
+/// round — the change set every frontier rebuild starts from — and returns
+/// their count and the Σ of their out-degrees in `out`, the volume `Auto`
+/// prices a push rebuild at ([`choose_direction`]), in the same pass.
+pub(crate) fn mark_changed(
+    spoken: &[Label],
+    decisions: &[Decision],
+    out: &Csr,
+    flags: &mut [bool],
+) -> (u64, u64) {
+    let (mut count, mut touched) = (0, 0);
+    let degrees = out.offsets().windows(2).map(|w| w[1] - w[0]);
+    for (((c, &s), &d), degree) in flags.iter_mut().zip(spoken).zip(decisions).zip(degrees) {
         *c = matches!(d, Some((l, _)) if l != s);
         count += u64::from(*c);
+        touched += u64::from(*c) * degree;
     }
-    count
+    (count, touched)
 }
 
 /// Rebuilds the active set from the `changed` set in direction `dir`,
@@ -877,24 +886,14 @@ pub(crate) fn rebuild_frontier(
 
 /// Resolves a [`FrontierMode`] to this iteration's rebuild [`Direction`].
 /// `Auto` prices push's scattered sectors for the actual change volume
-/// (Σ out-degree over `changed`) against a worst-case coalesced pull scan
-/// via [`CostModel::prefer_pull`].
-fn choose_direction(
-    mode: FrontierMode,
-    g: &Graph,
-    changed: &[bool],
-    cost: &CostModel,
-) -> Direction {
+/// `touched` (Σ out-degree over the changed set, from [`mark_changed`])
+/// against a worst-case coalesced pull scan via [`CostModel::prefer_pull`].
+fn choose_direction(mode: FrontierMode, g: &Graph, touched: u64, cost: &CostModel) -> Direction {
     match mode {
         FrontierMode::Dense => Direction::Dense,
         FrontierMode::Push => Direction::Push,
         FrontierMode::Pull => Direction::Pull,
         FrontierMode::Auto => {
-            let out = g.outgoing();
-            let flagged = changed.iter().enumerate().filter(|&(_, &c)| c);
-            let touched = flagged
-                .map(|(v, _)| u64::from(out.degree(v as VertexId)))
-                .sum();
             if cost.prefer_pull(g.num_vertices() as u64, touched, g.num_edges()) {
                 Direction::Pull
             } else {

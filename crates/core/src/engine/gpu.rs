@@ -508,13 +508,14 @@ mod tests {
         let mut decisions: Vec<Decision> = spoken.iter().map(|&l| Some((l, 1.0))).collect();
         decisions[3] = Some((999, 1.0));
         let mut changed = vec![false; n];
-        mark_changed(&spoken, &decisions, &mut changed);
+        let (count, marked) = mark_changed(&spoken, &decisions, g.outgoing(), &mut changed);
         let mut push = vec![false; n];
         let mut pull = vec![false; n];
         let touched = rebuild_frontier(&g, Direction::Push, &changed, &mut push);
         let scanned = rebuild_frontier(&g, Direction::Pull, &changed, &mut pull);
         assert_eq!(push, pull);
         assert_eq!(touched, u64::from(g.outgoing().degree(3)));
+        assert_eq!((count, marked), (1, touched));
         // The pull scan early-exits but still walks at least one entry per
         // non-isolated vertex.
         assert!(scanned >= push.iter().filter(|&&a| a).count() as u64);

@@ -46,10 +46,16 @@
 //!   decision array ([`DecisionsOut`]) — no per-launch result vector;
 //! * the packed-warp kernel decides vertex by vertex: a vertex's lanes are
 //!   its run, so the same-vertex groups Figure 3 finds with
-//!   `__match_any_sync` need no search, the same-label groups are a
-//!   first-occurrence scan inside the run, and each *distinct* label is
-//!   scored once. The charges are Figure 3's; the intrinsic formulation
-//!   itself is the `#[cfg(test)]` oracle the kernel is tested against;
+//!   `__match_any_sync` need no search. A run of at most four lanes — every
+//!   run of a road graph — is decided in a fixed window, 4 lanes wide (2
+//!   for runs of one or two): integer label counts when its lanes weigh 1,
+//!   every lane scored and the winner picked without a data-dependent
+//!   branch. A longer run finds its same-label groups by a first-occurrence
+//!   scan and scores each *distinct* label once. The kernel sorts its
+//!   vertices into these classes 64 at a time, as bitmasks, so a bucket that
+//!   mixes them (a serve window's) takes no per-vertex class branch. The
+//!   charges are Figure 3's; the intrinsic formulation itself is the
+//!   `#[cfg(test)]` oracle the kernel is tested against;
 //! * label gathers are coalesced from the neighbors' vertex ids
 //!   ([`KernelCtx::global_gather`]): a run count when they ascend, one pass
 //!   over per-shard sector stamps otherwise — no address array, no table;
@@ -496,6 +502,31 @@ fn schedule_block(ctx: &mut KernelCtx, csr: &Csr, vertices: &[VertexId], geom: S
 // Low-degree: one warp, multiple vertices (§4.2).
 // ---------------------------------------------------------------------------
 
+/// Runs of at most this many lanes are decided in a fixed window
+/// ([`decide_window`]); longer ones by a first-occurrence scan
+/// ([`decide_scan`]).
+const WINDOW: usize = 4;
+
+/// Runs of at most this many lanes take a window this wide instead: a
+/// 4-lane window costs a one- or two-lane run more than the scan it
+/// replaces.
+const NARROW_WINDOW: usize = 2;
+
+/// Vertices [`warp_packed_kernel`] sorts into classes at a time: one bit of
+/// a `u64` each.
+const CLASS_BLOCK: usize = 64;
+
+/// The positions of `mask`'s set bits, ascending.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 /// Decides the low-degree bucket `vertices` the way Figure 3's packed warps
 /// would, and returns the one charge of theirs the labels decide: per warp —
 /// packed by [`schedule_packed`]'s rule — `intrinsic(1)` (the popc) when
@@ -503,10 +534,15 @@ fn schedule_block(ctx: &mut KernelCtx, csr: &Csr, vertices: &[VertexId], geom: S
 ///
 /// The grouping Figure 3's intrinsics perform on the device is not
 /// recomputed: a lane's same-vertex mask *is* its vertex's run of lanes, and
-/// the same-(vertex, label) groups are found inside the run by a
-/// first-occurrence scan. Each distinct label is scored and offered once —
-/// every lane of a group would score the same `(vertex, label, frequency)`,
-/// and [`BestLabel::offer`] is idempotent and order-independent.
+/// the same-(vertex, label) groups are found inside the run. A run of at
+/// most [`WINDOW`] lanes is decided in a fixed-width window
+/// ([`decide_window`]; [`NARROW_WINDOW`] lanes wide for the shortest runs),
+/// a longer one by a first-occurrence scan ([`decide_scan`]). The class is
+/// the run's length in the CSR. The kernel sorts each block of
+/// [`CLASS_BLOCK`] vertices into class bitmasks and decides one class after
+/// the other, so a bucket that mixes them (a serve window's) takes no
+/// per-vertex class branch. The same pass over the degrees packs the warps;
+/// their weight flags are gathered from the runs' afterwards.
 pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
     csr: &Csr,
     spoken: &[Label],
@@ -514,53 +550,185 @@ pub(crate) fn warp_packed_kernel<P: LpProgram + ?Sized>(
     vertices: &[VertexId],
     out: &mut DecisionsOut<'_>,
 ) -> u64 {
-    let mut label = [0 as Label; WARP_SIZE];
-    let mut weight = [0.0; WARP_SIZE];
-    let weight_sum = |uniform: bool| if uniform { 1 } else { 5 };
-    let (mut used, mut uniform, mut intrinsics) = (0usize, true, 0u64);
-    for &v in vertices {
-        let nbrs = csr.neighbors(v);
-        let deg = nbrs.len();
-        if used + deg > WARP_SIZE {
-            intrinsics += weight_sum(uniform);
-            (used, uniform) = (0, true);
+    let mut lanes = ScanLanes::new();
+    // `used` starts full, so the first run opens a warp.
+    let (mut used, mut warps, mut weighted_warps) = (WARP_SIZE, 0u64, 0u64);
+    // Whether the open warp has a lane weighing other than 1.
+    let mut open_weighted = false;
+    for block in vertices.chunks(CLASS_BLOCK) {
+        // Bit `i` of each mask stands for `block[i]`: its class, and
+        // whether it opens a warp.
+        let (mut narrow, mut wide, mut opens) = (0u64, 0u64, 0u64);
+        for (i, &v) in block.iter().enumerate() {
+            let deg = csr.degree(v) as usize;
+            narrow |= u64::from((1..=NARROW_WINDOW).contains(&deg)) << i;
+            wide |= u64::from((NARROW_WINDOW + 1..=WINDOW).contains(&deg)) << i;
+            let open = used + deg > WARP_SIZE;
+            used = if open { deg } else { used + deg };
+            opens |= u64::from(open) << i;
         }
-        used += deg;
-        // 2. + 3. Each lane's contribution via the user API.
-        for (lane, (&u, e)) in nbrs.iter().zip(csr.offset(v)..).enumerate() {
-            let c = prog.load_neighbor(v, u, e, spoken[u as usize]);
-            label[lane] = c.label;
-            weight[lane] = c.weight;
-            uniform &= c.weight == 1.0;
+        let scanned = (u64::MAX >> (CLASS_BLOCK - block.len())) & !(narrow | wide);
+        // Bit `i`: some lane of `block[i]` weighs other than 1.
+        let mut weighted = 0u64;
+        let mut record = |i: usize, (decision, uniform): (Decision, bool)| {
+            out.set(block[i], decision);
+            weighted |= u64::from(!uniform) << i;
+        };
+        for i in set_bits(narrow) {
+            record(
+                i,
+                decide_window::<NARROW_WINDOW, P>(csr, spoken, prog, block[i]),
+            );
         }
-        // 4. + 5. Frequency of each distinct label of the run — lane
-        //    weights summed in ascending lane order, which for uniform
-        //    weights is the popcount — scored and reduced to the vertex's
-        //    best.
-        let current = spoken[v as usize];
-        let mut best: Option<BestLabel> = None;
-        let mut done = 0u32;
-        for lane in 0..deg {
-            if (done >> lane) & 1 == 1 {
-                continue;
-            }
-            let l = label[lane];
-            let mut freq = 0.0;
-            for peer in lane..deg {
-                if label[peer] == l {
-                    freq += weight[peer];
-                    done |= 1 << peer;
-                }
-            }
-            BestLabel::offer(&mut best, l, prog.label_score(v, l, freq), current);
+        for i in set_bits(wide) {
+            record(i, decide_window::<WINDOW, P>(csr, spoken, prog, block[i]));
         }
-        // 6. The run's leader writes its decision.
-        out.set(v, BestLabel::into_decision(best));
+        for i in set_bits(scanned) {
+            record(i, decide_scan(csr, spoken, prog, block[i], &mut lanes));
+        }
+        // A warp is weighted from its first weighted run on; positions
+        // that neither open a warp nor weigh change nothing.
+        warps += u64::from(opens.count_ones());
+        for i in set_bits(opens | weighted) {
+            let (open, w) = ((opens >> i) & 1 == 1, (weighted >> i) & 1 == 1);
+            open_weighted &= !open;
+            weighted_warps += u64::from(w & !open_weighted);
+            open_weighted |= w;
+        }
     }
-    if used > 0 {
-        intrinsics += weight_sum(uniform);
+    // `intrinsic(1)` per warp, `intrinsic(5)` per weighted one.
+    warps + 4 * weighted_warps
+}
+
+/// Decides `v`, whose run has `1..=W` lanes, in a fixed window of `W`
+/// lanes, and returns the decision and whether every lane of the run weighs
+/// 1.
+///
+/// Figure 3's steps 2 and 3 gather every lane unconditionally: lanes past
+/// the run repeat its last lane and weigh 0. In steps 4 and 5 each lane's
+/// frequency is an integer count of its label when the run's lanes all
+/// weigh 1 (the popcount), else the lane weights of its label summed in
+/// ascending lane order, the padding's `+0.0` included — which leaves every
+/// sum's bits as a first-occurrence scan's. Every lane is scored and the window reduced
+/// by [`BestLabel`]'s tie rule from lane 0 up; a repeated label scores the
+/// same and never displaces itself, so the duplicates and the padding
+/// change nothing.
+#[inline(always)]
+fn decide_window<const W: usize, P: LpProgram + ?Sized>(
+    csr: &Csr,
+    spoken: &[Label],
+    prog: &P,
+    v: VertexId,
+) -> (Decision, bool) {
+    let (off, last) = (csr.offset(v), csr.degree(v) as usize - 1);
+    let targets = csr.targets();
+    let mut label = [0 as Label; W];
+    let mut weight = [0.0; W];
+    let mut uniform = true;
+    for k in 0..W {
+        let e = off + k.min(last) as u64;
+        let u = targets[e as usize];
+        let c = prog.load_neighbor(v, u, e, spoken[u as usize]);
+        label[k] = c.label;
+        weight[k] = if k <= last { c.weight } else { 0.0 };
+        uniform &= (k > last) | (c.weight == 1.0);
     }
-    intrinsics
+    let freq: [f64; W] = if uniform {
+        std::array::from_fn(|i| {
+            let same = (0..W).map(|j| u32::from((label[j] == label[i]) & (j <= last)));
+            f64::from(same.sum::<u32>())
+        })
+    } else {
+        std::array::from_fn(|i| {
+            (0..W).fold(0.0, |f, j| {
+                f + if label[j] == label[i] { weight[j] } else { 0.0 }
+            })
+        })
+    };
+    let current = spoken[v as usize];
+    let score: [f64; W] = std::array::from_fn(|k| prog.label_score(v, label[k], freq[k]));
+    // The winner is picked by lane index: a select between two `f64`s
+    // compiles to a branch, which the tie rule makes mispredict.
+    let mut best = 0;
+    for k in 1..W {
+        let held = BestLabel {
+            label: label[best],
+            score: score[best],
+        };
+        best = if held.loses_to(label[k], score[k], current) {
+            k
+        } else {
+            best
+        };
+    }
+    // 6. The run's leader writes its decision.
+    (Some((label[best], score[best])), uniform)
+}
+
+/// The lane registers [`decide_scan`] fills, kept across the vertices of a
+/// launch.
+struct ScanLanes {
+    label: [Label; WARP_SIZE],
+    weight: [f64; WARP_SIZE],
+}
+
+impl ScanLanes {
+    fn new() -> Self {
+        Self {
+            label: [0; WARP_SIZE],
+            weight: [0.0; WARP_SIZE],
+        }
+    }
+}
+
+/// Decides `v`, whose run has at most [`WARP_SIZE`] lanes, by a
+/// first-occurrence scan, and returns the decision and whether every lane
+/// of the run weighs 1.
+///
+/// Each distinct label is scored and offered once — every lane of a group
+/// would score the same `(vertex, label, frequency)`, and
+/// [`BestLabel::offer`] is idempotent and order-independent.
+#[inline]
+fn decide_scan<P: LpProgram + ?Sized>(
+    csr: &Csr,
+    spoken: &[Label],
+    prog: &P,
+    v: VertexId,
+    lanes: &mut ScanLanes,
+) -> (Decision, bool) {
+    let ScanLanes { label, weight } = lanes;
+    let nbrs = csr.neighbors(v);
+    let deg = nbrs.len();
+    let mut uniform = true;
+    // 2. + 3. Each lane's contribution via the user API.
+    for (lane, (&u, e)) in nbrs.iter().zip(csr.offset(v)..).enumerate() {
+        let c = prog.load_neighbor(v, u, e, spoken[u as usize]);
+        label[lane] = c.label;
+        weight[lane] = c.weight;
+        uniform &= c.weight == 1.0;
+    }
+    // 4. + 5. Frequency of each distinct label of the run — lane weights
+    //    summed in ascending lane order, which for uniform weights is the
+    //    popcount — scored and reduced to the vertex's best.
+    let current = spoken[v as usize];
+    let mut best: Option<BestLabel> = None;
+    let mut done = 0u32;
+    for lane in 0..deg {
+        if (done >> lane) & 1 == 1 {
+            continue;
+        }
+        let l = label[lane];
+        let mut freq = 0.0;
+        for peer in lane..deg {
+            if label[peer] == l {
+                freq += weight[peer];
+                done |= 1 << peer;
+            }
+        }
+        BestLabel::offer(&mut best, l, prog.label_score(v, l, freq), current);
+    }
+    // 6. The run's leader writes its decision.
+    (BestLabel::into_decision(best), uniform)
 }
 
 // ---------------------------------------------------------------------------
@@ -1257,12 +1425,13 @@ pub(super) mod tests {
         /// or 1 by their labels.
         #[test]
         fn packed_kernel_equals_figure3(
-            shape in 0u8..4,
+            shape in 0u8..5,
             raw_degrees in prop::collection::vec(1usize..=32, 1..48),
             gaps in prop::collection::vec(0usize..3, 48),
             num_labels in 1u32..6,
             seed in any::<u64>(),
         ) {
+            let mixed = shape == 4;
             let degrees: Vec<usize> = match shape {
                 // Lone degree-32 vertices: one run fills the warp.
                 0 => vec![32; raw_degrees.len().min(3)],
@@ -1270,6 +1439,25 @@ pub(super) mod tests {
                 1 => vec![16, 15, 1, 1],
                 // Road-like: many short runs per warp.
                 2 => raw_degrees.iter().map(|d| 1 + d % 4).collect(),
+                // Both classes of run, alternating, over more than one of
+                // the kernel's class blocks, and a last run shorter than
+                // the window: the bucket's last vertex owns the CSR's final
+                // edge, so its padded lanes must not read past it.
+                4 => {
+                    let count = 3 * CLASS_BLOCK / 2 + raw_degrees.len();
+                    let mut ds: Vec<usize> = (0..count)
+                        .map(|i| {
+                            let d = raw_degrees[i % raw_degrees.len()];
+                            if i % 2 == 0 {
+                                1 + d % WINDOW
+                            } else {
+                                WINDOW + 1 + d % (WARP_SIZE - WINDOW)
+                            }
+                        })
+                        .collect();
+                    ds.push(1 + raw_degrees[0] % (WINDOW - 1));
+                    ds
+                }
                 _ => raw_degrees,
             };
             // Vertex ids: each packed vertex follows 0..=2 vertices the
@@ -1282,7 +1470,7 @@ pub(super) mod tests {
             };
             let mut all_degrees = Vec::new();
             let mut vertices = Vec::new();
-            for (&d, &gap) in degrees.iter().zip(&gaps) {
+            for (&d, &gap) in degrees.iter().zip(gaps.iter().cycle()) {
                 for skipped in 0..gap {
                     all_degrees.push(if skipped == 0 { 0 } else { 40 });
                 }
@@ -1295,14 +1483,29 @@ pub(super) mod tests {
                 offsets.push(offsets.last().unwrap() + *d as u64);
             }
             let m = *offsets.last().unwrap() as usize;
-            let targets: Vec<VertexId> = (0..m).map(|_| next(n as u64) as VertexId).collect();
+            let mut targets: Vec<VertexId> =
+                (0..m).map(|_| next(n as u64) as VertexId).collect();
+            if mixed {
+                // Each run's first lane is its own vertex, which speaks the
+                // current label: ties with it in most runs of two or more.
+                for &v in &vertices {
+                    targets[offsets[v as usize] as usize] = v;
+                }
+            }
             let csr = Csr::from_parts(offsets, targets, None);
             let spoken: Vec<Label> = (0..n).map(|_| next(u64::from(num_labels)) as Label).collect();
 
             let classic = ClassicLp::new(n);
             assert_packed_matches_figure3(&csr, &spoken, &classic, &vertices, "classic");
-            let edge_weights: Arc<Vec<f32>> =
-                Arc::new((0..m).map(|e| 0.5 + (e % 7) as f32).collect());
+            // Mixed buckets weigh most edges 1 and a few 0 or 2.5, so a
+            // warp's weight flag flips partway through it.
+            let edge_weight = |e: usize| match (mixed, e % 23) {
+                (true, 7) => 0.0,
+                (true, 19) => 2.5,
+                (true, _) => 1.0,
+                (false, _) => 0.5 + (e % 7) as f32,
+            };
+            let edge_weights: Arc<Vec<f32>> = Arc::new((0..m).map(edge_weight).collect());
             let weighted = WeightedLp::new(n, edge_weights, 8).with_retention(6.0);
             assert_packed_matches_figure3(&csr, &spoken, &weighted, &vertices, "weighted");
             let mix = Mix { labels: spoken.clone() };

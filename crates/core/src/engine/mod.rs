@@ -130,20 +130,22 @@ impl BestLabel {
     /// own spoken label this round.
     #[inline]
     pub fn offer(slot: &mut Option<BestLabel>, label: Label, score: f64, current: Label) {
-        // `|`/`&`, not `||`/`&&`: ties are the common case in LP, so the
-        // short-circuit branches would be coin flips for the predictor.
-        let wins = match *slot {
-            None => true,
-            Some(b) => {
-                (score > b.score)
-                    | ((score == b.score)
-                        & (b.label != current)
-                        & ((label == current) | (label < b.label)))
-            }
-        };
-        if wins {
+        if slot.is_none_or(|b| b.loses_to(label, score, current)) {
             *slot = Some(BestLabel { label, score });
         }
+    }
+
+    /// Whether the candidate `(label, score)` displaces `self` — the tie
+    /// rule itself, for callers that keep the running best in registers
+    /// rather than in an `Option`.
+    #[inline]
+    pub(crate) fn loses_to(self, label: Label, score: f64, current: Label) -> bool {
+        // `|`/`&`, not `||`/`&&`: ties are the common case in LP, so the
+        // short-circuit branches would be coin flips for the predictor.
+        (score > self.score)
+            | ((score == self.score)
+                & (self.label != current)
+                & ((label == current) | (label < self.label)))
     }
 
     /// Converts the slot into a [`Decision`].
@@ -199,6 +201,7 @@ pub fn exact_mfl(
 #[cfg(test)]
 mod best_tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn higher_score_wins() {
@@ -228,14 +231,58 @@ mod best_tests {
         assert_eq!(s.unwrap().label, 5);
     }
 
-    #[test]
-    fn order_independent() {
-        for perm in [[7u32, 5, 3], [3, 5, 7], [5, 7, 3], [3, 7, 5]] {
-            let mut s = None;
-            for l in perm {
-                BestLabel::offer(&mut s, l, 2.0, 5);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Offering a multiset of candidates in any order — repeated labels
+        /// and score ties included, the vertex's current label among them
+        /// or not — keeps its lexicographic max of (score, is the current
+        /// label, smaller label). So does the chain of
+        /// [`BestLabel::loses_to`] the packed kernel folds its window with
+        /// from the first lane, which offers repeats and padding lanes.
+        #[test]
+        fn offer_keeps_the_lexicographic_max(
+            scores in prop::collection::vec(0u8..3, 1..6),
+            picks in prop::collection::vec(0usize..64, 1..12),
+            current_offered in any::<bool>(),
+            current_pick in 0usize..64,
+        ) {
+            // Distinct labels 10, 20, … with one score each — a label
+            // scores the same wherever a vertex offers it — from three
+            // values, so ties are common.
+            let labels: Vec<(Label, f64)> = scores
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (10 * (i as Label + 1), f64::from(s) / 2.0))
+                .collect();
+            let offered: Vec<(Label, f64)> =
+                picks.iter().map(|&p| labels[p % labels.len()]).collect();
+            let current = if current_offered {
+                offered[current_pick % offered.len()].0
+            } else {
+                // Between two offered labels, or past them all.
+                10 * (current_pick % (labels.len() + 1)) as Label + 5
+            };
+            let reference = offered.iter().copied().max_by(|a, b| {
+                a.1.total_cmp(&b.1)
+                    .then((a.0 == current).cmp(&(b.0 == current)))
+                    .then(b.0.cmp(&a.0))
+            });
+
+            let mut slot = None;
+            for &(l, score) in &offered {
+                BestLabel::offer(&mut slot, l, score, current);
             }
-            assert_eq!(s.unwrap().label, 5, "{perm:?}");
+            prop_assert_eq!(BestLabel::into_decision(slot), reference);
+
+            let (label, score) = offered[0];
+            let mut chain = BestLabel { label, score };
+            for &(l, score) in &offered[1..] {
+                if chain.loses_to(l, score, current) {
+                    chain = BestLabel { label: l, score };
+                }
+            }
+            prop_assert_eq!(Some((chain.label, chain.score)), reference);
         }
     }
 }
