@@ -100,10 +100,12 @@ pub struct ServeConfig {
     /// incremental reclustering outright.
     pub delta_fraction_max: f64,
     /// Force a from-scratch recluster after this many consecutive
-    /// incremental ones (0 = never force). Incremental runs are pinned
+    /// incremental ones (0 = never force): a memo stamped with this many
+    /// replays no longer covers a delta. Incremental runs are pinned
     /// byte-identical to full ones, so this bounds *memo lineage length*
     /// — the number of replays any published snapshot's provenance
-    /// chains through — not correctness drift.
+    /// chains through — not correctness drift. A blacklist change does
+    /// not restart the count: the LP trajectory never reads a seed.
     pub full_recluster_every: u64,
     /// Burst-detector evaluation window: the shed rate is evaluated once
     /// per this many gate submissions (accepted or shed). 0 disables

@@ -16,7 +16,7 @@
 //!    *spanning* when its users live on two or more shards.
 //! 3. The spanning components' transactions are merged back into global
 //!    arrival order by sequence stamp and reclustered as one graph —
-//!    the same seeded/weighted LP + scoring as everywhere else.
+//!    the same weighted LP + seed scoring as everywhere else.
 //! 4. The fleet snapshot keeps every shard's *local* verdict for users
 //!    of non-spanning components (those components are wholly contained
 //!    in one shard, where local LP already equals the reference) and
@@ -35,7 +35,7 @@
 
 use crate::config::ServeConfig;
 use crate::query::VerdictSnapshot;
-use crate::recluster::{ReclusterOutcome, ReclusterRequest, WarmState};
+use crate::recluster::{LpMemo, ReclusterOutcome, ReclusterRequest};
 use crate::stamped::StampedWindow;
 use glp_fraud::{IncrementalWindow, Transaction, WindowWorkload};
 use glp_graph::{IdMap, IdSet};
@@ -98,7 +98,7 @@ pub struct Reconciled {
 /// Carry-over state that lets consecutive exchange rounds recluster the
 /// boundary graph *incrementally*: a shadow stamped window (the same
 /// type a scoring core keeps) fed exactly the merged spanning
-/// transactions, plus the warm-start memo of the previous boundary run.
+/// transactions, plus the memo of the previous boundary run.
 /// [`reconcile_with`] goes incremental only when the previous round's
 /// stamps are a strict prefix of this round's merged log — membership
 /// changes (a component newly spanning shards
@@ -107,7 +107,7 @@ pub struct Reconciled {
 /// identical to the uncached path.
 pub struct BoundaryCache {
     window: StampedWindow,
-    warm: WarmState,
+    memo: Option<LpMemo>,
 }
 
 impl BoundaryCache {
@@ -116,7 +116,7 @@ impl BoundaryCache {
     pub fn new(days: u32) -> Self {
         Self {
             window: StampedWindow::empty(days),
-            warm: WarmState::default(),
+            memo: None,
         }
     }
 
@@ -151,15 +151,16 @@ impl BoundaryCache {
             self.window.apply(&merged[cached..], global_end);
         } else {
             match IncrementalWindow::from_parts(days, global_end, txs.to_vec()) {
+                // A rebuilt window has no baseline: its first delta is
+                // `expired`, so the kept memo cannot cover it.
                 Ok(w) => {
                     let stamps = merged.iter().map(|&(s, _)| s);
                     self.window = StampedWindow::from_parts(w, stamps);
-                    self.warm = WarmState::default();
                 }
                 Err(_) => {
                     // A merged log violating the window invariants cannot
-                    // be cached; recluster from scratch without one.
-                    *self = Self::new(days);
+                    // be cached; recluster it from scratch and keep the
+                    // cache as it was (its window and memo still agree).
                     let workload = WindowWorkload::from_transactions(days, txs.iter());
                     return ReclusterRequest::full(&workload, blacklist, cfg)
                         .stamped(as_of, global_end)
@@ -168,8 +169,12 @@ impl BoundaryCache {
             }
         }
         let (workload, delta) = self.window.window().materialize_delta();
-        self.warm
-            .run(&workload, blacklist, cfg, &delta, as_of, global_end, None)
+        let mut outcome = ReclusterRequest::full(&workload, blacklist, cfg)
+            .warm_from(self.memo.as_ref(), &delta)
+            .stamped(as_of, global_end)
+            .run();
+        self.memo = outcome.memo.take();
+        outcome
     }
 }
 

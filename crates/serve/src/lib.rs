@@ -30,7 +30,7 @@
 //!   counted in [`Telemetry`], never silent, never blocking producers.
 //! * **Recluster** ([`recluster`]) — every recluster is described by a
 //!   [`ReclusterRequest`] (`::full` or `::incremental`) and answered
-//!   with a [`ReclusterOutcome`]. Full requests run seeded/weighted LP
+//!   with a [`ReclusterOutcome`]. Full requests run weighted LP
 //!   through the existing [`GpuEngine`](glp_core::engine::GpuEngine)
 //!   dispatch on a materialized snapshot; incremental requests replay
 //!   the previous run's memoized trajectory over the delta frontier and
@@ -104,10 +104,11 @@
 //!   (co-locating fraud rings), unknown users by id;
 //!   [`Partitioner::balanced`] places a fixed community set round-robin.
 //! * **Shard cores** ([`service`]) — a shard *is* a [`ServiceCore`]: the
-//!   same stamped window, blacklist, warm state and verdict cell as the
-//!   single-core service, fed its slice of the keyspace pre-validated
-//!   through [`ServiceCore::apply_stamped`] with the fleet's watermark,
-//!   and checkpointed to `<base>.shard<i>` with the router's sequence
+//!   same stamped window, warm-start memo and verdict cell as the
+//!   single-core service, reading the fleet's one shared seed list, fed
+//!   its slice of the keyspace pre-validated through
+//!   [`ServiceCore::apply_stamped`] with the fleet's watermark, and
+//!   checkpointed to `<base>.shard<i>` with the router's sequence
 //!   stamps.
 //! * **Label exchange** ([`exchange`]) — components whose users span
 //!   shards are merged back into arrival order and reclustered once;
@@ -143,13 +144,14 @@
 //!   health overlay to exactly `Degraded` — never `Shedding` or `Down` —
 //!   recovering hysteretically. Admission decisions are untouched, so
 //!   accepted sequences stay deterministic (pinned in `tests/overload.rs`).
-//! * **Blacklist churn guard** — label noise gets retracted;
-//!   `update_blacklist` on a [`ServiceCore`] applies the change to its
-//!   (always canonical) seed list and resets the warm-start memo, and
-//!   [`router::FleetCore`]'s fans out to every shard core and
-//!   resets the boundary cache too — forcing the next recluster to run
-//!   full, because the memo's coverage check compares window lineage,
-//!   not seed sets (pinned in `tests/label_noise.rs`).
+//! * **Blacklist churn** — label noise gets retracted;
+//!   `update_blacklist` on a [`ServiceCore`] (or on a
+//!   [`router::FleetCore`], whose shards share its one seed list)
+//!   applies the change to the always-canonical seed list. Seeds only
+//!   score clusters — the weighted LP never reads one — so the next
+//!   recluster may still replay its memo, and it publishes verdicts
+//!   byte-identical to a service seeded that way from the start (pinned
+//!   in `tests/label_noise.rs`).
 //!
 //! Ground truth scores verdict quality offline: a live service
 //! out-detects a snapshot frozen early in a rotating-ring stream

@@ -1,4 +1,4 @@
-//! The recluster stage: snapshot → seeded/weighted LP → scored verdicts.
+//! The recluster stage: snapshot → weighted LP → seed-scored verdicts.
 //!
 //! Runs entirely on a private, immutable [`WindowWorkload`] materialized
 //! from the live window (the only shared-state touch is the short lock
@@ -23,19 +23,20 @@
 //! An incremental request carries the previous recluster's [`LpMemo`]
 //! (its per-iteration label trajectory plus the identity stamp of the
 //! window it described) and the [`WindowDelta`] the live window
-//! accumulated since. When the delta is eligible — no expiry
+//! accumulated since. When the memo covers the delta — no expiry
 //! invalidated the vertex mapping, the memo's stamp matches the delta's
-//! `prev_*` identity, iteration caps agree, and the touched frontier is
-//! under [`ServeConfig::delta_fraction_max`] — the previous trajectory
-//! is remapped into the grown graph's id space and *replayed* through
-//! [`glp_core::replay_delta`], recomputing decisions only on the delta
-//! frontier. LP is not confluent, so merely warm-starting from the old
-//! fixpoint could settle elsewhere; the replay re-executes the exact
-//! from-scratch trajectory instead, which is why the published snapshot
-//! is **byte-identical** to a from-scratch recluster of the same window
-//! (pinned in `tests/delta_identity.rs`). An ineligible delta silently
-//! falls back to a full recluster — the mode in the outcome says which
-//! path ran.
+//! `prev_*` identity, iteration caps agree, the touched frontier is
+//! under [`ServeConfig::delta_fraction_max`] and the memo stacks fewer
+//! than [`ServeConfig::full_recluster_every`] replays — the previous
+//! trajectory is remapped into the grown graph's id space and
+//! *replayed* through [`glp_core::replay_delta`], recomputing decisions
+//! only on the delta frontier. LP is not confluent, so merely
+//! warm-starting from the old fixpoint could settle elsewhere; the
+//! replay re-executes the exact from-scratch trajectory instead, which
+//! is why the published snapshot is **byte-identical** to a
+//! from-scratch recluster of the same window (pinned in
+//! `tests/delta_identity.rs`). An ineligible delta silently falls back
+//! to a full recluster — the mode in the outcome says which path ran.
 
 use crate::config::ServeConfig;
 use crate::health::HealthMonitor;
@@ -54,19 +55,25 @@ use std::sync::atomic::Ordering;
 /// Which recluster path actually executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReclusterMode {
-    /// From-scratch seeded LP over the whole window graph.
+    /// From-scratch weighted LP over the whole window graph.
     Full,
     /// Memoized delta replay seeded from the changed-vertex frontier.
     Incremental,
 }
 
 /// The memoized per-iteration label trajectory of one recluster, plus
-/// the identity stamp of the window it described. A later
+/// the identity stamp of the window it described and how many replays
+/// it stacks on the last full run. A later
 /// [`ReclusterRequest::incremental`] presents this together with the
 /// [`WindowDelta`] that grew the window; [`ReclusterRequest::run`]
-/// accepts the warm start only when the stamp matches the delta's
-/// `prev_*` identity — a memo can never silently seed a replay over a
-/// window it does not describe.
+/// replays it only when its `covers` rule holds — a memo can never
+/// silently seed a replay over a window it does not describe.
+///
+/// The stamp leaves the blacklist out because the trajectory does not
+/// depend on it: the serving LP ([`WeightedLp::from_graph`]) starts from
+/// unique labels and never reads a seed, and seeds enter only the
+/// scoring that every recluster reruns. If the serving LP ever reads
+/// seeds, the seed set must join this stamp.
 #[derive(Clone, Debug)]
 pub struct LpMemo {
     /// Labels after each LP iteration, in the stamped window's vertex
@@ -82,29 +89,37 @@ pub struct LpMemo {
     num_users: usize,
     /// Total vertex count of the stamped window.
     num_vertices: usize,
+    /// Replays since the last full run (0 for a full run's memo); the
+    /// drift cap [`ServeConfig::full_recluster_every`] counts these.
+    replays: u64,
 }
 
 impl LpMemo {
-    /// Whether `delta` extends exactly the window this memo describes,
-    /// under the iteration cap `cfg` would run with.
-    ///
-    /// Note what this check does *not* compare: the blacklist. A memo
-    /// records the label trajectory of a run seeded from a specific seed
-    /// set, so blacklist churn silently invalidates it while every stamp
-    /// here still matches. The trigger owners guard that hole
-    /// structurally — `update_blacklist` on
-    /// [`ServiceCore`](crate::service::ServiceCore) resets the warm state
-    /// on any seed-set change (and
-    /// [`FleetCore`](crate::router::FleetCore)'s, which fans out to its
-    /// shard cores, the boundary cache too), forcing the next recluster
-    /// to run full.
-    fn covers(&self, delta: &WindowDelta, cfg: &ServeConfig) -> bool {
+    /// The one warm-or-full rule: whether `delta` grew exactly the
+    /// window this memo describes into `workload`, monotonically (no
+    /// expiry renumbering), under the iteration cap `cfg` runs with,
+    /// with a touched frontier under `delta_fraction_max` of the graph
+    /// and the drift cap not yet reached.
+    fn covers(&self, workload: &WindowWorkload, delta: &WindowDelta, cfg: &ServeConfig) -> bool {
+        let n = workload.graph.num_vertices();
+        let monotone = delta.prev_users <= workload.num_user_vertices
+            && delta.prev_vertices <= n
+            && delta.prev_transactions <= workload.num_transactions;
+        // `> 0.0` and not just the product: a zero-touched delta (a
+        // recluster with no new transactions) must still honor
+        // `delta_fraction_max = 0.0` as "incremental off".
+        let small_enough = cfg.delta_fraction_max > 0.0
+            && (delta.touched.len() as f64) <= cfg.delta_fraction_max * n as f64;
+        let capped = cfg.full_recluster_every > 0 && self.replays >= cfg.full_recluster_every;
         !delta.expired
             && !self.per_iteration.is_empty()
             && self.max_iterations == cfg.pipeline.lp_iterations
             && self.transactions == delta.prev_transactions
             && self.num_users == delta.prev_users
             && self.num_vertices == delta.prev_vertices
+            && monotone
+            && small_enough
+            && !capped
     }
 }
 
@@ -194,9 +209,9 @@ impl<'a> ReclusterRequest<'a> {
 
     /// An incremental recluster: replay `prev`'s trajectory over the
     /// grown `workload`, recomputing only the frontier `delta` touched.
-    /// [`Self::run`] checks eligibility (memo stamp, expiry, frontier
-    /// fraction) and silently falls back to a full recluster when the
-    /// warm start cannot be honored — the outcome's
+    /// [`Self::run`] checks `LpMemo::covers` (stamp, expiry, frontier
+    /// fraction, drift cap) and silently falls back to a full recluster
+    /// when the warm start cannot be honored — the outcome's
     /// [`mode`](ReclusterOutcome::mode) says which path ran.
     pub fn incremental(
         workload: &'a WindowWorkload,
@@ -205,10 +220,14 @@ impl<'a> ReclusterRequest<'a> {
         prev: &'a LpMemo,
         delta: &'a WindowDelta,
     ) -> Self {
-        Self {
-            warm: Some((prev, delta)),
-            ..Self::full(workload, blacklist, cfg)
-        }
+        Self::full(workload, blacklist, cfg).warm_from(Some(prev), delta)
+    }
+
+    /// Offers `memo` (if any) as this request's warm start over `delta`
+    /// — how a trigger owner presents the memo it keeps.
+    pub(crate) fn warm_from(mut self, memo: Option<&'a LpMemo>, delta: &'a WindowDelta) -> Self {
+        self.warm = memo.map(|m| (m, delta));
+        self
     }
 
     /// Stamps the serving clocks into the published snapshot:
@@ -226,24 +245,6 @@ impl<'a> ReclusterRequest<'a> {
     pub fn with_tracer(mut self, tracer: Option<&'a Tracer>) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    /// Whether the warm start is honorable: the memo must cover exactly
-    /// the window the delta extends, the window must have grown
-    /// monotonically (no expiry renumbering), and the touched frontier
-    /// must be under `delta_fraction_max` of the graph.
-    fn eligible_warm(&self) -> Option<(&'a LpMemo, &'a WindowDelta)> {
-        let (memo, delta) = self.warm?;
-        let n = self.workload.graph.num_vertices();
-        let monotone = delta.prev_users <= self.workload.num_user_vertices
-            && delta.prev_vertices <= n
-            && delta.prev_transactions <= self.workload.num_transactions;
-        // `> 0.0` and not just the product: a zero-touched delta (a
-        // recluster with no new transactions) must still honor
-        // `delta_fraction_max = 0.0` as "incremental off".
-        let small_enough = self.cfg.delta_fraction_max > 0.0
-            && (delta.touched.len() as f64) <= self.cfg.delta_fraction_max * n as f64;
-        (memo.covers(delta, self.cfg) && monotone && small_enough).then_some((memo, delta))
     }
 
     /// Executes the recluster. LP runs on [`ResilientEngine::gpu_ladder`]
@@ -268,7 +269,10 @@ impl<'a> ReclusterRequest<'a> {
             .collect();
         seeds.sort_unstable();
 
-        if let Some((memo, delta)) = self.eligible_warm() {
+        let warm = self
+            .warm
+            .filter(|(memo, delta)| memo.covers(workload, delta, cfg));
+        if let Some((memo, delta)) = warm {
             // Incremental: carry the previous trajectory into the grown
             // id space and replay it.
             let remapped = remap_memo(&memo.per_iteration, delta, workload.num_user_vertices, n);
@@ -308,12 +312,13 @@ impl<'a> ReclusterRequest<'a> {
                     transactions: workload.num_transactions,
                     num_users: workload.num_user_vertices,
                     num_vertices: n,
+                    replays: memo.replays + 1,
                 }),
                 report: replay.report,
             };
         }
 
-        // Full: from-scratch seeded LP, recording the per-iteration
+        // Full: from-scratch weighted LP, recording the per-iteration
         // memo so the next recluster can go incremental.
         let mut prog = WeightedLp::from_graph(&workload.graph, cfg.pipeline.lp_iterations)
             .with_retention(cfg.pipeline.retention);
@@ -337,6 +342,7 @@ impl<'a> ReclusterRequest<'a> {
             transactions: workload.num_transactions,
             num_users: workload.num_user_vertices,
             num_vertices: n,
+            replays: 0,
         });
         let snapshot = assemble_snapshot(
             workload,
@@ -391,62 +397,6 @@ fn remap_memo<'m>(
         })
         .collect();
     Cow::Owned(remapped)
-}
-
-/// Warm-start state carried between reclusters by every trigger owner
-/// (each [`ServiceCore`](crate::service::ServiceCore) — standalone or a
-/// fleet shard — and the fleet's boundary cache):
-/// the previous run's memo plus how many incremental runs have stacked
-/// on it since the last full one (the drift cap
-/// [`ServeConfig::full_recluster_every`] counts these).
-#[derive(Default)]
-pub(crate) struct WarmState {
-    memo: Option<LpMemo>,
-    increments: u64,
-}
-
-impl WarmState {
-    /// Forgets the warm start (empty window, failover rebuild): the next
-    /// recluster runs full.
-    pub(crate) fn reset(&mut self) {
-        self.memo = None;
-        self.increments = 0;
-    }
-
-    /// Runs the next recluster through this state: incremental when a
-    /// memo exists and the drift cap has not been hit, full otherwise —
-    /// then absorbs the new memo and advances/resets the increment
-    /// counter by what actually ran. The returned outcome's `memo` is
-    /// `None` (it lives here now).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run(
-        &mut self,
-        workload: &WindowWorkload,
-        blacklist: &[u32],
-        cfg: &ServeConfig,
-        delta: &WindowDelta,
-        as_of_batch: u64,
-        window_end: u32,
-        tracer: Option<&Tracer>,
-    ) -> ReclusterOutcome {
-        let force_full =
-            cfg.full_recluster_every > 0 && self.increments >= cfg.full_recluster_every;
-        let request = match (&self.memo, force_full) {
-            (Some(memo), false) => {
-                ReclusterRequest::incremental(workload, blacklist, cfg, memo, delta)
-            }
-            _ => ReclusterRequest::full(workload, blacklist, cfg),
-        }
-        .stamped(as_of_batch, window_end)
-        .with_tracer(tracer);
-        let mut outcome = request.run();
-        match outcome.mode {
-            ReclusterMode::Incremental => self.increments += 1,
-            ReclusterMode::Full => self.increments = 0,
-        }
-        self.memo = outcome.memo.take();
-        outcome
-    }
 }
 
 /// Merges one outcome's engine-side reports into a telemetry block and
@@ -663,5 +613,36 @@ mod tests {
         strict.delta_fraction_max = 0.0;
         let out = ReclusterRequest::incremental(&w1, &s.blacklist, &strict, &memo, &d1).run();
         assert_eq!(out.mode, ReclusterMode::Full);
+
+        // A memo that already carries `full_recluster_every` replays
+        // runs full, presented to the public request too.
+        let mut capped = cfg.clone();
+        capped.delta_fraction_max = 1.0;
+        capped.full_recluster_every = 1;
+        let replay = ReclusterRequest::incremental(&w1, &s.blacklist, &capped, &memo, &d1).run();
+        assert_eq!(replay.mode, ReclusterMode::Incremental);
+        let memo = replay.memo.unwrap();
+        window.apply_batch(&s.window(2, 3).copied().collect::<Vec<_>>());
+        let (w2, d2) = window.materialize_delta();
+        let out = ReclusterRequest::incremental(&w2, &s.blacklist, &capped, &memo, &d2).run();
+        assert_eq!(out.mode, ReclusterMode::Full);
+        assert_eq!(out.memo.unwrap().replays, 0);
+
+        // A core whose window emptied and refilled runs full: its memo
+        // is kept across the empty recluster, and nothing resets it —
+        // the refill's delta is stamped against the empty window.
+        let core = crate::ServiceCore::new(capped, s.blacklist.clone());
+        core.apply_transactions(&s.window(0, 1).copied().collect::<Vec<_>>());
+        assert_eq!(core.recluster_now().mode, ReclusterMode::Full);
+        core.apply_stamped(&[], 40);
+        let emptied = core.recluster_now();
+        assert_eq!((emptied.mode, emptied.frontier), (ReclusterMode::Full, 0));
+        assert!(core.memo().is_some(), "the empty recluster keeps the memo");
+        let refill: Vec<Transaction> = s
+            .window(0, 1)
+            .map(|&t| Transaction { day: 40, ..t })
+            .collect();
+        core.apply_transactions(&refill);
+        assert_eq!(core.recluster_now().mode, ReclusterMode::Full);
     }
 }

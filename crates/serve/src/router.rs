@@ -166,11 +166,9 @@ impl FleetTelemetry {
 pub struct FleetCore {
     cfg: FleetConfig,
     partitioner: Partitioner,
-    /// The fleet's live blacklist seeds; churned via
-    /// [`Self::update_blacklist`], which fans the change out to every
-    /// shard and resets the boundary cache (its prefix check, like the
-    /// shard memo's, compares window lineage only — not seed sets).
-    blacklist: Blacklist,
+    /// The fleet's live blacklist seeds, shared by every shard core and
+    /// churned via [`Self::update_blacklist`].
+    blacklist: Arc<Blacklist>,
     /// One scoring core per shard, fed through
     /// [`ServiceCore::apply_stamped`].
     shards: Vec<Arc<ServiceCore>>,
@@ -343,12 +341,20 @@ impl FleetCore {
         let boundary = Mutex::new(BoundaryCache::new(cfg.shard.window_days));
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let workers = shards.len().min(cores);
+        let blacklist = Arc::new(Blacklist::new(blacklist));
+        let shards = shards
+            .into_iter()
+            .map(|mut s| {
+                s.blacklist = Arc::clone(&blacklist);
+                Arc::new(s)
+            })
+            .collect();
         Self {
             health: Arc::new(HealthMonitor::for_config(&cfg.shard)),
             cfg,
             partitioner,
-            blacklist: Blacklist::new(blacklist),
-            shards: shards.into_iter().map(Arc::new).collect(),
+            blacklist,
+            shards,
             fleet: EpochCell::new(FleetSnapshot::default()),
             telemetry: Arc::new(Telemetry::new()),
             batches_applied: AtomicU64::new(batches),
@@ -448,24 +454,18 @@ impl FleetCore {
         self.blacklist.get()
     }
 
-    /// Applies blacklist churn fleet-wide: the fleet's own seed set
-    /// changes, every shard's does too (resetting each shard's warm
-    /// memo), and the boundary cache is reset — its prefix check
-    /// compares sequence-stamp lineage, not seed sets, so a churned
-    /// blacklist would otherwise let an exchange round go incremental
-    /// against labels a retracted seed already propagated. Returns
-    /// whether the seed set changed; counted in `blacklist_revisions`
-    /// (router block).
+    /// Applies blacklist churn fleet-wide: the shards share the fleet's
+    /// one seed list, so this changes every shard's seeds at once. The
+    /// next round scores against the new seeds whichever path each
+    /// recluster takes: the LP trajectories the shard memos and the
+    /// boundary cache replay never read a seed. Returns whether the seed
+    /// set changed; counted once in `blacklist_revisions` (router block).
     pub fn update_blacklist(&self, add: &[u32], remove: &[u32]) -> bool {
         let changed = self.blacklist.update(add, remove);
         if changed {
             self.telemetry
                 .blacklist_revisions
                 .fetch_add(1, Ordering::Relaxed);
-            for s in &self.shards {
-                s.update_blacklist(add, remove);
-            }
-            *unpoison(self.boundary.lock()) = BoundaryCache::new(self.cfg.shard.window_days);
         }
         changed
     }

@@ -32,7 +32,7 @@ use crate::exchange::ShardFrame;
 use crate::health::{HealthMonitor, HealthReport, HealthState};
 use crate::ingest::{IngestGate, Submitted};
 use crate::query::{FraudScorer, Verdict, VerdictSnapshot};
-use crate::recluster::{absorb_outcome, ReclusterMode, ReclusterRun, WarmState};
+use crate::recluster::{absorb_outcome, LpMemo, ReclusterMode, ReclusterRequest, ReclusterRun};
 use crate::shell::{Core, Front, Shell};
 use crate::stamped::{admit, record_admission, StampedWindow};
 use crate::supervisor::WorkerOutcome;
@@ -52,7 +52,8 @@ use std::time::Instant;
 /// Mutable because label noise is real: entries get retracted and added
 /// while the service runs. [`Self::update`] is the only place seeds are
 /// canonicalised, so "did the seed set change" is a comparison of two
-/// canonical lists from construction on.
+/// canonical lists from construction on. A fleet's shards share the
+/// fleet's one list.
 pub(crate) struct Blacklist(Mutex<Vec<u32>>);
 
 impl Blacklist {
@@ -81,7 +82,7 @@ impl Blacklist {
 }
 
 /// The synchronous scoring core — a stamped window, a blacklist, the
-/// warm-start state and a verdict cell — shared by the service threads,
+/// warm-start memo and a verdict cell — shared by the service threads,
 /// the tests, the bench harness, and the sharded fleet, which routes to
 /// N of them ([`FleetCore`](crate::router::FleetCore)).
 ///
@@ -94,15 +95,11 @@ impl Blacklist {
 pub struct ServiceCore {
     cfg: ServeConfig,
     state: Mutex<StampedWindow>,
-    /// Warm-start state; the lock also serializes reclusters, so at most
-    /// one LP run consumes/produces the memo at a time.
-    recluster: Mutex<WarmState>,
-    /// A change resets the warm-start memo ([`Self::update_blacklist`])
-    /// — the memo's coverage check ([`LpMemo::covers`]) compares window
-    /// lineage, not seed sets, so a churned blacklist *must* force the
-    /// next recluster to run from scratch or the delta replay would keep
-    /// propagating labels from seeds that no longer exist.
-    blacklist: Blacklist,
+    /// The previous recluster's memo; the lock also serializes
+    /// reclusters, so at most one LP run consumes/produces it at a time.
+    recluster: Mutex<Option<LpMemo>>,
+    /// The seeds scoring reads; a fleet shard shares the fleet's.
+    pub(crate) blacklist: Arc<Blacklist>,
     verdicts: EpochCell<VerdictSnapshot>,
     telemetry: Arc<Telemetry>,
     batches_applied: AtomicU64,
@@ -169,10 +166,10 @@ impl ServiceCore {
         Self {
             window_end: Arc::new(AtomicU32::new(window.end())),
             state: Mutex::new(window),
-            recluster: Mutex::new(WarmState::default()),
+            recluster: Mutex::new(None),
             health: Arc::new(HealthMonitor::for_config(&cfg)),
             cfg,
-            blacklist: Blacklist::new(blacklist),
+            blacklist: Arc::new(Blacklist::new(blacklist)),
             verdicts: EpochCell::with_epoch(initial, snapshot_epoch),
             telemetry,
             batches_applied: AtomicU64::new(batches_applied),
@@ -254,22 +251,19 @@ impl ServiceCore {
 
     /// Applies blacklist churn: `add` entries are inserted, `remove`
     /// entries retracted (label noise being withdrawn). Returns whether
-    /// the effective seed set changed; when it did, the warm-start memo
-    /// is reset — the recluster-staleness guard — so the *next* recluster
-    /// runs from scratch against the new seeds instead of incrementally
-    /// replaying labels a retracted seed already propagated. Counted in
-    /// `blacklist_revisions`. The *fleet-level* counterpart
-    /// ([`FleetCore::update_blacklist`](crate::router::FleetCore::update_blacklist))
-    /// fans out here and additionally resets the boundary cache.
+    /// the effective seed set changed; a change is counted in
+    /// `blacklist_revisions`. The next recluster scores against the new
+    /// seeds whichever path it takes: the LP trajectory a replay reuses
+    /// never reads a seed. A fleet's shards share the fleet's list, so
+    /// there the fleet-level
+    /// [`FleetCore::update_blacklist`](crate::router::FleetCore::update_blacklist)
+    /// is the one to call.
     pub fn update_blacklist(&self, add: &[u32], remove: &[u32]) -> bool {
         let changed = self.blacklist.update(add, remove);
         if changed {
             self.telemetry
                 .blacklist_revisions
                 .fetch_add(1, Ordering::Relaxed);
-            // The memo's coverage check compares window lineage only; a
-            // churned seed set silently invalidates it, so drop it here.
-            self.warm().reset();
         }
         changed
     }
@@ -325,7 +319,9 @@ impl ServiceCore {
         unpoison(self.state.lock())
     }
 
-    pub(crate) fn warm(&self) -> MutexGuard<'_, WarmState> {
+    /// The previous recluster's memo, locked: holding it keeps every
+    /// other recluster waiting.
+    pub(crate) fn memo(&self) -> MutexGuard<'_, Option<LpMemo>> {
         unpoison(self.recluster.lock())
     }
 
@@ -415,10 +411,10 @@ impl ServiceCore {
     pub fn recluster_now(&self) -> ReclusterRun {
         let started = Instant::now();
         self.span("recluster");
-        // The warm-start lock is held across the whole run: concurrent
+        // The memo lock is held across the whole run: concurrent
         // reclusters serialize, so each consumes the memo of the run
         // directly before it.
-        let mut st = self.warm();
+        let mut memo = self.memo();
         let (workload, delta, window_end, as_of) = {
             let mut s = self.state();
             let (workload, delta) = s.window().materialize_delta();
@@ -433,8 +429,9 @@ impl ServiceCore {
         let mut frontier = 0usize;
         let snapshot = if workload.graph.num_vertices() == 0 {
             // Nothing to cluster yet: publish the empty scoring. No LP
-            // ran, so no memo and no incremental/full decision recorded.
-            st.reset();
+            // ran, so no incremental/full decision is recorded; the kept
+            // memo cannot cover the refilled window's delta, whose
+            // `prev_*` stamp is this empty one.
             VerdictSnapshot {
                 window_end,
                 as_of_batch: as_of,
@@ -442,18 +439,15 @@ impl ServiceCore {
             }
         } else {
             let blacklist = self.blacklist();
-            let outcome = st.run(
-                &workload,
-                &blacklist,
-                &self.cfg,
-                &delta,
-                as_of,
-                window_end,
-                self.tracer.as_ref(),
-            );
+            let outcome = ReclusterRequest::full(&workload, &blacklist, &self.cfg)
+                .warm_from(memo.as_ref(), &delta)
+                .stamped(as_of, window_end)
+                .with_tracer(self.tracer.as_ref())
+                .run();
             absorb_outcome(&self.telemetry, &self.health, &outcome);
             mode = outcome.mode;
             frontier = outcome.frontier;
+            *memo = outcome.memo;
             outcome.snapshot
         };
         self.span("swap");
@@ -531,12 +525,10 @@ impl ServiceCore {
     pub(crate) fn rebuild_from(&self, window: StampedWindow, batches_applied: u64) {
         self.state.clear_poison();
         self.window_end.store(window.end(), Ordering::Release);
+        // The kept memo describes the discarded window, but the rebuilt
+        // window has no baseline: its first delta reports `expired`, so
+        // the next recluster runs full.
         *self.state() = window;
-        // The old memo describes the discarded window; the next
-        // recluster must run full. (The rebuilt window's first delta
-        // reports `expired` anyway — this keeps the drift counter honest
-        // too.)
-        self.warm().reset();
         self.batches_applied
             .store(batches_applied, Ordering::Relaxed);
     }
@@ -672,7 +664,7 @@ impl FraudService {
     /// what ran — the same trigger name and return type as
     /// [`ServiceCore::recluster_now`] and the fleet's
     /// [`FleetCore::recluster_now`](crate::router::FleetCore::recluster_now).
-    /// The warm-start lock serializes this with the recluster worker, so
+    /// The memo lock serializes this with the recluster worker, so
     /// a forced run never races a scheduled one.
     pub fn recluster_now(&self) -> ReclusterRun {
         self.0.core.recluster_now()
@@ -1372,5 +1364,14 @@ mod tests {
         for run in fleet.exchange_now().shard_runs {
             assert_eq!(run.mode, ReclusterMode::Incremental);
         }
+
+        // A real change is one revision fleet-wide: the shards share the
+        // fleet's seed list, so nothing fans out and counts it again.
+        assert!(fleet.update_blacklist(&[], &canonical[..1]));
+        assert_eq!(fleet.fleet_telemetry().counter("blacklist_revisions"), 1);
+        assert!(fleet
+            .shards()
+            .iter()
+            .all(|c| c.blacklist() == canonical[1..]));
     }
 }

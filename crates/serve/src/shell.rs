@@ -277,12 +277,12 @@ pub(crate) fn recluster_loop(
             // A stall is served here, full or incremental recluster alike,
             // and claimed under the recluster lock it holds: every other
             // recluster (a synchronous `recluster_now` too) waits it out.
-            let warm = core.warm();
+            let held = core.memo();
             let next = core.telemetry().reclusters.load(Ordering::Relaxed);
             if let Some(millis) = plan.stall_due(next) {
                 thread::sleep(Duration::from_millis(millis));
             }
-            drop(warm);
+            drop(held);
             plan.maybe_panic_recluster(next);
         }
         core.recluster_now();

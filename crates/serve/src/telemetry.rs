@@ -188,8 +188,8 @@ telemetry_block! {
         /// Burst episodes the ingest burst detector entered (shed rate over
         /// the configured threshold; see `BurstState`).
         bursts_detected,
-        /// Blacklist revisions applied (each one invalidates the warm
-        /// recluster memo — the churn guard forcing the next recluster full).
+        /// Blacklist revisions applied: real changes of the seed set,
+        /// counted once per change (a fleet counts in its router block).
         blacklist_revisions,
     }
     rest {
