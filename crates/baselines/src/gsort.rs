@@ -21,7 +21,7 @@ use glp_core::engine::{
     ShardStats,
 };
 use glp_core::{LpProgram, LpRunReport};
-use glp_gpusim::{Device, DeviceError, KernelCtx, WARP_SIZE};
+use glp_gpusim::{Device, DeviceError, WARP_SIZE};
 use glp_graph::{Graph, Label, VertexId};
 
 /// Segments at most this long sort in one block-local pass; longer ones
@@ -154,13 +154,15 @@ impl Backend for GSortBackend<'_> {
         decisions: &mut [Decision],
     ) -> Result<ShardStats, DeviceError> {
         let (csr, prog) = (p.g.incoming(), p.prog);
-        let vertex_ranges = &self.vertex_ranges;
-        let shards = vertex_ranges.len();
+        let ranges = || self.vertex_ranges.clone();
 
-        // 1. Gather kernel: NL[e] = L[target[e]] for every edge.
+        // 1. Gather kernel: NL[e] = L[target[e]] for every edge. Its warps
+        //    tile the edge array: counted once, by the part that starts it.
         self.device
-            .launch_parallel("gsort_gather", shards, |i, ctx: &mut KernelCtx| {
-                let (lo, hi) = vertex_ranges[i];
+            .launch_sharded("gsort_gather", ranges(), |(lo, hi), ctx| {
+                if lo == 0 {
+                    ctx.warps_launched(csr.num_edges().div_ceil(32));
+                }
                 let mut addrs = [0u64; WARP_SIZE];
                 for v in lo..hi {
                     let nbrs = csr.neighbors(v as VertexId);
@@ -182,79 +184,74 @@ impl Backend for GSortBackend<'_> {
                         );
                     }
                 }
-                ctx.warps_launched(
-                    (csr.offset(hi as VertexId) - csr.offset(lo as VertexId)).div_ceil(32),
-                );
             })?;
 
         // 2+3. Segmented sort + run-scan count, per vertex.
-        let outs =
-            self.device
-                .launch_parallel("gsort_sort_count", shards, |i, ctx: &mut KernelCtx| {
-                    let (lo, hi) = vertex_ranges[i];
-                    let mut out: Vec<(VertexId, Decision)> = Vec::with_capacity(hi - lo);
-                    let mut scratch: Vec<(Label, f64)> = Vec::new();
-                    for v in lo..hi {
-                        let v = v as VertexId;
-                        let nbrs = csr.neighbors(v);
-                        if nbrs.is_empty() {
-                            continue;
-                        }
-                        let off = csr.offset(v);
-                        let deg = nbrs.len();
-                        // Materialize this segment of NL with the user's
-                        // per-edge contributions, then sort by label.
-                        scratch.clear();
-                        scratch.reserve(deg);
-                        for (j, &u) in nbrs.iter().enumerate() {
-                            let contrib =
-                                prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
-                            scratch.push((contrib.label, contrib.weight));
-                        }
-                        scratch.sort_unstable_by_key(|&(l, _)| l);
-                        // Sort cost: one block-local pass for small
-                        // segments, RADIX_PASSES read+write sweeps of the
-                        // segment for large ones.
-                        if deg <= BLOCK_SORT_MAX {
-                            // Block-local radix sort: one global read+write
-                            // plus per-key rank/scatter work in shared
-                            // memory (4 digit passes x ~3 ops).
+        let outs = self
+            .device
+            .launch_sharded("gsort_sort_count", ranges(), |(lo, hi), ctx| {
+                let mut out: Vec<(VertexId, Decision)> = Vec::with_capacity(hi - lo);
+                let mut scratch: Vec<(Label, f64)> = Vec::new();
+                for v in lo..hi {
+                    let v = v as VertexId;
+                    let nbrs = csr.neighbors(v);
+                    if nbrs.is_empty() {
+                        continue;
+                    }
+                    let off = csr.offset(v);
+                    let deg = nbrs.len();
+                    // Materialize this segment of NL with the user's
+                    // per-edge contributions, then sort by label.
+                    scratch.clear();
+                    scratch.reserve(deg);
+                    for (j, &u) in nbrs.iter().enumerate() {
+                        let contrib = prog.load_neighbor(v, u, off + j as u64, spoken[u as usize]);
+                        scratch.push((contrib.label, contrib.weight));
+                    }
+                    scratch.sort_unstable_by_key(|&(l, _)| l);
+                    // Sort cost: one block-local pass for small
+                    // segments, RADIX_PASSES read+write sweeps of the
+                    // segment for large ones.
+                    if deg <= BLOCK_SORT_MAX {
+                        // Block-local radix sort: one global read+write
+                        // plus per-key rank/scatter work in shared
+                        // memory (4 digit passes x ~3 ops).
+                        ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
+                        ctx.global_write_seq(NL_BASE + off * 4, deg as u64, 4);
+                        ctx.shared_access_uniform((deg as u64) * RADIX_PASSES / 4);
+                        ctx.alu((deg as u64) * 3 * RADIX_PASSES);
+                    } else {
+                        // Degenerated multi-pass global radix sort:
+                        // every pass streams the segment through global
+                        // memory both ways.
+                        for _ in 0..RADIX_PASSES {
                             ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
                             ctx.global_write_seq(NL_BASE + off * 4, deg as u64, 4);
-                            ctx.shared_access_uniform((deg as u64) * RADIX_PASSES / 4);
-                            ctx.alu((deg as u64) * 3 * RADIX_PASSES);
-                        } else {
-                            // Degenerated multi-pass global radix sort:
-                            // every pass streams the segment through global
-                            // memory both ways.
-                            for _ in 0..RADIX_PASSES {
-                                ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
-                                ctx.global_write_seq(NL_BASE + off * 4, deg as u64, 4);
-                            }
-                            ctx.alu((deg as u64) * 4 * RADIX_PASSES);
                         }
-                        // Count kernel: scan sorted runs.
-                        ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
-                        ctx.alu(deg as u64);
-                        let mut best: Option<BestLabel> = None;
-                        let current = spoken[v as usize];
-                        let mut r = 0usize;
-                        while r < scratch.len() {
-                            let label = scratch[r].0;
-                            let mut freq = 0.0;
-                            while r < scratch.len() && scratch[r].0 == label {
-                                freq += scratch[r].1;
-                                r += 1;
-                            }
-                            let score = prog.label_score(v, label, freq);
-                            BestLabel::offer(&mut best, label, score, current);
-                        }
-                        ctx.global_write_scattered(1);
-                        out.push((v, BestLabel::into_decision(best)));
+                        ctx.alu((deg as u64) * 4 * RADIX_PASSES);
                     }
-                    ctx.warps_launched((hi - lo) as u64);
-                    out
-                })?;
+                    // Count kernel: scan sorted runs.
+                    ctx.global_read_seq(NL_BASE + off * 4, deg as u64, 4);
+                    ctx.alu(deg as u64);
+                    let mut best: Option<BestLabel> = None;
+                    let current = spoken[v as usize];
+                    let mut r = 0usize;
+                    while r < scratch.len() {
+                        let label = scratch[r].0;
+                        let mut freq = 0.0;
+                        while r < scratch.len() && scratch[r].0 == label {
+                            freq += scratch[r].1;
+                            r += 1;
+                        }
+                        let score = prog.label_score(v, label, freq);
+                        BestLabel::offer(&mut best, label, score, current);
+                    }
+                    ctx.global_write_scattered(1);
+                    out.push((v, BestLabel::into_decision(best)));
+                }
+                ctx.warps_launched((hi - lo) as u64);
+                out
+            })?;
         for (v, d) in outs.into_iter().flatten() {
             decisions[v as usize] = d;
         }

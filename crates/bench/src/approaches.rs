@@ -78,14 +78,11 @@ impl Approach {
     }
 
     /// Run options matching the approach's personality with the given
-    /// iteration cap, on one harness thread: modeled counters can differ by
-    /// a few boundary warps with how a launch is split, and the paper grid
-    /// must not depend on the machine's core count.
+    /// iteration cap.
     fn options(&self, iterations: u32) -> RunOptions {
         RunOptions::default()
             .with_max_iterations(iterations)
             .with_frontier(self.frontier())
-            .with_shards(1)
     }
 }
 

@@ -16,12 +16,12 @@
 //!
 //! Each Table 2 dataset is generated once and every table that reads it is
 //! filled from that copy; the same goes for the Table 4 transaction stream.
-//! Every engine runs on one harness thread (`RunOptions::shards = 1`):
-//! labels never depend on the thread count, but modeled counters can move
-//! by a few boundary warps with how a launch is split, and `results/` must
-//! not depend on the machine that wrote it. Everything is seeded and the
-//! cost models are deterministic, so CI reruns this program and fails when
-//! `git diff --exit-code results/` does. Progress goes to stderr.
+//! Every engine runs on the machine's cores (`RunOptions::shards = 0`):
+//! neither labels nor modeled counters depend on how many harness threads
+//! run a launch, so `results/` does not depend on the machine that wrote
+//! it. Everything is seeded and the cost models are deterministic, so CI
+//! reruns this program and fails when `git diff --exit-code results/`
+//! does. Progress goes to stderr.
 //!
 //! Usage: `cargo run -p glp-bench --release --bin paper_grid
 //!         [--scale-mul K] [--iters N]` (defaults 4 and 20). `K` multiplies
@@ -77,11 +77,9 @@ fn main() {
     }
 }
 
-/// Options of every run in the grid: `iters` iterations, one harness thread.
+/// Options of every run in the grid: `iters` iterations.
 fn opts(iters: u32) -> RunOptions {
-    RunOptions::default()
-        .with_max_iterations(iters)
-        .with_shards(1)
+    RunOptions::default().with_max_iterations(iters)
 }
 
 /// Classic LP on `g`, capped at `opts.max_iterations`.
@@ -539,7 +537,7 @@ fn quality(iters: u32) -> String {
         })
     };
     // The programs cap the iterations; the run keeps the default cap.
-    let opts = RunOptions::default().with_shards(1);
+    let opts = RunOptions::default();
     let mut rows = vec![];
     for mixing in [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5] {
         let (g, truth) = planted(mixing);

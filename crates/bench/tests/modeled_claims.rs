@@ -231,8 +231,7 @@ fn each_benchmark_schedule_is_priced_once() {
         let opts = RunOptions::default()
             .with_max_iterations(20)
             .with_frontier(FrontierMode::Auto)
-            .with_strategy(MflStrategy::SmemWarp)
-            .with_shards(1);
+            .with_strategy(MflStrategy::SmemWarp);
         let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), 20);
         let report = GpuEngine::titan_v()
             .run(&g, &mut prog, &opts)

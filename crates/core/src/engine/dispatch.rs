@@ -7,6 +7,7 @@
 //! a natural shard axis.
 
 use super::MflStrategy;
+use glp_gpusim::WARP_SIZE;
 use glp_graph::{Graph, VertexId};
 
 /// The paper's dispatch thresholds (§5.3).
@@ -143,11 +144,14 @@ impl Buckets {
 }
 
 /// Splits `vertices` into at most `shards` contiguous slices with
-/// near-equal total degree, so harness threads get balanced work.
+/// near-equal total degree, so harness threads get balanced work. A
+/// `packed` bucket is cut only before a vertex that opens a warp (its lanes
+/// would overflow the open one), so every part packs the whole list's warps.
 pub fn split_by_degree<'a>(
     g: &Graph,
     vertices: &'a [VertexId],
     shards: usize,
+    packed: bool,
 ) -> Vec<&'a [VertexId]> {
     assert!(shards >= 1, "need at least one shard");
     if vertices.is_empty() {
@@ -161,17 +165,20 @@ pub fn split_by_degree<'a>(
     let mut out = Vec::with_capacity(shards);
     let mut start = 0usize;
     let mut acc = 0u64;
+    // Lanes of the open warp; full, so the first vertex opens one.
+    let mut used = WARP_SIZE as u64;
     for (i, &v) in vertices.iter().enumerate() {
-        acc += u64::from(g.degree(v)) + 1;
-        if acc >= per && out.len() + 1 < shards {
-            out.push(&vertices[start..=i]);
-            start = i + 1;
+        let d = u64::from(g.degree(v));
+        let opens = used + d > WARP_SIZE as u64;
+        used = if opens { d } else { used + d };
+        if acc >= per && out.len() + 1 < shards && (opens || !packed) {
+            out.push(&vertices[start..i]);
+            start = i;
             acc = 0;
         }
+        acc += d + 1;
     }
-    if start < vertices.len() {
-        out.push(&vertices[start..]);
-    }
+    out.push(&vertices[start..]);
     out
 }
 
@@ -239,7 +246,7 @@ mod tests {
     fn split_by_degree_covers_and_balances() {
         let g = sample();
         let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-        let parts = split_by_degree(&g, &all, 4);
+        let parts = split_by_degree(&g, &all, 4, false);
         assert!(parts.len() <= 4);
         let covered: usize = parts.iter().map(|p| p.len()).sum();
         assert_eq!(covered, all.len());
@@ -255,6 +262,6 @@ mod tests {
     #[test]
     fn split_empty_is_empty() {
         let g = star(4);
-        assert!(split_by_degree(&g, &[], 4).is_empty());
+        assert!(split_by_degree(&g, &[], 4, false).is_empty());
     }
 }

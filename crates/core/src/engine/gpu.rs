@@ -309,7 +309,9 @@ pub(crate) fn charge_frontier(
 /// PickLabel (Figure 2): a trivially parallel kernel writing the
 /// spoken-label array, coalesced. `spoken` covers vertices
 /// `base .. base + spoken.len()` (the multi-GPU backend passes per-device
-/// sub-slices); each harness shard fills its own chunk of it in place.
+/// sub-slices); each harness shard fills its own chunk of it in place. The
+/// launch is one coalesced pass over all of `spoken`, charged once, by the
+/// shard that starts it.
 pub(crate) fn pick_labels(
     device: &mut Device,
     spoken: &mut [Label],
@@ -317,21 +319,22 @@ pub(crate) fn pick_labels(
     prog: &dyn LpProgram,
     shards: usize,
 ) -> Result<(), DeviceError> {
-    let per = spoken.len().div_ceil(shards).max(1);
+    let (n, per) = (spoken.len() as u64, spoken.len().div_ceil(shards).max(1));
+    let off = u64::from(base) * 4;
     let chunks: Vec<(usize, &mut [Label])> = spoken
         .chunks_mut(per)
         .enumerate()
         .map(|(i, chunk)| (i * per, chunk))
         .collect();
     device.launch_sharded("pick_label", chunks, |(start, chunk), ctx| {
-        let first = base as usize + start;
-        let m = chunk.len() as u64;
-        ctx.global_read_seq(LABEL_STATE + first as u64 * 4, m, 4);
-        ctx.global_write_seq(SPOKEN_OUT + first as u64 * 4, m, 4);
-        ctx.warps_launched(m.div_ceil(32));
-        ctx.lanes_active(m);
-        ctx.alu(2 * m.div_ceil(32));
-        prog.pick_labels_into(first as VertexId, chunk);
+        if start == 0 {
+            ctx.global_read_seq(LABEL_STATE + off, n, 4);
+            ctx.global_write_seq(SPOKEN_OUT + off, n, 4);
+            ctx.warps_launched(n.div_ceil(32));
+            ctx.lanes_active(n);
+            ctx.alu(2 * n.div_ceil(32));
+        }
+        prog.pick_labels_into(base + start as VertexId, chunk);
     })?;
     Ok(())
 }
@@ -339,8 +342,9 @@ pub(crate) fn pick_labels(
 /// LabelPropagation (Figure 2): degree-bucketed kernels over the vertices
 /// of `p.work` that fall in `range` (one device's share; buckets are
 /// ascending, so the share is a sub-slice). `decisions[v]` belongs to
-/// vertex `v`. Each harness part is charged its schedule from `ledger`,
-/// the device's schedule ledger for this run, and its decision pass.
+/// vertex `v`. A launch is charged its schedule from `ledger`, the device's
+/// schedule ledger for this run, once, by its first harness part, and each
+/// part its decision pass.
 pub(crate) fn propagate(
     device: &mut Device,
     ledger: &mut ScheduleLedger,
@@ -379,33 +383,34 @@ pub(crate) fn propagate(
         if vertices.is_empty() {
             continue;
         }
+        let (schedule, priced) = ledger.charges(device.config(), csr, kind, vertices, reuse);
+        stats.priced_launches += u64::from(priced);
         // Bucket parts are contiguous ascending id ranges, so each shard
         // gets the matching sub-slice of `decisions` to write in place.
-        let parts = split_by_degree(g, vertices, shards);
+        let packed = matches!(kind, KernelKind::WarpPacked);
+        let (launch, parts) = (vertices, split_by_degree(g, vertices, shards, packed));
         let outs = DecisionsOut::split(decisions, &parts);
-        let ledgers = ledger.parts(kind, parts.len());
-        let work: Vec<_> = parts.into_iter().zip(outs).zip(ledgers).collect();
-        let per_shard =
-            device.launch_sharded(kind.name(), work, |((vertices, out), ledger), ctx| {
-                let priced = ledger.charge(ctx, csr, kind, vertices, reuse);
-                let mut shard = KernelShard {
-                    ctx,
-                    csr,
-                    spoken,
-                    kind,
-                    vertices,
-                    out,
-                    stats: ShardStats::default(),
-                };
-                // The one virtual call of the shard: behind it the kernel runs
-                // monomorphised for the concrete program.
-                prog.propagate_shard(&mut shard);
-                (shard.stats, priced)
-            })?;
-        for (st, _) in &per_shard {
-            stats.merge(st);
-        }
-        stats.priced_launches += u64::from(per_shard.iter().any(|&(_, priced)| priced));
+        let work: Vec<_> = parts.into_iter().zip(outs).enumerate().collect();
+        let per_shard = device.launch_sharded(kind.name(), work, |(i, (vertices, out)), ctx| {
+            if i == 0 {
+                ctx.counters.merge(&schedule);
+            }
+            let mut shard = KernelShard {
+                ctx,
+                csr,
+                spoken,
+                kind,
+                vertices,
+                launch,
+                out,
+                stats: ShardStats::default(),
+            };
+            // The one virtual call of the shard: behind it the kernel runs
+            // monomorphised for the concrete program.
+            prog.propagate_shard(&mut shard);
+            shard.stats
+        })?;
+        per_shard.iter().for_each(|st| stats.merge(st));
     }
     Ok(stats)
 }
@@ -670,13 +675,15 @@ mod tests {
         (charged, report.priced_launches)
     }
 
-    /// Reusing priced schedules ≡ pricing every launch. On the three device
-    /// tiers (one GPU, a streamed hybrid, two GPUs), both frontier modes, 1 and 3 harness shards, five programs and
-    /// three graphs, the kernel log, the labels and the modeled clock equal
-    /// those of the same runs under [`ALWAYS_PRICE`]. One engine serves a
-    /// graph's five runs in turn, and the runs alternate the CMS+HT
-    /// geometry: a ledger that outlived its run would charge the next one
-    /// the other geometry's table scans.
+    /// Reusing priced schedules ≡ pricing every launch, at any harness
+    /// thread count. On the three device tiers (one GPU, a streamed hybrid,
+    /// two GPUs), both frontier modes, five programs and three graphs, the
+    /// kernel log, the labels and the modeled clock equal those of the same
+    /// runs under [`ALWAYS_PRICE`], and a 3-shard run equals a 1-shard one,
+    /// priced-launch counts included. One engine serves a graph's five runs
+    /// in turn, and the runs alternate the CMS+HT geometry: a ledger that
+    /// outlived its run would charge the next one the other geometry's
+    /// table scans.
     #[test]
     fn reusing_schedules_equals_pricing_every_launch() {
         let small_ht = RunOptions {
@@ -688,8 +695,8 @@ mod tests {
         for (gi, g) in ledger_graphs().iter().enumerate() {
             for tier in 0..3 {
                 for mode in [FrontierMode::Dense, FrontierMode::Auto] {
-                    for shards in [1, 3] {
-                        let [priced, reused] = [true, false].map(|always| {
+                    let legs = [1, 3].map(|shards| {
+                        [true, false].map(|always| {
                             let mut rig = Rig::new(tier, g);
                             let programs = ledger_programs(g).into_iter().enumerate();
                             let runs = programs.map(|(pi, mut prog)| {
@@ -702,17 +709,16 @@ mod tests {
                                 charged_run(&mut rig, g, prog.as_mut(), &opts, always)
                             });
                             runs.collect::<Vec<_>>()
-                        });
-                        for (pi, ((want, all), (got, some))) in
-                            priced.iter().zip(&reused).enumerate()
-                        {
-                            let case = format!(
-                                "graph {gi}, tier {tier}, {mode:?}, {shards} shards, program {pi}"
-                            );
-                            assert_eq!(got, want, "{case}");
-                            if mode == FrontierMode::Dense {
-                                assert!(some < all, "{case}: nothing reused ({some} of {all})");
-                            }
+                        })
+                    });
+                    let case = format!("graph {gi}, tier {tier}, {mode:?}");
+                    assert_eq!(legs[1], legs[0], "{case}: 3 shards against 1");
+                    let [priced, reused] = &legs[0];
+                    for (pi, ((want, all), (got, some))) in priced.iter().zip(reused).enumerate() {
+                        let case = format!("{case}, program {pi}");
+                        assert_eq!(got, want, "{case}");
+                        if mode == FrontierMode::Dense {
+                            assert!(some < all, "{case}: nothing reused ({some} of {all})");
                         }
                     }
                 }

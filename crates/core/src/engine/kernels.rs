@@ -33,9 +33,12 @@
 //!   table atomics and their conflicts, the CMS, the fallback recount,
 //!   `alu(2 · occupied)` and a packed warp's popc or shuffle sum. The kernel
 //!   functions below charge it as they decide. A run prices each schedule
-//!   once: it keeps the last one per device, kernel and harness part
-//!   ([`PartLedger`]), and a launch whose part lists the same vertices —
+//!   once: it keeps the last one per device and kernel
+//!   ([`ScheduleLedger`]), and a launch that lists the same vertices —
 //!   compared element by element — is charged the kept counts;
+//! * no charge sees how a launch is split over harness threads: a packed
+//!   bucket is cut only where a warp opens, any other between vertices, and
+//!   the fallback's global table is sized by the launch's largest degree;
 //! * kernels are generic over the **concrete** program type. An engine
 //!   holds a `&dyn LpProgram`; it wraps one shard's inputs in a
 //!   [`KernelShard`] and makes a single virtual call,
@@ -69,7 +72,7 @@
 
 use super::{BestLabel, Decision};
 use crate::api::{LpProgram, NeighborContribution};
-use glp_gpusim::{KernelCounters, KernelCtx, SharedMem, WARP_SIZE};
+use glp_gpusim::{DeviceConfig, KernelCounters, KernelCtx, SharedMem, WARP_SIZE};
 use glp_graph::{Csr, Label, VertexId, INVALID_VERTEX};
 use glp_sketch::{BoundedHashTable, CountMinSketch, InsertOutcome};
 
@@ -198,58 +201,38 @@ impl KernelKind {
     }
 }
 
-/// The schedule one harness part of one kernel priced last: its vertex list
-/// and what [`schedule_charges`] charged for it.
+/// One device's schedule ledgers for one run: per kernel, the vertex list of
+/// the last launch it priced and what [`schedule_charges`] charged for it.
 #[derive(Debug, Default)]
-pub(crate) struct PartLedger {
-    vertices: Vec<VertexId>,
-    charges: KernelCounters,
+pub(crate) struct ScheduleLedger {
+    kernels: [(Vec<VertexId>, KernelCounters); 4],
 }
 
-impl PartLedger {
-    /// Charges the schedule of `kind` over `vertices` to `ctx`: the kept
-    /// counts when this part priced exactly `vertices` last time and
-    /// `reuse` allows it, else a fresh pricing, which is kept. Returns
-    /// whether it priced.
-    ///
-    /// The counts are a function of the CSR, the device, the kernel's
-    /// launch parameters and the list. The ledger's owner, one run's
-    /// backend, fixes the first three; the list is compared element by
-    /// element.
-    pub(crate) fn charge(
+impl ScheduleLedger {
+    /// The schedule of `kind` over a launch's `vertices` and whether it was
+    /// priced: the kept counts when this kernel priced exactly `vertices`
+    /// last and `reuse` allows it, else a fresh pricing, which is kept. The
+    /// counts are a function of the CSR, the device, the kernel's launch
+    /// parameters — all fixed by the ledger's owner, one run's backend —
+    /// and the list, compared element by element.
+    pub(crate) fn charges(
         &mut self,
-        ctx: &mut KernelCtx,
+        cfg: &DeviceConfig,
         csr: &Csr,
         kind: KernelKind,
         vertices: &[VertexId],
         reuse: bool,
-    ) -> bool {
-        let priced = !reuse || self.vertices != vertices;
+    ) -> (KernelCounters, bool) {
+        let (kept, charges) = &mut self.kernels[kind.slot()];
+        let priced = !reuse || kept != vertices;
         if priced {
-            let data = std::mem::take(&mut ctx.counters);
-            schedule_charges(ctx, csr, kind, vertices);
-            self.charges = std::mem::replace(&mut ctx.counters, data);
-            self.vertices.clear();
-            self.vertices.extend_from_slice(vertices);
+            let mut ctx = KernelCtx::shard(cfg);
+            schedule_charges(&mut ctx, csr, kind, vertices);
+            *charges = ctx.counters;
+            kept.clear();
+            kept.extend_from_slice(vertices);
         }
-        ctx.counters.merge(&self.charges);
-        priced
-    }
-}
-
-/// One device's schedule ledgers for one run: per kernel, one
-/// [`PartLedger`] per harness part.
-#[derive(Debug, Default)]
-pub(crate) struct ScheduleLedger {
-    kernels: [Vec<PartLedger>; 4],
-}
-
-impl ScheduleLedger {
-    /// The ledgers of `kind`'s first `parts` harness parts, in part order.
-    pub(crate) fn parts(&mut self, kind: KernelKind, parts: usize) -> &mut [PartLedger] {
-        let ledgers = &mut self.kernels[kind.slot()];
-        ledgers.resize_with(parts, PartLedger::default);
-        ledgers
+        (*charges, priced)
     }
 }
 
@@ -268,6 +251,8 @@ pub struct KernelShard<'a, 'c> {
     pub(crate) spoken: &'a [Label],
     pub(crate) kind: KernelKind,
     pub(crate) vertices: &'a [VertexId],
+    /// The whole launch's vertices: the table kernels size their table by it.
+    pub(crate) launch: &'a [VertexId],
     pub(crate) out: DecisionsOut<'a>,
     pub(crate) stats: ShardStats,
 }
@@ -275,10 +260,10 @@ pub struct KernelShard<'a, 'c> {
 impl KernelShard<'_, '_> {
     /// Runs the shard's decision pass with `prog`'s callbacks statically
     /// dispatched, charging the data ledger. The schedule ledger is the
-    /// caller's ([`PartLedger::charge`]).
+    /// caller's ([`ScheduleLedger::charges`]).
     pub(crate) fn run<P: LpProgram + ?Sized>(&mut self, prog: &P) {
         let (ctx, csr, spoken, vertices) = (&mut *self.ctx, self.csr, self.spoken, self.vertices);
-        let out = &mut self.out;
+        let (launch, out) = (self.launch, &mut self.out);
         match self.kind {
             KernelKind::WarpPacked => {
                 let weight_sums = warp_packed_kernel(csr, spoken, prog, vertices, out);
@@ -289,9 +274,13 @@ impl KernelShard<'_, '_> {
             }
             KernelKind::BlockCmsHt(geom) => {
                 let stats = &mut self.stats;
-                block_cms_ht_kernel(ctx, csr, spoken, prog, vertices, geom, None, stats, out)
+                block_cms_ht_kernel(
+                    ctx, csr, spoken, prog, vertices, geom, launch, None, stats, out,
+                )
             }
-            KernelKind::GlobalHash => global_hash_kernel(ctx, csr, spoken, prog, vertices, out),
+            KernelKind::GlobalHash => {
+                global_hash_kernel(ctx, csr, spoken, prog, vertices, launch, out)
+            }
         }
     }
 }
@@ -820,8 +809,8 @@ impl SmemGeometry {
     /// Panics if a dimension is one the sketches cannot be built with, or
     /// if HT+CMS exceed one block's shared memory — the same failure a real
     /// kernel launch would report. Engines call it before the first launch
-    /// ([`RunOptions::validate_for_device`](super::RunOptions)): inside a
-    /// kernel shard the same panic is a device fault the driver retries.
+    /// ([`RunOptions::validate_for_device`](super::RunOptions)), so the
+    /// schedule pricing's call, on the engine's thread, never fires.
     pub(crate) fn validate(&self, shared_mem_per_block: usize) {
         assert!(
             self.ht_slots > 0,
@@ -850,7 +839,8 @@ impl SmemGeometry {
 }
 
 /// A global-memory scratch table big enough for the exact recount of any
-/// of `vertices` (twice the largest degree, so inserts never fail).
+/// of `vertices` (twice the largest degree, so inserts never fail). Its
+/// capacity places the modeled atomics: a launch's list sizes it, not a part's.
 fn global_scratch_table(csr: &Csr, vertices: &[VertexId]) -> BoundedHashTable {
     let max_deg = vertices
         .iter()
@@ -926,7 +916,10 @@ struct BlockSketch {
     /// `s(CMS)`: the best score an overflowed label reached by its running
     /// CMS estimate — a ceiling on what any label outside the HT can score.
     s_cms: f64,
-    overflowed: bool,
+    /// The vertex's own spoken label, and of the labels that overflowed, if
+    /// any, the one the tie rule ranks first: `current`, else the smallest.
+    current: Label,
+    tie_label: Option<Label>,
 }
 
 /// What one chunk's inserts are charged.
@@ -943,16 +936,26 @@ impl BlockSketch {
             ht: BoundedHashTable::new(geom.ht_slots, geom.ht_probe_limit),
             cms: CountMinSketch::new(geom.cms_depth, geom.cms_width),
             s_cms: f64::MIN,
-            overflowed: false,
+            current: 0,
+            tie_label: None,
         }
     }
 
-    /// Empties the sketches for the next vertex.
-    fn reset(&mut self) {
+    /// Empties the sketches for the next vertex, whose label is `current`.
+    fn reset(&mut self, current: Label) {
         self.ht.clear();
         self.cms.clear();
         self.s_cms = f64::MIN;
-        self.overflowed = false;
+        self.current = current;
+        self.tie_label = None;
+    }
+
+    /// Whether a label outside the HT might beat `best`, the HT's winner:
+    /// whether `tie_label` would win at `s(CMS)`, the ceiling of any
+    /// overflowed label's score. Only then is the global recount run.
+    fn might_beat(&self, best: Option<BestLabel>) -> bool {
+        let wins = |l| best.is_none_or(|b| b.loses_to(l, self.s_cms, self.current));
+        self.tie_label.is_some_and(wins)
     }
 
     /// Overflow path: a lane the HT rejected goes to the CMS; the running
@@ -964,7 +967,7 @@ impl BlockSketch {
         v: VertexId,
         lane: NeighborContribution,
     ) {
-        self.overflowed = true;
+        self.tie_label = Some(tie_first(self.tie_label, lane.label, self.current));
         let est = self.cms.add(u64::from(lane.label), lane.weight);
         self.s_cms = self.s_cms.max(prog.label_score(v, lane.label, est));
     }
@@ -1049,11 +1052,22 @@ impl BlockSketch {
     }
 }
 
+/// Of the overflowed label `kept` (if any) and `label`, the one the tie rule
+/// ranks first for a vertex whose label is `current`.
+fn tie_first(kept: Option<Label>, label: Label, current: Label) -> Label {
+    match kept {
+        Some(k) if (k != current, k) <= (label != current, label) => k,
+        _ => label,
+    }
+}
+
 /// Procedure `SharedMemBigNodes`: single scan inserting every neighbor
 /// label into the shared HT, overflowing to the shared CMS; two block
 /// reductions compare `s(HT)` against `s(CMS)`; only when the CMS *might*
-/// hold a better label does the block fall back to a global-memory hash
-/// table (exactly recounting the overflow labels). Returns exact winners.
+/// hold a better label — one scoring higher, or tying and winning the tie
+/// rule ([`BlockSketch::might_beat`]) — does the block fall back to a
+/// global-memory hash table (exactly recounting the overflow labels).
+/// Returns exact winners.
 ///
 /// Neighbor lists are sorted and labels converge, so the contributions of a
 /// chunk arrive in runs of equal labels: a chunk whose first
@@ -1062,7 +1076,7 @@ impl BlockSketch {
 /// [lane by lane](BlockSketch::insert_lanes). The choice is the kernel's own,
 /// from the labels it is about to consume, and changes neither a decision
 /// nor a charge; `force_walk` pins it either way for the tests that prove
-/// that, and is `None` everywhere else.
+/// that, and is `None` everywhere else. `launch` sizes the fallback's table.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
     ctx: &mut KernelCtx,
@@ -1071,18 +1085,19 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
     prog: &P,
     vertices: &[VertexId],
     geom: SmemGeometry,
+    launch: &[VertexId],
     force_walk: Option<bool>,
     stats: &mut ShardStats,
     out: &mut DecisionsOut<'_>,
 ) {
     let block_threads = ctx.cfg.threads_per_block as usize;
     let mut sketch = BlockSketch::new(geom);
-    // Theorem 1 makes the fallback rare, and its table is sized by the
-    // largest degree in the shard: built by the first vertex that needs it.
+    // Theorem 1 makes the fallback rare: its table is built by the first
+    // vertex that needs it.
     let mut ght: Option<BoundedHashTable> = None;
 
     for &v in vertices {
-        sketch.reset();
+        sketch.reset(spoken[v as usize]);
         stats.smem_vertices += 1;
         let off = csr.offset(v);
         let nbrs = csr.neighbors(v);
@@ -1110,10 +1125,9 @@ pub(crate) fn block_cms_ht_kernel<P: LpProgram + ?Sized>(
         best_in_table(ht, prog, v, spoken[v as usize], &mut best);
         ctx.alu(2 * ht.occupied() as u64);
 
-        let s_ht = best.map_or(f64::MIN, |b| b.score);
-        if sketch.overflowed && s_ht < sketch.s_cms {
+        if sketch.might_beat(best) {
             stats.fallbacks += 1;
-            let ght = ght.get_or_insert_with(|| global_scratch_table(csr, vertices));
+            let ght = ght.get_or_insert_with(|| global_scratch_table(csr, launch));
             global_recount(ctx, csr, spoken, prog, v, ht, ght, &mut best);
         }
         out.set(v, BestLabel::into_decision(best));
@@ -1135,16 +1149,17 @@ fn global_region(csr: &Csr, v: VertexId) -> (u64, u64) {
 /// hash-table region in *global* memory (scattered sectors), then the
 /// region is scanned for the winner. This is the strategy §4.1 criticizes:
 /// it cannot avoid random global accesses once neighbor lists exceed the
-/// cache.
+/// cache. The host counts in one table sized by `launch`.
 pub(crate) fn global_hash_kernel<P: LpProgram + ?Sized>(
     ctx: &mut KernelCtx,
     csr: &Csr,
     spoken: &[Label],
     prog: &P,
     vertices: &[VertexId],
+    launch: &[VertexId],
     out: &mut DecisionsOut<'_>,
 ) {
-    let mut ght = global_scratch_table(csr, vertices);
+    let mut ght = global_scratch_table(csr, launch);
     for &v in vertices {
         ght.clear();
         let off = csr.offset(v);
@@ -1550,7 +1565,7 @@ pub(super) mod tests {
             let off = csr.offset(v);
             let nbrs = csr.neighbors(v);
             let mut s_cms = f64::MIN;
-            let mut overflowed = false;
+            let (current, mut tie_label) = (spoken[v as usize], None);
             for (c, chunk) in nbrs.chunks(block_threads).enumerate() {
                 ctx.global_read_seq(
                     layout::TARGETS + (off + (c * block_threads) as u64) * 4,
@@ -1572,7 +1587,7 @@ pub(super) mod tests {
                             ht_conflicts += u64::from(probes - 1);
                         }
                         InsertOutcome::Full { probes } => {
-                            overflowed = true;
+                            tie_label = Some(tie_first(tie_label, contrib.label, current));
                             ht_conflicts += u64::from(probes - 1);
                             let est = cms.add(u64::from(contrib.label), contrib.weight);
                             s_cms = s_cms.max(prog.label_score(v, contrib.label, est));
@@ -1591,8 +1606,8 @@ pub(super) mod tests {
             ctx.block_reduce();
             ctx.block_reduce();
 
-            let s_ht = best.map_or(f64::MIN, |b| b.score);
-            if overflowed && s_ht < s_cms {
+            let wins = |l| best.is_none_or(|b| b.loses_to(l, s_cms, current));
+            if tie_label.is_some_and(wins) {
                 stats.fallbacks += 1;
                 global_recount(ctx, csr, spoken, prog, v, &ht, &mut ght, &mut best);
             }
@@ -1642,7 +1657,7 @@ pub(super) mod tests {
             let mut stats = ShardStats::default();
             let got = score_bits(collect(csr, hubs, |out| {
                 block_cms_ht_kernel(
-                    &mut ctx, csr, spoken, prog, hubs, geom, force_walk, &mut stats, out,
+                    &mut ctx, csr, spoken, prog, hubs, geom, hubs, force_walk, &mut stats, out,
                 )
             }));
             assert_eq!(got, want, "{what}, walk {force_walk:?}: decisions");
@@ -1783,6 +1798,7 @@ pub(super) mod tests {
                 spoken,
                 kind,
                 vertices,
+                launch: vertices,
                 out: DecisionsOut {
                     base: out.base,
                     slots: &mut *out.slots,

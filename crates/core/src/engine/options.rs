@@ -176,13 +176,13 @@ pub struct RunOptions {
     /// capped at 16) — for every engine: the device tiers shard a launch
     /// over them, the CPU baselines their per-vertex aggregation (whose
     /// `CpuLpConfig::threads` is the *modeled* machine's, a cost-model
-    /// input). Labels and the changed / active traces never depend on it,
-    /// but modeled counters can differ by a few boundary warps with how a
-    /// launch is split (`tests/host_path_identity.rs` pins rows at 1 and 3
-    /// shards that differ), which is why the committed benchmark and
-    /// `paper_grid` pin 1. The threads are spawned per launch, so on small
-    /// graphs 1 is the fast setting: a CI-sized serving recluster measured
-    /// 11.6 ms pinned to 1 against 12–39 ms with auto on two cores.
+    /// input). Neither labels, the changed / active traces, modeled
+    /// counters nor the modeled clock depend on it: a launch is cut only
+    /// where its kernel's charges are, and charges its one-pass events once
+    /// (`tests/determinism.rs` pins 1, 2, 3 and 7 threads bit for bit). The
+    /// threads are spawned per launch, so on small graphs 1 is the fast
+    /// setting: a CI-sized serving recluster measured 11.6 ms pinned to 1
+    /// against 12–39 ms with auto on two cores.
     pub shards: usize,
     /// A warm-start frontier: the activation bitmap iteration 0 should
     /// consume, where the caller warrants it covers every vertex whose

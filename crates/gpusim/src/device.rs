@@ -194,22 +194,7 @@ impl Device {
         name: &'static str,
         f: impl FnOnce(&mut KernelCtx) -> R,
     ) -> Result<R, DeviceError> {
-        self.pre_launch(name)?;
-        let cfg = &self.cfg;
-        match catch_unwind(AssertUnwindSafe(move || {
-            let mut ctx = KernelCtx::new(cfg);
-            let r = f(&mut ctx);
-            (ctx.counters, r)
-        })) {
-            Ok((counters, r)) => {
-                self.commit(name, counters);
-                Ok(r)
-            }
-            Err(_) => Err(DeviceError::ShardPanicked {
-                device: self.id,
-                shard: 0,
-            }),
-        }
+        self.launch_inline(name, |cfg| KernelCtx::new(cfg), f)
     }
 
     /// Runs a kernel *fragment* fused into an adjacent launch: `f`'s
@@ -226,10 +211,21 @@ impl Device {
         name: &'static str,
         f: impl FnOnce(&mut KernelCtx) -> R,
     ) -> Result<R, DeviceError> {
+        self.launch_inline(name, |cfg| KernelCtx::shard(cfg), f)
+    }
+
+    /// [`Self::launch`] with the context `ctx` makes: one that charges the
+    /// launch overhead, or a fused fragment's that does not.
+    fn launch_inline<R>(
+        &mut self,
+        name: &'static str,
+        ctx: fn(&DeviceConfig) -> KernelCtx,
+        f: impl FnOnce(&mut KernelCtx) -> R,
+    ) -> Result<R, DeviceError> {
         self.pre_launch(name)?;
         let cfg = &self.cfg;
         match catch_unwind(AssertUnwindSafe(move || {
-            let mut ctx = KernelCtx::shard(cfg);
+            let mut ctx = ctx(cfg);
             let r = f(&mut ctx);
             (ctx.counters, r)
         })) {
@@ -244,31 +240,13 @@ impl Device {
         }
     }
 
-    /// Runs one kernel sharded across `shards` OS threads (harness-side
-    /// parallelism only — the modeled time is identical to a serial launch).
-    /// `f(shard_index, ctx)` must partition work by shard index; the
-    /// per-shard return values come back in shard order. Failure semantics
-    /// are those of [`Self::launch_sharded`], which this delegates to.
-    pub fn launch_parallel<R, F>(
-        &mut self,
-        name: &'static str,
-        shards: usize,
-        f: F,
-    ) -> Result<Vec<R>, DeviceError>
-    where
-        R: Send,
-        F: Fn(usize, &mut KernelCtx) -> R + Sync,
-    {
-        assert!(shards >= 1, "need at least one shard");
-        self.launch_sharded(name, (0..shards).collect(), f)
-    }
-
-    /// Runs one kernel with one harness OS thread per element of `parts`,
-    /// handing each shard its element *by value* — so a shard can own a
-    /// `&mut` sub-slice of the launch's output and write results in place
-    /// instead of returning them. A single part runs on the calling
-    /// thread; with no parts the launch still happens (and charges its
-    /// overhead) but runs nothing. The per-shard return values come back
+    /// Runs one kernel with one harness OS thread per element of `parts`
+    /// (harness-side parallelism only: the shards' counters are summed into
+    /// one launch), handing each shard its element *by value* — so a shard
+    /// can own a `&mut` sub-slice of the launch's output and write results
+    /// in place instead of returning them. A single part runs on the
+    /// calling thread; with no parts the launch still happens (and charges
+    /// its overhead) but runs nothing. The per-shard return values come back
     /// in shard order. A panic in any shard is captured at the join
     /// boundary and surfaced as [`DeviceError::ShardPanicked`] carrying the
     /// first panicked shard's index; the launch then charges nothing.
@@ -285,27 +263,25 @@ impl Device {
     {
         self.pre_launch(name)?;
         let cfg = &self.cfg;
-        let run = |part: S, mut ctx: KernelCtx| {
+        let run = |part: S| {
+            let mut ctx = KernelCtx::shard(cfg);
             let r = f(part, &mut ctx);
             (ctx.counters, r)
         };
-        // Either shape charges the launch overhead exactly once: the lone
-        // part through `KernelCtx::new`, the threaded shards through the
-        // merge base.
-        let mut merged = KernelCounters::default();
-        let inline = parts.len() == 1;
-        let results: Vec<std::thread::Result<(KernelCounters, R)>> = if inline {
+        // The shards' contexts charge no overhead; the merge base, one launch.
+        let mut merged = KernelCounters {
+            kernel_launches: 1,
+            ..KernelCounters::default()
+        };
+        let results: Vec<std::thread::Result<(KernelCounters, R)>> = if parts.len() == 1 {
             let part = parts.pop().expect("one part");
-            vec![catch_unwind(AssertUnwindSafe(|| {
-                run(part, KernelCtx::new(cfg))
-            }))]
+            vec![catch_unwind(AssertUnwindSafe(|| run(part)))]
         } else {
-            merged.kernel_launches = 1;
             let run = &run;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = parts
                     .into_iter()
-                    .map(|part| scope.spawn(move || run(part, KernelCtx::shard(cfg))))
+                    .map(|part| scope.spawn(move || run(part)))
                     .collect();
                 // The join boundary is the panic-capture point: a panicking
                 // shard surfaces as Err here instead of tearing the process
@@ -525,8 +501,8 @@ mod tests {
             })
             .unwrap();
         let mut par = Device::titan_v();
-        par.launch_parallel("k", 4, |shard, ctx| {
-            for i in (shard as u64..8).step_by(4) {
+        par.launch_sharded("k", (0..4).collect(), |shard: u64, ctx| {
+            for i in (shard..8).step_by(4) {
                 ctx.alu(100);
                 ctx.global_read_seq(i * 4096, 64, 4);
             }
@@ -652,7 +628,7 @@ mod tests {
     fn panicking_shard_reports_its_index() {
         let mut d = Device::titan_v();
         let err = d
-            .launch_parallel("boom", 4, |shard, ctx| {
+            .launch_sharded("boom", (0..4).collect(), |shard: usize, ctx| {
                 ctx.alu(10);
                 assert!(shard != 2, "shard 2 panics");
                 shard

@@ -3,7 +3,7 @@
 //! Real LP fleets lose cards, trip kernel watchdogs, and run out of device
 //! memory. Every fallible entry point of [`Device`](crate::Device) —
 //! [`launch`](crate::Device::launch),
-//! [`launch_parallel`](crate::Device::launch_parallel) and
+//! [`launch_sharded`](crate::Device::launch_sharded) and
 //! [`upload`](crate::Device::upload) — returns one of these errors, which
 //! the engine layer converts into its own `EngineError`. A fault plan
 //! attached to the device (`Device::set_faults`) raises them on a

@@ -52,13 +52,11 @@ pub struct ServeConfig {
     /// configuration verbatim so online and offline verdicts agree.
     pub pipeline: PipelineConfig,
     /// Harness OS threads per LP kernel (0 = auto). Labels, and so
-    /// verdicts, are bit-deterministic across shard counts, which the
-    /// determinism test pins end to end; the modeled kernel seconds are not
-    /// (counters can differ by a few boundary warps with how a launch is
-    /// split), which is why the committed benchmark pins 1. The threads are
-    /// spawned per kernel launch, so more is not faster on small windows: a
-    /// CI-sized full recluster measured 11.6 ms pinned to 1 against 12–39 ms
-    /// with auto on two cores.
+    /// verdicts, and the modeled kernel seconds are bit-identical across
+    /// shard counts, which the determinism tests pin end to end. The
+    /// threads are spawned per kernel launch, so more is not faster on
+    /// small windows: a CI-sized full recluster measured 11.6 ms pinned to 1
+    /// against 12–39 ms with auto on two cores.
     pub engine_shards: usize,
     /// Scheduling mode of the recluster LP runs — every
     /// [`ReclusterRequest`](crate::recluster::ReclusterRequest) inherits it

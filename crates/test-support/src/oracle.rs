@@ -22,8 +22,8 @@ use glp_baselines::{CpuLp, CpuLpConfig, GHashLp, GSortLp};
 use glp_core::engine::DegreeThresholds;
 use glp_core::{
     BarrierHook, BspEngine, CapacityLp, ClassicLp, Direction, Engine, GpuEngine, HybridEngine,
-    LpProgram, MultiGpuEngine, NeighborContribution, ResilientEngine, RiskWeightedLp, RunOptions,
-    SeededLp, SequentialEngine, WeightedLp,
+    LpProgram, LpRunReport, MultiGpuEngine, NeighborContribution, ResilientEngine, RiskWeightedLp,
+    RunOptions, SeededLp, SequentialEngine, WeightedLp,
 };
 pub use glp_core::{FrontierMode, FrontierMode::*, MflStrategy, MflStrategy::*};
 use glp_fraud::InHouseLp;
@@ -188,12 +188,9 @@ pub struct Case {
     pub strategy: MflStrategy,
     /// Degree thresholds 3 / 4, a 2-slot HT with a 1-slot probe budget and
     /// a 2 × 8 CMS: a 10-vertex graph reaches every kernel bucket and the
-    /// CMS+HT global fallback. Where that kernel can run (a vertex above
-    /// the high threshold, a shared-memory strategy), score ties are then
-    /// broken by label on both sides: the kernel does not recount a tie
-    /// with an overflowed label (`a_tie_with_an_overflowed_label_is_recounted`,
-    /// ignored while open).
+    /// CMS+HT global fallback.
     pub small_tables: bool,
+    /// Harness threads per launch; above 1, a run must charge what 1 does.
     pub shards: usize,
     /// The program's and the run's iteration cap.
     pub iters: u32,
@@ -349,17 +346,9 @@ impl Case {
             None => self.program.build(g, self.iters),
         };
         let barriers = vec![inner.labels().to_vec()];
-        let high = self.options().thresholds.high;
-        let cms_ht = self.strategy != Global && (0..self.n).any(|v| g.degree(v) > high);
-        let tie_bonus = if self.small_tables && cms_ht {
-            2f64.powi(-32)
-        } else {
-            0.0
-        };
         Watch {
             inner,
             plain,
-            tie_bonus,
             barriers,
         }
     }
@@ -480,12 +469,10 @@ impl Case {
 /// Forwards the Table 1 callbacks to the program and keeps its labels at
 /// every barrier, the starting labels first. `plain` hides
 /// `sparse_activation`, so a run over it schedules densely and never
-/// replays; `tie_bonus × label` breaks score ties — far below any score step
-/// of the drawn programs.
+/// replays.
 struct Watch {
     inner: Box<dyn LpProgram>,
     plain: bool,
-    tie_bonus: f64,
     barriers: Vec<Vec<Label>>,
 }
 
@@ -500,7 +487,7 @@ impl LpProgram for Watch {
         self.inner.load_neighbor(v, u, e, l)
     }
     fn label_score(&self, v: VertexId, l: Label, freq: f64) -> f64 {
-        self.inner.label_score(v, l, freq) + self.tie_bonus * f64::from(l)
+        self.inner.label_score(v, l, freq)
     }
     fn update_vertex(&mut self, v: VertexId, winner: Option<(Label, f64)>) -> bool {
         self.inner.update_vertex(v, winner)
@@ -558,10 +545,28 @@ fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
     opts.tracer = case.tracer.then(Tracer::new);
     let mut got = case.program(&g, start, false);
     let outcome = case.engine(&g).run(&g, &mut got, &opts);
+    // What a run charged: the clock, the counter totals and every launch's
+    // seconds, kernel by kernel, in order.
+    let charged = |outcome: &Result<LpRunReport, _>| {
+        let r = outcome.as_ref().ok()?;
+        let clock = r.modeled_seconds.to_bits();
+        Some((clock, r.gpu_counters, r.kernel_profile.clone()))
+    };
+    // Harness threads split launches on the host only: one thread charges
+    // the same (a hook still takes its snapshots; a tracer only observes).
+    let one_thread = (case.shards > 1).then(|| {
+        let mut opts = sparse.clone().with_shards(1);
+        opts.barrier_hook = case.hook.then(|| BarrierHook::new(|_| ()));
+        let mut twin = case.program(&g, start, false);
+        charged(&case.engine(&g).run(&g, &mut twin, &opts))
+    });
 
     let (want_changed, done) = (&want_report.changed_per_iteration, got.barriers.len() - 1);
     let mut failed: Vec<String> = Vec::new();
     let mut expect = |ok: bool, what: &str| (!ok).then(|| failed.push(what.to_string()));
+    if let Some(twin) = one_thread {
+        expect(charged(&outcome) == twin, "charges at one shard");
+    }
     expect(
         want.get(done) == Some(&got.barriers[done]),
         "labels at the last barrier",

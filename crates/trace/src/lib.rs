@@ -785,13 +785,13 @@ fn escape_json(s: &str) -> String {
 /// log after every run (tracer or not), so `LpRunReport::kernel_profile`
 /// is always populated; serve telemetry merges profiles across recluster
 /// passes.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelProfile {
     rows: BTreeMap<(&'static str, &'static str), KernelRow>,
 }
 
 /// Aggregated launches of one kernel on one engine tier.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelRow {
     /// Number of launches.
     pub count: u64,

@@ -12,7 +12,7 @@
 //! what the default sweep shrank a one-line engine mutation to, pinned so
 //! the mutation stays caught. The ignored ones are divergences the oracle
 //! found that are still open; the sweep steers around them (see
-//! `Case::normalized` and `Case::small_tables`).
+//! `Case::normalized`).
 
 use glp_suite::core::{ClassicLp, Engine, GpuEngine, LpProgram, SequentialEngine};
 use glp_test_support::oracle::*;
@@ -57,13 +57,10 @@ fn a_redriven_iteration_is_not_begun_again() {
     });
 }
 
-/// The CMS+HT kernel skips its global recount when `s(HT) == s(CMS)`, so
-/// an overflowed label that ties the table's best and wins the tie rule
-/// (here: the smaller label) is lost. Recounting ties charges fallbacks
-/// that 8 `host_path_identity` rows do not pin, so the fix is a declared
-/// cost-model change; until then small-table draws break ties by label.
+/// An overflowed label that ties the CMS+HT table's best at `s(HT) ==
+/// s(CMS)` and wins the tie rule (here: the smaller label) must be
+/// recounted, not lost.
 #[test]
-#[ignore = "open: the CMS+HT kernel does not recount a tie with an overflowed label"]
 fn a_tie_with_an_overflowed_label_is_recounted() {
     let case = Case {
         n: 4,
