@@ -116,7 +116,7 @@ fn a_delta_replay_scans_a_sliver_of_the_window() {
         ..TxConfig::default()
     });
     let cfg = ServeConfig::default();
-    let mut window = IncrementalWindow::empty(cfg.window_days);
+    let mut window = IncrementalWindow::empty(cfg.pipeline.window_days);
     let cut = s.transactions.partition_point(|t| t.day < warm_days);
     window.apply_batch(&s.transactions[..cut]);
     window.materialize_delta();

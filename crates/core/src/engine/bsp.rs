@@ -52,7 +52,7 @@ use super::options::BarrierEvent;
 use super::{Decision, Direction, EngineError, FrontierMode, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
-use glp_gpusim::{CostModel, Device, DeviceError};
+use glp_gpusim::{cost, Device, DeviceError};
 use glp_graph::{Csr, Graph, Label, VertexId};
 use glp_trace::{Category, Clock, KernelProfile};
 use std::borrow::Cow;
@@ -89,7 +89,7 @@ pub trait Backend {
     }
 
     /// Visits every device the tier charges (the driver attaches the
-    /// tracer and reads cost model, kernel logs and counters through it).
+    /// tracer and reads kernel logs and counters through it).
     fn each_device(&mut self, _f: &mut dyn FnMut(&mut Device)) {}
 
     /// Whether the tier can schedule over a frontier (G-Sort cannot).
@@ -352,9 +352,6 @@ struct Driver<'a, 'b> {
     /// The rung being driven, and what its current attempt opened.
     tier: usize,
     clock: Clock,
-    /// What `Auto` prices directions on: the devices' model, which is the
-    /// default one host tiers use — so all tiers choose alike.
-    cost: CostModel,
     start: f64,
     /// Whether this attempt may replay: replay re-commits the *devices'*
     /// launches, so a modeled clock kept without a device would lose charges.
@@ -427,7 +424,6 @@ pub(crate) fn drive_ladder(
         rungs,
         tier: 0,
         clock: Clock::Wall,
-        cost: CostModel::default(),
         start: 0.0,
         replayable: false,
         trace_mark: None,
@@ -482,16 +478,13 @@ impl Driver<'_, '_> {
     /// some rung is staged. `completed` iterations are already committed.
     fn open(&mut self, report: &mut LpRunReport, completed: u32) -> Result<(), EngineError> {
         loop {
-            let mut cost = None;
-            self.backend().each_device(&mut |d| {
-                cost.get_or_insert_with(|| d.cost_model().clone());
-            });
+            let mut device = false;
+            self.backend().each_device(&mut |_| device = true);
             self.clock = match self.backend().modeled_now() {
                 Some(_) => Clock::Modeled,
                 None => Clock::Wall,
             };
-            self.replayable = cost.is_some() || self.clock == Clock::Wall;
-            self.cost = cost.unwrap_or_default();
+            self.replayable = device || self.clock == Clock::Wall;
             self.start = self.now();
             let (name, clock, start) = (self.backend().name(), self.clock, self.start);
             self.stats.tier = Some(name);
@@ -591,7 +584,7 @@ impl Driver<'_, '_> {
         // Whether the run keeps a frontier; a rung that cannot schedule
         // over one (G-Sort) runs its iterations all-active.
         let frontier = opts.frontier.sparse(prog.sparse_activation());
-        let mut active = initial_active(n, frontier, opts);
+        let mut active = vec![true; n];
         // Records that fit within the graph's own CSR are kept from the
         // first phase; a sparser graph's records wait for a repeated input.
         let eager = (n * MEMO_BYTES_PER_VERTEX) as u64 <= g.size_bytes();
@@ -740,7 +733,7 @@ impl Driver<'_, '_> {
         let direction = if sparse {
             let (changed, touched) =
                 mark_changed(&cur.spoken, &cur.decisions, p.g.outgoing(), &mut s.changed);
-            let dir = choose_direction(p.opts.frontier, p.g, touched, &self.cost);
+            let dir = choose_direction(p.opts.frontier, p.g, touched);
             let volume = rebuild_frontier(p.g, dir, &s.changed, &mut s.next_active);
             let priced = p.opts.frontier == FrontierMode::Auto;
             self.backend()
@@ -813,19 +806,6 @@ impl Driver<'_, '_> {
     }
 }
 
-/// The frontier a run starts from: saturated, or the caller's warm-start
-/// bitmap when one is supplied to a sparse run — the caller warrants it
-/// covers every vertex whose decision could differ from its current state.
-pub fn initial_active(n: usize, sparse: bool, opts: &RunOptions) -> Vec<bool> {
-    match &opts.initial_frontier {
-        Some(f) if sparse => {
-            assert_eq!(f.len(), n, "initial frontier sized for a different graph");
-            f.clone()
-        }
-        _ => vec![true; n],
-    }
-}
-
 /// Flags the vertices whose decision differs from the label they spoke this
 /// round — the change set every frontier rebuild starts from — and returns
 /// their count and the Σ of their out-degrees in `out`, the volume `Auto`
@@ -887,14 +867,15 @@ pub(crate) fn rebuild_frontier(
 /// Resolves a [`FrontierMode`] to this iteration's rebuild [`Direction`].
 /// `Auto` prices push's scattered sectors for the actual change volume
 /// `touched` (Σ out-degree over the changed set, from [`mark_changed`])
-/// against a worst-case coalesced pull scan via [`CostModel::prefer_pull`].
-fn choose_direction(mode: FrontierMode, g: &Graph, touched: u64, cost: &CostModel) -> Direction {
+/// against a worst-case coalesced pull scan via [`cost::prefer_pull`] — one
+/// constant model, so every tier chooses alike.
+fn choose_direction(mode: FrontierMode, g: &Graph, touched: u64) -> Direction {
     match mode {
         FrontierMode::Dense => Direction::Dense,
         FrontierMode::Push => Direction::Push,
         FrontierMode::Pull => Direction::Pull,
         FrontierMode::Auto => {
-            if cost.prefer_pull(g.num_vertices() as u64, touched, g.num_edges()) {
+            if cost::prefer_pull(g.num_vertices() as u64, touched, g.num_edges()) {
                 Direction::Pull
             } else {
                 Direction::Push

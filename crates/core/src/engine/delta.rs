@@ -328,13 +328,9 @@ impl MemoRecorder {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{
-        Engine, FrontierMode, GpuEngine, HybridEngine, MultiGpuEngine, ResilientEngine, RunOptions,
-        SequentialEngine,
-    };
+    use super::super::{Engine, FrontierMode, ResilientEngine, RunOptions, SequentialEngine};
     use super::*;
     use crate::variants::{ClassicLp, Llp, SeededLp, WeightedLp};
-    use glp_gpusim::{Device, DeviceConfig};
     use glp_graph::gen::{
         bipartite_interaction, caveman, community_powerlaw, road_network, BipartiteConfig,
         CommunityPowerLawConfig, RoadConfig,
@@ -460,45 +456,6 @@ mod tests {
         assert_eq!(memo.last().map(Vec::as_slice), Some(prog.labels()));
     }
 
-    #[test]
-    fn warm_start_frontier_honored_at_iteration_zero() {
-        // A converged program rerun with an all-false warm-start frontier
-        // schedules nothing and changes nothing. One rule for every
-        // backend of the BSP driver: the hybrid tier (on a device small
-        // enough to force streaming) used to saturate iteration 0
-        // regardless.
-        let g = graph_with(&[]);
-        let n = g.num_vertices();
-        let streaming = DeviceConfig::tiny(n as u64 * 20 + g.size_bytes() / 3);
-        let hybrid = HybridEngine::new(Device::new(streaming));
-        assert!(hybrid.plan_chunks(&g) > 1, "graph should need streaming");
-        let backends: Vec<Box<dyn Engine>> = vec![
-            Box::new(SequentialEngine::bsp()),
-            Box::new(GpuEngine::titan_v()),
-            Box::new(hybrid),
-            Box::new(MultiGpuEngine::titan_v(2)),
-        ];
-        for mut engine in backends {
-            let mut prog = WeightedLp::from_graph(&g, 30).with_retention(2.0);
-            let opts = RunOptions::default().with_max_iterations(30);
-            engine.run(&g, &mut prog, &opts).unwrap();
-            let settled = prog.labels().to_vec();
-            let report = engine
-                .run(
-                    &g,
-                    &mut prog,
-                    &RunOptions {
-                        initial_frontier: Some(vec![false; n]),
-                        ..opts
-                    },
-                )
-                .unwrap();
-            let tier = engine.name();
-            assert_eq!(prog.labels(), &settled[..], "{tier}");
-            assert_eq!(report.active_per_iteration, vec![0], "{tier}");
-            assert_eq!(report.changed_per_iteration, vec![0], "{tier}");
-        }
-    }
     const ITERS: u32 = 20;
 
     /// The user–item window shape (synchronous LP 2-cycles on it), a

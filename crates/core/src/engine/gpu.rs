@@ -269,11 +269,11 @@ fn charge_frontier_density(device: &mut Device, n: u64) -> Result<(), DeviceErro
 /// ids point, so the coalescer almost never merges them. **Pull**
 /// (`pull_gather`): the same flag reads, coalesced reads of the `volume`
 /// in-adjacency entries scanned, one sequential bitmap write — no scatter.
-/// Exactly [`CostModel::push_frontier_bytes`] / [`CostModel::pull_frontier_bytes`],
-/// which makes the `Auto` crossover measurable rather than asserted.
+/// Exactly [`push_frontier_bytes`] / [`pull_frontier_bytes`], which makes
+/// the `Auto` crossover measurable rather than asserted.
 ///
-/// [`CostModel::push_frontier_bytes`]: glp_gpusim::CostModel::push_frontier_bytes
-/// [`CostModel::pull_frontier_bytes`]: glp_gpusim::CostModel::pull_frontier_bytes
+/// [`push_frontier_bytes`]: glp_gpusim::cost::push_frontier_bytes
+/// [`pull_frontier_bytes`]: glp_gpusim::cost::pull_frontier_bytes
 pub(crate) fn charge_frontier(
     device: &mut Device,
     priced: bool,

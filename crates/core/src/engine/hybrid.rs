@@ -15,7 +15,7 @@ use super::gpu::{bytes_per_edge, resident_bytes, Adjacency, GpuBackend};
 use super::{BspEngine, Engine, EngineError, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
-use glp_gpusim::Device;
+use glp_gpusim::{cost, Device};
 use glp_graph::partition::partition_by_edges;
 use glp_graph::Graph;
 use glp_trace::{Category, Clock};
@@ -112,9 +112,8 @@ pub(super) fn settle_stream(device: &mut Device, p: &Phase<'_>, compute_s: f64) 
         (active_edges.sum(), p.work.scheduled() as u64)
     };
     let bytes = edges * bytes_per_edge(g) + vertices * 8;
-    let stream = device
-        .cost_model()
-        .transfer_seconds(device.config(), (bytes as f64 * STREAM_COMPRESSION) as u64);
+    let stream =
+        cost::transfer_seconds(device.config(), (bytes as f64 * STREAM_COMPRESSION) as u64);
     if stream > compute_s {
         // The span covers only the remainder — that is what actually
         // extends the modeled clock.
@@ -171,10 +170,8 @@ mod tests {
         let mut hybrid = HybridEngine::new(Device::new(tiny.clone()));
         let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), 20);
         let report = hybrid.run(&g, &mut prog, &RunOptions::default()).unwrap();
-        let full_stream = hybrid
-            .device()
-            .cost_model()
-            .transfer_seconds(&tiny, g.num_edges() * 4 + g.num_vertices() as u64 * 8);
+        let full_stream =
+            cost::transfer_seconds(&tiny, g.num_edges() * 4 + g.num_vertices() as u64 * 8);
         assert!(
             report.transfer_seconds < 6.0 * full_stream,
             "transfer {} vs full stream {}",

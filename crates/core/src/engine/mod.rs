@@ -32,7 +32,7 @@ mod options;
 mod resilient;
 mod sequential;
 
-pub use bsp::{drive, initial_active, Backend, Phase, ResilienceReport};
+pub use bsp::{drive, Backend, Phase, ResilienceReport};
 pub use delta::{replay_delta, DeltaReplay, MemoRecorder};
 pub use dispatch::{Buckets, DegreeThresholds};
 pub use error::EngineError;

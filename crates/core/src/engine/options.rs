@@ -45,7 +45,7 @@ pub enum FrontierMode {
     /// Direction-optimized: per iteration, choose push or pull by
     /// comparing their modeled byte volumes (frontier density × average
     /// degree against the cost model's coalescing crossover,
-    /// [`CostModel::prefer_pull`](glp_gpusim::CostModel::prefer_pull)).
+    /// [`cost::prefer_pull`](glp_gpusim::cost::prefer_pull)).
     /// The measurement itself is charged (`frontier_density` kernel).
     /// The default.
     #[default]
@@ -184,11 +184,6 @@ pub struct RunOptions {
     /// setting: a CI-sized serving recluster measured 11.6 ms pinned to 1
     /// against 12–39 ms with auto on two cores.
     pub shards: usize,
-    /// A warm-start frontier: the activation bitmap iteration 0 should
-    /// consume, where the caller warrants it covers every vertex whose
-    /// decision could differ from the program's current state. Ignored
-    /// when the run schedules densely.
-    pub initial_frontier: Option<Vec<bool>>,
     /// Callback fired after each completed barrier (BSP engines only; the
     /// asynchronous sequential sweep has no barrier).
     pub barrier_hook: Option<BarrierHook>,
@@ -214,7 +209,6 @@ impl Default for RunOptions {
             cms_depth: 4,
             cms_width: 2048,
             shards: 0,
-            initial_frontier: None,
             barrier_hook: None,
             tracer: None,
         }
@@ -339,7 +333,6 @@ mod tests {
         let o = RunOptions::default()
             .with_barrier_hook(BarrierHook::new(|_| {}))
             .with_tracer(Tracer::new());
-        assert!(o.initial_frontier.is_none());
         assert!(o.barrier_hook.is_some());
         // RunOptions stays Clone with a hook and tracer installed (both
         // Arc-backed handles).

@@ -94,6 +94,12 @@ impl ResilientEngine {
     pub fn tier_names(&self) -> Vec<&'static str> {
         self.tiers.iter().map(|t| t.name()).collect()
     }
+
+    /// The ladder tiers, fastest first — after a run, each one's devices
+    /// (through [`BspEngine::backend`]) hold what that tier launched.
+    pub fn tiers_mut(&mut self) -> &mut [Box<dyn BspEngine>] {
+        &mut self.tiers
+    }
 }
 
 impl Engine for ResilientEngine {
@@ -211,9 +217,9 @@ mod tests {
             assert_eq!(host_prog.labels(), gpu_prog.labels());
             assert_eq!(host.changed_per_iteration, gpu.changed_per_iteration);
             assert_eq!(host.active_per_iteration, gpu.active_per_iteration);
-            // The host tier prices `Auto` on `CostModel::default()`, which
-            // every modeled device also carries — so even the per-iteration
-            // push/pull choices line up across the degradation ladder.
+            // Every tier prices `Auto` on the one constant cost model — so
+            // even the per-iteration push/pull choices line up across the
+            // degradation ladder.
             assert_eq!(host.direction_per_iteration, gpu.direction_per_iteration);
         }
     }

@@ -18,7 +18,7 @@
 //! Not part of the paper's evaluation — no cost model is attached; only
 //! wall-clock is reported.
 
-use super::bsp::{drive, initial_active, Backend, Phase};
+use super::bsp::{drive, Backend, Phase};
 use super::kernels::ShardStats;
 use super::{
     exact_mfl, mfl_scratch, BspEngine, Decision, Direction, Engine, EngineError, FrontierMode,
@@ -108,7 +108,7 @@ impl Engine for SequentialEngine {
         let out = g.outgoing();
         let mut ht = mfl_scratch(g);
         let sparse = opts.frontier.sparse(prog.sparse_activation());
-        let mut active = initial_active(n, sparse, opts);
+        let mut active = vec![true; n];
         // Pull-mode asynchronous scheduling: instead of changed vertices
         // scattering marks, each vertex gathers over its in-neighbors'
         // change stamps. Every visit takes a unique clock tick;

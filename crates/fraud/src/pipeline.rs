@@ -21,6 +21,13 @@ use glp_core::{Engine, EngineError, LpProgram, LpRunReport, RunOptions, Weighted
 use glp_gpusim::host::{CpuConfig, CpuCounters};
 use glp_graph::VertexId;
 
+/// Clusters with fewer users than this are ignored.
+const MIN_CLUSTER_SIZE: usize = 4;
+/// Clusters scoring at least this are flagged.
+const SUSPICION_THRESHOLD: f64 = 0.5;
+/// Black-listed members a cluster needs to be considered at all.
+const MIN_SEEDS: usize = 2;
+
 /// Pipeline parameters.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -28,12 +35,6 @@ pub struct PipelineConfig {
     pub window_days: u32,
     /// Seeded-LP iteration cap (the paper's runs use 20).
     pub lp_iterations: u32,
-    /// Ignore clusters smaller than this (users + items).
-    pub min_cluster_size: usize,
-    /// Flag clusters scoring at least this.
-    pub suspicion_threshold: f64,
-    /// Minimum black-listed members for a cluster to be considered at all.
-    pub min_seeds: usize,
     /// Self-retention bonus for the weighted LP (damps bipartite
     /// oscillation; should sit above honest purchase multiplicity and
     /// below wash-trade multiplicity).
@@ -45,9 +46,6 @@ impl Default for PipelineConfig {
         Self {
             window_days: 30,
             lp_iterations: 20,
-            min_cluster_size: 4,
-            suspicion_threshold: 0.5,
-            min_seeds: 2,
             retention: 3.0,
         }
     }
@@ -302,7 +300,7 @@ impl FraudPipeline {
         let mut flagged = Vec::new();
         for label in 0..n {
             let users = &members[start[label]..start[label + 1]];
-            if users.len() < self.cfg.min_cluster_size {
+            if users.len() < MIN_CLUSTER_SIZE {
                 continue;
             }
             let seed_count = users
@@ -310,7 +308,7 @@ impl FraudPipeline {
                 .filter(|v| seeds.binary_search(v).is_ok())
                 .count();
             work.instructions += 8 * users.len() as u64;
-            if seed_count < self.cfg.min_seeds {
+            if seed_count < MIN_SEEDS {
                 continue; // no known-bad members: not suspicious
             }
             let mut total_weight = 0.0f64;
@@ -358,7 +356,7 @@ impl FraudPipeline {
             let score = 0.4 * cohesion
                 + 0.3 * (avg_multiplicity / 8.0).min(1.0)
                 + 0.3 * (seed_share / 0.1).min(1.0);
-            if score >= self.cfg.suspicion_threshold {
+            if score >= SUSPICION_THRESHOLD {
                 flagged.push(FlaggedCluster {
                     label: label as u32,
                     users: users.to_vec(),

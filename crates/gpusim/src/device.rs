@@ -1,7 +1,7 @@
 //! One simulated GPU: kernel launches, transfers, and the modeled clock.
 
 use crate::config::DeviceConfig;
-use crate::cost::CostModel;
+use crate::cost;
 use crate::counters::KernelCounters;
 use crate::error::DeviceError;
 use crate::faults::{FaultKind, FaultPlan};
@@ -40,7 +40,6 @@ static NEXT_DEVICE_ID: AtomicU32 = AtomicU32::new(0);
 pub struct Device {
     id: u32,
     cfg: DeviceConfig,
-    cost: CostModel,
     totals: KernelCounters,
     elapsed_s: f64,
     transfer_s: f64,
@@ -53,7 +52,7 @@ pub struct Device {
 }
 
 /// One entry of the per-device kernel log.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelRecord {
     /// Kernel name as passed to [`Device::launch`].
     pub name: &'static str,
@@ -64,12 +63,11 @@ pub struct KernelRecord {
 }
 
 impl Device {
-    /// A device with the given configuration and the default cost model.
+    /// A device with the given configuration.
     pub fn new(cfg: DeviceConfig) -> Self {
         Self {
             id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
             cfg,
-            cost: CostModel::default(),
             totals: KernelCounters::default(),
             elapsed_s: 0.0,
             transfer_s: 0.0,
@@ -142,16 +140,6 @@ impl Device {
     /// Device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.cfg
-    }
-
-    /// Cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Replaces the cost model (for calibration experiments).
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
     }
 
     /// Checks the launch boundary: lost devices and faults the attached
@@ -323,7 +311,7 @@ impl Device {
     }
 
     fn commit(&mut self, name: &'static str, counters: KernelCounters) {
-        let seconds = self.cost.kernel_seconds(&self.cfg, &counters);
+        let seconds = cost::kernel_seconds(&self.cfg, &counters);
         self.totals.merge(&counters);
         if let Some(t) = &self.tracer {
             // Commit runs once per launch on the calling thread (even for
@@ -375,7 +363,7 @@ impl Device {
             });
         }
         self.resident_bytes += bytes;
-        let s = self.cost.transfer_seconds(&self.cfg, bytes);
+        let s = cost::transfer_seconds(&self.cfg, bytes);
         if let Some(t) = &self.tracer {
             t.complete_on(
                 Category::Transfer,
@@ -393,7 +381,7 @@ impl Device {
 
     /// Models a device→host copy (no residency change).
     pub fn download(&mut self, bytes: u64) {
-        let s = self.cost.transfer_seconds(&self.cfg, bytes);
+        let s = cost::transfer_seconds(&self.cfg, bytes);
         if let Some(t) = &self.tracer {
             t.complete_on(
                 Category::Transfer,
@@ -412,11 +400,6 @@ impl Device {
     pub fn free(&mut self, bytes: u64) {
         assert!(bytes <= self.resident_bytes, "freeing more than resident");
         self.resident_bytes -= bytes;
-    }
-
-    /// Frees everything resident (engine cleanup after a failed run).
-    pub fn free_all(&mut self) {
-        self.resident_bytes = 0;
     }
 
     /// Whether `bytes` more would still fit in device memory.

@@ -28,8 +28,8 @@
 //! What is *not* modeled: instruction pipelines, caches beyond an L2 proxy
 //! for the G-Hash baseline, and warp scheduling order. The cost model is a
 //! roofline — `max(compute, memory) + launch overhead` — which preserves
-//! the relative behavior the paper measures. Constants live in
-//! [`cost::CostModel`] with datasheet citations.
+//! the relative behavior the paper measures. Its weights are constants of
+//! [`cost`], with datasheet citations.
 
 pub mod config;
 pub mod cost;
@@ -45,7 +45,7 @@ pub mod shared;
 pub mod warp;
 
 pub use config::DeviceConfig;
-pub use cost::{CostModel, SECTOR_BYTES};
+pub use cost::SECTOR_BYTES;
 pub use counters::KernelCounters;
 pub use device::{Device, KernelRecord};
 pub use error::DeviceError;

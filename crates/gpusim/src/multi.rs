@@ -7,12 +7,13 @@
 use crate::config::DeviceConfig;
 use crate::device::Device;
 
+/// Fixed per-barrier overhead in seconds (driver + event sync).
+const SYNC_OVERHEAD_S: f64 = 10e-6;
+
 /// A set of simulated GPUs with barrier-style synchronization.
 #[derive(Debug)]
 pub struct MultiGpu {
     devices: Vec<Device>,
-    /// Fixed per-barrier overhead in seconds (driver + event sync).
-    pub sync_overhead_s: f64,
 }
 
 impl MultiGpu {
@@ -21,7 +22,6 @@ impl MultiGpu {
         assert!(n >= 1, "need at least one device");
         Self {
             devices: (0..n).map(|_| Device::new(cfg.clone())).collect(),
-            sync_overhead_s: 10e-6,
         }
     }
 
@@ -66,7 +66,7 @@ impl MultiGpu {
                 continue;
             }
             let behind = max - d.elapsed_seconds();
-            d.advance_clock(behind + self.sync_overhead_s);
+            d.advance_clock(behind + SYNC_OVERHEAD_S);
         }
     }
 
@@ -103,13 +103,6 @@ impl MultiGpu {
     pub fn alive(&self) -> usize {
         self.devices.iter().filter(|d| !d.is_lost()).count()
     }
-
-    /// Resets all devices.
-    pub fn reset(&mut self) {
-        for d in &mut self.devices {
-            d.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,7 +120,7 @@ mod tests {
             .unwrap();
         let slow = m.device(0).elapsed_seconds();
         m.sync();
-        let expect = slow + m.sync_overhead_s;
+        let expect = slow + SYNC_OVERHEAD_S;
         assert!((m.device(0).elapsed_seconds() - expect).abs() < 1e-12);
         assert!((m.device(1).elapsed_seconds() - expect).abs() < 1e-12);
     }

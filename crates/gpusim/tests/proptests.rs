@@ -2,7 +2,7 @@
 //! intrinsic algebra, cost-model monotonicity.
 
 use glp_gpusim::warp::{ballot_sync, match_any_sync, popc, WARP_SIZE};
-use glp_gpusim::{CostModel, DeviceConfig, KernelCounters, KernelCtx};
+use glp_gpusim::{cost, Device, DeviceConfig, KernelCounters, KernelCtx};
 use proptest::prelude::*;
 
 proptest! {
@@ -73,26 +73,87 @@ proptest! {
         prop_assert_eq!(mask & !active, 0, "ballot leaked inactive lanes");
     }
 
-    /// More counted events never make a kernel cheaper (cost monotonicity).
+    /// More counted events never make a kernel cheaper (cost monotonicity),
+    /// whichever of the counters grows.
     #[test]
     fn cost_model_monotone(
-        a in 0u64..1_000_000, b in 0u64..1_000_000, c in 0u64..1_000_000,
-        da in 0u64..10_000, db in 0u64..10_000, dc in 0u64..10_000,
+        base in prop::collection::vec(0u64..1_000_000, 13),
+        delta in prop::collection::vec(0u64..10_000, 13),
     ) {
         let cfg = DeviceConfig::titan_v();
-        let m = CostModel::default();
-        let base = KernelCounters {
-            global_read_sectors: a,
-            alu_instructions: b,
-            shared_atomics: c,
-            ..Default::default()
+        let before = cost::kernel_seconds(&cfg, &counters(&base));
+        for field in 0..base.len() {
+            let mut more = base.clone();
+            more[field] += delta[field];
+            let after = cost::kernel_seconds(&cfg, &counters(&more));
+            prop_assert!(after >= before, "counter {} lowered the cost", field);
+        }
+    }
+
+    /// Reads charged as one sequential range never cost more than the same
+    /// lanes' addresses charged warp by warp, in any lane order.
+    #[test]
+    fn sequential_reads_never_cost_more_than_scattered(
+        first in 0u64..10_000, count in 1u64..2_000, wide in any::<bool>(), stride in 1u64..64,
+    ) {
+        let cfg = DeviceConfig::titan_v();
+        // Aligned elements of 4 or 8 bytes, each within one sector.
+        let elem = if wide { 8 } else { 4 };
+        let mut seq = KernelCtx::new(&cfg);
+        seq.global_read_seq(first * elem, count, elem);
+        // The same elements dealt to lanes in strided order (1: in order).
+        let mut order: Vec<u64> = (0..count).collect();
+        order.sort_by_key(|&i| (i % stride, i / stride));
+        let addrs: Vec<u64> = order.iter().map(|i| (first + i) * elem).collect();
+        let mut scattered = KernelCtx::new(&cfg);
+        for warp in addrs.chunks(32) {
+            scattered.global_read(warp);
+        }
+        prop_assert!(seq.counters.global_read_sectors <= scattered.counters.global_read_sectors);
+        prop_assert!(
+            cost::kernel_seconds(&cfg, &seq.counters)
+                <= cost::kernel_seconds(&cfg, &scattered.counters)
+        );
+    }
+
+    /// A fused fragment charges the same events as a launch of the same body
+    /// and never more time: it only drops the launch overhead.
+    #[test]
+    fn fused_launch_never_charges_more(
+        events in prop::collection::vec(0u64..1_000_000, 5),
+    ) {
+        let body = |ctx: &mut KernelCtx| {
+            ctx.alu(events[0]);
+            ctx.global_read_seq(0, events[1], 4);
+            ctx.shared_atomic(events[2], events[3] / 4);
+            ctx.intrinsic(events[4]);
+            ctx.block_reduce();
         };
-        let more = KernelCounters {
-            global_read_sectors: a + da,
-            alu_instructions: b + db,
-            shared_atomics: c + dc,
-            ..Default::default()
-        };
-        prop_assert!(m.kernel_seconds(&cfg, &more) >= m.kernel_seconds(&cfg, &base));
+        let (mut launched, mut fused) = (Device::titan_v(), Device::titan_v());
+        launched.launch("k", body).unwrap();
+        fused.launch_fused("k", body).unwrap();
+        prop_assert!(fused.elapsed_seconds() <= launched.elapsed_seconds());
+        let (l, f) = (launched.totals(), fused.totals());
+        prop_assert_eq!((l.kernel_launches, f.kernel_launches), (1, 0));
+        prop_assert_eq!(KernelCounters { kernel_launches: 1, ..*f }, *l);
+    }
+}
+
+/// Counters with every field set, in declaration order.
+fn counters(v: &[u64]) -> KernelCounters {
+    KernelCounters {
+        global_read_sectors: v[0],
+        global_write_sectors: v[1],
+        global_atomics: v[2],
+        global_atomic_conflicts: v[3],
+        shared_accesses: v[4],
+        shared_bank_conflicts: v[5],
+        shared_atomics: v[6],
+        alu_instructions: v[7],
+        warp_intrinsics: v[8],
+        block_reductions: v[9],
+        warps_launched: v[10],
+        lanes_active: v[11],
+        kernel_launches: v[12],
     }
 }

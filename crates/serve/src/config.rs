@@ -36,9 +36,6 @@ pub struct ServeConfig {
     pub batch_budget: Duration,
     /// Overload behaviour of the ingest queue.
     pub shed_policy: ShedPolicy,
-    /// Sliding-window length in days (mirrors
-    /// [`PipelineConfig::window_days`], which is kept in sync).
-    pub window_days: u32,
     /// Recluster after this many applied batches (the freshness cadence).
     pub recluster_every_batches: u64,
     /// Hard staleness bound, in batches: when the published snapshot
@@ -49,7 +46,8 @@ pub struct ServeConfig {
     /// unboundedly stale verdicts.
     pub max_staleness_batches: u64,
     /// LP + scoring parameters, reusing the offline pipeline's stage 2–3
-    /// configuration verbatim so online and offline verdicts agree.
+    /// configuration verbatim so online and offline verdicts agree. Its
+    /// [`PipelineConfig::window_days`] is the sliding window's length.
     pub pipeline: PipelineConfig,
     /// Harness OS threads per LP kernel (0 = auto). Labels, and so
     /// verdicts, and the modeled kernel seconds are bit-identical across
@@ -107,40 +105,21 @@ pub struct ServeConfig {
     pub full_recluster_every: u64,
     /// Burst-detector evaluation window: the shed rate is evaluated once
     /// per this many gate submissions (accepted or shed). 0 disables
-    /// burst detection.
+    /// burst detection. The detector's thresholds are constants of
+    /// [`BurstState`](crate::ingest::BurstState).
     pub burst_window: u64,
-    /// Shed rate (sheds / submissions over one evaluation window) at or
-    /// above which the detector enters *burst* mode: batching tightens
-    /// by [`Self::burst_batch_divisor`] and the health overlay reports
-    /// at least [`Degraded`](crate::HealthState::Degraded).
-    pub burst_shed_threshold: f64,
-    /// Shed rate below which an evaluation window counts as *calm*.
-    /// Strictly below [`Self::burst_shed_threshold`] — the gap is the
-    /// hysteresis band that stops the detector flapping on a load
-    /// hovering at the threshold.
-    pub burst_recover_threshold: f64,
-    /// Consecutive calm windows required to leave burst mode.
-    pub burst_recovery_windows: u32,
-    /// How much batching tightens during a burst: the effective batch
-    /// size cap and time budget are divided by this (floor 1
-    /// transaction / 1 ms), so the window drains in smaller, faster
-    /// batches while the flood lasts. Admission is *not* affected —
-    /// accepted-transaction sequences stay deterministic.
-    pub burst_batch_divisor: u32,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let pipeline = PipelineConfig::default();
         Self {
             queue_capacity: 4_096,
             max_batch: 512,
             batch_budget: Duration::from_millis(5),
             shed_policy: ShedPolicy::DropOldest,
-            window_days: pipeline.window_days,
             recluster_every_batches: 8,
             max_staleness_batches: 32,
-            pipeline,
+            pipeline: PipelineConfig::default(),
             engine_shards: 0,
             frontier: FrontierMode::Auto,
             shedding_after_crashes: 3,
@@ -152,19 +131,13 @@ impl Default for ServeConfig {
             delta_fraction_max: 0.25,
             full_recluster_every: 32,
             burst_window: 512,
-            burst_shed_threshold: 0.10,
-            burst_recover_threshold: 0.02,
-            burst_recovery_windows: 2,
-            burst_batch_divisor: 4,
         }
     }
 }
 
 impl ServeConfig {
-    /// Sets the window length on both the service and the embedded
-    /// pipeline configuration (they must agree).
+    /// Sets the window length ([`PipelineConfig::window_days`]).
     pub fn with_window_days(mut self, days: u32) -> Self {
-        self.window_days = days;
         self.pipeline.window_days = days;
         self
     }
@@ -259,7 +232,6 @@ mod tests {
     #[test]
     fn defaults_are_consistent() {
         let cfg = ServeConfig::default();
-        assert_eq!(cfg.window_days, cfg.pipeline.window_days);
         assert!(cfg.queue_capacity >= cfg.max_batch);
         assert!(cfg.recluster_every_batches >= 1);
         assert!(cfg.max_staleness_batches >= cfg.recluster_every_batches);
@@ -277,19 +249,13 @@ mod tests {
             "memo lineage is bounded by default"
         );
         assert!(cfg.burst_window >= 1, "burst detection on by default");
-        assert!(
-            cfg.burst_recover_threshold < cfg.burst_shed_threshold,
-            "recovery threshold must sit below the entry threshold (hysteresis)"
-        );
-        assert!((0.0..=1.0).contains(&cfg.burst_shed_threshold));
-        assert!(cfg.burst_recovery_windows >= 1);
-        assert!(cfg.burst_batch_divisor >= 1);
     }
 
     #[test]
-    fn with_window_days_keeps_pipeline_in_sync() {
+    fn with_window_days_sets_the_pipeline_window() {
         let cfg = ServeConfig::default().with_window_days(10);
-        assert_eq!(cfg.window_days, 10);
         assert_eq!(cfg.pipeline.window_days, 10);
+        let fleet = FleetConfig::default().with_window_days(7);
+        assert_eq!(fleet.shard.pipeline.window_days, 7);
     }
 }

@@ -314,7 +314,7 @@ pub fn reconcile_with(
     };
 
     // Pass 4: recluster the merged boundary graph (when there is one).
-    let days = frames.first().map_or(cfg.window_days, |f| f.days);
+    let days = frames.first().map_or(cfg.pipeline.window_days, |f| f.days);
     let boundary = if merged.is_empty() {
         None
     } else {
@@ -471,7 +471,7 @@ mod tests {
         let shards: Vec<ServiceCore> = (0..2)
             .map(|_| ServiceCore::new(cfg.clone(), s.blacklist.clone()))
             .collect();
-        let mut cache = BoundaryCache::new(cfg.window_days);
+        let mut cache = BoundaryCache::new(cfg.pipeline.window_days);
         let mut seq = 0u64;
         let mut modes = Vec::new();
         for day in 0..4u32 {

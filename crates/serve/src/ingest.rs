@@ -48,25 +48,36 @@ impl Submitted {
     }
 }
 
+/// Shed rate (sheds / submissions over one evaluation window) at or above
+/// which the burst detector enters *burst* mode.
+const BURST_SHED_THRESHOLD: f64 = 0.10;
+/// Shed rate below which an evaluation window counts as *calm*. The gap
+/// up to [`BURST_SHED_THRESHOLD`] is the hysteresis band that stops the
+/// detector flapping on a load hovering at the threshold.
+const BURST_RECOVER_THRESHOLD: f64 = 0.02;
+/// Consecutive calm windows required to leave burst mode.
+const BURST_RECOVERY_WINDOWS: u32 = 2;
+/// How much batching tightens during a burst: the batch size cap and time
+/// budget are divided by this (floor 1 transaction / 1 ms), so the window
+/// drains in smaller, faster batches while the flood lasts. Admission is
+/// *not* affected — accepted-transaction sequences stay deterministic.
+const BURST_BATCH_DIVISOR: u32 = 4;
+
 /// Shed-rate burst detector shared by the gate (which feeds it one
 /// observation per submit) and the batcher (which tightens while a
 /// burst is active).
 ///
 /// The detector evaluates once per [`ServeConfig::burst_window`] gate
-/// submissions: a window whose shed rate reaches
-/// `burst_shed_threshold` enters burst mode (counted in
-/// `bursts_detected`, health overlay raised); only
-/// `burst_recovery_windows` consecutive windows below
-/// `burst_recover_threshold` leave it. Windows are counted in
-/// *submissions*, not wall time, so detection is a deterministic
-/// function of the offered schedule.
+/// submissions: a window whose shed rate reaches `BURST_SHED_THRESHOLD`
+/// enters burst mode (counted in `bursts_detected`, health overlay raised
+/// at least to [`Degraded`](HealthState::Degraded)); only
+/// `BURST_RECOVERY_WINDOWS` consecutive windows below
+/// `BURST_RECOVER_THRESHOLD` leave it. Windows are counted in
+/// *submissions*, not wall time, so detection is a deterministic function
+/// of the offered schedule.
 #[derive(Debug)]
 pub struct BurstState {
     window: u64,
-    enter: f64,
-    exit: f64,
-    recovery_windows: u32,
-    divisor: u32,
     submissions: AtomicU64,
     sheds: AtomicU64,
     calm: AtomicU32,
@@ -76,8 +87,8 @@ pub struct BurstState {
 }
 
 impl BurstState {
-    /// A detector wired to `cfg`'s burst knobs, or `None` when
-    /// `burst_window == 0` (detection disabled).
+    /// A detector evaluating every `cfg.burst_window` submissions, or
+    /// `None` when `burst_window == 0` (detection disabled).
     pub fn from_config(
         cfg: &ServeConfig,
         health: Arc<HealthMonitor>,
@@ -86,17 +97,8 @@ impl BurstState {
         if cfg.burst_window == 0 {
             return None;
         }
-        assert!(
-            cfg.burst_recover_threshold < cfg.burst_shed_threshold,
-            "burst hysteresis needs recover < shed threshold"
-        );
-        assert!(cfg.burst_recovery_windows >= 1 && cfg.burst_batch_divisor >= 1);
         Some(Arc::new(Self {
             window: cfg.burst_window,
-            enter: cfg.burst_shed_threshold,
-            exit: cfg.burst_recover_threshold,
-            recovery_windows: cfg.burst_recovery_windows,
-            divisor: cfg.burst_batch_divisor,
             submissions: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
             calm: AtomicU32::new(0),
@@ -129,7 +131,7 @@ impl BurstState {
         // single-producer harnesses (benches, tests) this is exact.
         let shed_count = self.sheds.swap(0, Ordering::AcqRel);
         let rate = shed_count as f64 / self.window as f64;
-        if rate >= self.enter {
+        if rate >= BURST_SHED_THRESHOLD {
             self.calm.store(0, Ordering::Relaxed);
             if !self.active.swap(true, Ordering::AcqRel) {
                 self.telemetry
@@ -137,15 +139,8 @@ impl BurstState {
                     .fetch_add(1, Ordering::Relaxed);
                 self.health.set_burst(true);
             }
-        } else if rate < self.exit {
-            if self.active() {
-                let calm = self.calm.fetch_add(1, Ordering::AcqRel) + 1;
-                if calm >= self.recovery_windows {
-                    self.calm.store(0, Ordering::Relaxed);
-                    self.active.store(false, Ordering::Release);
-                    self.health.set_burst(false);
-                }
-            }
+        } else if rate < BURST_RECOVER_THRESHOLD {
+            self.note_calm();
         } else {
             // In the hysteresis band: not calm enough to recover, not
             // loud enough to (re-)enter.
@@ -153,18 +148,17 @@ impl BurstState {
         }
     }
 
-    /// One *calm window* worth of evidence from outside the gate: the
-    /// batcher reports an idle tick (the queue sat empty for a full
-    /// budget — a flood cannot be in progress). Walks the same
-    /// hysteresis exit as a below-threshold evaluation window, so a
-    /// burst followed by silence still recovers instead of pinning the
-    /// overlay until the next traffic arrives.
+    /// One *calm window* worth of evidence: a below-threshold evaluation
+    /// window, or an idle batcher tick (the queue sat empty for a full
+    /// budget — a flood cannot be in progress), so a burst followed by
+    /// silence still recovers instead of pinning the overlay until the
+    /// next traffic arrives.
     fn note_calm(&self) {
         if !self.active() {
             return;
         }
         let calm = self.calm.fetch_add(1, Ordering::AcqRel) + 1;
-        if calm >= self.recovery_windows {
+        if calm >= BURST_RECOVERY_WINDOWS {
             self.calm.store(0, Ordering::Relaxed);
             self.active.store(false, Ordering::Release);
             self.health.set_burst(false);
@@ -182,16 +176,16 @@ impl BurstState {
     }
 
     /// The batch shape the batcher should use right now: the configured
-    /// `(max_batch, budget)` untouched when calm, divided by the burst
-    /// divisor (floor 1 transaction / 1 ms) while a burst is active.
+    /// `(max_batch, budget)` untouched when calm, divided by
+    /// [`BURST_BATCH_DIVISOR`] (floor 1 transaction / 1 ms) while a burst
+    /// is active.
     fn shape(&self, max_batch: usize, budget: Duration) -> (usize, Duration) {
         if !self.active() {
             return (max_batch, budget);
         }
-        let d = self.divisor as usize;
         (
-            (max_batch / d).max(1),
-            (budget / self.divisor).max(Duration::from_millis(1)),
+            (max_batch / BURST_BATCH_DIVISOR as usize).max(1),
+            (budget / BURST_BATCH_DIVISOR).max(Duration::from_millis(1)),
         )
     }
 }
@@ -240,7 +234,7 @@ pub(crate) fn open_ingest(
     let (gate, rx) = ingest_pair(
         cfg.queue_capacity,
         cfg.shed_policy,
-        cfg.window_days,
+        cfg.pipeline.window_days,
         window_end,
         health,
         telemetry,
@@ -611,41 +605,57 @@ mod tests {
 
     #[test]
     fn burst_detector_enters_counts_and_recovers_with_hysteresis() {
+        // A 50-submission window: one shed in it is a 2 % rate, inside
+        // the hysteresis band [BURST_RECOVER_THRESHOLD, BURST_SHED_THRESHOLD).
         let cfg = ServeConfig {
-            burst_window: 10,
-            burst_shed_threshold: 0.5,
-            burst_recover_threshold: 0.2,
-            burst_recovery_windows: 2,
-            burst_batch_divisor: 4,
+            burst_window: 50,
             ..ServeConfig::default()
         };
         // Capacity 2 with no consumer: the third submit onward sheds.
         let (gate, rx, t) = burst_pair(2, ShedPolicy::DropOldest, &cfg);
         let burst = gate.burst.as_ref().unwrap().clone();
         assert!(!burst.active());
-        // Window 1: 2 accepts + 8 evictions = 80% shed rate -> burst.
-        for d in 0..10 {
+        // Window 1: 2 accepts + 48 evictions = 96% shed rate -> burst.
+        for d in 0..50 {
             gate.submit(tx(d)).unwrap();
         }
-        assert!(burst.active(), "80% shed rate must trip the detector");
+        assert!(burst.active(), "96% shed rate must trip the detector");
         assert_eq!(t.bursts_detected.load(Ordering::Relaxed), 1);
         assert!(gate.health.burst_overlay());
-        // The batcher tightens: cap 8 becomes 8/4 = 2 while active.
+        // The batcher tightens: cap 8 becomes 8 / BURST_BATCH_DIVISOR.
         let b = Batcher::new(rx.clone(), 8, Duration::from_millis(50))
             .with_burst(Some(Arc::clone(&burst)));
-        assert_eq!(b.next_batch().unwrap().len(), 2);
-        // One calm window is not enough to recover (hysteresis)...
+        assert_eq!(
+            b.next_batch().unwrap().len(),
+            8 / BURST_BATCH_DIVISOR as usize
+        );
         while rx.try_recv().is_ok() {}
-        for d in 0..10 {
-            gate.submit(tx(d)).unwrap();
-            let _ = rx.try_recv(); // consumer keeps up: no sheds
-        }
+        let calm_window = || {
+            for d in 0..50 {
+                gate.submit(tx(d)).unwrap();
+                let _ = rx.try_recv(); // consumer keeps up: no sheds
+            }
+        };
+        // One calm window is not enough to recover...
+        calm_window();
         assert!(burst.active(), "one calm window must not recover");
-        // ...the second consecutive calm window is.
-        for d in 0..10 {
+        // ...and a window inside the band neither recovers nor re-enters,
+        // but restarts the calm run: three submits with no consumer evict
+        // one, the rest are drained as they come.
+        for d in 0..3 {
+            gate.submit(tx(d)).unwrap();
+        }
+        while rx.try_recv().is_ok() {}
+        for d in 3..50 {
             gate.submit(tx(d)).unwrap();
             let _ = rx.try_recv();
         }
+        assert!(burst.active(), "a window in the band must not recover");
+        assert_eq!(t.bursts_detected.load(Ordering::Relaxed), 1);
+        calm_window();
+        assert!(burst.active(), "the band window restarted the calm run");
+        // The second consecutive calm window after it recovers.
+        calm_window();
         assert!(!burst.active(), "two calm windows recover");
         assert!(!gate.health.burst_overlay());
         assert_eq!(
@@ -661,23 +671,20 @@ mod tests {
         // with detection on and off — burst mode only reshapes batches.
         let cfg = ServeConfig {
             burst_window: 4,
-            burst_shed_threshold: 0.25,
-            burst_recover_threshold: 0.1,
-            burst_recovery_windows: 1,
-            burst_batch_divisor: 8,
             ..ServeConfig::default()
         };
-        let run = |with_burst: bool| -> Vec<u32> {
-            let (gate, rx, _t) = if with_burst {
+        let run = |with_burst: bool| -> (Vec<u32>, u64) {
+            let (gate, rx, t) = if with_burst {
                 burst_pair(3, ShedPolicy::DropOldest, &cfg)
             } else {
                 pair(3, ShedPolicy::DropOldest)
             };
             let mut accepted = Vec::new();
-            for d in 0..9 {
+            for d in 0..12 {
                 if gate.submit(tx(d)).is_ok() {
-                    // Drain every third submit so the queue oscillates.
-                    if d % 3 == 2 {
+                    // Drain every fourth submit: each window of four
+                    // evicts one (25 %), so detection does engage.
+                    if d % 4 == 3 {
                         while let Ok(s) = rx.try_recv() {
                             accepted.push(s.tx.day);
                         }
@@ -687,9 +694,11 @@ mod tests {
             while let Ok(s) = rx.try_recv() {
                 accepted.push(s.tx.day);
             }
-            accepted
+            (accepted, t.bursts_detected.load(Ordering::Relaxed))
         };
-        assert_eq!(run(true), run(false));
+        let (with, bursts) = run(true);
+        assert_eq!(bursts, 1, "the schedule must trip the detector");
+        assert_eq!(with, run(false).0);
     }
 
     #[test]

@@ -294,7 +294,7 @@ impl FleetCore {
     ) -> Result<Self, RecordError> {
         assert_eq!(partitioner.shards(), cfg.shards);
         let wal = open_wal(&cfg).expect("the configured journal directory must be openable");
-        let shards = StampedWindow::from_checkpoint(ckpt, cfg.shard.window_days)?
+        let shards = StampedWindow::from_checkpoint(ckpt, cfg.shard.pipeline.window_days)?
             .partition_by(cfg.shards, |u| partitioner.shard_of(u))
             .into_iter()
             .enumerate()
@@ -338,7 +338,7 @@ impl FleetCore {
             .map_or(0, |m| m + 1);
         let durable = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         let failover_blocked = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
-        let boundary = Mutex::new(BoundaryCache::new(cfg.shard.window_days));
+        let boundary = Mutex::new(BoundaryCache::new(cfg.shard.pipeline.window_days));
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let workers = shards.len().min(cores);
         let blacklist = Arc::new(Blacklist::new(blacklist));
@@ -823,12 +823,13 @@ impl FleetCore {
         // check turns into a typed error).
         let image = self.cfg.shard_checkpoint_path(i).and_then(|path| {
             let ckpt = WindowCheckpoint::read(&path).ok()?;
-            let window = StampedWindow::from_checkpoint(&ckpt, self.cfg.shard.window_days).ok()?;
+            let window =
+                StampedWindow::from_checkpoint(&ckpt, self.cfg.shard.pipeline.window_days).ok()?;
             Some((window, ckpt.batches_applied))
         });
         let from_checkpoint = image.is_some();
         let (mut window, base) =
-            image.unwrap_or_else(|| (StampedWindow::empty(self.cfg.shard.window_days), 0));
+            image.unwrap_or_else(|| (StampedWindow::empty(self.cfg.shard.pipeline.window_days), 0));
         let records = unpoison(wal.lock()).records().map_err(FailoverError::Wal)?;
         let next = self
             .replay_keyspace(i, &records, base, |sub, watermark| {

@@ -118,7 +118,7 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// A core with an empty window and the given blacklist seeds.
     pub fn new(cfg: ServeConfig, blacklist: Vec<u32>) -> Self {
-        let window = StampedWindow::empty(cfg.window_days);
+        let window = StampedWindow::empty(cfg.pipeline.window_days);
         Self::from_state(cfg, blacklist, window, 0, 0, &[])
     }
 
@@ -126,13 +126,13 @@ impl ServiceCore {
     /// stamps, batch clock, snapshot epoch, and monotonic telemetry
     /// counters all continue where the checkpoint left them. Fails if
     /// the checkpoint violates window invariants or disagrees with
-    /// `cfg.window_days`.
+    /// `cfg.pipeline.window_days`.
     pub fn restore(
         cfg: ServeConfig,
         blacklist: Vec<u32>,
         ckpt: &WindowCheckpoint,
     ) -> Result<Self, RecordError> {
-        let window = StampedWindow::from_checkpoint(ckpt, cfg.window_days)?;
+        let window = StampedWindow::from_checkpoint(ckpt, cfg.pipeline.window_days)?;
         let core = Self::from_state(
             cfg,
             blacklist,

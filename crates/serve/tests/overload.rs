@@ -41,7 +41,7 @@ fn offered_schedule(policy: ShedPolicy, detect_bursts: bool) -> (Vec<Transaction
     let (gate, rx) = ingest_pair(
         cfg.queue_capacity,
         policy,
-        cfg.window_days,
+        cfg.pipeline.window_days,
         Arc::new(AtomicU32::new(0)),
         health,
         Arc::clone(&telemetry),

@@ -21,15 +21,15 @@ use crate::{MixLp, SaltedLp};
 use glp_baselines::{CpuLp, CpuLpConfig, GHashLp, GSortLp};
 use glp_core::engine::DegreeThresholds;
 use glp_core::{
-    BarrierHook, BspEngine, CapacityLp, ClassicLp, Direction, Engine, GpuEngine, HybridEngine,
-    LpProgram, LpRunReport, MultiGpuEngine, NeighborContribution, ResilientEngine, RiskWeightedLp,
-    RunOptions, SeededLp, SequentialEngine, WeightedLp,
+    BarrierHook, BspEngine, CapacityLp, ClassicLp, Direction, Engine, EngineError, GpuEngine,
+    HybridEngine, LpProgram, LpRunReport, MultiGpuEngine, NeighborContribution, ResilientEngine,
+    RiskWeightedLp, RunOptions, SeededLp, SequentialEngine, WeightedLp,
 };
 pub use glp_core::{FrontierMode, FrontierMode::*, MflStrategy, MflStrategy::*};
 use glp_fraud::InHouseLp;
 use glp_gpusim::faults::{Fault, FaultPlan};
 pub use glp_gpusim::faults::{FaultKind, FaultKind::*};
-use glp_gpusim::{Device, DeviceConfig};
+use glp_gpusim::{Device, DeviceConfig, KernelRecord};
 use glp_graph::{EdgeId, Graph, GraphBuilder, Label, VertexId};
 use glp_trace::{Category, Kind, Tracer};
 use std::collections::BTreeSet;
@@ -119,6 +119,46 @@ impl Rig {
     }
 }
 
+/// A case's engine, built so that every rung's devices stay reachable after
+/// the run: a lone rung, a ladder, or an engine that is no rung (G-Hash, the
+/// asynchronous sweep).
+enum Built {
+    Rung(Box<dyn BspEngine>),
+    Ladder(ResilientEngine),
+    Other(Box<dyn Engine>),
+}
+
+impl Built {
+    fn run(
+        &mut self,
+        g: &Graph,
+        prog: &mut dyn LpProgram,
+        opts: &RunOptions,
+    ) -> Result<LpRunReport, EngineError> {
+        match self {
+            Built::Rung(e) => e.run(g, prog, opts),
+            Built::Ladder(e) => e.run(g, prog, opts),
+            Built::Other(e) => e.run(g, prog, opts),
+        }
+    }
+
+    /// Every launch the rungs' devices logged, rung by rung, device by
+    /// device. G-Hash and the sweep are no rung: they log none here.
+    fn launches(&mut self, g: &Graph, opts: &RunOptions) -> Vec<KernelRecord> {
+        let rungs = match self {
+            Built::Rung(e) => std::slice::from_mut(e),
+            Built::Ladder(e) => e.tiers_mut(),
+            Built::Other(_) => &mut [],
+        };
+        let mut log = Vec::new();
+        for rung in rungs {
+            rung.backend(g, opts)
+                .each_device(&mut |d| log.extend_from_slice(d.kernel_log()));
+        }
+        log
+    }
+}
+
 fn device(cfg: DeviceConfig, plan: Option<&Arc<FaultPlan>>) -> Device {
     let mut d = Device::new(cfg);
     d.set_faults(plan.cloned());
@@ -196,8 +236,8 @@ pub struct Case {
     pub iters: u32,
     pub hook: bool,
     pub tracer: bool,
-    /// Start `ClassicLp` from the labels and frontier a host run reaches at
-    /// this barrier.
+    /// Start `ClassicLp` from the labels a host run reaches at this barrier,
+    /// on a saturated frontier.
     pub warm: Option<u32>,
     /// A fault on the first rung's first device at this launch (upload, for
     /// [`Oom`]) index.
@@ -324,7 +364,7 @@ impl Case {
         b.build()
     }
 
-    /// The run's options, hook, tracer and warm-start frontier aside.
+    /// The run's options, hook and tracer aside.
     pub fn options(&self) -> RunOptions {
         let mut o = RunOptions::default()
             .with_max_iterations(self.iters)
@@ -353,27 +393,18 @@ impl Case {
         }
     }
 
-    /// The labels and the frontier a sparse host run holds at barrier `warm`
-    /// (or its last, if it settles first).
-    fn warm_start(&self, g: &Graph) -> Option<(Vec<Label>, Vec<bool>)> {
-        let cut = Arc::new(Mutex::new(None));
-        let sink = Arc::clone(&cut);
-        let hook = BarrierHook::new(move |ev| {
-            let active = ev.active.expect("a sparse run").to_vec();
-            *sink.lock().unwrap() = Some((ev.program.labels().to_vec(), active));
-        });
-        let opts = RunOptions::default()
-            .with_frontier(Push)
-            .with_barrier_hook(hook);
+    /// The labels a host run holds at barrier `warm` (or at its last, if it
+    /// settles first).
+    fn warm_start(&self, g: &Graph) -> Option<Vec<Label>> {
         let iters = self.warm? + 1;
         let mut prog = Case {
             iters,
             ..self.clone()
         }
-        .program(g, None, false);
+        .program(g, None, true);
+        let opts = RunOptions::default();
         SequentialEngine::bsp().run(g, &mut prog, &opts).unwrap();
-        let cut = cut.lock().unwrap().take();
-        cut
+        prog.barriers.pop()
     }
 
     /// Whether the run must survive its fault. A fault fires once, so a
@@ -389,10 +420,14 @@ impl Case {
         (self.ladder && (transient || self.rigs.len() > 1)) || (multi && kind == DeviceLost)
     }
 
-    fn engine(&self, g: &Graph) -> Box<dyn Engine> {
+    fn engine(&self, g: &Graph) -> Built {
         let plan = self.plan();
+        let rig = self.rigs[0];
         if !self.ladder {
-            return self.rigs[0].armed(g, plan.as_ref());
+            return match rig.on_ladder() {
+                true => Built::Rung(rig.rung(g, plan.as_ref())),
+                false => Built::Other(rig.armed(g, plan.as_ref())),
+            };
         }
         let first = |i: usize| plan.as_ref().filter(|_| i == 0);
         let rungs = self
@@ -400,7 +435,8 @@ impl Case {
             .iter()
             .enumerate()
             .map(|(i, r)| r.rung(g, first(i)));
-        Box::new(ResilientEngine::new(rungs.collect()).with_backoff(Duration::ZERO, Duration::ZERO))
+        let ladder = ResilientEngine::new(rungs.collect());
+        Built::Ladder(ladder.with_backoff(Duration::ZERO, Duration::ZERO))
     }
 
     /// The fault plan the case attaches to its first device.
@@ -521,7 +557,7 @@ impl LpProgram for Watch {
 /// CMS+HT global fallback fired and `"2+ iterations"` if it ran that many.
 fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
     let g = case.graph();
-    let (start, frontier) = case.warm_start(&g).unzip();
+    let start = case.warm_start(&g);
     let (start, sweep) = (start.as_deref(), case.rigs == [Async]);
     let host = |engine: &mut dyn Engine, plain, opts: &RunOptions| {
         let mut prog = case.program(&g, start, plain);
@@ -533,10 +569,7 @@ fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
         true => host(&mut SequentialEngine::new(), true, &plain),
         false => host(&mut SequentialEngine::bsp(), true, &plain),
     };
-    let sparse = RunOptions {
-        initial_frontier: frontier,
-        ..case.options()
-    };
+    let sparse = case.options();
     let mut opts = sparse.clone();
     let fired = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&fired);
@@ -544,28 +577,33 @@ fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
     opts.barrier_hook = case.hook.then_some(hook);
     opts.tracer = case.tracer.then(Tracer::new);
     let mut got = case.program(&g, start, false);
-    let outcome = case.engine(&g).run(&g, &mut got, &opts);
-    // What a run charged: the clock, the counter totals and every launch's
-    // seconds, kernel by kernel, in order.
-    let charged = |outcome: &Result<LpRunReport, _>| {
+    // What a run charged: the clock, the counter totals, every launch's
+    // seconds kernel by kernel, and every launch each rung's devices
+    // logged, with its counters, in order.
+    let charged = |mut engine: Built, outcome: &Result<LpRunReport, _>| {
         let r = outcome.as_ref().ok()?;
         let clock = r.modeled_seconds.to_bits();
-        Some((clock, r.gpu_counters, r.kernel_profile.clone()))
+        let launches = engine.launches(&g, &sparse);
+        Some((clock, r.gpu_counters, r.kernel_profile.clone(), launches))
     };
+    let mut engine = case.engine(&g);
+    let outcome = engine.run(&g, &mut got, &opts);
     // Harness threads split launches on the host only: one thread charges
     // the same (a hook still takes its snapshots; a tracer only observes).
     let one_thread = (case.shards > 1).then(|| {
         let mut opts = sparse.clone().with_shards(1);
         opts.barrier_hook = case.hook.then(|| BarrierHook::new(|_| ()));
         let mut twin = case.program(&g, start, false);
-        charged(&case.engine(&g).run(&g, &mut twin, &opts))
+        let mut twin_engine = case.engine(&g);
+        let twin_outcome = twin_engine.run(&g, &mut twin, &opts);
+        charged(twin_engine, &twin_outcome)
     });
 
     let (want_changed, done) = (&want_report.changed_per_iteration, got.barriers.len() - 1);
     let mut failed: Vec<String> = Vec::new();
     let mut expect = |ok: bool, what: &str| (!ok).then(|| failed.push(what.to_string()));
     if let Some(twin) = one_thread {
-        expect(charged(&outcome) == twin, "charges at one shard");
+        expect(charged(engine, &outcome) == twin, "charges at one shard");
     }
     expect(
         want.get(done) == Some(&got.barriers[done]),
