@@ -43,8 +43,8 @@ pub struct CpuLpConfig {
     /// The machine (defaults to the paper's Xeon W-2133).
     pub cpu: CpuConfig,
     /// Software threads of the *modeled* machine: an input of the cost
-    /// model (capped at physical cores there). How many host threads a
-    /// run uses is [`RunOptions::shards`]'s business.
+    /// model (capped at physical cores there). How a run splits its work
+    /// on the host is [`RunOptions::shards`]'s business.
     pub threads: u32,
 }
 
@@ -120,8 +120,8 @@ impl Engine for CpuLp {
     }
 
     /// Runs `prog` on `g`; modeled seconds come from the CPU roofline.
-    /// A shard thread that panics surfaces as
-    /// [`EngineError::ShardPanicked`] instead of poisoning the caller.
+    /// A part that panics surfaces as [`EngineError::ShardPanicked`]
+    /// instead of poisoning the caller.
     fn run(
         &mut self,
         g: &Graph,
@@ -156,9 +156,9 @@ impl BspEngine for CpuLp {
 /// begun are the tier's clock.
 struct CpuBackend<'a> {
     lp: &'a mut CpuLp,
-    /// Host threads of the LabelPropagation fan-out.
+    /// Parts of the LabelPropagation fan-out.
     shards: usize,
-    /// One MFL scratch per host thread, built on first use: a ladder's CPU
+    /// One MFL scratch per part, built on first use: a ladder's CPU
     /// rung that never runs allocates nothing.
     tables: Vec<BoundedHashTable>,
     /// Work counted so far, before the personality's overhead factor.
@@ -200,9 +200,9 @@ impl Backend for CpuBackend<'_> {
     }
 
     /// Exact per-vertex aggregation over contiguous slices of the scheduled
-    /// list, one host thread each, charging CPU work per vertex: one random
-    /// access per neighbor label, hash-scratch instructions, streaming
-    /// bytes for the CSR slice. Counters are sums over vertices, so the
+    /// list, fanned out over at most the host's cores, charging CPU work
+    /// per vertex: one random access per neighbor label, hash-scratch
+    /// instructions, streaming bytes for the CSR slice. Counters are sums over vertices, so the
     /// split cannot move a modeled number.
     fn propagate(
         &mut self,
@@ -228,18 +228,14 @@ impl Backend for CpuBackend<'_> {
             };
             (slice.iter().map(decide).collect::<Vec<Decision>>(), c)
         };
-        let joined: Vec<_> = std::thread::scope(|scope| {
-            let spawned: Vec<_> = scheduled
-                .chunks(per)
-                .zip(&mut self.tables)
-                .map(|(slice, ht)| scope.spawn(|| aggregate(slice, ht)))
-                .collect();
-            spawned.into_iter().map(|h| h.join()).collect()
+        let parts: Vec<_> = scheduled.chunks(per).zip(&mut self.tables).collect();
+        let joined = glp_gpusim::fan_out(parts, glp_gpusim::host_cores(), |_, (slice, ht)| {
+            aggregate(slice, ht)
         });
-        for (shard, (slice, result)) in scheduled.chunks(per).zip(joined).enumerate() {
-            // There is no device here; the panicked shard is what matters.
-            let (decided, c) =
-                result.map_err(|_| DeviceError::ShardPanicked { device: 0, shard })?;
+        // There is no device here; the panicked part is what matters.
+        let joined =
+            joined.map_err(|(shard, _)| DeviceError::ShardPanicked { device: 0, shard })?;
+        for (slice, (decided, c)) in scheduled.chunks(per).zip(joined) {
             self.work.merge(&c);
             for (&v, d) in slice.iter().zip(decided) {
                 decisions[v as usize] = d;

@@ -57,7 +57,7 @@ use glp_graph::{Csr, Graph, Label, VertexId};
 use glp_trace::{Category, Clock, KernelProfile};
 use std::borrow::Cow;
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What one iteration's device phase reads.
 pub struct Phase<'a> {
@@ -164,21 +164,6 @@ pub trait Backend {
     fn teardown(&mut self, _completed: bool) -> f64 {
         0.0
     }
-}
-
-/// The recovery budget of a run: how often a transient fault
-/// ([`EngineError::is_transient`]) re-stages the same rung before the
-/// ladder is walked down, and the capped exponential backoff between tries.
-/// The default is a bare engine's: no retries, so with one rung any fault
-/// the backend declines is the run's.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Recovery {
-    /// Same-rung retries per rung.
-    pub max_retries: u32,
-    /// First backoff; doubles per retry.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
 }
 
 /// What the recovery policy did during a run.
@@ -360,9 +345,9 @@ struct Driver<'a, 'b> {
     g: &'a Graph,
     opts: &'a RunOptions,
     epoch: Instant,
-    policy: &'a Recovery,
+    /// Same-rung retries per rung after a transient fault.
+    max_retries: u32,
     retries_left: u32,
-    backoff: Duration,
     /// Whether barriers charge the label readback: a hook wants the labels,
     /// or the run can recover and reads them back so a lost card costs
     /// nothing. A bare, hook-free run charges none and stays
@@ -380,22 +365,17 @@ pub fn drive(
     opts: &RunOptions,
 ) -> Result<LpRunReport, EngineError> {
     let mut stats = ResilienceReport::default();
-    drive_ladder(
-        &mut [backend],
-        &Recovery::default(),
-        g,
-        prog,
-        opts,
-        &mut stats,
-    )
+    drive_ladder(&mut [backend], 0, g, prog, opts, &mut stats)
 }
 
-/// [`drive`] over an ordered ladder of backends (fastest first) under a
-/// recovery `policy`; `stats` is reset and says what the policy did, on
-/// `Err` too.
+/// [`drive`] over an ordered ladder of backends (fastest first) under the
+/// recovery policy, with a budget of `max_retries` same-rung retries after
+/// a transient fault ([`EngineError::is_transient`]) before the ladder is
+/// walked down; `stats` is reset and says what the policy did, on `Err`
+/// too.
 pub(crate) fn drive_ladder(
     rungs: &mut [&mut dyn Backend],
-    policy: &Recovery,
+    max_retries: u32,
     g: &Graph,
     prog: &mut dyn LpProgram,
     opts: &RunOptions,
@@ -420,7 +400,7 @@ pub(crate) fn drive_ladder(
         })
         .collect();
     let mut driver = Driver {
-        snapshots: opts.barrier_hook.is_some() || rungs.len() > 1 || policy.max_retries > 0,
+        snapshots: opts.barrier_hook.is_some() || rungs.len() > 1 || max_retries > 0,
         rungs,
         tier: 0,
         clock: Clock::Wall,
@@ -430,9 +410,8 @@ pub(crate) fn drive_ladder(
         g,
         opts,
         epoch,
-        policy,
-        retries_left: policy.max_retries,
-        backoff: policy.backoff_base,
+        max_retries,
+        retries_left: max_retries,
         stats,
     };
     let mut report = LpRunReport::default();
@@ -542,7 +521,7 @@ impl Driver<'_, '_> {
         } else if self.tier + 1 < self.rungs.len() {
             self.tier += 1;
             self.stats.degradations += 1;
-            self.retries_left = self.policy.max_retries;
+            self.retries_left = self.max_retries;
         } else {
             return Err(fault);
         }
@@ -550,12 +529,6 @@ impl Driver<'_, '_> {
             let name = if retry { "retry" } else { "degrade" };
             let (at, parent) = (t.wall_now(), t.take_error_span());
             t.instant_with_parent(Category::Resilience, name, Clock::Wall, at, parent);
-        }
-        if retry {
-            std::thread::sleep(self.backoff);
-            self.backoff = (self.backoff * 2).min(self.policy.backoff_cap);
-        } else {
-            self.backoff = self.policy.backoff_base;
         }
         // Everything committed before the fault is kept, not recomputed.
         self.stats.iterations_salvaged += u64::from(completed);
@@ -1357,8 +1330,7 @@ pub(super) mod tests {
             let mut ladder = ResilientEngine::new(vec![
                 Box::new(GpuEngine::new(device)),
                 Box::new(HybridEngine::titan_v()),
-            ])
-            .with_backoff(Duration::ZERO, Duration::ZERO);
+            ]);
             let mut prog = fresh();
             ARMED.set(None);
             let report = ladder.run(&g, &mut prog, &RunOptions::default()).unwrap();

@@ -172,14 +172,16 @@ pub struct RunOptions {
     pub cms_depth: usize,
     /// CMS buckets per row `w`.
     pub cms_width: usize,
-    /// Harness OS threads per kernel (0 = number of available cores,
-    /// capped at 16) — for every engine: the device tiers shard a launch
-    /// over them, the CPU baselines their per-vertex aggregation (whose
-    /// `CpuLpConfig::threads` is the *modeled* machine's, a cost-model
-    /// input). Neither labels, the changed / active traces, modeled
-    /// counters nor the modeled clock depend on it: a launch is cut only
-    /// where its kernel's charges are, and charges its one-pass events once
-    /// (`tests/determinism.rs` pins 1, 2, 3 and 7 threads bit for bit). The
+    /// Parts per kernel (0 = the host's cores, capped at 16) — for every
+    /// engine: the device tiers split a launch into them, the CPU baselines
+    /// their per-vertex aggregation (whose `CpuLpConfig::threads` is the
+    /// *modeled* machine's, a cost-model input). The parts run through
+    /// [`glp_gpusim::fan_out`] on as many threads as the smaller of
+    /// `shards` and the host's core count. Neither
+    /// labels, the changed / active traces, modeled counters nor the
+    /// modeled clock depend on it: a launch is cut only where its kernel's
+    /// charges are, and charges its one-pass events once
+    /// (`tests/determinism.rs` pins 1, 2, 3 and 7 parts bit for bit). The
     /// threads are spawned per launch, so on small graphs 1 is the fast
     /// setting: a CI-sized serving recluster measured 11.6 ms pinned to 1
     /// against 12–39 ms with auto on two cores.
@@ -240,7 +242,7 @@ impl RunOptions {
         self
     }
 
-    /// Sets the harness OS-thread count (0 = auto).
+    /// Sets the part count (0 = auto).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -267,16 +269,14 @@ impl RunOptions {
         }
     }
 
-    /// Effective harness thread count: `shards` if set, otherwise the
-    /// available cores capped at 16. Used by every engine and baseline.
+    /// Effective part count: `shards` if set, otherwise the host's cores
+    /// ([`glp_gpusim::host_cores`]) capped at 16. Used by every engine and
+    /// baseline.
     pub fn resolve_shards(&self) -> usize {
         if self.shards > 0 {
             self.shards
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(16)
+            glp_gpusim::host_cores().min(16)
         }
     }
 

@@ -4,32 +4,34 @@
 //! [`ResilientEngine`] holds an ordered ladder of [`BspEngine`]s (fastest
 //! first) and a retry budget, and runs them as *one* driven run
 //! ([`super::bsp`]): when a device phase fails, a **transient** fault
-//! ([`EngineError::is_transient`]) re-stages the same tier after a capped
-//! exponential backoff, a **persistent** one (device lost, out of memory) or
-//! an exhausted budget stages the next tier, and the failed iteration's
-//! device phase is re-driven there — completed iterations are never
-//! recomputed, and nothing is checkpointed: the frontier, the report and
-//! the program stay with the driver. Because every BSP backend is
-//! bit-identical, a run that starts on the GPU and finishes on the host
-//! produces exactly the labels the GPU would have, for any program.
+//! ([`EngineError::is_transient`]) re-stages the same tier at once — a
+//! simulated fault has no host condition to wait out, and a host sleep
+//! would not reach the modeled clock — while a **persistent** one (device
+//! lost, out of memory) or an exhausted budget stages the next tier, and
+//! the failed iteration's device phase is re-driven there. Completed
+//! iterations are never recomputed, and nothing is checkpointed: the
+//! frontier, the report and the program stay with the driver. Because
+//! every BSP backend is bit-identical, a run that starts on the GPU and
+//! finishes on the host produces exactly the labels the GPU would have, for
+//! any program.
 //!
 //! What recovery costs on the modeled clock is the label readback at every
 //! barrier (`barrier_snapshot`, surfaced as
 //! [`LpRunReport::snapshot_seconds`](crate::LpRunReport::snapshot_seconds)):
 //! the host copy that makes losing a card free.
 
-use super::bsp::{drive_ladder, Recovery};
+use super::bsp::drive_ladder;
 use super::{Backend, BspEngine, Engine, EngineError, ResilienceReport, RunOptions};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_graph::Graph;
 use glp_trace::{Category, Clock};
-use std::time::Duration;
 
 /// A ladder of engines run under the recovery policy. See the module docs.
 pub struct ResilientEngine {
     tiers: Vec<Box<dyn BspEngine>>,
-    policy: Recovery,
+    /// Same-rung retries per rung after a transient fault.
+    max_retries: u32,
     last: ResilienceReport,
 }
 
@@ -37,7 +39,7 @@ impl std::fmt::Debug for ResilientEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientEngine")
             .field("tiers", &self.tier_names())
-            .field("policy", &self.policy)
+            .field("max_retries", &self.max_retries)
             .field("last", &self.last)
             .finish()
     }
@@ -52,11 +54,7 @@ impl ResilientEngine {
         assert!(!tiers.is_empty(), "ladder needs at least one tier");
         Self {
             tiers,
-            policy: Recovery {
-                max_retries: 3,
-                backoff_base: Duration::from_millis(1),
-                backoff_cap: Duration::from_millis(50),
-            },
+            max_retries: 3,
             last: ResilienceReport::default(),
         }
     }
@@ -73,15 +71,7 @@ impl ResilientEngine {
 
     /// Transient-fault retry budget per tier (default 3).
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
-        self.policy.max_retries = max_retries;
-        self
-    }
-
-    /// Exponential-backoff schedule for transient retries: `base`, then
-    /// doubling up to `cap`. Tests pass `Duration::ZERO` to skip sleeping.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.policy.backoff_base = base;
-        self.policy.backoff_cap = cap;
+        self.max_retries = max_retries;
         self
     }
 
@@ -114,9 +104,9 @@ impl Engine for ResilientEngine {
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
         // The ladder's own span runs on the wall clock (its overhead is
-        // host-side: backoff, re-staging), stamped from the tracer's time
-        // base so it sits inside any caller span around the run; tier runs
-        // nest under it structurally while keeping their modeled clocks.
+        // host-side: re-staging), stamped from the tracer's time base so it
+        // sits inside any caller span around the run; tier runs nest under
+        // it structurally while keeping their modeled clocks.
         let span = opts.tracer.as_ref().map(|t| {
             let mark = t.open_depth();
             t.begin(Category::Run, self.name(), Clock::Wall, t.wall_now());
@@ -124,7 +114,7 @@ impl Engine for ResilientEngine {
         });
         let mut backends: Vec<_> = self.tiers.iter_mut().map(|t| t.backend(g, opts)).collect();
         let mut rungs: Vec<&mut dyn Backend> = backends.iter_mut().map(|b| &mut **b as _).collect();
-        let outcome = drive_ladder(&mut rungs, &self.policy, g, prog, opts, &mut self.last);
+        let outcome = drive_ladder(&mut rungs, self.max_retries, g, prog, opts, &mut self.last);
         match (&outcome, span) {
             (Ok(_), Some((t, _))) => t.end(t.wall_now()),
             (Err(_), Some((t, mark))) => t.fail_open_to(mark, t.wall_now()),

@@ -228,20 +228,21 @@ impl Device {
         }
     }
 
-    /// Runs one kernel with one harness OS thread per element of `parts`
-    /// (harness-side parallelism only: the shards' counters are summed into
-    /// one launch), handing each shard its element *by value* — so a shard
-    /// can own a `&mut` sub-slice of the launch's output and write results
-    /// in place instead of returning them. A single part runs on the
-    /// calling thread; with no parts the launch still happens (and charges
-    /// its overhead) but runs nothing. The per-shard return values come back
-    /// in shard order. A panic in any shard is captured at the join
-    /// boundary and surfaced as [`DeviceError::ShardPanicked`] carrying the
-    /// first panicked shard's index; the launch then charges nothing.
+    /// Runs one kernel split into `parts` (harness-side parallelism only:
+    /// the parts' counters are summed into one launch), handing each part
+    /// its element *by value* through [`fan_out`](crate::fan_out) over at
+    /// most [`host_cores`](crate::host_cores) threads — so a part can own a
+    /// `&mut` sub-slice of the launch's output and write results in place
+    /// instead of returning them. A single part runs on the calling thread;
+    /// with no parts the launch still happens (and charges its overhead)
+    /// but runs nothing. The per-part return values come back in part
+    /// order. A panic in any part surfaces as [`DeviceError::ShardPanicked`]
+    /// carrying the lowest panicked part's index; the launch then charges
+    /// nothing.
     pub fn launch_sharded<S, R, F>(
         &mut self,
         name: &'static str,
-        mut parts: Vec<S>,
+        parts: Vec<S>,
         f: F,
     ) -> Result<Vec<R>, DeviceError>
     where
@@ -251,47 +252,27 @@ impl Device {
     {
         self.pre_launch(name)?;
         let cfg = &self.cfg;
-        let run = |part: S| {
+        let ran = crate::fan_out(parts, crate::host_cores(), |_, part| {
             let mut ctx = KernelCtx::shard(cfg);
             let r = f(part, &mut ctx);
             (ctx.counters, r)
-        };
-        // The shards' contexts charge no overhead; the merge base, one launch.
+        });
+        let ran = ran.map_err(|(shard, _)| DeviceError::ShardPanicked {
+            device: self.id,
+            shard,
+        })?;
+        // The parts' contexts charge no overhead; the merge base, one launch.
         let mut merged = KernelCounters {
             kernel_launches: 1,
             ..KernelCounters::default()
         };
-        let results: Vec<std::thread::Result<(KernelCounters, R)>> = if parts.len() == 1 {
-            let part = parts.pop().expect("one part");
-            vec![catch_unwind(AssertUnwindSafe(|| run(part)))]
-        } else {
-            let run = &run;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .into_iter()
-                    .map(|part| scope.spawn(move || run(part)))
-                    .collect();
-                // The join boundary is the panic-capture point: a panicking
-                // shard surfaces as Err here instead of tearing the process
-                // down.
-                handles.into_iter().map(|h| h.join()).collect()
+        let out = ran
+            .into_iter()
+            .map(|(c, r)| {
+                merged.merge(&c);
+                r
             })
-        };
-        let mut out = Vec::with_capacity(results.len());
-        for (shard, res) in results.into_iter().enumerate() {
-            match res {
-                Ok((c, r)) => {
-                    merged.merge(&c);
-                    out.push(r);
-                }
-                Err(_) => {
-                    return Err(DeviceError::ShardPanicked {
-                        device: self.id,
-                        shard,
-                    })
-                }
-            }
-        }
+            .collect();
         self.commit(name, merged);
         Ok(out)
     }

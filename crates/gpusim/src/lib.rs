@@ -36,6 +36,7 @@ pub mod cost;
 pub mod counters;
 pub mod device;
 pub mod error;
+pub mod fanout;
 pub mod faults;
 pub mod host;
 pub mod kernel;
@@ -49,6 +50,7 @@ pub use cost::SECTOR_BYTES;
 pub use counters::KernelCounters;
 pub use device::{Device, KernelRecord};
 pub use error::DeviceError;
+pub use fanout::{fan_out, host_cores};
 pub use kernel::KernelCtx;
 pub use multi::MultiGpu;
 pub use profile::DeviceProfile;

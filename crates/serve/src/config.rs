@@ -49,7 +49,8 @@ pub struct ServeConfig {
     /// configuration verbatim so online and offline verdicts agree. Its
     /// [`PipelineConfig::window_days`] is the sliding window's length.
     pub pipeline: PipelineConfig,
-    /// Harness OS threads per LP kernel (0 = auto). Labels, and so
+    /// Parts per LP kernel (0 = auto), run on at most the host's cores
+    /// ([`glp_core::RunOptions::shards`]). Labels, and so
     /// verdicts, and the modeled kernel seconds are bit-identical across
     /// shard counts, which the determinism tests pin end to end. The
     /// threads are spawned per kernel launch, so more is not faster on

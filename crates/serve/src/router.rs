@@ -87,9 +87,8 @@ use crate::FaultPlan;
 use glp_fraud::checkpoint::WindowCheckpoint;
 use glp_fraud::journal::{FleetWal, WalRecord};
 use glp_fraud::{RecordError, Transaction};
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -205,9 +204,6 @@ pub struct FleetCore {
     /// falls back to a full boundary recluster — so recovery paths never
     /// need to reset it.
     boundary: Mutex<BoundaryCache>,
-    /// Workers of one fan-out round ([`Self::fan_out`]):
-    /// `min(shards, available_parallelism)`, read once at construction.
-    workers: usize,
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -339,8 +335,6 @@ impl FleetCore {
         let durable = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         let failover_blocked = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
         let boundary = Mutex::new(BoundaryCache::new(cfg.shard.pipeline.window_days));
-        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let workers = shards.len().min(cores);
         let blacklist = Arc::new(Blacklist::new(blacklist));
         let shards = shards
             .into_iter()
@@ -365,58 +359,26 @@ impl FleetCore {
             failover_log: Mutex::new(Vec::new()),
             failover_blocked,
             boundary,
-            workers,
             faults: None,
         }
     }
 
     /// Runs `f(i, shard i)` for every shard and returns the results in
-    /// shard order. Shards share no state, so the calls fan out over
-    /// `workers` scoped threads that claim shard indices from a shared
-    /// counter; a single worker (a 1-shard fleet, a 1-core host) runs
-    /// them inline and spawns nothing. A panicking call is re-raised
-    /// here with its original payload, after every worker has stopped.
-    /// Everything order-sensitive — which error is first, watermarks,
-    /// journal truncation, the boundary exchange — stays with the caller.
+    /// shard order. Shards share no state, so the calls run through
+    /// [`glp_gpusim::fan_out`] over at most the host's cores; a 1-shard
+    /// fleet or a 1-core host runs them inline and spawns nothing. A
+    /// panicking call is re-raised here with its original payload, after
+    /// every other call has finished. Everything order-sensitive — which
+    /// error is first, watermarks, journal truncation, the boundary
+    /// exchange — stays with the caller.
     fn fan_out<R: Send>(&self, f: impl Fn(usize, &ServiceCore) -> R + Sync) -> Vec<R> {
-        let n = self.shards.len();
         #[cfg(test)]
-        let workers = tests::WORKERS.get().unwrap_or(self.workers).min(n);
+        let workers = tests::WORKERS.get().unwrap_or_else(glp_gpusim::host_cores);
         #[cfg(not(test))]
-        let workers = self.workers;
-        let run = |i: usize| f(i, &self.shards[i]);
-        if workers <= 1 {
-            return (0..n).map(run).collect();
-        }
-        // Relaxed: the counter only hands out indices; results travel
-        // back through `join`, which orders them after the worker's writes.
-        let next = AtomicUsize::new(0);
-        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut claimed = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                return claimed;
-                            }
-                            claimed.push((i, run(i)));
-                        }
-                    })
-                })
-                .collect();
-            let mut done = Vec::with_capacity(n);
-            for h in handles {
-                match h.join() {
-                    Ok(claimed) => done.extend(claimed),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            done
-        });
-        done.sort_unstable_by_key(|&(i, _)| i);
-        done.into_iter().map(|(_, r)| r).collect()
+        let workers = glp_gpusim::host_cores();
+        let shards = self.shards.iter().collect();
+        glp_gpusim::fan_out(shards, workers, |i, s| f(i, s))
+            .unwrap_or_else(|(_, payload)| std::panic::resume_unwind(payload))
     }
 
     /// Attaches a fault plan: the routed apply consults
@@ -1406,56 +1368,6 @@ mod tests {
                 0
             );
         }
-    }
-
-    #[test]
-    fn fan_out_returns_results_in_shard_order_whatever_the_finish_order() {
-        let core = FleetCore::new(fleet_cfg(4), Partitioner::hashed(4, 1), Vec::new());
-        WORKERS.set(Some(2));
-        // Whichever worker claims shard 0 holds it until the other one
-        // has finished shards 1, 2 and 3.
-        let (release, hold) = std::sync::mpsc::channel();
-        let hold = Mutex::new(hold);
-        let finished = Mutex::new(Vec::new());
-        let got = core.fan_out(|i, _| {
-            if i == 0 {
-                unpoison(hold.lock())
-                    .recv()
-                    .expect("shard 3 releases shard 0");
-            }
-            unpoison(finished.lock()).push(i);
-            if i == 3 {
-                release.send(()).expect("shard 0 is waiting");
-            }
-            i * 10
-        });
-        WORKERS.set(None);
-        assert_eq!(*unpoison(finished.lock()), [1, 2, 3, 0]);
-        assert_eq!(got, [0, 10, 20, 30]);
-    }
-
-    #[test]
-    fn fan_out_reraises_a_worker_panic_with_its_payload() {
-        let core = FleetCore::new(fleet_cfg(4), Partitioner::hashed(4, 1), Vec::new());
-        WORKERS.set(Some(2));
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            core.fan_out(|i, _| {
-                if i == 2 {
-                    panic!("shard {i} failed");
-                }
-            })
-        }));
-        WORKERS.set(None);
-        let payload = caught.expect_err("the worker's panic reaches the caller");
-        let msg = panic_message(payload.as_ref());
-        assert_eq!(msg, "shard 2 failed", "the payload must survive the join");
-    }
-
-    #[test]
-    fn a_one_shard_fan_out_spawns_nothing() {
-        let core = FleetCore::new(fleet_cfg(1), Partitioner::hashed(1, 1), Vec::new());
-        let caller = std::thread::current().id();
-        assert_eq!(core.fan_out(|_, _| std::thread::current().id()), [caller]);
     }
 
     /// What one drive of a journaled 4-shard fleet published.

@@ -35,7 +35,6 @@ use glp_trace::{Category, Kind, Tracer};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Cases per default sweep.
 pub const CASES: u64 = 1024;
@@ -436,7 +435,7 @@ impl Case {
             .enumerate()
             .map(|(i, r)| r.rung(g, first(i)));
         let ladder = ResilientEngine::new(rungs.collect());
-        Built::Ladder(ladder.with_backoff(Duration::ZERO, Duration::ZERO))
+        Built::Ladder(ladder)
     }
 
     /// The fault plan the case attaches to its first device.

@@ -133,30 +133,6 @@ pub struct ErrorSpan {
     pub depth: u16,
 }
 
-/// Destination for flushed event batches. The default in-memory sink is
-/// what [`Tracer::finish`] drains; custom sinks can stream elsewhere.
-pub trait TraceSink: Send + Sync {
-    /// Accepts one flushed batch. Returns how many events were kept (the
-    /// difference is reported as dropped).
-    fn write(&self, batch: &[Event]) -> usize;
-}
-
-/// Bounded in-memory sink.
-struct MemorySink {
-    events: Mutex<Vec<Event>>,
-    max_events: usize,
-}
-
-impl TraceSink for MemorySink {
-    fn write(&self, batch: &[Event]) -> usize {
-        let mut events = self.events.lock().expect("trace sink poisoned");
-        let room = self.max_events.saturating_sub(events.len());
-        let take = batch.len().min(room);
-        events.extend_from_slice(&batch[..take]);
-        take
-    }
-}
-
 /// A span begun but not yet ended on some thread.
 struct OpenSpan {
     id: u64,
@@ -195,8 +171,9 @@ struct Inner {
     open: AtomicI64,
     dropped: AtomicU64,
     last_error: Mutex<Option<ErrorSpan>>,
-    memory: Arc<MemorySink>,
-    sink: Arc<dyn TraceSink>,
+    /// The in-memory sink: every flushed event, up to `max_events`.
+    events: Mutex<Vec<Event>>,
+    max_events: usize,
 }
 
 /// A cheap, cloneable handle to one trace recording.
@@ -247,10 +224,6 @@ impl Tracer {
 
     /// A tracer with explicit per-thread ring size and sink bound.
     pub fn with_capacity(ring_capacity: usize, max_events: usize) -> Self {
-        let memory = Arc::new(MemorySink {
-            events: Mutex::new(Vec::new()),
-            max_events,
-        });
         Self {
             inner: Arc::new(Inner {
                 key: NEXT_TRACER_KEY.fetch_add(1, Ordering::Relaxed),
@@ -260,8 +233,8 @@ impl Tracer {
                 open: AtomicI64::new(0),
                 dropped: AtomicU64::new(0),
                 last_error: Mutex::new(None),
-                memory: memory.clone(),
-                sink: memory,
+                events: Mutex::new(Vec::new()),
+                max_events,
             }),
         }
     }
@@ -289,7 +262,11 @@ impl Tracer {
         if state.ring.is_empty() {
             return;
         }
-        let kept = inner.sink.write(&state.ring);
+        let mut events = inner.events.lock().expect("trace sink poisoned");
+        let room = inner.max_events.saturating_sub(events.len());
+        let kept = state.ring.len().min(room);
+        events.extend_from_slice(&state.ring[..kept]);
+        drop(events);
         let lost = (state.ring.len() - kept) as u64;
         if lost > 0 {
             inner.dropped.fetch_add(lost, Ordering::Relaxed);
@@ -554,15 +531,8 @@ impl Tracer {
     /// have closed their spans (their rings flush on stack-empty).
     pub fn finish(&self) -> Trace {
         self.flush();
-        let mut events = {
-            let mut sink = self
-                .inner
-                .memory
-                .events
-                .lock()
-                .expect("trace sink poisoned");
-            std::mem::take(&mut *sink)
-        };
+        let mut events =
+            std::mem::take(&mut *self.inner.events.lock().expect("trace sink poisoned"));
         events.sort_by_key(|e| e.id);
         Trace {
             events,

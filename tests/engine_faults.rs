@@ -50,7 +50,6 @@ use glp_suite::graph::{Graph, Label};
 use glp_suite::trace::{Category, Kind, Tracer};
 use glp_test_support::{launches_per_iteration, reference, SaltedLp};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A plan of device faults: each fires at the `at`-th launch (upload, for
 /// `Oom`) of the device the plan is attached to.
@@ -84,8 +83,7 @@ fn transient_launch_failure_resumes_at_failed_iteration() {
     // retry must resume rather than restart.
     let faults = plan(&[(FaultKind::LaunchFail, per_iter + 1)]);
     let gpu = GpuEngine::new(titan_v(&faults));
-    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())]);
 
     let mut prog = ClassicLp::new(g.num_vertices());
     let report = engine.run(&g, &mut prog, &opts).expect("retry recovers");
@@ -130,8 +128,7 @@ fn persistent_device_loss_degrades_to_sequential() {
         Box::new(gpu),
         Box::new(hybrid),
         Box::new(SequentialEngine::bsp()),
-    ])
-    .with_backoff(Duration::ZERO, Duration::ZERO);
+    ]);
 
     let mut prog = ClassicLp::new(g.num_vertices());
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
@@ -181,8 +178,7 @@ fn a_program_without_checkpoints_survives_retry_and_degrade() {
         Box::new(gpu),
         Box::new(hybrid),
         Box::new(SequentialEngine::bsp()),
-    ])
-    .with_backoff(Duration::ZERO, Duration::ZERO);
+    ]);
 
     let barriers: Arc<Mutex<Vec<Vec<Label>>>> = Arc::default();
     let sink = Arc::clone(&barriers);
@@ -424,8 +420,7 @@ fn device_loss_emits_degrade_span_under_failed_iteration() {
     // Persistent loss inside iteration 1: the ladder must degrade, and
     // the interrupted iteration is identifiable in the trace.
     let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, per_iter + 1)])));
-    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(SequentialEngine::bsp())]);
 
     let tracer = Tracer::new();
     let opts = base.with_tracer(tracer.clone());
@@ -521,8 +516,7 @@ fn lower_tier_resumes_at_the_failed_iteration_not_at_zero() {
     let per_iter = launches_per_iteration(&g, &opts);
 
     let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, 2 * per_iter + 1)])));
-    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())]);
 
     let mut prog = ClassicLp::with_max_iterations(n, 6);
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
@@ -557,8 +551,7 @@ fn a_lost_gpu_finishes_on_the_omp_baseline() {
 
     let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, per_iter + 1)])));
     let omp = CpuLp::omp(CpuLpConfig::default());
-    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(omp)])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(omp)]);
 
     let mut prog = ClassicLp::new(g.num_vertices());
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
@@ -600,8 +593,7 @@ fn degrading_to_a_rung_without_a_frontier_continues_all_active() {
     let per_iter = launches_per_iteration(&g, &opts);
 
     let gpu = GpuEngine::new(titan_v(&plan(&[(FaultKind::DeviceLost, per_iter + 1)])));
-    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
+    let mut engine = ResilientEngine::new(vec![Box::new(gpu), Box::new(GSortLp::titan_v())]);
     let mut prog = ClassicLp::new(n);
     let report = engine.run(&g, &mut prog, &opts).expect("ladder recovers");
 
@@ -765,8 +757,7 @@ fn faults_on_a_replayed_launch_are_retried_and_degraded_around() {
             Box::new(GpuEngine::new(titan_v(&faults))),
             Box::new(HybridEngine::titan_v()),
             Box::new(SequentialEngine::bsp()),
-        ])
-        .with_backoff(Duration::ZERO, Duration::ZERO);
+        ]);
         let mut prog = ClassicLp::with_max_iterations(g.num_vertices(), CYCLE_ITERS);
         let report = engine
             .run(&g, &mut prog, &RunOptions::default())
