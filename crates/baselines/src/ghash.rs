@@ -8,16 +8,16 @@
 //! Unlike G-Sort it needs no |E|-sized auxiliary array and no sort passes,
 //! which is why it catches up on the largest graphs (§5.2).
 
-use glp_core::engine::{Engine, EngineError, GpuEngine, MflStrategy, RunOptions};
-use glp_core::{FrontierMode, LpProgram, LpRunReport};
+use glp_core::engine::{drive, Backend, BspEngine, Engine, EngineError, GpuEngine, RunOptions};
+use glp_core::{LpProgram, LpRunReport};
 use glp_gpusim::Device;
 use glp_graph::Graph;
 
-/// The G-Hash engine: a thin preset over the GLP engine that pins the
-/// global-memory strategy and dense scheduling (G-Hash recomputes every
+/// The G-Hash engine: a preset backend of the GLP engine that pins the
+/// global-memory strategy and runs all-active (G-Hash recomputes every
 /// vertex every iteration — exactly the waste §2.2 attributes to the
-/// existing approaches). Every [`FrontierMode`] — `Push`, `Pull`, and
-/// `Auto` included — is coerced to `Dense`, so its reports record only
+/// existing approaches). It cannot schedule over a frontier, so under any
+/// [`FrontierMode`](glp_core::FrontierMode) its reports record only
 /// [`Direction::Dense`](glp_core::Direction). All other [`RunOptions`]
 /// fields pass through.
 #[derive(Debug)]
@@ -55,16 +55,14 @@ impl Engine for GHashLp {
         prog: &mut dyn LpProgram,
         opts: &RunOptions,
     ) -> Result<LpRunReport, EngineError> {
-        let opts = RunOptions {
-            strategy: MflStrategy::Global,
-            frontier: FrontierMode::Dense,
-            ..opts.clone()
-        };
-        let mut report = self.inner.run(g, prog, &opts)?;
-        // The inner engine logged its launches under "GLP"; this wrapper
-        // reports them under its own name.
-        report.kernel_profile = report.kernel_profile.retagged(self.name());
-        Ok(report)
+        drive(&mut *self.backend(g, opts), g, prog, opts)
+    }
+}
+
+impl BspEngine for GHashLp {
+    fn backend<'a>(&'a mut self, g: &Graph, opts: &RunOptions) -> Box<dyn Backend + 'a> {
+        let name = self.name();
+        self.inner.global_hash_backend(name, g, opts)
     }
 }
 

@@ -88,8 +88,8 @@ pub trait Backend {
         None
     }
 
-    /// Visits every device the tier charges (the driver attaches the
-    /// tracer and reads kernel logs and counters through it).
+    /// Visits every device the tier charges (the driver resets each one and
+    /// attaches the tracer before the run, and reads its kernel log after).
     fn each_device(&mut self, _f: &mut dyn FnMut(&mut Device)) {}
 
     /// Whether the tier can schedule over a frontier (G-Sort cannot).
@@ -388,17 +388,14 @@ pub(crate) fn drive_ladder(
     );
     *stats = ResilienceReport::default();
     let epoch = Instant::now();
-    let log_marks: Vec<Vec<usize>> = rungs
-        .iter_mut()
-        .map(|backend| {
-            let mut marks = Vec::new();
-            backend.each_device(&mut |d| {
-                d.set_tracer(opts.tracer.clone());
-                marks.push(d.kernel_log().len());
-            });
-            marks
-        })
-        .collect();
+    // A run owns its devices' state: each starts from a clean clock and
+    // launch log, so what they hold at the end is this run's record.
+    for backend in rungs.iter_mut() {
+        backend.each_device(&mut |d| {
+            d.reset();
+            d.set_tracer(opts.tracer.clone());
+        });
+    }
     let mut driver = Driver {
         snapshots: opts.barrier_hook.is_some() || rungs.len() > 1 || max_retries > 0,
         rungs,
@@ -422,13 +419,12 @@ pub(crate) fn drive_ladder(
     let tier = driver.tier;
     report.wall_seconds = epoch.elapsed().as_secs_f64();
     // Every rung that ran contributes its devices' counters and launches.
-    for (backend, marks) in rungs[..=tier].iter_mut().zip(log_marks) {
-        let (name, mut marks) = (backend.name(), marks.into_iter());
+    for backend in &mut rungs[..=tier] {
+        let name = backend.name();
         backend.each_device(&mut |d| {
-            let mark = marks.next().expect("device set is fixed for the run");
-            report.gpu_counters.merge(d.totals());
             let mut profile = KernelProfile::new();
-            for rec in &d.kernel_log()[mark..] {
+            for rec in d.kernel_log() {
+                report.gpu_counters.merge(&rec.counters);
                 profile.record(name, rec.name, rec.seconds);
             }
             report.kernel_profile.merge(&profile);

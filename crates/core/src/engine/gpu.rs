@@ -5,7 +5,9 @@
 use super::bsp::{drive, Backend, Phase};
 use super::dispatch::split_by_degree;
 use super::kernels::{self, DecisionsOut, KernelKind, KernelShard, ScheduleLedger, ShardStats};
-use super::{BspEngine, Decision, Direction, Engine, EngineError, RunOptions};
+use super::{
+    BspEngine, Buckets, Decision, Direction, Engine, EngineError, MflStrategy, RunOptions,
+};
 use crate::api::LpProgram;
 use crate::report::LpRunReport;
 use glp_gpusim::{Device, DeviceError};
@@ -26,9 +28,10 @@ const FRONTIER_LISTS: u64 = 0x9_8000_0000;
 const OUT_CSR: u64 = 0xA_0000_0000;
 const IN_CSR: u64 = 0xA_8000_0000;
 
-/// The single-GPU engine. Owns the device so modeled time accumulates
-/// across phases and can be inspected afterwards via [`GpuEngine::device`];
-/// all per-run configuration comes from [`RunOptions`].
+/// The single-GPU engine. Owns the device, whose clock and launch log hold
+/// the last run (each run starts them afresh) for inspection via
+/// [`GpuEngine::device`]; all per-run configuration comes from
+/// [`RunOptions`].
 #[derive(Debug)]
 pub struct GpuEngine {
     device: Device,
@@ -48,6 +51,22 @@ impl GpuEngine {
     /// The underlying simulated device.
     pub fn device(&self) -> &Device {
         &self.device
+    }
+
+    /// The backend of a run under `name` that pins
+    /// [`MflStrategy::Global`] and runs all-active, whatever `opts` say:
+    /// every scheduled vertex in one global-hash launch per iteration (the
+    /// G-Hash baseline of `glp-baselines`).
+    pub fn global_hash_backend<'a>(
+        &'a mut self,
+        name: &'static str,
+        g: &Graph,
+        opts: &RunOptions,
+    ) -> Box<dyn Backend + 'a> {
+        let mut backend = GpuBackend::new(&mut self.device, g, Adjacency::Resident, opts);
+        backend.name = name;
+        backend.global = Some(Buckets::build(g, MflStrategy::Global, opts.thresholds));
+        Box::new(backend)
     }
 }
 
@@ -106,10 +125,15 @@ pub(crate) enum Adjacency {
 /// One run on one device: label state resident for the whole run, labels
 /// downloaded at the end.
 pub(crate) struct GpuBackend<'a> {
+    name: &'static str,
     device: &'a mut Device,
     /// The schedules this run priced on `device`; dropped with the run.
     ledger: ScheduleLedger,
     adjacency: Adjacency,
+    /// A dispatch of the tier's own that stands in for the run's: the
+    /// global-hash bucketing of a tier that pins [`MflStrategy::Global`]
+    /// and so never schedules over a frontier.
+    global: Option<Buckets>,
     footprint: u64,
     label_bytes: u64,
     shards: usize,
@@ -126,9 +150,14 @@ impl<'a> GpuBackend<'a> {
         opts.validate_for_device(device.config().shared_mem_per_block);
         let streamed = matches!(adjacency, Adjacency::Host { streamed: true });
         Self {
+            name: match adjacency {
+                Adjacency::Resident => "GLP",
+                Adjacency::Host { .. } => "GLP-hybrid",
+            },
             device,
             ledger: ScheduleLedger::default(),
             adjacency,
+            global: None,
             footprint: resident_bytes(g) + if streamed { 0 } else { g.size_bytes() },
             label_bytes: g.num_vertices() as u64 * 4,
             shards: opts.resolve_shards(),
@@ -139,10 +168,7 @@ impl<'a> GpuBackend<'a> {
 
 impl Backend for GpuBackend<'_> {
     fn name(&self) -> &'static str {
-        match self.adjacency {
-            Adjacency::Resident => "GLP",
-            Adjacency::Host { .. } => "GLP-hybrid",
-        }
+        self.name
     }
 
     fn modeled_now(&self) -> Option<f64> {
@@ -151,6 +177,10 @@ impl Backend for GpuBackend<'_> {
 
     fn each_device(&mut self, f: &mut dyn FnMut(&mut Device)) {
         f(self.device);
+    }
+
+    fn frontier_capable(&self) -> bool {
+        self.global.is_none()
     }
 
     fn stage(&mut self, _g: &Graph) -> Result<(), DeviceError> {
@@ -171,6 +201,8 @@ impl Backend for GpuBackend<'_> {
         decisions: &mut [Decision],
     ) -> Result<ShardStats, DeviceError> {
         let all = 0..spoken.len() as VertexId;
+        let work = self.global.as_ref().unwrap_or(p.work);
+        let p = &Phase { work, ..*p };
         let (device, ledger) = (&mut *self.device, &mut self.ledger);
         propagate(device, ledger, p, all, self.shards, spoken, decisions)
     }
@@ -662,13 +694,11 @@ mod tests {
         opts: &RunOptions,
         always: bool,
     ) -> (Charged, u64) {
-        let marks: Vec<usize> = rig.logs().iter().map(Vec::len).collect();
         ALWAYS_PRICE.set(always);
         let report = rig.engine().run(g, prog, opts).unwrap();
         ALWAYS_PRICE.set(false);
-        let logs = rig.logs().into_iter().zip(marks);
         let charged = Charged {
-            launches: logs.map(|(log, mark)| log[mark..].to_vec()).collect(),
+            launches: rig.logs(),
             labels: prog.labels().to_vec(),
             modeled: report.modeled_seconds.to_bits(),
         };

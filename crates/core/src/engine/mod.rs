@@ -71,7 +71,10 @@ use glp_sketch::{BoundedHashTable, InsertOutcome};
 /// * the returned report carries per-iteration `changed` and `active`
 ///   counts;
 /// * on `Err`, no iteration was partially applied: the program's state is
-///   that of the last *completed* barrier.
+///   that of the last *completed* barrier;
+/// * a run's labels and report do not depend on what the engine ran
+///   before: every run starts its devices from a clean clock and launch
+///   log ([`Device::reset`](glp_gpusim::Device::reset)).
 pub trait Engine {
     /// Engine display name (for reports and benchmark tables).
     fn name(&self) -> &'static str;

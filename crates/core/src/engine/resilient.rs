@@ -86,7 +86,7 @@ impl ResilientEngine {
     }
 
     /// The ladder tiers, fastest first — after a run, each one's devices
-    /// (through [`BspEngine::backend`]) hold what that tier launched.
+    /// (through [`BspEngine::backend`]) hold what that tier launched in it.
     pub fn tiers_mut(&mut self) -> &mut [Box<dyn BspEngine>] {
         &mut self.tiers
     }

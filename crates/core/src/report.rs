@@ -75,10 +75,10 @@ pub struct LpRunReport {
     /// modeled clock charges every launch alike. Replayed iterations price
     /// nothing; host tiers report 0.
     pub priced_launches: u64,
-    /// Per-kernel aggregation (count / total / p50 / max modeled seconds,
-    /// keyed by engine tier and kernel name) over this run's launches.
-    /// Filled from the device's kernel log whether or not a tracer is
-    /// attached; empty for the host-only engines.
+    /// Per-kernel aggregation (count and total modeled seconds, keyed by
+    /// engine tier and kernel name) over this run's launches. Filled from
+    /// the devices' kernel logs whether or not a tracer is attached; empty
+    /// for the host-only engines.
     pub kernel_profile: KernelProfile,
 }
 

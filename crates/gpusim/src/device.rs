@@ -15,7 +15,10 @@ use std::sync::Arc;
 /// even when tests construct devices concurrently.
 static NEXT_DEVICE_ID: AtomicU32 = AtomicU32::new(0);
 
-/// A simulated GPU accumulating modeled time and event totals.
+/// A simulated GPU: a modeled clock and a launch log. The log is the
+/// device's one record of what it ran — [`Self::totals`] is its sum — and
+/// an engine run starts both afresh ([`Self::reset`]), so a run's clock,
+/// log and counters are that run's alone.
 ///
 /// Every launch and upload is fallible: faults read from an attached
 /// [`FaultPlan`](crate::faults::FaultPlan), a
@@ -40,7 +43,6 @@ static NEXT_DEVICE_ID: AtomicU32 = AtomicU32::new(0);
 pub struct Device {
     id: u32,
     cfg: DeviceConfig,
-    totals: KernelCounters,
     elapsed_s: f64,
     transfer_s: f64,
     resident_bytes: u64,
@@ -68,7 +70,6 @@ impl Device {
         Self {
             id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
             cfg,
-            totals: KernelCounters::default(),
             elapsed_s: 0.0,
             transfer_s: 0.0,
             resident_bytes: 0,
@@ -283,7 +284,7 @@ impl Device {
     /// count exactly what it did then. The repeat passes the same launch
     /// boundary — a lost device and an attached fault plan both apply — and
     /// is charged and logged from the recorded counters as a fresh launch,
-    /// so the clock, totals, log and trace cannot tell it from one that ran.
+    /// so the clock, log and trace cannot tell it from one that ran.
     pub fn relaunch(&mut self, logged: usize) -> Result<(), DeviceError> {
         let KernelRecord { name, counters, .. } = self.kernel_log[logged];
         self.pre_launch(name)?;
@@ -293,7 +294,6 @@ impl Device {
 
     fn commit(&mut self, name: &'static str, counters: KernelCounters) {
         let seconds = cost::kernel_seconds(&self.cfg, &counters);
-        self.totals.merge(&counters);
         if let Some(t) = &self.tracer {
             // Commit runs once per launch on the calling thread (even for
             // sharded launches), so span order is deterministic and the
@@ -404,9 +404,13 @@ impl Device {
         self.transfer_s
     }
 
-    /// Aggregated event counts across all launches.
-    pub fn totals(&self) -> &KernelCounters {
-        &self.totals
+    /// Event counts summed over the launch log.
+    pub fn totals(&self) -> KernelCounters {
+        let mut sum = KernelCounters::default();
+        for rec in &self.kernel_log {
+            sum.merge(&rec.counters);
+        }
+        sum
     }
 
     /// Per-launch log.
@@ -420,10 +424,11 @@ impl Device {
         self.elapsed_s += seconds;
     }
 
-    /// Clears clock, counters, log, and residency. Does *not* revive a
-    /// lost device — a card that fell off the bus stays gone.
+    /// Clears the clock, the launch log and residency: what an engine run
+    /// does to each of its devices before it opens. Does *not* revive a
+    /// lost device — a card that fell off the bus stays gone — and an
+    /// attached fault plan keeps counting from where it was.
     pub fn reset(&mut self) {
-        self.totals = KernelCounters::default();
         self.elapsed_s = 0.0;
         self.transfer_s = 0.0;
         self.resident_bytes = 0;
@@ -648,7 +653,7 @@ mod tests {
         })
         .unwrap();
         d.launch_fused("fragment", |ctx| ctx.alu(7)).unwrap();
-        let (clock, once) = (d.elapsed_seconds(), *d.totals());
+        let (clock, once) = (d.elapsed_seconds(), d.totals());
 
         d.relaunch(0).unwrap();
         d.relaunch(1).unwrap();
@@ -664,14 +669,14 @@ mod tests {
         assert_eq!(d.elapsed_seconds().to_bits(), want.to_bits());
         let mut twice = once;
         twice.merge(&once);
-        assert_eq!(*d.totals(), twice);
+        assert_eq!(d.totals(), twice);
 
         // A lost device refuses the repeat at the boundary; nothing moves.
         d.mark_lost();
         assert_eq!(d.relaunch(0), Err(DeviceError::Lost { device: d.id() }));
         assert_eq!(d.kernel_log().len(), 4);
         assert_eq!(d.elapsed_seconds().to_bits(), want.to_bits());
-        assert_eq!(*d.totals(), twice);
+        assert_eq!(d.totals(), twice);
 
         // Four kernel spans; each repeat starts where the clock then stood.
         let trace = tracer.finish();

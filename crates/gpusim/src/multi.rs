@@ -56,9 +56,8 @@ impl MultiGpu {
     }
 
     /// Barrier: every *surviving* device's modeled clock advances to the
-    /// slowest survivor's clock plus the sync overhead. Lost devices are
-    /// skipped — their clocks froze when they fell off the bus, and no
-    /// barrier waits for them.
+    /// set's clock plus the sync overhead. Lost devices are skipped — their
+    /// clocks froze when they fell off the bus.
     pub fn sync(&mut self) {
         let max = self.elapsed_seconds();
         for d in &mut self.devices {
@@ -70,23 +69,14 @@ impl MultiGpu {
         }
     }
 
-    /// The set's modeled elapsed time: the slowest device still on the
-    /// bus (all devices, when every one is lost).
+    /// The set's modeled elapsed time: the slowest device's clock. A lost
+    /// card's clock froze when it fell off the bus, at the end of the last
+    /// kernel it completed, so the set's clock never ends before that one.
     pub fn elapsed_seconds(&self) -> f64 {
-        let alive = self
-            .devices
+        self.devices
             .iter()
-            .filter(|d| !d.is_lost())
             .map(Device::elapsed_seconds)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if alive.is_finite() {
-            alive
-        } else {
-            self.devices
-                .iter()
-                .map(Device::elapsed_seconds)
-                .fold(0.0, f64::max)
-        }
+            .fold(0.0, f64::max)
     }
 
     /// Indices of devices still on the bus.
@@ -141,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_and_elapsed_skip_lost_devices() {
+    fn sync_skips_lost_devices_and_elapsed_keeps_their_kernels() {
         let mut m = MultiGpu::new(3, DeviceConfig::titan_v());
         m.device_mut(0)
             .launch("big", |ctx| ctx.alu(1_000_000_000))
@@ -153,16 +143,16 @@ mod tests {
             .unwrap();
         assert_eq!(m.survivors(), vec![1, 2]);
         assert_eq!(m.alive(), 2);
-        // The set's clock follows the slowest survivor, not the (faster)
-        // frozen clock of the lost card... unless everyone is ahead of it.
-        let survivor_max = m
-            .device(1)
-            .elapsed_seconds()
-            .max(m.device(2).elapsed_seconds());
-        assert_eq!(m.elapsed_seconds(), survivor_max);
+        // The lost card's big kernel ran before it fell off the bus: the
+        // set's clock does not end before it.
+        assert!(frozen > m.device(1).elapsed_seconds());
+        assert_eq!(m.elapsed_seconds(), frozen);
         m.sync();
-        // Lost clock untouched; survivors aligned.
+        // Lost clock untouched; survivors aligned past it.
         assert_eq!(m.device(0).elapsed_seconds(), frozen);
-        assert!((m.device(1).elapsed_seconds() - m.device(2).elapsed_seconds()).abs() < 1e-12);
+        for i in [1, 2] {
+            let expect = frozen + SYNC_OVERHEAD_S;
+            assert!((m.device(i).elapsed_seconds() - expect).abs() < 1e-12);
+        }
     }
 }

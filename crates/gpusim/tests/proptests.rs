@@ -135,7 +135,7 @@ proptest! {
         prop_assert!(fused.elapsed_seconds() <= launched.elapsed_seconds());
         let (l, f) = (launched.totals(), fused.totals());
         prop_assert_eq!((l.kernel_launches, f.kernel_launches), (1, 0));
-        prop_assert_eq!(KernelCounters { kernel_launches: 1, ..*f }, *l);
+        prop_assert_eq!(KernelCounters { kernel_launches: 1, ..f }, l);
     }
 }
 

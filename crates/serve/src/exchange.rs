@@ -349,14 +349,12 @@ pub fn reconcile_with(
     let mut graph_vertices = locals.iter().map(|l| l.graph_vertices).sum::<usize>();
     let mut graph_edges = locals.iter().map(|l| l.graph_edges).sum::<u64>();
     let mut lp_iterations = locals.iter().map(|l| l.lp_iterations).max().unwrap_or(0);
-    let mut gpu_counters = Default::default();
     if let Some((outcome, _)) = &boundary {
         let b = &outcome.snapshot;
         flagged.extend_from_slice(&b.flagged);
         graph_vertices = graph_vertices.max(b.graph_vertices);
         graph_edges = graph_edges.max(b.graph_edges);
         lp_iterations = lp_iterations.max(b.lp_iterations);
-        gpu_counters = b.gpu_counters;
     }
     flagged.sort_unstable_by_key(|a| a.0);
 
@@ -372,7 +370,6 @@ pub fn reconcile_with(
             graph_vertices,
             graph_edges,
             lp_iterations,
-            gpu_counters,
         },
         boundary_users,
         report,

@@ -8,7 +8,6 @@
 //! determinism can be asserted end to end (the determinism test compares
 //! snapshots produced under different engine shard counts byte for byte).
 
-use glp_gpusim::KernelCounters;
 use std::sync::Arc;
 
 /// The service's answer for one user.
@@ -51,8 +50,6 @@ pub struct VerdictSnapshot {
     pub graph_edges: u64,
     /// LP iterations the recluster ran.
     pub lp_iterations: u32,
-    /// GPU event counters of the recluster's LP run.
-    pub gpu_counters: KernelCounters,
 }
 
 impl VerdictSnapshot {

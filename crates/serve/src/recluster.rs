@@ -474,7 +474,6 @@ fn assemble_snapshot(
         graph_vertices: workload.graph.num_vertices(),
         graph_edges: workload.graph.num_edges(),
         lp_iterations: report.iterations,
-        gpu_counters: report.gpu_counters,
     }
 }
 

@@ -204,8 +204,8 @@ telemetry_block! {
         batch_size: Histogram,
         /// GPU event totals summed over every recluster's LP run.
         gpu_totals: Mutex<KernelCounters>,
-        /// Per-kernel launch aggregation (count / total / p50 / max modeled
-        /// seconds by engine tier) summed over every recluster's LP run.
+        /// Per-kernel launch aggregation (count and total modeled seconds
+        /// by engine tier) summed over every recluster's LP run.
         kernel_profile: Mutex<KernelProfile>,
     }
 }

@@ -12,9 +12,8 @@
 //!
 //! Each backend's restrictions are encoded once, in `Case::normalized`:
 //! TigerGraph runs classic LP only, the tiers without a frontier (G-Sort,
-//! G-Hash, the in-house cluster) run dense, G-Hash and the asynchronous
-//! sweep never sit on a ladder, and the sweep is checked against its own
-//! dense run.
+//! G-Hash, the in-house cluster) run dense, the asynchronous sweep never
+//! sits on a ladder, and the sweep is checked against its own dense run.
 
 pub use self::{Program::*, Rig::*};
 use crate::{MixLp, SaltedLp};
@@ -69,7 +68,7 @@ impl Rig {
         [Gpu, Hybrid, Multi2, Multi3, HostBsp, Omp, Ligra, Tg, GSort, GHash, InHouse, Async];
 
     fn on_ladder(self) -> bool {
-        !matches!(self, GHash | Async)
+        self != Async
     }
 
     fn has_device(self) -> bool {
@@ -82,14 +81,9 @@ impl Rig {
 
     /// A fresh, fault-free engine of this tier sized for `g`.
     pub fn engine(self, g: &Graph) -> Box<dyn Engine> {
-        self.armed(g, None)
-    }
-
-    fn armed(self, g: &Graph, plan: Option<&Arc<FaultPlan>>) -> Box<dyn Engine> {
         match self {
-            GHash => Box::new(GHashLp::new(device(DeviceConfig::titan_v(), plan))),
             Async => Box::new(SequentialEngine::new()),
-            rung => rung.rung(g, plan),
+            rung => rung.rung(g, None),
         }
     }
 
@@ -112,19 +106,19 @@ impl Rig {
             Ligra => Box::new(CpuLp::ligra(cpu)),
             Tg => Box::new(CpuLp::tigergraph(cpu)),
             GSort => Box::new(GSortLp::new(device(titan_v, plan))),
+            GHash => Box::new(GHashLp::new(device(titan_v, plan))),
             InHouse => Box::new(InHouseLp::taobao()),
-            GHash | Async => unreachable!("{self:?} is not a ladder rung"),
+            Async => unreachable!("the asynchronous sweep is not a ladder rung"),
         }
     }
 }
 
 /// A case's engine, built so that every rung's devices stay reachable after
-/// the run: a lone rung, a ladder, or an engine that is no rung (G-Hash, the
-/// asynchronous sweep).
+/// the run: a lone rung, a ladder, or the asynchronous sweep (no rung).
 enum Built {
     Rung(Box<dyn BspEngine>),
     Ladder(ResilientEngine),
-    Other(Box<dyn Engine>),
+    Sweep(SequentialEngine),
 }
 
 impl Built {
@@ -137,17 +131,17 @@ impl Built {
         match self {
             Built::Rung(e) => e.run(g, prog, opts),
             Built::Ladder(e) => e.run(g, prog, opts),
-            Built::Other(e) => e.run(g, prog, opts),
+            Built::Sweep(e) => e.run(g, prog, opts),
         }
     }
 
     /// Every launch the rungs' devices logged, rung by rung, device by
-    /// device. G-Hash and the sweep are no rung: they log none here.
+    /// device. The sweep is no rung: it logs none here.
     fn launches(&mut self, g: &Graph, opts: &RunOptions) -> Vec<KernelRecord> {
         let rungs = match self {
             Built::Rung(e) => std::slice::from_mut(e),
             Built::Ladder(e) => e.tiers_mut(),
-            Built::Other(_) => &mut [],
+            Built::Sweep(_) => &mut [],
         };
         let mut log = Vec::new();
         for rung in rungs {
@@ -346,12 +340,6 @@ impl Case {
         if !self.rigs[0].has_device() {
             self.fault = None;
         }
-        // A traced multi-GPU run that loses a device closes its dispatch
-        // span before the kernels it holds (the ignored repro of
-        // `tests/engine_oracle.rs`): such runs go untraced.
-        if matches!(self.fault, Some((DeviceLost, _))) && matches!(self.rigs[0], Multi2 | Multi3) {
-            self.tracer = false;
-        }
         self
     }
 
@@ -423,9 +411,9 @@ impl Case {
         let plan = self.plan();
         let rig = self.rigs[0];
         if !self.ladder {
-            return match rig.on_ladder() {
-                true => Built::Rung(rig.rung(g, plan.as_ref())),
-                false => Built::Other(rig.armed(g, plan.as_ref())),
+            return match rig {
+                Async => Built::Sweep(SequentialEngine::new()),
+                rung => Built::Rung(rung.rung(g, plan.as_ref())),
             };
         }
         let first = |i: usize| plan.as_ref().filter(|_| i == 0);

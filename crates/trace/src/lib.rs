@@ -750,9 +750,9 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Per-kernel aggregation: count / total / p50 / max seconds, keyed by
-/// (engine tier, kernel name). Engines fill one from the device's kernel
-/// log after every run (tracer or not), so `LpRunReport::kernel_profile`
+/// Per-kernel aggregation: launch count and total seconds, keyed by
+/// (engine tier, kernel name). Engines fill one from their devices' kernel
+/// logs after every run (tracer or not), so `LpRunReport::kernel_profile`
 /// is always populated; serve telemetry merges profiles across recluster
 /// passes.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -767,21 +767,6 @@ pub struct KernelRow {
     pub count: u64,
     /// Total modeled seconds across launches.
     pub total_s: f64,
-    /// Slowest single launch.
-    pub max_s: f64,
-    samples: Vec<f64>,
-}
-
-impl KernelRow {
-    /// Median launch duration (0 when empty).
-    pub fn p50_s(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("kernel seconds are finite"));
-        sorted[sorted.len() / 2]
-    }
 }
 
 impl KernelProfile {
@@ -795,10 +780,6 @@ impl KernelProfile {
         let row = self.rows.entry((tier, kernel)).or_default();
         row.count += 1;
         row.total_s += seconds;
-        if seconds > row.max_s {
-            row.max_s = seconds;
-        }
-        row.samples.push(seconds);
     }
 
     /// Merges another profile into this one.
@@ -807,29 +788,7 @@ impl KernelProfile {
             let mine = self.rows.entry((tier, kernel)).or_default();
             mine.count += row.count;
             mine.total_s += row.total_s;
-            if row.max_s > mine.max_s {
-                mine.max_s = row.max_s;
-            }
-            mine.samples.extend_from_slice(&row.samples);
         }
-    }
-
-    /// The same rows re-keyed under `tier`. Wrapper engines (G-Hash is a
-    /// preset over the GLP engine) delegate the run but report launches
-    /// under their own name.
-    #[must_use]
-    pub fn retagged(&self, tier: &'static str) -> KernelProfile {
-        let mut out = KernelProfile::new();
-        for (&(_, kernel), row) in &self.rows {
-            let mine = out.rows.entry((tier, kernel)).or_default();
-            mine.count += row.count;
-            mine.total_s += row.total_s;
-            if row.max_s > mine.max_s {
-                mine.max_s = row.max_s;
-            }
-            mine.samples.extend_from_slice(&row.samples);
-        }
-        out
     }
 
     /// Whether any launch has been recorded.
@@ -1040,8 +999,6 @@ mod tests {
         assert_eq!((tier, kernel), ("GLP", "pick_label"));
         assert_eq!(row.count, 4);
         assert!((row.total_s - 1.0).abs() < 1e-12);
-        assert!((row.max_s - 0.4).abs() < 1e-12);
-        assert!((row.p50_s() - 0.3).abs() < 1e-12);
         assert!((p.total_seconds() - 2.0).abs() < 1e-12);
     }
 }

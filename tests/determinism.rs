@@ -1,9 +1,14 @@
 //! Determinism guarantees: results must not depend on harness thread
 //! counts, repeated runs, or engine choice — only on the seeds.
 
+use glp_suite::baselines::{GHashLp, GSortLp};
 use glp_suite::core::engine::{DegreeThresholds, GpuEngine};
-use glp_suite::core::{ClassicLp, Engine, LpProgram, MflStrategy, RunOptions, Slp};
+use glp_suite::core::{
+    BspEngine, ClassicLp, Engine, HybridEngine, LpProgram, MflStrategy, MultiGpuEngine,
+    ResilientEngine, RunOptions, SequentialEngine, Slp,
+};
 use glp_suite::fraud::{TxConfig, TxStream};
+use glp_suite::gpusim::{Device, DeviceConfig};
 use glp_suite::graph::datasets::table2;
 use glp_suite::graph::gen::{community_powerlaw, CommunityPowerLawConfig};
 use glp_test_support::oracle::Rig;
@@ -54,6 +59,11 @@ fn shard_count_does_not_change_results_or_modeled_time() {
     }
 }
 
+/// A run's labels and report do not depend on what its engine ran before:
+/// a second run on one engine equals the first bit for bit — labels, the
+/// changed trace, the modeled and transfer clocks, the counters, the kernel
+/// profile and each device's log length — on every device tier and on a
+/// GPU → host-BSP ladder.
 #[test]
 fn repeated_runs_are_bit_identical() {
     let g = community_powerlaw(&CommunityPowerLawConfig {
@@ -61,16 +71,59 @@ fn repeated_runs_are_bit_identical() {
         avg_degree: 8.0,
         ..Default::default()
     });
-    let run = || {
-        let mut engine = GpuEngine::titan_v();
+    let opts = RunOptions::default();
+    // The labels, then the rest of what the run reports.
+    let run = |engine: &mut dyn Engine| {
         let mut prog = Slp::new(g.num_vertices(), 0xABCD);
-        let report = engine.run(&g, &mut prog, &RunOptions::default()).unwrap();
-        (prog.labels().to_vec(), report.modeled_seconds)
+        let r = engine.run(&g, &mut prog, &opts).unwrap();
+        let clocks = [r.modeled_seconds.to_bits(), r.transfer_seconds.to_bits()];
+        let report = (
+            r.changed_per_iteration,
+            clocks,
+            r.gpu_counters,
+            r.kernel_profile,
+        );
+        (prog.labels().to_vec(), report)
     };
-    let (l1, t1) = run();
-    let (l2, t2) = run();
-    assert_eq!(l1, l2);
-    assert_eq!(t1, t2);
+    // Every device's kernel-log length, rung by rung.
+    let logs = |rungs: &mut [Box<dyn BspEngine>]| {
+        let mut lens = Vec::new();
+        for rung in rungs {
+            rung.backend(&g, &opts)
+                .each_device(&mut |d| lens.push(d.kernel_log().len()));
+        }
+        lens
+    };
+    let same = |what: &str, first: (Vec<u32>, _, Vec<usize>), second: (Vec<u32>, _, _)| {
+        assert!(second.0 == first.0, "{what}: labels of a second run");
+        assert_eq!(second.1, first.1, "{what}: report of a second run");
+        assert_eq!(second.2, first.2, "{what}: log lengths after a second run");
+    };
+    // Room for the label state and a third of the CSR: the hybrid streams.
+    let streamed = g.num_vertices() as u64 * 20 + g.size_bytes() / 3;
+    let tiers: [Box<dyn BspEngine>; 5] = [
+        Box::new(GpuEngine::titan_v()),
+        Box::new(HybridEngine::new(Device::new(DeviceConfig::tiny(streamed)))),
+        Box::new(MultiGpuEngine::titan_v(2)),
+        Box::new(GSortLp::titan_v()),
+        Box::new(GHashLp::titan_v()),
+    ];
+    for mut engine in tiers {
+        let [first, second] = [(); 2].map(|()| {
+            let (labels, report) = run(&mut *engine);
+            (labels, report, logs(std::slice::from_mut(&mut engine)))
+        });
+        same(engine.name(), first, second);
+    }
+    let mut ladder = ResilientEngine::new(vec![
+        Box::new(GpuEngine::titan_v()),
+        Box::new(SequentialEngine::bsp()),
+    ]);
+    let [first, second] = [(); 2].map(|()| {
+        let (labels, report) = run(&mut ladder);
+        (labels, report, logs(ladder.tiers_mut()))
+    });
+    same("a GPU → host-BSP ladder", first, second);
 }
 
 #[test]

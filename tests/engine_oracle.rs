@@ -10,9 +10,7 @@
 //! `random_graphs_are_direction_invariant`). A failure is shrunk and panics
 //! with a `Case` literal. The named cases below are such repros: each is
 //! what the default sweep shrank a one-line engine mutation to, pinned so
-//! the mutation stays caught. The ignored ones are divergences the oracle
-//! found that are still open; the sweep steers around them (see
-//! `Case::normalized`).
+//! the mutation stays caught.
 
 use glp_suite::core::{ClassicLp, Engine, GpuEngine, LpProgram, SequentialEngine};
 use glp_test_support::oracle::*;
@@ -95,9 +93,8 @@ fn a_retried_multi_gpu_attempt_uploads_inside_its_run_span() {
 }
 
 /// A multi-GPU run that loses a device mid-dispatch closes the dispatch
-/// span before the survivors' kernels of that attempt end.
+/// span no earlier than the last kernel the lost card completed.
 #[test]
-#[ignore = "open: a repartitioned dispatch span ends before its kernels"]
 fn a_repartitioned_dispatch_span_holds_its_kernels() {
     check(Case {
         n: 4,
