@@ -38,7 +38,9 @@
 //! point of camouflage), and community-aware sharding behaves exactly
 //! as it does on the non-adversarial stream.
 
-use crate::transactions::{RegionalStream, RegionalTxConfig, Transaction, RING_ITEMS};
+use crate::transactions::{
+    days, RegionalStream, RegionalTxConfig, RingLayout, Transaction, RING_ITEMS,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -148,40 +150,10 @@ impl AdversarialStream {
             ..b.clone()
         });
 
-        // Ring pools: the exact slot discipline of RegionalStream's
-        // cross rings — ring k straddles regions k and k+1 (mod R).
-        assert!(
-            b.cross_rings <= b.regions,
-            "at most one evolving ring per region pair"
-        );
-        let half = b.ring_size / 2;
-        let num_users = b.regions * upr;
-        let mut ring_of = vec![None; num_users as usize];
-        let mut pools: Vec<Vec<u32>> = Vec::with_capacity(b.cross_rings as usize);
-        let mut blacklist = Vec::new();
-        for k in 0..b.cross_rings {
-            let (ra, rb) = (k % b.regions, (k + 1) % b.regions);
-            let mut pool = Vec::with_capacity(b.ring_size as usize);
-            for i in 0..half {
-                pool.push(ra * upr + upr - 1 - i);
-            }
-            for i in 0..(b.ring_size - half) {
-                pool.push(rb * upr + upr - 1 - half - i);
-            }
-            for (pos, &u) in pool.iter().enumerate() {
-                ring_of[u as usize] = Some(k);
-                if (pos as f64) < b.blacklist_fraction * f64::from(b.ring_size) {
-                    blacklist.push(u);
-                }
-            }
-            pools.push(pool);
-        }
-        let ring_items: Vec<Vec<u32>> = (0..b.cross_rings)
-            .map(|k| {
-                let ra = k % b.regions;
-                (0..RING_ITEMS).map(|j| ra * ipr + ipr - 1 - j).collect()
-            })
-            .collect();
+        // Ring pools: RegionalStream's cross-ring slots, each ring's
+        // members its pool.
+        let mut rings = RingLayout::new(b);
+        let mut blacklist = std::mem::take(&mut rings.blacklist);
 
         // Label noise: innocent accounts from the *bottom* of each
         // region's id range (never a pool slot), round-robin across
@@ -194,26 +166,26 @@ impl AdversarialStream {
             n
         };
         for &u in &noise {
-            assert!(ring_of[u as usize].is_none(), "noise user owns a pool slot");
+            assert!(
+                rings.ring_of[u as usize].is_none(),
+                "noise user owns a pool slot"
+            );
         }
         blacklist.extend_from_slice(&noise);
         blacklist.sort_unstable();
         blacklist.dedup();
 
-        // Per-day active subsets: a window of `active_members` pool
-        // positions sliding by `rotate_per_day` each day.
+        // A pool's active subset on `day`: a window of `active_members`
+        // pool positions sliding by `rotate_per_day` each day.
+        let active_on = |pool: &[u32], day: u32| -> Vec<u32> {
+            let first = day as usize * cfg.rotate_per_day as usize;
+            let positions = first..first + cfg.active_members as usize;
+            positions.map(|pos| pool[pos % pool.len()]).collect()
+        };
         let truth_by_day: Vec<Vec<u32>> = (0..b.days)
             .map(|day| {
-                let mut active: Vec<u32> = pools
-                    .iter()
-                    .flat_map(|pool| {
-                        (0..cfg.active_members).map(move |j| {
-                            let pos = (day as usize * cfg.rotate_per_day as usize + j as usize)
-                                % pool.len();
-                            pool[pos]
-                        })
-                    })
-                    .collect();
+                let pools = rings.members.iter();
+                let mut active: Vec<u32> = pools.flat_map(|pool| active_on(pool, day)).collect();
                 active.sort_unstable();
                 active.dedup();
                 active
@@ -230,32 +202,13 @@ impl AdversarialStream {
                 // The flood is organic-shaped: same regional draw, same
                 // amounts — indistinguishable volume, not new structure.
                 for _ in 0..cfg.burst_tx {
-                    let region = rng.gen_range(0..b.regions);
-                    transactions.push(Transaction {
-                        buyer: region * upr + rng.gen_range(0..upr - b.ring_size),
-                        item: region * ipr + rng.gen_range(0..ipr - RING_ITEMS),
-                        day,
-                        amount: rng.gen_range(1.0..500.0),
-                    });
+                    transactions.push(b.organic(&mut rng, day));
                 }
             }
-            for (k, pool) in pools.iter().enumerate() {
-                let active: Vec<u32> = (0..cfg.active_members)
-                    .map(|j| {
-                        let pos =
-                            (day as usize * cfg.rotate_per_day as usize + j as usize) % pool.len();
-                        pool[pos]
-                    })
-                    .collect();
+            for (k, pool) in rings.members.iter().enumerate() {
+                let active = active_on(pool, day);
                 for _ in 0..b.ring_tx_per_day {
-                    let buyer = active[rng.gen_range(0..active.len())];
-                    let item = ring_items[k][rng.gen_range(0..RING_ITEMS as usize)];
-                    transactions.push(Transaction {
-                        buyer,
-                        item,
-                        day,
-                        amount: rng.gen_range(1.0..20.0), // wash trades
-                    });
+                    transactions.push(rings.wash(k, &active, &mut rng, day));
                 }
                 for _ in 0..cfg.camouflage_per_day {
                     // Organic-priced purchases from the mule's own
@@ -276,7 +229,7 @@ impl AdversarialStream {
             transactions,
             blacklist,
             noise,
-            ring_of,
+            ring_of: rings.ring_of,
             truth_by_day,
             config: cfg.clone(),
         }
@@ -284,25 +237,23 @@ impl AdversarialStream {
 
     /// Transactions with `day` in `[from, to)`.
     pub fn window(&self, from: u32, to: u32) -> impl Iterator<Item = &Transaction> {
-        self.transactions
-            .iter()
-            .filter(move |t| t.day >= from && t.day < to)
+        days(&self.transactions, from, to)
     }
 
     /// Total user population.
     pub fn num_users(&self) -> u32 {
-        self.config.base.regions * self.config.base.users_per_region
+        self.config.base.num_users()
     }
 
     /// The region (community) owning `user`.
     pub fn region_of(&self, user: u32) -> u32 {
-        user / self.config.base.users_per_region
+        self.config.base.region_of(user)
     }
 
     /// `user → region` for every user — the community map a
     /// community-aware partitioner consumes.
     pub fn community_map(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..self.num_users()).map(|u| (u, self.region_of(u)))
+        self.config.base.community_map()
     }
 
     /// Accounts actively washing on *any* day of `[from, to)`,

@@ -223,6 +223,7 @@ impl WindowCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::tests::window;
     use crate::transactions::{TxConfig, TxStream};
     use crate::window::WindowWorkload;
 
@@ -255,7 +256,7 @@ mod tests {
     #[test]
     fn roundtrip_restores_a_byte_identical_window() {
         let s = stream();
-        let w = IncrementalWindow::new(&s, 7, s.config.days);
+        let w = window(&s, 7, s.config.days);
         let ckpt = WindowCheckpoint::capture(&w, 42, 5, vec![1, 2, 3]);
         let decoded = WindowCheckpoint::decode(&ckpt.encode()).expect("roundtrip");
         assert_eq!(decoded.batches_applied, 42);
@@ -271,7 +272,7 @@ mod tests {
     #[test]
     fn file_roundtrip_through_atomic_write() {
         let s = stream();
-        let w = IncrementalWindow::new(&s, 5, s.config.days);
+        let w = window(&s, 5, s.config.days);
         let ckpt = WindowCheckpoint::capture(&w, 7, 2, vec![9]);
         let path = std::env::temp_dir().join(format!("glp_ckpt_rt_{}.ckpt", std::process::id()));
         ckpt.write_atomic(&path).expect("write");
@@ -335,7 +336,7 @@ mod tests {
     #[test]
     fn corruption_is_detected_not_loaded() {
         let s = stream();
-        let w = IncrementalWindow::new(&s, 5, s.config.days);
+        let w = window(&s, 5, s.config.days);
         let good = WindowCheckpoint::capture(&w, 0, 0, vec![]).encode();
 
         // Bit flip anywhere in the payload: checksum catches it.
@@ -453,7 +454,7 @@ mod tests {
     #[test]
     fn sequence_stamps_roundtrip() {
         let s = stream();
-        let w = IncrementalWindow::new(&s, 7, s.config.days);
+        let w = window(&s, 7, s.config.days);
         let seqs: Vec<u64> = (0..w.num_transactions() as u64)
             .map(|i| i * 3 + 5)
             .collect();
@@ -497,7 +498,7 @@ mod tests {
     #[test]
     fn malformed_sequence_sections_are_rejected() {
         let s = stream();
-        let w = IncrementalWindow::new(&s, 7, s.config.days);
+        let w = window(&s, 7, s.config.days);
         let n = w.num_transactions();
         assert!(n > 2, "test stream too small");
 

@@ -9,10 +9,11 @@
 //! rebuilt from its log alone ([`from_parts`], a checkpoint, a
 //! [`partition_by`] shard) materializes bit-identically.
 //!
-//! Two maintenance entry points cover the two callers: [`advance`] slides
-//! by whole days from a [`TxStream`] (the offline Table 4 path), and
-//! [`apply_batch`] appends arbitrary micro-batches (the serving ingest
-//! path, which has no stream to re-read — hence the log).
+//! Maintenance is two doors, the ones serving and the benchmark use:
+//! [`apply_batch`] appends arbitrary micro-batches (the ingest path, which
+//! has no stream to re-read — hence the log) and [`advance_to`] moves the
+//! clock over days without transactions. (The offline Table 4 windows are
+//! [`WindowWorkload::build`]'s.)
 //!
 //! ## Materialization
 //!
@@ -48,14 +49,14 @@
 //! vertices, whether anything expired, the previous materialization's
 //! identity) needs one counter beside the log.
 //!
-//! [`advance`]: IncrementalWindow::advance
 //! [`apply_batch`]: IncrementalWindow::apply_batch
+//! [`advance_to`]: IncrementalWindow::advance_to
 //! [`from_parts`]: IncrementalWindow::from_parts
 //! [`partition_by`]: IncrementalWindow::partition_by
 //! [`materialize`]: IncrementalWindow::materialize
 //! [`materialize_delta`]: IncrementalWindow::materialize_delta
 
-use crate::transactions::{Transaction, TxStream};
+use crate::transactions::Transaction;
 use crate::window::{build_window, BuiltWindow, WindowWorkload};
 use glp_graph::{Csr, EdgeId, Graph, VertexId};
 use std::collections::VecDeque;
@@ -120,17 +121,6 @@ pub struct IncrementalWindow {
 }
 
 impl IncrementalWindow {
-    /// A window of `days` days ending (exclusively) at `end`, initialized
-    /// by one pass over the stream.
-    pub fn new(stream: &TxStream, days: u32, end: u32) -> Self {
-        assert!(days >= 1, "window needs at least one day");
-        let mut w = Self::bare(days, end);
-        for t in stream.window(end.saturating_sub(days), end) {
-            w.push(*t);
-        }
-        w
-    }
-
     /// An empty window of `days` days ending (exclusively) at day 0 —
     /// the serving path's starting state before any batch arrives.
     pub fn empty(days: u32) -> Self {
@@ -241,23 +231,11 @@ impl IncrementalWindow {
         }
     }
 
-    /// Slides the window forward one day: day `end` enters, day
-    /// `end - days` expires.
-    pub fn advance(&mut self, stream: &TxStream) {
-        let entering = self.end;
-        for t in stream.window(entering, entering + 1) {
-            self.push(*t);
-        }
-        self.end += 1;
-        self.expire();
-    }
-
     /// Appends a micro-batch of transactions — the serving ingest entry
-    /// point, equivalent to day-wise [`Self::advance`] at day boundaries
-    /// but callable at any batch granularity. Transactions must be for
+    /// point, callable at any batch granularity. Transactions must be for
     /// the window's current last day or later (day-ordered arrival, as a
     /// live stream delivers); the window end slides to cover the newest
-    /// day and older days expire exactly as under `advance`.
+    /// day and days older than the window expire.
     pub fn apply_batch(&mut self, batch: &[Transaction]) {
         for t in batch {
             assert!(
@@ -379,11 +357,6 @@ impl IncrementalWindow {
         self.delta_expired = false;
         (workload, delta)
     }
-
-    /// The current window's graph alone (see [`Self::materialize`]).
-    pub fn graph(&self) -> Graph {
-        Arc::unwrap_or_clone(self.materialize().graph)
-    }
 }
 
 /// Patches `old` — the incoming CSR of a window with `prev_users` user
@@ -493,12 +466,30 @@ fn patch_csr(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::transactions::TxConfig;
+    use crate::transactions::{TxConfig, TxStream};
     use glp_graph::{GraphBuilder, IdMap};
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    /// A window of `days` days ending at `end`, filled through the serving
+    /// doors: its transactions as one batch, then the clock to `end`.
+    pub(crate) fn window(s: &TxStream, days: u32, end: u32) -> IncrementalWindow {
+        let log: Vec<Transaction> = s.window(end.saturating_sub(days), end).copied().collect();
+        let mut w = IncrementalWindow::empty(days);
+        w.apply_batch(&log);
+        w.advance_to(end);
+        w
+    }
+
+    /// Slides `w` one day along `s`: the entering day as one batch, then
+    /// the clock (the day may be empty).
+    fn advance(w: &mut IncrementalWindow, s: &TxStream) {
+        let end = w.end() + 1;
+        w.apply_batch(&s.window(end - 1, end).copied().collect::<Vec<_>>());
+        w.advance_to(end);
+    }
 
     fn stream() -> TxStream {
         TxStream::generate(&TxConfig {
@@ -607,24 +598,24 @@ mod tests {
     #[test]
     fn initial_build_matches_from_scratch() {
         let s = stream();
-        let inc = IncrementalWindow::new(&s, 10, s.config.days);
+        let inc = window(&s, 10, s.config.days);
         let scratch = WindowWorkload::build(&s, 10);
-        assert!(graphs_equal(&inc.graph(), &scratch.graph));
+        assert!(graphs_equal(&inc.materialize().graph, &scratch.graph));
     }
 
     #[test]
     fn advancing_matches_rebuilds_every_day() {
         let s = stream();
         // Start with the window ending at day 12 and slide to the end.
-        let mut inc = IncrementalWindow::new(&s, 7, 12);
+        let mut inc = window(&s, 7, 12);
         for end in 13..=s.config.days {
-            inc.advance(&s);
+            advance(&mut inc, &s);
             assert_eq!(inc.end(), end);
             // From-scratch reference for the same [end-7, end) window:
-            let reference = IncrementalWindow::new(&s, 7, end);
+            let reference = window(&s, 7, end);
             assert_eq!(inc.num_pairs(), reference.num_pairs());
             assert!(
-                graphs_equal(&inc.graph(), &reference.graph()),
+                graphs_equal(&inc.materialize().graph, &reference.materialize().graph),
                 "divergence at end day {end}"
             );
         }
@@ -634,10 +625,10 @@ mod tests {
     fn batch_apply_equals_advance_equals_scratch() {
         let s = stream();
         let days = 7;
-        let mut by_day = IncrementalWindow::new(&s, days, 12);
+        let mut by_day = window(&s, days, 12);
         let mut by_batch = by_day.clone();
         for end in 13..=s.config.days {
-            by_day.advance(&s);
+            advance(&mut by_day, &s);
             // Feed the entering day as two partial micro-batches:
             // batch boundaries need not align with day boundaries.
             let txs: Vec<Transaction> = s.window(end - 1, end).copied().collect();
@@ -648,27 +639,27 @@ mod tests {
             assert_eq!(by_batch.end(), end);
             assert_eq!(by_batch.num_pairs(), by_day.num_pairs());
             assert_eq!(by_batch.num_transactions(), by_day.num_transactions());
-            let scratch = IncrementalWindow::new(&s, days, end);
+            let scratch = window(&s, days, end);
             assert!(
-                graphs_equal(&by_batch.graph(), &by_day.graph()),
+                graphs_equal(&by_batch.materialize().graph, &by_day.materialize().graph),
                 "batch vs advance diverged at end day {end}"
             );
             assert!(
-                graphs_equal(&by_batch.graph(), &scratch.graph()),
+                graphs_equal(&by_batch.materialize().graph, &scratch.materialize().graph),
                 "batch vs scratch diverged at end day {end}"
             );
         }
         // At the stream's final day the window also equals the offline
         // from-scratch workload build.
         let offline = WindowWorkload::build(&s, days);
-        assert!(graphs_equal(&by_batch.graph(), &offline.graph));
+        assert!(graphs_equal(&by_batch.materialize().graph, &offline.graph));
     }
 
     #[test]
     #[should_panic(expected = "closed day")]
     fn batch_for_closed_day_rejected() {
         let s = stream();
-        let mut inc = IncrementalWindow::new(&s, 7, 12);
+        let mut inc = window(&s, 7, 12);
         let stale: Vec<Transaction> = s.window(9, 10).copied().collect();
         assert!(!stale.is_empty());
         inc.apply_batch(&stale);
@@ -677,23 +668,26 @@ mod tests {
     #[test]
     fn expiry_removes_old_days_completely() {
         let s = stream();
-        let mut inc = IncrementalWindow::new(&s, 1, 1); // exactly day 0
+        let mut inc = window(&s, 1, 1); // exactly day 0
         let day0_pairs = inc.num_pairs();
         assert!(day0_pairs > 0);
-        inc.advance(&s); // now exactly day 1
-        let reference = IncrementalWindow::new(&s, 1, 2);
+        advance(&mut inc, &s); // now exactly day 1
+        let reference = window(&s, 1, 2);
         assert_eq!(inc.num_pairs(), reference.num_pairs());
     }
 
     #[test]
     fn partition_by_preserves_and_covers_the_log() {
         let s = stream();
-        let inc = IncrementalWindow::new(&s, 7, s.config.days);
+        let inc = window(&s, 7, s.config.days);
 
         // One shard: identity.
         let whole = inc.partition_by(1, |_| 0);
         assert_eq!(whole.len(), 1);
-        assert!(graphs_equal(&whole[0].graph(), &inc.graph()));
+        assert!(graphs_equal(
+            &whole[0].materialize().graph,
+            &inc.materialize().graph
+        ));
         assert_eq!(whole[0].end(), inc.end());
 
         // Three shards: disjoint cover, each a valid window.
@@ -718,7 +712,10 @@ mod tests {
             assert_eq!(merged.last().map(|m| m.buyer), Some(t.buyer));
         }
         let rebuilt = IncrementalWindow::from_parts(7, inc.end(), merged).expect("valid merge");
-        assert!(graphs_equal(&rebuilt.graph(), &inc.graph()));
+        assert!(graphs_equal(
+            &rebuilt.materialize().graph,
+            &inc.materialize().graph
+        ));
     }
 
     #[test]
@@ -945,7 +942,7 @@ mod tests {
     #[test]
     fn seeds_survive_materialization() {
         let s = stream();
-        let inc = IncrementalWindow::new(&s, 20, s.config.days);
+        let inc = window(&s, 20, s.config.days);
         let w = inc.materialize();
         assert_eq!(w.seeds(&s).len(), s.blacklist.len());
     }

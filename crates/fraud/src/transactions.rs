@@ -171,9 +171,7 @@ impl TxStream {
 
     /// Transactions with `day` in `[from, to)`.
     pub fn window(&self, from: u32, to: u32) -> impl Iterator<Item = &Transaction> {
-        self.transactions
-            .iter()
-            .filter(move |t| t.day >= from && t.day < to)
+        days(&self.transactions, from, to)
     }
 
     /// Users in any ring (ground truth positives).
@@ -236,6 +234,115 @@ impl Default for RegionalTxConfig {
     }
 }
 
+impl RegionalTxConfig {
+    /// Total user population.
+    pub(crate) fn num_users(&self) -> u32 {
+        self.regions * self.users_per_region
+    }
+
+    /// The region (community) owning `user`.
+    pub(crate) fn region_of(&self, user: u32) -> u32 {
+        user / self.users_per_region
+    }
+
+    /// `user → region` for every user.
+    pub(crate) fn community_map(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.num_users()).map(|u| (u, self.region_of(u)))
+    }
+
+    /// One organic purchase on `day`: buyer and item drawn uniformly from
+    /// one region, outside its reserved ring slots, at an organic price.
+    pub(crate) fn organic(&self, rng: &mut impl Rng, day: u32) -> Transaction {
+        let (upr, ipr) = (self.users_per_region, self.items_per_region);
+        let region = rng.gen_range(0..self.regions);
+        Transaction {
+            buyer: region * upr + rng.gen_range(0..upr - self.ring_size),
+            item: region * ipr + rng.gen_range(0..ipr - RING_ITEMS),
+            day,
+            amount: rng.gen_range(1.0..500.0),
+        }
+    }
+}
+
+/// Where a region generator's rings live. Ring `k` straddles regions `k`
+/// and `k + 1` (mod R): side A is the top `ring_size / 2` user slots of
+/// region `k`, side B the slots directly below region `k + 1`'s side A —
+/// disjoint because `users_per_region >= 2 * ring_size` — and its targets
+/// are the top [`RING_ITEMS`] item slots of region `k`. Organic draws
+/// ([`RegionalTxConfig::organic`]) never reach these reserved slots.
+pub(crate) struct RingLayout {
+    /// Each ring's members, side A first.
+    pub(crate) members: Vec<Vec<u32>>,
+    /// Each ring's target items.
+    pub(crate) items: Vec<Vec<u32>>,
+    /// `ring_of[user] = Some(ring)` for every member.
+    pub(crate) ring_of: Vec<Option<u32>>,
+    /// The first `blacklist_fraction` of every ring's members, ascending.
+    pub(crate) blacklist: Vec<u32>,
+}
+
+impl RingLayout {
+    pub(crate) fn new(cfg: &RegionalTxConfig) -> Self {
+        assert!(
+            cfg.cross_rings <= cfg.regions,
+            "at most one ring per region pair"
+        );
+        let (upr, ipr, half) = (
+            cfg.users_per_region,
+            cfg.items_per_region,
+            cfg.ring_size / 2,
+        );
+        let mut ring_of = vec![None; cfg.num_users() as usize];
+        let (mut members, mut blacklist) = (Vec::new(), Vec::new());
+        for k in 0..cfg.cross_rings {
+            let (a, b) = (k % cfg.regions, (k + 1) % cfg.regions);
+            let side_a = (0..half).map(|i| a * upr + upr - 1 - i);
+            let side_b = (0..cfg.ring_size - half).map(|i| b * upr + upr - 1 - half - i);
+            let ring: Vec<u32> = side_a.chain(side_b).collect();
+            for (pos, &u) in ring.iter().enumerate() {
+                ring_of[u as usize] = Some(k);
+                if (pos as f64) < cfg.blacklist_fraction * f64::from(cfg.ring_size) {
+                    blacklist.push(u);
+                }
+            }
+            members.push(ring);
+        }
+        blacklist.sort_unstable();
+        let targets = |k: u32| (0..RING_ITEMS).map(move |j| k % cfg.regions * ipr + ipr - 1 - j);
+        let items = (0..cfg.cross_rings).map(|k| targets(k).collect()).collect();
+        Self {
+            members,
+            items,
+            ring_of,
+            blacklist,
+        }
+    }
+
+    /// One wash trade of ring `k` on `day`: a buyer drawn from `buyers`
+    /// buys one of the ring's target items at a small price.
+    pub(crate) fn wash(
+        &self,
+        k: usize,
+        buyers: &[u32],
+        rng: &mut impl Rng,
+        day: u32,
+    ) -> Transaction {
+        let buyer = buyers[rng.gen_range(0..buyers.len())];
+        let item = self.items[k][rng.gen_range(0..RING_ITEMS as usize)];
+        Transaction {
+            buyer,
+            item,
+            day,
+            amount: rng.gen_range(1.0..20.0),
+        }
+    }
+}
+
+/// Transactions with `day` in `[from, to)`.
+pub(crate) fn days(txs: &[Transaction], from: u32, to: u32) -> impl Iterator<Item = &Transaction> {
+    txs.iter().filter(move |t| t.day >= from && t.day < to)
+}
+
 /// A generated regional stream plus ground truth — the sharded-serving
 /// analogue of [`TxStream`]. Organic purchases never leave their region,
 /// so with a region-respecting partition the *only* cross-shard edges
@@ -273,10 +380,6 @@ impl RegionalStream {
     pub fn generate(cfg: &RegionalTxConfig) -> Self {
         assert!(cfg.regions > 0 && cfg.users_per_region > 0, "need users");
         assert!(cfg.items_per_region > 0, "need items");
-        assert!(
-            cfg.cross_rings <= cfg.regions,
-            "at most one cross ring per region pair"
-        );
         assert!(cfg.ring_size >= 2, "a cross ring needs both sides");
         assert!(
             cfg.users_per_region >= 2 * cfg.ring_size,
@@ -291,110 +394,55 @@ impl RegionalStream {
             "blacklist fraction is a probability"
         );
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let upr = cfg.users_per_region;
-        let ipr = cfg.items_per_region;
-        let num_users = cfg.regions * upr;
-
-        // Ring membership: side A takes the top `half` id slots of its
-        // region, side B the `half` slots directly below its region's
-        // side-A slots — disjoint because upr >= 2*ring_size.
-        let half = cfg.ring_size / 2;
-        let mut ring_of = vec![None; num_users as usize];
-        let mut members: Vec<Vec<u32>> = Vec::with_capacity(cfg.cross_rings as usize);
-        let mut blacklist = Vec::new();
-        for k in 0..cfg.cross_rings {
-            let (a, b) = (k % cfg.regions, (k + 1) % cfg.regions);
-            let mut ring = Vec::with_capacity(cfg.ring_size as usize);
-            for i in 0..half {
-                ring.push(a * upr + upr - 1 - i);
-            }
-            for i in 0..(cfg.ring_size - half) {
-                ring.push(b * upr + upr - 1 - half - i);
-            }
-            for (pos, &u) in ring.iter().enumerate() {
-                ring_of[u as usize] = Some(k);
-                if (pos as f64) < cfg.blacklist_fraction * f64::from(cfg.ring_size) {
-                    blacklist.push(u);
-                }
-            }
-            members.push(ring);
-        }
-        blacklist.sort_unstable();
-
-        // Ring targets: RING_ITEMS from the A-side region's catalog tail.
-        let ring_items: Vec<Vec<u32>> = (0..cfg.cross_rings)
-            .map(|k| {
-                let a = k % cfg.regions;
-                (0..RING_ITEMS).map(|j| a * ipr + ipr - 1 - j).collect()
-            })
-            .collect();
-
+        let rings = RingLayout::new(cfg);
         let total = (u64::from(cfg.days)
             * (u64::from(cfg.tx_per_day)
                 + u64::from(cfg.cross_rings) * u64::from(cfg.ring_tx_per_day)))
             as usize;
         let mut transactions = Vec::with_capacity(total);
         for day in 0..cfg.days {
+            // Organic traffic is strictly region-local. Rings are dedicated
+            // mule accounts washing dedicated listings, so each ring is its
+            // own small connected component straddling a region cut — the
+            // boundary set a community-aware partitioner must reconcile
+            // stays proportional to the fraud, not to the organic
+            // population.
             for _ in 0..cfg.tx_per_day {
-                // Organic traffic is strictly region-local: buyer and item
-                // are drawn uniformly from the *same* region, excluding
-                // the reserved mule and ring-target slots at the top of
-                // each range. Rings are dedicated mule accounts washing
-                // dedicated listings, so each ring is its own small
-                // connected component straddling a region cut — the
-                // boundary set a community-aware partitioner must
-                // reconcile stays proportional to the fraud, not to the
-                // organic population.
-                let region = rng.gen_range(0..cfg.regions);
-                transactions.push(Transaction {
-                    buyer: region * upr + rng.gen_range(0..upr - cfg.ring_size),
-                    item: region * ipr + rng.gen_range(0..ipr - RING_ITEMS),
-                    day,
-                    amount: rng.gen_range(1.0..500.0),
-                });
+                transactions.push(cfg.organic(&mut rng, day));
             }
-            for (k, ring) in members.iter().enumerate() {
+            for (k, ring) in rings.members.iter().enumerate() {
                 for _ in 0..cfg.ring_tx_per_day {
-                    let buyer = ring[rng.gen_range(0..ring.len())];
-                    let item = ring_items[k][rng.gen_range(0..RING_ITEMS as usize)];
-                    transactions.push(Transaction {
-                        buyer,
-                        item,
-                        day,
-                        amount: rng.gen_range(1.0..20.0), // small wash trades
-                    });
+                    transactions.push(rings.wash(k, ring, &mut rng, day));
                 }
             }
         }
         Self {
             transactions,
-            blacklist,
-            ring_of,
+            blacklist: rings.blacklist,
+            ring_of: rings.ring_of,
             config: cfg.clone(),
         }
     }
 
     /// The region (community) owning `user`.
     pub fn region_of(&self, user: u32) -> u32 {
-        user / self.config.users_per_region
+        self.config.region_of(user)
     }
 
     /// Total user population.
     pub fn num_users(&self) -> u32 {
-        self.config.regions * self.config.users_per_region
+        self.config.num_users()
     }
 
     /// Transactions with `day` in `[from, to)`.
     pub fn window(&self, from: u32, to: u32) -> impl Iterator<Item = &Transaction> {
-        self.transactions
-            .iter()
-            .filter(move |t| t.day >= from && t.day < to)
+        days(&self.transactions, from, to)
     }
 
     /// `user → region` for every user — the community map a
     /// community-aware partitioner consumes.
     pub fn community_map(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..self.num_users()).map(|u| (u, self.region_of(u)))
+        self.config.community_map()
     }
 }
 

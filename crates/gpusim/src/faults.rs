@@ -4,9 +4,7 @@
 //! A plan is a list of [`Fault`]s pinned to *logical* indices — a device's
 //! launch or upload count, a service's batch or recluster count, a fleet
 //! batch — so it replays identically on every run regardless of wall-clock
-//! timing. [`FaultPlan::seeded`] derives the indices from a seed
-//! (SplitMix64), so chaos sweeps explore schedules without losing
-//! reproducibility.
+//! timing.
 //!
 //! **One firing rule:** every listed fault fires once, at the first event
 //! of its kind at or after its index. Firing is recorded with a timestamp
@@ -190,52 +188,6 @@ struct Slot {
     fired: AtomicBool,
 }
 
-/// How many of each fault class [`FaultPlan::seeded`] should schedule,
-/// and over what index horizons.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultSpec {
-    /// Lossless batcher panics ([`Fault::BatcherPanic`]).
-    pub batcher_panics: u32,
-    /// In-lock batcher panics ([`Fault::PanicInApply`]).
-    pub apply_panics: u32,
-    /// Recluster-worker panics.
-    pub recluster_panics: u32,
-    /// Recluster stalls.
-    pub recluster_stalls: u32,
-    /// Stall length for each stall (ms).
-    pub stall_millis: u64,
-    /// Corrupt-transaction injections.
-    pub corrupt_txs: u32,
-    /// Checkpoint-write failures.
-    pub checkpoint_fails: u32,
-    /// Journal-append failures ([`Fault::WalAppendFail`]).
-    pub wal_append_fails: u32,
-    /// Crashes in the journal→fan-out window ([`Fault::CrashAfterJournal`]).
-    pub journal_crashes: u32,
-    /// Batch indices are drawn uniformly from `1..batch_horizon`.
-    pub batch_horizon: u64,
-    /// Recluster indices are drawn uniformly from `1..recluster_horizon`.
-    pub recluster_horizon: u64,
-}
-
-impl Default for FaultSpec {
-    fn default() -> Self {
-        Self {
-            batcher_panics: 1,
-            apply_panics: 0,
-            recluster_panics: 0,
-            recluster_stalls: 0,
-            stall_millis: 50,
-            corrupt_txs: 0,
-            checkpoint_fails: 0,
-            wal_append_fails: 0,
-            journal_crashes: 0,
-            batch_horizon: 16,
-            recluster_horizon: 4,
-        }
-    }
-}
-
 /// A deterministic schedule of faults, shared by everything it is handed
 /// to: each reader consults it at its own logical index.
 #[derive(Debug, Default)]
@@ -257,58 +209,6 @@ impl FaultPlan {
                 .collect(),
             fired: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A plan whose fault indices are derived deterministically from
-    /// `seed` (SplitMix64): the same seed and spec always produce the
-    /// same schedule.
-    pub fn seeded(seed: u64, spec: &FaultSpec) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        let mut faults = Vec::new();
-        let batch_at = |rng: &mut SplitMix64| rng.below(spec.batch_horizon.max(2) - 1) + 1;
-        let recluster_at = |rng: &mut SplitMix64| rng.below(spec.recluster_horizon.max(2) - 1) + 1;
-        for _ in 0..spec.batcher_panics {
-            faults.push(Fault::BatcherPanic {
-                at_batch: batch_at(&mut rng),
-            });
-        }
-        for _ in 0..spec.apply_panics {
-            faults.push(Fault::PanicInApply {
-                at_batch: batch_at(&mut rng),
-            });
-        }
-        for _ in 0..spec.recluster_panics {
-            faults.push(Fault::ReclusterPanic {
-                at_recluster: recluster_at(&mut rng),
-            });
-        }
-        for _ in 0..spec.recluster_stalls {
-            faults.push(Fault::ReclusterStall {
-                at_recluster: recluster_at(&mut rng),
-                millis: spec.stall_millis,
-            });
-        }
-        for _ in 0..spec.corrupt_txs {
-            faults.push(Fault::CorruptTx {
-                at_batch: batch_at(&mut rng),
-            });
-        }
-        for _ in 0..spec.checkpoint_fails {
-            faults.push(Fault::CheckpointFail {
-                at_batch: batch_at(&mut rng),
-            });
-        }
-        for _ in 0..spec.wal_append_fails {
-            faults.push(Fault::WalAppendFail {
-                at_batch: batch_at(&mut rng),
-            });
-        }
-        for _ in 0..spec.journal_crashes {
-            faults.push(Fault::CrashAfterJournal {
-                at_batch: batch_at(&mut rng),
-            });
-        }
-        Self::new(faults)
     }
 
     /// The scheduled faults, in order.
@@ -459,29 +359,6 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64: tiny, seedable, statistically fine for drawing fault
-/// indices (this crate deliberately has no `rand` dependency).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (n ≥ 1).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,26 +457,6 @@ mod tests {
         // Detached, the plan is not read at all.
         a.set_faults(None);
         a.upload(4).unwrap();
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible() {
-        let spec = FaultSpec {
-            batcher_panics: 2,
-            recluster_stalls: 1,
-            corrupt_txs: 1,
-            ..FaultSpec::default()
-        };
-        let a = FaultPlan::seeded(7, &spec);
-        let b = FaultPlan::seeded(7, &spec);
-        let c = FaultPlan::seeded(8, &spec);
-        assert_eq!(a.scheduled(), b.scheduled());
-        assert_ne!(
-            a.scheduled(),
-            c.scheduled(),
-            "different seed, different schedule"
-        );
-        assert_eq!(a.scheduled().len(), 4);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Profiler-style reporting: aggregate a device's kernel log into the
 //! per-kernel table an `nvprof`/`nsys` run would show — the tool one uses
 //! to see *where* an LP iteration's modeled time goes (gather vs count vs
-//! update, §5.3's discussion).
+//! update, §5.3's discussion). Its launches and seconds are the run
+//! report's `glp_trace::KernelProfile` rows for the same device, bit for
+//! bit; its counter columns (lane utilization, bytes moved) are its own.
 
 use crate::counters::KernelCounters;
 use crate::device::Device;
@@ -9,10 +11,10 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Aggregated statistics for one kernel name.
-#[derive(Clone, Debug, Default)]
-pub struct KernelProfile {
+#[derive(Clone, Debug)]
+pub struct KernelTotals {
     /// Kernel name.
-    pub name: String,
+    pub name: &'static str,
     /// Number of launches.
     pub launches: u64,
     /// Total modeled seconds.
@@ -21,18 +23,11 @@ pub struct KernelProfile {
     pub counters: KernelCounters,
 }
 
-impl KernelProfile {
-    /// Average modeled time per launch.
-    pub fn seconds_per_launch(&self) -> f64 {
-        self.seconds / (self.launches.max(1) as f64)
-    }
-}
-
 /// A whole device's profile: per-kernel aggregates, sorted by total time.
 #[derive(Clone, Debug)]
 pub struct DeviceProfile {
     /// Per-kernel rows, descending by time.
-    pub kernels: Vec<KernelProfile>,
+    pub kernels: Vec<KernelTotals>,
     /// Total modeled kernel seconds (excludes transfers).
     pub kernel_seconds: f64,
     /// Modeled transfer seconds.
@@ -42,19 +37,21 @@ pub struct DeviceProfile {
 impl DeviceProfile {
     /// Builds the profile from a device's kernel log.
     pub fn of(device: &Device) -> Self {
-        let mut by_name: HashMap<&'static str, KernelProfile> = HashMap::new();
+        let mut by_name: HashMap<&'static str, KernelTotals> = HashMap::new();
         let mut kernel_seconds = 0.0;
         for rec in device.kernel_log() {
-            let e = by_name.entry(rec.name).or_insert_with(|| KernelProfile {
-                name: rec.name.to_string(),
-                ..Default::default()
+            let e = by_name.entry(rec.name).or_insert_with(|| KernelTotals {
+                name: rec.name,
+                launches: 0,
+                seconds: 0.0,
+                counters: KernelCounters::default(),
             });
             e.launches += 1;
             e.seconds += rec.seconds;
             e.counters.merge(&rec.counters);
             kernel_seconds += rec.seconds;
         }
-        let mut kernels: Vec<KernelProfile> = by_name.into_values().collect();
+        let mut kernels: Vec<KernelTotals> = by_name.into_values().collect();
         // total_cmp: a NaN in a cost model (e.g. a corrupted calibration
         // constant) must not panic the profiler that would diagnose it.
         kernels.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
@@ -63,22 +60,6 @@ impl DeviceProfile {
             kernel_seconds,
             transfer_seconds: device.transfer_seconds(),
         }
-    }
-
-    /// The aggregate row for kernel `name`, if it was ever launched.
-    pub fn kernel(&self, name: &str) -> Option<&KernelProfile> {
-        self.kernels.iter().find(|k| k.name == name)
-    }
-
-    /// Share of kernel time spent in `name` (0 when never launched).
-    pub fn time_share(&self, name: &str) -> f64 {
-        if self.kernel_seconds == 0.0 {
-            return 0.0;
-        }
-        self.kernels
-            .iter()
-            .find(|k| k.name == name)
-            .map_or(0.0, |k| k.seconds / self.kernel_seconds)
     }
 }
 
@@ -137,29 +118,15 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_by_name() {
+    fn aggregates_by_name_sorted_by_time() {
         let d = sample_device();
         let p = DeviceProfile::of(&d);
-        assert_eq!(p.kernels.len(), 2);
-        // Graceful lookup: a kernel that never launched is None, not a
-        // panic deep in a diagnostics path.
-        assert!(p.kernel("never_launched").is_none());
-        let Some(gather) = p.kernel("gather") else {
-            panic!("gather was launched twice");
-        };
-        assert_eq!(gather.launches, 2);
-        assert_eq!(gather.counters.warps_launched, 200);
-        assert!(gather.seconds_per_launch() > 0.0);
-    }
-
-    #[test]
-    fn sorted_by_time_and_shares_sum() {
-        let d = sample_device();
-        let p = DeviceProfile::of(&d);
+        let rows: Vec<_> = p.kernels.iter().map(|k| (k.name, k.launches)).collect();
+        assert_eq!(rows, [("gather", 2), ("update", 1)]);
+        assert_eq!(p.kernels[0].counters.warps_launched, 200);
         assert!(p.kernels[0].seconds >= p.kernels[1].seconds);
-        let total: f64 = p.kernels.iter().map(|k| p.time_share(&k.name)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert_eq!(p.time_share("nonexistent"), 0.0);
+        let total: f64 = p.kernels.iter().map(|k| k.seconds).sum();
+        assert_eq!(total, p.kernel_seconds);
     }
 
     #[test]

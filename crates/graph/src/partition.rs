@@ -1,14 +1,14 @@
-//! Graph partitioning for out-of-core and distributed execution.
+//! Graph partitioning for out-of-core and multi-device execution: contiguous
+//! vertex ranges with their incoming-edge spans.
 //!
-//! Two schemes back two different parts of the paper:
-//!
-//! * [`partition_by_edges`] — contiguous vertex ranges with a bounded edge
-//!   count, used by the CPU–GPU hybrid mode (§3.1) to stream a graph that
-//!   exceeds device memory through the GPU chunk by chunk, and by the
+//! * [`partition_by_edges`] — ranges with a bounded edge count, used by the
+//!   CPU–GPU hybrid mode (§3.1) to stream a graph that exceeds device
+//!   memory through the GPU chunk by chunk.
+//! * [`partition_even`] — `k` ranges of near-equal edge counts, used by the
 //!   multi-GPU mode (§5.4) to split work across devices.
-//! * [`hash_partition`] — modulo vertex ownership, used by the simulated
-//!   in-house distributed solution (§5.4), which is how production BSP graph
-//!   systems shard vertices.
+//!
+//! (The simulated in-house cluster shards by vertex id modulo its machine
+//! count, computed where it charges the exchange.)
 
 use crate::csr::Graph;
 use crate::types::VertexId;
@@ -116,13 +116,6 @@ pub fn partition_even(g: &Graph, k: usize) -> Vec<VertexRange> {
     ranges
 }
 
-/// Assigns each vertex an owner machine `v % k` — the sharding the simulated
-/// in-house distributed solution uses.
-pub fn hash_partition(num_vertices: usize, k: usize) -> Vec<u32> {
-    assert!(k > 0, "need at least one machine");
-    (0..num_vertices).map(|v| (v % k) as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,11 +171,5 @@ mod tests {
         assert_eq!(parts.len(), 8);
         let total: u64 = parts.iter().map(VertexRange::num_edges).sum();
         assert_eq!(total, g.num_edges());
-    }
-
-    #[test]
-    fn hash_partition_round_robin() {
-        let owners = hash_partition(10, 3);
-        assert_eq!(owners, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
     }
 }

@@ -71,7 +71,7 @@
 //!   `tests/checkpoint_restore.rs`). Checkpoints and the fleet journal
 //!   are glp-fraud's two on-disk records; every read or write of either
 //!   fails with one [`RecordError`](glp_fraud::RecordError).
-//! * **Fault injection** — a deterministic, seeded `FaultPlan` attached
+//! * **Fault injection** — a deterministic `FaultPlan` attached
 //!   to a core or fleet (`with_faults`, `start_with_faults`) drives
 //!   worker panics, recluster stalls, corrupt transactions, checkpoint
 //!   and journal failures and shard crashes at chosen batch and
@@ -79,9 +79,9 @@
 //!   `tests/fault_stall.rs`, `tests/shard_loss.rs`,
 //!   `tests/shard_failover.rs` and the in-crate worker and router
 //!   tests). It is always compiled; with no plan attached every hook is
-//!   one `Option` test and fires nothing. `Fault`, `FaultPlan`,
-//!   `FaultSpec` and `FiredFault` are the simulated device's own,
-//!   re-exported: one plan and one firing rule — each fault fires once,
+//!   one `Option` test and fires nothing. `Fault`, `FaultPlan` and
+//!   `FiredFault` are the simulated device's own, re-exported: one plan
+//!   and one firing rule — each fault fires once,
 //!   at the first event at or after its index — read by every layer
 //!   where its faults fire.
 //!
@@ -187,7 +187,7 @@ pub(crate) fn unpoison<G>(attempt: std::sync::LockResult<G>) -> G {
 pub use config::{FleetConfig, ServeConfig, ShedPolicy};
 pub use exchange::{BoundaryCache, ExchangeReport, FleetSnapshot, ShardFrame};
 pub use glp_fraud::journal::{FleetWal, WalRecord};
-pub use glp_gpusim::faults::{Fault, FaultPlan, FaultSpec, FiredFault};
+pub use glp_gpusim::faults::{Fault, FaultPlan, FiredFault};
 pub use health::{
     fleet_state, FleetHealthReport, HealthMonitor, HealthReport, HealthState, HealthThresholds,
     ShardHealthReport,

@@ -1246,29 +1246,19 @@ mod tests {
     /// fault-free fleet fed the stream without that record scores.
     #[test]
     fn the_router_worker_reads_the_batcher_fault_hooks() {
-        use crate::{Fault, FaultSpec};
+        use crate::Fault;
         let s = stream();
         let all: Vec<Transaction> = s.window(0, s.config.days).copied().collect();
         let mut cfg = fleet_cfg(2);
         // Nothing sheds: both runs must apply the same transactions.
         cfg.shard.queue_capacity = 1 << 16;
         cfg.shard.shed_policy = ShedPolicy::RejectNew;
-        let spec = FaultSpec {
-            batcher_panics: 1,
-            corrupt_txs: 1,
-            batch_horizon: 2,
-            ..FaultSpec::default()
-        };
-        let plan = Arc::new(FaultPlan::seeded(7, &spec));
-        // A horizon of 2 pins both to batch 1: the panic fires before the
-        // second batch is drained, the corruption hits its first record.
-        assert_eq!(
-            plan.scheduled(),
-            [
-                Fault::BatcherPanic { at_batch: 1 },
-                Fault::CorruptTx { at_batch: 1 }
-            ]
-        );
+        // Both at batch 1: the panic fires before the second batch is
+        // drained, the corruption hits its first record.
+        let plan = Arc::new(FaultPlan::new([
+            Fault::BatcherPanic { at_batch: 1 },
+            Fault::CorruptTx { at_batch: 1 },
+        ]));
         let router = ShardRouter::start_with_faults(
             cfg.clone(),
             partitioner(&s, 2),

@@ -2,7 +2,7 @@
 //! makes is demonstrated against an injected fault, not asserted on
 //! faith.
 //!
-//! The central pin: a batcher panic at a seeded batch index, caught and
+//! The central pin: a batcher panic at a chosen batch index, caught and
 //! restarted by the supervisor, yields a final snapshot **byte-identical**
 //! to the fault-free run — the panic hook fires before the batch is
 //! drained, so the queued transactions survive the crash and recovery is
@@ -10,8 +10,8 @@
 
 use glp_fraud::{TxConfig, TxStream};
 use glp_serve::{
-    Fault, FaultPlan, FaultSpec, FraudScorer, FraudService, HealthState, ServeConfig, ShedPolicy,
-    Verdict, WorkerOutcome,
+    Fault, FaultPlan, FraudScorer, FraudService, HealthState, ServeConfig, ShedPolicy, Verdict,
+    WorkerOutcome,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -58,25 +58,14 @@ fn run_to_bytes(service: FraudService, s: &TxStream) -> (Vec<u8>, Arc<glp_serve:
 }
 
 #[test]
-fn seeded_batcher_panic_recovers_byte_identical() {
+fn batcher_panic_recovers_byte_identical() {
     let s = stream();
 
     // Fault-free reference run.
     let (want, _) = run_to_bytes(FraudService::start(cfg(), s.blacklist.clone()), &s);
 
-    // Same traffic with a seeded batcher panic somewhere in the first
-    // 8 batches (the exact index is derived from the seed, so the
-    // schedule is reproducible but not hand-picked).
-    let plan = Arc::new(FaultPlan::seeded(
-        42,
-        &FaultSpec {
-            batcher_panics: 1,
-            batch_horizon: 8,
-            ..FaultSpec::default()
-        },
-    ));
-    let scheduled = plan.scheduled();
-    assert!(matches!(scheduled[0], Fault::BatcherPanic { at_batch } if at_batch >= 1));
+    // Same traffic with a batcher panic before batch 6 is drained.
+    let plan = Arc::new(FaultPlan::new([Fault::BatcherPanic { at_batch: 6 }]));
     let service = FraudService::start_with_faults(cfg(), s.blacklist.clone(), Arc::clone(&plan));
     let (got, core) = run_to_bytes(service, &s);
 

@@ -6,10 +6,9 @@
 //! failure to a `Case` literal (the frontier, direction and
 //! engine-equivalence suites are its sweeps, `tests/engine_oracle.rs` its
 //! pinned repros). Around it sit the fixtures the other suites need: the two
-//! out-of-crate programs ([`MixLp`], [`SaltedLp`]), a fault-free reference
-//! run and the launches one iteration costs (`tests/engine_faults.rs`),
-//! the modeled-clock claims' workload, and the deterministic transaction
-//! streams of the fraud and serving suites.
+//! out-of-crate programs ([`MixLp`], [`SaltedLp`]), the modeled-clock
+//! claims' workload, and the deterministic transaction streams of the fraud
+//! and serving suites.
 //!
 //! Everything here is deterministic: fixed seeds, fixed sizes, no
 //! clocks. Builders hand out *fresh* instances per call (programs and
@@ -17,8 +16,7 @@
 
 pub mod oracle;
 
-use glp_core::engine::{BarrierHook, Engine, GpuEngine};
-use glp_core::{ClassicLp, LpProgram, NeighborContribution, RunOptions};
+use glp_core::{LpProgram, NeighborContribution};
 use glp_fraud::{
     AdversarialStream, AdversaryConfig, RegionalStream, RegionalTxConfig, TxConfig, TxStream,
 };
@@ -162,33 +160,6 @@ impl LpProgram for SaltedLp {
     }
 }
 
-/// A fault-free `ClassicLp` reference run on the plain GPU engine:
-/// `(labels, changed_per_iteration, active_per_iteration)`.
-pub fn reference(g: &Graph, opts: &RunOptions) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
-    let mut prog = ClassicLp::new(g.num_vertices());
-    let report = GpuEngine::titan_v()
-        .run(g, &mut prog, opts)
-        .expect("fault-free reference");
-    (
-        prog.labels().to_vec(),
-        report.changed_per_iteration,
-        report.active_per_iteration,
-    )
-}
-
-/// Kernel launches one checkpointed iteration costs on the GPU engine
-/// for this graph (pick + bucket kernels + update + barrier snapshot),
-/// measured rather than assumed so fault-index arithmetic stays correct
-/// if the kernel schedule grows.
-pub fn launches_per_iteration(g: &Graph, opts: &RunOptions) -> u32 {
-    let mut probe = GpuEngine::titan_v();
-    let mut prog = ClassicLp::new(g.num_vertices());
-    let hooked = opts.clone().with_barrier_hook(BarrierHook::new(|_| {}));
-    let report = probe.run(g, &mut prog, &hooked).expect("healthy probe");
-    assert!(report.iterations >= 3, "test graph converges too fast");
-    (probe.device().kernel_log().len() as u64 / u64::from(report.iterations)) as u32
-}
-
 /// The standard deterministic fraud workload: three planted rings in a
 /// background of organic traffic, sized so LP flags the rings within a
 /// couple of reclusters. Shared by the serve and pipeline suites.
@@ -288,17 +259,5 @@ mod tests {
             per_day(&adv, burst_day as u32) > 2 * per_day(&adv, burst_day as u32 - 1),
             "burst day must dwarf a calm day"
         );
-    }
-
-    #[test]
-    fn reference_run_is_reproducible() {
-        let g = glp_graph::gen::two_cliques_bridge(9);
-        let opts = RunOptions::default();
-        let (labels_a, changed_a, active_a) = reference(&g, &opts);
-        let (labels_b, changed_b, active_b) = reference(&g, &opts);
-        assert_eq!(labels_a, labels_b);
-        assert_eq!(changed_a, changed_b);
-        assert_eq!(active_a, active_b);
-        assert!(launches_per_iteration(&g, &opts) > 0);
     }
 }

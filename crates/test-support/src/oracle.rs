@@ -11,8 +11,9 @@
 //! `use glp_test_support::oracle::*;` (which brings every axis's variants).
 //!
 //! Each backend's restrictions are encoded once, in `Case::normalized`:
-//! TigerGraph runs classic LP only, the tiers without a frontier (G-Sort,
-//! G-Hash, the in-house cluster) run dense, the asynchronous sweep never
+//! TigerGraph runs classic LP only, a ladder whose first rung has no
+//! frontier (G-Sort, G-Hash, the in-house cluster) runs dense (one lower
+//! down continues all-active after a degrade), the asynchronous sweep never
 //! sits on a ladder, and the sweep is checked against its own dense run.
 
 pub use self::{Program::*, Rig::*};
@@ -28,9 +29,9 @@ pub use glp_core::{FrontierMode, FrontierMode::*, MflStrategy, MflStrategy::*};
 use glp_fraud::InHouseLp;
 use glp_gpusim::faults::{Fault, FaultPlan};
 pub use glp_gpusim::faults::{FaultKind, FaultKind::*};
-use glp_gpusim::{Device, DeviceConfig, KernelRecord};
+use glp_gpusim::{Device, DeviceConfig};
 use glp_graph::{EdgeId, Graph, GraphBuilder, Label, VertexId};
-use glp_trace::{Category, Kind, Tracer};
+use glp_trace::{Category, Event, Kind, Tracer};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -97,8 +98,14 @@ impl Rig {
                 plan,
             ))),
             Multi2 | Multi3 => {
-                let mut e = MultiGpuEngine::titan_v(if self == Multi2 { 2 } else { 3 });
-                e.gpus_mut().device_mut(0).set_faults(plan.cloned());
+                let cards = if self == Multi2 { 2 } else { 3 };
+                let mut e = MultiGpuEngine::titan_v(cards);
+                // An `Oom` hits the last card to upload, any other the first.
+                let oom = plan.is_some_and(|p| {
+                    matches!(p.scheduled()[..], [Fault::Device { kind: Oom, .. }])
+                });
+                let card = if oom { cards - 1 } else { 0 };
+                e.gpus_mut().device_mut(card).set_faults(plan.cloned());
                 Box::new(e)
             }
             HostBsp => Box::new(SequentialEngine::bsp()),
@@ -135,20 +142,17 @@ impl Built {
         }
     }
 
-    /// Every launch the rungs' devices logged, rung by rung, device by
-    /// device. The sweep is no rung: it logs none here.
-    fn launches(&mut self, g: &Graph, opts: &RunOptions) -> Vec<KernelRecord> {
+    /// Visits the rungs' devices, rung by rung, device by device. The sweep
+    /// is no rung: it has none here.
+    fn each_device(&mut self, g: &Graph, opts: &RunOptions, f: &mut dyn FnMut(&Device)) {
         let rungs = match self {
             Built::Rung(e) => std::slice::from_mut(e),
             Built::Ladder(e) => e.tiers_mut(),
             Built::Sweep(_) => &mut [],
         };
-        let mut log = Vec::new();
         for rung in rungs {
-            rung.backend(g, opts)
-                .each_device(&mut |d| log.extend_from_slice(d.kernel_log()));
+            rung.backend(g, opts).each_device(&mut |d| f(d));
         }
-        log
     }
 }
 
@@ -232,8 +236,8 @@ pub struct Case {
     /// Start `ClassicLp` from the labels a host run reaches at this barrier,
     /// on a saturated frontier.
     pub warm: Option<u32>,
-    /// A fault on the first rung's first device at this launch (upload, for
-    /// [`Oom`]) index.
+    /// A fault on the first rung's first device (the last card for an
+    /// [`Oom`]) at this launch (upload, for [`Oom`]) index.
     pub fault: Option<(FaultKind, u32)>,
 }
 
@@ -331,7 +335,7 @@ impl Case {
         if self.rigs.contains(&Tg) {
             self.program = Classic;
         }
-        if self.rigs.iter().any(|r| r.dense_only()) {
+        if self.rigs[0].dense_only() {
             self.frontier = Dense;
         }
         if self.program != Classic {
@@ -377,6 +381,9 @@ impl Case {
             inner,
             plain,
             barriers,
+            begun: Vec::new(),
+            plan: None,
+            fired: None,
         }
     }
 
@@ -394,29 +401,34 @@ impl Case {
         prog.barriers.pop()
     }
 
-    /// Whether the run must survive its fault. A fault fires once, so a
-    /// ladder retries a transient one on the same rung, and any fault on
-    /// the first rung (the only one armed) leaves a healthy rung below; a
-    /// multi-GPU engine finishes on the survivors of a lost device.
-    fn recovers(&self) -> bool {
-        let Some((kind, _)) = self.fault else {
-            return true;
-        };
-        let multi = matches!(self.rigs[0], Multi2 | Multi3);
+    /// How the run must survive its fault, should it fire — the name of the
+    /// trace instant it leaves — or `None` if the fault is the run's. A
+    /// multi-GPU engine repartitions over the survivors of a lost card; a
+    /// fault fires once, so a ladder retries a transient one on the same
+    /// rung and degrades past any other onto the healthy rung below.
+    fn recovery(&self) -> Option<&'static str> {
+        let (kind, _) = self.fault?;
         let transient = matches!(kind, LaunchFail | Timeout | ShardPanic);
-        (self.ladder && (transient || self.rigs.len() > 1)) || (multi && kind == DeviceLost)
+        let multi = matches!(self.rigs[0], Multi2 | Multi3);
+        if multi && kind == DeviceLost {
+            Some("repartition")
+        } else if self.ladder && (transient || self.rigs.len() > 1) {
+            Some(if transient { "retry" } else { "degrade" })
+        } else {
+            None
+        }
     }
 
-    fn engine(&self, g: &Graph) -> Built {
-        let plan = self.plan();
+    /// The case's engine, its first rung reading `plan`.
+    fn engine(&self, g: &Graph, plan: Option<&Arc<FaultPlan>>) -> Built {
         let rig = self.rigs[0];
         if !self.ladder {
             return match rig {
                 Async => Built::Sweep(SequentialEngine::new()),
-                rung => Built::Rung(rung.rung(g, plan.as_ref())),
+                rung => Built::Rung(rung.rung(g, plan)),
             };
         }
-        let first = |i: usize| plan.as_ref().filter(|_| i == 0);
+        let first = |i: usize| plan.filter(|_| i == 0);
         let rungs = self
             .rigs
             .iter()
@@ -490,13 +502,26 @@ impl Case {
 }
 
 /// Forwards the Table 1 callbacks to the program and keeps its labels at
-/// every barrier, the starting labels first. `plain` hides
-/// `sparse_activation`, so a run over it schedules densely and never
-/// replays.
+/// every barrier, the starting labels first, and every iteration begun.
+/// `plain` hides `sparse_activation`, so a run over it schedules densely and
+/// never replays. `fired` is where `plan`'s fault was first seen spent: the
+/// iteration it interrupted, and whether that was at its `begin_iteration`
+/// (the fault fired while staging, before any iteration began).
 struct Watch {
     inner: Box<dyn LpProgram>,
     plain: bool,
     barriers: Vec<Vec<Label>>,
+    begun: Vec<u32>,
+    plan: Option<Arc<FaultPlan>>,
+    fired: Option<(u32, bool)>,
+}
+
+impl Watch {
+    fn note(&mut self, iteration: u32, staging: bool) {
+        if self.fired.is_none() && self.plan.as_ref().is_some_and(|p| p.all_fired()) {
+            self.fired = Some((iteration, staging));
+        }
+    }
 }
 
 impl LpProgram for Watch {
@@ -516,10 +541,13 @@ impl LpProgram for Watch {
         self.inner.update_vertex(v, winner)
     }
     fn begin_iteration(&mut self, iteration: u32) {
+        self.note(iteration, true);
+        self.begun.push(iteration);
         self.inner.begin_iteration(iteration);
     }
     fn end_iteration(&mut self, iteration: u32) {
         self.inner.end_iteration(iteration);
+        self.note(iteration, false);
         self.barriers.push(self.inner.labels().to_vec());
     }
     fn finished(&self, iteration: u32, changed: u64) -> bool {
@@ -535,13 +563,21 @@ impl LpProgram for Watch {
 
 /// Runs `case` and holds it against the plain host run: labels, the
 /// `changed` trace and the iteration count — or, when `run` fails on a
-/// fault it cannot recover from ([`Case::recovers`]), the labels of the
+/// fault it cannot recover from ([`Case::recovery`]), the labels of the
 /// last barrier the run reached; every per-iteration vector, hook call and
-/// iteration span once per iteration under one root run span; the direction
-/// record consistent with the mode; the `active` trace that of a host BSP
-/// run in the same mode; a finite, positive modeled clock on modeled tiers.
-/// Returns the propagation kernels the run launched, `"fallback"` if the
-/// CMS+HT global fallback fired and `"2+ iterations"` if it ran that many.
+/// iteration span once per iteration under one root run span, and every
+/// iteration begun once; the direction record consistent with the mode; the
+/// `active` trace that of a host BSP run in the same mode; a finite,
+/// positive modeled clock on modeled tiers. After the run, Ok or not, no
+/// device that is not lost holds memory and only a card the fault lost is
+/// lost; a fired fault is recorded once — in a ladder's report, with the
+/// iterations it interrupted as salvaged, and by one trace instant under the
+/// iteration it interrupted. A run on more harness threads, or reading a
+/// plan whose fault never came due, charges what one thread with no plan
+/// does. Returns the propagation kernels the run launched, `"fallback"`,
+/// `"2+ iterations"`, `"all-active after a degrade"` (a frontier-less rung
+/// took over a shrunk frontier), `"fault fired"` and `"fault after a
+/// barrier"` for what happened.
 fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
     let g = case.graph();
     let start = case.warm_start(&g);
@@ -563,42 +599,97 @@ fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
     let hook = BarrierHook::new(move |ev| sink.lock().unwrap().push((ev.iteration, ev.changed)));
     opts.barrier_hook = case.hook.then_some(hook);
     opts.tracer = case.tracer.then(Tracer::new);
+    let plan = case.plan();
     let mut got = case.program(&g, start, false);
+    got.plan = plan.clone();
     // What a run charged: the clock, the counter totals, every launch's
     // seconds kernel by kernel, and every launch each rung's devices
     // logged, with its counters, in order.
-    let charged = |mut engine: Built, outcome: &Result<LpRunReport, _>| {
+    let charged = |engine: &mut Built, outcome: &Result<LpRunReport, _>| {
         let r = outcome.as_ref().ok()?;
         let clock = r.modeled_seconds.to_bits();
-        let launches = engine.launches(&g, &sparse);
+        let mut launches = Vec::new();
+        engine.each_device(&g, &sparse, &mut |d| {
+            launches.extend_from_slice(d.kernel_log())
+        });
         Some((clock, r.gpu_counters, r.kernel_profile.clone(), launches))
     };
-    let mut engine = case.engine(&g);
+    let mut engine = case.engine(&g, plan.as_ref());
     let outcome = engine.run(&g, &mut got, &opts);
-    // Harness threads split launches on the host only: one thread charges
-    // the same (a hook still takes its snapshots; a tracer only observes).
-    let one_thread = (case.shards > 1).then(|| {
+    let spent = plan.as_ref().is_some_and(|p| p.all_fired());
+    // Harness threads split launches on the host only, and a plan is read
+    // at the launch boundary only: one thread, and no plan where the case's
+    // never came due, charge the same (a hook still takes its snapshots; a
+    // tracer only observes).
+    let twin = (case.shards > 1 || plan.is_some() && !spent).then(|| {
         let mut opts = sparse.clone().with_shards(1);
         opts.barrier_hook = case.hook.then(|| BarrierHook::new(|_| ()));
         let mut twin = case.program(&g, start, false);
-        let mut twin_engine = case.engine(&g);
+        let mut twin_engine = case.engine(&g, case.plan().filter(|_| spent).as_ref());
         let twin_outcome = twin_engine.run(&g, &mut twin, &opts);
-        charged(twin_engine, &twin_outcome)
+        charged(&mut twin_engine, &twin_outcome)
     });
 
     let (want_changed, done) = (&want_report.changed_per_iteration, got.barriers.len() - 1);
+    let (interrupted, staging) = got.fired.unwrap_or((done as u32, false));
+    let recovered = case.recovery().filter(|_| spent);
     let mut failed: Vec<String> = Vec::new();
     let mut expect = |ok: bool, what: &str| (!ok).then(|| failed.push(what.to_string()));
-    if let Some(twin) = one_thread {
-        expect(charged(engine, &outcome) == twin, "charges at one shard");
+    if let Some(twin) = twin {
+        expect(
+            charged(&mut engine, &outcome) == twin,
+            "charges at one shard, no plan",
+        );
     }
     expect(
         want.get(done) == Some(&got.barriers[done]),
         "labels at the last barrier",
     );
+    let begun = got.begun.len();
+    expect(
+        got.begun.iter().copied().eq(0..begun as u32)
+            && (done..=done + usize::from(outcome.is_err())).contains(&begun),
+        "each iteration begun once",
+    );
+    let (mut resident, mut lost) = (0, 0);
+    engine.each_device(&g, &sparse, &mut |d| match d.is_lost() {
+        true => lost += 1,
+        false => resident += d.resident_bytes(),
+    });
+    expect(resident == 0, "no memory left resident");
+    let lost_card = spent && case.fault.is_some_and(|(kind, _)| kind == DeviceLost);
+    expect(lost == u32::from(lost_card), "only the lost card lost");
+    // A ladder's report holds what its policy did: one retry or one degrade
+    // (a repartition heals inside the rung), the interrupted iteration
+    // salvaged, and the rung that finished.
+    if let Built::Ladder(e) = &engine {
+        let r = e.resilience();
+        let policy = recovered.filter(|&how| how != "repartition");
+        let count = |how| u32::from(policy == Some(how));
+        let salvaged = u64::from(if policy.is_some() { interrupted } else { 0 });
+        let faults = usize::from(spent && recovered != Some("repartition"));
+        let tier = Some(e.tier_names()[count("degrade") as usize]);
+        let counts = (r.retries, r.degradations, r.faults.len());
+        expect(
+            counts == (count("retry"), count("degrade"), faults)
+                && (r.iterations_salvaged, r.tier) == (salvaged, tier),
+            "resilience report",
+        );
+    }
+    // A rung without a frontier below a sparse one runs all-active from the
+    // iteration it took over.
+    let dense_from = match recovered {
+        Some("degrade") if case.rigs[1].dense_only() => interrupted as usize,
+        _ => done,
+    };
     let mut ran = Vec::new();
     match &outcome {
-        Err(_) => _ = expect(!case.recovers(), "an error the run must recover from"),
+        Err(_) => {
+            _ = expect(
+                spent && recovered.is_none(),
+                "an error the run must recover from",
+            )
+        }
         Ok(r) => {
             let n = r.iterations as usize;
             expect(
@@ -617,18 +708,22 @@ fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
                 !snapshots || r.snapshots_taken == n as u64,
                 "one snapshot per iteration",
             );
-            let consistent = |d| match (case.frontier.sparse(got.sparse_activation()), d) {
+            let sparse_run = case.frontier.sparse(got.sparse_activation());
+            let consistent = |(i, &d)| match (sparse_run && i < dense_from, d) {
                 (false, d) => d == Direction::Dense,
                 (true, Direction::Push) => case.frontier != Pull,
                 (true, Direction::Pull) => case.frontier != Push,
                 (true, Direction::Dense) => false,
             };
             let dirs = &r.direction_per_iteration;
-            expect(dirs.iter().all(|&d| consistent(d)), "direction record");
+            expect(dirs.iter().enumerate().all(consistent), "direction record");
             if !sweep {
                 let (_, same_mode) = host(&mut SequentialEngine::bsp(), false, &sparse);
-                let active = &r.active_per_iteration;
-                expect(*active == same_mode.active_per_iteration, "active trace");
+                let mut active = same_mode.active_per_iteration[..dense_from].to_vec();
+                active.extend(&want_report.active_per_iteration[dense_from..]);
+                let all_active = active != same_mode.active_per_iteration;
+                ran.extend(all_active.then_some("all-active after a degrade"));
+                expect(r.active_per_iteration == active, "active trace");
             }
             let s = r.modeled_seconds;
             let host_tier = case.rigs.iter().any(|r| matches!(r, HostBsp | Async));
@@ -638,6 +733,8 @@ fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
             ran.extend((n >= 2).then_some("2+ iterations"));
         }
     }
+    ran.extend(spent.then_some("fault fired"));
+    ran.extend((spent && interrupted > 0).then_some("fault after a barrier"));
     let want_fired: Vec<(u32, u64)> = (0..).zip(want_changed.iter().copied()).collect();
     let want_fired = if sweep { &[][..] } else { &want_fired[..done] };
     expect(
@@ -645,18 +742,35 @@ fn verify(case: &Case) -> Result<Vec<&'static str>, String> {
         "hook calls",
     );
     if let Some(trace) = opts.tracer.map(|t| t.finish()) {
-        let spans = trace.events.iter().filter(|e| e.cat == Category::Iteration);
-        let spans = spans
-            .filter(|e| e.kind == Kind::Span && !e.err)
-            .map(|e| e.arg);
+        let iterations = trace.events.iter().filter(|e| e.cat == Category::Iteration);
+        let spans = iterations
+            .clone()
+            .filter(|e| e.kind == Kind::Span && !e.err);
         expect(
-            spans.eq((0..done as u64).map(Some)),
+            spans.map(|e| e.arg).eq((0..done as u64).map(Some)),
             "one iteration span per iteration",
         );
         // A ladder's attempts nest under its own run span.
         let runs = trace.events.iter().filter(|e| e.cat == Category::Run);
         let one = runs.clone().filter(|e| e.parent == 0).count() == 1;
         expect(one && (case.ladder || runs.count() == 1), "one run span");
+        // Recovery leaves one instant, under the iteration the fault
+        // interrupted (the failed run span, if it fired while staging); the
+        // policy closes that iteration as an error.
+        let at = Some(u64::from(interrupted));
+        let mut errs = iterations.filter(|e| e.err);
+        expect(errs.all(|e| e.arg == at), "error-closed iteration");
+        let under = |e: &&Event| match (trace.event(e.parent), staging) {
+            (Some(p), true) => p.cat == Category::Run && p.err,
+            (Some(p), false) => p.cat == Category::Iteration && p.arg == at,
+            (None, _) => false,
+        };
+        let is_mark = |e: &&Event| e.cat == Category::Resilience && e.name != "snapshot";
+        let marks: Vec<_> = trace.events.iter().filter(is_mark).collect();
+        expect(
+            marks.iter().map(|e| e.name).eq(recovered) && marks.iter().all(under),
+            "one recovery instant under the interrupted iteration",
+        );
         failed.extend(trace.check_well_formed(1e-9).err());
     }
     match failed.is_empty() {
@@ -702,11 +816,17 @@ fn fail(what: &str, case: Case, why: String) -> ! {
     );
 }
 
-/// Checks one case as it is; a failure is shrunk and panics with the repro.
-pub fn check(case: Case) {
-    if let Err(why) = outcome(&case) {
-        fail("pinned case", case, why);
-    }
+/// Checks one case as it is, and that its fault fires unless it sits at
+/// `u32::MAX`; a failure is shrunk and panics with the repro. Returns what
+/// the run ran, as [`verify`] names it.
+pub fn check(case: Case) -> Vec<&'static str> {
+    let ran = outcome(&case).unwrap_or_else(|why| fail("pinned case", case.clone(), why));
+    let due = case.fault.is_some_and(|(_, at)| at < u32::MAX);
+    assert!(
+        !due || ran.contains(&"fault fired"),
+        "fault never fired: {case:?}"
+    );
+    ran
 }
 
 /// Draws `cases` cases from `seed`, passes each through `shape` (a slice
@@ -738,8 +858,8 @@ pub fn sweep(cases: u64, seed: u64, shape: impl Fn(&mut Case)) -> BTreeSet<Strin
 /// What a sweep should have drawn and run but did not: every engine, ladder
 /// shape, program (LLP at every γ), frontier mode, strategy, shard count,
 /// hook / tracer / warm-start / table flag and fault kind, all four
-/// propagation kernels, the CMS+HT global fallback and a run of two
-/// iterations or more.
+/// propagation kernels, the CMS+HT global fallback, a run of two
+/// iterations or more and a fault that fired after the first barrier.
 pub fn coverage_gaps(seen: &BTreeSet<String>) -> Vec<String> {
     let mut want: Vec<String> = Rig::ALL.iter().map(|r| format!("{r:?}")).collect();
     want.extend((0..=3).map(|k| format!("ladder: {} of {}", k > 0, k.max(1))));
@@ -751,7 +871,7 @@ pub fn coverage_gaps(seen: &BTreeSet<String>) -> Vec<String> {
         want.extend([format!("{axis}: true"), format!("{axis}: false")]);
     }
     let fixed = "shards: 1,shards: 3,warm: None,warm: Some,lp_warp_packed,lp_warp_per_vertex,\
-                 lp_block_cms_ht,lp_global_hash,fallback,2+ iterations";
+                 lp_block_cms_ht,lp_global_hash,fallback,2+ iterations,fault after a barrier";
     want.extend(fixed.split(',').map(String::from));
     want.extend(FAULTS.iter().map(|f| format!("{f:?}")));
     want.retain(|w| !seen.contains(w));
